@@ -89,32 +89,6 @@ fn metrics_for(suite: &str, baseline: &Value) -> Result<Vec<Metric>, String> {
             // ~1× means the fan-out or the scheduler serialized.
             floor: 1.5,
         }]),
-        "serve_path" => Ok(vec![
-            Metric {
-                path: "cold_ratio".into(),
-                direction: Direction::Higher,
-                // Just under the perf_serve_path budget (>= 1.5): the
-                // zero-copy plane must beat the fs::read plane on any
-                // hardware; collapsing toward 1× means serving went back
-                // to copying or re-hashing per request.
-                floor: 1.4,
-            },
-            Metric {
-                path: "warm_ratio".into(),
-                direction: Direction::Higher,
-                // Warm serving is pure cache + iovec; if it no longer
-                // clearly beats the legacy plane, residency or the
-                // vectored write path broke.
-                floor: 2.0,
-            },
-            Metric {
-                path: "copies_per_identity_byte".into(),
-                direction: Direction::Lower,
-                // Byte arithmetic, not timing: >1 copy per served
-                // identity byte means a copy crept back into the path.
-                floor: 1.0,
-            },
-        ]),
         "obs_overhead" => {
             let Some(Value::Array(workloads)) = lookup(baseline, "workloads") else {
                 return Err("obs_overhead baseline has no workloads array".into());
@@ -178,7 +152,7 @@ fn metrics_for(suite: &str, baseline: &Value) -> Result<Vec<Metric>, String> {
         }
         other => Err(format!(
             "no comparison table for suite `{other}` \
-             (known: store_throughput, serve_scale, serve_path, obs_overhead, compression)"
+             (known: store_throughput, serve_scale, obs_overhead, compression)"
         )),
     }
 }

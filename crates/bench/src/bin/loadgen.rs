@@ -48,7 +48,7 @@ const SERVER_THREADS: usize = 2;
 const REPLICATION: usize = 2;
 const SATURATION_MAX_CONNS: usize = 2;
 const BUDGET_SCALE_3_OVER_1: f64 = 1.6;
-const BUDGET_SATURATION_P99_MS: f64 = 2000.0;
+const BUDGET_SATURATION_P99_MS: f64 = 1000.0;
 
 #[derive(Serialize)]
 struct PhaseScale {

@@ -8,9 +8,10 @@
 //! Polls the server's `Stats` request and renders a refreshing dashboard:
 //! request/byte throughput (client-side diffs between polls, so they work
 //! against any server), p50/p99 request latency and queue wait (from the
-//! server's log₂ histograms), cache hit rate, a per-codec compression
-//! table (shards, on-disk vs decoded bytes, ratio), and a per-connection
-//! load table. `--once` prints a single snapshot without clearing the screen
+//! server's log₂ histograms), worker wake-ups with their fruitless share
+//! (the readiness core's wasted-work ratio), cache hit rate, a per-codec
+//! compression table (shards, on-disk vs decoded bytes, ratio), and a
+//! per-connection load table. `--once` prints a single snapshot without clearing the screen
 //! (the CI-friendly mode); `--iterations` bounds a refreshing run.
 
 use std::process::ExitCode;
@@ -94,6 +95,13 @@ fn render(snap: &StatsSnapshot, rates: Option<(f64, f64)>) -> String {
     out.push_str(&format!(
         "{:<22} {:>12}\n",
         "requests shed (busy)", snap.requests_shed
+    ));
+    out.push_str(&format!(
+        "{:<22} {:>12}  ({} fruitless, {:.1}%)\n",
+        "worker wake-ups",
+        snap.wakeups,
+        snap.fruitless_wakeups,
+        100.0 * snap.fruitless_wakeups as f64 / snap.wakeups.max(1) as f64
     ));
     out.push_str(&format!(
         "{:<22} {:>12.1}/s\n",

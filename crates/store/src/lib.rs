@@ -11,8 +11,9 @@
 //!   whose shard names are their own FNV-1a hashes, read back through a
 //!   byte-budgeted LRU cache warmed by a lookahead prefetcher.
 //! - [`protocol`] / [`server`] — the serving layer: a length-prefixed
-//!   binary protocol over plain `std::net` TCP, request-granular worker
-//!   scheduling with explicit `Busy` overload shedding, and fault-plan
+//!   binary protocol over plain `std::net` TCP, readiness-driven
+//!   request-granular worker scheduling (`epoll` through raw externs)
+//!   with explicit `Busy` overload shedding, and fault-plan
 //!   hooks (`drop@conn:request`, `die@conn:request`) for resilience
 //!   testing. The `sickle-serve` binary wraps it.
 //! - [`client`] / [`batching`] — the consumption layer: a
@@ -33,6 +34,7 @@ pub mod cluster;
 pub mod manifest;
 pub mod prefetch;
 pub mod protocol;
+mod readiness;
 pub mod ring;
 pub mod server;
 pub mod shard_bytes;

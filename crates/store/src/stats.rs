@@ -6,8 +6,9 @@
 //! * the process-global `sickle-obs` metric registry (counters, gauges and
 //!   log₂ histograms update their atomics even with tracing disabled, so
 //!   stats cost nothing extra on the serve path), and
-//! * a [`ConnRegistry`] of per-connection byte/request counters, attached
-//!   to each live connection through an RAII [`ConnGuard`].
+//! * a per-server [`ConnRegistry`]: per-connection byte/request counters,
+//!   attached to each live connection through an RAII [`ConnGuard`], plus
+//!   the server's wake-up ledger.
 //!
 //! The snapshot is serialized with the vendored value-tree serde, so
 //! `sickle-top` (or any other client) can deserialize it without the
@@ -50,6 +51,8 @@ pub struct ConnRegistry {
 struct RegistryInner {
     next_id: AtomicU64,
     total: AtomicU64,
+    wakeups: AtomicU64,
+    fruitless_wakeups: AtomicU64,
     open: Mutex<Vec<(u64, Arc<ConnCounters>)>>,
 }
 
@@ -69,6 +72,16 @@ impl ConnRegistry {
             registry: self.clone(),
             id,
             counters,
+        }
+    }
+
+    /// Records one worker wake-up (a readiness wait that returned) and
+    /// whether it was `useful`: moved a byte, or accepted, closed or
+    /// expired a connection.
+    pub fn note_wakeup(&self, useful: bool) {
+        self.inner.wakeups.fetch_add(1, Ordering::Relaxed);
+        if !useful {
+            self.inner.fruitless_wakeups.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -189,6 +202,15 @@ pub struct StatsSnapshot {
     /// Every registered metric, with log-bucket p50/p95/p99 and ring-buffer
     /// rates (see [`MetricSnapshot`]).
     pub metrics: Vec<MetricSnapshot>,
+    /// Worker wake-ups: readiness waits that returned, for any reason
+    /// (this server only, lifetime; absent in older snapshots).
+    #[serde(default)]
+    pub wakeups: u64,
+    /// Wake-ups that moved no byte and accepted, closed or expired
+    /// nothing — timer ticks over a quiet server, mostly. The useful share
+    /// of this layer's attempts is `1 - fruitless_wakeups / wakeups`.
+    #[serde(default)]
+    pub fruitless_wakeups: u64,
     /// Per-connection counters for live connections.
     pub connections: Vec<ConnStats>,
     /// Per-codec shard aggregates for the served store (empty when the
@@ -225,6 +247,8 @@ impl StatsSnapshot {
             cache_misses: misses as u64,
             cache_hit_rate: if lookups > 0.0 { hits / lookups } else { 0.0 },
             metrics,
+            wakeups: conns.inner.wakeups.load(Ordering::Relaxed),
+            fruitless_wakeups: conns.inner.fruitless_wakeups.load(Ordering::Relaxed),
             connections: live,
             codecs: Vec::new(),
         }
@@ -363,10 +387,18 @@ mod tests {
         let mut snap = StatsSnapshot::collect(&ConnRegistry::default());
         snap.codecs.clear();
         let json = String::from_utf8(snap.to_json()).unwrap();
-        let stripped = json.replacen(",\"codecs\":[]", "", 1);
-        assert_ne!(json, stripped, "test must actually strip the field");
+        let stripped = json.replacen(",\"codecs\":[]", "", 1).replacen(
+            ",\"wakeups\":0,\"fruitless_wakeups\":0",
+            "",
+            1,
+        );
+        assert!(
+            !stripped.contains("codecs") && !stripped.contains("wakeups"),
+            "test must actually strip the fields"
+        );
         let back = StatsSnapshot::from_json(stripped.as_bytes()).expect("parse");
         assert!(back.codecs.is_empty());
+        assert_eq!((back.wakeups, back.fruitless_wakeups), (0, 0));
     }
 
     #[test]

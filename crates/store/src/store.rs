@@ -28,7 +28,7 @@ use sickle_field::SampleSet;
 
 use crate::cache::BlockCache;
 use crate::manifest::{ShardEntry, ShardKey, StoreManifest};
-use crate::shard_bytes::{copytrace, MmapMode, ShardBytes};
+use crate::shard_bytes::{MmapMode, ShardBytes};
 
 /// Tuning for an opened store.
 #[derive(Clone, Copy, Debug)]
@@ -242,30 +242,12 @@ impl ShardStore {
 
     /// Reads a shard's raw verified bytes into an owned buffer. Compat
     /// shim over [`shard_handle`](Self::shard_handle) for callers that
-    /// need a `Vec<u8>`; the materialization is copy-accounted.
+    /// need a `Vec<u8>`.
     ///
     /// # Errors
     /// `NotFound` for an unknown key, `InvalidData` on a hash mismatch.
     pub fn shard_bytes(&self, key: ShardKey) -> io::Result<Vec<u8>> {
-        let handle = self.shard_handle(key)?;
-        copytrace::note_copy(handle.len());
-        Ok(handle.as_slice().to_vec())
-    }
-
-    /// The pre-zero-copy raw read path — an uncached `std::fs::read` plus
-    /// full-buffer hash — kept as the measured baseline for
-    /// `perf_serve_path` and the legacy (`zero_copy = false`) server mode.
-    ///
-    /// # Errors
-    /// `NotFound` for an unknown key, `InvalidData` on a hash mismatch.
-    pub fn shard_bytes_baseline(&self, key: ShardKey) -> io::Result<Vec<u8>> {
-        let entry = self.entry(key)?;
-        let bytes = std::fs::read(self.root.join(&entry.file))?;
-        copytrace::note_copy(bytes.len());
-        if fio::fnv1a64_hex(&bytes) != entry.hash {
-            return Err(invalid(format!("hash mismatch for {}", entry.file)));
-        }
-        Ok(bytes)
+        Ok(self.shard_handle(key)?.as_slice().to_vec())
     }
 
     /// Fetches a decoded shard through the cache: a hit is an `Arc` clone;

@@ -1,12 +1,14 @@
 //! Loopback integration tests for the serving plane: multi-client
-//! bit-identity, crash isolation, injected connection drops, and protocol
-//! error handling — all over real TCP sockets on 127.0.0.1.
+//! bit-identity, crash isolation, injected connection drops, protocol
+//! error handling, and the readiness core's scheduling contracts (idle
+//! cost, write parking, timers, shutdown) — all over real TCP sockets on
+//! 127.0.0.1.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sickle_hpc::FaultPlan;
 use sickle_store::batching::{local_batch, num_batches, BatchSpec};
@@ -37,8 +39,19 @@ fn start_server(
     Vec<Arc<sickle_field::SampleSet>>,
     sickle_store::ServerHandle,
 ) {
+    start_server_with(tag, cfg, small_output(SNAPSHOTS, CUBES, POINTS))
+}
+
+fn start_server_with(
+    tag: &str,
+    cfg: ServeConfig,
+    out: sickle_core::pipeline::SamplingOutput,
+) -> (
+    PathBuf,
+    Vec<Arc<sickle_field::SampleSet>>,
+    sickle_store::ServerHandle,
+) {
     let root = temp_root(tag);
-    let out = small_output(SNAPSHOTS, CUBES, POINTS);
     let store = ShardStore::ingest(&root, &out, StoreConfig::default()).unwrap();
     // Canonical (snapshot, cube) order = ShardKey order, which for the
     // fixture is exactly iteration order.
@@ -348,6 +361,183 @@ fn sixteen_concurrent_clients_serve_without_error() {
     for worker in workers {
         worker.join().expect("client thread must not panic");
     }
+    drop(handle);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Polls `probe` every few milliseconds until it returns `Some`, for at
+/// most five seconds.
+fn eventually<T>(what: &str, mut probe: impl FnMut() -> Option<T>) -> T {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        if let Some(value) = probe() {
+            return value;
+        }
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn sixteen_idle_connections_cost_a_handful_of_wakeups() {
+    let (root, _sets, handle) = start_server("idle_wakeups", ServeConfig::default());
+    let mut observer = fast_client(handle.addr());
+    let idle: Vec<TcpStream> = (0..16)
+        .map(|_| TcpStream::connect(handle.addr()).unwrap())
+        .collect();
+    let before = eventually("all idle connections admitted", || {
+        let snap = observer.stats().unwrap();
+        (snap.connections_open == 17).then_some(snap)
+    });
+    std::thread::sleep(Duration::from_millis(500));
+    let after = observer.stats().unwrap();
+    // Two timer ticks and the second stats request itself; the sweeping
+    // scheduler made roughly 2 000 passes per worker in the same window.
+    let wakeups = after.wakeups - before.wakeups;
+    assert!(wakeups < 20, "{wakeups} wake-ups over 16 idle connections");
+    assert!(after.fruitless_wakeups <= after.wakeups);
+    assert_eq!(after.connections_open, 17, "idle peers are still connected");
+    drop(idle);
+    drop(handle);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn stalled_reader_parks_on_writability_and_resumes_bit_identically() {
+    // One 1.5 MB shard, requested 48 times back to back by a peer that
+    // does not read: far more than loopback socket buffers hold.
+    const REQUESTS: usize = 48;
+    let (root, _sets, handle) = start_server_with(
+        "write_park",
+        ServeConfig {
+            threads: 2,
+            ..ServeConfig::default()
+        },
+        small_output(1, 1, 1 << 16),
+    );
+    let mut observer = fast_client(handle.addr());
+    let key = observer.manifest().unwrap().entries[0].key();
+    let expected = observer.shard(key).unwrap();
+
+    let mut peer = TcpStream::connect(handle.addr()).unwrap();
+    let (tag, payload) = Request::GetShard(key).encode();
+    for _ in 0..REQUESTS {
+        write_frame(&mut peer, tag, &payload).unwrap();
+    }
+    // The peer's row is the youngest connection. Wait until its answered
+    // count stops moving: the server has filled the socket and parked.
+    let answered = |observer: &mut StoreClient| {
+        let snap = observer.stats().unwrap();
+        let row = snap.connections.iter().max_by_key(|c| c.id).unwrap();
+        (row.requests, snap.wakeups)
+    };
+    let mut last = 0;
+    eventually("the response stream to stall", || {
+        let (now, _) = answered(&mut observer);
+        let stalled = now > 0 && now == last;
+        last = now;
+        std::thread::sleep(Duration::from_millis(20));
+        stalled.then_some(())
+    });
+    let (parked_at, wakeups_before) = answered(&mut observer);
+    std::thread::sleep(Duration::from_millis(200));
+    let (still_at, wakeups_after) = answered(&mut observer);
+    assert!(
+        (parked_at as usize) < REQUESTS,
+        "nothing was left to park: {parked_at} answered"
+    );
+    assert_eq!(still_at, parked_at, "no request answered while parked");
+    let spun = wakeups_after - wakeups_before;
+    assert!(
+        spun < 10,
+        "{spun} wake-ups while parked: the worker is polling"
+    );
+
+    // The peer starts reading: every response arrives whole and identical.
+    peer.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    for i in 0..REQUESTS {
+        let (rtag, bytes) = read_frame(&mut peer).unwrap();
+        assert_eq!(rtag, sickle_store::protocol::TAG_RESP_SHARD, "response {i}");
+        assert!(bytes == expected, "response {i} differs from the shard");
+    }
+    let (done, _) = answered(&mut observer);
+    assert_eq!(done as usize, REQUESTS);
+    drop(handle);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn silent_connection_is_closed_after_the_idle_window() {
+    let (root, _sets, handle) = start_server(
+        "idle_expiry",
+        ServeConfig {
+            read_timeout: Duration::from_millis(20),
+            idle_timeouts: 3,
+            ..ServeConfig::default()
+        },
+    );
+    let mut silent = TcpStream::connect(handle.addr()).unwrap();
+    silent
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let t0 = Instant::now();
+    let eof = silent.read(&mut [0u8; 1]).expect("closed, not timed out");
+    assert_eq!(eof, 0, "the server hangs up on a silent peer");
+    assert!(
+        t0.elapsed() >= Duration::from_millis(60),
+        "closed after {:?}, before read_timeout x idle_timeouts",
+        t0.elapsed()
+    );
+    drop(handle);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn shutdown_with_a_hundred_parked_connections_is_prompt() {
+    let (root, _sets, mut handle) = start_server("shutdown_parked", ServeConfig::default());
+    let mut observer = fast_client(handle.addr());
+    let parked: Vec<TcpStream> = (0..100)
+        .map(|_| TcpStream::connect(handle.addr()).unwrap())
+        .collect();
+    eventually("all connections admitted", || {
+        (observer.stats().unwrap().connections_open == 101).then_some(())
+    });
+    let t0 = Instant::now();
+    handle.shutdown();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
+    // The last worker out closed every parked socket.
+    for mut stream in parked {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(matches!(stream.read(&mut [0u8; 1]), Ok(0) | Err(_)));
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn fresh_connection_is_served_without_an_accept_nap() {
+    let (root, _sets, handle) = start_server("fresh_conn", ServeConfig::default());
+    let (tag, payload) = Request::Stats.encode();
+    let mut micros: Vec<u128> = (0..50)
+        .map(|_| {
+            let t0 = Instant::now();
+            let mut stream = TcpStream::connect(handle.addr()).unwrap();
+            stream.set_nodelay(true).unwrap();
+            write_frame(&mut stream, tag, &payload).unwrap();
+            read_frame(&mut stream).unwrap();
+            t0.elapsed().as_micros()
+        })
+        .collect();
+    micros.sort_unstable();
+    // The accept thread used to sleep 2 ms between looks at the listener.
+    let median = micros[micros.len() / 2];
+    assert!(
+        median < 1000,
+        "connect + first Stats took {median} us (median)"
+    );
     drop(handle);
     std::fs::remove_dir_all(&root).ok();
 }
