@@ -1,5 +1,4 @@
-//! Quality-side ablations for the design choices DESIGN.md §5 calls out
-//! (the cost side lives in `benches/ablations.rs`):
+//! Quality-side ablations for the design choices DESIGN.md §5 calls out:
 //!
 //! - histogram bin count for the entropy estimate (paper fixes 100),
 //! - k-means cluster count (paper uses 5–20),

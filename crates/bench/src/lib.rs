@@ -1,9 +1,9 @@
 //! # sickle-bench
 //!
-//! The benchmark harness: one binary per table/figure of the paper's
-//! evaluation (see `src/bin/`), plus Criterion micro-benchmarks
-//! (`benches/`). This library holds the shared experiment plumbing so the
-//! binaries stay thin and the logic is unit-testable.
+//! One binary per table/figure of the paper's evaluation (see `src/bin/`),
+//! the `subsample`/`train_case`/`gen_configs` CLIs and the `trace_*` tools;
+//! this library holds their shared plumbing so the binaries stay thin and
+//! the logic is unit-testable. Timing anything is `benchmark/`'s job.
 //!
 //! | Binary | Paper element |
 //! |---|---|

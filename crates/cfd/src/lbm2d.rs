@@ -109,14 +109,6 @@ fn equilibrium(i: usize, rho: f64, u: f64, v: f64) -> f64 {
     W[i] * rho * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * usq)
 }
 
-/// Analytic flop estimate for one collide+stream step on an `nx × ny`
-/// lattice: moments (~27), velocity divides, nine equilibrium evaluations
-/// and BGK relaxations (~15 each) per cell, ignoring the copy-dominated
-/// streaming pass.
-pub fn lbm_step_flops(nx: usize, ny: usize) -> u64 {
-    (nx * ny) as u64 * 170
-}
-
 /// Collides one x-slab of `f` into a direction-major (SoA) window slab
 /// (`w[i * ny + y]`), leaving solid cells untouched (their window entries
 /// are never read — solid sources stream via bounce-back). Quads of four

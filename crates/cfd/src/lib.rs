@@ -33,6 +33,6 @@ pub mod spectral;
 pub mod synth;
 
 pub use combustion::CombustionConfig;
-pub use lbm2d::{lbm_step_flops, CylinderFlow, LbmConfig};
+pub use lbm2d::{CylinderFlow, LbmConfig};
 pub use spectral::{Forcing, SpectralConfig, SpectralSolver, Stratification};
 pub use synth::{SpectrumKind, SynthConfig};

@@ -32,7 +32,6 @@ pub mod metrics;
 pub mod pipeline;
 pub mod pod;
 pub mod samplers;
-pub mod streaming;
 pub mod temporal;
 pub mod uips;
 

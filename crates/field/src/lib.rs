@@ -11,7 +11,6 @@
 //! speaks in the types defined here, mirroring how the Python SICKLE passes
 //! NumPy arrays between `subsample.py` and `train.py`.
 
-pub mod decomp;
 pub mod derived;
 pub mod grid;
 pub mod io;
@@ -19,11 +18,10 @@ pub mod points;
 pub mod snapshot;
 pub mod stats;
 pub mod tiling;
-pub mod vtk;
 
 pub use grid::{Axis, Grid2, Grid3};
 pub use io::SampleSetView;
 pub use points::{FeatureMatrix, SampleSet};
 pub use snapshot::{Dataset, DatasetMeta, Snapshot};
-pub use stats::{hist_flops, Histogram, SummaryStats};
+pub use stats::{Histogram, SummaryStats};
 pub use tiling::{Hypercube, Tiling};

@@ -299,12 +299,6 @@ impl Histogram {
     }
 }
 
-/// Analytic flop estimate for binning `n` values into a histogram
-/// (subtract, divide, scale, truncate per value).
-pub fn hist_flops(n: usize) -> u64 {
-    4 * n as u64
-}
-
 /// Shannon entropy (nats) of a probability mass function; zero-probability
 /// bins contribute nothing.
 pub fn shannon_entropy(pmf: &[f64]) -> f64 {

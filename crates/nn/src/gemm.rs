@@ -24,7 +24,7 @@
 use std::cell::RefCell;
 
 use rayon::prelude::*;
-use sickle_simd::fma_available;
+use sickle_simd::{fma_available, kernel, Kernel};
 
 /// Microkernel tile rows (accumulator tile is `MR × NR` f32 = 12 of the 16
 /// SSE2 xmm registers, leaving room for the `A` broadcast and `B` row).
@@ -38,36 +38,6 @@ pub const KC: usize = 256;
 pub const MC: usize = 128;
 /// Columns of `B` packed per panel (`KC·NC` f32 cap on the shared panel).
 pub const NC: usize = 4096;
-
-/// Which matmul implementation the tape dispatches to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Kernel {
-    /// The pre-optimization row-parallel kernels (kept for comparison
-    /// benchmarks).
-    Naive,
-    /// The packed, register-tiled blocked kernels (default).
-    Blocked,
-}
-
-/// Selects the global matmul implementation (bench/testing hook; not
-/// intended to be toggled while another thread is inside a kernel).
-/// Maps onto the workspace-wide `sickle_simd` kernel switch, so forcing
-/// a variant there forces it here too.
-pub fn set_kernel(k: Kernel) {
-    sickle_simd::set_kernel(match k {
-        Kernel::Naive => sickle_simd::Kernel::Naive,
-        Kernel::Blocked => sickle_simd::Kernel::Optimized,
-    });
-}
-
-/// Currently selected matmul implementation (reads the workspace-wide
-/// `sickle_simd` kernel switch).
-pub fn kernel() -> Kernel {
-    match sickle_simd::kernel() {
-        sickle_simd::Kernel::Naive => Kernel::Naive,
-        sickle_simd::Kernel::Optimized => Kernel::Blocked,
-    }
-}
 
 thread_local! {
     /// Packed-A scratch, one per worker thread (each row block packs its own).
@@ -89,8 +59,8 @@ pub fn matmul_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: u
         Kernel::Naive => naive_matmul_into(c, a, b, m, k, n, acc),
         // With fewer rows than one micro-tile, packing B costs more than
         // the whole naive product (contiguous axpy rows) — route around.
-        Kernel::Blocked if m < MR => naive_matmul_into(c, a, b, m, k, n, acc),
-        Kernel::Blocked => gemm_strided(c, m, k, n, a, k, 1, b, n, 1, acc),
+        Kernel::Optimized if m < MR => naive_matmul_into(c, a, b, m, k, n, acc),
+        Kernel::Optimized => gemm_strided(c, m, k, n, a, k, 1, b, n, 1, acc),
     }
 }
 
@@ -111,7 +81,7 @@ pub fn matmul_nt_into(
     assert_eq!(b.len(), n * k, "B length mismatch");
     match kernel() {
         Kernel::Naive => naive_matmul_nt_into(c, a, b, m, k, n, acc),
-        Kernel::Blocked => gemm_strided(c, m, k, n, a, k, 1, b, 1, k, acc),
+        Kernel::Optimized => gemm_strided(c, m, k, n, a, k, 1, b, 1, k, acc),
     }
 }
 
@@ -135,9 +105,9 @@ pub fn matmul_tn_into(
         Kernel::Naive => naive_matmul_tn_into(c, a, b, m, k, n, acc),
         // A reduction this short can't amortize the micro-tile setup; the
         // naive TN loop is m contiguous axpy sweeps and wins outright.
-        Kernel::Blocked if m < 8 => naive_matmul_tn_into(c, a, b, m, k, n, acc),
+        Kernel::Optimized if m < 8 => naive_matmul_tn_into(c, a, b, m, k, n, acc),
         // Logical dims: M' = k, K' = m, N' = n; A'[i][l] = a[l*k + i].
-        Kernel::Blocked => gemm_strided(c, k, m, n, a, 1, k, b, n, 1, acc),
+        Kernel::Optimized => gemm_strided(c, k, m, n, a, 1, k, b, n, 1, acc),
     }
 }
 
@@ -594,15 +564,5 @@ mod tests {
         let mut naive = vec![0.0f32; m * n];
         naive_matmul_into(&mut naive, &a, &b, m, k, n, false);
         assert_close(&naive, &blocked, "naive vs blocked");
-    }
-
-    #[test]
-    fn kernel_switch_roundtrips() {
-        let before = kernel();
-        set_kernel(Kernel::Naive);
-        assert_eq!(kernel(), Kernel::Naive);
-        set_kernel(Kernel::Blocked);
-        assert_eq!(kernel(), Kernel::Blocked);
-        set_kernel(before);
     }
 }

@@ -104,10 +104,10 @@ pub fn fma_available() -> bool {
 
 /// The shared scalar bin formula: truncate-and-saturate cast of the
 /// normalized position `(v - lo) / (hi - lo)`. Single source of the binning
-/// rule used by `Histogram::bin_of`, the streaming sampler, and the
-/// vectorized [`bin_indices`] kernel. Non-finite `v` saturates through the
-/// `as isize` cast (NaN → bin 0, ±inf → the end bins); *skipping* non-finite
-/// values is the caller's policy, applied where counts are accumulated.
+/// rule used by `Histogram::bin_of` and the vectorized [`bin_indices`]
+/// kernel. Non-finite `v` saturates through the `as isize` cast (NaN →
+/// bin 0, ±inf → the end bins); *skipping* non-finite values is the
+/// caller's policy, applied where counts are accumulated.
 #[inline]
 pub fn bin_index(v: f64, lo: f64, hi: f64, bins: usize) -> usize {
     let t = (v - lo) / (hi - lo);

@@ -4,7 +4,7 @@
 //! sickle-serve --root runs/store [--addr 127.0.0.1] [--port 7077]
 //!              [--threads 8] [--cache-mb 256] [--lookahead 1]
 //!              [--max-seconds N] [--allow-shutdown] [--fixture]
-//!              [--max-conns N] [--model-us-per-key US]
+//!              [--max-conns N]
 //! ```
 //!
 //! `--max-seconds` bounds the serving window (for CI smoke runs); without
@@ -18,9 +18,7 @@
 //! fault plan, if any, is read from `SICKLE_FAULT_PLAN`
 //! (`drop@conn:request`, `die@conn:request`, ...). Tracing honours the
 //! usual `SICKLE_TRACE*` environment. `--max-conns` bounds admission
-//! (arrivals past it get a `Busy` frame); `--model-us-per-key` injects a
-//! synthetic per-key service time so load tests on a shared-CPU host
-//! measure data-plane scaling, not core count.
+//! (arrivals past it get a `Busy` frame).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -42,7 +40,6 @@ struct Args {
     allow_shutdown: bool,
     fixture: bool,
     max_conns: usize,
-    model_us_per_key: u64,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -57,7 +54,6 @@ fn parse_args() -> Result<Args, String> {
         allow_shutdown: false,
         fixture: false,
         max_conns: ServeConfig::default().max_conns,
-        model_us_per_key: 0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -99,16 +95,10 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--max-conns: {e}"))?;
             }
-            "--model-us-per-key" => {
-                args.model_us_per_key = value("--model-us-per-key")?
-                    .parse()
-                    .map_err(|e| format!("--model-us-per-key: {e}"))?;
-            }
             "--help" | "-h" => {
                 return Err("usage: sickle-serve --root DIR [--addr A] [--port P] \
                             [--threads N] [--cache-mb MB] [--lookahead N] [--max-seconds S] \
-                            [--allow-shutdown] [--fixture] [--max-conns N] \
-                            [--model-us-per-key US]"
+                            [--allow-shutdown] [--fixture] [--max-conns N]"
                     .to_string());
             }
             other => return Err(format!("unknown flag {other}")),
@@ -147,7 +137,6 @@ fn run(args: &Args) -> Result<(), String> {
             fault_plan,
             allow_shutdown: args.allow_shutdown,
             max_conns: args.max_conns,
-            model_us_per_key: args.model_us_per_key,
             ..ServeConfig::default()
         },
     )

@@ -21,9 +21,8 @@
 //! whichever budget is over.
 //!
 //! Hits and misses on the decoded side keep their historical counters
-//! (`store.cache.hit` / `store.cache.miss` — the `perf_store_throughput`
-//! warm/cold signal); the raw side gets its own `store.cache.raw_hit` /
-//! `store.cache.raw_miss` pair.
+//! (`store.cache.hit` / `store.cache.miss`); the raw side gets its own
+//! `store.cache.raw_hit` / `store.cache.raw_miss` pair.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

@@ -83,12 +83,6 @@ pub struct ServeConfig {
     /// Explicit shedding keeps overload visible to clients as retryable
     /// backpressure instead of connect timeouts.
     pub max_conns: usize,
-    /// Synthetic service time per shard key served (µs), slept in the
-    /// worker while the request is handled. `0` (the default) disables it.
-    /// `loadgen` uses this to model per-node disk/NIC bandwidth on a
-    /// shared-CPU loopback host, so cluster scaling measures the data
-    /// plane's load spreading rather than the host's core count.
-    pub model_us_per_key: u64,
 }
 
 impl Default for ServeConfig {
@@ -102,7 +96,6 @@ impl Default for ServeConfig {
             fault_plan: None,
             allow_shutdown: false,
             max_conns: 1024,
-            model_us_per_key: 0,
         }
     }
 }
@@ -729,15 +722,6 @@ fn answer(decoded: io::Result<(Request, Option<TraceContext>)>, shared: &Shared)
         .unwrap_or_else(|e| Reply::Message(Response::from_error(&e)))
 }
 
-/// Sleeps out the synthetic per-key service time, when configured — the
-/// loadgen capacity model (see [`ServeConfig::model_us_per_key`]).
-fn model_service(shared: &Shared, keys_served: usize) {
-    let us = shared.cfg.model_us_per_key;
-    if us > 0 && keys_served > 0 {
-        std::thread::sleep(Duration::from_micros(us * keys_served as u64));
-    }
-}
-
 fn serve_request(req: Request, shared: &Shared) -> io::Result<Reply> {
     match req {
         Request::Manifest => {
@@ -767,7 +751,6 @@ fn serve_request(req: Request, shared: &Shared) -> io::Result<Reply> {
                 .map(|&k| shared.store.get(k))
                 .collect::<io::Result<Vec<_>>>()?;
             hint_lookahead(shared, spec, index);
-            model_service(shared, keys.len());
             let _s = sickle_obs::span!("serve.assemble_batch");
             Ok(Reply::Message(Response::Batch(batch_from_sets(
                 &sets,
@@ -795,7 +778,6 @@ fn serve_request(req: Request, shared: &Shared) -> io::Result<Reply> {
                 inputs.extend(i);
                 targets.extend(t);
             }
-            model_service(shared, keys.len());
             Ok(Reply::Message(Response::Tensors(TensorBlock {
                 count: keys.len(),
                 tokens,

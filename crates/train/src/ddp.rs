@@ -239,6 +239,7 @@ mod tests {
 
     #[test]
     fn ddp_matches_single_worker_training() {
+        let _serial = crate::flops_serial();
         // world=1 DDP must match the plain trainer exactly (same seeds).
         let data = toy_data(24);
         let cfg = TrainConfig {
@@ -257,6 +258,7 @@ mod tests {
 
     #[test]
     fn ddp_multiworker_converges() {
+        let _serial = crate::flops_serial();
         let data = toy_data(32);
         let cfg = TrainConfig {
             epochs: 15,
@@ -272,6 +274,7 @@ mod tests {
 
     #[test]
     fn ddp_is_deterministic() {
+        let _serial = crate::flops_serial();
         let data = toy_data(16);
         let cfg = TrainConfig {
             epochs: 3,
@@ -287,6 +290,7 @@ mod tests {
 
     #[test]
     fn ddp_records_allreduce_traffic() {
+        let _serial = crate::flops_serial();
         let data = toy_data(16);
         let cfg = TrainConfig {
             epochs: 2,

@@ -19,18 +19,22 @@
 //! - [`ddp`] is the `torch.distributed` analogue: thread-based data-parallel
 //!   replicas with gradient all-reduce.
 
-//! - [`hpo`] implements the `--tune` analogue (random search and
-//!   successive halving standing in for DeepHyper).
-//! - [`federated`] implements FedAvg across sites (the paper's APPFL
-//!   extension).
-
 pub mod data;
 pub mod ddp;
-pub mod federated;
-pub mod hpo;
 pub mod models;
 pub mod trainer;
 
 pub use data::{Batch, BatchShape, RemoteDataset, TensorData};
 pub use models::{LstmModel, MateyMini, Model, TokenTransformer};
 pub use trainer::{TrainConfig, TrainResult};
+
+/// The trainers meter energy from the process-global `nn::flops` counter,
+/// which every tape op bumps and every training run resets. Each unit test
+/// that drives a tape holds this, so the tests asserting on metered energy
+/// see only their own FLOPs.
+#[cfg(test)]
+pub(crate) fn flops_serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -498,6 +498,7 @@ mod tests {
 
     #[test]
     fn lstm_model_shapes_and_training() {
+        let _serial = crate::flops_serial();
         let batch = toy_batch(4, 3, 6, 1);
         let mut model = LstmModel::new(6, 16, 1, 0);
         let mut tape = Tape::new();
@@ -509,6 +510,7 @@ mod tests {
 
     #[test]
     fn mlp_transformer_reconstructs() {
+        let _serial = crate::flops_serial();
         let batch = toy_batch(3, 8, 4, 27);
         let mut model = TokenTransformer::mlp_transformer(8, 4, 16, 1, 27, 0);
         let mut tape = Tape::new();
@@ -520,6 +522,7 @@ mod tests {
 
     #[test]
     fn cnn_transformer_per_token_decode() {
+        let _serial = crate::flops_serial();
         // tokens=8 patches, each decoding 8 outputs -> 64 total.
         let batch = toy_batch(2, 8, 8, 64);
         let mut model = TokenTransformer::cnn_transformer(8, 8, 16, 1, 64, 0);
@@ -532,6 +535,7 @@ mod tests {
 
     #[test]
     fn matey_mini_trains_with_pruning() {
+        let _serial = crate::flops_serial();
         let batch = toy_batch(2, 8, 8, 64);
         let mut model = MateyMini::new(8, 8, 16, 1, 64, 0.5, 0);
         let mut tape = Tape::new();
@@ -555,6 +559,7 @@ mod tests {
 
     #[test]
     fn eval_loss_matches_manual() {
+        let _serial = crate::flops_serial();
         let batch = toy_batch(2, 3, 4, 1);
         let model = LstmModel::new(4, 8, 1, 1);
         let e1 = model.eval_loss(&batch);
@@ -580,6 +585,7 @@ mod tests {
 
     #[test]
     fn models_work_through_tensor_data_batches() {
+        let _serial = crate::flops_serial();
         let d = TensorData::new(
             (0..5 * 3 * 4).map(|i| i as f32 * 0.01).collect(),
             (0..5).map(|i| i as f32 * 0.1).collect(),

@@ -207,6 +207,7 @@ mod tests {
 
     #[test]
     fn training_reduces_loss_and_meters_energy() {
+        let _serial = crate::flops_serial();
         let data = linear_sequence_data(40);
         let mut model = LstmModel::new(2, 8, 1, 0);
         let cfg = TrainConfig {
@@ -230,6 +231,7 @@ mod tests {
 
     #[test]
     fn training_is_deterministic_under_seed() {
+        let _serial = crate::flops_serial();
         let data = linear_sequence_data(20);
         let cfg = TrainConfig {
             epochs: 5,
@@ -254,6 +256,7 @@ mod tests {
 
     #[test]
     fn bf16_training_still_converges() {
+        let _serial = crate::flops_serial();
         let data = linear_sequence_data(40);
         let mut model = LstmModel::new(2, 8, 1, 0);
         let cfg = TrainConfig {
@@ -270,6 +273,7 @@ mod tests {
 
     #[test]
     fn more_epochs_cost_more_energy() {
+        let _serial = crate::flops_serial();
         let data = linear_sequence_data(20);
         let cfg_short = TrainConfig {
             epochs: 3,
@@ -299,6 +303,7 @@ mod tests {
 
     #[test]
     fn fewer_samples_cost_less_energy() {
+        let _serial = crate::flops_serial();
         // The paper's core efficiency claim at the trainer level.
         let small = linear_sequence_data(10);
         let large = linear_sequence_data(100);

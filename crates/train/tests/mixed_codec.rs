@@ -2,20 +2,23 @@
 //! shards side by side serves deterministic epochs, and the identity shards
 //! stay bit-identical to in-memory batching — compression is a per-shard
 //! storage decision, invisible to the training loop except through the
-//! values themselves.
+//! values themselves — and those move the trained loss by no more than a
+//! stated budget.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sickle_energy::MachineModel;
 use sickle_store::batching::tensorize_set;
 use sickle_store::manifest::ShardKey;
 use sickle_store::server::{serve, ServeConfig};
 use sickle_store::store::{set_key, ShardStore, StoreConfig};
 use sickle_store::testutil::small_output;
 use sickle_store::{ClientConfig, Codec};
-use sickle_train::{RemoteDataset, TensorData};
+use sickle_train::trainer::{train, TrainConfig};
+use sickle_train::{RemoteDataset, TensorData, TokenTransformer};
 
 const SNAPSHOTS: usize = 2;
 const CUBES: usize = 4;
@@ -142,4 +145,69 @@ fn mixed_codec_store_serves_deterministic_epochs() {
 
     drop(handle);
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// Best held-out loss of a short training run on the serving plane's own
+/// task (tokens → per-column means, as `tensorize_set` defines it) whose
+/// input tokens are what `inputs` decodes; targets come from `truth`, so
+/// only the codec differs between two calls. The model learns this task
+/// within the run, so a wrong decode moves the loss by tens of percent.
+fn trained_loss(inputs: &ShardStore, truth: &ShardStore) -> f64 {
+    let mut tokens = Vec::new();
+    let mut targets = Vec::new();
+    let mut features = 0;
+    for key in truth.keys() {
+        tokens.extend(tensorize_set(&inputs.get(key).unwrap(), TOKENS).unwrap().0);
+        let truth_set = truth.get(key).unwrap();
+        features = truth_set.features.dim();
+        targets.extend(tensorize_set(&truth_set, TOKENS).unwrap().1);
+    }
+    let mut data = TensorData::new(tokens, targets, TOKENS, features, features);
+    data.standardize();
+    let mut model = TokenTransformer::mlp_transformer(TOKENS, features, 16, 1, features, 8);
+    let cfg = TrainConfig {
+        epochs: 10,
+        batch: 4,
+        test_frac: 0.25,
+        seed: 8,
+        ..TrainConfig::default()
+    };
+    f64::from(train(&mut model, &data, &cfg, MachineModel::frontier_gcd()).best_test)
+}
+
+/// The downstream-error bound a lossy store must state (after
+/// Wu–Zaki–Meneveau, arXiv:1910.11994): training on decoded shards lands
+/// within 5 % (quantizers) or 10 % (coarse + re-simulate) of the loss
+/// reached on identity shards.
+#[test]
+fn lossy_codecs_train_within_loss_delta_of_identity() {
+    let out = small_output(SNAPSHOTS, 16, POINTS);
+    let store_of = |codec: Codec| {
+        let root = std::env::temp_dir().join(format!(
+            "sickle_codec_loss_{}_{}",
+            codec.name(),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        ShardStore::ingest_with(&root, &out, StoreConfig::default(), |_| codec).unwrap()
+    };
+    let truth = store_of(Codec::Identity);
+    let identity = trained_loss(&truth, &truth);
+    assert!(identity.is_finite() && identity > 0.0);
+    for (codec, budget_pct) in [
+        (Codec::F16, 5.0),
+        (Codec::Bf16, 5.0),
+        (Codec::U8Block, 5.0),
+        (Codec::resim_default(), 10.0),
+    ] {
+        let store = store_of(codec);
+        let delta_pct = 100.0 * (trained_loss(&store, &truth) - identity) / identity;
+        std::fs::remove_dir_all(store.root()).ok();
+        assert!(
+            delta_pct.abs() <= budget_pct,
+            "{}: loss delta {delta_pct:+.2}% vs identity exceeds {budget_pct}%",
+            codec.name()
+        );
+    }
+    std::fs::remove_dir_all(truth.root()).ok();
 }
