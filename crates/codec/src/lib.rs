@@ -211,33 +211,6 @@ pub fn decode_shard(mut data: &[u8]) -> io::Result<Vec<SampleSet>> {
     Ok(sets)
 }
 
-/// A shard decoded as shallowly as its codec permits: identity (`SKLH`)
-/// shards come back as borrowed [`SampleSetView`]s into the input buffer
-/// (zero value copies), while lossy `SKLQ` shards must reconstruct their
-/// values and come back owned.
-#[derive(Debug)]
-pub enum DecodedShard<'a> {
-    /// Borrowed views into the input (identity shards).
-    Views(Vec<sickle_field::SampleSetView<'a>>),
-    /// Materialized sets (lossy shards — the values do not exist on disk).
-    Owned(Vec<SampleSet>),
-}
-
-/// Decodes a shard without materializing values when the bytes already
-/// hold them: the zero-copy twin of [`decode_shard`]. Dispatches on the
-/// magic exactly like the eager decoder and shares its validation, so a
-/// hostile shard fails identically on both paths.
-///
-/// # Errors
-/// As [`decode_shard`].
-pub fn decode_shard_lazy(data: &[u8]) -> io::Result<DecodedShard<'_>> {
-    need(data, 4, "truncated shard")?;
-    if &data[..4] == b"SKLH" {
-        return fio::decode_sample_sets_view(data).map(DecodedShard::Views);
-    }
-    decode_shard(data).map(DecodedShard::Owned)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,33 +267,6 @@ mod tests {
                 assert_eq!(a.hypercube, b.hypercube);
             }
         }
-    }
-
-    #[test]
-    fn lazy_decode_borrows_identity_and_owns_lossy() {
-        let sets = sets();
-        let id = encode_shard(&sets, Codec::Identity);
-        match decode_shard_lazy(&id).unwrap() {
-            DecodedShard::Views(views) => {
-                assert_eq!(views.len(), sets.len());
-                let owned = decode_shard(&id).unwrap();
-                for (view, set) in views.iter().zip(&owned) {
-                    let back = view.to_owned_set();
-                    assert_eq!(back.features, set.features);
-                    assert_eq!(back.indices, set.indices);
-                }
-            }
-            DecodedShard::Owned(_) => panic!("identity shard must decode as views"),
-        }
-        let lossy = encode_shard(&sets, Codec::F16);
-        match decode_shard_lazy(&lossy).unwrap() {
-            DecodedShard::Owned(owned) => {
-                assert_eq!(owned.len(), sets.len());
-            }
-            DecodedShard::Views(_) => panic!("lossy shard cannot borrow"),
-        }
-        assert!(decode_shard_lazy(b"SK").is_err());
-        assert!(decode_shard_lazy(&id[..id.len() - 3]).is_err());
     }
 
     #[test]

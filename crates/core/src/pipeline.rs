@@ -296,6 +296,79 @@ pub fn derive_rng(seed: u64, snapshot: usize, cube: usize) -> StdRng {
     StdRng::seed_from_u64(z ^ (z >> 31))
 }
 
+/// One snapshot's sampling plan: phase 1 has run and everything phase 2
+/// needs is fixed. Every executor — rayon here, rank threads with retry in
+/// `sickle-hpc` — only decides *where and when* [`sample_cube`] runs for
+/// each of [`cube_ids`]; what a cube yields is decided here, once, which is
+/// why serial ≡ ranked ≡ recovered holds by construction.
+///
+/// [`sample_cube`]: SnapshotPlan::sample_cube
+/// [`cube_ids`]: SnapshotPlan::cube_ids
+pub struct SnapshotPlan<'a> {
+    snap: &'a Snapshot,
+    snapshot_index: usize,
+    cfg: &'a SamplingConfig,
+    tiling: Tiling,
+    vars: Vec<String>,
+    cluster_col: usize,
+    sampler: Box<dyn PointSampler>,
+    cube_ids: Vec<usize>,
+}
+
+impl<'a> SnapshotPlan<'a> {
+    /// Tiles the snapshot and runs phase 1 (hypercube selection) on the
+    /// calling thread, drawing from the snapshot's own RNG stream.
+    pub fn new(snap: &'a Snapshot, snapshot_index: usize, cfg: &'a SamplingConfig) -> Self {
+        let tiling = Tiling::cubic(snap.grid, cfg.cube_edge);
+        let count = cfg.num_hypercubes.min(tiling.len());
+        let mut rng = derive_rng(cfg.seed, snapshot_index, usize::MAX);
+        let cube_ids = {
+            let _p1 = sickle_obs::span!("sample.phase1.select", tiles = tiling.len(), keep = count);
+            cfg.hypercubes
+                .build()
+                .select(&tiling, snap, &cfg.cluster_var, count, &mut rng)
+        };
+        let (vars, cluster_col) = cfg.extraction_vars();
+        SnapshotPlan {
+            snap,
+            snapshot_index,
+            cfg,
+            tiling,
+            vars,
+            cluster_col,
+            sampler: cfg.method.build(),
+            cube_ids,
+        }
+    }
+
+    /// The selected hypercubes, in phase-1 order — the canonical output
+    /// order of the snapshot's sample sets.
+    pub fn cube_ids(&self) -> &[usize] {
+        &self.cube_ids
+    }
+
+    /// Phase 2 for one hypercube. The RNG stream is derived from
+    /// `(seed, snapshot, cube)` alone, so the result does not depend on
+    /// which thread runs it, in what order, or how many times.
+    pub fn sample_cube(&self, cube_id: usize) -> SampleSet {
+        let (features, indices) = self.tiling.extract(self.snap, cube_id, &self.vars);
+        let mut rng = derive_rng(self.cfg.seed, self.snapshot_index, cube_id);
+        let picked =
+            self.sampler
+                .select(&features, self.cluster_col, self.cfg.num_samples, &mut rng);
+        sickle_obs::counter!("sample.points_out", picked.len());
+        let sel_features = features.gather(&picked);
+        let sel_indices: Vec<usize> = picked.iter().map(|&p| indices[p]).collect();
+        SampleSet::new(
+            sel_features,
+            sel_indices,
+            self.snap.time,
+            self.snapshot_index,
+        )
+        .with_hypercube(cube_id)
+    }
+}
+
 /// Runs the two-phase pipeline on one snapshot, returning one sample set per
 /// selected hypercube. Cubes are processed in parallel.
 pub fn run_snapshot(
@@ -304,32 +377,15 @@ pub fn run_snapshot(
     cfg: &SamplingConfig,
 ) -> Vec<SampleSet> {
     let _snap_span = sickle_obs::span!("sample.snapshot", snapshot = snapshot_index);
-    let tiling = Tiling::cubic(snap.grid, cfg.cube_edge);
-    let count = cfg.num_hypercubes.min(tiling.len());
-    let mut rng = derive_rng(cfg.seed, snapshot_index, usize::MAX);
-    let selector = cfg.hypercubes.build();
-    let cube_ids = {
-        let _p1 = sickle_obs::span!("sample.phase1.select", tiles = tiling.len(), keep = count);
-        selector.select(&tiling, snap, &cfg.cluster_var, count, &mut rng)
-    };
-    let (vars, cluster_col) = cfg.extraction_vars();
-    let sampler = cfg.method.build();
-
+    let plan = SnapshotPlan::new(snap, snapshot_index, cfg);
     // Rayon workers run on pool threads with their own (empty) span stacks,
     // so the phase-2 spans must name their parent explicitly.
     let parent = sickle_obs::current_span_id();
-    cube_ids
+    plan.cube_ids()
         .par_iter()
         .map(|&cube_id| {
             let _cube = sickle_obs::child_span!(parent, "sample.phase2.cube", cube = cube_id);
-            let (features, indices) = tiling.extract(snap, cube_id, &vars);
-            let mut rng = derive_rng(cfg.seed, snapshot_index, cube_id);
-            let picked = sampler.select(&features, cluster_col, cfg.num_samples, &mut rng);
-            sickle_obs::counter!("sample.points_out", picked.len());
-            let sel_features = features.gather(&picked);
-            let sel_indices: Vec<usize> = picked.iter().map(|&p| indices[p]).collect();
-            SampleSet::new(sel_features, sel_indices, snap.time, snapshot_index)
-                .with_hypercube(cube_id)
+            plan.sample_cube(cube_id)
         })
         .collect()
 }
@@ -358,22 +414,28 @@ pub fn temporal_selection(dataset: &Dataset, cfg: &SamplingConfig) -> Vec<usize>
     }
 }
 
-/// Runs the pipeline over every temporally selected snapshot of a dataset.
-pub fn run_dataset(dataset: &Dataset, cfg: &SamplingConfig) -> SamplingOutput {
-    let _run = sickle_obs::span!(
-        "sample.run_dataset",
-        snapshots = dataset.num_snapshots(),
-        cubes_per_snapshot = cfg.num_hypercubes
-    );
+/// The dataset loop every executor shares: temporal selection, then
+/// `snapshot_sets(index, snapshot)` once per kept snapshot in order, then
+/// the run statistics — the one place a [`SamplingOutput`] is assembled.
+/// Callers supply only how one snapshot's sets are obtained (computed here,
+/// restored from a checkpoint, computed on ranks).
+///
+/// # Errors
+/// The first error `snapshot_sets` returns.
+pub fn run_dataset_with<E>(
+    dataset: &Dataset,
+    cfg: &SamplingConfig,
+    mut snapshot_sets: impl FnMut(usize, &Snapshot) -> Result<Vec<SampleSet>, E>,
+) -> Result<SamplingOutput, E> {
     let t0 = std::time::Instant::now();
     let keep = {
         let _t = sickle_obs::span!("sample.temporal", total = dataset.num_snapshots());
         temporal_selection(dataset, cfg)
     };
-    let sets: Vec<Vec<SampleSet>> = keep
+    let sets = keep
         .iter()
-        .map(|&i| run_snapshot(&dataset.snapshots[i], i, cfg))
-        .collect();
+        .map(|&i| snapshot_sets(i, &dataset.snapshots[i]))
+        .collect::<Result<Vec<_>, E>>()?;
     let cube_points = cfg
         .cube_edge
         .pow(if dataset.grid().nz == 1 { 2 } else { 3 });
@@ -388,11 +450,24 @@ pub fn run_dataset(dataset: &Dataset, cfg: &SamplingConfig) -> SamplingOutput {
     let secs = stats.elapsed_secs.max(1e-12);
     sickle_obs::histogram!("sample.points_per_sec", stats.points_out as f64 / secs);
     sickle_obs::histogram!("sample.cubes_per_sec", cubes_selected as f64 / secs);
-    SamplingOutput {
+    Ok(SamplingOutput {
         sets,
         stats,
         config: cfg.clone(),
-    }
+    })
+}
+
+/// Runs the pipeline over every temporally selected snapshot of a dataset.
+pub fn run_dataset(dataset: &Dataset, cfg: &SamplingConfig) -> SamplingOutput {
+    let _run = sickle_obs::span!(
+        "sample.run_dataset",
+        snapshots = dataset.num_snapshots(),
+        cubes_per_snapshot = cfg.num_hypercubes
+    );
+    run_dataset_with(dataset, cfg, |i, snap| {
+        Ok::<_, std::convert::Infallible>(run_snapshot(snap, i, cfg))
+    })
+    .unwrap_or_else(|never| match never {})
 }
 
 /// Fingerprint of a sampling configuration (FNV-1a over its canonical JSON,
@@ -458,7 +533,6 @@ pub fn run_dataset_resumable(
         "sample.run_dataset_resumable",
         snapshots = dataset.num_snapshots()
     );
-    let t0 = std::time::Instant::now();
     std::fs::create_dir_all(dir)?;
     let fingerprint = config_fingerprint(cfg);
     let manifest_path = dir.join("manifest.json");
@@ -475,19 +549,13 @@ pub fn run_dataset_resumable(
         Err(_) => fio::CheckpointManifest::new(fingerprint.clone()),
     };
 
-    let keep = {
-        let _t = sickle_obs::span!("sample.temporal", total = dataset.num_snapshots());
-        temporal_selection(dataset, cfg)
-    };
-    let mut sets: Vec<Vec<SampleSet>> = Vec::with_capacity(keep.len());
-    for &i in &keep {
+    run_dataset_with(dataset, cfg, |i, snap| {
         if let Some(restored) = manifest.entry(i).and_then(|e| restore_snapshot(dir, e)) {
             sickle_obs::counter!("checkpoint.skipped", 1usize);
             sickle_obs::info!("checkpoint", "snapshot {i}: restored from checkpoint");
-            sets.push(restored);
-            continue;
+            return Ok(restored);
         }
-        let snap_sets = run_snapshot(&dataset.snapshots[i], i, cfg);
+        let snap_sets = run_snapshot(snap, i, cfg);
         let w0 = std::time::Instant::now();
         {
             let _w = sickle_obs::span!("checkpoint.write", snapshot = i);
@@ -507,24 +575,7 @@ pub fn run_dataset_resumable(
             manifest.save_atomic(&manifest_path)?;
         }
         sickle_obs::histogram!("checkpoint.write_secs", w0.elapsed().as_secs_f64());
-        sets.push(snap_sets);
-    }
-
-    let cube_points = cfg
-        .cube_edge
-        .pow(if dataset.grid().nz == 1 { 2 } else { 3 });
-    let cubes_selected: usize = sets.iter().map(Vec::len).sum();
-    let stats = SamplingStats {
-        points_in: cubes_selected * cube_points,
-        points_out: sets.iter().flatten().map(SampleSet::len).sum(),
-        cubes_selected,
-        phase1_points: dataset.grid().len() * keep.len(),
-        elapsed_secs: t0.elapsed().as_secs_f64(),
-    };
-    Ok(SamplingOutput {
-        sets,
-        stats,
-        config: cfg.clone(),
+        Ok(snap_sets)
     })
 }
 

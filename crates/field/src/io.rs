@@ -189,9 +189,8 @@ pub fn encode_sample_set(set: &SampleSet) -> Bytes {
 /// re-checking; they panic only on out-of-range positions, which is a
 /// caller bug, not an input property.
 ///
-/// The view borrows `data` for its whole lifetime; a cached shard handle
-/// must outlive every view parsed from it (the store guarantees this by
-/// keeping views request-scoped while the `Arc<ShardBytes>` is resident).
+/// The view borrows `data` for its whole lifetime, so the buffer (e.g. a
+/// mapped shard file) must outlive every view parsed from it.
 #[derive(Clone, Debug)]
 pub struct SampleSetView<'a> {
     /// Simulation time of the originating snapshot.
@@ -393,46 +392,18 @@ pub fn encode_sample_sets(sets: &[SampleSet]) -> Bytes {
 }
 
 /// Deserializes a checkpoint shard written by [`encode_sample_sets`].
+/// Implemented as [`decode_sample_sets_view`] + materialize, so the SKLH
+/// framing is validated in one place.
 ///
 /// # Errors
 /// Returns `InvalidData` on bad magic, version, or truncation.
-pub fn decode_sample_sets(mut data: &[u8]) -> io::Result<Vec<SampleSet>> {
-    let err = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
-    if data.remaining() < 16 {
-        return Err(err("truncated shard"));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != SHARD_MAGIC {
-        return Err(err("bad shard magic"));
-    }
-    let version = data.get_u32_le();
-    if version != VERSION {
-        return Err(err(&format!("unsupported shard version {version}")));
-    }
-    let count = data.get_u64_le() as usize;
-    // Each entry needs at least its 8-byte length prefix, so the buffer
-    // bounds the plausible count — a bit-flipped count cannot force a huge
-    // allocation before the truncation error surfaces.
-    let mut sets = Vec::with_capacity(count.min(data.remaining() / 8));
-    for _ in 0..count {
-        if data.remaining() < 8 {
-            return Err(err("truncated shard"));
-        }
-        let len = data.get_u64_le() as usize;
-        if data.remaining() < len {
-            return Err(err("truncated shard"));
-        }
-        let (blob, rest) = data.split_at(len);
-        sets.push(decode_sample_set(blob)?);
-        data = rest;
-    }
-    Ok(sets)
+pub fn decode_sample_sets(data: &[u8]) -> io::Result<Vec<SampleSet>> {
+    let views = decode_sample_sets_view(data)?;
+    Ok(views.iter().map(SampleSetView::to_owned_set).collect())
 }
 
-/// Parses a checkpoint shard as borrowed [`SampleSetView`]s — the
-/// zero-copy twin of [`decode_sample_sets`]. Framing validation is
-/// identical; only the per-set payloads stay in place.
+/// Parses a checkpoint shard as borrowed [`SampleSetView`]s: the framing
+/// is validated, the per-set payloads stay in place.
 ///
 /// # Errors
 /// Returns `InvalidData` on bad magic, version, or truncation.
@@ -451,6 +422,9 @@ pub fn decode_sample_sets_view(mut data: &[u8]) -> io::Result<Vec<SampleSetView<
         return Err(err(&format!("unsupported shard version {version}")));
     }
     let count = data.get_u64_le() as usize;
+    // Each entry needs at least its 8-byte length prefix, so the buffer
+    // bounds the plausible count — a bit-flipped count cannot force a huge
+    // allocation before the truncation error surfaces.
     let mut sets = Vec::with_capacity(count.min(data.remaining() / 8));
     for _ in 0..count {
         if data.remaining() < 8 {

@@ -11,17 +11,18 @@
 //! real transport) are handled by retry with backoff and work
 //! redistribution: a dead rank's unfinished cubes are re-dealt round-robin
 //! to the survivors, and corrupted cube results are detected by output
-//! validation and re-queued. Because every `(snapshot, cube)` pair draws
-//! from its own SplitMix64 RNG stream
-//! ([`sickle_core::pipeline::derive_rng`]), the recovered output is
-//! **bit-identical** to the failure-free run no matter which rank finally
-//! processes each cube — the determinism contract of DESIGN.md §9.
+//! validation and re-queued. This module only *schedules*: phase 1 and the
+//! per-cube body are [`sickle_core::pipeline::SnapshotPlan`], the same
+//! object the in-process rayon pipeline runs, and every `(snapshot, cube)`
+//! pair draws from its own SplitMix64 RNG stream — so the recovered output
+//! is **bit-identical** to the failure-free run no matter which rank
+//! finally processes each cube (the determinism contract of DESIGN.md §9).
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use sickle_core::pipeline::{derive_rng, SamplingConfig, SamplingOutput, SamplingStats};
-use sickle_field::{Dataset, SampleSet, Snapshot, Tiling};
+use sickle_core::pipeline::{run_dataset_with, SamplingConfig, SamplingOutput, SnapshotPlan};
+use sickle_field::{Dataset, SampleSet, Snapshot};
 
 use crate::fault::{FaultAction, FaultInjector};
 
@@ -197,19 +198,12 @@ pub fn run_resilient(
     let _run = sickle_obs::span!("hpc.run_with_ranks", ranks = ranks);
     let t0 = Instant::now();
     let fired_before = injector.fired();
-    let tiling = Tiling::cubic(snap.grid, cfg.cube_edge);
-    let count = cfg.num_hypercubes.min(tiling.len());
-    let mut rng = derive_rng(cfg.seed, snapshot_index, usize::MAX);
-    let selector = cfg.hypercubes.build();
-    let cube_ids = {
-        let _p1 = sickle_obs::span!("hpc.phase1.select", tiles = tiling.len(), keep = count);
-        selector.select(&tiling, snap, &cfg.cluster_var, count, &mut rng)
-    };
-    let (vars, cluster_col) = cfg.extraction_vars();
+    let plan = SnapshotPlan::new(snap, snapshot_index, cfg);
+    let cube_ids = plan.cube_ids();
     let grid_points = snap.grid.len();
 
     let mut alive: Vec<usize> = (0..ranks).collect();
-    let mut pending: Vec<usize> = cube_ids.clone();
+    let mut pending: Vec<usize> = cube_ids.to_vec();
     let mut done: HashMap<usize, SampleSet> = HashMap::with_capacity(cube_ids.len());
     let mut rank_secs = vec![0.0f64; ranks];
     let mut cubes_per_rank = vec![0usize; ranks];
@@ -233,8 +227,7 @@ pub fn run_resilient(
                 .iter()
                 .map(|(rank, my_cubes)| {
                     let rank = *rank;
-                    let tiling = &tiling;
-                    let vars = &vars;
+                    let plan = &plan;
                     scope.spawn(move || {
                         let _rank_span = sickle_obs::child_span!(
                             parent,
@@ -251,7 +244,6 @@ pub fn run_resilient(
                         let mut completed = Vec::with_capacity(my_cubes.len());
                         let mut died = false;
                         pool.install(|| {
-                            let sampler = cfg.method.build();
                             for &cube_id in my_cubes {
                                 let poison = match injector.on_cube(rank) {
                                     FaultAction::Proceed => false,
@@ -274,18 +266,7 @@ pub fn run_resilient(
                                     // to cut and fail-stop is `Kill`.
                                     FaultAction::Drop | FaultAction::Die => false,
                                 };
-                                let (features, indices) = tiling.extract(snap, cube_id, vars);
-                                let mut rng = derive_rng(cfg.seed, snapshot_index, cube_id);
-                                let picked = sampler.select(
-                                    &features,
-                                    cluster_col,
-                                    cfg.num_samples,
-                                    &mut rng,
-                                );
-                                let sel = features.gather(&picked);
-                                let idx: Vec<usize> = picked.iter().map(|&p| indices[p]).collect();
-                                let mut set = SampleSet::new(sel, idx, snap.time, snapshot_index)
-                                    .with_hypercube(cube_id);
+                                let mut set = plan.sample_cube(cube_id);
                                 if poison {
                                     // Silent corruption: an index past the
                                     // grid, caught by output validation.
@@ -430,28 +411,8 @@ pub fn run_dataset_with_ranks(
         snapshots = dataset.num_snapshots(),
         ranks = ranks
     );
-    let t0 = Instant::now();
-    let keep = sickle_core::pipeline::temporal_selection(dataset, cfg);
-    let mut sets: Vec<Vec<SampleSet>> = Vec::with_capacity(keep.len());
-    for &i in &keep {
-        let out = run_resilient(&dataset.snapshots[i], i, cfg, ranks, injector, policy)?;
-        sets.push(out.sets);
-    }
-    let cube_points = cfg
-        .cube_edge
-        .pow(if dataset.grid().nz == 1 { 2 } else { 3 });
-    let cubes_selected: usize = sets.iter().map(Vec::len).sum();
-    let stats = SamplingStats {
-        points_in: cubes_selected * cube_points,
-        points_out: sets.iter().flatten().map(SampleSet::len).sum(),
-        cubes_selected,
-        phase1_points: dataset.grid().len() * keep.len(),
-        elapsed_secs: t0.elapsed().as_secs_f64(),
-    };
-    Ok(SamplingOutput {
-        sets,
-        stats,
-        config: cfg.clone(),
+    run_dataset_with(dataset, cfg, |i, snap| {
+        run_resilient(snap, i, cfg, ranks, injector, policy).map(|out| out.sets)
     })
 }
 

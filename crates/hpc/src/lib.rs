@@ -6,8 +6,10 @@
 //!
 //! Three complementary pieces:
 //!
-//! - [`executor`] — a *real* rank executor: the sampling pipeline's
-//!   hypercubes are partitioned over OS threads, each pinned to a
+//! - [`executor`] — a *real* rank executor: the hypercubes of the
+//!   sampling pipeline's per-snapshot plan
+//!   ([`sickle_core::pipeline::SnapshotPlan`], the one cube sampler) are
+//!   partitioned over OS threads, each pinned to a
 //!   single-thread rayon pool (one "MPI rank" = one core), and wall time is
 //!   measured. Valid up to the host's core count; validates the simulator.
 //!   Fault-tolerant: dead ranks' cubes are re-dealt to survivors with

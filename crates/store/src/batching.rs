@@ -25,7 +25,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use sickle_field::{SampleSet, SampleSetView};
+use sickle_field::SampleSet;
 
 use crate::manifest::ShardKey;
 
@@ -40,8 +40,9 @@ pub struct BatchSpec {
     pub tokens: usize,
 }
 
-/// Shape metadata for one batch, mirroring `sickle_train::BatchShape`
-/// field-for-field (train depends on store, so the mirror lives here).
+/// Shape metadata for one batch: `samples × tokens × features` inputs and
+/// `samples × outputs` targets. Sequence models read `tokens` as timesteps.
+/// (`sickle_train::BatchShape` is this type, re-exported.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchShape {
     /// Samples in the batch.
@@ -54,7 +55,10 @@ pub struct BatchShape {
     pub outputs: usize,
 }
 
-/// One assembled batch: flat `f32` tensors plus shape metadata.
+/// One assembled batch: flat `f32` tensors plus shape metadata — the one
+/// batch type, whether built in memory, answered by a server, stitched by
+/// the cluster client, or fed to a model (`sickle_train::Batch` is this
+/// type, re-exported).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Batch {
     /// Inputs, `batch * tokens * features` long.
@@ -127,43 +131,6 @@ pub fn tensorize_set(set: &SampleSet, tokens: usize) -> io::Result<(Vec<f32>, Ve
     }
     let n = set.len() as f64;
     let targets = sums.iter().map(|s| (s / n) as f32).collect();
-    Ok((inputs, targets))
-}
-
-/// [`tensorize_set`] over a borrowed [`SampleSetView`] — the zero-copy
-/// path for identity shards, reading `f64`s straight out of the mapped
-/// region. Must stay **bit-identical** to the owned version: same stride
-/// formula, same row-by-row `f64` accumulation order for the column
-/// means, one final rounding to `f32`.
-///
-/// # Errors
-/// `InvalidData` for an empty set or `tokens == 0`.
-pub fn tensorize_view(view: &SampleSetView<'_>, tokens: usize) -> io::Result<(Vec<f32>, Vec<f32>)> {
-    if view.is_empty() {
-        return Err(invalid(format!(
-            "cannot tensorize empty sample set (snapshot {})",
-            view.snapshot_index
-        )));
-    }
-    if tokens == 0 {
-        return Err(invalid("tokens must be positive".into()));
-    }
-    let d = view.dim();
-    let n = view.len();
-    let mut inputs = Vec::with_capacity(tokens * d);
-    for t in 0..tokens {
-        let row = (t * n / tokens) % n;
-        for c in 0..d {
-            inputs.push(view.value(row * d + c) as f32);
-        }
-    }
-    let mut sums = vec![0.0f64; d];
-    for row in 0..n {
-        for (c, s) in sums.iter_mut().enumerate() {
-            *s += view.value(row * d + c);
-        }
-    }
-    let targets = sums.iter().map(|s| (s / n as f64) as f32).collect();
     Ok((inputs, targets))
 }
 
@@ -274,23 +241,6 @@ mod tests {
         // Targets are exact column means.
         let mean0: f64 = set.features.data.iter().step_by(2).sum::<f64>() / 8.0;
         assert_eq!(targets[0], mean0 as f32);
-    }
-
-    #[test]
-    fn tensorize_view_is_bit_identical_to_tensorize_set() {
-        for n in [1usize, 7, 8, 33] {
-            let set = fixture_set(0, 1, n);
-            let bytes = sickle_field::io::encode_sample_set(&set);
-            let view = sickle_field::io::decode_sample_set_view(&bytes).unwrap();
-            for tokens in [1usize, 3, n, 2 * n + 1] {
-                let (si, st) = tensorize_set(&set, tokens).unwrap();
-                let (vi, vt) = tensorize_view(&view, tokens).unwrap();
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&si), bits(&vi), "inputs n={n} tokens={tokens}");
-                assert_eq!(bits(&st), bits(&vt), "targets n={n} tokens={tokens}");
-            }
-            assert!(tensorize_view(&view, 0).is_err());
-        }
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //!
 //! - **raw** — the verified on-disk bytes as an [`Arc<ShardBytes>`],
 //!   usually an `mmap` whose pages belong to the OS page cache. These are
-//!   what `GetShard` ships and what identity shards tensorize from
-//!   (borrowed views), hash-verified once per residency.
-//! - **set** — the decoded [`SampleSet`] (lossy codecs must materialize;
-//!   legacy `get()` callers still want owned sets).
+//!   what `GetShard` ships and what `get()` decodes from, hash-verified
+//!   once per residency.
+//! - **set** — the decoded [`SampleSet`] every batch is tensorized from,
+//!   so a lossy shard's reconstruction runs once per residency.
 //!
 //! The two residencies are budgeted separately: `budget_bytes` bounds
 //! heap-resident bytes (decoded sets plus `read_at`-fallback raw buffers)

@@ -31,7 +31,7 @@ use sickle_field::io::fnv1a64;
 use crate::backoff::Backoff;
 use crate::batching::{Batch, BatchSpec};
 use crate::manifest::{ShardKey, StoreManifest};
-use crate::protocol::{read_frame, write_frame, Request, Response, TensorBlock, WireErrorKind};
+use crate::protocol::{read_frame, write_frame, Request, Response, WireErrorKind};
 use crate::stats::StatsSnapshot;
 
 /// Client retry/timeout tuning.
@@ -222,20 +222,21 @@ impl StoreClient {
         }
     }
 
-    /// Fetches tensorized rows for an explicit key list, in request order.
-    /// This is the cluster fan-out primitive: each server tensorizes only
-    /// the keys it owns, and the caller reassembles the epoch's batch from
-    /// the per-owner blocks.
+    /// Fetches the batch made of an explicit key list, sample `i` being
+    /// key `i`. This is the cluster fan-out primitive: each server
+    /// tensorizes only the keys it owns, and the caller reassembles the
+    /// epoch's batch from the per-owner batches.
     ///
     /// # Errors
-    /// `NotFound` for an unknown key; transport errors.
-    pub fn tensors(&mut self, tokens: usize, keys: &[ShardKey]) -> io::Result<TensorBlock> {
+    /// `NotFound` for an unknown key, `InvalidData` for an empty key list;
+    /// transport errors.
+    pub fn tensors(&mut self, tokens: usize, keys: &[ShardKey]) -> io::Result<Batch> {
         match self.request(&Request::GetTensors {
             tokens: tokens as u32,
             keys: keys.to_vec(),
         })? {
-            Response::Tensors(block) => Ok(block),
-            other => Err(unexpected(&other, "tensors")),
+            Response::Batch(batch) => Ok(batch),
+            other => Err(unexpected(&other, "batch")),
         }
     }
 
@@ -271,7 +272,6 @@ fn unexpected(resp: &Response, wanted: &str) -> io::Error {
         Response::Manifest(_) => "manifest",
         Response::Shard(_) => "shard",
         Response::Batch(_) => "batch",
-        Response::Tensors(_) => "tensors",
         Response::Stats(_) => "stats",
         Response::Error { .. } => "error",
     };

@@ -10,8 +10,9 @@
 //!   with no coordination service ([`partition_output`] is the ingest
 //!   side).
 //! - **Fan-out** — a batch request is split per owning member, each owner
-//!   tensorizes only its keys (`GetTensors`), and the client reassembles
-//!   the rows in batch-key order. The assembled batch is **bit-identical**
+//!   assembles only its keys (`GetTensors`, answered with the same
+//!   `Batch` frame as `GetBatch`), and the client reassembles the rows in
+//!   batch-key order. The assembled batch is **bit-identical**
 //!   to what one server holding the whole store would return: both sides
 //!   run the same `epoch_order` / `tensorize_set` code on the same
 //!   canonical key order, and `f32`s cross the wire losslessly.
@@ -43,7 +44,7 @@ use crate::backoff::Backoff;
 use crate::batching::{batch_keys, num_batches, Batch, BatchShape, BatchSpec};
 use crate::client::{ClientConfig, StoreClient};
 use crate::manifest::ShardKey;
-use crate::ring::{HashRing, DEFAULT_VNODES};
+use crate::ring::HashRing;
 use crate::stats::StatsSnapshot;
 use crate::store::set_key;
 
@@ -73,8 +74,6 @@ impl ClusterMember {
 pub struct ClusterConfig {
     /// Distinct owners per key. `2` survives any single member death.
     pub replication: usize,
-    /// Virtual ring points per member.
-    pub vnodes: usize,
     /// Per-member transport tuning (each member's client mixes its address
     /// into the jitter seed, so one config still decollides retries).
     pub client: ClientConfig,
@@ -91,7 +90,6 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             replication: 2,
-            vnodes: DEFAULT_VNODES,
             client: ClientConfig::default(),
             reprobe_base: Duration::from_millis(250),
             reprobe_cap: Duration::from_secs(5),
@@ -192,7 +190,7 @@ impl ClusterClient {
                 return Err(invalid("cluster member names must be unique".into()));
             }
         }
-        let ring = HashRing::with_vnodes(&names, cfg.vnodes);
+        let ring = HashRing::new(&names);
         // Ring order is sorted by name; align the client list with it.
         let mut clients = Vec::with_capacity(members.len());
         for name in ring.members() {
@@ -339,7 +337,7 @@ impl ClusterClient {
                 }
                 let member_keys: Vec<ShardKey> = positions.iter().map(|&p| keys[p]).collect();
                 match self.clients[member].tensors(tokens, &member_keys) {
-                    Ok(block) => {
+                    Ok(part) => {
                         if self.down[member].take().is_some() {
                             // A marked member answered its re-probe: it is
                             // back (restarted, network healed) and resumes
@@ -351,21 +349,24 @@ impl ClusterClient {
                                 self.ring.members()[member]
                             );
                         }
-                        if block.count != positions.len()
-                            || block.tokens != tokens
-                            || block.features != features
-                        {
+                        let want = BatchShape {
+                            batch: positions.len(),
+                            tokens,
+                            features,
+                            outputs: features,
+                        };
+                        if part.shape != want {
                             return Err(invalid(format!(
-                                "member {} returned a mis-shaped tensor block",
+                                "member {} returned a mis-shaped batch",
                                 self.ring.members()[member]
                             )));
                         }
                         for (i, &pos) in positions.iter().enumerate() {
                             let row = tokens * features;
                             inputs[pos * row..(pos + 1) * row]
-                                .copy_from_slice(&block.inputs[i * row..(i + 1) * row]);
+                                .copy_from_slice(&part.inputs[i * row..(i + 1) * row]);
                             targets[pos * features..(pos + 1) * features]
-                                .copy_from_slice(&block.targets[i * features..(i + 1) * features]);
+                                .copy_from_slice(&part.targets[i * features..(i + 1) * features]);
                         }
                     }
                     Err(e) if is_definitive(&e) => return Err(e),

@@ -49,7 +49,7 @@ pub use client::{ClientConfig, StoreClient};
 pub use cluster::{partition_output, ClusterClient, ClusterConfig, ClusterMember};
 pub use manifest::{ShardEntry, ShardKey, StoreManifest};
 pub use prefetch::Prefetcher;
-pub use protocol::{Request, Response, TensorBlock, WireErrorKind};
+pub use protocol::{Request, Response, WireErrorKind};
 pub use ring::HashRing;
 pub use server::{serve, ServeConfig, ServerHandle};
 pub use shard_bytes::{MmapMode, ShardBytes};

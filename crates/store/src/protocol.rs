@@ -12,8 +12,8 @@
 //! `0x04` Stats, `0x05` Shutdown, `0x06` GetTensors (explicit key list,
 //! the cluster client's per-owner slice of a batch).
 //! Response tags: `0x81` Manifest (JSON), `0x82` Shard (raw SKLH bytes),
-//! `0x83` Batch (f32 tensors), `0x84` Stats (JSON), `0x85` Tensors
-//! (per-key f32 tensors, in request-key order),
+//! `0x83` Batch (f32 tensors — the answer to both `GetBatch` and
+//! `GetTensors`, sample `i` being request key `i`), `0x84` Stats (JSON),
 //! `0xEE` Error (kind byte + UTF-8 message).
 //!
 //! An overloaded server answers (or greets, at accept time) with an error
@@ -60,7 +60,7 @@ pub const TAG_REQ_STATS: u8 = 0x04;
 /// Request tag: ask the server to stop (honored only when
 /// `ServeConfig::allow_shutdown` is set).
 pub const TAG_REQ_SHUTDOWN: u8 = 0x05;
-/// Request tag: tensorize an explicit list of shard keys.
+/// Request tag: assemble a batch from an explicit list of shard keys.
 pub const TAG_REQ_TENSORS: u8 = 0x06;
 /// Response tag: manifest JSON.
 pub const TAG_RESP_MANIFEST: u8 = 0x81;
@@ -70,8 +70,6 @@ pub const TAG_RESP_SHARD: u8 = 0x82;
 pub const TAG_RESP_BATCH: u8 = 0x83;
 /// Response tag: stats snapshot JSON.
 pub const TAG_RESP_STATS: u8 = 0x84;
-/// Response tag: per-key tensors, in request-key order.
-pub const TAG_RESP_TENSORS: u8 = 0x85;
 /// Response tag: error.
 pub const TAG_RESP_ERROR: u8 = 0xEE;
 
@@ -111,9 +109,10 @@ pub enum Request {
         /// Zero-based batch index within the epoch.
         index: u64,
     },
-    /// Tensorize these shards, in order — the cluster client's per-owner
-    /// slice of a batch (it computes the epoch order itself and asks each
-    /// owner only for the keys that owner holds).
+    /// Assemble a batch from these shards, in order — the cluster client's
+    /// per-owner slice of a batch (it computes the epoch order itself and
+    /// asks each owner only for the keys that owner holds). Answered with
+    /// the same `Batch` frame as `GetBatch`.
     GetTensors {
         /// Tokens (strided feature rows) per sample.
         tokens: u32,
@@ -303,23 +302,6 @@ impl WireErrorKind {
     }
 }
 
-/// Per-key tensors answering a `GetTensors` request: entry `i` is the
-/// tensorization of request key `i`, so the cluster client can stitch
-/// owner responses back into batch order without any key echo.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TensorBlock {
-    /// Keys answered (= request key count).
-    pub count: usize,
-    /// Tokens per sample (echoed from the request).
-    pub tokens: usize,
-    /// Features per token.
-    pub features: usize,
-    /// Inputs, `count * tokens * features` long, entry-major.
-    pub inputs: Vec<f32>,
-    /// Targets, `count * features` long, entry-major.
-    pub targets: Vec<f32>,
-}
-
 /// A server response.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
@@ -327,10 +309,8 @@ pub enum Response {
     Manifest(Vec<u8>),
     /// Raw SKLH shard bytes (hash-verified server-side).
     Shard(Vec<u8>),
-    /// One assembled batch.
+    /// One assembled batch (sample `i` is key `i` of the request's batch).
     Batch(Batch),
-    /// Per-key tensors, in request-key order.
-    Tensors(TensorBlock),
     /// Stats snapshot JSON bytes ([`crate::stats::StatsSnapshot`]).
     Stats(Vec<u8>),
     /// The request failed; the error is a *response*, so the connection
@@ -387,16 +367,6 @@ impl Response {
                     vec![header, f32_bytes(&batch.inputs), f32_bytes(&batch.targets)],
                 )
             }
-            Response::Tensors(block) => {
-                let mut header = Vec::with_capacity(12);
-                header.put_u32_le(block.count as u32);
-                header.put_u32_le(block.tokens as u32);
-                header.put_u32_le(block.features as u32);
-                (
-                    TAG_RESP_TENSORS,
-                    vec![header, f32_bytes(&block.inputs), f32_bytes(&block.targets)],
-                )
-            }
             Response::Stats(json) => (TAG_RESP_STATS, vec![json.clone()]),
             Response::Error { kind, message } => {
                 let mut p = vec![*kind as u8];
@@ -416,7 +386,6 @@ impl Response {
             TAG_RESP_MANIFEST => Ok(Response::Manifest(payload.to_vec())),
             TAG_RESP_SHARD => Ok(Response::Shard(payload.to_vec())),
             TAG_RESP_BATCH => decode_batch(payload),
-            TAG_RESP_TENSORS => decode_tensors(payload),
             TAG_RESP_STATS => Ok(Response::Stats(payload.to_vec())),
             TAG_RESP_ERROR => {
                 let (kind, msg) = payload
@@ -477,40 +446,6 @@ fn decode_batch(mut payload: &[u8]) -> io::Result<Response> {
             features,
             outputs,
         },
-    }))
-}
-
-fn decode_tensors(mut payload: &[u8]) -> io::Result<Response> {
-    need(payload, 12, "tensors header")?;
-    let count = payload.get_u32_le() as usize;
-    let tokens = payload.get_u32_le() as usize;
-    let features = payload.get_u32_le() as usize;
-    let n_inputs = count
-        .checked_mul(tokens)
-        .and_then(|v| v.checked_mul(features))
-        .ok_or_else(|| invalid("tensors input count overflows"))?;
-    let n_targets = count
-        .checked_mul(features)
-        .ok_or_else(|| invalid("tensors target count overflows"))?;
-    let total_bytes = n_inputs
-        .checked_add(n_targets)
-        .and_then(|v| v.checked_mul(4))
-        .ok_or_else(|| invalid("tensors payload size overflows"))?;
-    if payload.remaining() != total_bytes {
-        return Err(invalid(format!(
-            "tensors payload holds {} bytes, shape requires {}",
-            payload.remaining(),
-            total_bytes
-        )));
-    }
-    let inputs = get_f32s(&mut payload, n_inputs);
-    let targets = get_f32s(&mut payload, n_targets);
-    Ok(Response::Tensors(TensorBlock {
-        count,
-        tokens,
-        features,
-        inputs,
-        targets,
     }))
 }
 
@@ -688,13 +623,6 @@ mod tests {
             Response::Manifest(b"{\"version\":1}".to_vec()),
             Response::Shard(vec![1, 2, 3, 4]),
             Response::Batch(batch),
-            Response::Tensors(TensorBlock {
-                count: 2,
-                tokens: 1,
-                features: 2,
-                inputs: vec![1.0, -2.0, 3.5, 0.25],
-                targets: vec![0.5, -0.5, 1.5, -1.5],
-            }),
             Response::Stats(b"{\"requests\":12}".to_vec()),
             Response::Error {
                 kind: WireErrorKind::NotFound,
@@ -794,18 +722,28 @@ mod tests {
         q.put_u32_le(8);
         q.put_u32_le(MAX_TENSOR_KEYS as u32 + 1);
         assert!(Request::decode(TAG_REQ_TENSORS, &q).is_err());
-        // Response whose counts disagree with the payload.
+        // The answer is a `Batch` frame: counts that disagree with the
+        // payload are rejected, not padded.
         let mut r = Vec::new();
-        r.put_u32_le(u32::MAX);
-        r.put_u32_le(u32::MAX);
-        r.put_u32_le(u32::MAX);
-        assert!(decode_tensors(&r).is_err());
-        let mut s = Vec::new();
-        s.put_u32_le(1);
-        s.put_u32_le(2);
-        s.put_u32_le(2);
-        s.put_slice(&[0u8; 8]); // needs (4+2)*4 = 24 bytes, has 8
-        assert!(decode_tensors(&s).is_err());
+        r.put_u32_le(1);
+        r.put_u32_le(2);
+        r.put_u32_le(2);
+        r.put_u32_le(2);
+        r.put_slice(&[0u8; 8]); // needs (4+2)*4 = 24 bytes, has 8
+        assert!(Response::decode(TAG_RESP_BATCH, &r).is_err());
+        // `batch = 0` is well-formed only with no payload: the other counts
+        // cannot overflow, or smuggle bytes in, behind it.
+        let mut z = Vec::new();
+        z.put_u32_le(0);
+        z.put_u32_le(u32::MAX);
+        z.put_u32_le(u32::MAX);
+        z.put_u32_le(u32::MAX);
+        match Response::decode(TAG_RESP_BATCH, &z) {
+            Ok(Response::Batch(b)) => assert!(b.inputs.is_empty() && b.targets.is_empty()),
+            other => panic!("expected an empty batch, got {other:?}"),
+        }
+        z.put_slice(&[0u8; 4]);
+        assert!(Response::decode(TAG_RESP_BATCH, &z).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Consistent-hash ring placing `(snapshot, cube)` shards on servers.
 //!
-//! Each member contributes [`HashRing::vnodes`] virtual points: the
+//! Each member contributes [`VNODES`] virtual points: the
 //! FNV-1a hash of `"{name}#{vnode}"`, re-hashed once through FNV-1a of
 //! its little-endian bytes (plain FNV avalanches poorly across the short
 //! suffix changes between vnode strings, which clusters points and lets
@@ -24,9 +24,10 @@ use sickle_field::io::fnv1a64;
 
 use crate::manifest::ShardKey;
 
-/// Default virtual nodes per member: enough to keep the per-member load
-/// imbalance within a few percent for single-digit member counts.
-pub const DEFAULT_VNODES: usize = 128;
+/// Virtual nodes per member: enough to keep the per-member load imbalance
+/// within a few percent for single-digit member counts. A constant, not a
+/// parameter: ingest, servers and clients must all build the same ring.
+pub const VNODES: usize = 128;
 
 /// A consistent-hash ring over named members.
 #[derive(Clone, Debug)]
@@ -36,7 +37,6 @@ pub struct HashRing {
     /// `(hash, member index)` sorted by hash; ties broken by member index
     /// so equal-hash collisions still place deterministically.
     points: Vec<(u64, u32)>,
-    vnodes: usize,
 }
 
 /// The ring position of one shard key.
@@ -48,30 +48,21 @@ pub fn key_hash(key: ShardKey) -> u64 {
 }
 
 impl HashRing {
-    /// Builds a ring with [`DEFAULT_VNODES`] virtual points per member.
+    /// Builds a ring with [`VNODES`] virtual points per member.
     ///
     /// # Panics
     /// Panics on an empty or duplicate-named member list.
     pub fn new<S: AsRef<str>>(members: &[S]) -> Self {
-        Self::with_vnodes(members, DEFAULT_VNODES)
-    }
-
-    /// Builds a ring with an explicit virtual-node count.
-    ///
-    /// # Panics
-    /// Panics on an empty or duplicate-named member list, or `vnodes == 0`.
-    pub fn with_vnodes<S: AsRef<str>>(members: &[S], vnodes: usize) -> Self {
         assert!(!members.is_empty(), "hash ring needs at least one member");
-        assert!(vnodes > 0, "hash ring needs at least one vnode per member");
         let mut names: Vec<String> = members.iter().map(|m| m.as_ref().to_string()).collect();
         names.sort_unstable();
         assert!(
             names.windows(2).all(|w| w[0] != w[1]),
             "hash ring member names must be unique"
         );
-        let mut points = Vec::with_capacity(names.len() * vnodes);
+        let mut points = Vec::with_capacity(names.len() * VNODES);
         for (idx, name) in names.iter().enumerate() {
-            for v in 0..vnodes {
+            for v in 0..VNODES {
                 let h = fnv1a64(&fnv1a64(format!("{name}#{v}").as_bytes()).to_le_bytes());
                 points.push((h, idx as u32));
             }
@@ -80,18 +71,12 @@ impl HashRing {
         HashRing {
             members: names,
             points,
-            vnodes,
         }
     }
 
     /// Member names, in the ring's canonical (sorted) order.
     pub fn members(&self) -> &[String] {
         &self.members
-    }
-
-    /// Virtual points per member.
-    pub fn vnodes(&self) -> usize {
-        self.vnodes
     }
 
     /// The first `r` distinct members clockwise from `key`'s ring position

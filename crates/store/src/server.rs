@@ -47,9 +47,7 @@ use sickle_obs::TraceContext;
 use crate::batching::{batch_from_sets, batch_keys, num_batches, BatchSpec};
 use crate::manifest::ShardKey;
 use crate::prefetch::Prefetcher;
-use crate::protocol::{
-    write_frame, Request, Response, TensorBlock, WireErrorKind, MAX_FRAME, TAG_RESP_SHARD,
-};
+use crate::protocol::{write_frame, Request, Response, WireErrorKind, MAX_FRAME, TAG_RESP_SHARD};
 use crate::readiness::{Interest, Poller};
 use crate::shard_bytes::ShardBytes;
 use crate::stats::{ConnGuard, ConnRegistry, StatsSnapshot};
@@ -746,46 +744,14 @@ fn serve_request(req: Request, shared: &Shared) -> io::Result<Reply> {
                     ),
                 )
             })?;
-            let sets = keys
-                .iter()
-                .map(|&k| shared.store.get(k))
-                .collect::<io::Result<Vec<_>>>()?;
+            // Hint only once this batch is in hand: the prefetcher's reads
+            // then overlap the response write and the client's think time,
+            // not this request's own cache misses.
+            let reply = assemble(shared, &keys, spec.tokens)?;
             hint_lookahead(shared, spec, index);
-            let _s = sickle_obs::span!("serve.assemble_batch");
-            Ok(Reply::Message(Response::Batch(batch_from_sets(
-                &sets,
-                spec.tokens,
-            )?)))
+            Ok(reply)
         }
-        Request::GetTensors { tokens, keys } => {
-            let tokens = tokens as usize;
-            let mut features = 0usize;
-            let mut inputs = Vec::with_capacity(keys.len() * tokens);
-            let mut targets = Vec::with_capacity(keys.len());
-            for &key in &keys {
-                // Borrowed views of the raw shard handle are tensorized —
-                // identity shards never materialize an owned `SampleSet`
-                // just to be summed.
-                let (i, t, dim) = shared.store.tensorized(key, tokens)?;
-                if features == 0 {
-                    features = dim;
-                } else if dim != features {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "feature dimension mismatch across requested keys",
-                    ));
-                }
-                inputs.extend(i);
-                targets.extend(t);
-            }
-            Ok(Reply::Message(Response::Tensors(TensorBlock {
-                count: keys.len(),
-                tokens,
-                features,
-                inputs,
-                targets,
-            })))
-        }
+        Request::GetTensors { tokens, keys } => assemble(shared, &keys, tokens as usize),
         Request::Stats => Ok(Reply::Message(Response::Stats(
             StatsSnapshot::collect(&shared.conns)
                 .with_manifest(shared.store.manifest())
@@ -807,6 +773,21 @@ fn serve_request(req: Request, shared: &Shared) -> io::Result<Reply> {
             Ok(Reply::Message(Response::Stats(snap.to_json())))
         }
     }
+}
+
+/// The one batch assembler: fetch each key through the store cache, in
+/// order, and tensorize. `GetBatch` (server-chosen keys) and `GetTensors`
+/// (client-chosen keys) both answer with its `Batch` frame, so the two
+/// cannot disagree on a byte.
+fn assemble(shared: &Shared, keys: &[ShardKey], tokens: usize) -> io::Result<Reply> {
+    let sets = keys
+        .iter()
+        .map(|&k| shared.store.get(k))
+        .collect::<io::Result<Vec<_>>>()?;
+    let _s = sickle_obs::span!("serve.assemble_batch");
+    Ok(Reply::Message(Response::Batch(batch_from_sets(
+        &sets, tokens,
+    )?)))
 }
 
 /// Warms the cache for the batches this stream will likely ask for next.

@@ -154,9 +154,9 @@ impl Drop for MapRegion {
 
 /// The raw bytes of one shard file: either a page-cache-backed mapping or
 /// a single heap buffer. `Deref`s to `&[u8]`; shared as `Arc<ShardBytes>`
-/// between the LRU cache, decode views, and in-flight socket writes, so
+/// between the LRU cache, the decoder, and in-flight socket writes, so
 /// the bytes stay alive for exactly as long as anyone is still using them
-/// — the lifetime rule that makes borrowed-view serving sound.
+/// — the lifetime rule that makes shipping a mapping to a socket sound.
 pub struct ShardBytes {
     repr: Repr,
 }

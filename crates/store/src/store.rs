@@ -240,16 +240,6 @@ impl ShardStore {
         Ok(raw)
     }
 
-    /// Reads a shard's raw verified bytes into an owned buffer. Compat
-    /// shim over [`shard_handle`](Self::shard_handle) for callers that
-    /// need a `Vec<u8>`.
-    ///
-    /// # Errors
-    /// `NotFound` for an unknown key, `InvalidData` on a hash mismatch.
-    pub fn shard_bytes(&self, key: ShardKey) -> io::Result<Vec<u8>> {
-        Ok(self.shard_handle(key)?.as_slice().to_vec())
-    }
-
     /// Fetches a decoded shard through the cache: a hit is an `Arc` clone;
     /// a miss reads through [`shard_handle`](Self::shard_handle) (hash
     /// verified once per residency), decodes through
@@ -285,12 +275,9 @@ impl ShardStore {
         Ok(set)
     }
 
-    /// Tensorizes one shard for the `GetTensors` wire path. Identity
-    /// (SKLH) shards on a miss are parsed as *borrowed views* into the
-    /// cached raw handle — no owned `SampleSet` is materialized — while
-    /// lossy (SKLQ) shards decode once per residency as in
-    /// [`get`](Self::get). Returns `(inputs, targets, features)` and is
-    /// bit-identical to `tensorize_set` over the decoded set.
+    /// Tensorizes one shard: [`get`](Self::get) (so the decode is paid once
+    /// per residency) then [`tensorize_set`](crate::batching::tensorize_set).
+    /// Returns `(inputs, targets, features)`.
     ///
     /// # Errors
     /// As [`get`](Self::get), plus `InvalidData` for an empty set or
@@ -300,39 +287,9 @@ impl ShardStore {
         key: ShardKey,
         tokens: usize,
     ) -> io::Result<(Vec<f32>, Vec<f32>, usize)> {
-        if let Some(set) = self.cache.get(key) {
-            let (inputs, targets) = crate::batching::tensorize_set(&set, tokens)?;
-            return Ok((inputs, targets, set.features.dim()));
-        }
-        let raw = self.shard_handle(key)?;
-        match sickle_codec::decode_shard_lazy(&raw)? {
-            sickle_codec::DecodedShard::Views(views) => {
-                if views.len() != 1 {
-                    return Err(invalid(format!(
-                        "shard for snapshot {} cube {} holds {} sets, expected 1",
-                        key.snapshot,
-                        key.cube,
-                        views.len()
-                    )));
-                }
-                let (inputs, targets) = crate::batching::tensorize_view(&views[0], tokens)?;
-                Ok((inputs, targets, views[0].dim()))
-            }
-            sickle_codec::DecodedShard::Owned(mut sets) => {
-                if sets.len() != 1 {
-                    return Err(invalid(format!(
-                        "shard for snapshot {} cube {} holds {} sets, expected 1",
-                        key.snapshot,
-                        key.cube,
-                        sets.len()
-                    )));
-                }
-                let set = Arc::new(sets.pop().expect("length checked"));
-                self.cache.insert(key, Arc::clone(&set));
-                let (inputs, targets) = crate::batching::tensorize_set(&set, tokens)?;
-                Ok((inputs, targets, set.features.dim()))
-            }
-        }
+        let set = self.get(key)?;
+        let (inputs, targets) = crate::batching::tensorize_set(&set, tokens)?;
+        Ok((inputs, targets, set.features.dim()))
     }
 
     /// Makes a shard resident ahead of demand (the prefetcher's verb):

@@ -193,7 +193,6 @@ fn epoch_is_bit_identical_across_a_mid_epoch_process_death() {
                 // re-probe candidate before `down_members` is read.
                 reprobe_base: Duration::from_secs(60),
                 reprobe_cap: Duration::from_secs(120),
-                ..ClusterConfig::default()
             },
         )
         .expect("connect cluster");
@@ -351,7 +350,6 @@ fn restarted_member_rejoins_after_mark_down_expiry() {
             // Fast expiry so the bounce-and-rejoin fits a test budget.
             reprobe_base: Duration::from_millis(50),
             reprobe_cap: Duration::from_millis(250),
-            ..ClusterConfig::default()
         },
     )
     .expect("connect cluster");

@@ -7,9 +7,9 @@
 use proptest::prelude::*;
 
 use sickle_obs::TraceContext;
-use sickle_store::batching::BatchSpec;
+use sickle_store::batching::{Batch, BatchShape, BatchSpec};
 use sickle_store::manifest::{ShardEntry, ShardKey, StoreManifest};
-use sickle_store::protocol::{Request, Response, TensorBlock, TRACE_TRAILER_LEN};
+use sickle_store::protocol::{Request, Response, TRACE_TRAILER_LEN};
 use sickle_store::stats::StatsSnapshot;
 use sickle_store::{Codec, MmapMode, ShardStore, StoreConfig};
 
@@ -204,25 +204,23 @@ proptest! {
         fill in proptest::collection::vec(-1.0e30f32..1.0e30, 0..8),
     ) {
         let value = |i: usize| *fill.get(i % fill.len().max(1)).unwrap_or(&0.25) + i as f32;
-        let block = TensorBlock {
-            count,
-            tokens,
-            features,
+        // What a `GetTensors` answer looks like on the wire: a `Batch`
+        // frame with one sample per key (zero keys included).
+        let block = Batch {
+            shape: BatchShape { batch: count, tokens, features, outputs: features },
             inputs: (0..count * tokens * features).map(value).collect(),
             targets: (0..count * features).map(value).collect(),
         };
-        let (tag, payload) = Response::Tensors(block.clone()).encode();
+        let (tag, payload) = Response::Batch(block.clone()).encode();
         match Response::decode(tag, &payload).unwrap() {
-            Response::Tensors(back) => {
-                prop_assert_eq!(back.count, block.count);
-                prop_assert_eq!(back.tokens, block.tokens);
-                prop_assert_eq!(back.features, block.features);
+            Response::Batch(back) => {
+                prop_assert_eq!(back.shape, block.shape);
                 let bits =
                     |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 prop_assert_eq!(bits(&back.inputs), bits(&block.inputs));
                 prop_assert_eq!(bits(&back.targets), bits(&block.targets));
             }
-            other => prop_assert!(false, "expected Tensors, got {other:?}"),
+            other => prop_assert!(false, "expected Batch, got {other:?}"),
         }
     }
 }
@@ -251,7 +249,7 @@ fn hostile_file_errors_both_planes(what: &str, tamper: impl Fn(&std::path::Path)
             snapshot: 0,
             cube: 0,
         };
-        let raw = store.shard_bytes(key);
+        let raw = store.shard_handle(key);
         assert!(
             raw.is_err(),
             "{what}/{tag}: raw read must error, got {} bytes",

@@ -11,9 +11,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sickle_hpc::FaultPlan;
-use sickle_store::batching::{local_batch, num_batches, BatchSpec};
+use sickle_store::batching::{batch_keys, local_batch, num_batches, BatchSpec};
 use sickle_store::client::{ClientConfig, StoreClient};
-use sickle_store::protocol::{read_frame, write_frame, Request, Response, TAG_RESP_ERROR};
+use sickle_store::protocol::{
+    read_frame, write_frame, Request, Response, WireErrorKind, TAG_RESP_BATCH, TAG_RESP_ERROR,
+    TAG_RESP_MANIFEST,
+};
 use sickle_store::server::{serve, ServeConfig};
 use sickle_store::store::{set_key, ShardStore, StoreConfig};
 use sickle_store::testutil::small_output;
@@ -218,6 +221,55 @@ fn malformed_request_gets_error_frame_and_connection_survives() {
         }
         other => panic!("expected manifest, got {other:?}"),
     }
+    drop(handle);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// The one frame: `GetBatch` lets the server pick the keys, `GetTensors`
+/// names them, and for the same keys the two answers are the same bytes.
+#[test]
+fn get_batch_and_get_tensors_answer_with_the_same_frame() {
+    let (root, _sets, handle) = start_server("one_frame", ServeConfig::default());
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut ask = |req: Request| {
+        let (tag, payload) = req.encode();
+        write_frame(&mut stream, tag, &payload).unwrap();
+        read_frame(&mut stream).unwrap()
+    };
+    let keys = fast_client(handle.addr()).manifest().unwrap().keys();
+    let spec = BatchSpec {
+        seed: 11,
+        batch_size: 5,
+        tokens: 8,
+    };
+    // Every batch of the epoch, the ragged last one included.
+    for index in 0..num_batches(keys.len(), spec.batch_size) {
+        let by_spec = ask(Request::GetBatch {
+            spec,
+            index: index as u64,
+        });
+        let by_keys = ask(Request::GetTensors {
+            tokens: spec.tokens as u32,
+            keys: batch_keys(&keys, spec, index).unwrap(),
+        });
+        assert_eq!(by_spec.0, TAG_RESP_BATCH, "batch {index}");
+        assert_eq!(by_spec, by_keys, "batch {index}: tag and payload");
+    }
+
+    // No keys, no batch: an InvalidData error frame, and the connection
+    // still answers the next request.
+    let (tag, payload) = ask(Request::GetTensors {
+        tokens: 8,
+        keys: Vec::new(),
+    });
+    match Response::decode(tag, &payload).unwrap() {
+        Response::Error { kind, .. } => assert_eq!(kind, WireErrorKind::InvalidData),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    assert_eq!(ask(Request::Manifest).0, TAG_RESP_MANIFEST);
     drop(handle);
     std::fs::remove_dir_all(&root).ok();
 }

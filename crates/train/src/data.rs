@@ -13,30 +13,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use sickle_field::{SampleSet, Snapshot};
 
-/// Shape metadata for one batch: `samples × tokens × features` inputs and
-/// `samples × outputs` targets. Sequence models read `tokens` as timesteps.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchShape {
-    /// Samples in the batch.
-    pub batch: usize,
-    /// Tokens (points/patches) or timesteps per sample.
-    pub tokens: usize,
-    /// Features per token.
-    pub features: usize,
-    /// Output scalars per sample.
-    pub outputs: usize,
-}
-
-/// One training batch.
-#[derive(Clone, Debug)]
-pub struct Batch {
-    /// Inputs, `batch * tokens * features` long.
-    pub inputs: Vec<f32>,
-    /// Targets, `batch * outputs` long.
-    pub targets: Vec<f32>,
-    /// Shape metadata.
-    pub shape: BatchShape,
-}
+/// The batch a model consumes is the batch the serving plane assembles —
+/// one type, so a streamed batch reaches the trainer without a copy.
+pub use sickle_store::batching::{Batch, BatchShape};
 
 /// A full in-memory dataset with per-sample granularity.
 #[derive(Clone, Debug)]
@@ -486,20 +465,10 @@ impl RemoteDataset {
             batch_size,
             tokens: self.tokens,
         };
-        let remote = match &mut self.backend {
-            Backend::Single(client) => client.batch(spec, index)?,
-            Backend::Cluster(cluster) => cluster.batch(spec, index)?,
-        };
-        Ok(Batch {
-            shape: BatchShape {
-                batch: remote.shape.batch,
-                tokens: remote.shape.tokens,
-                features: remote.shape.features,
-                outputs: remote.shape.outputs,
-            },
-            inputs: remote.inputs,
-            targets: remote.targets,
-        })
+        match &mut self.backend {
+            Backend::Single(client) => client.batch(spec, index),
+            Backend::Cluster(cluster) => cluster.batch(spec, index),
+        }
     }
 
     /// Streams one full epoch, in epoch order — the drop-in replacement

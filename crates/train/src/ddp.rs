@@ -8,15 +8,12 @@
 //! semantics, with the NCCL ring replaced by an in-memory reduction.
 //! Results are bitwise-deterministic for a fixed world size and seed.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sickle_energy::{EnergyMeter, MachineModel};
-use sickle_nn::optim::{Adam, ReduceLrOnPlateau};
-use sickle_nn::{flops, Tape};
+use sickle_energy::MachineModel;
+use sickle_nn::Tape;
 
 use crate::data::{Batch, TensorData};
 use crate::models::Model;
-use crate::trainer::{TrainConfig, TrainResult};
+use crate::trainer::{backward_into_store, run_epochs, TrainConfig, TrainResult};
 
 /// Splits a batch into up to `world` contiguous shards (empty shards are
 /// dropped, so tiny batches degrade gracefully to fewer workers).
@@ -69,6 +66,8 @@ pub fn allreduce_mean(grads: &[Vec<f32>]) -> Vec<f32> {
 ///
 /// The master model owns the optimizer state; replicas are synchronized
 /// from it at each step (DDP broadcast), then gradients are averaged back.
+/// Everything around that step is [`crate::trainer::train`]'s own epoch
+/// loop, so `world = 1` reproduces it by construction.
 pub fn train_ddp<M>(
     model: &mut M,
     data: &TensorData,
@@ -79,90 +78,45 @@ pub fn train_ddp<M>(
 where
     M: Model + Clone + Sync,
 {
-    let (train_set, test_set) = data.split(cfg.test_frac, cfg.seed);
-    let meter = EnergyMeter::new(machine);
-    let mut opt = Adam::new(cfg.lr);
-    let mut sched = ReduceLrOnPlateau::new(cfg.patience);
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xDEAD_BEEF);
-    let test_batch = test_set.full_batch();
-    let mut train_losses = Vec::with_capacity(cfg.epochs);
-    let mut test_losses = Vec::with_capacity(cfg.epochs);
-    let mut best = f32::INFINITY;
-    flops::reset();
-    let step_param_bytes = (model.num_params() * 2 * std::mem::size_of::<f32>()) as u64;
+    let world = world.max(1);
     // Gradient all-reduce moves one full gradient vector per replica.
     let allreduce_bytes = (model.num_params() * std::mem::size_of::<f32>()) as u64;
+    let mut replicas: Vec<M> = (0..world).map(|_| model.clone()).collect();
+    // One arena-reused tape per replica, living across all batches and
+    // epochs (the loop's own tape serves evaluation).
+    let mut tapes: Vec<Tape> = (0..world).map(|_| Tape::new()).collect();
 
-    let mut replicas: Vec<M> = (0..world.max(1)).map(|_| model.clone()).collect();
-    // One arena-reused tape per replica (plus one for eval), living across
-    // all batches and epochs.
-    let mut tapes: Vec<Tape> = (0..world.max(1)).map(|_| Tape::new()).collect();
-    let mut eval_tape = Tape::new();
-
-    for _epoch in 0..cfg.epochs {
-        let mut epoch_loss = 0.0f64;
-        let mut batches = 0usize;
-        for batch in train_set.batches(cfg.batch, &mut rng) {
-            let shards = shard_batch(&batch, world);
-            // Broadcast current master weights.
-            for r in replicas.iter_mut() {
-                r.store_mut().copy_values_from(model.store());
-                r.store_mut().zero_grads();
-            }
-            // Parallel backward per shard.
-            let active = shards.len();
-            let results: Vec<(f32, Vec<f32>)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = replicas[..active]
-                    .iter_mut()
-                    .zip(tapes[..active].iter_mut())
-                    .zip(shards.iter())
-                    .map(|((replica, tape), shard)| {
-                        scope.spawn(move || {
-                            tape.reset();
-                            let loss = replica.loss_on_batch(tape, shard);
-                            let lv = tape.value(loss)[0];
-                            tape.backward(loss);
-                            tape.accumulate_grads(replica.store_mut());
-                            (lv, replica.store().flat_grads())
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("replica thread panicked"))
-                    .collect()
-            });
-            let mean_loss =
-                results.iter().map(|(l, _)| *l as f64).sum::<f64>() / results.len() as f64;
-            epoch_loss += mean_loss;
-            batches += 1;
-            let grads: Vec<Vec<f32>> = results.into_iter().map(|(_, g)| g).collect();
-            let reduced = allreduce_mean(&grads);
-            model.store_mut().set_flat_grads(&reduced);
-            opt.step(model.store_mut());
-            model.store_mut().zero_grads();
-            meter.record_bytes(step_param_bytes + allreduce_bytes * active as u64);
+    run_epochs(model, data, cfg, machine, |model, _eval_tape, batch| {
+        let shards = shard_batch(batch, world);
+        // Broadcast current master weights.
+        for r in replicas.iter_mut() {
+            r.store_mut().copy_values_from(model.store());
+            r.store_mut().zero_grads();
         }
-        meter.record_bytes(
-            ((train_set.inputs.len() + train_set.targets.len()) * std::mem::size_of::<f32>())
-                as u64,
-        );
-        let train_loss = (epoch_loss / batches.max(1) as f64) as f32;
-        let test_loss = model.eval_loss_with(&mut eval_tape, &test_batch);
-        best = best.min(test_loss);
-        opt.lr = sched.observe(test_loss, opt.lr);
-        train_losses.push(train_loss);
-        test_losses.push(test_loss);
-    }
-    meter.record_flops(flops::reset());
-    TrainResult {
-        train_loss: train_losses,
-        test_loss: test_losses,
-        best_test: best,
-        energy: meter.report(),
-        params: model.num_params(),
-        samples: train_set.n,
-    }
+        // Parallel backward per shard.
+        let active = shards.len();
+        let results: Vec<(f32, Vec<f32>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = replicas[..active]
+                .iter_mut()
+                .zip(tapes[..active].iter_mut())
+                .zip(shards.iter())
+                .map(|((replica, tape), shard)| {
+                    scope.spawn(move || {
+                        let loss = backward_into_store(replica, tape, shard);
+                        (loss, replica.store().flat_grads())
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("replica thread panicked"))
+                .collect()
+        });
+        let mean_loss = results.iter().map(|(l, _)| *l as f64).sum::<f64>() / results.len() as f64;
+        let grads: Vec<Vec<f32>> = results.into_iter().map(|(_, g)| g).collect();
+        model.store_mut().set_flat_grads(&allreduce_mean(&grads));
+        (mean_loss, allreduce_bytes * active as u64)
+    })
 }
 
 #[cfg(test)]
@@ -170,7 +124,7 @@ mod tests {
     use super::*;
     use crate::data::BatchShape;
     use crate::models::LstmModel;
-    use crate::trainer::train;
+    use crate::trainer::{train, Precision};
 
     fn toy_data(n: usize) -> TensorData {
         let tokens = 2;
@@ -254,6 +208,36 @@ mod tests {
         for (a, b) in r1.test_loss.iter().zip(&r2.test_loss) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn ddp_applies_the_configured_precision() {
+        let _serial = crate::flops_serial();
+        let data = toy_data(24);
+        let run = |precision, ddp: bool| {
+            let cfg = TrainConfig {
+                epochs: 4,
+                batch: 8,
+                lr: 0.01,
+                precision,
+                ..Default::default()
+            };
+            let mut m = LstmModel::new(3, 8, 1, 7);
+            let machine = MachineModel::frontier_gcd();
+            let r = if ddp {
+                train_ddp(&mut m, &data, &cfg, 1, machine)
+            } else {
+                train(&mut m, &data, &cfg, machine)
+            };
+            (r.train_loss, r.test_loss)
+        };
+        let bf16 = run(Precision::Bf16, true);
+        assert_eq!(
+            bf16,
+            run(Precision::Bf16, false),
+            "world=1 is the plain trainer"
+        );
+        assert_ne!(bf16, run(Precision::F32, true), "bf16 truncation must bite");
     }
 
     #[test]
