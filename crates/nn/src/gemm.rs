@@ -3,20 +3,27 @@
 //! One BLIS-style driver serves all three logical layouts the tape needs —
 //! `C = A·B` (NN), `C = A·Bᵀ` (NT, `B` stored `(n, k)`), and `C = Aᵀ·B`
 //! (TN, `A` stored `(m, k)`) — by describing each operand with a logical
-//! `(row_stride, col_stride)` pair. The driver packs `B` into `KC × NC`
-//! column panels of `NR`-wide micro-panels and `A` into `MC × KC` row
-//! blocks of `MR`-tall micro-panels, then runs a register-tiled `MR × NR`
-//! microkernel over the packed data. Packing turns every layout (including
-//! the transposed ones, whose naive inner loops are serial dot-product
-//! chains the compiler cannot vectorize) into the same unit-stride,
-//! autovectorization-friendly inner kernel with `MR·NR` independent
-//! accumulation chains.
+//! `(row_stride, col_stride)` pair, and one register-tiled `MR × NR`
+//! microkernel does all the arithmetic, reading `A` through six row offsets
+//! and a column stride and `B` as `NR`-wide rows a fixed stride apart.
+//!
+//! Two drivers feed it. [`gemm_packed`] copies `B` into `KC × NC` column
+//! panels of `NR`-wide micro-panels and `A` into `MC × KC` row blocks of
+//! `MR`-tall micro-panels, so the microkernel streams unit-stride data no
+//! matter how large or how transposed the operands are. [`gemm_pack_free`]
+//! points the same microkernel straight at the operands: when all three
+//! matrices already sit in cache (the model's 64×32×32-class products) the
+//! packing copies are pure overhead — they were 45 % of the GEMM time of a
+//! train step. Both visit `k` in the same order with the same two
+//! accumulators, so for `k ≤ KC` their results are bit-identical
+//! (`tests/gemm_properties.rs`).
 //!
 //! All kernels support `accumulate` (`C += A·B`) so backward passes write
 //! gradients directly into the destination buffer with no temporary.
 //! Accumulation order over `k` is fixed per output element regardless of
 //! thread count — row blocks are parallel but disjoint — so results are
-//! run-to-run deterministic.
+//! run-to-run deterministic. Whether a product goes to the thread pool is
+//! decided by its *work* ([`POOL_MIN_FLOPS`]), never by its row count.
 //!
 //! Pack buffers are thread-local and grow to a high-water mark, so
 //! steady-state calls perform no heap allocation.
@@ -38,6 +45,16 @@ pub const KC: usize = 256;
 pub const MC: usize = 128;
 /// Columns of `B` packed per panel (`KC·NC` f32 cap on the shared panel).
 pub const NC: usize = 4096;
+/// A product whose three operands together hold at most this many `f32`
+/// (`m·k + k·n + m·n`) runs pack-free: the whole problem fits the L2 budget
+/// the packed driver grants a single `A` block, so there is nothing for
+/// packing to make more local.
+pub const PACK_FREE_MAX_ELEMS: usize = MC * KC;
+/// A product goes to the thread pool only from this many flops (`2·m·k·n`)
+/// up: one full `MC × KC` block of `A` against an `MC`-column panel, ≈ 170 µs
+/// on one core. Below it the hand-off costs more than a second thread
+/// returns, whatever the row count.
+pub const POOL_MIN_FLOPS: usize = 2 * MC * KC * MC;
 
 thread_local! {
     /// Packed-A scratch, one per worker thread (each row block packs its own).
@@ -57,8 +74,8 @@ pub fn matmul_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: u
     assert_eq!(b.len(), k * n, "B length mismatch");
     match kernel() {
         Kernel::Naive => naive_matmul_into(c, a, b, m, k, n, acc),
-        // With fewer rows than one micro-tile, packing B costs more than
-        // the whole naive product (contiguous axpy rows) — route around.
+        // With fewer rows than one micro-tile, most of every tile would be
+        // padding — the naive product (contiguous axpy rows) wins outright.
         Kernel::Optimized if m < MR => naive_matmul_into(c, a, b, m, k, n, acc),
         Kernel::Optimized => gemm_strided(c, m, k, n, a, k, 1, b, n, 1, acc),
     }
@@ -111,8 +128,9 @@ pub fn matmul_tn_into(
     }
 }
 
-/// The blocked driver over logical `C (m,n) = A (m,k) · B (k,n)` where the
-/// operands are addressed as `a[i*ars + l*acs]` and `b[l*brs + j*bcs]`.
+/// Logical `C (m,n) = A (m,k) · B (k,n)` over operands addressed as
+/// `a[i*ars + l*acs]` and `b[l*brs + j*bcs]`: pack-free when the problem
+/// already fits cache, packed (and parallel from [`POOL_MIN_FLOPS`]) above.
 #[allow(clippy::too_many_arguments)]
 fn gemm_strided(
     c: &mut [f32],
@@ -127,16 +145,49 @@ fn gemm_strided(
     bcs: usize,
     acc: bool,
 ) {
+    // `k ≤ KC` keeps the pack-free single pass over `k` identical to the
+    // packed driver's (which would otherwise round into `C` between blocks).
+    if k <= KC && m * k + k * n + m * n <= PACK_FREE_MAX_ELEMS {
+        gemm_pack_free(c, m, k, n, a, ars, acs, b, brs, bcs, acc);
+    } else {
+        gemm_packed(c, m, k, n, a, ars, acs, b, brs, bcs, acc);
+    }
+}
+
+/// Handles the shapes with no multiply in them; true if `c` is finished.
+fn degenerate(c: &mut [f32], m: usize, k: usize, n: usize, acc: bool) -> bool {
     assert_eq!(c.len(), m * n, "C length mismatch");
-    if m == 0 || n == 0 {
+    if k == 0 && !acc {
+        c.fill(0.0);
+    }
+    m == 0 || n == 0 || k == 0
+}
+
+/// The blocked, packing driver over logical `C (m,n) = A (m,k) · B (k,n)`
+/// where the operands are addressed as `a[i*ars + l*acs]` and
+/// `b[l*brs + j*bcs]`. Row blocks run on the thread pool when the product
+/// is worth [`POOL_MIN_FLOPS`].
+///
+/// # Panics
+/// Panics if `c.len() != m * n` or a stride reaches outside `a` or `b`.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_packed(
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    ars: usize,
+    acs: usize,
+    b: &[f32],
+    brs: usize,
+    bcs: usize,
+    acc: bool,
+) {
+    if degenerate(c, m, k, n, acc) {
         return;
     }
-    if k == 0 {
-        if !acc {
-            c.fill(0.0);
-        }
-        return;
-    }
+    let pooled = m > MC && 2 * m * k * n >= POOL_MIN_FLOPS;
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
@@ -148,16 +199,15 @@ fn gemm_strided(
                 let mut pb = cell.borrow_mut();
                 pack_b(&mut pb, b, brs, bcs, pc, kc, jc, nc);
                 let pb: &[f32] = &pb;
-                let row_blocks = m.div_ceil(MC);
-                if row_blocks == 1 {
-                    // Single row block: skip the parallel dispatch.
-                    row_block(c, 0, m, n, kc, jc, nc, a, ars, acs, pc, pb, overwrite);
+                let block = |(bi, cblk): (usize, &mut [f32])| {
+                    let ic = bi * MC;
+                    let mc = cblk.len() / n;
+                    row_block(cblk, ic, mc, n, kc, jc, nc, a, ars, acs, pc, pb, overwrite);
+                };
+                if pooled {
+                    c.par_chunks_mut(MC * n).enumerate().for_each(block);
                 } else {
-                    c.par_chunks_mut(MC * n).enumerate().for_each(|(bi, cblk)| {
-                        let ic = bi * MC;
-                        let mc = cblk.len() / n;
-                        row_block(cblk, ic, mc, n, kc, jc, nc, a, ars, acs, pc, pb, overwrite);
-                    });
+                    c.chunks_mut(MC * n).enumerate().for_each(block);
                 }
             });
         }
@@ -193,64 +243,235 @@ fn row_block(
             for (p, i0) in (0..mc).step_by(MR).enumerate() {
                 let h = MR.min(mc - i0);
                 let ap = &pa[p * kc * MR..(p + 1) * kc * MR];
-                microkernel(kc, ap, bp, &mut acc_tile);
+                microkernel_packed(kc, ap, bp, &mut acc_tile);
                 write_tile(cblk, n, i0, jc + j0, h, w, &acc_tile, overwrite);
             }
         }
     });
 }
 
-/// The register-tiled inner kernel: `acc[i][j] += Σ_l ap[l][i] · bp[l][j]`
-/// over packed micro-panels (`ap` is `kc × MR` with `i` fastest, `bp` is
-/// `kc × NR` with `j` fastest). `acc` is overwritten. Dispatches to the
-/// AVX2+FMA variant when the CPU supports it (detected once, cached).
-#[inline]
-fn microkernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: avx2 + fma presence verified by `fma_available`.
-        unsafe { microkernel_fma(kc, ap, bp, acc) };
+/// The pack-free driver over logical `C (m,n) = A (m,k) · B (k,n)` with the
+/// operands addressed as `a[i*ars + l*acs]` and `b[l*brs + j*bcs]`: the
+/// microkernel reads `A` where it lies (row offsets clamped to the last row
+/// at the ragged edge, the duplicate rows discarded on write) and `B` too
+/// when its rows are contiguous and `n` is a whole number of micro-panels;
+/// otherwise `B` alone is packed, once. Serial — callers route only
+/// cache-sized problems here — and, for `k ≤ KC`, bit-identical to
+/// [`gemm_packed`].
+///
+/// # Panics
+/// Panics if `c.len() != m * n` or a stride reaches outside `a` or `b`.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_pack_free(
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    ars: usize,
+    acs: usize,
+    b: &[f32],
+    brs: usize,
+    bcs: usize,
+    acc: bool,
+) {
+    if degenerate(c, m, k, n, acc) {
         return;
     }
-    microkernel_portable(kc, ap, bp, acc);
+    // The bound every `A` load below rests on: the last row, last column
+    // (checked arithmetic, so absurd strides cannot wrap past it).
+    assert!(
+        last_index(m - 1, ars, k - 1, acs).is_some_and(|last| last < a.len()),
+        "A strides leave the buffer"
+    );
+    // `tiles(b_panels, panel_step, row_step)`: micro-panel `q` starts at
+    // `b_panels[q * panel_step]` and its rows lie `row_step` apart.
+    let mut tiles = |b_panels: &[f32], panel_step: usize, row_step: usize| {
+        let mut acc_tile = [0.0f32; MR * NR];
+        for (q, j0) in (0..n).step_by(NR).enumerate() {
+            let w = NR.min(n - j0);
+            let bp = &b_panels[q * panel_step..];
+            for i0 in (0..m).step_by(MR) {
+                let h = MR.min(m - i0);
+                let a_off: [usize; MR] = std::array::from_fn(|i| (i0 + i).min(m - 1) * ars);
+                // SAFETY: every `a_off[i] ≤ (m - 1)·ars`, so the largest `A`
+                // index is within the bound asserted above. `bp` holds `k`
+                // rows `row_step` apart with `NR` readable floats in the
+                // last: in place that is the assertion below (`B`'s last
+                // element is inside it) plus `j0 + NR ≤ n`; packed, `pack_b`
+                // sized the panel `k·NR`.
+                unsafe { microkernel(k, a, &a_off, acs, bp, row_step, &mut acc_tile) };
+                write_tile(c, n, i0, j0, h, w, &acc_tile, !acc);
+            }
+        }
+    };
+    if bcs == 1 && n.is_multiple_of(NR) {
+        assert!(
+            last_index(k - 1, brs, n - 1, 1).is_some_and(|last| last < b.len()),
+            "B strides leave the buffer"
+        );
+        tiles(b, NR, brs);
+    } else {
+        PACK_B.with(|cell| {
+            let mut pb = cell.borrow_mut();
+            pack_b(&mut pb, b, brs, bcs, 0, k, 0, n);
+            tiles(&pb, k * NR, NR);
+        });
+    }
 }
 
-/// The microkernel compiled with AVX2+FMA enabled: each `NR`-wide row of the
-/// accumulator tile is one ymm register and every `mul_add` lowers to a fused
-/// multiply-add, which baseline (SSE2) codegen cannot emit. Two independent
-/// accumulator tiles give `2·MR` fma chains — enough to cover the fma latency
-/// on two issue ports.
+/// `i·stride_i + j·stride_j`, or `None` on overflow.
+fn last_index(i: usize, stride_i: usize, j: usize, stride_j: usize) -> Option<usize> {
+    i.checked_mul(stride_i)?
+        .checked_add(j.checked_mul(stride_j)?)
+}
+
+/// Row offsets of a packed `A` micro-panel: row `i` of the tile starts at `i`.
+const PACKED_A_OFF: [usize; MR] = [0, 1, 2, 3, 4, 5];
+
+/// The register-tiled inner kernel: `acc[i][j] = Σ_l A[i][l] · B[l][j]` with
+/// `A[i][l] = a[a_off[i] + l·acs]` and `B[l][j] = b[l·brs + j]`, `l < kc`.
+/// Dispatches to the AVX2+FMA variant when the CPU supports it (detected
+/// once, cached).
 ///
 /// # Safety
-/// Caller must have verified `avx2` and `fma` CPU support.
+/// `kc ≥ 1`, and for every `i < MR`: `a_off[i] + (kc - 1)·acs < a.len()`;
+/// `(kc - 1)·brs + NR ≤ b.len()`.
+#[inline]
+unsafe fn microkernel(
+    kc: usize,
+    a: &[f32],
+    a_off: &[usize; MR],
+    acs: usize,
+    b: &[f32],
+    brs: usize,
+    acc: &mut [f32; MR * NR],
+) {
+    debug_assert!(kc >= 1 && (kc - 1) * brs + NR <= b.len());
+    debug_assert!(a_off.iter().all(|&o| o + (kc - 1) * acs < a.len()));
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        // SAFETY: avx2 + fma presence verified by `fma_available`; the index
+        // contract is the caller's, passed through unchanged.
+        unsafe { microkernel_fma(kc, a, a_off, acs, b, brs, acc) };
+        return;
+    }
+    // SAFETY: the caller's index contract, passed through unchanged.
+    unsafe { tile_portable(kc, a, a_off, acs, b, brs, acc) };
+}
+
+/// [`microkernel`] over packed micro-panels (`ap` is `kc × MR` with `i`
+/// fastest, `bp` is `kc × NR` with `j` fastest): the same tile body with the
+/// offsets and strides as compile-time constants, which is worth a tenth of
+/// the large-product rate.
+#[inline]
+fn microkernel_packed(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
+    assert!(kc >= 1 && ap.len() >= kc * MR && bp.len() >= kc * NR);
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        // SAFETY: avx2 + fma presence verified by `fma_available`; the
+        // lengths asserted above are the packed form of the index contract
+        // (`MR - 1 + (kc - 1)·MR < kc·MR`, `(kc - 1)·NR + NR ≤ kc·NR`).
+        unsafe { microkernel_fma_packed(kc, ap, bp, acc) };
+        return;
+    }
+    // SAFETY: the asserted lengths, as above.
+    unsafe { tile_portable(kc, ap, &PACKED_A_OFF, MR, bp, NR, acc) };
+}
+
+/// # Safety
+/// Caller must have verified `avx2` and `fma` CPU support, and the index
+/// contract of [`microkernel`] must hold.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn microkernel_fma(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
+unsafe fn microkernel_fma(
+    kc: usize,
+    a: &[f32],
+    a_off: &[usize; MR],
+    acs: usize,
+    b: &[f32],
+    brs: usize,
+    acc: &mut [f32; MR * NR],
+) {
+    // Row-major `A` (the NN and NT layouts) gets its own instance: with the
+    // column step a constant, `l` and `l + 1` share six row pointers instead
+    // of needing twelve, which no longer fit the general registers.
+    // SAFETY: the caller's index contract, passed through unchanged.
+    unsafe {
+        if acs == 1 {
+            tile_fma(kc, a, a_off, 1, b, brs, acc)
+        } else {
+            tile_fma(kc, a, a_off, acs, b, brs, acc)
+        }
+    }
+}
+
+/// # Safety
+/// Caller must have verified `avx2` and `fma` CPU support;
+/// `ap.len() ≥ kc·MR`, `bp.len() ≥ kc·NR`, `kc ≥ 1`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn microkernel_fma_packed(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
+    // SAFETY: the caller's lengths are the index contract for these
+    // constant offsets and strides.
+    unsafe { tile_fma(kc, ap, &PACKED_A_OFF, MR, bp, NR, acc) }
+}
+
+/// Row `l` of the `B` micro-panel.
+///
+/// # Safety
+/// `l·brs + NR ≤ b.len()`.
+#[inline(always)]
+unsafe fn b_row(b: &[f32], brs: usize, l: usize) -> &[f32; NR] {
+    // SAFETY: the caller guarantees the `NR` floats from `l·brs` are inside
+    // `b`; `[f32; NR]` has the alignment of `f32`.
+    unsafe { &*b.as_ptr().add(l * brs).cast::<[f32; NR]>() }
+}
+
+/// The tile body for AVX2+FMA callers (inlined into them, so that each
+/// `NR`-wide row of the accumulator tile is one ymm register and every
+/// `mul_add` lowers to a fused multiply-add, which baseline codegen cannot
+/// emit). Two independent accumulator tiles (even and odd `l`) give `2·MR`
+/// fma chains — enough to cover the fma latency on two issue ports.
+///
+/// # Safety
+/// The index contract of [`microkernel`] must hold.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn tile_fma(
+    kc: usize,
+    a: &[f32],
+    a_off: &[usize; MR],
+    acs: usize,
+    b: &[f32],
+    brs: usize,
+    acc: &mut [f32; MR * NR],
+) {
     let mut acc0 = [0.0f32; MR * NR];
     let mut acc1 = [0.0f32; MR * NR];
-    let pairs = kc / 2;
-    for (av, bv) in ap
-        .chunks_exact(2 * MR)
-        .zip(bp.chunks_exact(2 * NR))
-        .take(pairs)
-    {
+    for l in (0..kc - 1).step_by(2) {
+        // SAFETY: `l + 1 ≤ kc - 1`, so both rows and, below, both columns
+        // are inside the caller's contract.
+        let (b0, b1) = unsafe { (b_row(b, brs, l), b_row(b, brs, l + 1)) };
         for i in 0..MR {
-            let a0 = av[i];
-            let a1 = av[MR + i];
+            let at = a_off[i] + l * acs;
+            // SAFETY: see above.
+            let (a0, a1) = unsafe { (*a.get_unchecked(at), *a.get_unchecked(at + acs)) };
             for j in 0..NR {
-                acc0[i * NR + j] = a0.mul_add(bv[j], acc0[i * NR + j]);
-                acc1[i * NR + j] = a1.mul_add(bv[NR + j], acc1[i * NR + j]);
+                acc0[i * NR + j] = a0.mul_add(b0[j], acc0[i * NR + j]);
+                acc1[i * NR + j] = a1.mul_add(b1[j], acc1[i * NR + j]);
             }
         }
     }
     if kc % 2 == 1 {
         let l = kc - 1;
-        let av = &ap[l * MR..l * MR + MR];
-        let bv = &bp[l * NR..l * NR + NR];
+        // SAFETY: `l = kc - 1` is the last row and column of the contract.
+        let b0 = unsafe { b_row(b, brs, l) };
         for i in 0..MR {
-            let ai = av[i];
+            // SAFETY: see above.
+            let a0 = unsafe { *a.get_unchecked(a_off[i] + l * acs) };
             for j in 0..NR {
-                acc0[i * NR + j] = ai.mul_add(bv[j], acc0[i * NR + j]);
+                acc0[i * NR + j] = a0.mul_add(b0[j], acc0[i * NR + j]);
             }
         }
     }
@@ -259,35 +480,46 @@ unsafe fn microkernel_fma(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR 
     }
 }
 
-/// Portable fallback microkernel (autovectorizes under whatever SIMD the
-/// baseline target provides).
+/// The portable tile body (autovectorizes under whatever SIMD the baseline
+/// target provides).
+///
+/// # Safety
+/// The index contract of [`microkernel`] must hold.
 #[inline]
-fn microkernel_portable(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
+unsafe fn tile_portable(
+    kc: usize,
+    a: &[f32],
+    a_off: &[usize; MR],
+    acs: usize,
+    b: &[f32],
+    brs: usize,
+    acc: &mut [f32; MR * NR],
+) {
     acc.fill(0.0);
     // Two k-steps per iteration: more independent work in flight between
     // loop-carried accumulator updates.
-    let pairs = kc / 2;
-    for (av, bv) in ap
-        .chunks_exact(2 * MR)
-        .zip(bp.chunks_exact(2 * NR))
-        .take(pairs)
-    {
+    for l in (0..kc - 1).step_by(2) {
+        // SAFETY: `l + 1 ≤ kc - 1`, so both rows and, below, both columns
+        // are inside the caller's contract.
+        let (b0, b1) = unsafe { (b_row(b, brs, l), b_row(b, brs, l + 1)) };
         for i in 0..MR {
-            let a0 = av[i];
-            let a1 = av[MR + i];
+            let at = a_off[i] + l * acs;
+            // SAFETY: see above.
+            let (a0, a1) = unsafe { (*a.get_unchecked(at), *a.get_unchecked(at + acs)) };
             for j in 0..NR {
-                acc[i * NR + j] += a0 * bv[j] + a1 * bv[NR + j];
+                acc[i * NR + j] += a0 * b0[j] + a1 * b1[j];
             }
         }
     }
     if kc % 2 == 1 {
         let l = kc - 1;
-        let av = &ap[l * MR..l * MR + MR];
-        let bv = &bp[l * NR..l * NR + NR];
+        // SAFETY: `l = kc - 1` is the last row and column of the contract.
+        let b0 = unsafe { b_row(b, brs, l) };
         for i in 0..MR {
-            let ai = av[i];
+            // SAFETY: see above.
+            let a0 = unsafe { *a.get_unchecked(a_off[i] + l * acs) };
             for j in 0..NR {
-                acc[i * NR + j] += ai * bv[j];
+                acc[i * NR + j] += a0 * b0[j];
             }
         }
     }
@@ -382,11 +614,27 @@ fn pack_a(
 }
 
 // ---------------------------------------------------------------------------
-// Naive kernels (the pre-optimization implementations, kept as the baseline
-// the perf guardrail measures against).
+// Naive kernels: the reference implementations `Kernel::Naive` selects and
+// the parity tests compare against — and, under `Kernel::Optimized`, the
+// route for products too thin to fill a micro-tile.
 // ---------------------------------------------------------------------------
 
-/// Row-parallel `C = A·B` with an axpy inner loop (the old `matmul_kernel`).
+/// Runs `row(r, c_row)` over the `n`-wide rows of `c`, on the thread pool
+/// when the product is worth [`POOL_MIN_FLOPS`]. Rows are disjoint, so the
+/// result does not depend on which way it ran.
+fn for_each_row(c: &mut [f32], n: usize, flops: usize, row: impl Fn(usize, &mut [f32]) + Sync) {
+    if flops >= POOL_MIN_FLOPS {
+        c.par_chunks_mut(n)
+            .enumerate()
+            .for_each(|(r, crow)| row(r, crow));
+    } else {
+        c.chunks_mut(n)
+            .enumerate()
+            .for_each(|(r, crow)| row(r, crow));
+    }
+}
+
+/// `C = A·B` row by row with an axpy inner loop.
 pub fn naive_matmul_into(
     c: &mut [f32],
     a: &[f32],
@@ -397,7 +645,7 @@ pub fn naive_matmul_into(
     acc: bool,
 ) {
     assert_eq!(c.len(), m * n, "C length mismatch");
-    c.par_chunks_mut(n).enumerate().for_each(|(r, orow)| {
+    for_each_row(c, n, 2 * m * k * n, |r, orow| {
         if !acc {
             orow.fill(0.0);
         }
@@ -411,7 +659,7 @@ pub fn naive_matmul_into(
     });
 }
 
-/// Row-parallel `C = A·Bᵀ` with a dot-product inner loop.
+/// `C = A·Bᵀ` row by row with a dot-product inner loop.
 pub fn naive_matmul_nt_into(
     c: &mut [f32],
     a: &[f32],
@@ -422,7 +670,7 @@ pub fn naive_matmul_nt_into(
     acc: bool,
 ) {
     assert_eq!(c.len(), m * n, "C length mismatch");
-    c.par_chunks_mut(n).enumerate().for_each(|(r, orow)| {
+    for_each_row(c, n, 2 * m * k * n, |r, orow| {
         let arow = &a[r * k..(r + 1) * k];
         for (j, o) in orow.iter_mut().enumerate() {
             let brow = &b[j * k..(j + 1) * k];
@@ -436,7 +684,9 @@ pub fn naive_matmul_nt_into(
     });
 }
 
-/// `C = Aᵀ·B`, parallel over the `k` output rows (the old `matmul_tn`).
+/// `C = Aᵀ·B` over the `k` output rows, each `m` axpy sweeps. Every term is
+/// added, zeros included: `0 · NaN` must reach `C` here as it does in the
+/// blocked kernels, or a diverged `dY` hides behind a zero activation.
 pub fn naive_matmul_tn_into(
     c: &mut [f32],
     a: &[f32],
@@ -447,17 +697,15 @@ pub fn naive_matmul_tn_into(
     acc: bool,
 ) {
     assert_eq!(c.len(), k * n, "C length mismatch");
-    c.par_chunks_mut(n).enumerate().for_each(|(kk, orow)| {
+    for_each_row(c, n, 2 * m * k * n, |kk, orow| {
         if !acc {
             orow.fill(0.0);
         }
         for r in 0..m {
             let av = a[r * k + kk];
-            if av != 0.0 {
-                let brow = &b[r * n..(r + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
+            let brow = &b[r * n..(r + 1) * n];
+            for (o, &bv) in orow.iter_mut().zip(brow) {
+                *o += av * bv;
             }
         }
     });
@@ -515,7 +763,7 @@ mod tests {
             let b = fill(k * n, 2);
             let want = reference_nn(&a, &b, m, k, n);
             let mut c = vec![f32::NAN; m * n];
-            gemm_strided(&mut c, m, k, n, &a, k, 1, &b, n, 1, false);
+            gemm_packed(&mut c, m, k, n, &a, k, 1, &b, n, 1, false);
             assert_close(&c, &want, &format!("nn {m}x{k}x{n}"));
         }
     }
@@ -530,7 +778,7 @@ mod tests {
             .map(|v| v + 1.0)
             .collect();
         let mut c = vec![1.0f32; m * n];
-        gemm_strided(&mut c, m, k, n, &a, k, 1, &b, n, 1, true);
+        gemm_packed(&mut c, m, k, n, &a, k, 1, &b, n, 1, true);
         assert_close(&c, &want, "acc");
     }
 
@@ -555,12 +803,40 @@ mod tests {
     }
 
     #[test]
+    fn portable_tile_reads_strided_operands_like_packed_ones() {
+        // On an AVX2 host the drivers never reach the portable body, so the
+        // pack-free ≡ packed property is pinned here for it directly.
+        for kc in [1, 2, 7, 32] {
+            let (ars, brs) = (kc + 3, NR + 5);
+            let a = fill(MR * ars, 10);
+            let b = fill(kc * brs, 11);
+            let a_off: [usize; MR] = std::array::from_fn(|i| i * ars);
+            let (mut pa, mut pb) = (Vec::new(), Vec::new());
+            pack_a(&mut pa, &a, ars, 1, 0, MR, 0, kc);
+            pack_b(&mut pb, &b, brs, 1, 0, kc, 0, NR);
+            let mut strided = [f32::NAN; MR * NR];
+            let mut packed = [f32::NAN; MR * NR];
+            // SAFETY: `a` holds `MR` rows of `ars ≥ kc`, `b` holds `kc` rows
+            // of `brs ≥ NR`; the packed panels are `kc·MR` and `kc·NR`.
+            unsafe {
+                tile_portable(kc, &a, &a_off, 1, &b, brs, &mut strided);
+                tile_portable(kc, &pa, &PACKED_A_OFF, MR, &pb, NR, &mut packed);
+            }
+            assert_eq!(
+                strided.map(f32::to_bits),
+                packed.map(f32::to_bits),
+                "kc={kc}"
+            );
+        }
+    }
+
+    #[test]
     fn naive_kernels_match_blocked() {
         let (m, k, n) = (11, 37, 23);
         let a = fill(m * k, 8);
         let b = fill(k * n, 9);
         let mut blocked = vec![0.0f32; m * n];
-        gemm_strided(&mut blocked, m, k, n, &a, k, 1, &b, n, 1, false);
+        gemm_packed(&mut blocked, m, k, n, &a, k, 1, &b, n, 1, false);
         let mut naive = vec![0.0f32; m * n];
         naive_matmul_into(&mut naive, &a, &b, m, k, n, false);
         assert_close(&naive, &blocked, "naive vs blocked");

@@ -103,12 +103,6 @@ impl ParamStore {
         self.params.iter_mut()
     }
 
-    /// Mutable view of all parameters in id order (parallel gradient
-    /// accumulation support).
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [Param] {
-        &mut self.params
-    }
-
     /// Iterates immutably.
     pub fn iter(&self) -> impl Iterator<Item = &Param> {
         self.params.iter()

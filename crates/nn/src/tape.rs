@@ -3,8 +3,18 @@
 //! All tensors are row-major matrices `(rows, cols)`; batched sequences are
 //! expressed as one matrix per timestep (LSTM) or one per sample
 //! (attention), which keeps every kernel a plain matrix op. Matmuls dispatch
-//! to the cache-blocked kernels in [`crate::gemm`]; every op records its
-//! FLOPs in [`crate::flops`].
+//! to the cache-blocked kernels in [`crate::gemm`], `tanh`/`exp` to the
+//! elementwise kernels in `sickle-simd`; every op records its FLOPs in
+//! [`crate::flops`].
+//!
+//! ## Row reductions
+//!
+//! Every per-row reduction (softmax max, sum and backward dot; layer-norm
+//! mean, variance and the two backward means) accumulates in [`LANES`] fixed
+//! lanes — term `j` into lane `j % LANES` — combined in one fixed tree, not
+//! in one serial chain whose every add waits on the last. The order is a
+//! property of the row length alone, so results do not depend on the host,
+//! the kernel switch or the thread count.
 //!
 //! ## Buffer arena
 //!
@@ -24,8 +34,6 @@
 
 use std::collections::HashMap;
 use std::mem;
-
-use rayon::prelude::*;
 
 use crate::flops;
 use crate::gemm;
@@ -91,7 +99,9 @@ enum Op {
         a: Var,
         gamma: Var,
         beta: Var,
-        eps: f32,
+        /// Per-row `[mean, 1/σ]` as computed by the forward pass (`2·rows`
+        /// floats from the arena), so backward recomputes neither.
+        stats: Vec<f32>,
     },
     MeanAll {
         a: Var,
@@ -107,8 +117,6 @@ struct Node {
     grad: Vec<f32>,
     shape: (usize, usize),
     op: Op,
-    /// Parameter binding for leaves created via [`Tape::param`].
-    param: Option<ParamId>,
 }
 
 /// A computation graph backed by a reusable buffer arena.
@@ -121,6 +129,9 @@ pub struct Tape {
     nodes: Vec<Node>,
     /// Length-keyed free-list of recycled buffers.
     free: HashMap<usize, Vec<Vec<f32>>>,
+    /// The leaf each parameter is bound to on this tape, indexed by
+    /// `ParamId` (see [`Tape::param`]); emptied by [`Tape::reset`].
+    params: Vec<Option<Var>>,
 }
 
 /// Returns a recycled buffer to the free-list.
@@ -130,12 +141,46 @@ fn recycle(free: &mut HashMap<usize, Vec<Vec<f32>>>, buf: Vec<f32>) {
     }
 }
 
-/// Per-row mean and inverse standard deviation for layer-norm backward.
-fn row_stats(xr: &[f32], eps: f32) -> (f32, f32) {
-    let n = xr.len() as f32;
-    let mean = xr.iter().sum::<f32>() / n;
-    let var = xr.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-    (mean, 1.0 / (var + eps).sqrt())
+/// Independent accumulators in every row reduction (one AVX2 register, two
+/// SSE2 ones).
+const LANES: usize = 8;
+
+/// Folds one term per column of `rows` (equally long slices, read in step)
+/// with `op`: the term of column `j` goes into lane `j % LANES`, and the
+/// lanes are combined in a fixed tree. `identity` must be `op`'s.
+#[inline(always)]
+fn lane_reduce<const K: usize>(
+    rows: [&[f32]; K],
+    identity: f32,
+    term: impl Fn([f32; K]) -> f32,
+    op: impl Fn(f32, f32) -> f32,
+) -> f32 {
+    let n = rows[0].len();
+    // One length check here lets the loop below run without any.
+    let rows = rows.map(|r| &r[..n]);
+    let mut acc = [identity; LANES];
+    let mut j = 0;
+    while j + LANES <= n {
+        let block: [&[f32; LANES]; K] =
+            rows.map(|r| r[j..j + LANES].try_into().expect("LANES-long slice"));
+        for (l, a) in acc.iter_mut().enumerate() {
+            *a = op(*a, term(block.map(|b| b[l])));
+        }
+        j += LANES;
+    }
+    for (l, a) in acc.iter_mut().enumerate().take(n - j) {
+        *a = op(*a, term(rows.map(|r| r[j + l])));
+    }
+    op(
+        op(op(acc[0], acc[4]), op(acc[2], acc[6])),
+        op(op(acc[1], acc[5]), op(acc[3], acc[7])),
+    )
+}
+
+/// `Σ_j term(column j)` in the fixed lane order of [`lane_reduce`].
+#[inline(always)]
+fn lane_sum<const K: usize>(rows: [&[f32]; K], term: impl Fn([f32; K]) -> f32) -> f32 {
+    lane_reduce(rows, 0.0, term, |a, b| a + b)
 }
 
 impl Tape {
@@ -153,10 +198,14 @@ impl Tape {
         for node in self.nodes.drain(..) {
             recycle(free, node.data);
             recycle(free, node.grad);
-            if let Op::Mse { target, .. } = node.op {
-                recycle(free, target);
+            match node.op {
+                Op::Mse { target: buf, .. } | Op::LayerNorm { stats: buf, .. } => {
+                    recycle(free, buf)
+                }
+                _ => {}
             }
         }
+        self.params.fill(None);
     }
 
     /// Pops a recycled buffer of exactly `len` elements, or allocates one.
@@ -184,7 +233,6 @@ impl Tape {
             grad,
             shape,
             op,
-            param: None,
         });
         Var(self.nodes.len() - 1)
     }
@@ -228,13 +276,38 @@ impl Tape {
 
     /// Binds a stored parameter into the tape as a leaf; gradients flow back
     /// to the store via [`accumulate_grads`](Self::accumulate_grads).
+    ///
+    /// A parameter has **one** leaf per tape: the first call copies its
+    /// values in, every later call until the next [`reset`](Self::reset)
+    /// returns that same leaf. A model applied to several samples on one tape
+    /// therefore copies and zero-fills each parameter once, and the samples'
+    /// gradients meet in the leaf (the backward GEMMs accumulate) instead of
+    /// in `accumulate_grads`.
+    ///
+    /// The table is keyed by `ParamId` alone, so a tape binds a single
+    /// store, with unchanging values, between `reset`s — checked in debug
+    /// builds.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
         let p = store.get(id);
+        if let Some(&Some(v)) = self.params.get(id.0) {
+            debug_assert!(
+                // By bits: a diverged (NaN) parameter is still the same one.
+                self.nodes[v.0]
+                    .data
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .eq(p.data.iter().map(|x| x.to_bits())),
+                "a tape binds one parameter store, unchanged, between resets"
+            );
+            return v;
+        }
         let mut data = self.take_buf(p.data.len());
         data.copy_from_slice(&p.data);
-        let shape = p.shape;
-        let v = self.push(data, shape, Op::Leaf);
-        self.nodes[v.0].param = Some(id);
+        let v = self.push(data, p.shape, Op::Leaf);
+        if self.params.len() <= id.0 {
+            self.params.resize(id.0 + 1, None);
+        }
+        self.params[id.0] = Some(v);
         v
     }
 
@@ -386,9 +459,8 @@ impl Tape {
     pub fn tanh(&mut self, a: Var) -> Var {
         let shape = self.shape(a);
         let mut out = self.take_buf(shape.0 * shape.1);
-        for (o, x) in out.iter_mut().zip(&self.nodes[a.0].data) {
-            *o = x.tanh();
-        }
+        out.copy_from_slice(&self.nodes[a.0].data);
+        sickle_simd::tanh(&mut out);
         flops::record(4 * out.len() as u64);
         self.push(out, shape, Op::Tanh { a })
     }
@@ -398,7 +470,11 @@ impl Tape {
         let shape = self.shape(a);
         let mut out = self.take_buf(shape.0 * shape.1);
         for (o, x) in out.iter_mut().zip(&self.nodes[a.0].data) {
-            *o = 1.0 / (1.0 + (-x).exp());
+            *o = -x;
+        }
+        sickle_simd::exp(&mut out);
+        for o in &mut out {
+            *o = 1.0 / (1.0 + *o);
         }
         flops::record(4 * out.len() as u64);
         self.push(out, shape, Op::Sigmoid { a })
@@ -423,13 +499,21 @@ impl Tape {
             .chunks_exact_mut(n)
             .zip(self.nodes[a.0].data.chunks_exact(n))
         {
-            let max = irow.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
+            // `>` skips a NaN here; it still poisons the row through the
+            // subtraction below.
+            let max = lane_reduce(
+                [irow],
+                f32::NEG_INFINITY,
+                |[x]| x,
+                |m, x| if x > m { x } else { m },
+            );
             for (o, &x) in orow.iter_mut().zip(irow) {
-                *o = (x - max).exp();
-                sum += *o;
+                *o = x - max;
             }
-            let inv = 1.0 / sum;
+        }
+        sickle_simd::exp(&mut out);
+        for orow in out.chunks_exact_mut(n) {
+            let inv = 1.0 / lane_sum([orow], |[e]| e);
             orow.iter_mut().for_each(|o| *o *= inv);
         }
         flops::record(5 * (m * n) as u64);
@@ -492,14 +576,19 @@ impl Tape {
         assert_eq!(self.shape(beta), (1, n), "beta must be (1, {n})");
         let eps = 1e-5;
         let mut out = self.take_buf(m * n);
+        let mut stats = self.take_buf(2 * m);
         {
-            let g = &self.nodes[gamma.0].data;
-            let b = &self.nodes[beta.0].data;
-            for (orow, irow) in out
+            let g = &self.nodes[gamma.0].data[..n];
+            let b = &self.nodes[beta.0].data[..n];
+            for ((orow, irow), stat) in out
                 .chunks_exact_mut(n)
                 .zip(self.nodes[a.0].data.chunks_exact(n))
+                .zip(stats.chunks_exact_mut(2))
             {
-                let (mean, inv) = row_stats(irow, eps);
+                let mean = lane_sum([irow], |[x]| x) / n as f32;
+                let var = lane_sum([irow], |[x]| (x - mean) * (x - mean)) / n as f32;
+                let inv = 1.0 / (var + eps).sqrt();
+                stat.copy_from_slice(&[mean, inv]);
                 for j in 0..n {
                     orow[j] = g[j] * (irow[j] - mean) * inv + b[j];
                 }
@@ -513,7 +602,7 @@ impl Tape {
                 a,
                 gamma,
                 beta,
-                eps,
+                stats,
             },
         )
     }
@@ -706,7 +795,7 @@ impl Tape {
                 for r in 0..m {
                     let yr = &y[r * n..(r + 1) * n];
                     let dyr = &dy[r * n..(r + 1) * n];
-                    let dot: f32 = yr.iter().zip(dyr).map(|(x, d)| x * d).sum();
+                    let dot = lane_sum([yr, dyr], |[y, d]| y * d);
                     for j in 0..n {
                         ga[r * n + j] += yr[j] * (dyr[j] - dot);
                     }
@@ -740,9 +829,8 @@ impl Tape {
                 a,
                 gamma,
                 beta,
-                eps,
+                stats,
             } => {
-                let eps = *eps;
                 // Three alias-safe phases, one gradient buffer at a time.
                 let mut gb = mem::take(&mut self.nodes[beta.0].grad);
                 for row in self.nodes[i].grad.chunks_exact(n) {
@@ -759,7 +847,7 @@ impl Tape {
                     for r in 0..m {
                         let xr = &x[r * n..(r + 1) * n];
                         let dyr = &dy[r * n..(r + 1) * n];
-                        let (mean, inv) = row_stats(xr, eps);
+                        let (mean, inv) = (stats[2 * r], stats[2 * r + 1]);
                         for j in 0..n {
                             gg[j] += dyr[j] * (xr[j] - mean) * inv;
                         }
@@ -770,22 +858,16 @@ impl Tape {
                 let mut ga = mem::take(&mut self.nodes[a.0].grad);
                 {
                     let x = &self.nodes[a.0].data;
-                    let g = &self.nodes[gamma.0].data;
+                    let g = &self.nodes[gamma.0].data[..n];
                     let dy = &self.nodes[i].grad;
                     for r in 0..m {
                         let xr = &x[r * n..(r + 1) * n];
                         let dyr = &dy[r * n..(r + 1) * n];
-                        let (mean, inv) = row_stats(xr, eps);
-                        let mut mean_gd = 0.0f32;
-                        let mut mean_gdx = 0.0f32;
-                        for j in 0..n {
-                            let gd = g[j] * dyr[j];
-                            let xhat = (xr[j] - mean) * inv;
-                            mean_gd += gd;
-                            mean_gdx += gd * xhat;
-                        }
-                        mean_gd /= n as f32;
-                        mean_gdx /= n as f32;
+                        let (mean, inv) = (stats[2 * r], stats[2 * r + 1]);
+                        let mean_gd = lane_sum([g, dyr], |[g, d]| g * d) / n as f32;
+                        let mean_gdx =
+                            lane_sum([g, dyr, xr], |[g, d, x]| g * d * ((x - mean) * inv))
+                                / n as f32;
                         for j in 0..n {
                             let xhat = (xr[j] - mean) * inv;
                             ga[r * n + j] += inv * (g[j] * dyr[j] - mean_gd - xhat * mean_gdx);
@@ -820,29 +902,15 @@ impl Tape {
         self.nodes[i].op = op;
     }
 
-    /// Adds the gradients of parameter-bound leaves into the store, parallel
-    /// over parameters. Per-parameter accumulation stays in node order, so
-    /// the result is bit-identical to the serial loop regardless of thread
-    /// count.
+    /// Adds the gradient of every parameter-bound leaf into the store (the
+    /// one the leaves were bound from): one pass per parameter, in `ParamId`
+    /// order, on the calling thread, allocating nothing.
     pub fn accumulate_grads(&self, store: &mut ParamStore) {
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); store.len()];
-        for (idx, node) in self.nodes.iter().enumerate() {
-            if let Some(pid) = node.param {
-                groups[pid.0].push(idx);
+        for (pid, bound) in self.params.iter().enumerate() {
+            if let Some(v) = bound {
+                axpy(&mut store.get_mut(ParamId(pid)).grad, &self.nodes[v.0].grad);
             }
         }
-        let nodes = &self.nodes;
-        store
-            .as_mut_slice()
-            .par_iter_mut()
-            .zip(&groups)
-            .for_each(|(p, idxs)| {
-                for &idx in idxs {
-                    for (g, &d) in p.grad.iter_mut().zip(&nodes[idx].grad) {
-                        *g += d;
-                    }
-                }
-            });
     }
 }
 
@@ -961,6 +1029,62 @@ mod tests {
             let b = t.leaf(vec![0.1, -0.1, 0.0], (1, 3));
             t.layer_norm(x, g, b)
         });
+    }
+
+    #[test]
+    fn gradcheck_layer_norm_ragged_width() {
+        // 11 columns: one full lane group plus a three-term remainder in
+        // every row reduction, forward and backward.
+        let input: Vec<f32> = (0..22).map(|i| ((i * 7) % 13) as f32 * 0.2 - 1.1).collect();
+        grad_check(input, (2, 11), |t, x| {
+            let g = t.leaf((0..11).map(|j| 0.7 + 0.05 * j as f32).collect(), (1, 11));
+            let b = t.leaf((0..11).map(|j| 0.02 * j as f32 - 0.1).collect(), (1, 11));
+            let y = t.layer_norm(x, g, b);
+            // Weighted so the per-row means of dy are non-trivial.
+            let w = t.leaf((0..22).map(|i| (i % 5) as f32 - 1.5).collect(), (2, 11));
+            t.mul(y, w)
+        });
+    }
+
+    #[test]
+    fn lane_reduce_matches_serial_sums_at_every_length() {
+        for n in 0..=33 {
+            let xs: Vec<f32> = (0..n).map(|i| (i as f32 * 0.61).sin()).collect();
+            let want: f64 = xs.iter().map(|&x| f64::from(x)).sum();
+            let got = lane_sum([&xs], |[x]| x);
+            assert!((f64::from(got) - want).abs() < 1e-5, "sum of {n}");
+            let max = lane_reduce([&xs], f32::NEG_INFINITY, |[x]| x, f32::max);
+            assert_eq!(max, xs.iter().cloned().fold(f32::NEG_INFINITY, f32::max));
+        }
+    }
+
+    #[test]
+    fn a_parameter_has_one_leaf_per_tape_and_its_uses_share_a_gradient() {
+        let mut store = ParamStore::new();
+        let w = store.alloc(vec![2.0], (1, 1));
+        let other = store.alloc(vec![5.0], (1, 1));
+        let mut t = Tape::new();
+        let w1 = t.param(&store, w);
+        let o = t.param(&store, other);
+        let w2 = t.param(&store, w);
+        assert_eq!(w1, w2, "second bind returns the first leaf");
+        assert_ne!(w1, o);
+        // loss = (w·3 + w·4)² = 196 at w = 2; dL/dw = 2·14·7 = 196.
+        let a = t.leaf(vec![3.0], (1, 1));
+        let b = t.leaf(vec![4.0], (1, 1));
+        let ya = t.mul(w1, a);
+        let yb = t.mul(w2, b);
+        let y = t.add(ya, yb);
+        let loss = t.mse_loss(y, &[0.0]);
+        t.backward(loss);
+        t.accumulate_grads(&mut store);
+        assert!((store.get(w).grad[0] - 196.0).abs() < 1e-3);
+        assert_eq!(store.get(other).grad[0], 0.0);
+        // A reset forgets the binding: new values are picked up.
+        t.reset();
+        store.get_mut(w).data[0] = -1.0;
+        let w3 = t.param(&store, w);
+        assert_eq!(t.value(w3), &[-1.0]);
     }
 
     #[test]

@@ -1,10 +1,13 @@
-//! Property tests for the blocked GEMM kernels: every layout (NN, NT, TN),
-//! in both overwrite and accumulate mode, must agree with a serial f64
-//! triple-loop reference to ≤ 1e-5 relative error — including ragged tail
-//! shapes that exercise the micro-tile edge handling.
+//! Property tests for the GEMM kernels: every layout (NN, NT, TN), in both
+//! overwrite and accumulate mode, must agree with a serial f64 triple-loop
+//! reference to ≤ 1e-5 relative error — including ragged tail shapes that
+//! exercise the micro-tile edge handling; the pack-free driver must agree
+//! with the packed one *bitwise*; and a NaN in either operand must reach the
+//! output through every kernel — and, one level up, a NaN activation the
+//! loss, through each nonlinear tape op.
 
 use proptest::prelude::*;
-use sickle_nn::gemm;
+use sickle_nn::{gemm, Tape, Var};
 
 /// Deterministic pseudo-random fill (so fixed-shape tests need no RNG dep).
 fn pseudo(seed: u64, len: usize, scale: f32) -> Vec<f32> {
@@ -89,8 +92,8 @@ fn check_all_layouts(m: usize, k: usize, n: usize, seed: u64, acc: bool) {
     assert_close(&c, &want, &format!("TN {m}x{k}x{n} acc={acc}"));
 }
 
-/// Same shapes through the naive kernels — the serial baselines the bench
-/// compares against must satisfy the identical contract.
+/// Same shapes through the naive kernels — the references must satisfy the
+/// identical contract.
 fn check_naive_layouts(m: usize, k: usize, n: usize, seed: u64, acc: bool) {
     let scale = 0.1;
     let init = pseudo(seed ^ 0xC0FF_EE00, m * n, scale);
@@ -155,6 +158,148 @@ fn ragged_tail_shapes_match_reference() {
     }
 }
 
+/// The three layouts as `(m, k, n, ars, acs, brs, bcs, a_len, b_len)` over
+/// logical `C (m,n) = A (m,k) · B (k,n)`, for stored dims `(m, k, n)`.
+fn strided_layouts(m: usize, k: usize, n: usize) -> [[usize; 9]; 3] {
+    [
+        [m, k, n, k, 1, n, 1, m * k, k * n], // NN
+        [m, k, n, k, 1, 1, k, m * k, n * k], // NT: B stored (n, k)
+        [k, m, n, 1, k, n, 1, m * k, m * n], // TN: A stored (m, k), reduce over m
+    ]
+}
+
+/// Pack-free and packed drivers on the same operands, all three layouts:
+/// the results must be the same bits (same `k` order, same two accumulators),
+/// whichever micro-tile edges the shape leaves ragged.
+fn check_pack_free_bitwise(m: usize, k: usize, n: usize, seed: u64, acc: bool) {
+    for (li, [lm, lk, ln, ars, acs, brs, bcs, a_len, b_len]) in
+        strided_layouts(m, k, n).into_iter().enumerate()
+    {
+        let a = pseudo(seed ^ li as u64, a_len, 1.0);
+        let b = pseudo(seed ^ 0xB0 ^ li as u64, b_len, 1.0);
+        let init = pseudo(seed ^ 0xC0, lm * ln, 1.0);
+        let mut packed = init.clone();
+        gemm::gemm_packed(&mut packed, lm, lk, ln, &a, ars, acs, &b, brs, bcs, acc);
+        let mut free = init.clone();
+        gemm::gemm_pack_free(&mut free, lm, lk, ln, &a, ars, acs, &b, brs, bcs, acc);
+        for (i, (p, f)) in packed.iter().zip(&free).enumerate() {
+            assert_eq!(
+                p.to_bits(),
+                f.to_bits(),
+                "layout {li} {lm}x{lk}x{ln} acc={acc} element {i}: packed {p} vs pack-free {f}"
+            );
+        }
+    }
+}
+
+#[test]
+fn pack_free_matches_packed_bitwise_on_edge_shapes() {
+    // k = 1, odd k, m % 6 and n % 8 ragged and exact, B readable in place
+    // (n % 8 == 0) and not, the model's own products, and k at the KC limit.
+    let shapes = [
+        (1, 1, 1),
+        (6, 1, 8),
+        (7, 1, 9),
+        (5, 7, 7),
+        (13, 3, 17),
+        (12, 33, 16),
+        (64, 32, 32),
+        (64, 32, 64),
+        (64, 64, 32),
+        (64, 5, 32),
+        (32, 64, 32),
+        (37, 256, 24),
+        (3, 255, 5),
+    ];
+    for (i, &(m, k, n)) in shapes.iter().enumerate() {
+        check_pack_free_bitwise(m, k, n, 0x8181_0000 + i as u64, false);
+        check_pack_free_bitwise(m, k, n, 0x8282_0000 + i as u64, true);
+    }
+}
+
+#[test]
+fn nan_in_either_operand_reaches_the_output() {
+    // A zero opposite the NaN is the case that matters: `0 · NaN` is NaN,
+    // and a kernel that skips zero terms hides a diverged gradient. Shapes
+    // cover the naive escapes (m < MR; reduction < 8) and the tiled drivers.
+    type Kernel = fn(&mut [f32], &[f32], &[f32], usize, usize, usize, bool);
+    for &(m, k, n) in &[
+        (1, 32, 32),
+        (4, 5, 3),
+        (64, 32, 32),
+        (13, 9, 17),
+        (130, 300, 20),
+    ] {
+        // Per layout: the dispatching and the naive kernel, then the stored
+        // lengths of A, B and C.
+        let layouts: [(&str, [Kernel; 2], [usize; 3]); 3] = [
+            (
+                "NN",
+                [gemm::matmul_into, gemm::naive_matmul_into],
+                [m * k, k * n, m * n],
+            ),
+            (
+                "NT",
+                [gemm::matmul_nt_into, gemm::naive_matmul_nt_into],
+                [m * k, n * k, m * n],
+            ),
+            (
+                "TN",
+                [gemm::matmul_tn_into, gemm::naive_matmul_tn_into],
+                [m * k, m * n, k * n],
+            ),
+        ];
+        for (name, kernels, [a_len, b_len, c_len]) in layouts {
+            for (which, kernel) in kernels.into_iter().enumerate() {
+                for acc in [false, true] {
+                    for nan_in_a in [true, false] {
+                        // The NaN-free operand is all zeros.
+                        let mut a = vec![0.0f32; a_len];
+                        let mut b = vec![0.0f32; b_len];
+                        if nan_in_a {
+                            a[a_len / 2] = f32::NAN;
+                        } else {
+                            b[b_len / 2] = f32::NAN;
+                        }
+                        let mut c = vec![1.0f32; c_len];
+                        kernel(&mut c, &a, &b, m, k, n, acc);
+                        assert!(
+                            c.iter().any(|v| v.is_nan()),
+                            "{name} kernel {which} {m}x{k}x{n} acc={acc} nan_in_a={nan_in_a}: \
+                             NaN did not reach C"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn nan_activation_surfaces_as_non_finite_loss() {
+    // The trainer's divergence check reads the loss: a NaN anywhere in
+    // an activation must reach it through each nonlinear op.
+    type Build = fn(&mut Tape, Var) -> Var;
+    let ops: [(&str, Build); 3] = [
+        ("tanh", |t, x| t.tanh(x)),
+        ("softmax_rows", |t, x| t.softmax_rows(x)),
+        ("layer_norm", |t, x| {
+            let g = t.leaf(vec![1.0; 12], (1, 12));
+            let b = t.leaf(vec![0.0; 12], (1, 12));
+            t.layer_norm(x, g, b)
+        }),
+    ];
+    for (name, build) in ops {
+        let mut data: Vec<f32> = (0..36).map(|i| i as f32 * 0.1 - 1.0).collect();
+        data[17] = f32::NAN;
+        let mut t = Tape::new();
+        let x = t.leaf(data, (3, 12));
+        let y = build(&mut t, x);
+        let loss = t.mse_loss(y, &[0.0; 36]);
+        assert!(!t.value(loss)[0].is_finite(), "{name} swallowed a NaN");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -163,6 +308,13 @@ proptest! {
         (m, k, n, seed, acc_bit) in (1usize..40, 1usize..40, 1usize..40, 0u64..u64::MAX, 0u8..2)
     ) {
         check_all_layouts(m, k, n, seed, acc_bit == 1);
+    }
+
+    #[test]
+    fn pack_free_matches_packed_bitwise_on_random_shapes(
+        (m, k, n, seed, acc_bit) in (1usize..40, 1usize..40, 1usize..40, 0u64..u64::MAX, 0u8..2)
+    ) {
+        check_pack_free_bitwise(m, k, n, seed, acc_bit == 1);
     }
 
     #[test]

@@ -11,16 +11,19 @@
 //!    `avx2 + fma` once and caches the answer in an atomic, so hot loops pay
 //!    a single relaxed load instead of a `cpuid`.
 //! 2. **One global kernel switch** — [`set_kernel`]/[`kernel`] select between
-//!    [`Kernel::Naive`] (the pre-optimization reference implementations,
-//!    kept callable so speedups stay measurable and regressions visible) and
-//!    [`Kernel::Optimized`]. The switch can also be forced from the
-//!    environment (`SICKLE_KERNEL=naive|optimized`), which CI uses to run the
-//!    whole release test suite under each variant.
+//!    [`Kernel::Naive`] (the reference implementations the parity tests
+//!    compare against) and [`Kernel::Optimized`]. The switch can also be
+//!    forced from the environment (`SICKLE_KERNEL=naive|optimized`), which CI
+//!    uses to run the whole release test suite under each variant.
 //! 3. **Exact-semantics shared primitives** — [`bin_indices`] and
 //!    [`minmax_finite`] are the vectorized inner loops of the histogram /
 //!    MaxEnt machinery. They are documented (and tested) to be *bit-identical*
 //!    to their scalar formulations for every input, including NaN, ±inf and
 //!    degenerate ranges, so switching kernels never changes sampling results.
+//! 4. **Elementwise [`tanh`] and [`exp`]** — the train step's activations:
+//!    one branch-free scalar formula each, compiled for the baseline target
+//!    and again under AVX2, the two builds bit-identical by construction
+//!    (see `math.rs`).
 //!
 //! `Kernel::Optimized` is always safe to select: each optimized kernel
 //! carries a portable fallback used when the CPU lacks AVX2+FMA, so the
@@ -29,11 +32,15 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
+mod math;
+
+pub use math::{exp, tanh};
+
 /// Which implementation family the workspace kernels dispatch to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kernel {
-    /// The pre-optimization reference implementations (kept for comparison
-    /// benchmarks and as the baseline the perf guardrails measure against).
+    /// The reference implementations: serial loops and libm calls that the
+    /// parity tests hold the optimized kernels to.
     Naive,
     /// The blocked / pair-interleaved / fused implementations (default).
     /// Falls back to portable code paths on non-AVX2 hardware.

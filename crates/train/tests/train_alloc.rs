@@ -4,9 +4,9 @@
 //! heap-allocate anything tensor-sized.
 //!
 //! A counting global allocator tallies allocations at or above a threshold
-//! set below the model's activation tensors (batch 8 × hidden 64 f32 =
-//! 2 KiB) but above the small per-step bookkeeping (node-index groups for
-//! parallel gradient accumulation, rayon job headers) the runtime
+//! set below the models' activation tensors (batch 8 × hidden 64 f32 =
+//! 2 KiB) but above the small per-step bookkeeping (the `Var` lists of
+//! `concat_rows`, a layer's vector of timestep handles) the runtime
 //! legitimately allocates.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use sickle_nn::optim::Adam;
 use sickle_nn::Tape;
 use sickle_train::models::Model;
-use sickle_train::{Batch, BatchShape, LstmModel};
+use sickle_train::{Batch, BatchShape, LstmModel, TokenTransformer};
 
 /// Any single allocation of at least this many bytes counts as
 /// "tensor-sized". The smallest recurrent activation here is
@@ -43,13 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-fn toy_batch() -> Batch {
-    let shape = BatchShape {
-        batch: 8,
-        tokens: 4,
-        features: 16,
-        outputs: 1,
-    };
+fn toy_batch(shape: BatchShape) -> Batch {
     let mut inputs = Vec::new();
     let mut targets = Vec::new();
     for b in 0..shape.batch {
@@ -61,7 +55,8 @@ fn toy_batch() -> Batch {
                 sum += v;
             }
         }
-        targets.push(sum / (shape.tokens * shape.features) as f32);
+        let mean = sum / (shape.tokens * shape.features) as f32;
+        targets.extend((0..shape.outputs).map(|o| mean + 0.01 * o as f32));
     }
     Batch {
         inputs,
@@ -70,7 +65,7 @@ fn toy_batch() -> Batch {
     }
 }
 
-fn train_step(tape: &mut Tape, model: &mut LstmModel, opt: &mut Adam, batch: &Batch) -> f32 {
+fn train_step(tape: &mut Tape, model: &mut impl Model, opt: &mut Adam, batch: &Batch) -> f32 {
     tape.reset();
     let loss = model.loss_on_batch(tape, batch);
     let lv = tape.value(loss)[0];
@@ -81,30 +76,57 @@ fn train_step(tape: &mut Tape, model: &mut LstmModel, opt: &mut Adam, batch: &Ba
     lv
 }
 
-#[test]
-fn steady_state_train_step_does_not_allocate_tensors() {
-    let batch = toy_batch();
-    let mut model = LstmModel::new(16, 64, 1, 0);
+/// Warms the tape's arena up, then counts tensor-sized allocations over
+/// four further steps.
+fn assert_steady_state_is_allocation_free(mut model: impl Model, batch: &Batch) {
     let mut opt = Adam::new(1e-3);
     let mut tape = Tape::new();
 
     // Warmup: the first steps populate the arena free-list with every
     // shape the model produces and initialize the optimizer moments.
     for _ in 0..2 {
-        train_step(&mut tape, &mut model, &mut opt, &batch);
+        train_step(&mut tape, &mut model, &mut opt, batch);
     }
 
+    LARGE_ALLOCS.store(0, Ordering::SeqCst);
     TRACKING.store(1, Ordering::SeqCst);
     let mut last = f32::NAN;
     for _ in 0..4 {
-        last = train_step(&mut tape, &mut model, &mut opt, &batch);
+        last = train_step(&mut tape, &mut model, &mut opt, batch);
     }
     TRACKING.store(0, Ordering::SeqCst);
 
     let count = LARGE_ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
-        count, 0,
-        "steady-state train step made {count} allocation(s) of >= {LARGE} bytes"
+        count,
+        0,
+        "steady-state {} train step made {count} allocation(s) of >= {LARGE} bytes",
+        model.name()
     );
     assert!(last.is_finite());
+}
+
+/// One test, both models in turn: the counter is process-global, so the
+/// cases must not run on parallel test threads.
+#[test]
+fn steady_state_train_step_does_not_allocate_tensors() {
+    let lstm_shape = BatchShape {
+        batch: 8,
+        tokens: 4,
+        features: 16,
+        outputs: 1,
+    };
+    assert_steady_state_is_allocation_free(LstmModel::new(16, 64, 1, 0), &toy_batch(lstm_shape));
+
+    // The benchmark pipeline's model at its shape: per-sample transformer
+    // graphs sharing one leaf per parameter, saved layer-norm statistics and
+    // softmax rows — all of it arena-backed.
+    let shape = BatchShape {
+        batch: 4,
+        tokens: 64,
+        features: 5,
+        outputs: 5,
+    };
+    let model = TokenTransformer::mlp_transformer(shape.tokens, shape.features, 32, 1, 5, 0);
+    assert_steady_state_is_allocation_free(model, &toy_batch(shape));
 }
