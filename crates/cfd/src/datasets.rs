@@ -129,12 +129,13 @@ impl Default for SstParams {
 }
 
 fn add_sst_derived(snap: &mut Snapshot) {
-    let grid = snap.grid;
-    let u = snap.expect_var("u").to_vec();
-    let v = snap.expect_var("v").to_vec();
-    let w = snap.expect_var("w").to_vec();
-    let r = snap.expect_var("r").to_vec();
-    let pv = potential_vorticity(&grid, &u, &v, &w, &r);
+    let pv = potential_vorticity(
+        &snap.grid,
+        snap.expect_var("u"),
+        snap.expect_var("v"),
+        snap.expect_var("w"),
+        snap.expect_var("r"),
+    );
     snap.push_var("pv", pv);
 }
 

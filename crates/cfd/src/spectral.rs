@@ -13,7 +13,18 @@
 //! the solver enforces `ν k_max² Δt < 2` and an advective CFL check on
 //! construction so misconfigured runs fail loudly instead of blowing up.
 //!
-//! ## Half-spectrum storage and scratch arenas
+//! ## Rotational-form advection
+//!
+//! Momentum advection is evaluated as `u × ω` with `ω̂ = i k × û`: three
+//! inverse transforms for the vorticity, one pointwise cross product, three
+//! forward transforms. It differs from the convective `−(u·∇)u` by the
+//! gradient `∇(|u|²/2)`, which the Leray projection that ends every
+//! right-hand side removes exactly, and on a state confined to the 2/3 band
+//! neither form aliases into the band — so the two agree to rounding while
+//! the convective form would need nine gradient transforms in place of the
+//! three. The scalar has no such identity and keeps `−(u·∇)b`.
+//!
+//! ## Half-spectrum storage, the band invariant and scratch arenas
 //!
 //! All evolved fields are real, so their spectra are Hermitian and only the
 //! `kz >= 0` half is stored: each spectral field holds `n * n * (n/2 + 1)`
@@ -21,13 +32,21 @@
 //! (see [`sickle_fft::RealFft3d`]). This halves the memory footprint and
 //! roughly halves the transform cost per right-hand-side evaluation.
 //!
+//! **Every coefficient of the state with `|kx|`, `|ky|` or `kz` above
+//! `kmax = n/3` is exactly zero**: the state is truncated where it enters
+//! (`init_taylor_green`, `set_velocity`, `set_buoyancy`) and every
+//! right-hand side leaves [`RealFft3d::forward_truncated`] that way. The
+//! solver's transforms are therefore the band-limited pair, which skips the
+//! pencils such a spectrum cannot occupy, and its pointwise spectral
+//! operators touch in-band modes only.
+//!
 //! The steady-state [`SpectralSolver::step`] performs **no field-sized heap
 //! allocation**: the two RK stages, the midpoint state, and all
 //! physical-space work buffers are preallocated once in
 //! [`SpectralSolver::new`] and threaded through the right-hand-side
-//! evaluation as a scratch arena (see `Scratch`). Diagnostics like
-//! [`SpectralSolver::snapshot`] still allocate freely — they run once per
-//! recorded frame, not once per step.
+//! evaluation as a scratch arena (see `Scratch`). [`SpectralSolver::snapshot`]
+//! allocates the fields it returns and one set of work buffers — it runs once
+//! per recorded frame, not once per step.
 //!
 //! Derivatives use a Nyquist-zeroed wavenumber line (`kd[n/2] = 0`): for a
 //! real field the `+n/2` and `-n/2` contributions of an odd-order derivative
@@ -38,7 +57,7 @@
 #![allow(clippy::needless_range_loop)] // y/z index wavenumber tables in lockstep with chunks
 
 use rayon::prelude::*;
-use sickle_fft::{Complex, Kernel, RealFft3d};
+use sickle_fft::{Complex, RealFft3d};
 use sickle_field::{Axis, Grid3, Snapshot};
 
 /// Buoyancy treatment.
@@ -145,9 +164,10 @@ impl State {
 
 /// Preallocated work buffers threaded through the right-hand-side
 /// evaluation so that steady-state stepping never allocates field-sized
-/// memory. Seven physical-space reals (three velocities, three gradient
-/// components, one nonlinear product) plus one half-spectrum complex buffer
-/// that doubles as the inverse-transform workspace.
+/// memory. Six physical-space reals (three velocities; three vorticity or
+/// scalar-gradient components, overwritten in place by the products formed
+/// from them) plus one half-spectrum complex buffer that doubles as the
+/// inverse-transform workspace.
 struct Scratch {
     up: Vec<f64>,
     vp: Vec<f64>,
@@ -155,7 +175,6 @@ struct Scratch {
     gx: Vec<f64>,
     gy: Vec<f64>,
     gz: Vec<f64>,
-    nl: Vec<f64>,
     cspec: Vec<Complex>,
 }
 
@@ -168,14 +187,13 @@ impl Scratch {
             gx: vec![0.0; plen],
             gy: vec![0.0; plen],
             gz: vec![0.0; plen],
-            nl: vec![0.0; plen],
             cspec: vec![Complex::ZERO; slen],
         }
     }
 }
 
-/// Immutable per-run context: configuration, transform plans, wavenumber
-/// tables, and the dealiasing mask. Split from the mutable state so the
+/// Immutable per-run context: configuration, transform plan, wavenumber
+/// tables, and the dealiasing cutoff. Split from the mutable state so the
 /// borrow checker can hand `rhs_into` the context, one state, the scratch
 /// arena, and an output state simultaneously.
 struct SolverCtx {
@@ -187,8 +205,9 @@ struct SolverCtx {
     /// Derivative wavenumbers: same as `kline` but zero at the Nyquist bin,
     /// so odd-order spectral derivatives of real fields stay Hermitian.
     kd: Vec<f64>,
-    /// Dealiasing mask over the half-spectrum (true = keep).
-    keep: Vec<bool>,
+    /// The 2/3-rule cutoff `n / 3`: modes with `|kx|`, `|ky|` or `kz` above
+    /// it are dealiased away, and are exactly zero in every state.
+    kmax: usize,
 }
 
 impl SolverCtx {
@@ -202,241 +221,153 @@ impl SolverCtx {
         self.cfg.n / 2 + 1
     }
 
-    /// Copies `spec` into `work` and inverse-transforms into `out`
-    /// (the inverse destroys its spectral input).
-    fn to_physical_into(&self, spec: &[Complex], work: &mut [Complex], out: &mut [f64]) {
-        work.copy_from_slice(spec);
-        self.rfft.inverse(work, out);
+    /// Whether 1D index `i` of a two-sided axis is inside the 2/3 band.
+    #[inline]
+    fn in_band(&self, i: usize) -> bool {
+        i.min(self.n() - i) <= self.kmax
     }
 
-    /// Spectral derivative of `spec` along `axis`, written to `out` in
-    /// physical space; `work` is the half-spectrum workspace.
-    ///
-    /// The optimized kernel hoists the axis dispatch out of the inner loop
-    /// into three specialized contiguous sweeps (`i·k` is the same scalar
-    /// expression either way, so the two kernels are bit-identical).
-    fn deriv_into(
-        &self,
-        spec: &[Complex],
-        axis: Axis,
-        work: &mut [Complex],
-        out: &mut [f64],
-        kernel: Kernel,
-    ) {
+    /// Fills the half-spectrum buffer `work` with a band-limited spectrum:
+    /// `f(x, y, head)` writes the `kmax + 1` in-band coefficients of each
+    /// in-band `(x, y)` row; everything else is set to zero.
+    fn fill_band(&self, work: &mut [Complex], f: impl Fn(usize, usize, &mut [Complex]) + Sync) {
         let n = self.n();
         let nzc = self.nzc();
-        let kd = &self.kd;
-        match kernel {
-            Kernel::Naive => {
-                work.par_chunks_mut(n * nzc)
-                    .enumerate()
-                    .for_each(|(x, chunk)| {
-                        for y in 0..n {
-                            for z in 0..nzc {
-                                let k = match axis {
-                                    Axis::X => kd[x],
-                                    Axis::Y => kd[y],
-                                    Axis::Z => kd[z],
-                                };
-                                chunk[y * nzc + z] = spec[(x * n + y) * nzc + z].mul_i().scale(k);
-                            }
-                        }
-                    });
-            }
-            Kernel::Optimized => {
-                work.par_chunks_mut(n * nzc)
-                    .enumerate()
-                    .for_each(|(x, chunk)| {
-                        let base = x * n * nzc;
-                        match axis {
-                            Axis::X => {
-                                let k = kd[x];
-                                for (c, s) in chunk.iter_mut().zip(&spec[base..base + n * nzc]) {
-                                    *c = s.mul_i().scale(k);
-                                }
-                            }
-                            Axis::Y => {
-                                for y in 0..n {
-                                    let k = kd[y];
-                                    let row = &spec[base + y * nzc..base + (y + 1) * nzc];
-                                    for (c, s) in chunk[y * nzc..(y + 1) * nzc].iter_mut().zip(row)
-                                    {
-                                        *c = s.mul_i().scale(k);
-                                    }
-                                }
-                            }
-                            Axis::Z => {
-                                for y in 0..n {
-                                    let row = &spec[base + y * nzc..base + (y + 1) * nzc];
-                                    let dst = &mut chunk[y * nzc..(y + 1) * nzc];
-                                    for z in 0..nzc {
-                                        dst[z] = row[z].mul_i().scale(kd[z]);
-                                    }
-                                }
-                            }
-                        }
-                    });
-            }
-        }
-        self.rfft.inverse(work, out);
-    }
-
-    /// Adds the viscous/diffusive term and applies the dealiasing mask:
-    /// `r -= coeff * k² * f` on kept modes, `r = 0` elsewhere.
-    ///
-    /// The optimized kernel exploits the structure of the 2/3-rule mask: per
-    /// `(x, y)` row the kept modes form the prefix `z <= cut`, so it replaces
-    /// the per-element mask load and branch with one branchless prefix sweep
-    /// plus a tail fill. `k²` keeps the naive `(kx² + ky²) + kz²` association
-    /// so the two kernels stay bit-identical.
-    fn damp(&self, r: &mut [Complex], f: &[Complex], coeff: f64, kernel: Kernel) {
-        let n = self.n();
-        let nzc = self.nzc();
-        let kline = &self.kline;
-        let keep = &self.keep;
-        if kernel == Kernel::Naive {
-            r.par_chunks_mut(n * nzc)
-                .enumerate()
-                .for_each(|(x, chunk)| {
-                    let kx = kline[x];
-                    for y in 0..n {
-                        let ky = kline[y];
-                        for z in 0..nzc {
-                            let kz = z as f64;
-                            let i = y * nzc + z;
-                            let gi = (x * n + y) * nzc + z;
-                            if !keep[gi] {
-                                chunk[i] = Complex::ZERO;
-                                continue;
-                            }
-                            let k2 = kx * kx + ky * ky + kz * kz;
-                            chunk[i] -= f[gi].scale(coeff * k2);
-                        }
-                    }
-                });
-            return;
-        }
-        // Kept z's per row are exactly `z as f64 <= n/3` (see `new`); the
-        // row itself is kept iff its z = 0 mode is kept.
-        let cut = n as f64 / 3.0;
-        let zkeep = nzc.min(cut.floor() as usize + 1);
-        let zsq: Vec<f64> = (0..zkeep).map(|z| (z as f64) * (z as f64)).collect();
-        r.par_chunks_mut(n * nzc)
+        work.par_chunks_mut(n * nzc)
             .enumerate()
-            .for_each(|(x, chunk)| {
-                let kx = kline[x];
-                for y in 0..n {
-                    let ky = kline[y];
-                    let gi0 = (x * n + y) * nzc;
-                    let row = &mut chunk[y * nzc..(y + 1) * nzc];
-                    if !keep[gi0] {
+            .for_each(|(x, slab)| {
+                for (y, row) in slab.chunks_mut(nzc).enumerate() {
+                    if self.in_band(x) && self.in_band(y) {
+                        let (head, tail) = row.split_at_mut(self.kmax + 1);
+                        f(x, y, head);
+                        tail.fill(Complex::ZERO);
+                    } else {
                         row.fill(Complex::ZERO);
-                        continue;
                     }
-                    let kxy2 = kx * kx + ky * ky;
-                    let src = &f[gi0..gi0 + zkeep];
-                    for z in 0..zkeep {
-                        row[z] -= src[z].scale(coeff * (kxy2 + zsq[z]));
-                    }
-                    row[zkeep..].fill(Complex::ZERO);
                 }
             });
     }
 
-    /// Leray projection onto divergence-free fields, all three components.
-    /// Uses the derivative wavenumbers so the projected field is exactly
-    /// divergence-free under the solver's own gradient operator.
-    /// The optimized kernel hoists `kx² + ky²` per row; rows where that
-    /// partial sum is positive can never hit `k² == 0`, so their inner loop
-    /// drops the singular-mode branch entirely (bit-identical arithmetic —
-    /// the association `(kx² + ky²) + kz²` matches the naive path).
-    ///
-    /// `dealiased` asserts the caller just ran [`Self::damp`], so every mode
-    /// outside the 2/3 mask is exactly zero. The optimized kernel then skips
-    /// those modes outright: zero inputs make the projection a no-op there
-    /// (`dot = 0`, update subtracts `±0`, and `x - 0.0 == x` bitwise for the
-    /// kept sign conventions), keeping the output bit-identical. The naive
-    /// kernel ignores the hint.
-    fn project3(
-        &self,
-        u: &mut [Complex],
-        v: &mut [Complex],
-        w: &mut [Complex],
-        kernel: Kernel,
-        dealiased: bool,
-    ) {
+    /// The in-band coefficients of row `(x, y)` of a half-spectrum field.
+    #[inline]
+    fn band_row<'a>(&self, spec: &'a [Complex], x: usize, y: usize) -> &'a [Complex] {
+        &spec[(x * self.n() + y) * self.nzc()..][..self.kmax + 1]
+    }
+
+    /// Inverse-transforms the band-limited `spec` into `out`, going through
+    /// the workspace `work` (the inverse destroys its spectral input).
+    fn to_physical_into(&self, spec: &[Complex], work: &mut [Complex], out: &mut [f64]) {
+        self.fill_band(work, |x, y, head| {
+            head.copy_from_slice(self.band_row(spec, x, y))
+        });
+        self.rfft.inverse_truncated(work, out, self.kmax);
+    }
+
+    /// Forward-transforms `real` into `spec`, truncated to the 2/3 band: the
+    /// one way a spectrum enters a state, which keeps the band invariant.
+    fn to_spectral_into(&self, real: &[f64], spec: &mut [Complex]) {
+        self.rfft.forward_truncated(real, spec, self.kmax);
+    }
+
+    /// Spectral derivative of the band-limited `spec` along `axis`, written
+    /// to `out` in physical space; `work` is the half-spectrum workspace.
+    fn deriv_into(&self, spec: &[Complex], axis: Axis, work: &mut [Complex], out: &mut [f64]) {
+        let kd = &self.kd;
+        self.fill_band(work, |x, y, head| {
+            let src = self.band_row(spec, x, y);
+            match axis {
+                Axis::X | Axis::Y => {
+                    let k = if axis == Axis::X { kd[x] } else { kd[y] };
+                    for (c, s) in head.iter_mut().zip(src) {
+                        *c = s.mul_i().scale(k);
+                    }
+                }
+                Axis::Z => {
+                    for (z, (c, s)) in head.iter_mut().zip(src).enumerate() {
+                        *c = s.mul_i().scale(kd[z]);
+                    }
+                }
+            }
+        });
+        self.rfft.inverse_truncated(work, out, self.kmax);
+    }
+
+    /// Component `comp` of the vorticity `ω̂ = i k × û` of `s`, written to
+    /// `out` in physical space; `work` is the half-spectrum workspace.
+    fn curl_into(&self, s: &State, comp: Axis, work: &mut [Complex], out: &mut [f64]) {
+        let kd = &self.kd;
+        self.fill_band(work, |x, y, head| {
+            let (kx, ky) = (kd[x], kd[y]);
+            let (u, v, w) = (
+                self.band_row(&s.u, x, y),
+                self.band_row(&s.v, x, y),
+                self.band_row(&s.w, x, y),
+            );
+            for (z, c) in head.iter_mut().enumerate() {
+                let kz = kd[z];
+                let cross = match comp {
+                    Axis::X => w[z].scale(ky) - v[z].scale(kz),
+                    Axis::Y => u[z].scale(kz) - w[z].scale(kx),
+                    Axis::Z => v[z].scale(kx) - u[z].scale(ky),
+                };
+                *c = cross.mul_i();
+            }
+        });
+        self.rfft.inverse_truncated(work, out, self.kmax);
+    }
+
+    /// Adds the viscous/diffusive term `r -= coeff * k² * f` over the band.
+    /// `r` comes out of a truncated forward transform, so it already is zero
+    /// everywhere else.
+    fn damp(&self, r: &mut [Complex], f: &[Complex], coeff: f64) {
+        let n = self.n();
+        let nzc = self.nzc();
+        let kline = &self.kline;
+        r.par_chunks_mut(n * nzc)
+            .enumerate()
+            .for_each(|(x, chunk)| {
+                if !self.in_band(x) {
+                    return;
+                }
+                let kx = kline[x];
+                for y in (0..n).filter(|&y| self.in_band(y)) {
+                    let ky = kline[y];
+                    let kxy2 = kx * kx + ky * ky;
+                    let row = &mut chunk[y * nzc..][..self.kmax + 1];
+                    for (z, (r, f)) in row.iter_mut().zip(self.band_row(f, x, y)).enumerate() {
+                        *r -= f.scale(coeff * (kxy2 + (z * z) as f64));
+                    }
+                }
+            });
+    }
+
+    /// Leray projection onto divergence-free fields, all three components,
+    /// over the band (the fields are zero outside it, where the projection
+    /// would be a no-op). Uses the derivative wavenumbers so the projected
+    /// field is exactly divergence-free under the solver's own gradient
+    /// operator.
+    fn project3(&self, u: &mut [Complex], v: &mut [Complex], w: &mut [Complex]) {
         let n = self.n();
         let nzc = self.nzc();
         let kd = &self.kd;
-        if kernel == Kernel::Naive {
-            u.par_chunks_mut(n * nzc)
-                .zip(v.par_chunks_mut(n * nzc).zip(w.par_chunks_mut(n * nzc)))
-                .enumerate()
-                .for_each(|(x, (us, (vs, ws)))| {
-                    let kx = kd[x];
-                    for y in 0..n {
-                        let ky = kd[y];
-                        for z in 0..nzc {
-                            let kz = kd[z];
-                            let k2 = kx * kx + ky * ky + kz * kz;
-                            if k2 == 0.0 {
-                                continue;
-                            }
-                            let i = y * nzc + z;
-                            let dot = us[i].scale(kx) + vs[i].scale(ky) + ws[i].scale(kz);
-                            let s = dot.scale(1.0 / k2);
-                            us[i] -= s.scale(kx);
-                            vs[i] -= s.scale(ky);
-                            ws[i] -= s.scale(kz);
-                        }
-                    }
-                });
-            return;
-        }
-        let kdsq: Vec<f64> = kd[..nzc].iter().map(|&k| k * k).collect();
-        // Prefix bound of the kept modes per row (see `damp`); `nzc` when the
-        // caller gave no dealiasing guarantee.
-        let zlim = if dealiased {
-            nzc.min((self.cfg.n as f64 / 3.0).floor() as usize + 1)
-        } else {
-            nzc
-        };
-        let keep = &self.keep;
         u.par_chunks_mut(n * nzc)
             .zip(v.par_chunks_mut(n * nzc).zip(w.par_chunks_mut(n * nzc)))
             .enumerate()
             .for_each(|(x, (us, (vs, ws)))| {
+                if !self.in_band(x) {
+                    return;
+                }
                 let kx = kd[x];
-                for y in 0..n {
-                    if dealiased && !keep[(x * n + y) * nzc] {
-                        continue;
-                    }
+                for y in (0..n).filter(|&y| self.in_band(y)) {
                     let ky = kd[y];
                     let kxy2 = kx * kx + ky * ky;
-                    let i0 = y * nzc;
-                    if kxy2 > 0.0 {
-                        // No singular mode in this row: branch-free sweep.
-                        for z in 0..zlim {
-                            let kz = kd[z];
-                            let i = i0 + z;
-                            let dot = us[i].scale(kx) + vs[i].scale(ky) + ws[i].scale(kz);
-                            let s = dot.scale(1.0 / (kxy2 + kdsq[z]));
-                            us[i] -= s.scale(kx);
-                            vs[i] -= s.scale(ky);
-                            ws[i] -= s.scale(kz);
-                        }
-                        continue;
-                    }
-                    // kx = ky = 0 row (mean/Nyquist lines): kz carries the
-                    // whole projection and the kz = 0 modes are skipped.
-                    for z in 0..zlim {
+                    // Only the kx = ky = 0 row holds the singular mode.
+                    let z0 = usize::from(kxy2 == 0.0);
+                    for z in z0..=self.kmax {
                         let kz = kd[z];
-                        if kdsq[z] == 0.0 {
-                            continue;
-                        }
-                        let i = i0 + z;
+                        let i = y * nzc + z;
                         let dot = us[i].scale(kx) + vs[i].scale(ky) + ws[i].scale(kz);
-                        let s = dot.scale(1.0 / (kxy2 + kdsq[z]));
+                        let s = dot.scale(1.0 / (kxy2 + kz * kz));
                         us[i] -= s.scale(kx);
                         vs[i] -= s.scale(ky);
                         ws[i] -= s.scale(kz);
@@ -473,8 +404,8 @@ impl SpectralSolver {
             "grid size must be a power of two"
         );
         let n = cfg.n;
-        let kmax = (n as f64) / 3.0; // post-dealias maximum wavenumber
-        let visc_limit = cfg.viscosity * kmax * kmax * cfg.dt;
+        let kmax = n / 3; // post-dealias maximum wavenumber along each axis
+        let visc_limit = cfg.viscosity * (kmax * kmax) as f64 * cfg.dt;
         assert!(
             visc_limit < 2.0,
             "explicit viscous step unstable: nu*kmax^2*dt = {visc_limit:.3} >= 2"
@@ -493,20 +424,8 @@ impl SpectralSolver {
             .enumerate()
             .map(|(i, &k)| if i == n / 2 { 0.0 } else { k })
             .collect();
-        let nzc = n / 2 + 1;
-        let cut = n as f64 / 3.0;
-        let mut keep = vec![true; n * n * nzc];
-        for x in 0..n {
-            for y in 0..n {
-                for z in 0..nzc {
-                    if kline[x].abs() > cut || kline[y].abs() > cut || z as f64 > cut {
-                        keep[(x * n + y) * nzc + z] = false;
-                    }
-                }
-            }
-        }
         let plen = n * n * n;
-        let slen = n * n * nzc;
+        let slen = n * n * (n / 2 + 1);
         let stratified = matches!(cfg.stratification, Stratification::Boussinesq { .. });
         SpectralSolver {
             ctx: SolverCtx {
@@ -514,7 +433,7 @@ impl SpectralSolver {
                 rfft: RealFft3d::new(n, n, n),
                 kline,
                 kd,
-                keep,
+                kmax,
             },
             state: State::zeros(slen, stratified),
             k1: State::zeros(slen, stratified),
@@ -569,21 +488,27 @@ impl SpectralSolver {
         fill(&mut self.scratch.vp, &|px, py, pz| {
             -amplitude * px.cos() * py.sin() * pz.cos()
         });
-        self.ctx.rfft.forward(&self.scratch.up, &mut self.state.u);
-        self.ctx.rfft.forward(&self.scratch.vp, &mut self.state.v);
-        self.state.w.fill(Complex::ZERO);
-        if let Some(b) = self.state.b.as_mut() {
+        let Self {
+            ctx,
+            state,
+            scratch,
+            ..
+        } = self;
+        ctx.to_spectral_into(&scratch.up, &mut state.u);
+        ctx.to_spectral_into(&scratch.vp, &mut state.v);
+        state.w.fill(Complex::ZERO);
+        if let Some(b) = state.b.as_mut() {
             // Small buoyancy perturbation at the largest scale so the
             // stratified dynamics have something to act on.
-            fill(&mut self.scratch.wp, &|px, _, _| 0.1 * amplitude * px.sin());
-            self.ctx.rfft.forward(&self.scratch.wp, b);
+            fill(&mut scratch.wp, &|px, _, _| 0.1 * amplitude * px.sin());
+            ctx.to_spectral_into(&scratch.wp, b);
         }
         self.capture_band_energy();
     }
 
     /// Sets velocity directly from physical-space fields (e.g. from the
-    /// synthetic-turbulence generator); the field is projected to be
-    /// divergence-free.
+    /// synthetic-turbulence generator); the field is truncated to the 2/3
+    /// band and projected to be divergence-free.
     ///
     /// # Panics
     /// Panics on length mismatch.
@@ -593,29 +518,23 @@ impl SpectralSolver {
             u.len() == len && v.len() == len && w.len() == len,
             "field length mismatch"
         );
-        self.ctx.rfft.forward(u, &mut self.state.u);
-        self.ctx.rfft.forward(v, &mut self.state.v);
-        self.ctx.rfft.forward(w, &mut self.state.w);
         let Self { ctx, state, .. } = self;
-        ctx.project3(
-            &mut state.u,
-            &mut state.v,
-            &mut state.w,
-            sickle_fft::kernel(),
-            false,
-        );
+        ctx.to_spectral_into(u, &mut state.u);
+        ctx.to_spectral_into(v, &mut state.v);
+        ctx.to_spectral_into(w, &mut state.w);
+        ctx.project3(&mut state.u, &mut state.v, &mut state.w);
         self.capture_band_energy();
     }
 
-    /// Sets the buoyancy field from physical space (stratified runs only).
+    /// Sets the buoyancy field from physical space, truncated to the 2/3
+    /// band (stratified runs only).
     ///
     /// # Panics
     /// Panics if the solver is not stratified or on length mismatch.
     pub fn set_buoyancy(&mut self, b: &[f64]) {
         assert_eq!(b.len(), self.grid().len(), "field length mismatch");
-        self.ctx
-            .rfft
-            .forward(b, self.state.b.as_mut().expect("solver is not stratified"));
+        let spec = self.state.b.as_mut().expect("solver is not stratified");
+        self.ctx.to_spectral_into(b, spec);
     }
 
     fn capture_band_energy(&mut self) {
@@ -658,29 +577,10 @@ impl SpectralSolver {
         0.5 * e / norm
     }
 
-    /// Inverse-transforms a half-spectrum field to physical space
-    /// (diagnostic path; allocates).
-    fn to_physical(&self, spec: &[Complex]) -> Vec<f64> {
-        let mut work = spec.to_vec();
-        let mut out = vec![0.0; self.grid().len()];
-        self.ctx.rfft.inverse(&mut work, &mut out);
-        out
-    }
-
-    /// Spectral derivative along `axis`, returned in physical space
-    /// (diagnostic path; allocates).
-    fn deriv_physical(&self, spec: &[Complex], axis: Axis) -> Vec<f64> {
-        let mut work = vec![Complex::ZERO; spec.len()];
-        let mut out = vec![0.0; self.grid().len()];
-        self.ctx
-            .deriv_into(spec, axis, &mut work, &mut out, sickle_fft::kernel());
-        out
-    }
-
     /// Computes the full right-hand side of the (projected) momentum and
     /// buoyancy equations for `s`, writing into the preallocated `out` state
     /// without any field-sized allocation.
-    fn rhs_into(ctx: &SolverCtx, s: &State, scr: &mut Scratch, out: &mut State, kernel: Kernel) {
+    fn rhs_into(ctx: &SolverCtx, s: &State, scr: &mut Scratch, out: &mut State) {
         // Physical-space velocities.
         {
             let _fft = sickle_obs::span!("cfd.fft_inverse");
@@ -688,31 +588,37 @@ impl SpectralSolver {
             ctx.to_physical_into(&s.v, &mut scr.cspec, &mut scr.vp);
             ctx.to_physical_into(&s.w, &mut scr.cspec, &mut scr.wp);
         }
+        let (up, vp, wp) = (&scr.up, &scr.vp, &scr.wp);
+        let plane = ctx.n() * ctx.n();
 
-        // Advection, one component at a time: N_i = -(u . grad) u_i needs
-        // only the three gradients of u_i, so the gradient buffers recycle.
+        // Advection in rotational form: N = u × ω, formed in place of ω. The
+        // projection below removes the gradient by which it differs from
+        // -(u . grad) u.
         let nl_span = sickle_obs::span!("cfd.nonlinear");
-        for comp in 0..3 {
-            let src = match comp {
-                0 => &s.u,
-                1 => &s.v,
-                _ => &s.w,
-            };
-            ctx.deriv_into(src, Axis::X, &mut scr.cspec, &mut scr.gx, kernel);
-            ctx.deriv_into(src, Axis::Y, &mut scr.cspec, &mut scr.gy, kernel);
-            ctx.deriv_into(src, Axis::Z, &mut scr.cspec, &mut scr.gz, kernel);
-            let (up, vp, wp) = (&scr.up, &scr.vp, &scr.wp);
-            let (gx, gy, gz) = (&scr.gx, &scr.gy, &scr.gz);
-            scr.nl.par_iter_mut().enumerate().for_each(|(i, o)| {
-                *o = -(up[i] * gx[i] + vp[i] * gy[i] + wp[i] * gz[i]);
+        ctx.curl_into(s, Axis::X, &mut scr.cspec, &mut scr.gx);
+        ctx.curl_into(s, Axis::Y, &mut scr.cspec, &mut scr.gy);
+        ctx.curl_into(s, Axis::Z, &mut scr.cspec, &mut scr.gz);
+        scr.gx
+            .par_chunks_mut(plane)
+            .zip(
+                scr.gy
+                    .par_chunks_mut(plane)
+                    .zip(scr.gz.par_chunks_mut(plane)),
+            )
+            .enumerate()
+            .for_each(|(x, (ox, (oy, oz)))| {
+                let at = x * plane;
+                for i in 0..ox.len() {
+                    let (u, v, w) = (up[at + i], vp[at + i], wp[at + i]);
+                    let (a, b, c) = (ox[i], oy[i], oz[i]);
+                    ox[i] = v * c - w * b;
+                    oy[i] = w * a - u * c;
+                    oz[i] = u * b - v * a;
+                }
             });
-            let dst = match comp {
-                0 => &mut out.u,
-                1 => &mut out.v,
-                _ => &mut out.w,
-            };
-            ctx.rfft.forward(&scr.nl, dst);
-        }
+        ctx.to_spectral_into(&scr.gx, &mut out.u);
+        ctx.to_spectral_into(&scr.gy, &mut out.v);
+        ctx.to_spectral_into(&scr.gz, &mut out.w);
         drop(nl_span);
 
         // Buoyancy terms.
@@ -720,22 +626,21 @@ impl SpectralSolver {
         if let (Some(bh), Stratification::Boussinesq { n_bv, gravity }) =
             (s.b.as_ref(), ctx.cfg.stratification)
         {
-            ctx.deriv_into(bh, Axis::X, &mut scr.cspec, &mut scr.gx, kernel);
-            ctx.deriv_into(bh, Axis::Y, &mut scr.cspec, &mut scr.gy, kernel);
-            ctx.deriv_into(bh, Axis::Z, &mut scr.cspec, &mut scr.gz, kernel);
+            ctx.deriv_into(bh, Axis::X, &mut scr.cspec, &mut scr.gx);
+            ctx.deriv_into(bh, Axis::Y, &mut scr.cspec, &mut scr.gy);
+            ctx.deriv_into(bh, Axis::Z, &mut scr.cspec, &mut scr.gz);
             let ug: &[f64] = match gravity {
-                Axis::X => &scr.up,
-                Axis::Y => &scr.vp,
-                Axis::Z => &scr.wp,
+                Axis::X => up,
+                Axis::Y => vp,
+                Axis::Z => wp,
             };
-            let (up, vp, wp) = (&scr.up, &scr.vp, &scr.wp);
-            let (gx, gy, gz) = (&scr.gx, &scr.gy, &scr.gz);
-            // db/dt = -(u . grad b) - N^2 u_g + kappa laplacian b
-            scr.nl.par_iter_mut().enumerate().for_each(|(i, o)| {
-                *o = -(up[i] * gx[i] + vp[i] * gy[i] + wp[i] * gz[i]) - n_bv * n_bv * ug[i];
+            let (gy, gz) = (&scr.gy, &scr.gz);
+            // db/dt = -(u . grad b) - N^2 u_g + kappa laplacian b, formed in
+            // place of db/dx.
+            scr.gx.par_iter_mut().enumerate().for_each(|(i, o)| {
+                *o = -(up[i] * *o + vp[i] * gy[i] + wp[i] * gz[i]) - n_bv * n_bv * ug[i];
             });
-            ctx.rfft
-                .forward(&scr.nl, out.b.as_mut().expect("output state is stratified"));
+            ctx.to_spectral_into(&scr.gx, out.b.as_mut().expect("output state is stratified"));
             // Momentum feedback: + b along gravity.
             let target: &mut Vec<Complex> = match gravity {
                 Axis::X => &mut out.u,
@@ -750,22 +655,20 @@ impl SpectralSolver {
 
         drop(buoy_span);
 
-        // Viscous terms, dealiasing, projection (spectral space).
+        // Viscous terms and projection (spectral space).
         let nu = ctx.cfg.viscosity;
         let kappa = ctx.cfg.diffusivity;
         {
             let _damp = sickle_obs::span!("cfd.damp");
-            ctx.damp(&mut out.u, &s.u, nu, kernel);
-            ctx.damp(&mut out.v, &s.v, nu, kernel);
-            ctx.damp(&mut out.w, &s.w, nu, kernel);
+            ctx.damp(&mut out.u, &s.u, nu);
+            ctx.damp(&mut out.v, &s.v, nu);
+            ctx.damp(&mut out.w, &s.w, nu);
             if let (Some(rb), Some(bh)) = (out.b.as_mut(), s.b.as_ref()) {
-                ctx.damp(rb, bh, kappa, kernel);
+                ctx.damp(rb, bh, kappa);
             }
         }
         let _proj = sickle_obs::span!("cfd.projection");
-        // `damp` just zeroed every mode outside the 2/3 mask, so the
-        // optimized projection may skip them (bit-identical no-ops).
-        ctx.project3(&mut out.u, &mut out.v, &mut out.w, kernel, true);
+        ctx.project3(&mut out.u, &mut out.v, &mut out.w);
     }
 
     /// Advances one RK2 (Heun) step and applies forcing if configured.
@@ -773,25 +676,10 @@ impl SpectralSolver {
     pub fn step(&mut self) {
         let _step = sickle_obs::span!("cfd.step", step = self.steps);
         let dt = self.ctx.cfg.dt;
-        // One kernel read per step: the pointwise spectral operators below
-        // honor the same global switch as the FFTs they interleave with.
-        let kernel = sickle_fft::kernel();
-        Self::rhs_into(
-            &self.ctx,
-            &self.state,
-            &mut self.scratch,
-            &mut self.k1,
-            kernel,
-        );
+        Self::rhs_into(&self.ctx, &self.state, &mut self.scratch, &mut self.k1);
         self.mid.copy_from(&self.state);
         self.mid.axpy(dt, &self.k1);
-        Self::rhs_into(
-            &self.ctx,
-            &self.mid,
-            &mut self.scratch,
-            &mut self.k2,
-            kernel,
-        );
+        Self::rhs_into(&self.ctx, &self.mid, &mut self.scratch, &mut self.k2);
         self.state.axpy(0.5 * dt, &self.k1);
         self.state.axpy(0.5 * dt, &self.k2);
         if let (Some(f), Some(target)) = (self.ctx.cfg.forcing, self.band_energy) {
@@ -861,60 +749,65 @@ impl SpectralSolver {
 
     /// Maximum divergence magnitude in physical space (should be ~0).
     pub fn max_divergence(&self) -> f64 {
-        let dudx = self.deriv_physical(&self.state.u, Axis::X);
-        let dvdy = self.deriv_physical(&self.state.v, Axis::Y);
-        let dwdz = self.deriv_physical(&self.state.w, Axis::Z);
-        (0..dudx.len())
+        let len = self.grid().len();
+        let mut work = vec![Complex::ZERO; self.ctx.rfft.spectrum_len()];
+        let mut deriv = |spec: &[Complex], axis: Axis| {
+            let mut out = vec![0.0; len];
+            self.ctx.deriv_into(spec, axis, &mut work, &mut out);
+            out
+        };
+        let dudx = deriv(&self.state.u, Axis::X);
+        let dvdy = deriv(&self.state.v, Axis::Y);
+        let dwdz = deriv(&self.state.w, Axis::Z);
+        (0..len)
             .map(|i| (dudx[i] + dvdy[i] + dwdz[i]).abs())
             .fold(0.0, f64::max)
     }
 
     /// Builds a snapshot with `u, v, w, p` (+ `r` when stratified). The
     /// pressure solves `∇²p = ∇·F` for the unprojected RHS `F`, exactly the
-    /// diagnostic pressure of a spectral DNS.
+    /// diagnostic pressure of a spectral DNS. `F` is taken in convective
+    /// form and its products are not dealiased, so `p` also carries the
+    /// modes the stepping discards.
     pub fn snapshot(&self) -> Snapshot {
+        let (ctx, s) = (&self.ctx, &self.state);
         let grid = self.grid();
-        let up = self.to_physical(&self.state.u);
-        let vp = self.to_physical(&self.state.v);
-        let wp = self.to_physical(&self.state.w);
-
-        // Pressure from the divergence of advection + buoyancy.
-        let n = self.ctx.cfg.n;
-        let nzc = self.ctx.nzc();
-        // Recompute the unprojected advection spectrum cheaply.
-        let grads = [
-            [
-                self.deriv_physical(&self.state.u, Axis::X),
-                self.deriv_physical(&self.state.u, Axis::Y),
-                self.deriv_physical(&self.state.u, Axis::Z),
-            ],
-            [
-                self.deriv_physical(&self.state.v, Axis::X),
-                self.deriv_physical(&self.state.v, Axis::Y),
-                self.deriv_physical(&self.state.v, Axis::Z),
-            ],
-            [
-                self.deriv_physical(&self.state.w, Axis::X),
-                self.deriv_physical(&self.state.w, Axis::Y),
-                self.deriv_physical(&self.state.w, Axis::Z),
-            ],
-        ];
         let len = grid.len();
-        let slen = self.ctx.rfft.spectrum_len();
-        let advect = |g: &[Vec<f64>; 3]| -> Vec<Complex> {
-            let prod: Vec<f64> = (0..len)
-                .into_par_iter()
-                .map(|i| -(up[i] * g[0][i] + vp[i] * g[1][i] + wp[i] * g[2][i]))
-                .collect();
+        let slen = ctx.rfft.spectrum_len();
+        let n = ctx.cfg.n;
+        let nzc = ctx.nzc();
+        // One half-spectrum workspace serves every state-derived inverse.
+        let mut work = vec![Complex::ZERO; slen];
+        let mut physical = |spec: &[Complex]| {
+            let mut out = vec![0.0; len];
+            ctx.to_physical_into(spec, &mut work, &mut out);
+            out
+        };
+        let up = physical(&s.u);
+        let vp = physical(&s.v);
+        let wp = physical(&s.w);
+        let r = s.b.as_deref().map(&mut physical);
+
+        // The unprojected advection spectrum -(u . grad) u_i, one component
+        // at a time so the three gradient buffers recycle.
+        let (mut gx, mut gy, mut gz) = (vec![0.0; len], vec![0.0; len], vec![0.0; len]);
+        let mut advect = |spec: &[Complex]| -> Vec<Complex> {
+            ctx.deriv_into(spec, Axis::X, &mut work, &mut gx);
+            ctx.deriv_into(spec, Axis::Y, &mut work, &mut gy);
+            ctx.deriv_into(spec, Axis::Z, &mut work, &mut gz);
+            let (gy, gz) = (&gy, &gz);
+            gx.par_iter_mut().enumerate().for_each(|(i, o)| {
+                *o = -(up[i] * *o + vp[i] * gy[i] + wp[i] * gz[i]);
+            });
             let mut c = vec![Complex::ZERO; slen];
-            self.ctx.rfft.forward(&prod, &mut c);
+            ctx.rfft.forward(&gx, &mut c);
             c
         };
-        let mut fu = advect(&grads[0]);
-        let mut fv = advect(&grads[1]);
-        let mut fw = advect(&grads[2]);
+        let mut fu = advect(&s.u);
+        let mut fv = advect(&s.v);
+        let mut fw = advect(&s.w);
         if let (Some(bh), Stratification::Boussinesq { gravity, .. }) =
-            (self.state.b.as_ref(), self.ctx.cfg.stratification)
+            (s.b.as_ref(), ctx.cfg.stratification)
         {
             let target = match gravity {
                 Axis::X => &mut fu,
@@ -926,10 +819,10 @@ impl SpectralSolver {
                 .zip(bh.par_iter())
                 .for_each(|(t, &b)| *t += b);
         }
-        let kd = &self.ctx.kd;
-        let kline = &self.ctx.kline;
-        let mut phat = vec![Complex::ZERO; slen];
-        phat.par_chunks_mut(n * nzc)
+        // -k^2 p_hat = i k . F  =>  p_hat = -i (k . F) / k^2, written over F_u.
+        let kd = &ctx.kd;
+        let kline = &ctx.kline;
+        fu.par_chunks_mut(n * nzc)
             .enumerate()
             .for_each(|(x, chunk)| {
                 let kx = kd[x];
@@ -938,25 +831,27 @@ impl SpectralSolver {
                     for z in 0..nzc {
                         let kz = kd[z];
                         let km = kline[x] * kline[x] + kline[y] * kline[y] + (z * z) as f64;
-                        if km == 0.0 {
-                            continue;
-                        }
                         let gi = (x * n + y) * nzc + z;
-                        let div = fu[gi].scale(kx) + fv[gi].scale(ky) + fw[gi].scale(kz);
-                        // -k^2 p_hat = i k . F  =>  p_hat = -i (k . F) / k^2
-                        chunk[y * nzc + z] = div.mul_i().scale(-1.0 / km);
+                        let i = y * nzc + z;
+                        chunk[i] = if km == 0.0 {
+                            Complex::ZERO
+                        } else {
+                            let div = chunk[i].scale(kx) + fv[gi].scale(ky) + fw[gi].scale(kz);
+                            div.mul_i().scale(-1.0 / km)
+                        };
                     }
                 }
             });
-        let p = self.to_physical(&phat);
+        let mut p = vec![0.0; len];
+        ctx.rfft.inverse(&mut fu, &mut p);
 
         let mut snap = Snapshot::new(grid, self.time)
             .with_var("u", up)
             .with_var("v", vp)
             .with_var("w", wp)
             .with_var("p", p);
-        if let Some(bh) = self.state.b.as_ref() {
-            snap.push_var("r", self.to_physical(bh));
+        if let Some(r) = r {
+            snap.push_var("r", r);
         }
         snap
     }
@@ -975,80 +870,6 @@ mod tests {
         });
         s.init_taylor_green(1.0);
         s
-    }
-
-    /// The optimized pointwise spectral operators (`deriv_into`, `damp`,
-    /// `project3`) restructure loops but keep every floating-point
-    /// expression's association, so naive and optimized must agree to the
-    /// last bit — exercised on non-power-of-3 grids where the 2/3 mask
-    /// prefix is fractional.
-    #[test]
-    fn pointwise_spectral_operators_bit_identical_across_kernels() {
-        for n in [8usize, 16] {
-            let s = tg_solver(n);
-            let ctx = &s.ctx;
-            let slen = n * n * ctx.nzc();
-            let spec: Vec<Complex> = (0..slen)
-                .map(|i| {
-                    Complex::new(
-                        (i as f64 * 0.731).sin() * 2.0,
-                        (i as f64 * 1.137).cos() * 0.5,
-                    )
-                })
-                .collect();
-            let bits = |c: &[Complex]| -> Vec<(u64, u64)> {
-                c.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
-            };
-            // deriv_into, all three axes.
-            for axis in [Axis::X, Axis::Y, Axis::Z] {
-                let mut wn = vec![Complex::ZERO; slen];
-                let mut wo = vec![Complex::ZERO; slen];
-                let mut out = vec![0.0; n * n * n];
-                ctx.deriv_into(&spec, axis, &mut wn, &mut out, Kernel::Naive);
-                // Both calls share whatever global FFT kernel is active, so
-                // any output difference comes from the fill loops alone.
-                let mut out2 = vec![0.0; n * n * n];
-                ctx.deriv_into(&spec, axis, &mut wo, &mut out2, Kernel::Optimized);
-                assert_eq!(
-                    out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    out2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "deriv n={n} axis={axis:?}"
-                );
-            }
-            // damp.
-            let f: Vec<Complex> = spec.iter().map(|z| z.scale(0.37)).collect();
-            let mut rn = spec.clone();
-            let mut ro = spec.clone();
-            ctx.damp(&mut rn, &f, 0.02, Kernel::Naive);
-            ctx.damp(&mut ro, &f, 0.02, Kernel::Optimized);
-            assert_eq!(bits(&rn), bits(&ro), "damp n={n}");
-            // project3.
-            let v: Vec<Complex> = spec.iter().map(|z| z.mul_i()).collect();
-            let w: Vec<Complex> = spec.iter().map(|z| z.scale(-1.3)).collect();
-            let (mut un, mut vn, mut wn) = (spec.clone(), v.clone(), w.clone());
-            let (mut uo, mut vo, mut wo) = (spec.clone(), v.clone(), w.clone());
-            ctx.project3(&mut un, &mut vn, &mut wn, Kernel::Naive, false);
-            ctx.project3(&mut uo, &mut vo, &mut wo, Kernel::Optimized, false);
-            assert_eq!(bits(&un), bits(&uo), "project3 u n={n}");
-            assert_eq!(bits(&vn), bits(&vo), "project3 v n={n}");
-            assert_eq!(bits(&wn), bits(&wo), "project3 w n={n}");
-            // The dealiased fast path must also be a bit-identical no-op on
-            // the masked modes: damp first (zeroing them), then compare the
-            // hinted optimized projection against the naive one.
-            let damp_then_project = |kernel: Kernel, dealiased: bool| {
-                let (mut du, mut dv, mut dw) = (spec.clone(), v.clone(), w.clone());
-                ctx.damp(&mut du, &f, 0.01, kernel);
-                ctx.damp(&mut dv, &f, 0.01, kernel);
-                ctx.damp(&mut dw, &f, 0.01, kernel);
-                ctx.project3(&mut du, &mut dv, &mut dw, kernel, dealiased);
-                (bits(&du), bits(&dv), bits(&dw))
-            };
-            assert_eq!(
-                damp_then_project(Kernel::Naive, false),
-                damp_then_project(Kernel::Optimized, true),
-                "dealiased project3 fast path n={n}"
-            );
-        }
     }
 
     #[test]
@@ -1164,6 +985,171 @@ mod tests {
         let zeros = vec![0.0; grid.len()];
         s.set_velocity(&u, &zeros, &zeros);
         assert!(s.max_divergence() < 1e-8);
+    }
+
+    /// Every out-of-band coefficient of the state as raw bits; all must be
+    /// those of `+0.0`.
+    fn out_of_band_bits(s: &SpectralSolver) -> Vec<u64> {
+        let (n, nzc) = (s.ctx.n(), s.ctx.nzc());
+        let fields = [&s.state.u, &s.state.v, &s.state.w]
+            .into_iter()
+            .chain(s.state.b.as_ref());
+        let mut bits = Vec::new();
+        for f in fields {
+            for x in 0..n {
+                for y in 0..n {
+                    for z in 0..nzc {
+                        if !(s.ctx.in_band(x) && s.ctx.in_band(y) && z <= s.ctx.kmax) {
+                            let c = f[(x * n + y) * nzc + z];
+                            bits.extend([c.re.to_bits(), c.im.to_bits()]);
+                        }
+                    }
+                }
+            }
+        }
+        bits
+    }
+
+    /// Modes outside the 2/3 band have a zero right-hand side, so anything
+    /// that lands there at an entry point would ride along frozen into every
+    /// snapshot: the state must hold exact zeros there from the start.
+    #[test]
+    fn state_is_exactly_zero_outside_the_band() {
+        let n = 16;
+        let mut tg = SpectralSolver::new(SpectralConfig {
+            n,
+            dt: 0.005,
+            stratification: Stratification::Boussinesq {
+                n_bv: 2.0,
+                gravity: Axis::Z,
+            },
+            ..Default::default()
+        });
+        tg.init_taylor_green(1.0);
+
+        // A caller-supplied field carrying energy at k = n/2 - 1, well
+        // outside the band, on top of a resolved mode.
+        let mut high = SpectralSolver::new(SpectralConfig {
+            n,
+            dt: 0.005,
+            ..Default::default()
+        });
+        let grid = high.grid();
+        let khigh = (n / 2 - 1) as f64;
+        let mut u = vec![0.0; grid.len()];
+        let mut v = vec![0.0; grid.len()];
+        for x in 0..n {
+            for y in 0..n {
+                for z in 0..n {
+                    let (px, py, pz) = grid.position(x, y, z);
+                    u[grid.idx(x, y, z)] = py.sin() + 0.5 * (khigh * pz).sin();
+                    v[grid.idx(x, y, z)] = (2.0 * pz).cos() + 0.5 * (khigh * px).cos();
+                }
+            }
+        }
+        let w = vec![0.0; grid.len()];
+        high.set_velocity(&u, &v, &w);
+        // Only the resolved modes survive: <u²>/2 = 1/4 each.
+        assert!((high.kinetic_energy() - 0.5).abs() < 1e-12);
+
+        for (name, mut s) in [("taylor-green", tg), ("set_velocity", high)] {
+            let outside = out_of_band_bits(&s);
+            assert!(!outside.is_empty());
+            assert!(outside.iter().all(|&b| b == 0), "{name}: after init");
+            s.run(10);
+            assert!(
+                out_of_band_bits(&s).iter().all(|&b| b == 0),
+                "{name}: after 10 steps"
+            );
+        }
+    }
+
+    #[test]
+    fn set_buoyancy_truncates_to_the_band() {
+        let n = 16;
+        let mut s = SpectralSolver::new(SpectralConfig {
+            n,
+            stratification: Stratification::Boussinesq {
+                n_bv: 1.0,
+                gravity: Axis::Z,
+            },
+            ..Default::default()
+        });
+        let grid = s.grid();
+        let b: Vec<f64> = (0..grid.len())
+            .map(|i| (i as f64 * 0.37).sin()) // broadband
+            .collect();
+        s.set_buoyancy(&b);
+        assert!(out_of_band_bits(&s).iter().all(|&bits| bits == 0));
+        assert!(s
+            .state
+            .b
+            .as_ref()
+            .unwrap()
+            .iter()
+            .any(|c| c.norm_sqr() > 0.0));
+    }
+
+    /// Mean-square vorticity `<|ω|²> = Σ k² |û|²`, summed like
+    /// [`SpectralSolver::kinetic_energy`].
+    fn mean_square_vorticity(s: &SpectralSolver) -> f64 {
+        let (n, nzc) = (s.ctx.n(), s.ctx.nzc());
+        let kline = &s.ctx.kline;
+        let mut acc = 0.0;
+        for x in 0..n {
+            for y in 0..n {
+                for z in 0..nzc {
+                    let k2 = kline[x] * kline[x] + kline[y] * kline[y] + (z * z) as f64;
+                    let wgt = if z == 0 || z == n / 2 { 1.0 } else { 2.0 };
+                    let i = (x * n + y) * nzc + z;
+                    let e =
+                        s.state.u[i].norm_sqr() + s.state.v[i].norm_sqr() + s.state.w[i].norm_sqr();
+                    acc += wgt * k2 * e;
+                }
+            }
+        }
+        acc / (n as f64).powi(6)
+    }
+
+    /// Worst relative mismatch of the per-step energy budget
+    /// `(E₁ − E₀)/Δt = −ν ½(<|ω|²>₀ + <|ω|²>₁)` on the 32³ Taylor–Green
+    /// vortex over `0.2 <= t <= 0.3`.
+    fn energy_budget_mismatch(dt: f64) -> f64 {
+        let nu = 0.02;
+        let mut s = SpectralSolver::new(SpectralConfig {
+            n: 32,
+            viscosity: nu,
+            dt,
+            ..Default::default()
+        });
+        s.init_taylor_green(1.0);
+        s.run((0.2 / dt).round() as usize);
+        let mut worst = 0.0f64;
+        let (mut e0, mut z0) = (s.kinetic_energy(), mean_square_vorticity(&s));
+        for _ in 0..(0.1 / dt).round() as usize {
+            s.step();
+            let (e1, z1) = (s.kinetic_energy(), mean_square_vorticity(&s));
+            let (dedt, diss) = ((e1 - e0) / dt, -nu * 0.5 * (z0 + z1));
+            worst = worst.max(((dedt - diss) / diss).abs());
+            (e0, z0) = (e1, z1);
+        }
+        worst
+    }
+
+    /// Advection in either form only moves energy between modes, and the
+    /// Galerkin truncation keeps that exact, so viscosity alone drains it:
+    /// `dE/dt = −ν <|ω|²>`. Heun's method meets the trapezoidal form of that
+    /// budget to second order in `Δt`.
+    #[test]
+    fn taylor_green_energy_budget_closes_to_second_order() {
+        let coarse = energy_budget_mismatch(0.005);
+        let fine = energy_budget_mismatch(0.0025);
+        assert!(coarse < 1e-5, "budget mismatch {coarse:e} at dt = 0.005");
+        let ratio = coarse / fine;
+        assert!(
+            (3.0..5.5).contains(&ratio),
+            "halving dt took the mismatch {coarse:e} -> {fine:e} (x{ratio:.2}), not ~4x"
+        );
     }
 
     /// Full-complex-spectrum RK2 reference (the pre-half-spectrum
@@ -1346,9 +1332,10 @@ mod tests {
 
     #[test]
     fn half_spectrum_step_matches_complex_reference() {
-        // One RK2 step on the 32^3 Taylor-Green vortex must agree with the
-        // original full-complex-spectrum implementation to near machine
-        // precision in every physical velocity sample.
+        // Five RK2 steps on the 32^3 Taylor-Green vortex must agree with the
+        // original full-complex-spectrum implementation, which advects in
+        // convective form, to near machine precision in every physical
+        // velocity sample.
         let n = 32;
         let (nu, dt) = (0.02, 0.005);
         let mut solver = SpectralSolver::new(SpectralConfig {
@@ -1361,8 +1348,10 @@ mod tests {
         let mut reference = ComplexRef::new(n, nu, dt);
         reference.init_taylor_green(1.0);
 
-        solver.step();
-        reference.step();
+        solver.run(5);
+        for _ in 0..5 {
+            reference.step();
+        }
 
         let snap = solver.snapshot();
         for (name, refspec) in [

@@ -73,11 +73,16 @@ pub(crate) fn transform_contiguous_with(
     }
 }
 
-/// Shared-access wrapper for disjoint-pencil parallelism: each pencil (or
-/// pencil pair) touches a disjoint index set, guaranteed by the index
-/// arithmetic of the caller.
+/// Shared-access wrapper for disjoint-pencil parallelism in
+/// [`transform_strided_with`], the only place the pointer is dereferenced.
 struct SendPtr(*mut Complex);
+// SAFETY: the pointer is only ever moved into `transform_strided_with`'s
+// workers, each of which dereferences it at the indices of the pencils it
+// owns (see the contract there); `Complex` itself is `Send`.
 unsafe impl Send for SendPtr {}
+// SAFETY: sharing `&SendPtr` across workers exposes only `get`; the accesses
+// made through the returned pointer are to disjoint pencils, so no two
+// threads touch the same element.
 unsafe impl Sync for SendPtr {}
 impl SendPtr {
     #[inline]
@@ -86,30 +91,48 @@ impl SendPtr {
     }
 }
 
-/// Transforms pencils of length `count` spaced `stride` apart; there are
-/// `outer * inner` pencils, where a pencil `(o, i)` starts at
-/// `o * block + i` with `block = count * stride`.
-#[allow(clippy::too_many_arguments)]
+/// Transforms `total` pencils of `plan.len()` elements spaced `stride` apart;
+/// pencil `j` starts at `base_of(j)`.
+///
+/// The caller picks the pencils by index: the complex transforms and the
+/// keep-all real ones pass every pencil of the axis, the band-limited real
+/// transforms only those the band rule keeps. Nothing here looks at the
+/// data, so the same pencils are visited under both kernels and in both
+/// directions.
+///
+/// Contract: `base_of` is a pure function; pencil `j` owns the indices
+/// `base_of(j) + k * stride` for `k < plan.len()`, and the index sets of
+/// distinct `j < total` are disjoint (every caller in this crate passes
+/// distinct starts inside one period of `stride`, or distinct
+/// `(slab, offset)` pairs with the pencil confined to its slab). That each
+/// pencil lies inside `data` is asserted here.
 pub(crate) fn transform_strided_with(
     plan: &FftPlan,
     data: &mut [Complex],
-    outer: usize,
-    inner: usize,
+    total: usize,
+    base_of: impl Fn(usize) -> usize + Sync,
     stride: usize,
     dir: Dir,
     kernel: Kernel,
 ) {
     let count = plan.len();
-    let block = count * stride;
-    let total = outer * inner;
+    // Up front and on the calling thread: a panic inside the parallel region
+    // would strand the pool instead of failing.
+    for j in 0..total {
+        let last = base_of(j) + (count - 1) * stride;
+        assert!(last < data.len(), "pencil {j} out of bounds");
+    }
     let ptr = SendPtr(data.as_mut_ptr());
-    let pencil_base = |pid: usize| (pid / inner) * block + pid % inner;
     match kernel {
         Kernel::Naive => (0..total).into_par_iter().for_each_init(
             || vec![Complex::ZERO; count],
-            |scratch, pid| {
-                let base = pencil_base(pid);
+            |scratch, j| {
+                let base = base_of(j);
                 let p = ptr.get();
+                // SAFETY: `base + k * stride` for `k < count` is pencil `j`'s
+                // own index set: in bounds by the assert above, and touched
+                // by no other `j` (the contract), so this worker has
+                // exclusive access to every element it reads.
                 unsafe {
                     for (k, s) in scratch.iter_mut().enumerate() {
                         *s = *p.add(base + k * stride);
@@ -119,6 +142,8 @@ pub(crate) fn transform_strided_with(
                     Dir::Forward => plan.forward(scratch),
                     Dir::Inverse => plan.inverse_unnormalized(scratch),
                 }
+                // SAFETY: the same indices as the gather above, still owned
+                // by this pencil alone.
                 unsafe {
                     for (k, s) in scratch.iter().enumerate() {
                         *p.add(base + k * stride) = *s;
@@ -128,62 +153,48 @@ pub(crate) fn transform_strided_with(
         ),
         // Pencil pairs gathered interleaved: the gather/scatter costs the
         // same strided traffic as two single pencils, but the transform in
-        // between runs on full vector lanes.
-        //
-        // Dealiased spectra reach the inverse passes with most pencils
-        // identically zero (the 2/3-rule mask zeroes ~55% of x-pencils and
-        // ~33% of y-pencils at 64^3). The inverse transform of an all-zero
-        // pencil is all zeros, so once the gather confirms that, both the
-        // butterflies and the scatter are skipped — memory already holds
-        // the zeros. Only sign-of-zero can differ from the naive path.
-        Kernel::Optimized => {
-            let all_zero =
-                |s: &[Complex]| dir == Dir::Inverse && s.iter().all(|c| c.re == 0.0 && c.im == 0.0);
-            (0..total / 2).into_par_iter().for_each_init(
-                || vec![Complex::ZERO; 2 * count],
-                |scratch, q| {
-                    let b0 = pencil_base(2 * q);
-                    let b1 = pencil_base(2 * q + 1);
-                    let p = ptr.get();
-                    unsafe {
-                        for k in 0..count {
-                            scratch[2 * k] = *p.add(b0 + k * stride);
-                            scratch[2 * k + 1] = *p.add(b1 + k * stride);
-                        }
+        // between runs on full vector lanes. The lanes are independent, so a
+        // pencil's result does not depend on its partner; with an odd count
+        // the last pencil rides in both lanes and comes out with the bits it
+        // would have in any pair.
+        Kernel::Optimized => (0..total.div_ceil(2)).into_par_iter().for_each_init(
+            || vec![Complex::ZERO; 2 * count],
+            |scratch, q| {
+                let b0 = base_of(2 * q);
+                let b1 = if 2 * q + 1 < total {
+                    base_of(2 * q + 1)
+                } else {
+                    b0
+                };
+                let p = ptr.get();
+                // SAFETY: pair `q` owns pencils `2q` and `2q + 1` (or `2q`
+                // alone, read into both lanes) and no other pair does; each
+                // is in bounds by the assert above and disjoint from every
+                // other pencil by the contract, so only this worker touches
+                // these elements, and it does so through `p`
+                // alone. `scratch` holds `2 * count` elements, so `2k + 1`
+                // is in range.
+                unsafe {
+                    for k in 0..count {
+                        scratch[2 * k] = *p.add(b0 + k * stride);
+                        scratch[2 * k + 1] = *p.add(b1 + k * stride);
                     }
-                    if all_zero(scratch) {
-                        return;
-                    }
-                    match dir {
-                        Dir::Forward => plan.forward2(scratch),
-                        Dir::Inverse => plan.inverse2_unnormalized(scratch),
-                    }
-                    unsafe {
-                        for k in 0..count {
-                            *p.add(b0 + k * stride) = scratch[2 * k];
-                            *p.add(b1 + k * stride) = scratch[2 * k + 1];
-                        }
-                    }
-                },
-            );
-            if total % 2 == 1 {
-                let base = pencil_base(total - 1);
-                let mut scratch = vec![Complex::ZERO; count];
-                for (k, s) in scratch.iter_mut().enumerate() {
-                    *s = data[base + k * stride];
-                }
-                if all_zero(&scratch) {
-                    return;
                 }
                 match dir {
-                    Dir::Forward => plan.forward(&mut scratch),
-                    Dir::Inverse => plan.inverse_unnormalized(&mut scratch),
+                    Dir::Forward => plan.forward2(scratch),
+                    Dir::Inverse => plan.inverse2_unnormalized(scratch),
                 }
-                for (k, s) in scratch.iter().enumerate() {
-                    data[base + k * stride] = *s;
+                // SAFETY: the same pencils as the gather above. When the
+                // pencil filled both lanes the two stores per element carry
+                // the same value.
+                unsafe {
+                    for k in 0..count {
+                        *p.add(b0 + k * stride) = scratch[2 * k];
+                        *p.add(b1 + k * stride) = scratch[2 * k + 1];
+                    }
                 }
-            }
-        }
+            },
+        ),
     }
 }
 
@@ -229,11 +240,12 @@ impl Fft2d {
     pub fn forward_with(&self, data: &mut [Complex], kernel: Kernel) {
         assert_eq!(data.len(), self.len(), "buffer shape mismatch");
         transform_contiguous_with(&self.plan_y, data, Dir::Forward, kernel);
+        // x axis: one pencil per y, stride ny.
         transform_strided_with(
             &self.plan_x,
             data,
-            1,
             self.ny,
+            |y| y,
             self.ny,
             Dir::Forward,
             kernel,
@@ -245,11 +257,12 @@ impl Fft2d {
     pub fn inverse_with(&self, data: &mut [Complex], kernel: Kernel) {
         assert_eq!(data.len(), self.len(), "buffer shape mismatch");
         transform_contiguous_with(&self.plan_y, data, Dir::Inverse, kernel);
+        // x axis: one pencil per y, stride ny.
         transform_strided_with(
             &self.plan_x,
             data,
-            1,
             self.ny,
+            |y| y,
             self.ny,
             Dir::Inverse,
             kernel,
@@ -302,18 +315,12 @@ impl Fft3d {
         assert_eq!(data.len(), self.len(), "buffer shape mismatch");
         // z axis: contiguous rows.
         transform_contiguous_with(&self.plan_z, data, dir, kernel);
-        // y axis: stride nz, inner nz, outer nx.
-        transform_strided_with(&self.plan_y, data, self.nx, self.nz, self.nz, dir, kernel);
-        // x axis: stride ny*nz, inner ny*nz, outer 1.
-        transform_strided_with(
-            &self.plan_x,
-            data,
-            1,
-            self.ny * self.nz,
-            self.ny * self.nz,
-            dir,
-            kernel,
-        );
+        // y axis: stride nz, one pencil per z in each of the nx slabs.
+        let (nz, slab) = (self.nz, self.ny * self.nz);
+        let pencils = |j: usize| (j / nz) * slab + j % nz;
+        transform_strided_with(&self.plan_y, data, self.nx * nz, pencils, nz, dir, kernel);
+        // x axis: stride ny*nz, one pencil per (y, z).
+        transform_strided_with(&self.plan_x, data, slab, |j| j, slab, dir, kernel);
     }
 
     /// In-place forward 3D transform.
@@ -353,6 +360,17 @@ mod tests {
                 "{x:?} != {y:?}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "pencil 3 out of bounds")]
+    fn strided_pass_refuses_a_pencil_outside_the_buffer() {
+        // Four pencils of four elements, stride 4: the last start is one
+        // past where a pencil still fits.
+        let mut data = vec![Complex::ZERO; 16];
+        let starts = |j: usize| if j == 3 { 4 } else { j };
+        let plan = FftPlan::new(4);
+        transform_strided_with(&plan, &mut data, 4, starts, 4, Dir::Forward, Kernel::Naive);
     }
 
     #[test]

@@ -196,8 +196,13 @@ impl FftPlan {
         use std::arch::x86_64::*;
         let n = self.n;
         let sign = if conjugate { -1.0 } else { 1.0 };
-        // Complex is #[repr(C)] { re: f64, im: f64 }, so the pair at
-        // pair-index p starts at f64 offset 4*p.
+        // SAFETY (every load and store below): `Complex` is
+        // `#[repr(C)] { re: f64, im: f64 }`, so `data` is `4 * n` f64s and
+        // the pair at pair-index `i` is the four f64s from offset `4 * i`.
+        // Every index used is `base + t` or `base + t + m` with `base` a
+        // multiple of `2m` below `n` and `t < m`, hence below `n`, so each
+        // unaligned 256-bit access stays inside `data`; `lo != hi`, and
+        // `data` is borrowed exclusively.
         let p = data.as_mut_ptr().cast::<f64>();
         let mut m = 1;
         let mut toff = 0;
@@ -242,7 +247,9 @@ impl FftPlan {
     fn butterflies2(&self, data: &mut [Complex], conjugate: bool) {
         #[cfg(target_arch = "x86_64")]
         if sickle_simd::fma_available() {
-            // SAFETY: avx2 + fma verified; length checked by the caller.
+            // SAFETY: `fma_available` just confirmed avx2 + fma, and both
+            // callers (`forward2`, `inverse2_unnormalized`) assert
+            // `data.len() == 2 * self.n` before calling in.
             unsafe { self.butterflies2_fma(data, conjugate) };
             return;
         }

@@ -139,38 +139,49 @@ impl RealFft {
         );
         assert_eq!(out.len(), self.n, "buffer length mismatch");
         let half = self.n / 2;
-        // `out` holds n = 2*half f64s; viewed as `half` (re, im) pairs it is
-        // exactly the packed complex buffer the sub-FFT needs, and unpacking
-        // the result back to interleaved reals is then a no-op. Complex is
-        // repr(C) { re: f64, im: f64 } with the same alignment as f64, so the
-        // cast is sound, and the regions are the same allocation.
+        // SAFETY: `out.len() == n == 2 * half` was asserted above, so the
+        // `half` (re, im) pairs cover exactly `out`'s own `n` f64s, which
+        // `out` borrows exclusively for as long as `z` lives; `Complex` is
+        // `repr(C) { re: f64, im: f64 }` with the size of two f64s and the
+        // alignment of one, so every pair is a valid, aligned `Complex`.
+        // Viewed this way `out` is the packed buffer the sub-FFT needs, and
+        // unpacking its result back to interleaved reals is a no-op.
         let z: &mut [Complex] =
             unsafe { std::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<Complex>(), half) };
-        // Repack: Z[k] = E[k] + i O[k] with E[k] = (X[k] + conj(X[h-k]))/2,
-        // O[k] = w^{-k} (X[k] - conj(X[h-k]))/2.
-        for (k, zk) in z.iter_mut().enumerate() {
-            *zk = self.repack_one(spectrum, k, scale);
-        }
-        self.half_plan.inverse(z);
+        let scale = scale * self.half_norm();
+        self.repack_into(spectrum, scale, |k, zk| z[k] = zk);
+        self.half_plan.inverse_unnormalized(z);
     }
 
-    /// One packed complex sample `Z[k]` of the inverse pre-pass, scaled.
+    /// The half-length sub-FFT's `1/(n/2)` normalization, which the inverse
+    /// paths fold into the repack scale instead of sweeping the buffer again.
+    /// `n/2` is a power of two, so the factor commutes exactly with every
+    /// rounding of the transform: same bits as scaling afterwards (short of
+    /// underflow).
     #[inline]
-    fn repack_one(&self, spectrum: &[Complex], k: usize, scale: f64) -> Complex {
+    fn half_norm(&self) -> f64 {
+        1.0 / (self.n / 2) as f64
+    }
+
+    /// The inverse pre-pass: hands `put` every packed sample `Z[k]`,
+    /// `k < n/2`, of the half-length sequence whose inverse FFT interleaves
+    /// the real output, each scaled by `scale`. Mirror samples `k` and
+    /// `n/2 - k` come out of one [`repack_pair`].
+    #[inline]
+    fn repack_into(&self, spectrum: &[Complex], scale: f64, mut put: impl FnMut(usize, Complex)) {
         let half = self.n / 2;
-        let xk = spectrum[k];
-        let xmk = spectrum[half - k].conj();
-        let e = (xk + xmk).scale(0.5);
-        // w^{-k} = conj(w^k); for k > half/2 use w^k = -conj(w^{half-k}),
-        // hence w^{-k} = -w^{half-k}.
-        let winv = if k <= half / 2 {
-            self.twiddles[k].conj()
-        } else {
-            let w = self.twiddles[half - k];
-            Complex::new(-w.re, -w.im)
-        };
-        let o = winv * (xk - xmk).scale(0.5);
-        (e + o.mul_i()).scale(scale)
+        let tw = &self.twiddles;
+        put(0, repack_pair(spectrum[0], spectrum[half], tw[0], scale).0);
+        for k in 1..half / 2 {
+            let (zk, zhk) = repack_pair(spectrum[k], spectrum[half - k], tw[k], scale);
+            put(k, zk);
+            put(half - k, zhk);
+        }
+        if half >= 2 {
+            // The self-mirrored sample.
+            let q = half / 2;
+            put(q, repack_pair(spectrum[q], spectrum[q], tw[q], scale).0);
+        }
     }
 
     /// Untangles one sequence of a pair-interleaved half-FFT result into its
@@ -242,11 +253,10 @@ impl RealFft {
         assert_eq!(out0.len(), self.n, "buffer length mismatch");
         assert_eq!(out1.len(), self.n, "buffer length mismatch");
         assert_eq!(scratch.len(), self.n, "scratch length mismatch");
-        for k in 0..half {
-            scratch[2 * k] = self.repack_one(spec0, k, scale);
-            scratch[2 * k + 1] = self.repack_one(spec1, k, scale);
-        }
-        self.half_plan.inverse2(scratch);
+        let scale = scale * self.half_norm();
+        self.repack_into(spec0, scale, |k, zk| scratch[2 * k] = zk);
+        self.repack_into(spec1, scale, |k, zk| scratch[2 * k + 1] = zk);
+        self.half_plan.inverse2_unnormalized(scratch);
         for k in 0..half {
             let (z0, z1) = (scratch[2 * k], scratch[2 * k + 1]);
             out0[2 * k] = z0.re;
@@ -267,6 +277,29 @@ fn untangle_pair(zk: Complex, zmk: Complex, w: Complex) -> (Complex, Complex) {
     // Mirror bin: X[h - k] = E[k].conj-symmetric partner.
     let w2 = Complex::new(-w.re, w.im); // exp(-i*pi*(half-k)/half) = -conj(w)
     (x, e.conj() + w2 * o.conj())
+}
+
+/// The packed samples `(Z[k], Z[h-k])` of the inverse pre-pass, `h = n/2`,
+/// from the mirror bins `X[k]`, `X[h-k]` and `w = exp(-i*pi*k/h)`, each scaled
+/// by `scale`. With `E`, `O` the spectra of the even and odd output samples,
+///   E[k] = (X[k] + conj(X[h-k]))/2,  O[k] = w^-1 (X[k] - conj(X[h-k]))/2,
+///   Z[k] = E[k] + i O[k],            Z[h-k] = conj(E[k]) + i conj(O[k]),
+/// the second because `E` and `O` transform real sequences of period `h`.
+/// Evaluating the per-sample formula at `h - k` gives the very sums and
+/// products formed here (its twiddle is `-conj(w)`, its difference
+/// `-conj(X[k] - conj(X[h-k]))`; the signs cancel exactly), so sharing `E`
+/// and `O` changes no bit of either sample — at most the sign of a zero,
+/// where a sum cancels exactly. For `k = 0` pass `X[h]` as the mirror, for
+/// `k = h/2` the bin itself; only the first result is meaningful then.
+#[inline]
+fn repack_pair(xk: Complex, xhk: Complex, w: Complex, scale: f64) -> (Complex, Complex) {
+    let xmk = xhk.conj();
+    let e = (xk + xmk).scale(0.5);
+    let o = w.conj() * (xk - xmk).scale(0.5);
+    (
+        Complex::new(e.re - o.im, e.im + o.re).scale(scale),
+        Complex::new(e.re + o.im, o.re - e.im).scale(scale),
+    )
 }
 
 #[cfg(test)]
@@ -334,6 +367,98 @@ mod tests {
                 assert!((ra[i] - a[i]).abs() < 1e-10, "n={n} i={i} lane0 roundtrip");
                 assert!((rb[i] - b[i]).abs() < 1e-10, "n={n} i={i} lane1 roundtrip");
             }
+        }
+    }
+
+    /// The per-sample repack the joint one replaced: `Z[k]` from `X[k]` and
+    /// `X[h-k]` alone, with the twiddle looked up on whichever side of `h/2`
+    /// `k` falls.
+    fn repack_one(plan: &RealFft, spectrum: &[Complex], k: usize, scale: f64) -> Complex {
+        let half = plan.n / 2;
+        let xk = spectrum[k];
+        let xmk = spectrum[half - k].conj();
+        let e = (xk + xmk).scale(0.5);
+        let winv = if k <= half / 2 {
+            plan.twiddles[k].conj()
+        } else {
+            let w = plan.twiddles[half - k];
+            Complex::new(-w.re, -w.im)
+        };
+        let o = winv * (xk - xmk).scale(0.5);
+        (e + o.mul_i()).scale(scale)
+    }
+
+    #[test]
+    fn joint_repack_is_bit_identical_to_per_sample_formula() {
+        let bits = |z: Complex| (z.re.to_bits(), z.im.to_bits());
+        let scale = 0.3; // not a power of two: the folded 1/(n/2) must still commute
+        let mut n = 2;
+        while n <= 256 {
+            let plan = RealFft::new(n);
+            let half = n / 2;
+            let spec = |seed: f64| -> Vec<Complex> {
+                (0..=half)
+                    .map(|k| {
+                        let t = k as f64 + seed;
+                        Complex::new((t * 0.731).sin() * 3.0, (t * 1.93).cos() - 0.4)
+                    })
+                    .collect()
+            };
+            let (s0, s1) = (spec(0.3), spec(7.7));
+
+            // The repack itself, sample by sample.
+            let mut joint = vec![Complex::ZERO; half];
+            plan.repack_into(&s0, scale, |k, z| joint[k] = z);
+            for (k, z) in joint.iter().enumerate() {
+                assert_eq!(
+                    bits(*z),
+                    bits(repack_one(&plan, &s0, k, scale)),
+                    "n={n} k={k}"
+                );
+            }
+
+            // Single-row inverse against repack, then the normalized sub-FFT.
+            let mut want: Vec<Complex> = (0..half)
+                .map(|k| repack_one(&plan, &s0, k, scale))
+                .collect();
+            plan.half_plan.inverse(&mut want);
+            let mut got = vec![0.0; n];
+            plan.inverse_into_scaled(&s0, &mut got, scale);
+            for k in 0..half {
+                assert_eq!(got[2 * k].to_bits(), want[k].re.to_bits(), "n={n} k={k}");
+                assert_eq!(
+                    got[2 * k + 1].to_bits(),
+                    want[k].im.to_bits(),
+                    "n={n} k={k}"
+                );
+            }
+
+            // Row-pair inverse against the interleaved form of the same.
+            let mut want2 = vec![Complex::ZERO; n];
+            for k in 0..half {
+                want2[2 * k] = repack_one(&plan, &s0, k, scale);
+                want2[2 * k + 1] = repack_one(&plan, &s1, k, scale);
+            }
+            plan.half_plan.inverse2(&mut want2);
+            let (mut g0, mut g1) = (vec![0.0; n], vec![0.0; n]);
+            let mut scratch = vec![Complex::ZERO; n];
+            plan.inverse2_into_scaled(&s0, &s1, &mut g0, &mut g1, &mut scratch, scale);
+            for k in 0..half {
+                for (lane, g) in [&g0, &g1].into_iter().enumerate() {
+                    let w = want2[2 * k + lane];
+                    assert_eq!(
+                        g[2 * k].to_bits(),
+                        w.re.to_bits(),
+                        "n={n} k={k} lane={lane}"
+                    );
+                    assert_eq!(
+                        g[2 * k + 1].to_bits(),
+                        w.im.to_bits(),
+                        "n={n} k={k} lane={lane}"
+                    );
+                }
+            }
+            n *= 2;
         }
     }
 

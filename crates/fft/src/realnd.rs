@@ -14,6 +14,23 @@
 //! - 3D: real `index = (x * ny + y) * nz + z`, spectrum
 //!   `index = (x * ny + y) * nzc + z` with `nzc = nz/2 + 1`
 //!
+//! ## Band-limited transforms
+//!
+//! A dealiasing solver only ever wants, and only ever holds, the modes with
+//! `|kx|`, `|ky|` and `kz` at most some `kmax`. [`RealFft3d`] therefore has a
+//! truncated pair that visits only the pencils such a spectrum can occupy:
+//!
+//! - [`RealFft3d::forward_truncated`] ≡ [`RealFft3d::forward`], then every
+//!   mode outside the band set to zero — bit for bit inside the band;
+//! - [`RealFft3d::inverse_truncated`] ≡ [`RealFft3d::inverse`] of a spectrum
+//!   that is zero outside the band (the caller's obligation, checked in
+//!   debug builds) — equal as `f64`s.
+//!
+//! Which pencils run is decided by index alone (the `Band` rule below), never
+//! by looking at the data, so both kernels and both directions visit the
+//! same set, and the full transforms are the `kmax >= n/2` case of the same
+//! code.
+//!
 //! All transforms write into caller-provided buffers and allocate no
 //! field-sized scratch: the contiguous-axis passes run in place row by row
 //! (see [`RealFft::forward_into`]), and the strided passes reuse the pencil
@@ -81,6 +98,59 @@ fn rows_inverse(row: &RealFft, spec: &[Complex], real: &mut [f64], scale: f64, k
                     }
                 },
             ),
+    }
+}
+
+/// The modes of an `(nx, ny, nz)` half-spectrum with `|kx|`, `|ky|` and `kz`
+/// at most `kmax`. Along a two-sided axis of `n` points the kept indices are
+/// `0..=kmax` and `n - kmax..n` — all of `0..n` once `2 kmax + 1 >= n`; along
+/// z they are the first `zk` of each row's `nzc` coefficients.
+#[derive(Clone, Copy)]
+struct Band {
+    kmax: usize,
+    nx: usize,
+    ny: usize,
+    zk: usize,
+    nzc: usize,
+}
+
+impl Band {
+    /// Number of kept indices along a two-sided axis of `n` points.
+    #[inline]
+    fn count(&self, n: usize) -> usize {
+        n.min(self.kmax.saturating_mul(2).saturating_add(1))
+    }
+
+    /// The `ord`-th kept index of such an axis, in increasing order.
+    #[inline]
+    fn index(&self, n: usize, ord: usize) -> usize {
+        if ord <= self.kmax {
+            ord
+        } else {
+            ord + n - self.count(n)
+        }
+    }
+
+    /// Whether index `i < n` of such an axis is kept.
+    #[inline]
+    fn holds(&self, n: usize, i: usize) -> bool {
+        i.min(n - i) <= self.kmax
+    }
+
+    /// How many leading coefficients of half-spectrum row `x * ny + y` are
+    /// inside the band: `zk` where `kx` and `ky` are kept, none elsewhere.
+    #[inline]
+    fn kept_prefix(&self, row: usize) -> usize {
+        if self.holds(self.nx, row / self.ny) && self.holds(self.ny, row % self.ny) {
+            self.zk
+        } else {
+            0
+        }
+    }
+
+    /// Whether the band is the whole spectrum.
+    fn keeps_all(&self) -> bool {
+        self.count(self.nx) == self.nx && self.count(self.ny) == self.ny && self.zk == self.nzc
     }
 }
 
@@ -159,7 +229,7 @@ impl RealFft2d {
         );
         let nyc = self.row.spectrum_len();
         rows_forward(&self.row, real, spec, kernel);
-        transform_strided_with(&self.plan_x, spec, 1, nyc, nyc, Dir::Forward, kernel);
+        transform_strided_with(&self.plan_x, spec, nyc, |y| y, nyc, Dir::Forward, kernel);
     }
 
     /// [`Self::inverse`] with an explicit kernel choice.
@@ -172,7 +242,7 @@ impl RealFft2d {
             "spectrum buffer shape mismatch"
         );
         let nyc = self.row.spectrum_len();
-        transform_strided_with(&self.plan_x, spec, 1, nyc, nyc, Dir::Inverse, kernel);
+        transform_strided_with(&self.plan_x, spec, nyc, |y| y, nyc, Dir::Inverse, kernel);
         let scale = 1.0 / self.nx as f64;
         rows_inverse(&self.row, spec, real, scale, kernel);
     }
@@ -251,39 +321,124 @@ impl RealFft3d {
         self.inverse_with(spec, real, sickle_simd::kernel());
     }
 
+    /// [`Self::forward`] followed by zeroing every mode with `|kx|`, `|ky|`
+    /// or `kz` above `kmax`: bit-identical to that inside the band, exact
+    /// `0.0` outside, at the cost of only the pencils the band keeps.
+    ///
+    /// # Panics
+    /// Panics on buffer length mismatch.
+    pub fn forward_truncated(&self, real: &[f64], spec: &mut [Complex], kmax: usize) {
+        self.forward_truncated_with(real, spec, kmax, sickle_simd::kernel());
+    }
+
+    /// [`Self::inverse`] for a spectrum that is zero at every mode with
+    /// `|kx|`, `|ky|` or `kz` above `kmax` (checked in debug builds only):
+    /// the same real field, `==` value for value, without transforming the
+    /// pencils that hold nothing. **Destroys** `spec` like [`Self::inverse`].
+    ///
+    /// # Panics
+    /// Panics on buffer length mismatch.
+    pub fn inverse_truncated(&self, spec: &mut [Complex], real: &mut [f64], kmax: usize) {
+        self.inverse_truncated_with(spec, real, kmax, sickle_simd::kernel());
+    }
+
     /// [`Self::forward`] with an explicit kernel choice (parity tests and
     /// benches; avoids racing on the global switch).
     #[doc(hidden)]
     pub fn forward_with(&self, real: &[f64], spec: &mut [Complex], kernel: Kernel) {
-        assert_eq!(real.len(), self.len(), "real buffer shape mismatch");
-        assert_eq!(
-            spec.len(),
-            self.spectrum_len(),
-            "spectrum buffer shape mismatch"
-        );
-        let nzc = self.nzc();
-        // z axis: real-to-complex on contiguous rows, in parallel.
-        rows_forward(&self.row, real, spec, kernel);
-        // y axis: pencils of stride nzc within each x-slab.
-        transform_strided_with(&self.plan_y, spec, self.nx, nzc, nzc, Dir::Forward, kernel);
-        // x axis: pencils of stride ny*nzc.
-        let slab = self.ny * nzc;
-        transform_strided_with(&self.plan_x, spec, 1, slab, slab, Dir::Forward, kernel);
+        self.forward_truncated_with(real, spec, usize::MAX, kernel);
     }
 
     /// [`Self::inverse`] with an explicit kernel choice.
     #[doc(hidden)]
     pub fn inverse_with(&self, spec: &mut [Complex], real: &mut [f64], kernel: Kernel) {
+        self.inverse_truncated_with(spec, real, usize::MAX, kernel);
+    }
+
+    fn assert_shapes(&self, real: &[f64], spec: &[Complex]) {
         assert_eq!(real.len(), self.len(), "real buffer shape mismatch");
         assert_eq!(
             spec.len(),
             self.spectrum_len(),
             "spectrum buffer shape mismatch"
         );
+    }
+
+    fn band(&self, kmax: usize) -> Band {
         let nzc = self.nzc();
-        let slab = self.ny * nzc;
-        transform_strided_with(&self.plan_x, spec, 1, slab, slab, Dir::Inverse, kernel);
-        transform_strided_with(&self.plan_y, spec, self.nx, nzc, nzc, Dir::Inverse, kernel);
+        Band {
+            kmax,
+            nx: self.nx,
+            ny: self.ny,
+            zk: nzc.min(kmax.saturating_add(1)),
+            nzc,
+        }
+    }
+
+    /// The two strided passes over the pencils `band` occupies, in the
+    /// order `dir` needs: y-pencils exist for every `x` (physical on one
+    /// side of the pass) and `z < zk`; x-pencils for `ky` in the band and
+    /// `z < zk`.
+    fn strided_passes(&self, spec: &mut [Complex], band: Band, dir: Dir, kernel: Kernel) {
+        let Band { ny, zk, nzc, .. } = band;
+        let slab = ny * nzc;
+        let y_pencils = |j: usize| (j / zk) * slab + j % zk;
+        let x_pencils = |j: usize| band.index(ny, j / zk) * nzc + j % zk;
+        let (plan_x, plan_y) = (&self.plan_x, &self.plan_y);
+        let (ny_total, nx_total) = (self.nx * zk, band.count(ny) * zk);
+        if dir == Dir::Forward {
+            transform_strided_with(plan_y, spec, ny_total, y_pencils, nzc, dir, kernel);
+        }
+        transform_strided_with(plan_x, spec, nx_total, x_pencils, slab, dir, kernel);
+        if dir == Dir::Inverse {
+            transform_strided_with(plan_y, spec, ny_total, y_pencils, nzc, dir, kernel);
+        }
+    }
+
+    /// [`Self::forward_truncated`] with an explicit kernel choice.
+    #[doc(hidden)]
+    pub fn forward_truncated_with(
+        &self,
+        real: &[f64],
+        spec: &mut [Complex],
+        kmax: usize,
+        kernel: Kernel,
+    ) {
+        self.assert_shapes(real, spec);
+        let band = self.band(kmax);
+        // z axis: real-to-complex on contiguous rows, in parallel.
+        rows_forward(&self.row, real, spec, kernel);
+        self.strided_passes(spec, band, Dir::Forward, kernel);
+        // Whatever the skipped pencils were left holding, and the out-of-band
+        // ends of the pencils that ran, is outside the band: zero it.
+        if !band.keeps_all() {
+            spec.par_chunks_mut(band.nzc)
+                .enumerate()
+                .for_each(|(row, s)| s[band.kept_prefix(row)..].fill(Complex::ZERO));
+        }
+    }
+
+    /// [`Self::inverse_truncated`] with an explicit kernel choice.
+    #[doc(hidden)]
+    pub fn inverse_truncated_with(
+        &self,
+        spec: &mut [Complex],
+        real: &mut [f64],
+        kmax: usize,
+        kernel: Kernel,
+    ) {
+        self.assert_shapes(real, spec);
+        let band = self.band(kmax);
+        // Serial on purpose: the check must fail on the calling thread.
+        debug_assert!(
+            spec.chunks(band.nzc)
+                .enumerate()
+                .all(|(row, s)| s[band.kept_prefix(row)..]
+                    .iter()
+                    .all(|c| *c == Complex::ZERO)),
+            "spectrum is not zero outside the kmax = {kmax} band"
+        );
+        self.strided_passes(spec, band, Dir::Inverse, kernel);
         // z axis: complex-to-real rows; the x/y passes above skipped their
         // 1/(nx*ny) normalization, folded into the row repack here.
         let scale = 1.0 / (self.nx * self.ny) as f64;
