@@ -62,17 +62,35 @@ fn main() {
     );
     let sweep = scaling_sweep(&snap, &cfg, &measured_ranks);
     let t1 = sweep[0].elapsed_secs;
+    // The α–β model's prediction for the same run, calibrated to its
+    // single-rank time: one rank per core, so past the host's cores it
+    // keeps promising speedup the measurement cannot show.
+    let cube_points = cfg.cube_edge.pow(3);
+    let modeled = ClusterModel::calibrated(t1, cfg.num_hypercubes, cube_points).strong_scaling(
+        cfg.num_hypercubes,
+        cube_points,
+        cfg.num_samples,
+        &measured_ranks,
+    );
     let mut meas_rows = Vec::new();
-    for t in &sweep {
+    for (t, m) in sweep.iter().zip(&modeled) {
         meas_rows.push(vec![
             t.ranks.to_string(),
             fmt(t.elapsed_secs),
             fmt(t1 / t.elapsed_secs),
+            fmt(m.speedup),
             fmt(t1 / t.elapsed_secs / t.ranks as f64),
             fmt(t.imbalance()),
         ]);
     }
-    let meas_header = ["ranks", "secs", "speedup", "efficiency", "imbalance"];
+    let meas_header = [
+        "ranks",
+        "secs",
+        "speedup",
+        "modeled_speedup",
+        "efficiency",
+        "imbalance",
+    ];
     print_table(&meas_header, &meas_rows);
     write_csv("fig7_measured.csv", &meas_header, &meas_rows);
 

@@ -141,11 +141,15 @@ impl ClusterDistributions {
                 *s += p;
             }
         }
-        let pmfs = (0..k)
-            .map(|i| {
-                let row = counts[i * bins..(i + 1) * bins].to_vec();
-                Histogram::from_counts(template.lo, template.hi, row).pmf()
-            })
+        Self::from_counts(&template, &counts, sizes)
+    }
+
+    /// The PMFs of per-cluster bin counts (`k × bins`, row-major) over
+    /// `template`'s range; `sizes` counts every member, binned or not.
+    pub(crate) fn from_counts(template: &Histogram, counts: &[u64], sizes: Vec<usize>) -> Self {
+        let pmfs = counts
+            .chunks_exact(template.bins())
+            .map(|row| Histogram::from_counts(template.lo, template.hi, row.to_vec()).pmf())
             .collect();
         ClusterDistributions { pmfs, sizes }
     }

@@ -12,13 +12,18 @@ use rand::rngs::StdRng;
 use rand::seq::index::sample as uniform_sample;
 use rand::Rng;
 use rayon::prelude::*;
-use sickle_field::{Snapshot, SummaryStats, Tiling};
+use sickle_field::{Histogram, Snapshot, SummaryStats, Tiling};
+use sickle_simd::{bin_counts, minmax_finite};
 
 use crate::entropy::{
     adjacency_matrix, node_strengths, strength_weights, weighted_sample_without_replacement,
     ClusterDistributions,
 };
 use crate::kmeans::{KMeans, KMeansConfig};
+
+/// Cubes one thread summarises side by side in
+/// [`HypercubeSelector::cube_summaries`].
+const LOCKSTEP: usize = 4;
 
 /// Strategy for choosing which hypercubes to keep.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -55,19 +60,39 @@ impl HypercubeSelector {
     }
 
     /// Per-cube summary rows `[mean, std, min, max]` of `cluster_var`,
-    /// computed in parallel — the feature space the MaxEnt path clusters.
+    /// computed in parallel over cubes — the feature space the MaxEnt path
+    /// clusters.
+    ///
+    /// Each cube's points are pushed in cube order, as one serial
+    /// accumulator would. A push waits on a divide for the running mean, so
+    /// a thread steps [`LOCKSTEP`] cubes together: their chains are
+    /// independent and overlap. Every cube has the same shape, so its
+    /// points sit at the same offsets from its first point.
     pub fn cube_summaries(tiling: &Tiling, snap: &Snapshot, cluster_var: &str) -> Vec<f64> {
         let data = snap.expect_var(cluster_var);
         let grid = tiling.grid;
-        (0..tiling.len())
+        let ez = tiling.edges.2;
+        let first = |t: usize| {
+            let (x, y, z) = tiling.tile(t).origin;
+            grid.idx(x, y, z)
+        };
+        let runs: Vec<usize> = tiling.tile(0).runs(&grid).map(|r| r.start).collect();
+        (0..tiling.len().div_ceil(LOCKSTEP))
             .into_par_iter()
-            .flat_map_iter(|t| {
-                let cube = tiling.tile(t);
-                let mut s = SummaryStats::new();
-                for i in cube.point_indices(&grid) {
-                    s.push(data[i]);
+            .flat_map_iter(|g| {
+                let cubes = g * LOCKSTEP..((g + 1) * LOCKSTEP).min(tiling.len());
+                let shifts: Vec<usize> = cubes.map(|t| first(t) - first(0)).collect();
+                let mut stats = vec![SummaryStats::new(); shifts.len()];
+                for &start in &runs {
+                    for i in start..start + ez {
+                        for (s, &shift) in stats.iter_mut().zip(&shifts) {
+                            s.push(data[i + shift]);
+                        }
+                    }
                 }
-                [s.mean(), s.std(), s.min, s.max]
+                stats
+                    .into_iter()
+                    .flat_map(|s| [s.mean(), s.std(), s.min, s.max])
             })
             .collect()
     }
@@ -76,7 +101,6 @@ impl HypercubeSelector {
     ///
     /// # Panics
     /// Panics if `count > tiling.len()`.
-    #[allow(clippy::needless_range_loop)] // t indexes tiles and labels in lockstep
     pub fn select(
         &self,
         tiling: &Tiling,
@@ -118,17 +142,7 @@ impl HypercubeSelector {
                 // captures shape differences (e.g. a high-variance cube with
                 // zero mean) that cube-level summaries alone would miss.
                 let data = snap.expect_var(cluster_var);
-                let grid = tiling.grid;
-                let mut point_values: Vec<f64> = Vec::new();
-                let mut point_labels: Vec<usize> = Vec::new();
-                for t in 0..total {
-                    for i in tiling.tile(t).point_indices(&grid) {
-                        point_values.push(data[i]);
-                        point_labels.push(labels[t]);
-                    }
-                }
-                let dists =
-                    ClusterDistributions::estimate(&point_values, &point_labels, km.k, bins);
+                let dists = tile_distributions(tiling, data, &labels, km.k, bins);
                 let strengths = node_strengths(&adjacency_matrix(&dists));
                 let cluster_w = strength_weights(&strengths, temperature);
                 // Cube weight: its cluster's weight shared across member
@@ -146,6 +160,66 @@ impl HypercubeSelector {
             }
         }
     }
+}
+
+/// Per-cluster PDFs of `data` over every point of every tile, each tile's
+/// points pooled into its cluster `labels[t]`: what
+/// [`ClusterDistributions::estimate`] makes of the tiles' points gathered
+/// into one list, without that snapshot-sized gather. Two passes, each
+/// parallel over tiles: the finite value range, then each tile's bin counts,
+/// summed into its cluster's. A pass copies one tile's contiguous `z`-runs
+/// into a per-thread buffer (32 KB for 16³) and makes one kernel call on
+/// it. Finite min/max and integer counts do not depend on the order they are
+/// taken in, so the result is bit-identical to the estimate over the
+/// gathered points. (Only the sign of a zero range end can differ, and no
+/// bin or PMF depends on it.) Points outside every tile are in neither pass.
+fn tile_distributions(
+    tiling: &Tiling,
+    data: &[f64],
+    labels: &[usize],
+    k: usize,
+    bins: usize,
+) -> ClusterDistributions {
+    let fill = |values: &mut Vec<f64>, t: usize| {
+        values.clear();
+        for run in tiling.tile(t).runs(&tiling.grid) {
+            values.extend_from_slice(&data[run]);
+        }
+    };
+    let mut ranges = vec![None; tiling.len()];
+    ranges
+        .par_iter_mut()
+        .enumerate()
+        .for_each_init(Vec::new, |values, (t, range)| {
+            fill(values, t);
+            *range = minmax_finite(values);
+        });
+    let (lo, hi) = ranges
+        .into_iter()
+        .flatten()
+        .reduce(|(lo, hi), (a, b)| (lo.min(a), hi.max(b)))
+        .unwrap_or((0.0, 1.0));
+    let template = Histogram::new(lo, hi, bins);
+    // Row `t` holds tile `t`'s bin counts; its slot `bins` takes the tile's
+    // non-finite values, members of the cluster in no bin.
+    let mut tile_counts = vec![0u64; tiling.len() * (bins + 1)];
+    tile_counts
+        .par_chunks_mut(bins + 1)
+        .enumerate()
+        .for_each_init(Vec::new, |values, (t, counts)| {
+            fill(values, t);
+            bin_counts(values, template.lo, template.hi, bins, counts);
+        });
+    let (ex, ey, ez) = tiling.edges;
+    let mut counts = vec![0u64; k * bins];
+    let mut sizes = vec![0usize; k];
+    for (tile, &l) in tile_counts.chunks_exact(bins + 1).zip(labels) {
+        sizes[l] += ex * ey * ez;
+        for (c, &n) in counts[l * bins..(l + 1) * bins].iter_mut().zip(tile) {
+            *c += n;
+        }
+    }
+    ClusterDistributions::from_counts(&template, &counts, sizes)
 }
 
 #[cfg(test)]
@@ -244,5 +318,131 @@ mod tests {
     fn names_match_config_strings() {
         assert_eq!(HypercubeSelector::Random.name(), "random");
         assert_eq!(HypercubeSelector::maxent_default().name(), "maxent");
+    }
+
+    /// Phase 1's PDFs as computed before the tile-run passes, kept as their
+    /// reference: every tile's points gathered, in tile order, beside their
+    /// tile's label, then one estimate.
+    #[allow(clippy::needless_range_loop)] // t indexes tiles and labels in lockstep
+    fn gathered_distributions(
+        tiling: &Tiling,
+        data: &[f64],
+        labels: &[usize],
+        k: usize,
+        bins: usize,
+        kernel: sickle_simd::Kernel,
+    ) -> ClusterDistributions {
+        let grid = tiling.grid;
+        let mut point_values: Vec<f64> = Vec::new();
+        let mut point_labels: Vec<usize> = Vec::new();
+        for t in 0..tiling.len() {
+            for i in tiling.tile(t).point_indices(&grid) {
+                point_values.push(data[i]);
+                point_labels.push(labels[t]);
+            }
+        }
+        ClusterDistributions::estimate_with(&point_values, &point_labels, k, bins, kernel)
+    }
+
+    /// Field values in one of five flavours: continuous; laced with NaN,
+    /// ±inf and signed zeros; constant; no finite value at all; continuous
+    /// with extremes planted only where no tile reaches.
+    fn field(flavour: usize, grid: Grid3, tiling: &Tiling, rng: &mut StdRng) -> Vec<f64> {
+        let (cx, cy, cz) = tiling.counts;
+        let (ex, ey, ez) = tiling.edges;
+        (0..grid.len())
+            .map(|i| match flavour {
+                1 => match rng.gen_range(0..10) {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => 0.0,
+                    4 => -0.0,
+                    _ => rng.gen_range(-5.0..5.0),
+                },
+                2 => 0.25,
+                3 => [f64::NAN, f64::INFINITY][i % 2],
+                4 => {
+                    let (x, y, z) = grid.coords(i);
+                    if x >= cx * ex || y >= cy * ey || z >= cz * ez {
+                        [1e9, -1e9][i % 2]
+                    } else {
+                        rng.gen_range(-1.0..1.0)
+                    }
+                }
+                _ => rng.gen_range(-1.0..1.0),
+            })
+            .collect()
+    }
+
+    /// Bit patterns, every NaN mapped to one: Rust leaves a NaN result's
+    /// sign and payload unspecified, so two compilations of one formula may
+    /// differ there and nowhere else.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter()
+            .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Binning the tiles' `z`-runs ≡ gathering their points and
+        /// estimating: bitwise-equal sizes and PMFs against the reference
+        /// under both kernels, on grids that tile exactly and grids that
+        /// leave trailing points, for every field flavour.
+        #[test]
+        fn tile_runs_match_the_gathered_estimate(
+            ((nx, ny, nz), (ex, ey, ez), k, bins, (seed, flavour)) in (
+                (1usize..=13, 1usize..=13, 1usize..=13),
+                (1usize..=6, 1usize..=6, 1usize..=6),
+                1usize..=5,
+                1usize..=100,
+                (0u64..1 << 40, 0usize..5),
+            )
+        ) {
+            let grid = Grid3::new(nx, ny, nz, 1.0, 1.0, 1.0);
+            let tiling = Tiling::new(grid, (ex.min(nx), ey.min(ny), ez.min(nz)));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let data = field(flavour, grid, &tiling, &mut rng);
+            let labels: Vec<usize> = (0..tiling.len()).map(|_| rng.gen_range(0..k)).collect();
+            let got = tile_distributions(&tiling, &data, &labels, k, bins);
+            for kernel in [sickle_simd::Kernel::Naive, sickle_simd::Kernel::Optimized] {
+                let want = gathered_distributions(&tiling, &data, &labels, k, bins, kernel);
+                proptest::prop_assert_eq!(&got.sizes, &want.sizes);
+                for (p, q) in got.pmfs.iter().zip(&want.pmfs) {
+                    proptest::prop_assert_eq!(bits(p), bits(q));
+                }
+                proptest::prop_assert_eq!(got.pmfs.len(), want.pmfs.len());
+            }
+        }
+
+        /// Summarising cubes in lockstep ≡ one accumulator per cube over
+        /// its point indices, bit for bit, whatever the cube count's
+        /// remainder by `LOCKSTEP`.
+        #[test]
+        fn lockstep_summaries_match_one_cube_at_a_time(
+            ((nx, ny, nz), (ex, ey, ez), (seed, flavour)) in (
+                (1usize..=13, 1usize..=13, 1usize..=13),
+                (1usize..=6, 1usize..=6, 1usize..=6),
+                (0u64..1 << 40, 0usize..5),
+            )
+        ) {
+            let grid = Grid3::new(nx, ny, nz, 1.0, 1.0, 1.0);
+            let tiling = Tiling::new(grid, (ex.min(nx), ey.min(ny), ez.min(nz)));
+            let data = field(flavour, grid, &tiling, &mut StdRng::seed_from_u64(seed));
+            let want: Vec<f64> = (0..tiling.len())
+                .flat_map(|t| {
+                    let mut s = SummaryStats::new();
+                    for i in tiling.tile(t).point_indices(&grid) {
+                        s.push(data[i]);
+                    }
+                    [s.mean(), s.std(), s.min, s.max]
+                })
+                .collect();
+            let snap = Snapshot::new(grid, 0.0).with_var("q", data);
+            let got = HypercubeSelector::cube_summaries(&tiling, &snap, "q");
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 }

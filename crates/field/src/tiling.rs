@@ -36,17 +36,25 @@ impl Hypercube {
 
     /// Flat grid indices of every point in the cube, in row-major cube order.
     pub fn point_indices(&self, grid: &Grid3) -> Vec<usize> {
-        let (x0, y0, z0) = self.origin;
-        let (ex, ey, ez) = self.edges;
         let mut out = Vec::with_capacity(self.len());
-        for dx in 0..ex {
-            for dy in 0..ey {
-                for dz in 0..ez {
-                    out.push(grid.idx(x0 + dx, y0 + dy, z0 + dz));
-                }
-            }
+        for run in self.runs(grid) {
+            out.extend(run);
         }
         out
+    }
+
+    /// The cube as flat index ranges of `grid`, one per `(x, y)` column: `z`
+    /// is contiguous in memory, so each is a plain slice of a variable.
+    /// Concatenated in order they are [`Self::point_indices`].
+    pub fn runs<'g>(&self, grid: &'g Grid3) -> impl Iterator<Item = std::ops::Range<usize>> + 'g {
+        let (x0, y0, z0) = self.origin;
+        let (ex, ey, ez) = self.edges;
+        (x0..x0 + ex)
+            .flat_map(move |x| (y0..y0 + ey).map(move |y| (x, y)))
+            .map(move |(x, y)| {
+                let start = grid.idx(x, y, z0);
+                start..start + ez
+            })
     }
 }
 
@@ -185,6 +193,23 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s), "tiling must cover every point");
+    }
+
+    #[test]
+    fn runs_are_the_cube_columns_in_order() {
+        let g = Grid3::new(10, 9, 12, 1.0, 1.0, 1.0);
+        let t = Tiling::new(g, (3, 4, 5));
+        for cube in t.tiles() {
+            let (x0, y0, z0) = cube.origin;
+            let want: Vec<_> = (0..3)
+                .flat_map(|dx| (0..4).map(move |dy| (dx, dy)))
+                .map(|(dx, dy)| {
+                    let start = g.idx(x0 + dx, y0 + dy, z0);
+                    start..start + 5
+                })
+                .collect();
+            assert_eq!(cube.runs(&g).collect::<Vec<_>>(), want);
+        }
     }
 
     #[test]

@@ -24,6 +24,9 @@
 //!    one branch-free scalar formula each, compiled for the baseline target
 //!    and again under AVX2, the two builds bit-identical by construction
 //!    (see `math.rs`).
+//! 5. **[`nearest_centroid`]** — k-means' assignment step: one branch-free
+//!    blocked search compiled the same two ways, returning exactly the
+//!    serial search's labels and distances (see `nearest.rs`).
 //!
 //! `Kernel::Optimized` is always safe to select: each optimized kernel
 //! carries a portable fallback used when the CPU lacks AVX2+FMA, so the
@@ -33,8 +36,10 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 mod math;
+mod nearest;
 
 pub use math::{exp, tanh};
+pub use nearest::{nearest_centroid, nearest_centroid_with};
 
 /// Which implementation family the workspace kernels dispatch to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
