@@ -10,7 +10,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sickle_bench::{fmt, print_table, workloads, write_csv};
+use sickle_bench::cases::DatasetSpec;
+use sickle_bench::{fmt, print_table, write_csv};
 use sickle_core::samplers::{FullSampler, MaxEntSampler, PointSampler, RandomSampler};
 use sickle_core::UipsSampler;
 use sickle_field::Tiling;
@@ -21,9 +22,9 @@ fn main() {
         "fig1",
         "== Fig. 1/3: OF2D sampling comparison (10% budget) =="
     );
-    let data = workloads::of2d_small();
+    let data = DatasetSpec::Of2d.build();
     // Use the paper's snapshot 97-style late snapshot (fully developed wake).
-    let snap = &data.dataset.snapshots[data.dataset.num_snapshots() - 3];
+    let snap = &data.snapshots[data.num_snapshots() - 3];
     let grid = snap.grid;
     // Whole-domain extraction: one "tile" covering everything (Fig. 1 uses
     // full-field sampling, not hypercubes).

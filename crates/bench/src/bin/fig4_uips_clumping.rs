@@ -8,7 +8,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sickle_bench::{fmt, print_table, workloads, write_csv};
+use sickle_bench::cases::DatasetSpec;
+use sickle_bench::{fmt, print_table, write_csv};
 use sickle_core::metrics::spatial_cov;
 use sickle_core::samplers::{PointSampler, RandomSampler};
 use sickle_core::uips::phase_space_cov;
@@ -49,8 +50,8 @@ fn main() {
         "fig4",
         "== Fig. 4: UIPS coverage — TC2D (left) vs SST-P1F4 (right) =="
     );
-    let tc2d = workloads::tc2d_small(1);
-    let sst = workloads::sst_p1f4_small();
+    let tc2d = DatasetSpec::Tc2d { seed: 1 }.build();
+    let sst = DatasetSpec::SST_P1F4_TABLE.build();
     let mut rows = run_case("TC2D", &tc2d, &["C", "Cvar"]);
     rows.extend(run_case("SST-P1F4", &sst, &["u", "v", "w", "r"]));
     let header = vec!["dataset", "method", "features", "phase_cov", "spatial_cov"];

@@ -8,7 +8,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sickle_bench::{fmt, mean_std, print_table, workloads, write_csv};
+use sickle_bench::cases::DatasetSpec;
+use sickle_bench::{fmt, mean_std, print_table, write_csv};
 use sickle_core::metrics::{pdf_reports, wasserstein_reports};
 use sickle_core::samplers::{MaxEntSampler, PointSampler, RandomSampler, StratifiedSampler};
 use sickle_core::UipsSampler;
@@ -76,10 +77,10 @@ fn main() {
         "fig5",
         "== Fig. 5: PDF fidelity of subsampling methods (10%, {BINS} bins) =="
     );
-    let of2d = workloads::of2d_small();
-    let sst = workloads::sst_p1f4_small();
-    let gests = workloads::gests_small();
-    let mut rows = run_case("OF2D", &of2d.dataset, &["u", "v"], "wz");
+    let of2d = DatasetSpec::Of2d.build();
+    let sst = DatasetSpec::SST_P1F4_TABLE.build();
+    let gests = DatasetSpec::GESTS_TABLE.build();
+    let mut rows = run_case("OF2D", &of2d, &["u", "v"], "wz");
     rows.extend(run_case("SST-P1F4", &sst, &["u", "v", "w", "r"], "pv"));
     rows.extend(run_case("GESTS", &gests, &["u", "v", "w", "eps"], "omega"));
     let header = vec![

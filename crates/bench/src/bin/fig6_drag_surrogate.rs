@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use sickle_bench::{fmt, mean_std, print_table, workloads, write_csv};
+use sickle_bench::{cases, fmt, mean_std, print_table, write_csv};
 use sickle_core::samplers::{MaxEntSampler, PointSampler, RandomSampler};
 use sickle_energy::MachineModel;
 use sickle_field::{FeatureMatrix, SampleSet, Tiling};
@@ -99,7 +99,7 @@ fn main() {
         "fig6",
         "== Fig. 6: OF2D drag surrogate — MaxEnt vs random probes, 5 seeds =="
     );
-    let data = workloads::of2d_small();
+    let data = cases::of2d();
     let header = vec!["method", "num_samples", "test_loss_mean", "test_loss_std"];
     let mut rows = Vec::new();
     let mut raw_rows = Vec::new();

@@ -12,7 +12,8 @@
 //! Expected shape: SST-P1F100 quasi-linear to ~64 ranks then a knee,
 //! reaching O(150–200)× at 512; SST-P1F4 plateaus near 10× by 32 ranks.
 
-use sickle_bench::{fmt, print_table, workloads, write_csv};
+use sickle_bench::cases::{sampling_config, DatasetSpec};
+use sickle_bench::{fmt, print_table, write_csv};
 use sickle_core::pipeline::{CubeMethod, PointMethod};
 use sickle_hpc::executor::{run_resilient, scaling_sweep, RetryPolicy};
 use sickle_hpc::fault::{FaultInjector, FaultPlan};
@@ -42,9 +43,9 @@ fn main() {
     let all_ranks: Vec<usize> = (0..10).map(|i| 1usize << i).collect();
 
     // --- Measured stage on a real snapshot. ---
-    let sst = workloads::sst_p1f4_small();
+    let sst = DatasetSpec::SST_P1F4_TABLE.build();
     let snap = sst.snapshots.last().unwrap().clone();
-    let cfg = workloads::sampling_config(
+    let cfg = sampling_config(
         &sst,
         CubeMethod::Random,
         PointMethod::MaxEnt {

@@ -3,7 +3,9 @@
 //! GESTS — the paper's headline efficiency result (lower-left is optimal;
 //! MaxEnt ≈ 38× less energy than full on SST-P1F4).
 //!
-//! Pipeline per case, mirroring the paper's Slurm script:
+//! The five configurations are the built-in cases (`configs/SST/P1/*.json`),
+//! each re-targeted at the three datasets and run through
+//! `sickle_bench::cases::run_case`, mirroring the paper's Slurm script:
 //! `subsample` (phase 1 + 2) → `train` (MLP-Transformer for sampled data,
 //! CNN-Transformer for dense `Xfull` cubes) → sum CPU sampling energy and
 //! accelerator training energy.
@@ -13,83 +15,9 @@
 //! quadratic-attention training cost — the term the paper's 32³ cap fights
 //! — dominates the gap.
 
-use sickle_bench::{fmt, print_table, sampling_energy, workloads, write_csv};
-use sickle_core::pipeline::{run_dataset, PointMethod};
-use sickle_energy::MachineModel;
-use sickle_field::{Dataset, SampleSet};
-use sickle_train::data::{dense_cube_data, reconstruction_data};
-use sickle_train::models::TokenTransformer;
-use sickle_train::trainer::{train, TrainConfig};
-
-const CUBE_EDGE: usize = 16;
-const NUM_CUBES: usize = 8;
-const SAMPLED_TOKENS: usize = 64;
-const FULL_PATCH: usize = 2;
-const EPOCHS: usize = 25;
-
-fn run_case(
-    dataset: &Dataset,
-    case: &str,
-    h: sickle_core::pipeline::CubeMethod,
-    x: PointMethod,
-    seed: u64,
-) -> (f64, f64, f64) {
-    let cfg = workloads::sampling_config(dataset, h, x, CUBE_EDGE, NUM_CUBES, seed);
-    let out = run_dataset(dataset, &cfg);
-    let e_sample = sampling_energy(&out.stats, &cfg);
-    let sets: Vec<SampleSet> = out.sets.iter().flatten().cloned().collect();
-    let target = dataset.meta.output_vars[0].clone();
-
-    let (mut tensor, mut model) = if matches!(x, PointMethod::Full) {
-        let t = dense_cube_data(
-            &sets,
-            &dataset.snapshots,
-            CUBE_EDGE,
-            &dataset.meta.input_vars,
-            &target,
-            FULL_PATCH,
-        );
-        let m = TokenTransformer::cnn_transformer(
-            t.tokens,
-            t.features,
-            32,
-            1,
-            t.tokens * (t.outputs / t.tokens),
-            seed,
-        );
-        (t, m)
-    } else {
-        let t = reconstruction_data(
-            &sets,
-            &dataset.snapshots,
-            CUBE_EDGE,
-            &target,
-            SAMPLED_TOKENS,
-        );
-        let m = TokenTransformer::mlp_transformer(t.tokens, t.features, 32, 1, t.outputs, seed);
-        (t, m)
-    };
-    tensor.standardize();
-    let tcfg = TrainConfig {
-        epochs: EPOCHS,
-        batch: 4,
-        lr: 1e-3,
-        patience: 20,
-        test_frac: 0.15,
-        seed,
-        ..Default::default()
-    };
-    let res = train(&mut model, &tensor, &tcfg, MachineModel::frontier_gcd());
-    let total_kj = (e_sample.total_joules() + res.energy.total_joules()) / 1e3;
-    println!(
-        "    {case:<18} loss {:.4}  sampling {:.3} kJ + training {:.3} kJ = {:.3} kJ",
-        res.best_test,
-        e_sample.total_kilojoules(),
-        res.energy.total_kilojoules(),
-        total_kj
-    );
-    (res.best_test as f64, e_sample.total_kilojoules(), total_kj)
-}
+use sickle_bench::cases::{builtin_cases, run_case, DatasetSpec};
+use sickle_bench::{fmt, print_table, write_csv};
+use sickle_core::pipeline::{CubeMethod, PointMethod};
 
 fn main() {
     let _obs = sickle_bench::obs_init();
@@ -97,32 +25,41 @@ fn main() {
         "fig8",
         "== Fig. 8: training loss vs energy (lower-left optimal) =="
     );
-    let datasets: Vec<(&str, Dataset)> = vec![
-        ("SST-P1F4", workloads::sst_p1f4_medium()),
-        ("SST-P1F100", workloads::sst_p1f100_medium()),
-        ("GESTS", workloads::gests_medium()),
-    ];
     let header = vec!["dataset", "case", "test_loss", "sampling_kJ", "total_kJ"];
     let mut rows = Vec::new();
-    for (label, dataset) in &datasets {
+    for spec in [
+        DatasetSpec::SST_P1F4_FIGURE,
+        DatasetSpec::SST_P1F100_FIGURE,
+        DatasetSpec::GESTS_FIGURE,
+    ] {
+        let dataset = spec.build();
+        let label = &dataset.meta.label;
         println!("  {label}:");
         let mut full_kj = 0.0;
         let mut maxent_kj = 0.0;
-        for (case, h, x) in workloads::fig8_cases() {
-            let (loss, skj, tkj) = run_case(dataset, case, h, x, 8);
-            sickle_bench::require_finite(
-                &format!("fig8 {label} {case}"),
-                &[("test_loss", loss), ("sampling_kJ", skj), ("total_kJ", tkj)],
+        for case in builtin_cases() {
+            let case = case.retarget(spec, &dataset);
+            let run = run_case(&dataset, &case, 1);
+            let (loss, skj, tkj) = (
+                run.train.best_test as f64,
+                run.sampling.total_kilojoules(),
+                run.total_kj(),
             );
-            if case == "Hrandom-Xfull" {
-                full_kj = tkj;
-            }
-            if case == "Hmaxent-Xmaxent" {
-                maxent_kj = tkj;
+            // The figure names a case without its cube edge.
+            let name = case.name.rsplit_once('-').map_or(&*case.name, |(hx, _)| hx);
+            println!(
+                "    {name:<18} loss {:.4}  sampling {skj:.3} kJ + training {:.3} kJ = {tkj:.3} kJ",
+                run.train.best_test,
+                run.train.energy.total_kilojoules(),
+            );
+            match (case.subsample.hypercubes, case.subsample.method) {
+                (_, PointMethod::Full) => full_kj = tkj,
+                (CubeMethod::MaxEnt, PointMethod::MaxEnt { .. }) => maxent_kj = tkj,
+                _ => {}
             }
             rows.push(vec![
-                label.to_string(),
-                case.to_string(),
+                label.clone(),
+                name.to_string(),
                 fmt(loss),
                 fmt(skj),
                 fmt(tkj),

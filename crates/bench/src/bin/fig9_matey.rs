@@ -15,14 +15,14 @@
 //! (0.262 @ 514 kJ), uniform clearly worse (0.295 @ 495 kJ).
 
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use sickle_bench::{fmt, print_table, workloads, write_csv};
+use sickle_bench::cases::{train_model, Arch, DatasetSpec, TrainSpec};
+use sickle_bench::{fmt, print_table, write_csv};
 use sickle_core::hypercube::HypercubeSelector;
 use sickle_energy::{EnergyMeter, MachineModel};
-use sickle_field::{SampleSet, Tiling};
+use sickle_field::{Dataset, SampleSet, Tiling};
 use sickle_train::data::dense_cube_data;
-use sickle_train::models::{MateyMini, Model};
-use sickle_train::trainer::{train, TrainConfig};
 
 const CUBE_EDGE: usize = 8;
 const PATCH: usize = 2;
@@ -41,26 +41,63 @@ fn full_cube_set(
     SampleSet::new(features, indices, snap.time, snap_idx).with_hypercube(cube)
 }
 
+/// Curates `keep` (snapshot, cube) pairs from every snapshot but the last
+/// (the validation snapshot) by one strategy. MaxEnt's cube scoring scans
+/// each training snapshot once, which `meter` records.
+fn curate(
+    strategy: &str,
+    dataset: &Dataset,
+    tiling: &Tiling,
+    keep: usize,
+    meter: &EnergyMeter,
+) -> Vec<(usize, usize)> {
+    let n_train = dataset.num_snapshots() - 1;
+    let pool: Vec<(usize, usize)> = (0..n_train)
+        .flat_map(|s| (0..tiling.len()).map(move |c| (s, c)))
+        .collect();
+    match strategy {
+        "uniform" => (0..keep).map(|i| pool[i * pool.len() / keep]).collect(),
+        "random" => {
+            let mut rng = StdRng::seed_from_u64(9);
+            let mut pool = pool;
+            pool.shuffle(&mut rng);
+            pool.truncate(keep);
+            pool
+        }
+        _ => {
+            // MaxEnt cube scoring per snapshot; keep/snapshots cubes each.
+            let per_snap = (keep / n_train).max(1);
+            let selector = HypercubeSelector::maxent_default();
+            let mut out = Vec::new();
+            for s in 0..n_train {
+                let mut rng = StdRng::seed_from_u64(9 ^ s as u64);
+                let ids = selector.select(tiling, &dataset.snapshots[s], "pv", per_snap, &mut rng);
+                out.extend(ids.into_iter().map(|c| (s, c)));
+                meter.record_bytes(dataset.grid().len() as u64 * 8);
+                meter.record_flops(dataset.grid().len() as u64 * 8);
+            }
+            out.truncate(keep);
+            out
+        }
+    }
+}
+
 fn main() {
     let _obs = sickle_bench::obs_init();
     sickle_obs::info!(
         "fig9",
         "== Fig. 9: MATEY-mini on SST-P1F4, 10% sampling rate =="
     );
-    let dataset = workloads::sst_p1f4_small();
+    let dataset = DatasetSpec::SST_P1F4_TABLE.build();
     let n_snap = dataset.num_snapshots();
     let tiling = Tiling::cubic(dataset.grid(), CUBE_EDGE);
     let cubes_per_snap = tiling.len();
-    let train_pool: Vec<(usize, usize)> = (0..n_snap - 1)
-        .flat_map(|s| (0..cubes_per_snap).map(move |c| (s, c)))
-        .collect();
-    let keep = ((train_pool.len() as f64 * KEEP_FRAC).round() as usize).max(4);
+    let pool_len = (n_snap - 1) * cubes_per_snap;
+    let keep = ((pool_len as f64 * KEEP_FRAC).round() as usize).max(4);
     sickle_obs::info!(
         "fig9",
-        "pool: {} cubes over {} snapshots; keeping {} (10%); validating on snapshot {}",
-        train_pool.len(),
+        "pool: {pool_len} cubes over {} snapshots; keeping {keep} (10%); validating on snapshot {}",
         n_snap - 1,
-        keep,
         n_snap - 1
     );
 
@@ -69,7 +106,6 @@ fn main() {
     // spatially co-located near-duplicates for free).
     let val_snap = &dataset.snapshots[n_snap - 1];
     let val_cubes: Vec<usize> = {
-        use rand::seq::SliceRandom;
         let mut rng = StdRng::seed_from_u64(777);
         let mut ids: Vec<usize> = (0..cubes_per_snap).collect();
         ids.shuffle(&mut rng);
@@ -80,7 +116,7 @@ fn main() {
         .iter()
         .map(|&c| full_cube_set(n_snap - 1, val_snap, &tiling, c))
         .collect();
-    let mut val_tensor = dense_cube_data(
+    let val_tensor = dense_cube_data(
         &val_sets,
         &dataset.snapshots,
         CUBE_EDGE,
@@ -88,43 +124,23 @@ fn main() {
         "p",
         PATCH,
     );
+    let spec = TrainSpec {
+        arch: Arch::Matey,
+        epochs: EPOCHS,
+        batch: 4,
+        test_frac: 0.1,
+        target: Some("p".into()),
+        tokens: 64,
+        patch: PATCH,
+        dim: 32,
+    };
 
     let header = vec!["sampling", "val_loss", "energy_kJ"];
     let mut rows = Vec::new();
     for name in ["uniform", "random", "maxent"] {
-        // --- Curation: pick `keep` (snapshot, cube) pairs. ---
         let sample_meter = EnergyMeter::new(MachineModel::frontier_cpu_rank());
-        let picked: Vec<(usize, usize)> = match name {
-            "uniform" => (0..keep)
-                .map(|i| train_pool[i * train_pool.len() / keep])
-                .collect(),
-            "random" => {
-                use rand::seq::SliceRandom;
-                let mut rng = StdRng::seed_from_u64(9);
-                let mut pool = train_pool.clone();
-                pool.shuffle(&mut rng);
-                pool.truncate(keep);
-                pool
-            }
-            _ => {
-                // MaxEnt cube scoring per snapshot; keep/snapshots cubes each.
-                let per_snap = (keep / (n_snap - 1)).max(1);
-                let selector = HypercubeSelector::maxent_default();
-                let mut out = Vec::new();
-                for s in 0..n_snap - 1 {
-                    let mut rng = StdRng::seed_from_u64(9 ^ s as u64);
-                    let ids =
-                        selector.select(&tiling, &dataset.snapshots[s], "pv", per_snap, &mut rng);
-                    out.extend(ids.into_iter().map(|c| (s, c)));
-                    // Cube scoring scans the snapshot once.
-                    sample_meter.record_bytes(dataset.grid().len() as u64 * 8);
-                    sample_meter.record_flops(dataset.grid().len() as u64 * 8);
-                }
-                out.truncate(keep);
-                out
-            }
-        };
-        // Cheap strategies still read the data once to slice cubes out.
+        let picked = curate(name, &dataset, &tiling, keep, &sample_meter);
+        // Every strategy reads its cubes once to slice them out.
         sample_meter.record_bytes((keep * tiling.tile(0).len() * 4 * 8) as u64);
 
         // --- Training tensors from the curated cubes. ---
@@ -147,24 +163,7 @@ fn main() {
         let mut val = val_tensor.clone();
         scaler.apply(&mut val);
 
-        let mut model = MateyMini::new(
-            tensor.tokens,
-            tensor.features,
-            32,
-            1,
-            tensor.outputs,
-            0.25,
-            9,
-        );
-        let tcfg = TrainConfig {
-            epochs: EPOCHS,
-            batch: 4,
-            lr: 1e-3,
-            test_frac: 0.1,
-            seed: 9,
-            ..Default::default()
-        };
-        let res = train(&mut model, &tensor, &tcfg, MachineModel::frontier_gcd());
+        let (res, model) = train_model(&spec, &tensor, 9, 1);
         let val_loss = model.eval_loss(&val.full_batch());
         sickle_bench::require_finite(
             &format!("fig9 {name}"),
@@ -188,5 +187,4 @@ fn main() {
         "fig9",
         "ahead), uniform clearly worse; energies within ~10% of each other."
     );
-    let _ = &mut val_tensor;
 }

@@ -6,16 +6,12 @@
 //! subsample --list                                      # list built-in cases
 //! ```
 //!
-//! Regenerates the case's dataset, runs the two-phase sampling pipeline,
-//! writes one `.skls` file per (snapshot, hypercube), and prints the energy
-//! block (`CPU Energy`, `Total Energy Consumed`, `Elapsed Time`) the
-//! artifact's analysis instructions grep for.
+//! Regenerates the case's dataset, runs the case's sampling half
+//! (`cases::sample_case`), writes one `.skls` file per (snapshot,
+//! hypercube), and prints the energy block (`CPU Energy`, `Total Energy
+//! Consumed`, `Elapsed Time`) the artifact's analysis instructions grep for.
 
-use sickle_bench::{
-    cases::{builtin_cases, CaseConfig},
-    sampling_energy,
-};
-use sickle_core::pipeline::run_dataset;
+use sickle_bench::cases::{builtin_cases, case_from_args, sample_case};
 use sickle_field::io::encode_sample_set;
 use std::path::PathBuf;
 
@@ -29,32 +25,16 @@ fn usage() -> ! {
 fn main() {
     let _obs = sickle_bench::obs_init();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    if args[0] == "--list" {
+    if args.first().is_some_and(|a| a == "--list") {
         for c in builtin_cases() {
             println!("{}", c.name);
         }
         return;
     }
-    let (case, rest) = if args[0] == "--builtin" {
-        let name = args.get(1).cloned().unwrap_or_else(|| usage());
-        let case = builtin_cases()
-            .into_iter()
-            .find(|c| c.name == name)
-            .unwrap_or_else(|| {
-                eprintln!("unknown builtin case '{name}' (try --list)");
-                std::process::exit(2);
-            });
-        (case, &args[2..])
-    } else {
-        let case = CaseConfig::load(&PathBuf::from(&args[0])).unwrap_or_else(|e| {
-            eprintln!("failed to load {}: {e}", args[0]);
-            std::process::exit(2);
-        });
-        (case, &args[1..])
-    };
+    let (case, rest) = case_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
     let mut output_dir = PathBuf::from("snapshots");
     let mut it = rest.iter();
     while let Some(a) = it.next() {
@@ -84,7 +64,7 @@ fn main() {
     );
 
     sickle_obs::info!("subsample", "sampling...");
-    let out = run_dataset(&dataset, &case.subsample);
+    let (out, report) = sample_case(&dataset, &case);
     std::fs::create_dir_all(&output_dir).expect("create output dir");
     let mut bytes_written = 0usize;
     for (si, sets) in out.sets.iter().enumerate() {
@@ -109,7 +89,6 @@ fn main() {
         bytes_written,
         output_dir.display()
     );
-    let report = sampling_energy(&out.stats, &case.subsample);
     println!("CPU Energy: {:.6} kJ", report.total_kilojoules());
     println!("{}", report.log_lines());
 }

@@ -2,7 +2,8 @@
 //! grid, snapshots, size, cluster variable, inputs, outputs) at
 //! reproduction scale.
 
-use sickle_bench::{print_table, workloads, write_csv};
+use sickle_bench::cases::DatasetSpec;
+use sickle_bench::{print_table, write_csv};
 use sickle_cfd::datasets::table_row;
 
 fn main() {
@@ -11,14 +12,14 @@ fn main() {
         "table1",
         "== Table 1: datasets used in the study (reproduction scale) =="
     );
-    let of2d = workloads::of2d_small();
     let datasets = [
-        workloads::tc2d_small(0),
-        of2d.dataset,
-        workloads::sst_p1f4_small(),
-        workloads::sst_p1f100_small(),
-        workloads::gests_small(),
-    ];
+        DatasetSpec::Tc2d { seed: 0 },
+        DatasetSpec::Of2d,
+        DatasetSpec::SST_P1F4_TABLE,
+        DatasetSpec::SST_P1F100_TABLE,
+        DatasetSpec::GESTS_TABLE,
+    ]
+    .map(|spec| spec.build());
     let header = vec![
         "Label",
         "Description",

@@ -11,7 +11,7 @@
 //! `sample.*`, `hpc.*`, `cfd.*`, and `train.*`. CI pipes the result into
 //! `trace_validate`.
 
-use sickle_bench::workloads;
+use sickle_bench::cases::{sampling_config, DatasetSpec};
 use sickle_cfd::spectral::{SpectralConfig, SpectralSolver};
 use sickle_core::pipeline::{run_dataset, CubeMethod, PointMethod};
 use sickle_hpc::executor::run_with_ranks;
@@ -23,8 +23,8 @@ fn main() {
     let _obs = sickle_bench::obs_init();
 
     // Sampling pipeline (sample.* spans, rayon phase-2 workers).
-    let sst = workloads::sst_p1f4_small();
-    let cfg = workloads::sampling_config(
+    let sst = DatasetSpec::SST_P1F4_TABLE.build();
+    let cfg = sampling_config(
         &sst,
         CubeMethod::MaxEnt,
         PointMethod::MaxEnt {

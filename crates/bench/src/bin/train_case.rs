@@ -5,20 +5,14 @@
 //! train_case --builtin <case-name> [--ranks N]
 //! ```
 //!
-//! Regenerates the case's dataset, reruns its sampling phase (the pipeline
-//! is deterministic, so this matches whatever `subsample` wrote), builds
-//! the architecture the config names, trains — with the thread-DDP
-//! analogue when `--ranks > 1` — and prints the `Evaluation on test set`
-//! and `Total Energy Consumed` lines the artifact's analysis greps.
+//! Regenerates the case's dataset and runs the case (`cases::run_case`):
+//! its sampling phase (the pipeline is deterministic, so this matches
+//! whatever `subsample` wrote), the architecture the config names, and
+//! training — with the thread-DDP analogue when `--ranks > 1` — then prints
+//! the `Evaluation on test set` and `Total Energy Consumed` lines the
+//! artifact's analysis greps.
 
-use sickle_bench::cases::{builtin_cases, CaseConfig};
-use sickle_core::pipeline::{run_dataset, PointMethod};
-use sickle_energy::MachineModel;
-use sickle_field::SampleSet;
-use sickle_train::data::{dense_cube_data, reconstruction_data};
-use sickle_train::ddp::train_ddp;
-use sickle_train::models::{MateyMini, TokenTransformer};
-use sickle_train::trainer::{train, TrainConfig};
+use sickle_bench::cases::{case_from_args, run_case};
 
 fn usage() -> ! {
     eprintln!("usage: train_case <case.json> [--ranks N]");
@@ -29,26 +23,10 @@ fn usage() -> ! {
 fn main() {
     let _obs = sickle_bench::obs_init();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    let (case, rest) = if args[0] == "--builtin" {
-        let name = args.get(1).cloned().unwrap_or_else(|| usage());
-        let case = builtin_cases()
-            .into_iter()
-            .find(|c| c.name == name)
-            .unwrap_or_else(|| {
-                eprintln!("unknown builtin case '{name}'");
-                std::process::exit(2);
-            });
-        (case, &args[2..])
-    } else {
-        let case = CaseConfig::load(&std::path::PathBuf::from(&args[0])).unwrap_or_else(|e| {
-            eprintln!("failed to load {}: {e}", args[0]);
-            std::process::exit(2);
-        });
-        (case, &args[1..])
-    };
+    let (case, rest) = case_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
     let mut ranks = 1usize;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
@@ -65,117 +43,12 @@ fn main() {
 
     sickle_obs::info!(
         "train_case",
-        "case: {} (arch {})",
+        "case: {} (arch {:?})",
         case.name,
         case.train.arch
     );
-    let dataset = case.dataset.build();
-    let out = run_dataset(&dataset, &case.subsample);
-    let sets: Vec<SampleSet> = out.sets.iter().flatten().cloned().collect();
-    let target = case
-        .train
-        .target
-        .clone()
-        .or_else(|| dataset.meta.output_vars.first().cloned())
-        .expect("case has no target variable");
-
-    let structured =
-        matches!(case.subsample.method, PointMethod::Full) || case.train.arch != "mlp_transformer";
-    let mut tensor = if structured {
-        dense_cube_data(
-            &sets,
-            &dataset.snapshots,
-            case.subsample.cube_edge,
-            &dataset.meta.input_vars,
-            &target,
-            case.train.patch,
-        )
-    } else {
-        reconstruction_data(
-            &sets,
-            &dataset.snapshots,
-            case.subsample.cube_edge,
-            &target,
-            case.train.tokens,
-        )
-    };
-    tensor.standardize();
-    sickle_obs::info!(
-        "train_case",
-        "tensors: {} samples x {} tokens x {} features -> {} outputs",
-        tensor.n,
-        tensor.tokens,
-        tensor.features,
-        tensor.outputs
-    );
-
-    let cfg = TrainConfig {
-        epochs: case.train.epochs,
-        batch: case.train.batch,
-        lr: 1e-3,
-        patience: 20,
-        test_frac: 0.1,
-        seed: case.subsample.seed,
-        ..Default::default()
-    };
-    let dim = case.train.dim;
-    let res = match case.train.arch.as_str() {
-        "mlp_transformer" => {
-            let mut m = TokenTransformer::mlp_transformer(
-                tensor.tokens,
-                tensor.features,
-                dim,
-                1,
-                tensor.outputs,
-                0,
-            );
-            if ranks > 1 {
-                train_ddp(&mut m, &tensor, &cfg, ranks, MachineModel::frontier_gcd())
-            } else {
-                train(&mut m, &tensor, &cfg, MachineModel::frontier_gcd())
-            }
-        }
-        "cnn_transformer" => {
-            let mut m = TokenTransformer::cnn_transformer(
-                tensor.tokens,
-                tensor.features,
-                dim,
-                1,
-                tensor.outputs,
-                0,
-            );
-            if ranks > 1 {
-                train_ddp(&mut m, &tensor, &cfg, ranks, MachineModel::frontier_gcd())
-            } else {
-                train(&mut m, &tensor, &cfg, MachineModel::frontier_gcd())
-            }
-        }
-        "matey" => {
-            let mut m = MateyMini::new(
-                tensor.tokens,
-                tensor.features,
-                dim,
-                1,
-                tensor.outputs,
-                0.25,
-                0,
-            );
-            if ranks > 1 {
-                train_ddp(&mut m, &tensor, &cfg, ranks, MachineModel::frontier_gcd())
-            } else {
-                train(&mut m, &tensor, &cfg, MachineModel::frontier_gcd())
-            }
-        }
-        other => {
-            eprintln!("unknown architecture '{other}'");
-            std::process::exit(2);
-        }
-    };
-    sickle_bench::require_finite(
-        &format!("train_case {}", case.name),
-        &[("test loss", res.best_test as f64)],
-    );
-    println!("params: {}", res.params);
-    println!("Evaluation on test set: {:.6}", res.best_test);
-    println!("{}", res.energy.log_lines());
+    let run = run_case(&case.dataset.build(), &case, ranks);
+    println!("params: {}", run.train.params);
+    println!("Evaluation on test set: {:.6}", run.train.best_test);
+    println!("{}", run.train.energy.log_lines());
 }

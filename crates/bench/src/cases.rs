@@ -1,37 +1,46 @@
 //! Config-driven cases: the Rust mirror of the artifact's YAML workflow
-//! (`srun -n 32 python subsample.py case.yaml` → `train.py case.yaml`).
+//! (`srun -n 32 python subsample.py case.yaml` → `train.py case.yaml`), and
+//! the one driver every training figure runs.
 //!
 //! A [`CaseConfig`] JSON names the dataset *generator* (this reproduction
 //! regenerates data instead of downloading the Zenodo archive), the
-//! sampling configuration, and the training job. The `subsample` binary
-//! executes the sampling phase and writes `.skls` sample sets plus the
-//! energy log; the `train` binary executes the training phase and prints
-//! the same `Evaluation on test set` / `Total Energy Consumed` lines the
-//! paper's scripts grep for.
+//! sampling configuration, and the training job. [`run_case`] executes one
+//! case end to end; the `subsample` binary runs its sampling half
+//! ([`sample_case`]) and writes `.skls` sample sets plus the energy log, and
+//! `train_case` runs all of it and prints the same `Evaluation on test set`
+//! / `Total Energy Consumed` lines the paper's scripts grep for. Fig. 8 is
+//! [`builtin_cases`] run on three datasets.
+//!
+//! [`DatasetSpec`] is the one recipe table: every binary builds its data
+//! from one of its table-scale or figure-scale specs.
 
 use serde::{Deserialize, Serialize};
-use sickle_cfd::datasets::{self, GestsParams, Of2dParams, SstParams};
+use sickle_cfd::datasets::{self, GestsParams, Of2dData, Of2dParams, SstParams};
 use sickle_cfd::{CombustionConfig, LbmConfig};
-use sickle_core::pipeline::SamplingConfig;
-use sickle_field::Dataset;
+use sickle_core::pipeline::{
+    run_dataset, CubeMethod, PointMethod, SamplingConfig, SamplingOutput, TemporalMethod,
+};
+use sickle_energy::{EnergyReport, MachineModel};
+use sickle_field::{Dataset, DatasetMeta, SampleSet};
+use sickle_train::data::{dense_cube_data, reconstruction_data, TensorData};
+use sickle_train::ddp::train_ddp;
+use sickle_train::models::{MateyMini, Model, TokenTransformer};
+use sickle_train::trainer::{train, TrainConfig, TrainResult};
 
-/// Which substrate generates the case's data, with its scale knobs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+use crate::{require_finite, sampling_energy};
+
+/// Which substrate generates the case's data, with the scale knobs the
+/// figures vary; every other generator setting is one constant in
+/// [`DatasetSpec::build`].
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 #[serde(tag = "kind", rename_all = "kebab-case")]
 pub enum DatasetSpec {
-    /// LBM cylinder flow.
-    Of2d {
-        /// Lattice extent x.
-        nx: usize,
-        /// Lattice extent y.
-        ny: usize,
-        /// Recorded snapshots.
-        snapshots: usize,
-    },
-    /// Combustion surrogate.
+    /// LBM cylinder flow (see [`of2d`]).
+    Of2d,
+    /// Combustion surrogate, 128².
     Tc2d {
-        /// Grid edge (square).
-        n: usize,
+        /// Realisation seed.
+        seed: u64,
     },
     /// Decaying stratified Taylor–Green.
     SstP1f4 {
@@ -39,6 +48,10 @@ pub enum DatasetSpec {
         n: usize,
         /// Snapshots.
         snapshots: usize,
+        /// Solver steps before the first snapshot.
+        warmup: usize,
+        /// Solver steps between snapshots.
+        interval: usize,
     },
     /// Forced stratified turbulence.
     SstP1f100 {
@@ -46,58 +59,89 @@ pub enum DatasetSpec {
         n: usize,
         /// Snapshots.
         snapshots: usize,
+        /// Solver steps before the first snapshot.
+        warmup: usize,
+        /// Solver steps between snapshots.
+        interval: usize,
     },
-    /// Forced isotropic turbulence.
+    /// Forced isotropic turbulence, one snapshot.
     Gests {
         /// Grid points per side.
         n: usize,
+        /// Forced steps before the snapshot.
+        spinup: usize,
     },
 }
 
 impl DatasetSpec {
+    /// SST-P1F4 at table scale: 32³, 6 snapshots (Table 1, Figs. 4, 5, 7, 9).
+    pub const SST_P1F4_TABLE: DatasetSpec = DatasetSpec::SstP1f4 {
+        n: 32,
+        snapshots: 6,
+        warmup: 16,
+        interval: 8,
+    };
+    /// SST-P1F100 at table scale: 32³, 6 snapshots (Table 1).
+    pub const SST_P1F100_TABLE: DatasetSpec = DatasetSpec::SstP1f100 {
+        n: 32,
+        snapshots: 6,
+        warmup: 16,
+        interval: 8,
+    };
+    /// GESTS at table scale: 32³ (Table 1, Fig. 5).
+    pub const GESTS_TABLE: DatasetSpec = DatasetSpec::Gests { n: 32, spinup: 20 };
+    /// SST-P1F4 at figure scale: 64³, so the 16³ tiling yields 64 hypercubes
+    /// and phase-1 selection (8 of 64) genuinely separates Hmaxent from
+    /// Hrandom (Fig. 8 and the built-in cases).
+    pub const SST_P1F4_FIGURE: DatasetSpec = DatasetSpec::SstP1f4 {
+        n: 64,
+        snapshots: 4,
+        warmup: 10,
+        interval: 5,
+    };
+    /// SST-P1F100 at figure scale: 64³, 4 snapshots (Fig. 8).
+    pub const SST_P1F100_FIGURE: DatasetSpec = DatasetSpec::SstP1f100 {
+        n: 64,
+        snapshots: 4,
+        warmup: 10,
+        interval: 5,
+    };
+    /// GESTS at figure scale: 64³ (Fig. 8).
+    pub const GESTS_FIGURE: DatasetSpec = DatasetSpec::Gests { n: 64, spinup: 15 };
+
     /// Generates the dataset (deterministic).
     pub fn build(&self) -> Dataset {
         match *self {
-            DatasetSpec::Of2d { nx, ny, snapshots } => {
-                datasets::of2d(&Of2dParams {
-                    lbm: LbmConfig {
-                        nx,
-                        ny,
-                        diameter: (ny / 6) as f64,
-                        ..Default::default()
-                    },
-                    warmup: 1200,
-                    snapshots,
-                    interval: 40,
-                })
-                .dataset
-            }
-            DatasetSpec::Tc2d { n } => datasets::tc2d(
-                &CombustionConfig {
-                    nx: n,
-                    ny: n,
-                    ..Default::default()
-                },
-                0,
-            ),
-            DatasetSpec::SstP1f4 { n, snapshots } => datasets::sst_p1f4(&SstParams {
+            DatasetSpec::Of2d => of2d().dataset,
+            DatasetSpec::Tc2d { seed } => datasets::tc2d(&CombustionConfig::default(), seed),
+            DatasetSpec::SstP1f4 {
                 n,
                 snapshots,
-                interval: 6,
-                warmup: 12,
-                ..Default::default()
-            }),
-            DatasetSpec::SstP1f100 { n, snapshots } => datasets::sst_p1f100(&SstParams {
+                warmup,
+                interval,
+            } => datasets::sst_p1f4(&SstParams {
                 n,
                 snapshots,
-                interval: 6,
-                warmup: 12,
+                warmup,
+                interval,
                 ..Default::default()
             }),
-            DatasetSpec::Gests { n } => datasets::gests(
+            DatasetSpec::SstP1f100 {
+                n,
+                snapshots,
+                warmup,
+                interval,
+            } => datasets::sst_p1f100(&SstParams {
+                n,
+                snapshots,
+                warmup,
+                interval,
+                ..Default::default()
+            }),
+            DatasetSpec::Gests { n, spinup } => datasets::gests(
                 &GestsParams {
                     n,
-                    spinup: 20,
+                    spinup,
                     ..Default::default()
                 },
                 42,
@@ -106,15 +150,46 @@ impl DatasetSpec {
     }
 }
 
+/// OF2D with its drag signal: a 160×64 lattice at Re 150, 60
+/// shedding-resolved snapshots (Table 1, Figs. 1, 5, 6).
+pub fn of2d() -> Of2dData {
+    datasets::of2d(&Of2dParams {
+        lbm: LbmConfig {
+            nx: 160,
+            ny: 64,
+            diameter: 10.0,
+            reynolds: 150.0,
+            ..Default::default()
+        },
+        warmup: 1500,
+        snapshots: 60,
+        interval: 40,
+    })
+}
+
+/// The network a case trains.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
+pub enum Arch {
+    /// MLP encoder over point tokens (sampled data).
+    MlpTransformer,
+    /// Patch encoder over dense cubes.
+    CnnTransformer,
+    /// MATEY-mini adaptive patch transformer over dense cubes.
+    Matey,
+}
+
 /// Training-phase settings (the config's `train:` block).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TrainSpec {
     /// Architecture: `"mlp_transformer"`, `"cnn_transformer"`, or `"matey"`.
-    pub arch: String,
+    pub arch: Arch,
     /// Epochs.
     pub epochs: usize,
     /// Batch size.
     pub batch: usize,
+    /// Held-out fraction the test loss is measured on.
+    pub test_frac: f64,
     /// Target variable (defaults to the dataset's first output).
     #[serde(default)]
     pub target: Option<String>,
@@ -146,7 +221,8 @@ pub struct CaseConfig {
     pub name: String,
     /// Dataset generator.
     pub dataset: DatasetSpec,
-    /// Sampling phase (the `subsample:` block).
+    /// Sampling phase (the `subsample:` block); its `seed` also seeds the
+    /// model's initialisation and the train/test split.
     pub subsample: SamplingConfig,
     /// Training phase (the `train:` block).
     pub train: TrainSpec,
@@ -174,69 +250,82 @@ impl CaseConfig {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("config serializes")
     }
+
+    /// This case on another dataset: the same methods, budgets and training
+    /// job, with the cluster variable, features and target taken from the
+    /// dataset's Table-1 metadata.
+    pub fn retarget(&self, spec: DatasetSpec, dataset: &Dataset) -> CaseConfig {
+        let mut case = self.clone();
+        case.dataset = spec;
+        case.subsample.cluster_var = dataset.meta.cluster_var.clone();
+        case.subsample.feature_vars = feature_vars(&dataset.meta);
+        case.train.target = dataset.meta.output_vars.first().cloned();
+        case
+    }
+}
+
+/// Resolves a CLI's leading case arguments, `--builtin <name>` or a case
+/// file path, into the case and the arguments after them.
+///
+/// # Errors
+/// Returns a message for an unknown built-in, an unreadable or malformed
+/// file, or missing arguments.
+pub fn case_from_args(args: &[String]) -> Result<(CaseConfig, &[String]), String> {
+    match args {
+        [flag, name, rest @ ..] if flag == "--builtin" => builtin_cases()
+            .into_iter()
+            .find(|c| &c.name == name)
+            .map(|c| (c, rest))
+            .ok_or_else(|| format!("unknown builtin case '{name}' (try subsample --list)")),
+        [path, rest @ ..] if !path.starts_with("--") => CaseConfig::load(path.as_ref())
+            .map(|c| (c, rest))
+            .map_err(|e| format!("failed to load {path}: {e}")),
+        _ => Err("expected a case file or --builtin <name>".to_string()),
+    }
 }
 
 /// The built-in case library, mirroring the artifact's
-/// `contrib/configs/SST/P1/*.yaml` set at reproduction scale.
+/// `contrib/configs/SST/P1/*.yaml` set: exactly Fig. 8's five cases on
+/// SST-P1F4 at figure scale (8 of 64 cubes of 16³, 10 % in-cube budgets,
+/// seed 8, 25 epochs).
 pub fn builtin_cases() -> Vec<CaseConfig> {
-    use sickle_core::pipeline::{CubeMethod, PointMethod};
-    let sst = DatasetSpec::SstP1f4 {
-        n: 32,
-        snapshots: 4,
+    let maxent = PointMethod::MaxEnt {
+        num_clusters: 20,
+        bins: 100,
     };
+    let uips = PointMethod::Uips { bins_per_dim: 10 };
     let combos = [
-        (
-            "Hmaxent-Xmaxent-16",
-            CubeMethod::MaxEnt,
-            PointMethod::MaxEnt {
-                num_clusters: 20,
-                bins: 100,
-            },
-        ),
-        (
-            "Hmaxent-Xuips-16",
-            CubeMethod::MaxEnt,
-            PointMethod::Uips { bins_per_dim: 10 },
-        ),
+        ("Hmaxent-Xmaxent-16", CubeMethod::MaxEnt, maxent),
+        ("Hmaxent-Xuips-16", CubeMethod::MaxEnt, uips),
         ("Hrandom-Xfull-16", CubeMethod::Random, PointMethod::Full),
-        (
-            "Hrandom-Xmaxent-16",
-            CubeMethod::Random,
-            PointMethod::MaxEnt {
-                num_clusters: 20,
-                bins: 100,
-            },
-        ),
-        (
-            "Hrandom-Xuips-16",
-            CubeMethod::Random,
-            PointMethod::Uips { bins_per_dim: 10 },
-        ),
+        ("Hrandom-Xmaxent-16", CubeMethod::Random, maxent),
+        ("Hrandom-Xuips-16", CubeMethod::Random, uips),
     ];
     combos
         .into_iter()
-        .map(|(name, h, x)| CaseConfig {
+        .map(|(name, hypercubes, method)| CaseConfig {
             name: name.to_string(),
-            dataset: sst.clone(),
+            dataset: DatasetSpec::SST_P1F4_FIGURE,
             subsample: SamplingConfig {
-                hypercubes: h,
+                hypercubes,
                 num_hypercubes: 8,
                 cube_edge: 16,
-                method: x,
-                num_samples: 410,
+                method,
+                num_samples: 16usize.pow(3) / 10,
                 cluster_var: "pv".into(),
-                feature_vars: vec!["u".into(), "v".into(), "w".into(), "r".into()],
-                seed: 0,
-                temporal: sickle_core::pipeline::TemporalMethod::All,
+                feature_vars: ["u", "v", "w", "r", "p"].map(String::from).to_vec(),
+                seed: 8,
+                temporal: TemporalMethod::All,
             },
             train: TrainSpec {
-                arch: if matches!(x, PointMethod::Full) {
-                    "cnn_transformer".into()
+                arch: if method == PointMethod::Full {
+                    Arch::CnnTransformer
                 } else {
-                    "mlp_transformer".into()
+                    Arch::MlpTransformer
                 },
-                epochs: 20,
+                epochs: 25,
                 batch: 4,
+                test_frac: 0.15,
                 target: Some("p".into()),
                 tokens: 64,
                 patch: 2,
@@ -244,6 +333,156 @@ pub fn builtin_cases() -> Vec<CaseConfig> {
             },
         })
         .collect()
+}
+
+/// Input variables then any output variable not already among them: what
+/// a case samples and tensorises.
+fn feature_vars(meta: &DatasetMeta) -> Vec<String> {
+    let mut vars = meta.input_vars.clone();
+    for v in &meta.output_vars {
+        if !vars.contains(v) {
+            vars.push(v.clone());
+        }
+    }
+    vars
+}
+
+/// Builds a `H<h>-X<x>` sampling configuration for a dataset at a 10% point
+/// budget over `cube_edge`-sized cubes (the paper's standard setup).
+pub fn sampling_config(
+    dataset: &Dataset,
+    hypercubes: CubeMethod,
+    method: PointMethod,
+    cube_edge: usize,
+    num_hypercubes: usize,
+    seed: u64,
+) -> SamplingConfig {
+    let dims: u32 = if dataset.grid().nz == 1 { 2 } else { 3 };
+    SamplingConfig {
+        hypercubes,
+        num_hypercubes,
+        cube_edge,
+        method,
+        num_samples: (cube_edge.pow(dims) / 10).max(1),
+        cluster_var: dataset.meta.cluster_var.clone(),
+        feature_vars: feature_vars(&dataset.meta),
+        seed,
+        temporal: TemporalMethod::All,
+    }
+}
+
+/// What one case run produced.
+pub struct CaseRun {
+    /// Modeled energy of the sampling phase.
+    pub sampling: EnergyReport,
+    /// The training run: losses, training energy, parameter count.
+    pub train: TrainResult,
+}
+
+impl CaseRun {
+    /// Sampling plus training energy, kJ.
+    pub fn total_kj(&self) -> f64 {
+        (self.sampling.total_joules() + self.train.energy.total_joules()) / 1e3
+    }
+}
+
+/// The sampling half of a case (what `subsample` runs): the two-phase
+/// pipeline and its modeled energy.
+pub fn sample_case(dataset: &Dataset, case: &CaseConfig) -> (SamplingOutput, EnergyReport) {
+    let out = run_dataset(dataset, &case.subsample);
+    let energy = sampling_energy(&out.stats, &case.subsample);
+    (out, energy)
+}
+
+/// Runs one case on its (already built) dataset: sampling, the dense or
+/// sampled tensors, standardisation, training on `ranks` thread-DDP
+/// replicas (one: the plain trainer), and the energy sum. Exits the process
+/// on a non-finite test loss.
+pub fn run_case(dataset: &Dataset, case: &CaseConfig, ranks: usize) -> CaseRun {
+    let (out, sampling) = sample_case(dataset, case);
+    let sets: Vec<SampleSet> = out.sets.into_iter().flatten().collect();
+    let target = case
+        .train
+        .target
+        .clone()
+        .or_else(|| dataset.meta.output_vars.first().cloned())
+        .expect("case has no target variable");
+    let edge = case.subsample.cube_edge;
+    let mut tensor =
+        if case.subsample.method == PointMethod::Full || case.train.arch != Arch::MlpTransformer {
+            dense_cube_data(
+                &sets,
+                &dataset.snapshots,
+                edge,
+                &dataset.meta.input_vars,
+                &target,
+                case.train.patch,
+            )
+        } else {
+            reconstruction_data(&sets, &dataset.snapshots, edge, &target, case.train.tokens)
+        };
+    tensor.standardize();
+    let (train, _) = train_model(&case.train, &tensor, case.subsample.seed, ranks);
+    require_finite(
+        &format!("{} on {}", case.name, dataset.meta.label),
+        &[("test loss", train.best_test as f64)],
+    );
+    CaseRun { sampling, train }
+}
+
+/// Builds `spec`'s architecture for `data`'s shapes, initialised from
+/// `seed`, and trains it (split also seeded by `seed`) on `ranks`
+/// thread-DDP replicas; returns the result and the trained model.
+pub fn train_model(
+    spec: &TrainSpec,
+    data: &TensorData,
+    seed: u64,
+    ranks: usize,
+) -> (TrainResult, Box<dyn Model>) {
+    fn fit<M: Model + Clone + Sync + 'static>(
+        mut model: M,
+        data: &TensorData,
+        cfg: &TrainConfig,
+        ranks: usize,
+    ) -> (TrainResult, Box<dyn Model>) {
+        let machine = MachineModel::frontier_gcd();
+        let res = if ranks > 1 {
+            train_ddp(&mut model, data, cfg, ranks, machine)
+        } else {
+            train(&mut model, data, cfg, machine)
+        };
+        (res, Box::new(model))
+    }
+    let cfg = TrainConfig {
+        epochs: spec.epochs,
+        batch: spec.batch,
+        lr: 1e-3,
+        patience: 20,
+        test_frac: spec.test_frac,
+        seed,
+        ..Default::default()
+    };
+    let (tokens, features, outputs) = (data.tokens, data.features, data.outputs);
+    match spec.arch {
+        Arch::MlpTransformer => fit(
+            TokenTransformer::mlp_transformer(tokens, features, spec.dim, 1, outputs, seed),
+            data,
+            &cfg,
+            ranks,
+        ),
+        Arch::CnnTransformer => fit(
+            TokenTransformer::cnn_transformer(tokens, features, spec.dim, 1, outputs, seed),
+            data,
+            &cfg,
+            ranks,
+        ),
+        Arch::Matey => fit(
+            MateyMini::new(tokens, features, spec.dim, 1, outputs, 0.25, seed),
+            data,
+            &cfg,
+            ranks,
+        ),
+    }
 }
 
 #[cfg(test)]
@@ -263,6 +502,9 @@ mod tests {
                 "Hrandom-Xuips-16"
             ]
         );
+        for case in builtin_cases() {
+            assert_eq!(case.subsample.case_name(), case.name);
+        }
     }
 
     #[test]
@@ -271,21 +513,65 @@ mod tests {
             let json = case.to_json();
             let back = CaseConfig::from_json(&json).unwrap();
             assert_eq!(back.name, case.name);
-            assert_eq!(back.subsample.case_name(), case.subsample.case_name());
+            assert_eq!(back.dataset, case.dataset);
+            assert_eq!(back.subsample, case.subsample);
             assert_eq!(back.train.arch, case.train.arch);
         }
     }
 
     #[test]
     fn tiny_dataset_specs_build() {
-        let d = DatasetSpec::Tc2d { n: 32 }.build();
+        let d = DatasetSpec::Tc2d { seed: 0 }.build();
         assert_eq!(d.meta.label, "TC2D");
         let d = DatasetSpec::SstP1f4 {
             n: 16,
             snapshots: 2,
+            warmup: 2,
+            interval: 2,
         }
         .build();
         assert_eq!(d.num_snapshots(), 2);
+    }
+
+    #[test]
+    fn builtins_are_their_own_retarget_onto_sst_p1f4() {
+        // Fig. 8 re-targets every built-in at each dataset; on SST-P1F4 that
+        // must change nothing but the dataset's scale.
+        let spec = DatasetSpec::SstP1f4 {
+            n: 16,
+            snapshots: 1,
+            warmup: 0,
+            interval: 1,
+        };
+        let dataset = spec.build();
+        for case in builtin_cases() {
+            let moved = case.retarget(spec, &dataset);
+            assert_eq!(moved.dataset, spec);
+            assert_eq!(moved.subsample, case.subsample);
+            assert_eq!(moved.train.target, case.train.target);
+        }
+    }
+
+    #[test]
+    fn sampling_config_uses_table1_metadata() {
+        let d = DatasetSpec::Tc2d { seed: 0 }.build();
+        let cfg = sampling_config(&d, CubeMethod::Random, PointMethod::Random, 16, 4, 0);
+        assert_eq!(cfg.cluster_var, "C");
+        assert_eq!(cfg.num_samples, 25); // 16^2 / 10 (2D)
+        assert!(cfg.feature_vars.contains(&"Cvar".to_string()));
+    }
+
+    #[test]
+    fn case_args_resolve_builtins_and_reject_the_rest() {
+        let args: Vec<String> = ["--builtin", "Hrandom-Xfull-16", "--ranks", "2"]
+            .map(String::from)
+            .to_vec();
+        let (case, rest) = case_from_args(&args).unwrap();
+        assert_eq!(case.name, "Hrandom-Xfull-16");
+        assert_eq!(rest, ["--ranks", "2"]);
+        assert!(case_from_args(&args[..1]).is_err());
+        assert!(case_from_args(&["--builtin".into(), "nope".into()]).is_err());
+        assert!(case_from_args(&[]).is_err());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! One binary per table/figure of the paper's evaluation (see `src/bin/`),
 //! the `subsample`/`train_case`/`gen_configs` CLIs and the `trace_*` tools;
 //! this library holds their shared plumbing so the binaries stay thin and
-//! the logic is unit-testable. Timing anything is `benchmark/`'s job.
+//! the logic is unit-testable. [`cases`] is the one dataset recipe table
+//! and the one case driver. Timing anything is `benchmark/`'s job.
 //!
 //! | Binary | Paper element |
 //! |---|---|
@@ -12,11 +13,13 @@
 //! | `fig1_of2d_sampling` | Figs. 1 & 3 (OF2D sampling visualisation + wake coverage) |
 //! | `fig4_uips_clumping` | Fig. 4 (UIPS uniform on TC2D vs clumping on SST) |
 //! | `fig5_pdf_comparison` | Fig. 5 (PDF/tail fidelity across methods) |
-//! | `fig6_drag_surrogate` | Fig. 6 (drag surrogate accuracy, MaxEnt vs random, 3 seeds) |
+//! | `fig6_drag_surrogate` | Fig. 6 (drag surrogate accuracy, MaxEnt vs random, 5 seeds) |
 //! | `fig7_scalability` | Fig. 7 (strong scaling 1–512 ranks, knee) |
-//! | `fig8_loss_vs_energy` | Fig. 8 (training loss vs energy, 5 configs × 3 datasets) |
+//! | `fig8_loss_vs_energy` | Fig. 8 (training loss vs energy, the 5 built-in cases × 3 datasets) |
 //! | `fig9_matey` | Fig. 9 (MATEY-mini, uniform/random/maxent at 10%) |
 //! | `eq3_cost_model` | Eq. 3 (cost-model validation sweep) |
+//! | `subsample` | the artifact's `subsample.py case.yaml` (a case's sampling half) |
+//! | `train_case` | the artifact's `train.py case.yaml` (a whole case) |
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -25,7 +28,6 @@ use sickle_core::pipeline::{SamplingConfig, SamplingStats};
 use sickle_energy::{EnergyMeter, EnergyReport, MachineModel};
 
 pub mod cases;
-pub mod workloads;
 
 /// RAII observability session for the figure binaries: flushes the
 /// `SICKLE_TRACE` file (if any) when dropped at the end of `main`.

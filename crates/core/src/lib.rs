@@ -30,7 +30,6 @@ pub mod hypercube;
 pub mod kmeans;
 pub mod metrics;
 pub mod pipeline;
-pub mod pod;
 pub mod samplers;
 pub mod temporal;
 pub mod uips;

@@ -57,8 +57,6 @@ pub enum PointMethod {
         /// Mixture components.
         components: usize,
     },
-    /// POD/DEIM projection-based selection baseline (see [`crate::pod`]).
-    PodDeim,
 }
 
 impl PointMethod {
@@ -83,7 +81,6 @@ impl PointMethod {
                 components,
                 ..Default::default()
             }),
-            PointMethod::PodDeim => Box::new(crate::pod::PodSampler),
         }
     }
 
@@ -99,7 +96,6 @@ impl PointMethod {
             PointMethod::MaxEnt { .. } => "maxent",
             PointMethod::Uips { .. } => "uips",
             PointMethod::UipsGmm { .. } => "uips-gmm",
-            PointMethod::PodDeim => "pod-deim",
         }
     }
 }
@@ -156,7 +152,7 @@ pub enum TemporalMethod {
 
 /// Full sampling configuration — the Rust mirror of the paper's YAML files
 /// (e.g. `Hmaxent-Xmaxent-32.yaml`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SamplingConfig {
     /// Hypercube (phase 1) selection method.
     pub hypercubes: CubeMethod,

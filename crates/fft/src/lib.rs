@@ -36,9 +36,6 @@ pub use nd::{Fft2d, Fft3d};
 pub use plan::FftPlan;
 pub use real::RealFft;
 pub use realnd::{RealFft2d, RealFft3d};
-// The workspace-wide kernel switch, re-exported so FFT consumers can force a
-// variant without depending on sickle-simd directly.
-pub use sickle_simd::{kernel, set_kernel, Kernel};
 
 /// Returns `true` if `n` is a power of two (and nonzero).
 pub fn is_power_of_two(n: usize) -> bool {

@@ -1,13 +1,14 @@
 //! Optimized-vs-naive agreement for the FFT kernel family, across the full
 //! stack the dataset generators use: 1D complex plans against the O(n²)
 //! serial DFT reference, and the 2D/3D complex and real transforms under
-//! both sides of the [`sickle_fft::Kernel`] switch.
+//! both sides of the [`sickle_simd::Kernel`] switch.
 //!
 //! The pair-interleaved AVX2 butterflies use FMA, so they are allowed to
 //! differ from the portable path at rounding level; the contract pinned here
 //! is ≤ 1e-10 against the serial reference and ≤ 1e-10 roundtrips.
 
-use sickle_fft::{dft_naive, Complex, Fft3d, FftPlan, Kernel, RealFft3d};
+use sickle_fft::{dft_naive, Complex, Fft3d, FftPlan, RealFft3d};
+use sickle_simd::Kernel;
 
 /// Deterministic quasi-random signal (no rand dev-dependency needed).
 fn signal(n: usize, seed: f64) -> Vec<f64> {

@@ -14,7 +14,8 @@
 //! odd one for the single-row path (`n = 8, kmax = 2`: 5 × 3 x-pencils;
 //! `n = 32, kmax = 10`: 21 × 11; `kmax = 0`: one).
 
-use sickle_fft::{Complex, Fft3d, FftPlan, Kernel, RealFft3d};
+use sickle_fft::{Complex, Fft3d, FftPlan, RealFft3d};
+use sickle_simd::Kernel;
 
 const KERNELS: [Kernel; 2] = [Kernel::Naive, Kernel::Optimized];
 

@@ -1,12 +1,8 @@
 //! Integration test of the config-driven case workflow (the `subsample` /
 //! `train_case` CLI path) — exercised in-process at tiny scale.
 
-use sickle_bench::cases::{builtin_cases, CaseConfig, DatasetSpec, TrainSpec};
-use sickle_core::pipeline::{run_dataset, CubeMethod, PointMethod, SamplingConfig, TemporalMethod};
-use sickle_energy::MachineModel;
-use sickle_train::data::reconstruction_data;
-use sickle_train::models::TokenTransformer;
-use sickle_train::trainer::{train, TrainConfig};
+use sickle_bench::cases::{builtin_cases, run_case, Arch, CaseConfig, DatasetSpec, TrainSpec};
+use sickle_core::pipeline::{CubeMethod, PointMethod, SamplingConfig, TemporalMethod};
 
 fn tiny_case() -> CaseConfig {
     CaseConfig {
@@ -14,6 +10,8 @@ fn tiny_case() -> CaseConfig {
         dataset: DatasetSpec::SstP1f4 {
             n: 16,
             snapshots: 2,
+            warmup: 12,
+            interval: 6,
         },
         subsample: SamplingConfig {
             hypercubes: CubeMethod::MaxEnt,
@@ -30,9 +28,10 @@ fn tiny_case() -> CaseConfig {
             temporal: TemporalMethod::All,
         },
         train: TrainSpec {
-            arch: "mlp_transformer".into(),
+            arch: Arch::MlpTransformer,
             epochs: 4,
             batch: 4,
+            test_frac: 0.2,
             target: Some("p".into()),
             tokens: 16,
             patch: 2,
@@ -59,57 +58,27 @@ fn case_executes_end_to_end() {
     let case = tiny_case();
     let dataset = case.dataset.build();
     assert_eq!(dataset.num_snapshots(), 2);
-    let out = run_dataset(&dataset, &case.subsample);
-    assert_eq!(out.total_points(), 2 * 4 * 51);
-
-    let sets: Vec<_> = out.sets.iter().flatten().cloned().collect();
-    let mut tensor = reconstruction_data(
-        &sets,
-        &dataset.snapshots,
-        case.subsample.cube_edge,
-        case.train.target.as_deref().unwrap(),
-        case.train.tokens,
-    );
-    tensor.standardize();
-    let mut model = TokenTransformer::mlp_transformer(
-        tensor.tokens,
-        tensor.features,
-        case.train.dim,
-        1,
-        tensor.outputs,
-        0,
-    );
-    let cfg = TrainConfig {
-        epochs: case.train.epochs,
-        batch: case.train.batch,
-        test_frac: 0.2,
-        ..Default::default()
-    };
-    let res = train(&mut model, &tensor, &cfg, MachineModel::frontier_gcd());
-    assert!(res.best_test.is_finite());
-    assert!(res.energy.flops > 0);
+    let run = run_case(&dataset, &case, 1);
+    assert!(run.train.best_test.is_finite());
+    assert!(run.train.energy.flops > 0);
+    assert!(run.total_kj() > run.train.energy.total_joules() / 1e3);
 }
 
 #[test]
 fn shipped_configs_parse_back() {
-    // The files in configs/SST/P1 must always stay loadable.
-    for case in builtin_cases() {
-        let json = case.to_json();
-        let parsed = CaseConfig::from_json(&json).unwrap();
-        assert_eq!(parsed.name, case.name);
-    }
-    // And the checked-in files, when present (repo root execution).
-    let dir = std::path::Path::new("configs/SST/P1");
-    if dir.is_dir() {
-        let mut count = 0;
-        for entry in std::fs::read_dir(dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.extension().is_some_and(|e| e == "json") {
-                CaseConfig::load(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-                count += 1;
-            }
-        }
-        assert_eq!(count, 5, "expected the five shipped case files");
+    // configs/SST/P1 is `gen_configs`' output: the list Fig. 8 runs.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("configs/SST/P1");
+    let cases = builtin_cases();
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        cases.len(),
+        "one file per built-in case"
+    );
+    for case in cases {
+        let path = dir.join(format!("{}.json", case.name));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        assert_eq!(text, case.to_json(), "{path:?} differs from the built-in");
+        assert_eq!(CaseConfig::from_json(&text).unwrap().name, case.name);
     }
 }
 
