@@ -65,18 +65,18 @@ fn curate(
             pool
         }
         _ => {
-            // MaxEnt cube scoring per snapshot; keep/snapshots cubes each.
-            let per_snap = (keep / n_train).max(1);
+            // MaxEnt cube scoring per snapshot; the remainder of
+            // keep/snapshots goes to the first snapshots, one cube each.
             let selector = HypercubeSelector::maxent_default();
             let mut out = Vec::new();
             for s in 0..n_train {
+                let count = keep / n_train + usize::from(s < keep % n_train);
                 let mut rng = StdRng::seed_from_u64(9 ^ s as u64);
-                let ids = selector.select(tiling, &dataset.snapshots[s], "pv", per_snap, &mut rng);
+                let ids = selector.select(tiling, &dataset.snapshots[s], "pv", count, &mut rng);
                 out.extend(ids.into_iter().map(|c| (s, c)));
                 meter.record_bytes(dataset.grid().len() as u64 * 8);
                 meter.record_flops(dataset.grid().len() as u64 * 8);
             }
-            out.truncate(keep);
             out
         }
     }
@@ -187,4 +187,32 @@ fn main() {
         "fig9",
         "ahead), uniform clearly worse; energies within ~10% of each other."
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_strategy_keeps_exactly_keep_distinct_cubes() {
+        // Fig. 9's shape: 64 cubes per snapshot over 5 training snapshots,
+        // 10 % of the 320-cube pool.
+        let dataset = DatasetSpec::SstP1f4 {
+            n: 16,
+            snapshots: 6,
+            warmup: 2,
+            interval: 2,
+        }
+        .build();
+        let tiling = Tiling::cubic(dataset.grid(), 4);
+        let keep = 32;
+        for strategy in ["uniform", "random", "maxent"] {
+            let meter = EnergyMeter::new(MachineModel::frontier_cpu_rank());
+            let mut picked = curate(strategy, &dataset, &tiling, keep, &meter);
+            assert!(picked.iter().all(|&(s, _)| s < 5), "{strategy}");
+            picked.sort_unstable();
+            picked.dedup();
+            assert_eq!(picked.len(), keep, "{strategy}");
+        }
+    }
 }
