@@ -16,7 +16,7 @@ use sickle_core::uips::phase_space_cov;
 use sickle_core::UipsSampler;
 use sickle_field::{Dataset, Tiling};
 
-fn run_case(label: &str, dataset: &Dataset, feature_vars: &[&str]) -> Vec<Vec<String>> {
+fn coverage_rows(label: &str, dataset: &Dataset, feature_vars: &[&str]) -> Vec<Vec<String>> {
     let snap = dataset.snapshots.last().expect("dataset has snapshots");
     let grid = snap.grid;
     let vars: Vec<String> = feature_vars.iter().map(|s| s.to_string()).collect();
@@ -52,8 +52,8 @@ fn main() {
     );
     let tc2d = DatasetSpec::Tc2d { seed: 1 }.build();
     let sst = DatasetSpec::SST_P1F4_TABLE.build();
-    let mut rows = run_case("TC2D", &tc2d, &["C", "Cvar"]);
-    rows.extend(run_case("SST-P1F4", &sst, &["u", "v", "w", "r"]));
+    let mut rows = coverage_rows("TC2D", &tc2d, &["C", "Cvar"]);
+    rows.extend(coverage_rows("SST-P1F4", &sst, &["u", "v", "w", "r"]));
     let header = vec!["dataset", "method", "features", "phase_cov", "spatial_cov"];
     print_table(&header, &rows);
     write_csv("fig4_uips_clumping.csv", &header, &rows);

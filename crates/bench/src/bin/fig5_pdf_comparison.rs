@@ -33,7 +33,7 @@ fn methods() -> Vec<(&'static str, Box<dyn PointSampler>)> {
     ]
 }
 
-fn run_case(
+fn pdf_rows(
     label: &str,
     dataset: &Dataset,
     feature_vars: &[&str],
@@ -80,9 +80,9 @@ fn main() {
     let of2d = DatasetSpec::Of2d.build();
     let sst = DatasetSpec::SST_P1F4_TABLE.build();
     let gests = DatasetSpec::GESTS_TABLE.build();
-    let mut rows = run_case("OF2D", &of2d, &["u", "v"], "wz");
-    rows.extend(run_case("SST-P1F4", &sst, &["u", "v", "w", "r"], "pv"));
-    rows.extend(run_case("GESTS", &gests, &["u", "v", "w", "eps"], "omega"));
+    let mut rows = pdf_rows("OF2D", &of2d, &["u", "v"], "wz");
+    rows.extend(pdf_rows("SST-P1F4", &sst, &["u", "v", "w", "r"], "pv"));
+    rows.extend(pdf_rows("GESTS", &gests, &["u", "v", "w", "eps"], "omega"));
     let header = vec![
         "dataset",
         "method",
