@@ -87,7 +87,7 @@ fn codec_errors(snap: &Snapshot, set: &SampleSet, codec: Codec) -> (f64, f64) {
 }
 
 /// The per-codec accuracy budgets. These are the same numbers DESIGN.md
-/// §15 documents; loosening one is an explicit, reviewable act.
+/// §14 documents; loosening one is an explicit, reviewable act.
 pub fn budgets() -> Vec<(Codec, f64, f64)> {
     vec![
         // (codec, spectra relative-L2 budget, PDF KL budget)

@@ -261,10 +261,9 @@ pub fn run_resilient(
                                         sickle_obs::counter!("fault.injected", 1usize);
                                         true
                                     }
-                                    // Connection/process faults belong to the
-                                    // serve data plane; a rank has no socket
-                                    // to cut and fail-stop is `Kill`.
-                                    FaultAction::Drop | FaultAction::Die => false,
+                                    // Connection faults belong to the serve
+                                    // data plane; a rank has no socket to cut.
+                                    FaultAction::Drop => false,
                                 };
                                 let mut set = plan.sample_cube(cube_id);
                                 if poison {

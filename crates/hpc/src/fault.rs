@@ -17,10 +17,6 @@
 //!   plane interprets the coordinate as `(connection, k-th request)` and
 //!   cuts the socket mid-response, exercising the client's
 //!   reconnect-and-retry path. The rank executor treats it as a no-op.
-//! - [`FaultKind::Die`] — process death: the serve plane exits the whole
-//!   server process (no response, no trace flush) when the coordinate's
-//!   request arrives, exercising cluster failover to replica servers. The
-//!   rank executor treats it as a no-op (rank fail-stop is `Kill`).
 //!
 //! Every fault fires **at most once**, so any plan that leaves at least one
 //! rank alive eventually lets all cubes complete — the determinism contract
@@ -30,9 +26,9 @@
 //! or parsed from the `SICKLE_FAULT_PLAN` environment variable:
 //!
 //! ```text
-//! SICKLE_FAULT_PLAN="kill@2:1,delay@0:3:50,poison@1:0,drop@0:2,die@0:4"
-//! #                  kind@rank:cube[:millis]   (drop and die read rank:cube
-//! #                                             as conn:request)
+//! SICKLE_FAULT_PLAN="kill@2:1,delay@0:3:50,poison@1:0,drop@0:2"
+//! #                  kind@rank:cube[:millis]   (drop reads rank:cube as
+//! #                                             conn:request)
 //! ```
 
 use std::collections::HashSet;
@@ -57,9 +53,6 @@ pub enum FaultKind {
     /// Severed connection: the serve data plane cuts the socket
     /// mid-response at this `(connection, request)` coordinate.
     Drop,
-    /// Process death: the serve data plane exits the whole server process
-    /// when this `(connection, request)` coordinate's request arrives.
-    Die,
 }
 
 /// One fault pinned to a `(rank, k-th lifetime cube)` coordinate.
@@ -164,7 +157,6 @@ impl FaultPlan {
                 "kill" => FaultKind::Kill,
                 "poison" => FaultKind::Poison,
                 "drop" => FaultKind::Drop,
-                "die" => FaultKind::Die,
                 "delay" => {
                     let ms = parts
                         .get(2)
@@ -218,9 +210,6 @@ pub enum FaultAction {
     /// Sever the connection mid-response (serve plane only; the rank
     /// executor proceeds normally on this action).
     Drop,
-    /// Exit the whole server process immediately (serve plane only; the
-    /// rank executor proceeds normally on this action).
-    Die,
 }
 
 struct InjectorState {
@@ -279,7 +268,6 @@ impl FaultInjector {
                     FaultKind::Kill => FaultAction::Kill,
                     FaultKind::Poison => FaultAction::Poison,
                     FaultKind::Drop => FaultAction::Drop,
-                    FaultKind::Die => FaultAction::Die,
                     FaultKind::Delay { millis } => {
                         FaultAction::Delay(Duration::from_millis(millis))
                     }
@@ -355,34 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_die_reads_conn_request_coordinates() {
-        let plan = FaultPlan::parse("die@0:4").unwrap();
-        assert_eq!(
-            plan.faults,
-            vec![Fault {
-                rank: 0,
-                at_cube: 4,
-                kind: FaultKind::Die
-            }]
-        );
-        // Die takes no third field, like kill/poison/drop.
-        assert!(FaultPlan::parse("die@0:4:9").is_err());
-        // Die is a process-level fault, not a rank kill: plan accounting
-        // (kills/recoverable) is about ranks inside one executor run.
-        assert_eq!(plan.kills(), 0);
-        assert!(plan.recoverable(1));
-    }
-
-    #[test]
-    fn injector_replays_die_faults_once() {
-        let inj = FaultInjector::new(FaultPlan::parse("die@2:1").unwrap());
-        assert_eq!(inj.on_cube(2), FaultAction::Proceed);
-        assert_eq!(inj.on_cube(2), FaultAction::Die);
-        assert_eq!(inj.on_cube(2), FaultAction::Proceed);
-        assert_eq!(inj.fired(), 1);
-    }
-
-    #[test]
     fn parse_defaults_delay_millis() {
         let plan = FaultPlan::parse("delay@1:2").unwrap();
         assert_eq!(plan.faults[0].kind, FaultKind::Delay { millis: 10 });
@@ -391,7 +351,10 @@ mod tests {
     #[test]
     fn parse_rejects_garbage() {
         assert!(FaultPlan::parse("kill@").is_err());
-        assert!(FaultPlan::parse("explode@1:2").is_err());
+        // Unknown kinds, including the retired process-exit kind `die`.
+        for kind in ["explode", "die"] {
+            assert!(FaultPlan::parse(&format!("{kind}@0:4")).is_err());
+        }
         assert!(FaultPlan::parse("kill@x:2").is_err());
         assert!(FaultPlan::parse("kill@1:2:3").is_err());
         assert!(FaultPlan::parse("poison@1:2:3").is_err());

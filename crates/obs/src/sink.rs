@@ -130,12 +130,21 @@ pub fn push(event: Event) {
             Ok(_) => seg = fresh,
             Err(current) => {
                 // Another thread installed the segment first; discard ours.
+                // SAFETY: `fresh` came from `Box::into_raw` just above and
+                // the failed CAS never published it, so this thread is its
+                // only owner and frees it exactly once.
                 drop(unsafe { Box::from_raw(fresh) });
                 seg = current;
             }
         }
     }
     let boxed = Box::into_raw(Box::new(event));
+    // SAFETY: `seg` is non-null here, and every non-null segment pointer
+    // came from `Box::into_raw` and was published by a successful CAS.
+    // Nothing ever frees a segment or resets its pointer, so the pointer is
+    // valid for the rest of the process. The Acquire load or CAS pairs with
+    // the installer's AcqRel CAS, so the null-initialised slots are visible.
+    // The Release store publishes the event's contents to `drain`.
     unsafe { &(*seg).slots[offset] }.store(boxed, Ordering::Release);
 }
 
@@ -158,9 +167,16 @@ pub fn drain() -> Vec<Event> {
         if seg.is_null() {
             continue;
         }
+        // SAFETY: `seg` is non-null and segments are never freed once
+        // installed (see `push`), so the reference stays valid.
         let slot = unsafe { &(*seg).slots[idx % SEG_SIZE] };
         let p = slot.swap(ptr::null_mut(), Ordering::AcqRel);
         if !p.is_null() {
+            // SAFETY: only `push` stores a non-null slot pointer, always
+            // one from `Box::into_raw`. The swap to null makes this drain
+            // its sole owner (the drain lock excludes other drains, and
+            // `push` never reads a slot), and the AcqRel swap pairs with
+            // `push`'s Release store, so the event is fully written.
             out.push(*unsafe { Box::from_raw(p) });
         }
     }
@@ -196,12 +212,16 @@ mod tests {
 
     #[test]
     fn concurrent_pushes_are_all_collected() {
+        // 4 × 4096 events span four segments, so threads race to install
+        // segments 1–3 mid-stream and the CAS-and-discard path can run.
+        const THREADS: u32 = 4;
+        const PER_THREAD: u64 = SEG_SIZE as u64;
         let _guard = crate::test_guard();
         let _ = drain();
         std::thread::scope(|s| {
-            for t in 0..4 {
+            for t in 0..THREADS {
                 s.spawn(move || {
-                    for i in 0..1000 {
+                    for i in 0..PER_THREAD {
                         push(Event {
                             name: "sink.concurrent",
                             tid: t,
@@ -213,10 +233,15 @@ mod tests {
             }
         });
         let events = drain();
-        let ours = events
-            .iter()
-            .filter(|e| e.name == "sink.concurrent")
-            .count();
-        assert_eq!(ours, 4000);
+        let mut seen = std::collections::HashSet::new();
+        for e in events.iter().filter(|e| e.name == "sink.concurrent") {
+            assert!(
+                seen.insert((e.tid, e.ts_ns)),
+                "event ({}, {}) drained twice",
+                e.tid,
+                e.ts_ns
+            );
+        }
+        assert_eq!(seen.len() as u64, u64::from(THREADS) * PER_THREAD);
     }
 }

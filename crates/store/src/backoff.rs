@@ -7,7 +7,7 @@
 //! uniformly from `[base, prev * 3]` and capped, so schedules spread out
 //! immediately and stay spread, while the expected delay still grows
 //! geometrically toward the cap. The RNG is seeded per client, keeping
-//! chaos tests replayable; distinct seeds give decollided schedules (the
+//! fault-injection tests replayable; distinct seeds give decollided schedules (the
 //! property `decollision` below pins).
 
 use std::time::Duration;

@@ -56,9 +56,8 @@ pub struct BatchShape {
 }
 
 /// One assembled batch: flat `f32` tensors plus shape metadata — the one
-/// batch type, whether built in memory, answered by a server, stitched by
-/// the cluster client, or fed to a model (`sickle_train::Batch` is this
-/// type, re-exported).
+/// batch type, whether built in memory, answered by a server, or fed to a
+/// model (`sickle_train::Batch` is this type, re-exported).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Batch {
     /// Inputs, `batch * tokens * features` long.

@@ -16,7 +16,7 @@
 //! store exists there yet, so CI jobs and quick-start demos (pointing
 //! `sickle-top` or a traced client at a live server) need no real data. The
 //! fault plan, if any, is read from `SICKLE_FAULT_PLAN`
-//! (`drop@conn:request`, `die@conn:request`, ...). Tracing honours the
+//! (`drop@conn:request`, `kill@conn:request`, ...). Tracing honours the
 //! usual `SICKLE_TRACE*` environment. `--max-conns` bounds admission
 //! (arrivals past it get a `Busy` frame).
 

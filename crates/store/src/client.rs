@@ -223,9 +223,8 @@ impl StoreClient {
     }
 
     /// Fetches the batch made of an explicit key list, sample `i` being
-    /// key `i`. This is the cluster fan-out primitive: each server
-    /// tensorizes only the keys it owns, and the caller reassembles the
-    /// epoch's batch from the per-owner batches.
+    /// key `i` — the keyed counterpart of [`batch`](Self::batch), answered
+    /// with the same frame.
     ///
     /// # Errors
     /// `NotFound` for an unknown key, `InvalidData` for an empty key list;

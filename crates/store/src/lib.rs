@@ -14,28 +14,22 @@
 //!   binary protocol over plain `std::net` TCP, readiness-driven
 //!   request-granular worker scheduling (`epoll` through raw externs)
 //!   with explicit `Busy` overload shedding, and fault-plan
-//!   hooks (`drop@conn:request`, `die@conn:request`) for resilience
+//!   hooks (`drop@conn:request`, `kill@conn:request`) for resilience
 //!   testing. The `sickle-serve` binary wraps it.
 //! - [`client`] / [`batching`] — the consumption layer: a
 //!   reconnect-and-retry [`StoreClient`] (seeded jitter [`backoff`]) and
 //!   the deterministic batch assembly that makes streamed batches
 //!   **bit-identical** to what an in-memory trainer would build from the
 //!   same sets and seed.
-//! - [`ring`] / [`cluster`] — the scale-out layer: consistent-hash
-//!   placement of shards across N servers with R-way replication, and the
-//!   [`ClusterClient`] gateway that fans batches per owner and fails over
-//!   to replicas when a member dies mid-epoch.
 
 pub mod backoff;
 pub mod batching;
 pub mod cache;
 pub mod client;
-pub mod cluster;
 pub mod manifest;
 pub mod prefetch;
 pub mod protocol;
 mod readiness;
-pub mod ring;
 pub mod server;
 pub mod shard_bytes;
 pub mod stats;
@@ -46,11 +40,9 @@ pub use backoff::Backoff;
 pub use batching::{Batch, BatchShape, BatchSpec};
 pub use cache::BlockCache;
 pub use client::{ClientConfig, StoreClient};
-pub use cluster::{partition_output, ClusterClient, ClusterConfig, ClusterMember};
 pub use manifest::{ShardEntry, ShardKey, StoreManifest};
 pub use prefetch::Prefetcher;
 pub use protocol::{Request, Response, WireErrorKind};
-pub use ring::HashRing;
 pub use server::{serve, ServeConfig, ServerHandle};
 pub use shard_bytes::{MmapMode, ShardBytes};
 pub use sickle_codec::Codec;

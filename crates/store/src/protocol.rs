@@ -9,8 +9,8 @@
 //! ```
 //!
 //! Request tags: `0x01` Manifest, `0x02` GetShard, `0x03` GetBatch,
-//! `0x04` Stats, `0x05` Shutdown, `0x06` GetTensors (explicit key list,
-//! the cluster client's per-owner slice of a batch).
+//! `0x04` Stats, `0x05` Shutdown, `0x06` GetTensors (a keyed fetch: an
+//! explicit key list tensorized in order).
 //! Response tags: `0x81` Manifest (JSON), `0x82` Shard (raw SKLH bytes),
 //! `0x83` Batch (f32 tensors — the answer to both `GetBatch` and
 //! `GetTensors`, sample `i` being request key `i`), `0x84` Stats (JSON),
@@ -109,10 +109,9 @@ pub enum Request {
         /// Zero-based batch index within the epoch.
         index: u64,
     },
-    /// Assemble a batch from these shards, in order — the cluster client's
-    /// per-owner slice of a batch (it computes the epoch order itself and
-    /// asks each owner only for the keys that owner holds). Answered with
-    /// the same `Batch` frame as `GetBatch`.
+    /// Assemble a batch from these shards, in order — a keyed fetch for a
+    /// caller that picks the samples itself instead of naming an epoch
+    /// batch. Answered with the same `Batch` frame as `GetBatch`.
     GetTensors {
         /// Tokens (strided feature rows) per sample.
         tokens: u32,

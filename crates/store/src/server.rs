@@ -11,8 +11,8 @@
 //! connection is only ever in one worker's hands, scheduling stays
 //! **request**-granular (a busy peer rejoins the ready list behind
 //! everyone else after each visit), and a connection idle between
-//! requests costs nothing — which lets a cluster client hold sockets to N
-//! servers while each runs a pool far smaller than its connection count.
+//! requests costs nothing — which lets one server hold many trainer
+//! sockets with a pool far smaller than its connection count.
 //! Nothing sleeps: worker 0 bounds its wait by the timer tick and expires
 //! silent, write-stalled and shed connections from the parked table;
 //! shutdown is an `eventfd` latch that wakes every waiter.
@@ -28,10 +28,8 @@
 //! mid-way through the response to its `R`-th request (a partial frame is
 //! written, then the socket is shut down), exercising client
 //! reconnect-and-retry. `delay@C:R:ms` stalls a response; `kill@C:R`
-//! closes the connection before responding; `die@C:R` exits the whole
-//! server process on the spot (no response, no trace flush), exercising
-//! cluster failover. Poison entries are ignored — the data plane has no
-//! in-place result to corrupt.
+//! closes the connection before responding. Poison entries are ignored —
+//! the data plane has no in-place result to corrupt.
 
 use std::collections::HashMap;
 use std::io::{self, IoSlice, Read, Write};
@@ -70,7 +68,7 @@ pub struct ServeConfig {
     /// How many upcoming batches to hint to the prefetcher after serving a
     /// `GetBatch` (0 disables lookahead).
     pub lookahead: usize,
-    /// Optional fault plan (`drop@conn:request`, `die@conn:request`, ...)
+    /// Optional fault plan (`drop@conn:request`, `kill@conn:request`, ...)
     /// for resilience tests.
     pub fault_plan: Option<FaultPlan>,
     /// Honor `Request::Shutdown` (off by default: a shared server should
@@ -631,12 +629,6 @@ fn handle_request(
             sickle_obs::counter!("serve.conn.dropped", 1usize);
             sever_mid_response(conn, decoded, shared);
             return false;
-        }
-        FaultAction::Die => {
-            // Process-level chaos: no response, no trace flush, no joined
-            // threads — exactly what a node loss looks like to clients.
-            eprintln!("sickle-serve: injected die fault (conn {})", conn.id);
-            std::process::exit(86);
         }
     }
 

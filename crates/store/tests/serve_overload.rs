@@ -24,7 +24,7 @@ const MAX_CONNS: usize = 2;
 const THREADS: usize = 6;
 
 fn temp_root() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sickle_cluster_overload_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("sickle_serve_overload_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

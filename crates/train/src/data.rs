@@ -362,26 +362,20 @@ pub fn dense_cube_data(
     TensorData::new(inputs, targets, tokens, feat, out_dim)
 }
 
-/// A training dataset streamed from the serving plane instead of held in
-/// memory — either one `sickle-serve` endpoint ([`connect`](Self::connect))
-/// or a whole sharded cluster behind a
-/// [`ClusterClient`](sickle_store::ClusterClient)
-/// ([`connect_cluster`](Self::connect_cluster)).
+/// A training dataset streamed from one `sickle-serve` endpoint instead of
+/// held in memory.
 ///
 /// Batches come back **bit-identical** to what [`TensorData::batches`]
 /// would produce from the same sample sets and seed: the server runs the
 /// same shuffle (`StdRng::seed_from_u64(seed)` over `0..n`), the same
 /// chunking, and the same per-set tensorization, and `f32` values cross
-/// the wire losslessly. The cluster path preserves this bit-for-bit: the
-/// gateway reassembles per-owner tensor blocks in batch-key order, so the
-/// training loop cannot tell one server from N — even across a mid-epoch
-/// member death (the gateway fails over to replicas). Transient connection
-/// failures (including injected `drop@conn:request` faults) are retried by
-/// the underlying [`StoreClient`](sickle_store::StoreClient); since every
-/// batch fetch is a pure read, retries cannot duplicate or lose samples.
+/// the wire losslessly. Transient connection failures (including injected
+/// `drop@conn:request` faults) are retried by the underlying
+/// [`StoreClient`](sickle_store::StoreClient); since every batch fetch is a
+/// pure read, retries cannot duplicate or lose samples.
 pub struct RemoteDataset {
-    backend: Backend,
-    /// Samples (shards) available on the server(s).
+    client: sickle_store::StoreClient,
+    /// Samples (shards) available on the server.
     pub n: usize,
     /// Tokens per sample requested from the server.
     pub tokens: usize,
@@ -389,11 +383,6 @@ pub struct RemoteDataset {
     pub features: usize,
     /// Fingerprint of the sampling configuration that produced the store.
     pub config_hash: String,
-}
-
-enum Backend {
-    Single(sickle_store::StoreClient),
-    Cluster(sickle_store::ClusterClient),
 }
 
 impl RemoteDataset {
@@ -415,37 +404,11 @@ impl RemoteDataset {
             ));
         }
         Ok(RemoteDataset {
-            backend: Backend::Single(client),
+            client,
             n: manifest.len(),
             tokens,
             features: manifest.feature_names.len(),
             config_hash: manifest.config_hash,
-        })
-    }
-
-    /// Connects to a sharded store cluster and unions its manifests.
-    ///
-    /// # Errors
-    /// Transport errors reaching any member, `InvalidData` when members
-    /// disagree on dataset identity or the union is empty.
-    pub fn connect_cluster(
-        members: &[sickle_store::ClusterMember],
-        tokens: usize,
-        cfg: sickle_store::ClusterConfig,
-    ) -> std::io::Result<RemoteDataset> {
-        let cluster = sickle_store::ClusterClient::connect(members, cfg)?;
-        if cluster.n() == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "remote cluster is empty",
-            ));
-        }
-        Ok(RemoteDataset {
-            n: cluster.n(),
-            tokens,
-            features: cluster.features(),
-            config_hash: cluster.config_hash().to_string(),
-            backend: Backend::Cluster(cluster),
         })
     }
 
@@ -465,10 +428,7 @@ impl RemoteDataset {
             batch_size,
             tokens: self.tokens,
         };
-        match &mut self.backend {
-            Backend::Single(client) => client.batch(spec, index),
-            Backend::Cluster(cluster) => cluster.batch(spec, index),
-        }
+        self.client.batch(spec, index)
     }
 
     /// Streams one full epoch, in epoch order — the drop-in replacement

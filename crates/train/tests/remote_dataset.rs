@@ -12,9 +12,7 @@ use sickle_store::batching::tensorize_set;
 use sickle_store::server::{serve, ServeConfig};
 use sickle_store::store::{set_key, ShardStore, StoreConfig};
 use sickle_store::testutil::small_output;
-use sickle_store::{
-    partition_output, ClientConfig, ClusterConfig, ClusterMember, HashRing, MmapMode,
-};
+use sickle_store::{ClientConfig, MmapMode};
 use sickle_train::{RemoteDataset, TensorData};
 
 const SNAPSHOTS: usize = 2;
@@ -160,65 +158,4 @@ fn remote_epochs_are_bit_identical_across_mmap_modes() {
         drop(handle);
         std::fs::remove_dir_all(&root).ok();
     }
-}
-
-#[test]
-fn cluster_batches_are_bit_identical_to_in_memory_batches() {
-    // Same contract, sharded: the dataset is ring-partitioned across three
-    // in-process servers (R = 2), streamed through the cluster backend,
-    // and must still match `TensorData::batches` bit for bit — sharding is
-    // a serving detail, invisible to training.
-    let root = std::env::temp_dir().join(format!("sickle_remote_cluster_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let out = small_output(SNAPSHOTS, CUBES, POINTS);
-    let reference = reference_tensor_data(&out);
-
-    let names = ["store-0", "store-1", "store-2"];
-    let cfg = ClusterConfig::default();
-    let ring = HashRing::new(&names);
-    let handles: Vec<_> = names
-        .iter()
-        .map(|name| {
-            let part = partition_output(&out, &ring, name, cfg.replication);
-            let store =
-                ShardStore::ingest(&root.join(name), &part, StoreConfig::default()).unwrap();
-            serve(Arc::new(store), ServeConfig::default()).unwrap()
-        })
-        .collect();
-    let members: Vec<ClusterMember> = names
-        .iter()
-        .zip(&handles)
-        .map(|(name, h)| ClusterMember::new(*name, h.addr().to_string()))
-        .collect();
-
-    let mut remote = RemoteDataset::connect_cluster(&members, TOKENS, cfg).unwrap();
-    assert_eq!(remote.n, SNAPSHOTS * CUBES);
-    assert_eq!(remote.features, 2);
-
-    for (seed, batch_size) in [(0u64, 4usize), (42, 3), (7, 10)] {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let local = reference.batches(batch_size, &mut rng);
-        let streamed = remote.epoch(seed, batch_size).unwrap();
-        assert_eq!(local.len(), streamed.len(), "seed {seed}: batch count");
-        for (i, (l, r)) in local.iter().zip(&streamed).enumerate() {
-            assert_eq!(l.shape, r.shape, "seed {seed} batch {i}: shape");
-            for (j, (a, b)) in l.inputs.iter().zip(&r.inputs).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "seed {seed} batch {i}: input {j} differs"
-                );
-            }
-            for (j, (a, b)) in l.targets.iter().zip(&r.targets).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "seed {seed} batch {i}: target {j} differs"
-                );
-            }
-        }
-    }
-
-    drop(handles);
-    std::fs::remove_dir_all(&root).ok();
 }
