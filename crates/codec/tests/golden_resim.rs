@@ -1,0 +1,165 @@
+//! Golden-regression test for the resim codec's read path: the decoded
+//! bits of two seeded shards are pinned to a committed digest file.
+//!
+//! - `dense16`: one raster-ordered 16³ cube (the `PointMethod::Full` shard
+//!   layout), so the decoder relaxes on the 3-D lattice stencil.
+//! - `sparse409`: 409 rows with non-adjacent indices (a MaxEnt-sized
+//!   shard), so the decoder relaxes along the 1-D chain.
+//!
+//! Each line of `golden/resim_decode.txt` is `shard column rows digest`,
+//! where `digest` is FNV-1a 64 over the column's decoded `f64` bits in row
+//! order (little-endian). The inputs use only `+`, `*` and a SplitMix64
+//! stream, so they do not depend on the host's libm.
+//!
+//! To intentionally re-baseline after a deliberate decoder change:
+//!
+//! ```text
+//! SICKLE_UPDATE_GOLDEN=1 cargo test -p sickle-codec --test golden_resim
+//! ```
+
+use std::path::PathBuf;
+
+use sickle_codec::{decode_shard, encode_shard, Codec};
+use sickle_field::io::fnv1a64;
+use sickle_field::points::{FeatureMatrix, SampleSet};
+
+const NAMES: [&str; 4] = ["u", "v", "w", "p"];
+
+/// SplitMix64 mapped to `[-1, 1)`.
+fn noise(state: &mut u64) -> f64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+}
+
+/// A smooth polynomial field at `(x, y, z)` plus a small noise term per
+/// feature, so relaxation has both large-scale structure and sub-stride
+/// fluctuations to smooth.
+fn row(x: f64, y: f64, z: f64, state: &mut u64) -> [f64; 4] {
+    let mut r = [
+        0.02 * x * y - 0.3 * z + 0.001 * x * x * z,
+        1.5 - 0.01 * y * z + 0.2 * x,
+        0.004 * (x - 8.0) * (y - 8.0) * (z - 8.0),
+        0.5 * x - 0.25 * y + 0.125 * z,
+    ];
+    for v in &mut r {
+        *v += 0.1 * noise(state);
+    }
+    r
+}
+
+fn set_of(rows: Vec<[f64; 4]>, indices: Vec<usize>) -> SampleSet {
+    let data = rows.into_iter().flatten().collect();
+    let names = NAMES.iter().map(|s| s.to_string()).collect();
+    let mut set = SampleSet::new(FeatureMatrix::new(names, data), indices, 0.75, 3);
+    set.hypercube = Some(5);
+    set
+}
+
+/// One 16³ cube at offset `(16, 32, 0)` of a 64³ grid, raster order.
+fn dense_cube() -> SampleSet {
+    let (e, g) = (16usize, 64usize);
+    let mut state = 29;
+    let mut rows = Vec::new();
+    let mut indices = Vec::new();
+    for x in 0..e {
+        for y in 0..e {
+            for z in 0..e {
+                rows.push(row(x as f64, y as f64, z as f64, &mut state));
+                indices.push(((16 + x) * g + 32 + y) * g + z);
+            }
+        }
+    }
+    set_of(rows, indices)
+}
+
+/// 409 rows scattered through a 64³ grid with gaps of 1–40 points.
+fn sparse_set() -> SampleSet {
+    let g = 64usize;
+    let mut state = 31;
+    let mut rows = Vec::new();
+    let mut indices = Vec::new();
+    let mut at = 7usize;
+    for _ in 0..409 {
+        let (x, y, z) = (at / (g * g), (at / g) % g, at % g);
+        rows.push(row(x as f64, y as f64, z as f64, &mut state));
+        indices.push(at);
+        at += 1 + ((noise(&mut state) + 1.0) * 20.0) as usize;
+    }
+    set_of(rows, indices)
+}
+
+/// `shard column rows digest` lines for one decoded shard.
+fn digest_lines(shard: &str, set: &SampleSet) -> Vec<String> {
+    let bytes = encode_shard(std::slice::from_ref(set), Codec::resim_default());
+    let back = decode_shard(&bytes).expect("resim shard decodes");
+    assert_eq!(back.len(), 1);
+    let decoded = &back[0];
+    assert_eq!(decoded.indices, set.indices);
+    let dim = decoded.features.dim();
+    (0..dim)
+        .map(|c| {
+            let bits: Vec<u8> = (0..decoded.len())
+                .flat_map(|r| decoded.features.data[r * dim + c].to_bits().to_le_bytes())
+                .collect();
+            format!(
+                "{shard} {} {} {:016x}",
+                decoded.features.names[c],
+                decoded.len(),
+                fnv1a64(&bits)
+            )
+        })
+        .collect()
+}
+
+fn golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join("resim_decode.txt")
+}
+
+#[test]
+fn resim_decode_matches_committed_golden() {
+    let mut actual = digest_lines("dense16", &dense_cube());
+    actual.extend(digest_lines("sparse409", &sparse_set()));
+    let path = golden_path();
+    if std::env::var("SICKLE_UPDATE_GOLDEN").is_ok_and(|v| v == "1") {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let text = format!(
+            "# shard column rows fnv1a64(decoded f64 bits, row order, LE)\n{}\n",
+            actual.join("\n")
+        );
+        std::fs::write(&path, text).unwrap();
+        println!("golden regenerated at {}", path.display());
+        return;
+    }
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden at {} ({e}); regenerate with SICKLE_UPDATE_GOLDEN=1",
+            path.display()
+        )
+    });
+    let expected: Vec<&str> = text
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    let drifted: Vec<String> = expected
+        .iter()
+        .zip(&actual)
+        .filter(|(e, a)| *e != a)
+        .map(|(e, a)| format!("  expected {e}\n  actual   {a}"))
+        .collect();
+    assert!(
+        expected.len() == actual.len() && drifted.is_empty(),
+        "resim decode drifted from the committed golden ({} vs {} lines):\n{}\n\
+         If this change is intentional, re-baseline with:\n  \
+         SICKLE_UPDATE_GOLDEN=1 cargo test -p sickle-codec --test golden_resim",
+        expected.len(),
+        actual.len(),
+        drifted.join("\n")
+    );
+}
