@@ -19,7 +19,37 @@
 //!   raster adjacency does not hold but neighboring rows are still the most
 //!   correlated data available.
 //!
-//! Both are deterministic: same inputs, same sweeps, same bits out.
+//! Both relax every column of a set in one call: `values` is the set's
+//! `n × k` row-major feature matrix and one mask covers all `k` columns.
+//! The lattice kernel copies each column into a lattice with a `+0.0`
+//! ghost border so its sweep is straight-line, vectorizable code; the
+//! padding is exact (see [`relax_lattice`]). Both are deterministic: same
+//! inputs, same sweeps, same bits out.
+
+/// Columns of an `n`-row, row-major `values`, checked.
+fn columns(values: &[f64], n: usize) -> usize {
+    assert!(
+        values.len().is_multiple_of(n),
+        "{} values do not form {n}-row columns",
+        values.len()
+    );
+    values.len().checked_div(n).unwrap_or(0)
+}
+
+/// Fills `dst` from column `c` of the `k`-column row-major `values`,
+/// starting at row `first`.
+fn gather(dst: &mut [f64], values: &[f64], k: usize, c: usize, first: usize) {
+    for (d, row) in dst.iter_mut().zip(values[first * k..].chunks_exact(k)) {
+        *d = row[c];
+    }
+}
+
+/// Writes `src` into column `c` of `values`, starting at row `first`.
+fn scatter(src: &[f64], values: &mut [f64], k: usize, c: usize, first: usize) {
+    for (s, row) in src.iter().zip(values[first * k..].chunks_exact_mut(k)) {
+        row[c] = *s;
+    }
+}
 
 /// One Jacobi sweep's neighbor average on a chain: unknown `i` relaxes
 /// toward the mean of `i-1` and `i+1` (one-sided at the ends).
@@ -44,93 +74,259 @@ fn chain_sweep(cur: &[f64], next: &mut [f64], known: &[bool]) {
     }
 }
 
-/// Relaxes the unknown entries of `values` along the 1-D chain of row
-/// order, holding `known` entries fixed as Dirichlet data. Callers seed
-/// the unknowns (e.g. with a linear interpolant); `sweeps` Jacobi
-/// iterations then smooth them toward the harmonic solution.
+/// Relaxes the unknown rows of every column of `values` (row-major, one
+/// row per entry of `known`) along the 1-D chain of row order, holding
+/// `known` rows fixed as Dirichlet data. Callers seed the unknowns (e.g.
+/// with a linear interpolant); `sweeps` Jacobi iterations then smooth them
+/// toward the harmonic solution.
 ///
 /// # Panics
-/// Panics if `values` and `known` lengths differ.
+/// Panics if `values.len()` is not a multiple of `known.len()`.
 pub fn relax_chain(values: &mut [f64], known: &[bool], sweeps: usize) {
-    assert_eq!(values.len(), known.len(), "value/known length mismatch");
-    if values.is_empty() || sweeps == 0 {
+    let n = known.len();
+    let k = columns(values, n);
+    if sweeps == 0 {
         return;
     }
-    let mut next = values.to_vec();
-    for _ in 0..sweeps {
-        chain_sweep(values, &mut next, known);
-        values.copy_from_slice(&next);
+    let (mut cur, mut next) = (vec![0.0; n], vec![0.0; n]);
+    for c in 0..k {
+        gather(&mut cur, values, k, c, 0);
+        for _ in 0..sweeps {
+            chain_sweep(&cur, &mut next, known);
+            std::mem::swap(&mut cur, &mut next);
+        }
+        scatter(&cur, values, k, c, 0);
     }
 }
 
-/// Relaxes the unknown entries of `values` on a dense `(ex, ey, ez)`
-/// raster-ordered lattice (x-major, z innermost — the order
-/// `Hypercube::point_indices` emits), holding `known` entries fixed.
-/// Each sweep replaces every unknown with the mean of its face neighbors
-/// (3–6 of them at faces/edges/corners), the classic Jacobi iteration for
-/// the discrete Laplace equation with Dirichlet boundary data.
+/// Relaxes the unknown rows of every column of `values` on a dense
+/// `(ex, ey, ez)` raster-ordered lattice (x-major, z innermost — the order
+/// `Hypercube::point_indices` emits), holding `known` rows fixed. `values`
+/// is row-major, one row per lattice point. Each sweep replaces every
+/// unknown with the mean of its face neighbors (3–6 of them at
+/// faces/edges/corners), the classic Jacobi iteration for the discrete
+/// Laplace equation with Dirichlet boundary data; a point with no
+/// neighbors keeps its value.
+///
+/// # Kernel
+/// Each column is copied into a lattice with a one-cell border of `+0.0`
+/// ghosts, so every point reads all six neighbors with no bounds branch:
+/// `0.0 + x− + x+ + y− + y+ + z− + z+`, divided by the point's real
+/// neighbor count, then a mask select keeps the points that hold their
+/// value (known, or no neighbors: divisor 0). The divisors are built once
+/// per call, not once per column or sweep, and the two buffers swap
+/// between sweeps instead of copying.
+///
+/// This is bit-identical to summing only the real neighbors, in the same
+/// order, starting from `+0.0`. In IEEE round-to-nearest that running sum
+/// is never `−0.0`: it starts at `+0.0`, `+0.0 + −0.0 = +0.0`, and an exact
+/// cancellation `a + (−a)` rounds to `+0.0`. Adding `+0.0` to any value
+/// other than `−0.0` returns it unchanged (NaN stays NaN, ±∞ stays ±∞), so
+/// every ghost term is an exact no-op; the divisor is the same count.
 ///
 /// # Panics
-/// Panics if `ex * ey * ez != values.len()` or the mask length differs.
+/// Panics if `known.len() != ex * ey * ez` or `values.len()` is not a
+/// multiple of it.
 pub fn relax_lattice(
     (ex, ey, ez): (usize, usize, usize),
     values: &mut [f64],
     known: &[bool],
     sweeps: usize,
 ) {
-    assert_eq!(ex * ey * ez, values.len(), "lattice/value size mismatch");
-    assert_eq!(values.len(), known.len(), "value/known length mismatch");
-    if values.is_empty() || sweeps == 0 {
+    let n = ex * ey * ez;
+    assert_eq!(n, known.len(), "lattice/mask size mismatch");
+    let k = columns(values, n);
+    if sweeps == 0 {
         return;
     }
-    let mut next = values.to_vec();
-    let idx = |x: usize, y: usize, z: usize| (x * ey + y) * ez + z;
-    for _ in 0..sweeps {
-        for x in 0..ex {
-            for y in 0..ey {
-                for z in 0..ez {
-                    let i = idx(x, y, z);
-                    if known[i] {
-                        next[i] = values[i];
-                        continue;
-                    }
-                    let mut sum = 0.0;
-                    let mut cnt = 0.0;
-                    if x > 0 {
-                        sum += values[idx(x - 1, y, z)];
-                        cnt += 1.0;
-                    }
-                    if x + 1 < ex {
-                        sum += values[idx(x + 1, y, z)];
-                        cnt += 1.0;
-                    }
-                    if y > 0 {
-                        sum += values[idx(x, y - 1, z)];
-                        cnt += 1.0;
-                    }
-                    if y + 1 < ey {
-                        sum += values[idx(x, y + 1, z)];
-                        cnt += 1.0;
-                    }
-                    if z > 0 {
-                        sum += values[idx(x, y, z - 1)];
-                        cnt += 1.0;
-                    }
-                    if z + 1 < ez {
-                        sum += values[idx(x, y, z + 1)];
-                        cnt += 1.0;
-                    }
-                    next[i] = if cnt > 0.0 { sum / cnt } else { values[i] };
-                }
+    let (py, pz) = (ey + 2, ez + 2);
+    // Real neighbors along one axis at coordinate `i` of extent `e`.
+    let along = |i: usize, e: usize| usize::from(i > 0) + usize::from(i + 1 < e);
+    // Every z-line as (padded start, first row); per point, the divisor:
+    // the real neighbor count, or 0 where the point holds its value.
+    let mut lines = Vec::with_capacity(ex * ey);
+    let mut div = Vec::with_capacity(n);
+    for x in 0..ex {
+        for y in 0..ey {
+            lines.push((((x + 1) * py + y + 1) * pz + 1, div.len()));
+            for z in 0..ez {
+                let real = along(x, ex) + along(y, ey) + along(z, ez);
+                div.push(if known[div.len()] { 0.0 } else { real as f64 });
             }
         }
-        values.copy_from_slice(&next);
+    }
+    let mut cur = vec![0.0f64; (ex + 2) * py * pz];
+    let mut next = cur.clone();
+    for c in 0..k {
+        for &(p, i) in &lines {
+            gather(&mut cur[p..p + ez], values, k, c, i);
+        }
+        for _ in 0..sweeps {
+            for &(p, i) in &lines {
+                let out = &mut next[p..p + ez];
+                lattice_line(&cur, out, p, (py * pz, pz), &div[i..]);
+            }
+            std::mem::swap(&mut cur, &mut next);
+        }
+        for &(p, i) in &lines {
+            scatter(&cur[p..p + ez], values, k, c, i);
+        }
+    }
+}
+
+/// One z-line of a ghost-padded Jacobi sweep: `out[z]` for the interior
+/// points starting at padded index `p`, with `(sx, sy)` the padded x and y
+/// strides. Straight-line per point, so the loop vectorizes.
+#[inline(always)]
+fn lattice_line(cur: &[f64], out: &mut [f64], p: usize, (sx, sy): (usize, usize), div: &[f64]) {
+    let ez = out.len();
+    let c = &cur[p..p + ez];
+    let (xm, xp) = (&cur[p - sx..p - sx + ez], &cur[p + sx..p + sx + ez]);
+    let (ym, yp) = (&cur[p - sy..p - sy + ez], &cur[p + sy..p + sy + ez]);
+    let (zm, zp) = (&cur[p - 1..p - 1 + ez], &cur[p + 1..p + 1 + ez]);
+    let div = &div[..ez];
+    for z in 0..ez {
+        let sum = 0.0 + xm[z] + xp[z] + ym[z] + yp[z] + zm[z] + zp[z];
+        let avg = sum / div[z];
+        out[z] = if div[z] == 0.0 { c[z] } else { avg };
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-column, bounds-branching loop `relax_lattice` replaced: the
+    /// reference the ghost-padded kernel must match bit for bit.
+    fn relax_lattice_reference(
+        (ex, ey, ez): (usize, usize, usize),
+        values: &mut [f64],
+        known: &[bool],
+        sweeps: usize,
+    ) {
+        if values.is_empty() || sweeps == 0 {
+            return;
+        }
+        let mut next = values.to_vec();
+        let idx = |x: usize, y: usize, z: usize| (x * ey + y) * ez + z;
+        for _ in 0..sweeps {
+            for x in 0..ex {
+                for y in 0..ey {
+                    for z in 0..ez {
+                        let i = idx(x, y, z);
+                        if known[i] {
+                            next[i] = values[i];
+                            continue;
+                        }
+                        let mut sum = 0.0;
+                        let mut cnt = 0.0;
+                        if x > 0 {
+                            sum += values[idx(x - 1, y, z)];
+                            cnt += 1.0;
+                        }
+                        if x + 1 < ex {
+                            sum += values[idx(x + 1, y, z)];
+                            cnt += 1.0;
+                        }
+                        if y > 0 {
+                            sum += values[idx(x, y - 1, z)];
+                            cnt += 1.0;
+                        }
+                        if y + 1 < ey {
+                            sum += values[idx(x, y + 1, z)];
+                            cnt += 1.0;
+                        }
+                        if z > 0 {
+                            sum += values[idx(x, y, z - 1)];
+                            cnt += 1.0;
+                        }
+                        if z + 1 < ez {
+                            sum += values[idx(x, y, z + 1)];
+                            cnt += 1.0;
+                        }
+                        next[i] = if cnt > 0.0 { sum / cnt } else { values[i] };
+                    }
+                }
+            }
+            values.copy_from_slice(&next);
+        }
+    }
+
+    /// Equal bits, or both NaN (Rust leaves NaN payloads unspecified).
+    fn same(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Values drawn mostly from [-4, 4], with -0.0, +0.0, ±inf and NaN
+    /// mixed in at `special_pct` percent.
+    fn draw(rng: &mut StdRng, special_pct: u32) -> f64 {
+        if rng.gen_range(0..100u32) < special_pct {
+            [-0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN][rng.gen_range(0..5usize)]
+        } else {
+            rng.gen_range(-4.0..4.0)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn ghost_padded_kernel_matches_reference_bits(
+            (dims, cols, mask, sweeps, seed) in (
+                (1usize..7, 1usize..7, 1usize..7),
+                1usize..4,
+                0u8..4,
+                0usize..=12,
+                0u64..u64::MAX,
+            )
+        ) {
+            let (ex, ey, ez) = dims;
+            let n = ex * ey * ez;
+            let mut rng = StdRng::seed_from_u64(seed);
+            // 0: random mask, 1: all known, 2: none known, 3: strided.
+            let known: Vec<bool> = (0..n)
+                .map(|i| match mask {
+                    0 => rng.gen_range(0..3u32) == 0,
+                    1 => true,
+                    2 => false,
+                    _ => i % 3 == 0,
+                })
+                .collect();
+            let special_pct: u32 = [0, 5, 30][rng.gen_range(0..3usize)];
+            let values: Vec<f64> = (0..n * cols).map(|_| draw(&mut rng, special_pct)).collect();
+            let mut got = values.clone();
+            relax_lattice(dims, &mut got, &known, sweeps);
+            // `values` is row-major: column `c` is every `cols`-th entry.
+            for c in 0..cols {
+                let mut want: Vec<f64> = values.iter().skip(c).step_by(cols).copied().collect();
+                relax_lattice_reference(dims, &mut want, &known, sweeps);
+                let col = got.iter().skip(c).step_by(cols);
+                for (i, (&g, &w)) in col.zip(&want).enumerate() {
+                    prop_assert!(same(g, w), "{dims:?} col {c} point {i}: {g:e} vs {w:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ghost_terms_never_flip_a_signed_zero() {
+        // Every neighbor -0.0: the reference sums +0.0 + -0.0 + ... = +0.0,
+        // so the unknowns become +0.0 / cnt = +0.0, at faces and corners
+        // alike (the ghost cells must not change that).
+        for dims in [(1, 1, 2), (2, 3, 1), (3, 3, 3), (1, 4, 2)] {
+            let n = dims.0 * dims.1 * dims.2;
+            let known: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
+            let mut got = vec![-0.0; n];
+            let mut want = got.clone();
+            relax_lattice(dims, &mut got, &known, 3);
+            relax_lattice_reference(dims, &mut want, &known, 3);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{dims:?}");
+        }
+    }
 
     #[test]
     fn chain_converges_to_linear_interpolant() {

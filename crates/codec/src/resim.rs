@@ -138,40 +138,34 @@ pub fn decode_resim(mut data: &[u8]) -> io::Result<SampleSet> {
         .checked_mul(2)
         .ok_or_else(|| invalid("resim payload overflow"))?;
     need(data, coarse_bytes, "truncated resim payload")?;
-    let mut coarse = Vec::with_capacity(coarse_count);
-    for _ in 0..coarse_count {
-        coarse.push(f16_bits_to_f32(data.get_u16_le()) as f64);
-    }
 
+    // Row-major, the layout the relax kernels and `FeatureMatrix` share.
+    let mut values = vec![0.0f64; n * dim];
     let mut known = vec![false; n];
     for &r in &rows {
         known[r] = true;
-    }
-    let mut values = vec![0.0f64; n * dim];
-    for c in 0..dim {
-        let mut col = vec![0.0f64; n];
-        for (k, &r) in rows.iter().enumerate() {
-            col[r] = coarse[k * dim + c];
+        for v in &mut values[r * dim..(r + 1) * dim] {
+            *v = f16_bits_to_f32(data.get_u16_le()) as f64;
         }
-        // Seed unknowns with the linear interpolant between bracketing
-        // known rows — the chain-harmonic solution, and a good starting
-        // point for the lattice stencil too.
-        for w in rows.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            let gap = (b - a) as f64;
-            for r in a + 1..b {
-                let t = (r - a) as f64 / gap;
-                col[r] = col[a] * (1.0 - t) + col[b] * t;
+    }
+    // Seed unknowns with the linear interpolant between bracketing known
+    // rows — the chain-harmonic solution, and a good starting point for the
+    // lattice stencil too. The weight depends on the row alone, so it is
+    // computed once for every column.
+    for w in rows.windows(2) {
+        let (a, b) = (w[0], w[1]);
+        let gap = (b - a) as f64;
+        for r in a + 1..b {
+            let t = (r - a) as f64 / gap;
+            for c in 0..dim {
+                values[r * dim + c] = values[a * dim + c] * (1.0 - t) + values[b * dim + c] * t;
             }
         }
-        if lattice {
-            relax_lattice((ex, ey, ez), &mut col, &known, sweeps);
-        } else {
-            relax_chain(&mut col, &known, sweeps);
-        }
-        for (r, &v) in col.iter().enumerate() {
-            values[r * dim + c] = v;
-        }
+    }
+    if lattice {
+        relax_lattice((ex, ey, ez), &mut values, &known, sweeps);
+    } else {
+        relax_chain(&mut values, &known, sweeps);
     }
 
     let features = FeatureMatrix::new(h.names, values);

@@ -466,12 +466,12 @@ pub fn run_dataset(dataset: &Dataset, cfg: &SamplingConfig) -> SamplingOutput {
     .unwrap_or_else(|never| match never {})
 }
 
-/// Fingerprint of a sampling configuration (FNV-1a over its canonical JSON,
+/// Fingerprint of a sampling configuration (XXH64 over its canonical JSON,
 /// in hex-string form so it survives the JSON manifest round-trip), used to
 /// guard checkpoints against being resumed into the wrong run.
 pub fn config_fingerprint(cfg: &SamplingConfig) -> String {
     let json = serde_json::to_string(cfg).expect("config serializes");
-    fio::fnv1a64_hex(json.as_bytes())
+    fio::content_hash_hex(json.as_bytes())
 }
 
 fn shard_file_name(snapshot_index: usize) -> String {
@@ -484,7 +484,7 @@ fn shard_file_name(snapshot_index: usize) -> String {
 fn restore_snapshot(dir: &Path, entry: &fio::ManifestEntry) -> Option<Vec<SampleSet>> {
     let path = dir.join(&entry.file);
     let bytes = std::fs::read(&path).ok()?;
-    if fio::fnv1a64_hex(&bytes) != entry.hash {
+    if fio::content_hash_hex(&bytes) != entry.hash {
         sickle_obs::warn!(
             "checkpoint",
             "hash mismatch for {} — recomputing snapshot {}",
@@ -564,7 +564,7 @@ pub fn run_dataset_resumable(
             manifest.upsert(fio::ManifestEntry {
                 snapshot_index: i,
                 file,
-                hash: fio::fnv1a64_hex(&bytes),
+                hash: fio::content_hash_hex(&bytes),
                 sets: snap_sets.len(),
                 points: snap_sets.iter().map(SampleSet::len).sum(),
             });

@@ -356,8 +356,9 @@ pub fn decode_sample_set(data: &[u8]) -> io::Result<SampleSet> {
 // Checkpoint shards and manifest
 // ---------------------------------------------------------------------------
 
-/// FNV-1a 64-bit hash — the integrity check for checkpoint shards. Stable,
-/// dependency-free, and fast enough to be invisible next to the I/O.
+/// FNV-1a 64-bit hash: one multiply per byte. A stable seed mixer for short
+/// keys (the client's backoff seed mixes in its address with it); content
+/// checks use [`content_hash`], which reads words, not bytes.
 pub fn fnv1a64(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in data {
@@ -367,11 +368,85 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
     h
 }
 
-/// [`fnv1a64`] formatted as a fixed-width hex string — the form hashes take
-/// in JSON manifests, where a raw `u64` would not survive the f64 number
-/// round-trip of the JSON layer.
-pub fn fnv1a64_hex(data: &[u8]) -> String {
-    format!("{:016x}", fnv1a64(data))
+const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
+const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
+const XXH_P4: u64 = 0x85EB_CA77_C2B2_AE63;
+const XXH_P5: u64 = 0x27D4_EB2F_1656_67C5;
+
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+fn xxh_merge(h: u64, acc: u64) -> u64 {
+    (h ^ xxh_round(0, acc))
+        .wrapping_mul(XXH_P1)
+        .wrapping_add(XXH_P4)
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
+}
+
+/// XXH64 with seed 0 — the content hash of every checkpoint shard, store
+/// shard and configuration fingerprint. Four independent 64-bit lanes
+/// consume 32-byte stripes, so the hash runs at memory speed where a
+/// byte-at-a-time hash would be the read path's bottleneck; the tail is
+/// folded 8, 4 and 1 bytes at a time, then avalanched.
+pub fn content_hash(data: &[u8]) -> u64 {
+    let stripes = data.chunks_exact(32);
+    let mut rest = stripes.remainder();
+    let mut h = if data.len() >= 32 {
+        let mut acc = [
+            XXH_P1.wrapping_add(XXH_P2),
+            XXH_P2,
+            0,
+            XXH_P1.wrapping_neg(),
+        ];
+        for stripe in stripes {
+            for (lane, a) in acc.iter_mut().enumerate() {
+                *a = xxh_round(*a, le_u64(&stripe[lane * 8..]));
+            }
+        }
+        let h = acc[0]
+            .rotate_left(1)
+            .wrapping_add(acc[1].rotate_left(7))
+            .wrapping_add(acc[2].rotate_left(12))
+            .wrapping_add(acc[3].rotate_left(18));
+        acc.iter().fold(h, |h, &a| xxh_merge(h, a))
+    } else {
+        XXH_P5
+    };
+    h = h.wrapping_add(data.len() as u64);
+    while rest.len() >= 8 {
+        h ^= xxh_round(0, le_u64(rest));
+        h = h.rotate_left(27).wrapping_mul(XXH_P1).wrapping_add(XXH_P4);
+        rest = &rest[8..];
+    }
+    if rest.len() >= 4 {
+        let word = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
+        h ^= u64::from(word).wrapping_mul(XXH_P1);
+        h = h.rotate_left(23).wrapping_mul(XXH_P2).wrapping_add(XXH_P3);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        h ^= u64::from(b).wrapping_mul(XXH_P5);
+        h = h.rotate_left(11).wrapping_mul(XXH_P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
+}
+
+/// [`content_hash`] formatted as a fixed-width hex string — the form hashes
+/// take in JSON manifests and shard file names, where a raw `u64` would not
+/// survive the f64 number round-trip of the JSON layer.
+pub fn content_hash_hex(data: &[u8]) -> String {
+    format!("{:016x}", content_hash(data))
 }
 
 const SHARD_MAGIC: &[u8; 4] = b"SKLH";
@@ -448,7 +523,7 @@ pub struct ManifestEntry {
     pub snapshot_index: usize,
     /// Shard file name, relative to the manifest's directory.
     pub file: String,
-    /// [`fnv1a64_hex`] of the shard file's bytes. Hex rather than a raw
+    /// [`content_hash_hex`] of the shard file's bytes. Hex rather than a raw
     /// `u64` because JSON numbers are f64 and would truncate 64-bit hashes.
     pub hash: String,
     /// Sample sets (hypercubes) in the shard.
@@ -465,7 +540,7 @@ pub struct ManifestEntry {
 pub struct CheckpointManifest {
     /// Format version (matches the SKLF/SKLS/SKLH version).
     pub version: u32,
-    /// Fingerprint of the producing configuration ([`fnv1a64_hex`] form).
+    /// Fingerprint of the producing configuration ([`content_hash_hex`] form).
     pub config_hash: String,
     /// Completed snapshots, in completion order.
     pub entries: Vec<ManifestEntry>,
@@ -647,7 +722,37 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-        assert_eq!(fnv1a64_hex(b""), "cbf29ce484222325");
+    }
+
+    #[test]
+    fn content_hash_matches_reference_vectors() {
+        // Published XXH64 (seed 0) test vectors.
+        assert_eq!(content_hash_hex(b""), "ef46db3751d8e999");
+        assert_eq!(content_hash_hex(b"a"), "d24ec4f1a98c6e5b");
+        assert_eq!(content_hash_hex(b"abc"), "44bc2cf5ad770999");
+        assert_eq!(
+            content_hash_hex(b"Nobody inspects the spammish repetition"),
+            "fbcea83c8a378bf1"
+        );
+    }
+
+    #[test]
+    fn content_hash_sees_every_byte_of_every_length() {
+        // Lengths 0..=100 cross the 32-byte stripe boundary three times and
+        // exercise every 8/4/1-byte tail; flipping any single bit of any
+        // input must change the hash.
+        let data: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=data.len() {
+            let h = content_hash(&data[..len]);
+            let mut flipped = data[..len].to_vec();
+            for i in 0..len {
+                for bit in 0..8 {
+                    flipped[i] ^= 1 << bit;
+                    assert_ne!(content_hash(&flipped), h, "len {len} byte {i} bit {bit}");
+                    flipped[i] ^= 1 << bit;
+                }
+            }
+        }
     }
 
     fn two_sets() -> Vec<SampleSet> {
@@ -732,11 +837,11 @@ mod tests {
         let path = dir.join("manifest.json");
         // Hashes with all 64 bits set must survive the JSON round-trip —
         // that is the point of the hex-string representation.
-        let mut m = CheckpointManifest::new(fnv1a64_hex(b"config"));
+        let mut m = CheckpointManifest::new(content_hash_hex(b"config"));
         m.upsert(ManifestEntry {
             snapshot_index: 0,
             file: "snap_00000.sklshard".into(),
-            hash: fnv1a64_hex(b"first"),
+            hash: content_hash_hex(b"first"),
             sets: 4,
             points: 100,
         });
@@ -744,15 +849,15 @@ mod tests {
         m.upsert(ManifestEntry {
             snapshot_index: 0,
             file: "snap_00000.sklshard".into(),
-            hash: fnv1a64_hex(b"second"),
+            hash: content_hash_hex(b"second"),
             sets: 4,
             points: 100,
         });
         assert_eq!(m.entries.len(), 1);
         m.save_atomic(&path).unwrap();
         let back = CheckpointManifest::load(&path).unwrap();
-        assert_eq!(back.config_hash, fnv1a64_hex(b"config"));
-        assert_eq!(back.entry(0).unwrap().hash, fnv1a64_hex(b"second"));
+        assert_eq!(back.config_hash, content_hash_hex(b"config"));
+        assert_eq!(back.entry(0).unwrap().hash, content_hash_hex(b"second"));
         assert!(back.entry(1).is_none());
         std::fs::remove_file(&path).ok();
     }

@@ -8,7 +8,8 @@
 //!
 //! - [`store`] / [`manifest`] / [`cache`] / [`prefetch`] — the storage
 //!   layer: per-`(snapshot, cube)` SKLH shards behind a `manifest.json`
-//!   whose shard names are their own FNV-1a hashes, read back through a
+//!   whose shard names are their own XXH64 content hashes (store manifest
+//!   version 2), verified once per cache residency and read back through a
 //!   byte-budgeted LRU cache warmed by a lookahead prefetcher.
 //! - [`protocol`] / [`server`] — the serving layer: a length-prefixed
 //!   binary protocol over plain `std::net` TCP, readiness-driven

@@ -2,11 +2,16 @@
 //!
 //! The manifest is the store's only index: one [`ShardEntry`] per
 //! `(snapshot, cube)` sample set, naming a shard file whose *file name is
-//! its own FNV-1a hash* (`shards/<hash>.sklh`), so a shard can never be
+//! its own content hash* (`shards/<hash>.sklh`), so a shard can never be
 //! silently swapped without the manifest noticing and identical content
-//! dedupes to one file. Hashes use [`sickle_field::io::fnv1a64_hex`] — the
-//! same single source of truth the checkpoint manifest uses — in hex-string
-//! form because JSON numbers are f64 and would truncate raw 64-bit hashes.
+//! dedupes to one file. Hashes use [`sickle_field::io::content_hash_hex`]
+//! (XXH64) — the same single source of truth the checkpoint manifest uses —
+//! in hex-string form because JSON numbers are f64 and would truncate raw
+//! 64-bit hashes.
+//!
+//! Version 2 is the XXH64 layout. Version 1 stores named their shards by
+//! FNV-1a; their shard bytes are the same, but every name and hash string
+//! differs, so [`StoreManifest::load`] refuses them and they are re-ingested.
 
 use std::io;
 use std::path::Path;
@@ -14,7 +19,7 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 /// Store format version (independent of the SKLF/SKLH payload version).
-pub const STORE_VERSION: u32 = 1;
+pub const STORE_VERSION: u32 = 2;
 
 /// Identity of one shard: the `(snapshot, cube)` coordinate of the sample
 /// set it holds. Ordering is the canonical dataset order — snapshot-major,
@@ -36,21 +41,14 @@ pub struct ShardEntry {
     pub cube: usize,
     /// Shard file, relative to the store root (`shards/<hash>.sklh`).
     pub file: String,
-    /// [`sickle_field::io::fnv1a64_hex`] of the shard file's bytes.
+    /// [`sickle_field::io::content_hash_hex`] of the shard file's bytes.
     pub hash: String,
     /// Retained points in the shard.
     pub points: usize,
     /// Shard file size in bytes.
     pub bytes: usize,
     /// Codec the shard was encoded with (a [`sickle_codec::Codec`] name).
-    /// Manifests written before the codec layer carry no field and default
-    /// to `"identity"`, which is exactly what those stores contain.
-    #[serde(default = "default_codec")]
     pub codec: String,
-}
-
-fn default_codec() -> String {
-    "identity".to_string()
 }
 
 impl ShardEntry {
@@ -140,7 +138,10 @@ impl StoreManifest {
         if m.version != STORE_VERSION {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("unsupported store version {}", m.version),
+                format!(
+                    "unsupported store version {} (this build reads version {STORE_VERSION})",
+                    m.version
+                ),
             ));
         }
         Ok(m)
@@ -168,7 +169,7 @@ mod tests {
             snapshot,
             cube,
             file: format!("shards/{snapshot}_{cube}.sklh"),
-            hash: sickle_field::io::fnv1a64_hex(&[snapshot as u8, cube as u8]),
+            hash: sickle_field::io::content_hash_hex(&[snapshot as u8, cube as u8]),
             points: 10,
             bytes: 100,
             codec: "identity".to_string(),
@@ -220,7 +221,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("manifest.json");
         let mut m = StoreManifest::new(
-            sickle_field::io::fnv1a64_hex(b"cfg"),
+            sickle_field::io::content_hash_hex(b"cfg"),
             vec!["u".into(), "q".into()],
         );
         m.entries.push(entry(0, 0));
@@ -234,12 +235,12 @@ mod tests {
     }
 
     #[test]
-    fn manifest_without_codec_field_defaults_to_identity() {
-        // A pre-codec manifest: the exact JSON shape older stores wrote,
-        // with no `codec` key on the entry.
+    fn version_1_manifest_is_refused() {
+        // A store written before the XXH64 content hash: its names and hash
+        // strings are FNV-1a, so it must be refused, not half-verified.
         let dir = std::env::temp_dir().join("sickle_store_manifest_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("precodec.json");
+        let path = dir.join("v1.json");
         std::fs::write(
             &path,
             r#"{
@@ -249,13 +250,17 @@ mod tests {
               "entries": [{
                 "snapshot": 0, "cube": 0,
                 "file": "shards/abc.sklh", "hash": "abc",
-                "points": 10, "bytes": 100
+                "points": 10, "bytes": 100, "codec": "identity"
               }]
             }"#,
         )
         .unwrap();
-        let m = StoreManifest::load(&path).unwrap();
-        assert_eq!(m.entries[0].codec, "identity");
+        let err = StoreManifest::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("version 1 "),
+            "error must name version 1: {err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -7,15 +7,14 @@
 //! ```text
 //! <root>/manifest.json          index + hashes (see [`StoreManifest`])
 //! <root>/shards/<hash>.sklh     one single-set shard per sample set,
-//! <root>/shards/<hash>.sklq     named by its own FNV-1a content hash
+//! <root>/shards/<hash>.sklq     named by its own content hash (XXH64)
 //! ```
 //!
 //! Shard payloads go through [`sickle_codec`]: the default identity codec
 //! reuses the checkpoint encoder ([`sickle_field::io::encode_sample_sets`])
 //! verbatim (`.sklh`), while [`ShardStore::ingest_with`] lets a per-shard
 //! policy pick a lossy codec (`.sklq`). Reads dispatch on the shard's own
-//! magic, so mixed-codec stores and pre-codec stores decode through the
-//! same path.
+//! magic, so mixed-codec stores decode through one path.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -127,7 +126,7 @@ impl ShardStore {
                 let key = set_key(set, position);
                 let codec = policy(key);
                 let bytes = sickle_codec::encode_shard(std::slice::from_ref(set), codec);
-                let hash = fio::fnv1a64_hex(&bytes);
+                let hash = fio::content_hash_hex(&bytes);
                 let ext = if codec == Codec::Identity {
                     "sklh"
                 } else {
@@ -211,7 +210,7 @@ impl ShardStore {
     /// Opens a shard's raw bytes as a shared, cached [`ShardBytes`] handle
     /// — the zero-copy read path. A hit is an `Arc` clone; a miss maps the
     /// file (or `read_at`s it under `SICKLE_MMAP=off`), length-checking
-    /// against the manifest *before* mapping and streaming the FNV hash
+    /// against the manifest *before* mapping and streaming the content hash
     /// over the view, so both integrity checks run exactly once per
     /// residency. `GetShard` ships the handle's slices straight into the
     /// socket; `get()` decodes from the same handle — the two paths never
@@ -231,7 +230,7 @@ impl ShardStore {
             let _s = sickle_obs::span!("store.disk_read", snapshot = key.snapshot, cube = key.cube);
             ShardBytes::open(&self.root.join(&entry.file), entry.bytes, self.mmap)?
         };
-        if fio::fnv1a64_hex(&raw) != entry.hash {
+        if fio::content_hash_hex(&raw) != entry.hash {
             return Err(invalid(format!("hash mismatch for {}", entry.file)));
         }
         sickle_obs::histogram!("store.disk_read_us", t0.elapsed().as_micros() as f64);
@@ -262,15 +261,16 @@ impl ShardStore {
             sickle_codec::decode_shard(&raw)?
         };
         sickle_obs::histogram!("store.decode_us", t1.elapsed().as_micros() as f64);
-        if sets.len() != 1 {
-            return Err(invalid(format!(
-                "shard for snapshot {} cube {} holds {} sets, expected 1",
-                key.snapshot,
-                key.cube,
-                sets.len()
-            )));
-        }
-        let set = Arc::new(sets.pop().expect("length checked"));
+        let count = sets.len();
+        let set = match sets.pop() {
+            Some(set) if count == 1 => Arc::new(set),
+            _ => {
+                return Err(invalid(format!(
+                    "shard for snapshot {} cube {} holds {count} sets, expected 1",
+                    key.snapshot, key.cube
+                )))
+            }
+        };
         self.cache.insert(key, Arc::clone(&set));
         Ok(set)
     }

@@ -177,7 +177,7 @@ proptest! {
         ));
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(root.join("shards")).unwrap();
-        let hash = sickle_field::io::fnv1a64_hex(&bytes);
+        let hash = sickle_field::io::content_hash_hex(&bytes);
         let file = format!("shards/{hash}.sklq");
         std::fs::write(root.join(&file), &bytes).unwrap();
         let mut manifest = StoreManifest::new("cfg", vec!["u".into()]);
@@ -294,6 +294,55 @@ fn shard_bitflipped_after_publish_fails_the_hash_check() {
 }
 
 #[test]
+fn every_single_byte_flip_fails_the_content_hash() {
+    // Small identity (SKLH) and resim (SKLQ) shards whose lengths are not
+    // a multiple of the hash's 32-byte stripe, so flips land in full
+    // stripes and in the 8/4/1-byte tail alike. The length still matches
+    // the manifest, so only the content hash can catch each flip.
+    for (codec, points) in [(Codec::Identity, 9), (Codec::resim_default(), 27)] {
+        for (mode, tag) in [(MmapMode::On, "mmap"), (MmapMode::Off, "read")] {
+            let out = sickle_store::testutil::small_output(1, 1, points);
+            let root = std::env::temp_dir().join(format!(
+                "sickle_store_byteflip_{}_{tag}_{}",
+                codec.name(),
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&root);
+            let cfg = StoreConfig {
+                mmap: mode,
+                ..StoreConfig::default()
+            };
+            let store = ShardStore::ingest_with(&root, &out, cfg, |_| codec).expect("ingest");
+            let file = root.join(&store.manifest().entries[0].file);
+            let clean = std::fs::read(&file).expect("read shard");
+            assert_ne!(clean.len() % 32, 0, "{codec:?}: pick a length with a tail");
+            assert!(
+                clean.len() > 64,
+                "{codec:?}: need at least two full stripes"
+            );
+            let key = ShardKey {
+                snapshot: 0,
+                cube: 0,
+            };
+            for offset in 0..clean.len() {
+                let mut bytes = clean.clone();
+                bytes[offset] ^= 0xA5;
+                std::fs::write(&file, &bytes).expect("rewrite shard");
+                let err = store.get(key).expect_err("a flipped byte must not verify");
+                assert_eq!(
+                    err.kind(),
+                    std::io::ErrorKind::InvalidData,
+                    "{codec:?}/{tag} byte {offset}: {err}"
+                );
+            }
+            std::fs::write(&file, &clean).expect("restore shard");
+            assert!(store.get(key).is_ok(), "{codec:?}/{tag}: clean shard reads");
+            std::fs::remove_dir_all(&root).ok();
+        }
+    }
+}
+
+#[test]
 fn unknown_codec_tag_in_shard_is_invalid_data_not_abort() {
     let out = sickle_store::testutil::small_output(1, 1, 16);
     let root = std::env::temp_dir().join(format!("sickle_store_badtag_{}", std::process::id()));
@@ -307,7 +356,7 @@ fn unknown_codec_tag_in_shard_is_invalid_data_not_abort() {
     let mut manifest = StoreManifest::load(&root.join("manifest.json")).expect("manifest");
     let mut bytes = std::fs::read(root.join(&manifest.entries[0].file)).expect("shard");
     bytes[8] = 250;
-    let hash = sickle_field::io::fnv1a64_hex(&bytes);
+    let hash = sickle_field::io::content_hash_hex(&bytes);
     let file = format!("shards/{hash}.sklq");
     std::fs::write(root.join(&file), &bytes).expect("rewrite");
     manifest.entries[0].file = file;

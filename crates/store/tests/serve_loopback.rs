@@ -283,7 +283,7 @@ fn shards_roundtrip_over_the_wire() {
     for entry in &manifest.entries {
         let bytes = client.shard(entry.key()).unwrap();
         assert_eq!(
-            sickle_field::io::fnv1a64_hex(&bytes),
+            sickle_field::io::content_hash_hex(&bytes),
             entry.hash,
             "wire bytes match the manifest hash"
         );
