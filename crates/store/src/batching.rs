@@ -11,10 +11,13 @@
 //! 2. an epoch permutation from [`epoch_order`] — `(0..n)` shuffled by
 //!    `StdRng::seed_from_u64(seed)`, the very code
 //!    `sickle_train::TensorData::batches` runs;
-//! 3. per-set tensorization in [`tensorize_set`] — `tokens` feature rows
-//!    at an even stride plus per-column-mean targets, each set independent
-//!    of every other so a batch only ever touches its own shards
-//!    (the out-of-core property).
+//! 3. per-set tensorization in [`assemble_batch`] — `tokens` feature rows
+//!    at an even stride plus the set's [`column_means`] as targets, each
+//!    set independent of every other so a batch only ever touches its own
+//!    shards (the out-of-core property). The means are a pure function of
+//!    the set: the server reads them from its cache, where they were
+//!    computed once when the shard was decoded; local callers compute them
+//!    in place. Same function, same bits.
 //!
 //! `f32` values cross the wire via `to_le_bytes`/`from_le_bytes`, which is
 //! lossless, so equality is exact, not approximate.
@@ -98,15 +101,27 @@ fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Tensorizes one sample set: inputs are `tokens` feature rows at stride
+/// A set's targets: the per-column mean of the whole set, summed in `f64`
+/// in row order and rounded once to `f32`. A pure function of the decoded
+/// set, so the store computes it once per residency and keeps it beside
+/// the set ([`DecodedShard`](crate::cache::DecodedShard)); an empty set
+/// yields NaNs, which no batch ever carries (the gather rejects it).
+pub fn column_means(set: &SampleSet) -> Vec<f32> {
+    let d = set.features.dim();
+    let mut sums = vec![0.0f64; d];
+    for row in set.features.data.chunks_exact(d) {
+        for (s, &v) in sums.iter_mut().zip(row) {
+            *s += v;
+        }
+    }
+    let n = set.len() as f64;
+    sums.iter().map(|s| (s / n) as f32).collect()
+}
+
+/// Appends one set's `tokens` feature rows at stride
 /// `(t * len / tokens) % len` (the spread `reconstruction_data` uses, so
-/// cluster-major samplers contribute representative tokens); targets are
-/// the per-column mean of the whole set, accumulated in `f64` and rounded
-/// once to `f32`.
-///
-/// # Errors
-/// `InvalidData` for an empty set or `tokens == 0`.
-pub fn tensorize_set(set: &SampleSet, tokens: usize) -> io::Result<(Vec<f32>, Vec<f32>)> {
+/// cluster-major samplers contribute representative tokens) to `out`.
+fn gather_tokens(set: &SampleSet, tokens: usize, out: &mut Vec<f32>) -> io::Result<()> {
     if set.is_empty() {
         return Err(invalid(format!(
             "cannot tensorize empty sample set (snapshot {})",
@@ -116,50 +131,54 @@ pub fn tensorize_set(set: &SampleSet, tokens: usize) -> io::Result<(Vec<f32>, Ve
     if tokens == 0 {
         return Err(invalid("tokens must be positive".into()));
     }
-    let d = set.features.dim();
-    let mut inputs = Vec::with_capacity(tokens * d);
     for t in 0..tokens {
         let row = set.features.row((t * set.len() / tokens) % set.len());
-        inputs.extend(row.iter().map(|&v| v as f32));
+        out.extend(row.iter().map(|&v| v as f32));
     }
-    let mut sums = vec![0.0f64; d];
-    for row in set.features.data.chunks_exact(d) {
-        for (s, &v) in sums.iter_mut().zip(row) {
-            *s += v;
-        }
-    }
-    let n = set.len() as f64;
-    let targets = sums.iter().map(|s| (s / n) as f32).collect();
-    Ok((inputs, targets))
+    Ok(())
 }
 
-/// Assembles one batch from already-fetched sets (in batch order).
+/// Tensorizes one sample set: its `tokens` strided feature rows and its
+/// [`column_means`] targets.
 ///
 /// # Errors
-/// `InvalidData` for an empty batch, an empty set, or sets whose feature
-/// dimensions disagree.
-pub fn batch_from_sets(sets: &[Arc<SampleSet>], tokens: usize) -> io::Result<Batch> {
-    let first = sets
+/// `InvalidData` for an empty set or `tokens == 0`.
+pub fn tensorize_set(set: &SampleSet, tokens: usize) -> io::Result<(Vec<f32>, Vec<f32>)> {
+    let mut inputs = Vec::with_capacity(tokens * set.features.dim());
+    gather_tokens(set, tokens, &mut inputs)?;
+    Ok((inputs, column_means(set)))
+}
+
+/// The one batch assembler: for each `(set, targets)` pair, in batch
+/// order, gathers the set's token rows and appends its targets, which must
+/// be the set's [`column_means`]. The server passes the targets its cache
+/// holds; [`batch_from_sets`] computes them on the spot.
+///
+/// # Errors
+/// `InvalidData` for an empty batch, an empty set, `tokens == 0`, sets
+/// whose feature dimensions disagree, or targets of the wrong length.
+pub fn assemble_batch(pairs: &[(&SampleSet, &[f32])], tokens: usize) -> io::Result<Batch> {
+    let (first, _) = pairs
         .first()
         .ok_or_else(|| invalid("cannot build an empty batch".into()))?;
     let features = first.features.dim();
-    let mut inputs = Vec::with_capacity(sets.len() * tokens * features);
-    let mut targets = Vec::with_capacity(sets.len() * features);
-    for set in sets {
-        if set.features.dim() != features {
+    let mut inputs = Vec::with_capacity(pairs.len() * tokens * features);
+    let mut targets = Vec::with_capacity(pairs.len() * features);
+    for &(set, means) in pairs {
+        if set.features.dim() != features || means.len() != features {
             return Err(invalid(format!(
-                "feature dimension mismatch in batch: {} vs {}",
+                "feature dimension mismatch in batch: {} (targets {}) vs {}",
                 set.features.dim(),
+                means.len(),
                 features
             )));
         }
-        let (i, t) = tensorize_set(set, tokens)?;
-        inputs.extend(i);
-        targets.extend(t);
+        gather_tokens(set, tokens, &mut inputs)?;
+        targets.extend_from_slice(means);
     }
     Ok(Batch {
         shape: BatchShape {
-            batch: sets.len(),
+            batch: pairs.len(),
             tokens,
             features,
             outputs: features,
@@ -167,6 +186,21 @@ pub fn batch_from_sets(sets: &[Arc<SampleSet>], tokens: usize) -> io::Result<Bat
         inputs,
         targets,
     })
+}
+
+/// Assembles one batch from already-fetched sets (in batch order),
+/// computing each set's targets on the spot.
+///
+/// # Errors
+/// As [`assemble_batch`].
+pub fn batch_from_sets(sets: &[Arc<SampleSet>], tokens: usize) -> io::Result<Batch> {
+    let means: Vec<Vec<f32>> = sets.iter().map(|set| column_means(set)).collect();
+    let pairs: Vec<(&SampleSet, &[f32])> = sets
+        .iter()
+        .zip(&means)
+        .map(|(set, m)| (&**set, &m[..]))
+        .collect();
+    assemble_batch(&pairs, tokens)
 }
 
 /// Convenience for tests and the in-memory comparison path: batch `index`
@@ -246,6 +280,23 @@ mod tests {
     fn tensorize_rejects_empty_and_zero_tokens() {
         let set = Arc::new(fixture_set(0, 0, 8));
         assert!(tensorize_set(&set, 0).is_err());
+    }
+
+    #[test]
+    fn assembler_takes_the_targets_it_is_given_and_checks_their_length() {
+        let sets: Vec<Arc<SampleSet>> = (0..3).map(|c| Arc::new(fixture_set(0, c, 10))).collect();
+        let means: Vec<Vec<f32>> = sets.iter().map(|s| column_means(s)).collect();
+        let pairs: Vec<(&SampleSet, &[f32])> = sets
+            .iter()
+            .zip(&means)
+            .map(|(s, m)| (&**s, &m[..]))
+            .collect();
+        let batch = assemble_batch(&pairs, 4).unwrap();
+        assert_eq!(batch, batch_from_sets(&sets, 4).unwrap());
+        assert_eq!(&batch.targets[2..4], &means[1][..]);
+        assert_eq!(tensorize_set(&sets[1], 4).unwrap().1, means[1]);
+        assert!(assemble_batch(&[(&*sets[0], &means[0][..1])], 4).is_err());
+        assert!(assemble_batch(&[], 4).is_err());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sickle_hpc::FaultPlan;
 use sickle_store::server::{serve, ServeConfig};
@@ -144,18 +144,12 @@ fn run(args: &Args) -> Result<(), String> {
     eprintln!("sickle-serve: listening on {}", handle.addr());
     let deadline = args
         .max_seconds
-        .map(|secs| std::time::Instant::now() + Duration::from_secs(secs));
-    // Poll rather than sleep out the window: a client Shutdown request
-    // sets the stop flag and the process should exit (and flush its
-    // trace) right away.
-    while !handle.stop_requested() {
-        if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    drop(handle); // graceful: joins accept loop and workers
-    Ok(())
+        .map(|secs| Instant::now() + Duration::from_secs(secs));
+    // Block on the stop latch, not a timer: a client Shutdown request
+    // opens it and the process exits (and flushes its trace) right away.
+    let waited = handle.wait_for_stop(deadline);
+    drop(handle); // graceful: joins the workers
+    waited.map(drop).map_err(|e| format!("wait for stop: {e}"))
 }
 
 fn main() -> ExitCode {

@@ -9,11 +9,15 @@
 //!   usually an `mmap` whose pages belong to the OS page cache. These are
 //!   what `GetShard` ships and what `get()` decodes from, hash-verified
 //!   once per residency.
-//! - **set** — the decoded [`SampleSet`] every batch is tensorized from,
-//!   so a lossy shard's reconstruction runs once per residency.
+//! - **decoded** — a [`DecodedShard`]: the decoded [`SampleSet`] every
+//!   batch is tensorized from plus its targets
+//!   ([`column_means`](crate::batching::column_means)), both made once per
+//!   residency, so neither a lossy shard's reconstruction nor the O(points)
+//!   target reduction runs per request. Set and targets are one value:
+//!   inserted, hit and evicted together.
 //!
 //! The two residencies are budgeted separately: `budget_bytes` bounds
-//! heap-resident bytes (decoded sets plus `read_at`-fallback raw buffers)
+//! heap-resident bytes (decoded shards plus `read_at`-fallback raw buffers)
 //! exactly as before, while `mapped_budget_bytes` bounds mapped bytes —
 //! counting a mapping against the heap budget would double-charge the OS
 //! page cache and evict decoded sets to "make room" for memory the kernel
@@ -32,9 +36,52 @@ use sickle_field::SampleSet;
 use crate::manifest::ShardKey;
 use crate::shard_bytes::ShardBytes;
 
+/// A decoded shard as the cache holds it: the set and its
+/// [`column_means`](crate::batching::column_means), computed once by
+/// [`DecodedShard::new`] — the only constructor, so the targets always
+/// belong to the set beside them. Cloning is two refcount bumps.
+#[derive(Clone)]
+pub struct DecodedShard {
+    set: Arc<SampleSet>,
+    targets: Arc<[f32]>,
+}
+
+impl DecodedShard {
+    /// Pairs a decoded set with its targets, running the reduction once.
+    pub fn new(set: Arc<SampleSet>) -> Self {
+        let targets = crate::batching::column_means(&set).into();
+        DecodedShard { set, targets }
+    }
+
+    /// The decoded set.
+    pub fn set(&self) -> &Arc<SampleSet> {
+        &self.set
+    }
+
+    /// The decoded set, without its targets.
+    pub fn into_set(self) -> Arc<SampleSet> {
+        self.set
+    }
+
+    /// The set's per-column means, one per feature.
+    pub fn targets(&self) -> &Arc<[f32]> {
+        &self.targets
+    }
+
+    /// The set and its targets as the batch assembler takes them.
+    pub fn pair(&self) -> (&SampleSet, &[f32]) {
+        (&self.set, &self.targets)
+    }
+
+    /// Heap payload of the set plus its targets.
+    fn heap_bytes(&self) -> usize {
+        sample_set_bytes(&self.set) + std::mem::size_of_val(&*self.targets)
+    }
+}
+
 struct CacheEntry {
     raw: Option<Arc<ShardBytes>>,
-    set: Option<Arc<SampleSet>>,
+    decoded: Option<DecodedShard>,
     heap_bytes: usize,
     mapped_bytes: usize,
     last_used: u64,
@@ -46,7 +93,7 @@ impl CacheEntry {
         let raw_mapped = self.raw.as_ref().is_some_and(|r| r.is_mapped());
         self.mapped_bytes = if raw_mapped { raw_len } else { 0 };
         self.heap_bytes = if raw_mapped { 0 } else { raw_len }
-            + self.set.as_ref().map_or(0, |s| sample_set_bytes(s));
+            + self.decoded.as_ref().map_or(0, DecodedShard::heap_bytes);
     }
 }
 
@@ -98,17 +145,17 @@ impl BlockCache {
 
     /// Looks a decoded shard up, bumping its recency. Counts
     /// `store.cache.hit` or `store.cache.miss`.
-    pub fn get(&self, key: ShardKey) -> Option<Arc<SampleSet>> {
+    pub fn get(&self, key: ShardKey) -> Option<DecodedShard> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(&key).and_then(|entry| {
             entry.last_used = tick;
-            entry.set.clone()
+            entry.decoded.clone()
         }) {
-            Some(set) => {
+            Some(decoded) => {
                 sickle_obs::counter!("store.cache.hit", 1usize);
-                Some(set)
+                Some(decoded)
             }
             None => {
                 sickle_obs::counter!("store.cache.miss", 1usize);
@@ -138,7 +185,7 @@ impl BlockCache {
         }
     }
 
-    /// True when anything (raw bytes or decoded set) is resident for the
+    /// True when anything (raw bytes or decoded shard) is resident for the
     /// key. Does not touch recency or counters (used by the prefetcher to
     /// avoid skewing hit statistics).
     pub fn contains(&self, key: ShardKey) -> bool {
@@ -153,7 +200,7 @@ impl BlockCache {
     /// entries until both budgets hold again. The entry just inserted is
     /// never evicted by its own insertion, so a single oversized shard
     /// still serves.
-    pub fn insert(&self, key: ShardKey, value: Arc<SampleSet>) {
+    pub fn insert(&self, key: ShardKey, value: DecodedShard) {
         self.merge(key, None, Some(value));
     }
 
@@ -162,14 +209,14 @@ impl BlockCache {
         self.merge(key, Some(raw), None);
     }
 
-    fn merge(&self, key: ShardKey, raw: Option<Arc<ShardBytes>>, set: Option<Arc<SampleSet>>) {
+    fn merge(&self, key: ShardKey, raw: Option<Arc<ShardBytes>>, decoded: Option<DecodedShard>) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.tick += 1;
         let tick = inner.tick;
         let (old_heap, old_mapped, new_heap, new_mapped) = {
             let entry = inner.map.entry(key).or_insert(CacheEntry {
                 raw: None,
-                set: None,
+                decoded: None,
                 heap_bytes: 0,
                 mapped_bytes: 0,
                 last_used: tick,
@@ -178,8 +225,8 @@ impl BlockCache {
             if let Some(raw) = raw {
                 entry.raw = Some(raw);
             }
-            if let Some(set) = set {
-                entry.set = Some(set);
+            if let Some(decoded) = decoded {
+                entry.decoded = Some(decoded);
             }
             entry.last_used = tick;
             entry.recount();
@@ -213,7 +260,7 @@ impl BlockCache {
         sickle_obs::gauge!("store.cache.resident_shards", inner.map.len());
     }
 
-    /// Resident shard count (entries with raw bytes, a decoded set, or
+    /// Resident shard count (entries with raw bytes, a decoded shard, or
     /// both).
     pub fn len(&self) -> usize {
         self.inner
@@ -228,9 +275,9 @@ impl BlockCache {
         self.len() == 0
     }
 
-    /// Approximate heap-resident bytes (decoded sets + fallback raw
-    /// buffers; mapped bytes are excluded — they belong to the OS page
-    /// cache).
+    /// Approximate heap-resident bytes (decoded sets and their targets +
+    /// fallback raw buffers; mapped bytes are excluded — they belong to the
+    /// OS page cache).
     pub fn resident_bytes(&self) -> usize {
         self.inner
             .lock()
@@ -263,9 +310,9 @@ mod tests {
     use crate::shard_bytes::MmapMode;
     use sickle_field::FeatureMatrix;
 
-    fn set_of(n: usize) -> Arc<SampleSet> {
+    fn shard_of(n: usize) -> DecodedShard {
         let features = FeatureMatrix::new(vec!["u".into()], vec![0.5; n]);
-        Arc::new(SampleSet::new(features, (0..n).collect(), 0.0, 0))
+        DecodedShard::new(Arc::new(SampleSet::new(features, (0..n).collect(), 0.0, 0)))
     }
 
     fn key(cube: usize) -> ShardKey {
@@ -289,21 +336,22 @@ mod tests {
     fn hit_after_insert_miss_before() {
         let cache = cache(1 << 20);
         assert!(cache.get(key(0)).is_none());
-        cache.insert(key(0), set_of(4));
+        cache.insert(key(0), shard_of(4));
         let got = cache.get(key(0)).expect("resident");
-        assert_eq!(got.len(), 4);
+        assert_eq!(got.set().len(), 4);
+        assert_eq!(&got.targets()[..], [0.5f32]);
     }
 
     #[test]
     fn evicts_least_recently_used_under_budget_pressure() {
         // Each set is ~16B/point of payload; budget fits roughly two sets.
-        let per = sample_set_bytes(&set_of(100));
+        let per = shard_of(100).heap_bytes();
         let cache = cache(per * 2 + per / 2);
-        cache.insert(key(0), set_of(100));
-        cache.insert(key(1), set_of(100));
+        cache.insert(key(0), shard_of(100));
+        cache.insert(key(1), shard_of(100));
         // Touch 0 so 1 becomes the LRU victim.
         assert!(cache.get(key(0)).is_some());
-        cache.insert(key(2), set_of(100));
+        cache.insert(key(2), shard_of(100));
         assert!(cache.contains(key(0)), "recently used survives");
         assert!(!cache.contains(key(1)), "LRU evicted");
         assert!(cache.contains(key(2)), "new entry resident");
@@ -313,10 +361,10 @@ mod tests {
     #[test]
     fn oversized_single_shard_still_resides() {
         let cache = cache(8); // far below one shard
-        cache.insert(key(0), set_of(1000));
+        cache.insert(key(0), shard_of(1000));
         assert!(cache.contains(key(0)));
         // The next insert displaces it (budget admits only one).
-        cache.insert(key(1), set_of(1000));
+        cache.insert(key(1), shard_of(1000));
         assert!(!cache.contains(key(0)));
         assert!(cache.contains(key(1)));
     }
@@ -324,11 +372,25 @@ mod tests {
     #[test]
     fn reinsert_replaces_without_double_counting() {
         let cache = cache(1 << 20);
-        cache.insert(key(0), set_of(10));
+        let first = shard_of(10);
+        cache.insert(key(0), first.clone());
         let b1 = cache.resident_bytes();
-        cache.insert(key(0), set_of(10));
+        // The targets (one f32 per feature) are charged beside the set.
+        assert_eq!(b1, sample_set_bytes(first.set()) + 4);
+        cache.insert(key(0), shard_of(10));
         assert_eq!(cache.resident_bytes(), b1);
         assert_eq!(cache.len(), 1);
+        // The replacement's targets are what a hit returns now.
+        let hit = cache.get(key(0)).expect("resident");
+        assert!(!Arc::ptr_eq(hit.targets(), first.targets()));
+
+        // Set and targets leave together: with room for one shard, the
+        // next insert evicts the whole entry and only its bytes remain.
+        let tight = BlockCache::new(b1, usize::MAX);
+        tight.insert(key(0), shard_of(10));
+        tight.insert(key(1), shard_of(10));
+        assert!(tight.get(key(0)).is_none(), "set and targets evicted");
+        assert_eq!(tight.resident_bytes(), b1);
     }
 
     #[test]
@@ -356,11 +418,11 @@ mod tests {
     fn raw_and_set_merge_into_one_entry() {
         let cache = cache(1 << 20);
         cache.insert_raw(key(0), raw_of("merge", 256, MmapMode::Off));
-        cache.insert(key(0), set_of(10));
+        cache.insert(key(0), shard_of(10));
         assert_eq!(cache.len(), 1);
         assert!(cache.get_raw(key(0)).is_some());
         assert!(cache.get(key(0)).is_some());
-        assert_eq!(cache.resident_bytes(), 256 + sample_set_bytes(&set_of(10)));
+        assert_eq!(cache.resident_bytes(), 256 + shard_of(10).heap_bytes());
     }
 
     #[test]

@@ -113,13 +113,15 @@ impl StoreClient {
     }
 
     fn stream(&mut self) -> io::Result<&mut TcpStream> {
-        if self.conn.is_none() {
-            let stream = TcpStream::connect(&self.addr)?;
-            stream.set_read_timeout(Some(self.cfg.timeout))?;
-            stream.set_nodelay(true)?;
-            self.conn = Some(stream);
+        match &mut self.conn {
+            Some(stream) => Ok(stream),
+            conn @ None => {
+                let stream = TcpStream::connect(&self.addr)?;
+                stream.set_read_timeout(Some(self.cfg.timeout))?;
+                stream.set_nodelay(true)?;
+                Ok(conn.insert(stream))
+            }
         }
-        Ok(self.conn.as_mut().expect("connection just established"))
     }
 
     fn try_once(&mut self, tag: u8, payload: &[u8]) -> io::Result<Response> {

@@ -39,7 +39,7 @@ pub mod testutil;
 
 pub use backoff::Backoff;
 pub use batching::{Batch, BatchShape, BatchSpec};
-pub use cache::BlockCache;
+pub use cache::{BlockCache, DecodedShard};
 pub use client::{ClientConfig, StoreClient};
 pub use manifest::{ShardEntry, ShardKey, StoreManifest};
 pub use prefetch::Prefetcher;

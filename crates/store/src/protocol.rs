@@ -246,9 +246,10 @@ impl Request {
         };
         let ctx = match payload.len() {
             0 => None,
-            TRACE_TRAILER_LEN if payload[0] == TRACE_MAGIC => {
-                Some(TraceContext::decode(&payload[1..]).expect("trailer length checked"))
-            }
+            TRACE_TRAILER_LEN if payload[0] == TRACE_MAGIC => Some(
+                TraceContext::decode(&payload[1..])
+                    .ok_or_else(|| invalid("malformed trace-context trailer"))?,
+            ),
             _ => return Err(invalid("trailing bytes after request")),
         };
         Ok((req, ctx))

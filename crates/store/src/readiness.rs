@@ -15,7 +15,7 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[cfg(not(target_os = "linux"))]
 compile_error!("sickle-store's server core is readiness-driven through Linux epoll");
@@ -31,6 +31,7 @@ mod sys {
     pub const EPOLLOUT: u32 = 0x4;
     pub const EPOLLONESHOT: u32 = 1 << 30;
     pub const ENOENT: i32 = 2;
+    pub const POLLIN: i16 = 0x1;
 
     /// `struct epoll_event`; the kernel ABI packs it on x86-64 only.
     #[repr(C)]
@@ -40,11 +41,20 @@ mod sys {
         pub data: u64,
     }
 
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: c_int,
+        pub events: i16,
+        pub revents: i16,
+    }
+
     extern "C" {
         pub fn epoll_create1(flags: c_int) -> c_int;
         pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
         pub fn epoll_wait(epfd: c_int, events: *mut EpollEvent, max: c_int, ms: c_int) -> c_int;
         pub fn eventfd(initval: u32, flags: c_int) -> c_int;
+        pub fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, ms: c_int) -> c_int;
     }
 }
 
@@ -56,6 +66,14 @@ fn owned(fd: c_int) -> io::Result<OwnedFd> {
     // SAFETY: the kernel just returned `fd` to this call and nothing else
     // knows its number, so this is its only owner; drop closes it once.
     Ok(unsafe { OwnedFd::from_raw_fd(fd) })
+}
+
+/// A wait's timeout argument in milliseconds, rounded up so a wait never
+/// ends before its time; `-1` (forever) for `None`.
+fn millis(timeout: Option<Duration>) -> c_int {
+    timeout.map_or(-1, |d| {
+        d.as_micros().div_ceil(1000).min(i32::MAX as u128) as c_int
+    })
 }
 
 /// Which direction a parked socket is waiting on. Errors and hang-ups are
@@ -140,13 +158,40 @@ impl Poller {
         }
     }
 
+    /// Blocks until [`stop`](Self::stop) has run or `deadline` has passed
+    /// and returns whether the stop came. It `poll`s the latch itself — a
+    /// waiter beside the workers' `epoll` that neither consumes the latch
+    /// nor needs arming — so a stop wakes it at once, and nothing spins.
+    pub(crate) fn wait_stopped(&self, deadline: Option<Instant>) -> io::Result<bool> {
+        loop {
+            if self.stopped() {
+                return Ok(true);
+            }
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|left| left.is_zero()) {
+                return Ok(false);
+            }
+            let mut latch = sys::PollFd {
+                fd: self.latch.as_raw_fd(),
+                events: sys::POLLIN,
+                revents: 0,
+            };
+            // SAFETY: `latch` is one live, correctly laid out `pollfd`, as
+            // `nfds = 1` tells the kernel; its descriptor is owned by `self`.
+            if unsafe { sys::poll(&mut latch, 1, millis(left)) } < 0 {
+                let e = io::Error::last_os_error();
+                if e.kind() != io::ErrorKind::Interrupted {
+                    return Err(e);
+                }
+            }
+        }
+    }
+
     /// Blocks until one armed descriptor is ready and returns its token;
     /// `None` when `timeout` (rounded up to a millisecond) ran out first.
     /// After [`stop`](Self::stop) it never blocks; check `stopped` first.
     pub(crate) fn wait(&self, timeout: Option<Duration>) -> io::Result<Option<u64>> {
-        let ms = timeout.map_or(-1, |d| {
-            d.as_micros().div_ceil(1000).min(i32::MAX as u128) as c_int
-        });
+        let ms = millis(timeout);
         let mut event = sys::EpollEvent { events: 0, data: 0 };
         loop {
             // SAFETY: `event` is writable room for exactly the one event
@@ -197,5 +242,25 @@ mod tests {
             assert_eq!(poller.wait(None).unwrap(), Some(LATCH), "stays open");
         }
         assert!(poller.stopped());
+    }
+
+    #[test]
+    fn wait_stopped_ends_at_the_deadline_or_at_the_stop() {
+        let poller = std::sync::Arc::new(Poller::new().unwrap());
+        let t0 = Instant::now();
+        let deadline = t0 + Duration::from_millis(30);
+        assert!(!poller.wait_stopped(Some(deadline)).unwrap(), "no stop yet");
+        assert!(Instant::now() >= deadline, "returned before its deadline");
+
+        let stopper = {
+            let poller = std::sync::Arc::clone(&poller);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                poller.stop();
+            })
+        };
+        assert!(poller.wait_stopped(None).unwrap(), "the stop ends a wait");
+        stopper.join().unwrap();
+        assert!(poller.wait_stopped(Some(t0)).unwrap(), "a past stop counts");
     }
 }

@@ -42,7 +42,8 @@ use std::time::{Duration, Instant};
 use sickle_hpc::fault::{FaultAction, FaultInjector, FaultPlan};
 use sickle_obs::TraceContext;
 
-use crate::batching::{batch_from_sets, batch_keys, num_batches, BatchSpec};
+use crate::batching::{assemble_batch, batch_keys, num_batches, BatchSpec};
+use crate::cache::DecodedShard;
 use crate::manifest::ShardKey;
 use crate::prefetch::Prefetcher;
 use crate::protocol::{write_frame, Request, Response, WireErrorKind, MAX_FRAME, TAG_RESP_SHARD};
@@ -232,12 +233,18 @@ impl ServerHandle {
         self.addr
     }
 
-    /// True once the stop flag is set — by [`shutdown`](Self::shutdown) or
-    /// by a client's `Request::Shutdown` when `allow_shutdown` is on. Lets
-    /// a hosting process (the `sickle-serve` binary) exit early instead of
-    /// sleeping out its deadline.
-    pub fn stop_requested(&self) -> bool {
-        self.poller.stopped()
+    /// Blocks on the stop latch until the stop flag is set — by
+    /// [`shutdown`](Self::shutdown) or by a client's `Request::Shutdown`
+    /// when `allow_shutdown` is on — or `deadline` passes (`None`: no
+    /// deadline); returns whether the stop came. Lets a hosting process
+    /// (the `sickle-serve` binary) exit the moment a client's `Shutdown`
+    /// lands instead of sleeping out its window; a past deadline makes it
+    /// a non-blocking check.
+    ///
+    /// # Errors
+    /// A failed `poll` on the latch.
+    pub fn wait_for_stop(&self, deadline: Option<Instant>) -> io::Result<bool> {
+        self.poller.wait_stopped(deadline)
     }
 
     /// Signals every worker to stop and joins them; the last one out
@@ -767,18 +774,19 @@ fn serve_request(req: Request, shared: &Shared) -> io::Result<Reply> {
     }
 }
 
-/// The one batch assembler: fetch each key through the store cache, in
-/// order, and tensorize. `GetBatch` (server-chosen keys) and `GetTensors`
-/// (client-chosen keys) both answer with its `Batch` frame, so the two
-/// cannot disagree on a byte.
+/// Fetches each key's decoded set and cached targets through the store, in
+/// order, and hands the pairs to the one batch assembler. `GetBatch`
+/// (server-chosen keys) and `GetTensors` (client-chosen keys) both answer
+/// with its `Batch` frame, so the two cannot disagree on a byte.
 fn assemble(shared: &Shared, keys: &[ShardKey], tokens: usize) -> io::Result<Reply> {
-    let sets = keys
+    let resident = keys
         .iter()
-        .map(|&k| shared.store.get(k))
+        .map(|&k| shared.store.resident(k))
         .collect::<io::Result<Vec<_>>>()?;
     let _s = sickle_obs::span!("serve.assemble_batch");
-    Ok(Reply::Message(Response::Batch(batch_from_sets(
-        &sets, tokens,
+    let pairs: Vec<_> = resident.iter().map(DecodedShard::pair).collect();
+    Ok(Reply::Message(Response::Batch(assemble_batch(
+        &pairs, tokens,
     )?)))
 }
 

@@ -66,7 +66,7 @@ impl ConnRegistry {
         self.inner
             .open
             .lock()
-            .expect("conn registry lock")
+            .unwrap_or_else(|e| e.into_inner())
             .push((id, Arc::clone(&counters)));
         ConnGuard {
             registry: self.clone(),
@@ -92,7 +92,11 @@ impl ConnRegistry {
 
     /// Connections currently open — the admission bound's input.
     pub fn open_count(&self) -> usize {
-        self.inner.open.lock().expect("conn registry lock").len()
+        self.inner
+            .open
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .len()
     }
 
     /// Snapshot of every live connection's counters.
@@ -100,7 +104,7 @@ impl ConnRegistry {
         self.inner
             .open
             .lock()
-            .expect("conn registry lock")
+            .unwrap_or_else(|e| e.into_inner())
             .iter()
             .map(|(id, c)| ConnStats {
                 id: *id,
@@ -133,7 +137,12 @@ impl ConnGuard {
 
 impl Drop for ConnGuard {
     fn drop(&mut self) {
-        let mut open = self.registry.inner.open.lock().expect("conn registry lock");
+        let mut open = self
+            .registry
+            .inner
+            .open
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         open.retain(|(id, _)| *id != self.id);
     }
 }
@@ -299,6 +308,10 @@ impl StatsSnapshot {
 
     /// Serializes to the JSON wire form behind `TAG_RESP_STATS`.
     pub fn to_json(&self) -> Vec<u8> {
+        // Cannot fail: the snapshot is strings, integers and floats in
+        // structs and lists — no map with non-string keys, no fallible
+        // `Serialize` impl — and serde_json writes non-finite floats as
+        // `null` rather than erroring.
         serde_json::to_string(self)
             .expect("stats serialize")
             .into_bytes()

@@ -25,15 +25,15 @@ use sickle_core::pipeline::{config_fingerprint, SamplingOutput};
 use sickle_field::io as fio;
 use sickle_field::SampleSet;
 
-use crate::cache::BlockCache;
+use crate::cache::{BlockCache, DecodedShard};
 use crate::manifest::{ShardEntry, ShardKey, StoreManifest};
 use crate::shard_bytes::{MmapMode, ShardBytes};
 
 /// Tuning for an opened store.
 #[derive(Clone, Copy, Debug)]
 pub struct StoreConfig {
-    /// Byte budget for heap-resident cache entries (decoded sets plus
-    /// `read_at`-fallback raw buffers).
+    /// Byte budget for heap-resident cache entries (decoded sets and their
+    /// targets, plus `read_at`-fallback raw buffers).
     pub cache_bytes: usize,
     /// Byte budget for mapped raw-shard handles. Mapped pages belong to
     /// the OS page cache, so this bounds address-space/page-cache pressure
@@ -240,17 +240,28 @@ impl ShardStore {
     }
 
     /// Fetches a decoded shard through the cache: a hit is an `Arc` clone;
-    /// a miss reads through [`shard_handle`](Self::shard_handle) (hash
-    /// verified once per residency), decodes through
-    /// [`sickle_codec::decode_shard`] (for resim shards this runs the
-    /// reconstruction solver), and makes it resident (possibly evicting
-    /// colder shards) — so lossy decode cost is paid once per residency,
-    /// not once per request.
+    /// a miss goes through [`resident`](Self::resident).
+    ///
+    /// # Errors
+    /// As [`resident`](Self::resident).
+    pub fn get(&self, key: ShardKey) -> io::Result<Arc<SampleSet>> {
+        self.resident(key).map(DecodedShard::into_set)
+    }
+
+    /// Fetches a decoded shard with its targets through the cache: a hit is
+    /// two `Arc` clones; a miss reads through
+    /// [`shard_handle`](Self::shard_handle) (hash verified once per
+    /// residency), decodes through [`sickle_codec::decode_shard`] (for resim
+    /// shards this runs the reconstruction solver), computes the set's
+    /// [`column_means`](crate::batching::column_means) while it is still
+    /// hot, and makes both resident together (possibly evicting colder
+    /// shards) — so decode and target reduction are paid once per
+    /// residency, not once per request.
     ///
     /// # Errors
     /// `NotFound` for an unknown key, `InvalidData` on hash mismatch or a
     /// shard that does not hold exactly one sample set.
-    pub fn get(&self, key: ShardKey) -> io::Result<Arc<SampleSet>> {
+    pub fn resident(&self, key: ShardKey) -> io::Result<DecodedShard> {
         if let Some(hit) = self.cache.get(key) {
             return Ok(hit);
         }
@@ -262,8 +273,8 @@ impl ShardStore {
         };
         sickle_obs::histogram!("store.decode_us", t1.elapsed().as_micros() as f64);
         let count = sets.len();
-        let set = match sets.pop() {
-            Some(set) if count == 1 => Arc::new(set),
+        let decoded = match sets.pop() {
+            Some(set) if count == 1 => DecodedShard::new(Arc::new(set)),
             _ => {
                 return Err(invalid(format!(
                     "shard for snapshot {} cube {} holds {count} sets, expected 1",
@@ -271,13 +282,14 @@ impl ShardStore {
                 )))
             }
         };
-        self.cache.insert(key, Arc::clone(&set));
-        Ok(set)
+        self.cache.insert(key, decoded.clone());
+        Ok(decoded)
     }
 
-    /// Tensorizes one shard: [`get`](Self::get) (so the decode is paid once
-    /// per residency) then [`tensorize_set`](crate::batching::tensorize_set).
-    /// Returns `(inputs, targets, features)`.
+    /// Tensorizes one shard: [`resident`](Self::resident) (so decode and
+    /// targets are paid once per residency) then the one batch assembler,
+    /// [`assemble_batch`](crate::batching::assemble_batch). Returns
+    /// `(inputs, targets, features)`.
     ///
     /// # Errors
     /// As [`get`](Self::get), plus `InvalidData` for an empty set or
@@ -287,19 +299,19 @@ impl ShardStore {
         key: ShardKey,
         tokens: usize,
     ) -> io::Result<(Vec<f32>, Vec<f32>, usize)> {
-        let set = self.get(key)?;
-        let (inputs, targets) = crate::batching::tensorize_set(&set, tokens)?;
-        Ok((inputs, targets, set.features.dim()))
+        let decoded = self.resident(key)?;
+        let batch = crate::batching::assemble_batch(&[decoded.pair()], tokens)?;
+        Ok((batch.inputs, batch.targets, batch.shape.features))
     }
 
     /// Makes a shard resident ahead of demand (the prefetcher's verb):
-    /// raw handle plus decoded set, exactly what the batch path will ask
-    /// for.
+    /// raw handle plus decoded set and targets, exactly what the batch path
+    /// will ask for.
     ///
     /// # Errors
-    /// As [`get`](Self::get).
+    /// As [`resident`](Self::resident).
     pub fn warm(&self, key: ShardKey) -> io::Result<()> {
-        self.get(key).map(drop)
+        self.resident(key).map(drop)
     }
 
     /// Cache introspection for benchmarks: `(resident shards, resident
@@ -402,6 +414,70 @@ mod tests {
         assert!(store.is_cached(key));
         let b = store.get(key).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "warm read must share the Arc");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn resident_targets_are_the_column_means_for_every_codec_and_mmap_mode() {
+        let out = small_output(1, 3, 40);
+        for mmap in [MmapMode::On, MmapMode::Off] {
+            for codec in [
+                Codec::Identity,
+                Codec::F16,
+                Codec::U8Block,
+                Codec::resim_default(),
+            ] {
+                let what = format!("{}/{mmap:?}", codec.name());
+                let root = temp_root(&format!("targets_{}_{mmap:?}", codec.name()));
+                let cfg = StoreConfig {
+                    mmap,
+                    ..StoreConfig::default()
+                };
+                let store = ShardStore::ingest_with(&root, &out, cfg, |_| codec).unwrap();
+                for key in store.keys() {
+                    let miss = store.resident(key).unwrap();
+                    let set = store.get(key).unwrap();
+                    assert_eq!(
+                        bits(miss.targets()),
+                        bits(&crate::batching::column_means(&set)),
+                        "{what}: resident targets"
+                    );
+                    let hit = store.resident(key).unwrap();
+                    assert!(Arc::ptr_eq(hit.set(), miss.set()), "{what}: set shared");
+                    assert!(
+                        Arc::ptr_eq(hit.targets(), miss.targets()),
+                        "{what}: a hit returns the targets the miss made"
+                    );
+                }
+                std::fs::remove_dir_all(&root).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn targets_come_back_bit_identical_after_eviction() {
+        let root = temp_root("target_evict");
+        let out = small_output(1, 2, 40);
+        let cfg = StoreConfig {
+            cache_bytes: 1,
+            ..StoreConfig::default()
+        };
+        let store = ShardStore::ingest_with(&root, &out, cfg, |_| Codec::resim_default()).unwrap();
+        let keys = store.keys();
+        let first = store.resident(keys[0]).unwrap();
+        store.resident(keys[1]).unwrap();
+        assert!(!store.is_cached(keys[0]), "a 1-byte budget keeps one shard");
+        let again = store.resident(keys[0]).unwrap();
+        assert!(!Arc::ptr_eq(first.targets(), again.targets()), "re-decoded");
+        assert_eq!(bits(first.targets()), bits(again.targets()));
+        let data = |d: &DecodedShard| -> Vec<u64> {
+            d.set().features.data.iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(data(&first), data(&again), "resim decode is deterministic");
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -354,7 +354,10 @@ fn shutdown_is_refused_by_default_and_honored_when_allowed() {
     let mut client = fast_client(handle.addr());
     let err = client.shutdown_server().unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(!handle.stop_requested());
+    assert!(
+        !handle.wait_for_stop(Some(Instant::now())).unwrap(),
+        "a refused shutdown leaves the stop flag down"
+    );
     assert!(client.manifest().is_ok(), "server still serving");
     drop(handle);
     std::fs::remove_dir_all(&root).ok();
@@ -370,11 +373,11 @@ fn shutdown_is_refused_by_default_and_honored_when_allowed() {
     client.manifest().unwrap();
     let snap = client.shutdown_server().expect("final stats");
     assert!(snap.requests_total >= 1);
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while !handle.stop_requested() && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(handle.stop_requested(), "shutdown request raises stop flag");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    assert!(
+        handle.wait_for_stop(Some(deadline)).unwrap(),
+        "shutdown request raises stop flag"
+    );
     drop(handle);
     std::fs::remove_dir_all(&root).ok();
 }

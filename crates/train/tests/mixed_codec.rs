@@ -11,12 +11,13 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sickle_energy::MachineModel;
-use sickle_store::batching::tensorize_set;
+use sickle_store::batching::{batch_keys, local_batch, num_batches, tensorize_set, BatchSpec};
+use sickle_store::cache::sample_set_bytes;
 use sickle_store::manifest::ShardKey;
 use sickle_store::server::{serve, ServeConfig};
 use sickle_store::store::{set_key, ShardStore, StoreConfig};
 use sickle_store::testutil::small_output;
-use sickle_store::{ClientConfig, Codec};
+use sickle_store::{ClientConfig, Codec, StoreClient};
 use sickle_train::trainer::{train, TrainConfig};
 use sickle_train::{RemoteDataset, TensorData, TokenTransformer};
 
@@ -143,6 +144,76 @@ fn mixed_codec_store_serves_deterministic_epochs() {
         }
     }
 
+    drop(handle);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A cache far smaller than the working set evicts decoded sets with their
+/// cached targets and re-decodes them on almost every request; `GetBatch`
+/// and `GetTensors` answers must still equal `local_batch` over the decoded
+/// sets bit for bit.
+#[test]
+fn small_cache_answers_equal_local_batches() {
+    let root = std::env::temp_dir().join(format!("sickle_small_cache_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let out = small_output(SNAPSHOTS, CUBES, POINTS);
+    let store = ShardStore::ingest_with(&root, &out, StoreConfig::default(), policy).unwrap();
+    let keys = store.keys();
+    let sets: Vec<_> = keys.iter().map(|&k| store.get(k).unwrap()).collect();
+    let small = Arc::new(
+        ShardStore::open(
+            &root,
+            StoreConfig {
+                cache_bytes: 2 * sample_set_bytes(&sets[0]),
+                ..StoreConfig::default()
+            },
+        )
+        .unwrap(),
+    );
+    let handle = serve(
+        Arc::clone(&small),
+        ServeConfig {
+            lookahead: 0,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = StoreClient::new(
+        handle.addr().to_string(),
+        ClientConfig {
+            timeout: Duration::from_secs(5),
+            ..ClientConfig::default()
+        },
+    );
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (seed, batch_size) in [(3u64, 4usize), (11, 3)] {
+        let spec = BatchSpec {
+            seed,
+            batch_size,
+            tokens: TOKENS,
+        };
+        for i in 0..num_batches(sets.len(), batch_size) {
+            let reference = local_batch(&sets, spec, i).unwrap();
+            let batch_keys = batch_keys(&keys, spec, i).unwrap();
+            for (what, got) in [
+                ("GetBatch", client.batch(spec, i).unwrap()),
+                ("GetTensors", client.tensors(TOKENS, &batch_keys).unwrap()),
+            ] {
+                assert_eq!(got.shape, reference.shape, "seed {seed} batch {i}: {what}");
+                assert_eq!(bits(&got.inputs), bits(&reference.inputs), "{what} inputs");
+                assert_eq!(
+                    bits(&got.targets),
+                    bits(&reference.targets),
+                    "{what} targets"
+                );
+            }
+        }
+    }
+    let (resident, _, _) = small.cache_stats();
+    assert!(
+        resident < keys.len(),
+        "the cache never held the working set"
+    );
     drop(handle);
     std::fs::remove_dir_all(&root).ok();
 }
