@@ -7,8 +7,9 @@
 //!
 //! - **raw** — the verified on-disk bytes as an [`Arc<ShardBytes>`],
 //!   usually an `mmap` whose pages belong to the OS page cache. These are
-//!   what `GetShard` ships and what `get()` decodes from, hash-verified
-//!   once per residency.
+//!   what `get()` decodes from, hash-verified once per residency, so a
+//!   shard re-decoded after its decoded residency was evicted skips the
+//!   hash check.
 //! - **decoded** — a [`DecodedShard`]: the decoded [`SampleSet`] every
 //!   batch is tensorized from plus its targets
 //!   ([`column_means`](crate::batching::column_means)), both made once per

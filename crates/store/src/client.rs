@@ -199,17 +199,6 @@ impl StoreClient {
         }
     }
 
-    /// Fetches one raw SKLH shard.
-    ///
-    /// # Errors
-    /// `NotFound` for an unknown key; transport errors.
-    pub fn shard(&mut self, key: ShardKey) -> io::Result<Vec<u8>> {
-        match self.request(&Request::GetShard(key))? {
-            Response::Shard(bytes) => Ok(bytes),
-            other => Err(unexpected(&other, "shard")),
-        }
-    }
-
     /// Fetches batch `index` of the epoch described by `spec`.
     ///
     /// # Errors
@@ -271,7 +260,6 @@ impl StoreClient {
 fn unexpected(resp: &Response, wanted: &str) -> io::Error {
     let got = match resp {
         Response::Manifest(_) => "manifest",
-        Response::Shard(_) => "shard",
         Response::Batch(_) => "batch",
         Response::Stats(_) => "stats",
         Response::Error { .. } => "error",

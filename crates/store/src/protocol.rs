@@ -8,13 +8,15 @@
 //! +--------+----------------+------------------+
 //! ```
 //!
-//! Request tags: `0x01` Manifest, `0x02` GetShard, `0x03` GetBatch,
-//! `0x04` Stats, `0x05` Shutdown, `0x06` GetTensors (a keyed fetch: an
-//! explicit key list tensorized in order).
-//! Response tags: `0x81` Manifest (JSON), `0x82` Shard (raw SKLH bytes),
-//! `0x83` Batch (f32 tensors — the answer to both `GetBatch` and
-//! `GetTensors`, sample `i` being request key `i`), `0x84` Stats (JSON),
-//! `0xEE` Error (kind byte + UTF-8 message).
+//! Request tags: `0x01` Manifest, `0x03` GetBatch, `0x04` Stats, `0x05`
+//! Shutdown, `0x06` GetTensors (a keyed fetch: an explicit key list
+//! tensorized in order). `0x02` is unassigned and refused like any
+//! unknown tag.
+//! Response tags: `0x81` Manifest (JSON), `0x83` Batch (f32 tensors — the
+//! answer to both `GetBatch` and `GetTensors`, sample `i` being request
+//! key `i`), `0x84` Stats (JSON), `0xEE` Error (kind byte + UTF-8 message).
+//! A response is encoded once, whole frame included, into one buffer
+//! ([`Response::encode_frame`]).
 //!
 //! An overloaded server answers (or greets, at accept time) with an error
 //! frame of kind [`WireErrorKind::Busy`] instead of silently dropping the
@@ -49,10 +51,14 @@ use crate::manifest::ShardKey;
 /// Hard ceiling on one frame's payload (256 MiB).
 pub const MAX_FRAME: usize = 1 << 28;
 
+/// Bytes of a frame header on the wire (tag + `u32` length prefix).
+pub(crate) const FRAME_HEADER: usize = 5;
+
+/// Bytes of a `Batch` payload's shape header (`b, t, f, o` as `u32`).
+const BATCH_HEADER: usize = 16;
+
 /// Request tag: fetch the store manifest.
 pub const TAG_REQ_MANIFEST: u8 = 0x01;
-/// Request tag: fetch one raw shard.
-pub const TAG_REQ_SHARD: u8 = 0x02;
 /// Request tag: fetch one assembled batch.
 pub const TAG_REQ_BATCH: u8 = 0x03;
 /// Request tag: fetch a live metrics snapshot.
@@ -64,8 +70,6 @@ pub const TAG_REQ_SHUTDOWN: u8 = 0x05;
 pub const TAG_REQ_TENSORS: u8 = 0x06;
 /// Response tag: manifest JSON.
 pub const TAG_RESP_MANIFEST: u8 = 0x81;
-/// Response tag: raw shard bytes.
-pub const TAG_RESP_SHARD: u8 = 0x82;
 /// Response tag: assembled batch tensors.
 pub const TAG_RESP_BATCH: u8 = 0x83;
 /// Response tag: stats snapshot JSON.
@@ -100,8 +104,6 @@ fn need(buf: &[u8], n: usize, what: &str) -> io::Result<()> {
 pub enum Request {
     /// The store manifest, as JSON.
     Manifest,
-    /// One raw shard by key.
-    GetShard(ShardKey),
     /// Batch `index` of the epoch described by `spec`.
     GetBatch {
         /// Epoch seed / batch size / tokens per sample.
@@ -137,12 +139,6 @@ impl Request {
     pub fn encode_traced(&self, ctx: Option<TraceContext>) -> (u8, Vec<u8>) {
         let (tag, mut p) = match self {
             Request::Manifest => (TAG_REQ_MANIFEST, Vec::new()),
-            Request::GetShard(key) => {
-                let mut p = Vec::with_capacity(16 + TRACE_TRAILER_LEN);
-                p.put_u64_le(key.snapshot as u64);
-                p.put_u64_le(key.cube as u64);
-                (TAG_REQ_SHARD, p)
-            }
             Request::GetBatch { spec, index } => {
                 let mut p = Vec::with_capacity(24 + TRACE_TRAILER_LEN);
                 p.put_u64_le(spec.seed);
@@ -194,14 +190,6 @@ impl Request {
     ) -> io::Result<(Request, Option<TraceContext>)> {
         let req = match tag {
             TAG_REQ_MANIFEST => Request::Manifest,
-            TAG_REQ_SHARD => {
-                need(payload, 16, "GetShard request")?;
-                let snapshot = usize::try_from(payload.get_u64_le())
-                    .map_err(|_| invalid("GetShard snapshot overflows usize"))?;
-                let cube = usize::try_from(payload.get_u64_le())
-                    .map_err(|_| invalid("GetShard cube overflows usize"))?;
-                Request::GetShard(ShardKey { snapshot, cube })
-            }
             TAG_REQ_BATCH => {
                 need(payload, 24, "GetBatch request")?;
                 let seed = payload.get_u64_le();
@@ -307,8 +295,6 @@ impl WireErrorKind {
 pub enum Response {
     /// Manifest JSON bytes.
     Manifest(Vec<u8>),
-    /// Raw SKLH shard bytes (hash-verified server-side).
-    Shard(Vec<u8>),
     /// One assembled batch (sample `i` is key `i` of the request's batch).
     Batch(Batch),
     /// Stats snapshot JSON bytes ([`crate::stats::StatsSnapshot`]).
@@ -332,48 +318,41 @@ impl Response {
         }
     }
 
-    /// Serializes to `(tag, payload)` in one contiguous buffer: the
-    /// concatenation of [`encode_chunks`](Self::encode_chunks). For clients
-    /// of the format and small control frames; the server never joins.
-    pub fn encode(&self) -> (u8, Vec<u8>) {
-        let (tag, chunks) = self.encode_chunks();
-        (tag, chunks.concat())
-    }
-
-    /// Serializes to `(tag, payload chunks)` for vectored writes: tensor
-    /// responses keep their header and each tensor in separate buffers so
-    /// the server can hand them to `write_vectored` without assembling one
-    /// contiguous frame. (The server never builds a `Response::Shard` — it
-    /// ships those bytes straight from the `ShardBytes` handle.)
-    pub fn encode_chunks(&self) -> (u8, Vec<Vec<u8>>) {
-        fn f32_bytes(values: &[f32]) -> Vec<u8> {
-            let mut out = Vec::with_capacity(values.len() * 4);
-            for &v in values {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            out
-        }
+    /// Encodes the whole frame — tag, `u32` LE payload length, payload —
+    /// into one buffer allocated once at its final size: the one response
+    /// encoder, whose bytes the server writes as they are. Tensors go
+    /// straight from `f32` to LE bytes. Keeping the payload within
+    /// [`MAX_FRAME`] is the caller's part (the server sizes a batch before
+    /// building it); [`read_frame`] refuses anything larger.
+    pub fn encode_frame(&self) -> Vec<u8> {
+        let (tag, len) = match self {
+            Response::Manifest(json) => (TAG_RESP_MANIFEST, json.len()),
+            Response::Batch(b) => (
+                TAG_RESP_BATCH,
+                BATCH_HEADER + 4 * (b.inputs.len() + b.targets.len()),
+            ),
+            Response::Stats(json) => (TAG_RESP_STATS, json.len()),
+            Response::Error { message, .. } => (TAG_RESP_ERROR, 1 + message.len()),
+        };
+        let mut out = Vec::with_capacity(FRAME_HEADER + len);
+        out.put_u8(tag);
+        out.put_u32_le(len as u32);
         match self {
-            Response::Manifest(json) => (TAG_RESP_MANIFEST, vec![json.clone()]),
-            Response::Shard(bytes) => (TAG_RESP_SHARD, vec![bytes.clone()]),
-            Response::Batch(batch) => {
-                let mut header = Vec::with_capacity(16);
-                header.put_u32_le(batch.shape.batch as u32);
-                header.put_u32_le(batch.shape.tokens as u32);
-                header.put_u32_le(batch.shape.features as u32);
-                header.put_u32_le(batch.shape.outputs as u32);
-                (
-                    TAG_RESP_BATCH,
-                    vec![header, f32_bytes(&batch.inputs), f32_bytes(&batch.targets)],
-                )
+            Response::Manifest(json) | Response::Stats(json) => out.put_slice(json),
+            Response::Batch(b) => {
+                let s = b.shape;
+                for dim in [s.batch, s.tokens, s.features, s.outputs] {
+                    out.put_u32_le(dim as u32);
+                }
+                put_f32s(&mut out, &b.inputs);
+                put_f32s(&mut out, &b.targets);
             }
-            Response::Stats(json) => (TAG_RESP_STATS, vec![json.clone()]),
             Response::Error { kind, message } => {
-                let mut p = vec![*kind as u8];
-                p.extend_from_slice(message.as_bytes());
-                (TAG_RESP_ERROR, vec![p])
+                out.put_u8(*kind as u8);
+                out.put_slice(message.as_bytes());
             }
         }
+        out
     }
 
     /// Parses a response frame.
@@ -384,7 +363,6 @@ impl Response {
     pub fn decode(tag: u8, payload: &[u8]) -> io::Result<Response> {
         match tag {
             TAG_RESP_MANIFEST => Ok(Response::Manifest(payload.to_vec())),
-            TAG_RESP_SHARD => Ok(Response::Shard(payload.to_vec())),
             TAG_RESP_BATCH => decode_batch(payload),
             TAG_RESP_STATS => Ok(Response::Stats(payload.to_vec())),
             TAG_RESP_ERROR => {
@@ -401,51 +379,60 @@ impl Response {
     }
 }
 
-fn get_f32s(buf: &mut &[u8], count: usize) -> Vec<f32> {
-    let mut out = Vec::with_capacity(count);
-    let mut raw = [0u8; 4];
-    for _ in 0..count {
-        buf.copy_to_slice(&mut raw);
-        out.push(f32::from_le_bytes(raw));
-    }
-    out
+/// Payload bytes of a `Batch` frame of this shape: the shape header, then
+/// `batch·tokens·features` inputs and `batch·outputs` targets as `f32`.
+/// `None` when the count overflows. The server sizes a batch with it before
+/// building one; the decoder checks a frame's bytes against it.
+pub(crate) fn batch_payload_len(shape: BatchShape) -> Option<usize> {
+    let inputs = shape
+        .batch
+        .checked_mul(shape.tokens)?
+        .checked_mul(shape.features)?;
+    let targets = shape.batch.checked_mul(shape.outputs)?;
+    inputs
+        .checked_add(targets)?
+        .checked_mul(4)?
+        .checked_add(BATCH_HEADER)
 }
 
-fn decode_batch(mut payload: &[u8]) -> io::Result<Response> {
-    need(payload, 16, "batch header")?;
-    let batch = payload.get_u32_le() as usize;
-    let tokens = payload.get_u32_le() as usize;
-    let features = payload.get_u32_le() as usize;
-    let outputs = payload.get_u32_le() as usize;
-    let n_inputs = batch
-        .checked_mul(tokens)
-        .and_then(|v| v.checked_mul(features))
-        .ok_or_else(|| invalid("batch input count overflows"))?;
-    let n_targets = batch
-        .checked_mul(outputs)
-        .ok_or_else(|| invalid("batch target count overflows"))?;
-    let total_bytes = n_inputs
-        .checked_add(n_targets)
-        .and_then(|v| v.checked_mul(4))
-        .ok_or_else(|| invalid("batch payload size overflows"))?;
-    if payload.remaining() != total_bytes {
+fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
+    let start = out.len();
+    out.resize(start + 4 * values.len(), 0);
+    for (dst, v) in out[start..].chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+fn get_f32s(bytes: &[u8]) -> Vec<f32> {
+    bytes
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect()
+}
+
+fn decode_batch(payload: &[u8]) -> io::Result<Response> {
+    need(payload, BATCH_HEADER, "batch header")?;
+    let mut header = &payload[..BATCH_HEADER];
+    let shape = BatchShape {
+        batch: header.get_u32_le() as usize,
+        tokens: header.get_u32_le() as usize,
+        features: header.get_u32_le() as usize,
+        outputs: header.get_u32_le() as usize,
+    };
+    let total = batch_payload_len(shape).ok_or_else(|| invalid("batch payload size overflows"))?;
+    if payload.len() != total {
         return Err(invalid(format!(
-            "batch payload holds {} bytes, shape requires {}",
-            payload.remaining(),
-            total_bytes
+            "batch payload holds {} bytes, shape requires {total}",
+            payload.len()
         )));
     }
-    let inputs = get_f32s(&mut payload, n_inputs);
-    let targets = get_f32s(&mut payload, n_targets);
+    // The shape fits `total`, so neither count can overflow.
+    let (inputs, targets) =
+        payload[BATCH_HEADER..].split_at(4 * shape.batch * shape.tokens * shape.features);
     Ok(Response::Batch(Batch {
-        inputs,
-        targets,
-        shape: BatchShape {
-            batch,
-            tokens,
-            features,
-            outputs,
-        },
+        inputs: get_f32s(inputs),
+        targets: get_f32s(targets),
+        shape,
     }))
 }
 
@@ -461,7 +448,7 @@ pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> io::Result<()
             payload.len()
         )));
     }
-    let mut header = [0u8; 5];
+    let mut header = [0u8; FRAME_HEADER];
     header[0] = tag;
     header[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     w.write_all(&header)?;
@@ -475,7 +462,7 @@ pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> io::Result<()
 /// `UnexpectedEof` on a closed peer, `InvalidData` on an oversized length
 /// prefix, otherwise I/O errors from the reader.
 pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
-    let mut header = [0u8; 5];
+    let mut header = [0u8; FRAME_HEADER];
     r.read_exact(&mut header)?;
     let tag = header[0];
     let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]) as usize;
@@ -499,10 +486,6 @@ mod tests {
     #[test]
     fn requests_roundtrip() {
         roundtrip_request(Request::Manifest);
-        roundtrip_request(Request::GetShard(ShardKey {
-            snapshot: 3,
-            cube: 250,
-        }));
         roundtrip_request(Request::GetBatch {
             spec: BatchSpec {
                 seed: 0xDEAD_BEEF,
@@ -540,10 +523,6 @@ mod tests {
         };
         for req in [
             Request::Manifest,
-            Request::GetShard(ShardKey {
-                snapshot: 1,
-                cube: 2,
-            }),
             Request::GetBatch {
                 spec: BatchSpec {
                     seed: 9,
@@ -598,13 +577,26 @@ mod tests {
         long.push(0);
         assert!(Request::decode_with_context(tag, &long).is_err());
         // On a payload-bearing request too.
-        let (tag, mut p) = Request::GetShard(ShardKey {
-            snapshot: 0,
-            cube: 0,
-        })
+        let (tag, mut p) = Request::GetTensors {
+            tokens: 2,
+            keys: vec![ShardKey {
+                snapshot: 0,
+                cube: 0,
+            }],
+        }
         .encode_traced(Some(ctx));
         p.truncate(p.len() - 3);
         assert!(Request::decode_with_context(tag, &p).is_err());
+    }
+
+    /// Encodes `resp` with the one encoder, then reads it back the way a
+    /// client does: `read_frame`, then `Response::decode`.
+    fn over_the_wire(resp: &Response) -> Response {
+        let frame = resp.encode_frame();
+        let mut wire = &frame[..];
+        let (tag, payload) = read_frame(&mut wire).unwrap();
+        assert!(wire.is_empty(), "the frame is read whole");
+        Response::decode(tag, &payload).unwrap()
     }
 
     #[test]
@@ -619,10 +611,20 @@ mod tests {
                 outputs: 1,
             },
         };
+        let empty = Batch {
+            inputs: Vec::new(),
+            targets: Vec::new(),
+            shape: BatchShape {
+                batch: 0,
+                tokens: 3,
+                features: 2,
+                outputs: 2,
+            },
+        };
         for resp in [
             Response::Manifest(b"{\"version\":1}".to_vec()),
-            Response::Shard(vec![1, 2, 3, 4]),
             Response::Batch(batch),
+            Response::Batch(empty),
             Response::Stats(b"{\"requests\":12}".to_vec()),
             Response::Error {
                 kind: WireErrorKind::NotFound,
@@ -633,30 +635,40 @@ mod tests {
                 message: "admission bound reached".into(),
             },
         ] {
-            let (tag, payload) = resp.encode();
-            assert_eq!(Response::decode(tag, &payload).unwrap(), resp);
+            assert_eq!(over_the_wire(&resp), resp);
         }
     }
 
     #[test]
     fn batch_floats_are_bit_exact_across_the_wire() {
         let inputs = vec![0.1f32, 1.0 / 3.0, f32::EPSILON, -0.0];
-        let batch = Batch {
+        let targets = vec![f32::NAN, f32::from_bits(0xFFC0_0001)];
+        let resp = Response::Batch(Batch {
             inputs: inputs.clone(),
-            targets: vec![2.0 / 7.0],
+            targets: targets.clone(),
             shape: BatchShape {
                 batch: 1,
                 tokens: 2,
                 features: 2,
-                outputs: 1,
+                outputs: 2,
             },
-        };
-        let (tag, payload) = Response::Batch(batch).encode();
-        match Response::decode(tag, &payload).unwrap() {
+        });
+        // The frame, by hand: tag, length, `b, t, f, o`, then LE tensors.
+        let mut want = vec![TAG_RESP_BATCH];
+        want.put_u32_le(16 + 4 * 6);
+        for v in [1u32, 2, 2, 2] {
+            want.put_u32_le(v);
+        }
+        for v in inputs.iter().chain(&targets) {
+            want.put_slice(&v.to_le_bytes());
+        }
+        assert_eq!(resp.encode_frame(), want);
+        // NaN != NaN, so the decoded tensors are compared bit for bit.
+        match over_the_wire(&resp) {
             Response::Batch(b) => {
-                for (a, b) in inputs.iter().zip(&b.inputs) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&b.inputs), bits(&inputs));
+                assert_eq!(bits(&b.targets), bits(&targets));
             }
             other => panic!("expected batch, got {other:?}"),
         }
@@ -666,16 +678,16 @@ mod tests {
     fn frame_io_roundtrips_and_rejects_oversize() {
         let mut wire = Vec::new();
         write_frame(&mut wire, TAG_REQ_MANIFEST, &[]).unwrap();
-        write_frame(&mut wire, TAG_RESP_SHARD, &[9, 9, 9]).unwrap();
+        write_frame(&mut wire, TAG_RESP_STATS, &[9, 9, 9]).unwrap();
         let mut cursor = &wire[..];
         assert_eq!(read_frame(&mut cursor).unwrap(), (TAG_REQ_MANIFEST, vec![]));
         assert_eq!(
             read_frame(&mut cursor).unwrap(),
-            (TAG_RESP_SHARD, vec![9, 9, 9])
+            (TAG_RESP_STATS, vec![9, 9, 9])
         );
         assert!(read_frame(&mut cursor).is_err(), "EOF is an error");
 
-        let mut bad = vec![TAG_RESP_SHARD];
+        let mut bad = vec![TAG_RESP_STATS];
         bad.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(read_frame(&mut &bad[..]).is_err(), "oversize rejected");
     }
@@ -701,13 +713,16 @@ mod tests {
 
     #[test]
     fn malformed_requests_are_rejected() {
-        assert!(Request::decode(0x55, &[]).is_err());
-        assert!(Request::decode(TAG_REQ_SHARD, &[0u8; 15]).is_err());
+        // 0x02 is unassigned, so it is refused like any unknown tag.
+        for tag in [0x55, 0x02] {
+            let err = Request::decode(tag, &[0u8; 16]).unwrap_err();
+            assert!(err.to_string().contains("unknown request tag"), "{err}");
+        }
+        assert!(Request::decode(TAG_REQ_BATCH, &[0u8; 8]).is_err());
         assert!(
-            Request::decode(TAG_REQ_SHARD, &[0u8; 17]).is_err(),
+            Request::decode(TAG_REQ_BATCH, &[0u8; 25]).is_err(),
             "trailing bytes"
         );
-        assert!(Request::decode(TAG_REQ_BATCH, &[0u8; 8]).is_err());
     }
 
     #[test]
@@ -753,12 +768,11 @@ mod tests {
             WireErrorKind::from_io(io::ErrorKind::WouldBlock),
             WireErrorKind::Busy
         );
-        let (tag, payload) = Response::Error {
+        let busy = Response::Error {
             kind: WireErrorKind::Busy,
             message: "shed".into(),
-        }
-        .encode();
-        match Response::decode(tag, &payload).unwrap() {
+        };
+        match over_the_wire(&busy) {
             Response::Error { kind, .. } => assert_eq!(kind, WireErrorKind::Busy),
             other => panic!("expected error frame, got {other:?}"),
         }

@@ -7,6 +7,9 @@
 //! whatever bytes are ready, answers every completed request in place,
 //! files it back and re-arms it — for readability, or for writability
 //! while a response that outgrew the socket buffer is parked mid-write.
+//! Every response is encoded once into one contiguous frame
+//! ([`Response::encode_frame`]) and written with plain `write` from a byte
+//! offset, so a parked response is that buffer and how much has left.
 //! The kernel mutes a reported socket until it is re-armed, so a
 //! connection is only ever in one worker's hands, scheduling stays
 //! **request**-granular (a busy peer rejoins the ready list behind
@@ -18,7 +21,8 @@
 //! shutdown is an `eventfd` latch that wakes every waiter.
 //!
 //! Error handling contract: a *request* failure (unknown shard, malformed
-//! frame) is answered with an error frame and the connection stays usable;
+//! frame, a batch too large to frame) is answered with an error frame and
+//! the connection stays usable;
 //! a *connection* failure (EOF, injected drop, idle expiry) closes only
 //! that connection. Overload is answered with a `Busy` error frame at
 //! accept time — explicit backpressure, never a silent drop. The server
@@ -32,7 +36,7 @@
 //! the data plane has no in-place result to corrupt.
 
 use std::collections::HashMap;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -42,13 +46,14 @@ use std::time::{Duration, Instant};
 use sickle_hpc::fault::{FaultAction, FaultInjector, FaultPlan};
 use sickle_obs::TraceContext;
 
-use crate::batching::{assemble_batch, batch_keys, num_batches, BatchSpec};
+use crate::batching::{assemble_batch, batch_keys, num_batches, BatchShape, BatchSpec};
 use crate::cache::DecodedShard;
 use crate::manifest::ShardKey;
 use crate::prefetch::Prefetcher;
-use crate::protocol::{write_frame, Request, Response, WireErrorKind, MAX_FRAME, TAG_RESP_SHARD};
+use crate::protocol::{
+    batch_payload_len, Request, Response, WireErrorKind, FRAME_HEADER, MAX_FRAME,
+};
 use crate::readiness::{Interest, Poller};
-use crate::shard_bytes::ShardBytes;
 use crate::stats::{ConnGuard, ConnRegistry, StatsSnapshot};
 use crate::store::ShardStore;
 
@@ -99,9 +104,6 @@ impl Default for ServeConfig {
 
 /// A peer that stops reading mid-response is cut after this long.
 const WRITE_DEADLINE: Duration = Duration::from_secs(30);
-
-/// Bytes of a frame header on the wire (tag + length prefix).
-const FRAME_HEADER: usize = 5;
 
 /// The listener's poller token (connections count up from 0).
 const LISTENER: u64 = u64::MAX - 1;
@@ -156,57 +158,25 @@ struct Conn {
     guard: Option<ConnGuard>,
 }
 
-/// One buffer in an outbound iovec chain: either an owned frame piece
-/// (header, tensor block, error frame) or a whole shard's bytes shared
-/// straight out of the store cache — the page-cache-backed mapping when
-/// mmap is on. Holding the `Arc` here is what keeps a mapped region alive
-/// until the last byte has left the socket, even if the LRU evicts the
-/// shard mid-write.
-enum Chunk {
-    Owned(Vec<u8>),
-    Shard(Arc<ShardBytes>),
-}
-
-impl Chunk {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Chunk::Owned(bytes) => bytes,
-            Chunk::Shard(handle) => handle.as_slice(),
-        }
-    }
-}
-
-/// A response mid-write: the full iovec chain (`chunks[0]` is the 5-byte
-/// frame header) and how much of it has left. Every writable wake-up
-/// resumes there until the chain drains or the sweep finds it older than
-/// the write deadline — a non-reading peer cannot hold the buffers longer.
+/// A response mid-write: its whole frame and how much of it has left.
+/// Every writable wake-up resumes there until the frame drains or the
+/// sweep finds it older than the write deadline — a non-reading peer
+/// cannot hold the buffer longer.
 struct PendingWrite {
-    chunks: Vec<Chunk>,
+    frame: Vec<u8>,
     sent: usize,
     started: Instant,
 }
 
-/// Advances the pending write with as many `write_vectored` calls as the
-/// socket accepts. `Ok(true)` = fully flushed, `Ok(false)` = would block
-/// (arm for writability); an error means the connection must close.
+/// Advances the pending write with as many `write` calls as the socket
+/// accepts. `Ok(true)` = fully flushed, `Ok(false)` = would block (arm for
+/// writability); an error means the connection must close.
 fn try_flush(conn: &mut Conn) -> io::Result<bool> {
     let Some(out) = conn.out.as_mut() else {
         return Ok(true);
     };
-    loop {
-        let mut skip = out.sent;
-        let unsent = out.chunks.iter().filter_map(|chunk| {
-            let bytes = chunk.as_slice();
-            let from = skip.min(bytes.len());
-            skip -= from;
-            (from < bytes.len()).then(|| IoSlice::new(&bytes[from..]))
-        });
-        let slices: Vec<IoSlice<'_>> = unsent.collect();
-        if slices.is_empty() {
-            conn.out = None;
-            return Ok(true);
-        }
-        match conn.stream.write_vectored(&slices) {
+    while out.sent < out.frame.len() {
+        match conn.stream.write(&out.frame[out.sent..]) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
             Ok(n) => {
                 out.sent += n;
@@ -217,6 +187,8 @@ fn try_flush(conn: &mut Conn) -> io::Result<bool> {
             Err(e) => return Err(e),
         }
     }
+    conn.out = None;
+    Ok(true)
 }
 
 /// A running server. [`shutdown`](Self::shutdown) (or drop) wakes and
@@ -440,12 +412,12 @@ fn admit(mut stream: TcpStream, shared: &Shared) {
 /// bytes in the receive buffer would RST the connection and could destroy
 /// the `Busy` frame before the peer reads it — breaking that ledger.
 fn send_busy(stream: &mut TcpStream, bound: usize) -> bool {
-    let (tag, payload) = Response::Error {
+    let frame = Response::Error {
         kind: WireErrorKind::Busy,
         message: format!("server at its {bound}-connection admission bound; retry with backoff"),
     }
-    .encode();
-    if write_frame(stream, tag, &payload).is_err() {
+    .encode_frame();
+    if stream.write_all(&frame).is_err() {
         return false;
     }
     sickle_obs::counter!("serve.shed", 1usize);
@@ -512,8 +484,8 @@ fn sweep(shared: &Shared) -> bool {
 /// arm the connection for next, or `None` to close it (peer gone, fault
 /// fired, protocol breach).
 fn service(conn: &mut Conn, shared: &Shared) -> Option<Interest> {
-    // Drain the pending write before touching reads: response chunks must
-    // leave in order, and the request/response protocol means the peer is
+    // Drain the pending write before touching reads: responses must leave
+    // in order, and the request/response protocol means the peer is
     // blocked on this response anyway.
     if conn.out.is_some() {
         match try_flush(conn) {
@@ -581,40 +553,6 @@ fn frame_len(buf: &[u8]) -> usize {
     u32::from_le_bytes([buf[1], buf[2], buf[3], buf[4]]) as usize
 }
 
-/// A computed answer, before any wire bytes exist. `Shard` carries the
-/// cached handle by reference count so the payload can go to the socket
-/// as an iovec slice with zero intermediate copies; everything else is an
-/// owned [`Response`].
-enum Reply {
-    Message(Response),
-    Shard(Arc<ShardBytes>),
-}
-
-impl Reply {
-    /// Splits into the frame tag plus the payload as a chunk chain for
-    /// vectored writes. Shard bytes are shared, never copied.
-    fn into_chunks(self) -> (u8, Vec<Chunk>) {
-        match self {
-            Reply::Shard(handle) => (TAG_RESP_SHARD, vec![Chunk::Shard(handle)]),
-            Reply::Message(resp) => {
-                let (tag, pieces) = resp.encode_chunks();
-                (tag, pieces.into_iter().map(Chunk::Owned).collect())
-            }
-        }
-    }
-}
-
-/// Prefixes payload pieces with their 5-byte frame header; returns the
-/// wire chain and the payload length.
-fn frame(tag: u8, pieces: Vec<Chunk>) -> (Vec<Chunk>, usize) {
-    let body_len = pieces.iter().map(|c| c.as_slice().len()).sum::<usize>();
-    let mut header = vec![tag; FRAME_HEADER];
-    header[1..].copy_from_slice(&(body_len as u32).to_le_bytes());
-    let mut chain = vec![Chunk::Owned(header)];
-    chain.extend(pieces);
-    (chain, body_len)
-}
-
 /// Answers one request on `conn`. Returns `false` when the connection
 /// must close (fault fired, write failed).
 fn handle_request(
@@ -649,28 +587,24 @@ fn handle_request(
     if decoded.is_err() {
         sickle_obs::counter!("serve.request.malformed", 1usize);
     }
-    let reply = answer(decoded, shared);
+    let resp = answer(decoded, shared);
 
-    // Frame header + payload pieces go out as one iovec chain; a short
-    // write parks continuation state on the connection instead of pinning
-    // this worker.
+    // The response goes out as one contiguous frame; a short write parks
+    // continuation state on the connection instead of pinning this worker.
     let enc0 = Instant::now();
-    let (rtag, pieces) = {
+    let frame = {
         let _s = sickle_obs::span!("serve.encode");
-        reply.into_chunks()
+        resp.encode_frame()
     };
     sickle_obs::histogram!("serve.encode_us", enc0.elapsed().as_micros() as f64);
-    let (chunks, body_len) = frame(rtag, pieces);
-    if body_len > MAX_FRAME {
-        return false;
-    }
+    let bytes_out = frame.len() as u64;
     conn.out = Some(PendingWrite {
-        chunks,
+        frame,
         sent: 0,
         started: Instant::now(),
     });
     let flushed = {
-        let _s = sickle_obs::span!("serve.write", bytes = body_len);
+        let _s = sickle_obs::span!("serve.write", bytes = bytes_out as usize - FRAME_HEADER);
         try_flush(conn)
     };
     drop(req_span);
@@ -681,7 +615,6 @@ fn handle_request(
     // The request is answered once its bytes are queued; an unflushed tail
     // drains on later writable wake-ups.
     let bytes_in = (FRAME_HEADER + payload_len) as u64;
-    let bytes_out = (FRAME_HEADER + body_len) as u64;
     if let Some(guard) = &conn.guard {
         guard.counters().record(bytes_in, bytes_out);
     }
@@ -703,33 +636,27 @@ fn sever_mid_response(
     decoded: io::Result<(Request, Option<TraceContext>)>,
     shared: &Shared,
 ) {
-    let (tag, pieces) = answer(decoded, shared).into_chunks();
-    let (chain, body_len) = frame(tag, pieces);
-    let mut bytes: Vec<u8> = chain.iter().flat_map(|c| c.as_slice()).copied().collect();
-    bytes.truncate(FRAME_HEADER + body_len / 2);
+    let mut frame = answer(decoded, shared).encode_frame();
+    frame.truncate(FRAME_HEADER + (frame.len() - FRAME_HEADER) / 2);
     let _ = conn.stream.set_nonblocking(false);
     let _ = conn.stream.set_write_timeout(Some(shared.cfg.read_timeout));
-    let _ = conn.stream.write_all(&bytes);
+    let _ = conn.stream.write_all(&frame);
     let _ = conn.stream.shutdown(Shutdown::Both);
 }
 
-fn answer(decoded: io::Result<(Request, Option<TraceContext>)>, shared: &Shared) -> Reply {
+fn answer(decoded: io::Result<(Request, Option<TraceContext>)>, shared: &Shared) -> Response {
     decoded
         .and_then(|(req, _)| serve_request(req, shared))
-        .unwrap_or_else(|e| Reply::Message(Response::from_error(&e)))
+        .unwrap_or_else(|e| Response::from_error(&e))
 }
 
-fn serve_request(req: Request, shared: &Shared) -> io::Result<Reply> {
+fn serve_request(req: Request, shared: &Shared) -> io::Result<Response> {
     match req {
         Request::Manifest => {
             let json = serde_json::to_string(shared.store.manifest())
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            Ok(Reply::Message(Response::Manifest(json.into_bytes())))
+            Ok(Response::Manifest(json.into_bytes()))
         }
-        // The cached handle's bytes ship straight to the socket; the
-        // mapped (or read-once) view is hash-verified at residency, not
-        // per request.
-        Request::GetShard(key) => Ok(Reply::Shard(shared.store.shard_handle(key)?)),
         Request::GetBatch { spec, index } => {
             let index = usize::try_from(index).map_err(|_| {
                 io::Error::new(io::ErrorKind::InvalidData, "batch index overflows usize")
@@ -751,11 +678,11 @@ fn serve_request(req: Request, shared: &Shared) -> io::Result<Reply> {
             Ok(reply)
         }
         Request::GetTensors { tokens, keys } => assemble(shared, &keys, tokens as usize),
-        Request::Stats => Ok(Reply::Message(Response::Stats(
+        Request::Stats => Ok(Response::Stats(
             StatsSnapshot::collect(&shared.conns)
                 .with_manifest(shared.store.manifest())
                 .to_json(),
-        ))),
+        )),
         Request::Shutdown => {
             if !shared.cfg.allow_shutdown {
                 return Err(io::Error::new(
@@ -769,7 +696,7 @@ fn serve_request(req: Request, shared: &Shared) -> io::Result<Reply> {
             let snap = StatsSnapshot::collect(&shared.conns).with_manifest(shared.store.manifest());
             sickle_obs::info!("serve", "shutdown requested by client");
             shared.poller.stop();
-            Ok(Reply::Message(Response::Stats(snap.to_json())))
+            Ok(Response::Stats(snap.to_json()))
         }
     }
 }
@@ -778,16 +705,36 @@ fn serve_request(req: Request, shared: &Shared) -> io::Result<Reply> {
 /// order, and hands the pairs to the one batch assembler. `GetBatch`
 /// (server-chosen keys) and `GetTensors` (client-chosen keys) both answer
 /// with its `Batch` frame, so the two cannot disagree on a byte.
-fn assemble(shared: &Shared, keys: &[ShardKey], tokens: usize) -> io::Result<Reply> {
+///
+/// `tokens` and the key count come off the wire, so the frame is sized
+/// first, from the features the manifest names: a batch that could not be
+/// framed is refused with `InvalidData` before anything is fetched or
+/// allocated (`u32::MAX` tokens would ask for tens of GB).
+fn assemble(shared: &Shared, keys: &[ShardKey], tokens: usize) -> io::Result<Response> {
+    let features = shared.store.manifest().feature_names.len();
+    let shape = BatchShape {
+        batch: keys.len(),
+        tokens,
+        features,
+        outputs: features,
+    };
+    if batch_payload_len(shape).is_none_or(|len| len > MAX_FRAME) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "a batch of {} samples x {tokens} tokens x {features} features \
+                 exceeds the {MAX_FRAME}-byte frame cap",
+                keys.len()
+            ),
+        ));
+    }
     let resident = keys
         .iter()
         .map(|&k| shared.store.resident(k))
         .collect::<io::Result<Vec<_>>>()?;
     let _s = sickle_obs::span!("serve.assemble_batch");
     let pairs: Vec<_> = resident.iter().map(DecodedShard::pair).collect();
-    Ok(Reply::Message(Response::Batch(assemble_batch(
-        &pairs, tokens,
-    )?)))
+    Ok(Response::Batch(assemble_batch(&pairs, tokens)?))
 }
 
 /// Warms the cache for the batches this stream will likely ask for next.
@@ -807,18 +754,19 @@ fn hint_lookahead(shared: &Shared, spec: BatchSpec, index: usize) {
 mod tests {
     use super::*;
     use crate::client::StoreClient;
+    use crate::protocol::write_frame;
     use crate::store::StoreConfig;
 
-    /// A peer that pipelines `GetShard`s and never reads leaves a response
-    /// parked on writability for good; only the sweep can end that, and it
-    /// must — at the write deadline, here shortened through `serve_with`.
+    /// A peer that pipelines large `GetBatch`es and never reads leaves a
+    /// response parked on writability for good; only the sweep can end
+    /// that, and it must — at the write deadline, here shortened through
+    /// `serve_with`.
     #[test]
     fn peer_that_never_reads_is_cut_at_the_write_deadline() {
         let root = std::env::temp_dir().join(format!("sickle_write_cut_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let out = crate::testutil::small_output(1, 1, 1 << 16); // one 1.5 MB shard
+        let out = crate::testutil::small_output(1, 1, 1 << 16);
         let store = ShardStore::ingest(&root, &out, StoreConfig::default()).unwrap();
-        let key = store.keys()[0];
         let cfg = ServeConfig {
             read_timeout: Duration::from_millis(10),
             ..ServeConfig::default()
@@ -826,7 +774,16 @@ mod tests {
         let handle = serve_with(Arc::new(store), cfg, Duration::from_millis(100)).unwrap();
 
         let mut peer = TcpStream::connect(handle.addr()).unwrap();
-        let (tag, payload) = Request::GetShard(key).encode();
+        // One set, 2^17 tokens of 2 features: a 1 MiB frame per request.
+        let (tag, payload) = Request::GetBatch {
+            spec: BatchSpec {
+                seed: 0,
+                batch_size: 1,
+                tokens: 1 << 17,
+            },
+            index: 0,
+        }
+        .encode();
         for _ in 0..64 {
             write_frame(&mut peer, tag, &payload).unwrap();
         }
@@ -843,7 +800,7 @@ mod tests {
         while let Ok(n @ 1..) = peer.read(&mut sink) {
             got += n;
         }
-        assert!(got > 0 && got < 32 << 20, "{got} bytes of 64 x 1.5 MB");
+        assert!(got > 0 && got < 32 << 20, "{got} bytes of 64 x 1 MiB");
         drop(handle);
         std::fs::remove_dir_all(&root).ok();
     }

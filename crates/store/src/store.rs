@@ -212,9 +212,8 @@ impl ShardStore {
     /// file (or `read_at`s it under `SICKLE_MMAP=off`), length-checking
     /// against the manifest *before* mapping and streaming the content hash
     /// over the view, so both integrity checks run exactly once per
-    /// residency. `GetShard` ships the handle's slices straight into the
-    /// socket; `get()` decodes from the same handle — the two paths never
-    /// read the file twice.
+    /// residency. `get()` decodes from this handle: a shard re-decoded
+    /// while its raw residency holds is neither re-read nor re-hashed.
     ///
     /// # Errors
     /// `NotFound` for an unknown key, `InvalidData` on a size or hash

@@ -9,16 +9,16 @@ use proptest::prelude::*;
 use sickle_obs::TraceContext;
 use sickle_store::batching::{Batch, BatchShape, BatchSpec};
 use sickle_store::manifest::{ShardEntry, ShardKey, StoreManifest};
-use sickle_store::protocol::{Request, Response, TRACE_TRAILER_LEN};
+use sickle_store::protocol::{read_frame, Request, Response, TRACE_TRAILER_LEN};
 use sickle_store::stats::StatsSnapshot;
 use sickle_store::{Codec, MmapMode, ShardStore, StoreConfig};
 
-/// Decodes a draw from the 6-way request space (the vendored proptest has
+/// Decodes a draw from the 5-way request space (the vendored proptest has
 /// no `prop_oneof`, so the discriminant is an explicit field).
 #[allow(clippy::type_complexity)]
 fn request_of(
-    ((which, snapshot, cube), (seed, batch_size, tokens, index), keys): (
-        (usize, usize, usize),
+    (which, (seed, batch_size, tokens, index), keys): (
+        usize,
         (u64, usize, usize, u64),
         Vec<(usize, usize)>,
     ),
@@ -27,8 +27,7 @@ fn request_of(
         0 => Request::Manifest,
         1 => Request::Stats,
         2 => Request::Shutdown,
-        3 => Request::GetShard(ShardKey { snapshot, cube }),
-        4 => Request::GetBatch {
+        3 => Request::GetBatch {
             spec: BatchSpec {
                 seed,
                 batch_size,
@@ -51,7 +50,7 @@ static FUZZ_CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::n
 
 fn any_request() -> impl Strategy<Value = Request> {
     (
-        (0usize..6, 0usize..1_000_000, 0usize..1_000_000),
+        0usize..5,
         (0u64..=u64::MAX, 1usize..4096, 1usize..4096, 0u64..=u64::MAX),
         proptest::collection::vec((0usize..1_000_000, 0usize..1_000_000), 0..8),
     )
@@ -150,7 +149,7 @@ proptest! {
 
     #[test]
     fn any_request_roundtrips_exactly(req in any_request()) {
-        // The full 6-way request space (including GetTensors key lists)
+        // The full 5-way request space (including GetTensors key lists)
         // survives an encode/decode cycle unchanged.
         let (tag, payload) = req.encode();
         prop_assert_eq!(Request::decode(tag, &payload).unwrap(), req);
@@ -211,7 +210,8 @@ proptest! {
             inputs: (0..count * tokens * features).map(value).collect(),
             targets: (0..count * features).map(value).collect(),
         };
-        let (tag, payload) = Response::Batch(block.clone()).encode();
+        let frame = Response::Batch(block.clone()).encode_frame();
+        let (tag, payload) = read_frame(&mut &frame[..]).unwrap();
         match Response::decode(tag, &payload).unwrap() {
             Response::Batch(back) => {
                 prop_assert_eq!(back.shape, block.shape);

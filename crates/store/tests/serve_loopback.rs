@@ -20,7 +20,7 @@ use sickle_store::protocol::{
 use sickle_store::server::{serve, ServeConfig};
 use sickle_store::store::{set_key, ShardStore, StoreConfig};
 use sickle_store::testutil::small_output;
-use sickle_store::Batch;
+use sickle_store::{Batch, ShardKey};
 
 const SNAPSHOTS: usize = 2;
 const CUBES: usize = 6;
@@ -190,29 +190,46 @@ fn injected_drops_recover_with_no_duplicate_or_missing_samples() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-#[test]
-fn malformed_request_gets_error_frame_and_connection_survives() {
-    let (root, _sets, handle) = start_server("malformed", ServeConfig::default());
-    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+/// A raw connection for tests that speak frames directly.
+fn raw_conn(addr: std::net::SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
+    stream
+}
 
-    // Unknown tag: answered with an error frame, not a disconnect.
-    write_frame(&mut stream, 0x55, b"junk").unwrap();
-    let (tag, payload) = read_frame(&mut stream).unwrap();
+/// Sends one request frame and reads the response frame.
+fn ask(stream: &mut TcpStream, req: Request) -> (u8, Vec<u8>) {
+    let (tag, payload) = req.encode();
+    write_frame(stream, tag, &payload).unwrap();
+    read_frame(stream).unwrap()
+}
+
+/// The kind and message of an error frame; anything else fails the test.
+fn error_of((tag, payload): (u8, Vec<u8>)) -> (WireErrorKind, String) {
     assert_eq!(tag, TAG_RESP_ERROR);
     match Response::decode(tag, &payload).unwrap() {
-        Response::Error { message, .. } => {
-            assert!(message.contains("unknown request tag"), "got: {message}");
-        }
-        other => panic!("expected error, got {other:?}"),
+        Response::Error { kind, message } => (kind, message),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+}
+
+#[test]
+fn malformed_request_gets_error_frame_and_connection_survives() {
+    let (root, _sets, handle) = start_server("malformed", ServeConfig::default());
+    let mut stream = raw_conn(handle.addr());
+
+    // Unknown tags, unassigned 0x02 included, are answered with an error
+    // frame, not a disconnect.
+    for (bad_tag, junk) in [(0x55, &b"junk"[..]), (0x02, &[0u8; 16][..])] {
+        write_frame(&mut stream, bad_tag, junk).unwrap();
+        let (_, message) = error_of(read_frame(&mut stream).unwrap());
+        assert!(message.contains("unknown request tag"), "got: {message}");
     }
 
     // Same connection still serves real requests afterwards.
-    let (tag, payload) = Request::Manifest.encode();
-    write_frame(&mut stream, tag, &payload).unwrap();
-    let (tag, payload) = read_frame(&mut stream).unwrap();
+    let (tag, payload) = ask(&mut stream, Request::Manifest);
     match Response::decode(tag, &payload).unwrap() {
         Response::Manifest(json) => {
             let m: sickle_store::StoreManifest =
@@ -230,15 +247,7 @@ fn malformed_request_gets_error_frame_and_connection_survives() {
 #[test]
 fn get_batch_and_get_tensors_answer_with_the_same_frame() {
     let (root, _sets, handle) = start_server("one_frame", ServeConfig::default());
-    let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    let mut ask = |req: Request| {
-        let (tag, payload) = req.encode();
-        write_frame(&mut stream, tag, &payload).unwrap();
-        read_frame(&mut stream).unwrap()
-    };
+    let mut stream = raw_conn(handle.addr());
     let keys = fast_client(handle.addr()).manifest().unwrap().keys();
     let spec = BatchSpec {
         seed: 11,
@@ -247,59 +256,71 @@ fn get_batch_and_get_tensors_answer_with_the_same_frame() {
     };
     // Every batch of the epoch, the ragged last one included.
     for index in 0..num_batches(keys.len(), spec.batch_size) {
-        let by_spec = ask(Request::GetBatch {
-            spec,
-            index: index as u64,
-        });
-        let by_keys = ask(Request::GetTensors {
-            tokens: spec.tokens as u32,
-            keys: batch_keys(&keys, spec, index).unwrap(),
-        });
+        let by_spec = ask(
+            &mut stream,
+            Request::GetBatch {
+                spec,
+                index: index as u64,
+            },
+        );
+        let by_keys = ask(
+            &mut stream,
+            Request::GetTensors {
+                tokens: spec.tokens as u32,
+                keys: batch_keys(&keys, spec, index).unwrap(),
+            },
+        );
         assert_eq!(by_spec.0, TAG_RESP_BATCH, "batch {index}");
         assert_eq!(by_spec, by_keys, "batch {index}: tag and payload");
     }
 
-    // No keys, no batch: an InvalidData error frame, and the connection
-    // still answers the next request.
-    let (tag, payload) = ask(Request::GetTensors {
-        tokens: 8,
-        keys: Vec::new(),
-    });
-    match Response::decode(tag, &payload).unwrap() {
-        Response::Error { kind, .. } => assert_eq!(kind, WireErrorKind::InvalidData),
-        other => panic!("expected an error frame, got {other:?}"),
+    // No keys, no batch: InvalidData. An unknown key: NotFound. Either is
+    // an error frame, and the connection still answers the next request.
+    for (keys, want) in [
+        (Vec::new(), WireErrorKind::InvalidData),
+        (
+            vec![ShardKey {
+                snapshot: 1000,
+                cube: 0,
+            }],
+            WireErrorKind::NotFound,
+        ),
+    ] {
+        let (kind, message) = error_of(ask(&mut stream, Request::GetTensors { tokens: 8, keys }));
+        assert_eq!(kind, want, "{message}");
     }
-    assert_eq!(ask(Request::Manifest).0, TAG_RESP_MANIFEST);
+    assert_eq!(ask(&mut stream, Request::Manifest).0, TAG_RESP_MANIFEST);
     drop(handle);
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// A request's sizes come off the wire: a batch too large to frame is an
+/// `InvalidData` error frame, refused before it is built, and the
+/// connection answers the next request.
 #[test]
-fn shards_roundtrip_over_the_wire() {
-    let (root, sets, handle) = start_server("shard_rt", ServeConfig::default());
-    let mut client = fast_client(handle.addr());
-    let manifest = client.manifest().unwrap();
-    assert_eq!(manifest.len(), sets.len());
-    for entry in &manifest.entries {
-        let bytes = client.shard(entry.key()).unwrap();
-        assert_eq!(
-            sickle_field::io::content_hash_hex(&bytes),
-            entry.hash,
-            "wire bytes match the manifest hash"
-        );
-        let decoded = sickle_field::io::decode_sample_sets(&bytes).unwrap();
-        assert_eq!(decoded.len(), 1);
-        assert_eq!(decoded[0].len(), POINTS);
+fn oversized_batch_requests_get_invalid_data_and_the_connection_survives() {
+    let (root, _sets, handle) = start_server("oversized", ServeConfig::default());
+    let mut stream = raw_conn(handle.addr());
+    let keys = fast_client(handle.addr()).manifest().unwrap().keys();
+    let spec = BatchSpec {
+        seed: 1,
+        batch_size: 4,
+        tokens: u32::MAX as usize,
+    };
+    for req in [
+        // A 29-byte request for a batch of tens of GB.
+        Request::GetBatch { spec, index: 0 },
+        // Every key at 2^24 tokens: past MAX_FRAME with no overflow.
+        Request::GetTensors {
+            tokens: 1 << 24,
+            keys,
+        },
+    ] {
+        let (kind, message) = error_of(ask(&mut stream, req));
+        assert_eq!(kind, WireErrorKind::InvalidData, "{message}");
+        assert!(message.contains("frame cap"), "got: {message}");
     }
-    // Unknown shard key: a NotFound error, and the client stays usable.
-    let err = client
-        .shard(sickle_store::ShardKey {
-            snapshot: 1000,
-            cube: 0,
-        })
-        .unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
-    assert!(client.manifest().is_ok());
+    assert_eq!(ask(&mut stream, Request::Manifest).0, TAG_RESP_MANIFEST);
     drop(handle);
     std::fs::remove_dir_all(&root).ok();
 }
@@ -459,8 +480,9 @@ fn sixteen_idle_connections_cost_a_handful_of_wakeups() {
 
 #[test]
 fn stalled_reader_parks_on_writability_and_resumes_bit_identically() {
-    // One 1.5 MB shard, requested 48 times back to back by a peer that
-    // does not read: far more than loopback socket buffers hold.
+    // One 1 MiB batch (a 2^16-point set at 2^17 tokens of 2 features),
+    // requested 48 times back to back by a peer that does not read: far
+    // more than loopback socket buffers hold.
     const REQUESTS: usize = 48;
     let (root, _sets, handle) = start_server_with(
         "write_park",
@@ -471,11 +493,18 @@ fn stalled_reader_parks_on_writability_and_resumes_bit_identically() {
         small_output(1, 1, 1 << 16),
     );
     let mut observer = fast_client(handle.addr());
-    let key = observer.manifest().unwrap().entries[0].key();
-    let expected = observer.shard(key).unwrap();
+    observer.manifest().unwrap();
 
     let mut peer = TcpStream::connect(handle.addr()).unwrap();
-    let (tag, payload) = Request::GetShard(key).encode();
+    let (tag, payload) = Request::GetBatch {
+        spec: BatchSpec {
+            seed: 3,
+            batch_size: 1,
+            tokens: 1 << 17,
+        },
+        index: 0,
+    }
+    .encode();
     for _ in 0..REQUESTS {
         write_frame(&mut peer, tag, &payload).unwrap();
     }
@@ -511,10 +540,12 @@ fn stalled_reader_parks_on_writability_and_resumes_bit_identically() {
     // The peer starts reading: every response arrives whole and identical.
     peer.set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    for i in 0..REQUESTS {
-        let (rtag, bytes) = read_frame(&mut peer).unwrap();
-        assert_eq!(rtag, sickle_store::protocol::TAG_RESP_SHARD, "response {i}");
-        assert!(bytes == expected, "response {i} differs from the shard");
+    let first = read_frame(&mut peer).unwrap();
+    assert_eq!(first.0, TAG_RESP_BATCH);
+    assert!(first.1.len() > 1 << 20, "{} bytes", first.1.len());
+    for i in 1..REQUESTS {
+        let response = read_frame(&mut peer).unwrap();
+        assert!(response == first, "response {i} differs from the first");
     }
     let (done, _) = answered(&mut observer);
     assert_eq!(done as usize, REQUESTS);
