@@ -6,10 +6,10 @@
 //! [`ShardKey`] holds up to two residencies of the same shard:
 //!
 //! - **raw** — the verified on-disk bytes as an [`Arc<ShardBytes>`],
-//!   usually an `mmap` whose pages belong to the OS page cache. These are
-//!   what `get()` decodes from, hash-verified once per residency, so a
-//!   shard re-decoded after its decoded residency was evicted skips the
-//!   hash check.
+//!   usually a range view of the store's pack mapping, whose pages belong
+//!   to the OS page cache. These are what `get()` decodes from,
+//!   hash-verified once per residency, so a shard re-decoded after its
+//!   decoded residency was evicted skips the hash check.
 //! - **decoded** — a [`DecodedShard`]: the decoded [`SampleSet`] every
 //!   batch is tensorized from plus its targets
 //!   ([`column_means`](crate::batching::column_means)), both made once per
@@ -19,11 +19,13 @@
 //!
 //! The two residencies are budgeted separately: `budget_bytes` bounds
 //! heap-resident bytes (decoded shards plus `read_at`-fallback raw buffers)
-//! exactly as before, while `mapped_budget_bytes` bounds mapped bytes —
-//! counting a mapping against the heap budget would double-charge the OS
-//! page cache and evict decoded sets to "make room" for memory the kernel
-//! can reclaim on its own. Eviction is whole-entry LRU driven by
-//! whichever budget is over.
+//! exactly as before, while `mapped_budget_bytes` bounds the bytes of
+//! cached verified views of the mapping — counting them against the heap
+//! budget would double-charge the OS page cache and evict decoded sets to
+//! "make room" for memory the kernel can reclaim on its own. It bounds
+//! views, not mappings: the store maps its pack once, and evicting a view
+//! only means the shard is re-hashed on its next miss. Eviction is
+//! whole-entry LRU driven by whichever budget is over.
 //!
 //! Hits and misses on the decoded side keep their historical counters
 //! (`store.cache.hit` / `store.cache.miss`); the raw side gets its own
@@ -286,7 +288,7 @@ impl BlockCache {
             .heap_bytes
     }
 
-    /// Mapped (page-cache-backed) bytes currently referenced by the cache.
+    /// Bytes of the mapped (page-cache-backed) views the cache holds.
     pub fn mapped_bytes(&self) -> usize {
         self.inner
             .lock()
@@ -308,7 +310,7 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard_bytes::MmapMode;
+    use crate::shard_bytes::{MmapMode, Pack};
     use sickle_field::FeatureMatrix;
 
     fn shard_of(n: usize) -> DecodedShard {
@@ -328,7 +330,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("sickle_cache_raw_{tag}_{}_{n}", std::process::id()));
         std::fs::write(&path, vec![3u8; n]).unwrap();
-        let raw = ShardBytes::open(&path, n, mode).unwrap();
+        let raw = Pack::open(&path, n, mode).unwrap().shard(0, n).unwrap();
         std::fs::remove_file(&path).ok();
         Arc::new(raw)
     }

@@ -6,11 +6,13 @@
 //! a persistent, content-addressed **shard store** and serves it to many
 //! trainers at once:
 //!
-//! - [`store`] / [`manifest`] / [`cache`] / [`prefetch`] — the storage
-//!   layer: per-`(snapshot, cube)` SKLH shards behind a `manifest.json`
-//!   whose shard names are their own XXH64 content hashes (store manifest
-//!   version 2), verified once per cache residency and read back through a
-//!   byte-budgeted LRU cache warmed by a lookahead prefetcher.
+//! - [`store`] / [`manifest`] / [`shard_bytes`] / [`cache`] /
+//!   [`prefetch`] — the storage layer: per-`(snapshot, cube)` shards back
+//!   to back in one pack file behind a `manifest.json` that records each
+//!   shard's range and XXH64 content hash (store manifest version 3). A
+//!   store maps its pack once; each shard is verified once per cache
+//!   residency and read back through a byte-budgeted LRU cache warmed by a
+//!   lookahead prefetcher.
 //! - [`protocol`] / [`server`] — the serving layer: a length-prefixed
 //!   binary protocol over plain `std::net` TCP, readiness-driven
 //!   request-granular worker scheduling (`epoll` through raw externs)

@@ -1,25 +1,33 @@
 //! Content-addressed manifest for a shard store.
 //!
-//! The manifest is the store's only index: one [`ShardEntry`] per
-//! `(snapshot, cube)` sample set, naming a shard file whose *file name is
-//! its own content hash* (`shards/<hash>.sklh`), so a shard can never be
-//! silently swapped without the manifest noticing and identical content
-//! dedupes to one file. Hashes use [`sickle_field::io::content_hash_hex`]
-//! (XXH64) — the same single source of truth the checkpoint manifest uses —
-//! in hex-string form because JSON numbers are f64 and would truncate raw
-//! 64-bit hashes.
+//! The manifest is the store's only index. It names the store's one pack
+//! file (`<hash>.pack`, where the hash covers the shard hashes in pack
+//! order, so the name is unique to the pack's content) and records the
+//! pack's exact length, then holds one [`ShardEntry`] per `(snapshot, cube)`
+//! sample set: the byte range `offset..offset + bytes` of the pack that is
+//! the shard, and that range's content hash, so a shard can never be
+//! silently swapped without the manifest noticing. Hashes use
+//! [`sickle_field::io::content_hash_hex`] (XXH64) — the same single source
+//! of truth the checkpoint manifest uses — in hex-string form because JSON
+//! numbers are f64 and would truncate raw 64-bit hashes. (Offsets and
+//! lengths are JSON numbers too: exact up to 2⁵³ bytes, and a value past
+//! that saturates, so it can only fail the range or hash check.)
 //!
-//! Version 2 is the XXH64 layout. Version 1 stores named their shards by
-//! FNV-1a; their shard bytes are the same, but every name and hash string
-//! differs, so [`StoreManifest::load`] refuses them and they are re-ingested.
+//! Version 3 is the pack layout. Version 2 stores kept one file per shard
+//! and version 1 stores named theirs by FNV-1a; their shard bytes are the
+//! same, but [`StoreManifest::load`] refuses both and they are re-ingested.
 
 use std::io;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
 /// Store format version (independent of the SKLF/SKLH payload version).
-pub const STORE_VERSION: u32 = 2;
+pub const STORE_VERSION: u32 = 3;
 
 /// Identity of one shard: the `(snapshot, cube)` coordinate of the sample
 /// set it holds. Ordering is the canonical dataset order — snapshot-major,
@@ -39,14 +47,14 @@ pub struct ShardEntry {
     pub snapshot: usize,
     /// Hypercube id.
     pub cube: usize,
-    /// Shard file, relative to the store root (`shards/<hash>.sklh`).
-    pub file: String,
-    /// [`sickle_field::io::content_hash_hex`] of the shard file's bytes.
+    /// Byte offset of the shard within the pack.
+    pub offset: usize,
+    /// Shard size in bytes.
+    pub bytes: usize,
+    /// [`sickle_field::io::content_hash_hex`] of the shard's bytes.
     pub hash: String,
     /// Retained points in the shard.
     pub points: usize,
-    /// Shard file size in bytes.
-    pub bytes: usize,
     /// Codec the shard was encoded with (a [`sickle_codec::Codec`] name).
     pub codec: String,
 }
@@ -61,8 +69,8 @@ impl ShardEntry {
     }
 }
 
-/// The index of a shard store: which shards exist, where they live, and the
-/// hash each must match. `config_hash` fingerprints the sampling
+/// The index of a shard store: which shards exist, where in the pack they
+/// live, and the hash each must match. `config_hash` fingerprints the sampling
 /// configuration that produced the dataset so a store is never served
 /// against the wrong provenance.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -73,17 +81,24 @@ pub struct StoreManifest {
     pub config_hash: String,
     /// Feature column names shared by every shard.
     pub feature_names: Vec<String>,
+    /// The pack file holding every shard, relative to the store root.
+    pub pack: String,
+    /// Exact byte length of the pack.
+    pub pack_bytes: usize,
     /// Shards in canonical `(snapshot, cube)` order.
     pub entries: Vec<ShardEntry>,
 }
 
 impl StoreManifest {
-    /// An empty manifest fingerprinted by `config_hash`.
+    /// An empty manifest fingerprinted by `config_hash`, naming no pack
+    /// yet.
     pub fn new(config_hash: impl Into<String>, feature_names: Vec<String>) -> Self {
         StoreManifest {
             version: STORE_VERSION,
             config_hash: config_hash.into(),
             feature_names,
+            pack: String::new(),
+            pack_bytes: 0,
             entries: Vec::new(),
         }
     }
@@ -111,7 +126,7 @@ impl StoreManifest {
         self.entries.is_empty()
     }
 
-    /// Total bytes across all shard files (dedup counted once per entry).
+    /// Total shard bytes, summed over entries.
     pub fn total_bytes(&self) -> usize {
         self.entries.iter().map(|e| e.bytes).sum()
     }
@@ -122,27 +137,58 @@ impl StoreManifest {
         self.entries.sort_by_key(ShardEntry::key);
     }
 
-    /// Loads a manifest from JSON, validating the version.
+    /// The content-unique pack name for these entries: the XXH64 of their
+    /// hashes in pack order. Shards sit back to back in that order, so
+    /// equal names mean equal pack bytes.
+    pub fn pack_name(entries: &[ShardEntry]) -> String {
+        let hashes: String = entries.iter().map(|e| e.hash.as_str()).collect();
+        format!(
+            "{}.pack",
+            sickle_field::io::content_hash_hex(hashes.as_bytes())
+        )
+    }
+
+    /// True for a file name [`pack_name`](Self::pack_name) could produce.
+    pub fn is_pack_name(name: &str) -> bool {
+        name.strip_suffix(".pack")
+            .is_some_and(|h| h.len() == 16 && h.bytes().all(|b| b.is_ascii_hexdigit()))
+    }
+
+    /// Loads a manifest from JSON, validating the version, the pack name,
+    /// and every shard range against the pack length.
     ///
     /// # Errors
-    /// I/O errors, or `InvalidData` on unparseable JSON or a version this
-    /// build does not speak.
+    /// I/O errors, or `InvalidData` on unparseable JSON, a version this
+    /// build does not speak, a pack name that is not a plain file name, or
+    /// a shard range that overflows or runs past `pack_bytes`.
     pub fn load(path: &Path) -> io::Result<Self> {
+        let bad = |e: serde_json::Error| invalid(format!("bad store manifest: {e}"));
         let text = std::fs::read_to_string(path)?;
-        let m: StoreManifest = serde_json::from_str(&text).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad store manifest: {e}"),
-            )
-        })?;
-        if m.version != STORE_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "unsupported store version {} (this build reads version {STORE_VERSION})",
-                    m.version
-                ),
-            ));
+        let value = serde_json::value_from_str(&text).map_err(bad)?;
+        // The version first: an older layout lacks this one's fields, and
+        // must be named as an old store, not as a malformed one.
+        let version = value.get("version").and_then(serde_json::Value::as_f64);
+        if version != Some(f64::from(STORE_VERSION)) {
+            return Err(invalid(format!(
+                "unsupported store version {} (this build reads version {STORE_VERSION}; \
+                 re-ingest the store)",
+                version.map_or_else(|| "none".to_string(), |v| v.to_string())
+            )));
+        }
+        let m = StoreManifest::deserialize(&value).map_err(|e| bad(e.into()))?;
+        if !Self::is_pack_name(&m.pack) {
+            return Err(invalid(format!("bad pack name {:?}", m.pack)));
+        }
+        for e in &m.entries {
+            if e.offset
+                .checked_add(e.bytes)
+                .is_none_or(|end| end > m.pack_bytes)
+            {
+                return Err(invalid(format!(
+                    "shard for snapshot {} cube {} spans {}+{} bytes, past the {}-byte pack",
+                    e.snapshot, e.cube, e.offset, e.bytes, m.pack_bytes
+                )));
+            }
         }
         Ok(m)
     }
@@ -152,8 +198,7 @@ impl StoreManifest {
     /// # Errors
     /// Propagates I/O errors from the write or the rename.
     pub fn save_atomic(&self, path: &Path) -> io::Result<()> {
-        let json = serde_json::to_string_pretty(self)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        let json = serde_json::to_string_pretty(self).map_err(|e| invalid(e.to_string()))?;
         let tmp = path.with_extension("json.tmp");
         std::fs::write(&tmp, json)?;
         std::fs::rename(&tmp, path)
@@ -168,12 +213,31 @@ mod tests {
         ShardEntry {
             snapshot,
             cube,
-            file: format!("shards/{snapshot}_{cube}.sklh"),
+            offset: 100 * (snapshot * 10 + cube),
+            bytes: 100,
             hash: sickle_field::io::content_hash_hex(&[snapshot as u8, cube as u8]),
             points: 10,
-            bytes: 100,
             codec: "identity".to_string(),
         }
+    }
+
+    /// A one-shard manifest whose pack is exactly that shard.
+    fn one_shard() -> StoreManifest {
+        let mut m = StoreManifest::new(
+            sickle_field::io::content_hash_hex(b"cfg"),
+            vec!["u".into(), "q".into()],
+        );
+        m.entries.push(entry(0, 0));
+        m.pack = StoreManifest::pack_name(&m.entries);
+        m.pack_bytes = 100;
+        m
+    }
+
+    fn temp_path(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("sickle_store_manifest_test_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
     }
 
     #[test]
@@ -217,20 +281,15 @@ mod tests {
 
     #[test]
     fn json_roundtrip_preserves_hashes() {
-        let dir = std::env::temp_dir().join("sickle_store_manifest_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("manifest.json");
-        let mut m = StoreManifest::new(
-            sickle_field::io::content_hash_hex(b"cfg"),
-            vec!["u".into(), "q".into()],
-        );
-        m.entries.push(entry(0, 0));
-        m.sort();
+        let path = temp_path("manifest.json");
+        let m = one_shard();
         m.save_atomic(&path).unwrap();
         let back = StoreManifest::load(&path).unwrap();
         assert_eq!(back.config_hash, m.config_hash);
         assert_eq!(back.feature_names, m.feature_names);
+        assert_eq!((&back.pack, back.pack_bytes), (&m.pack, m.pack_bytes));
         assert_eq!(back.entries[0].hash, m.entries[0].hash);
+        assert_eq!(back.entries[0].offset, m.entries[0].offset);
         std::fs::remove_file(&path).ok();
     }
 
@@ -238,9 +297,7 @@ mod tests {
     fn version_1_manifest_is_refused() {
         // A store written before the XXH64 content hash: its names and hash
         // strings are FNV-1a, so it must be refused, not half-verified.
-        let dir = std::env::temp_dir().join("sickle_store_manifest_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("v1.json");
+        let path = temp_path("v1.json");
         std::fs::write(
             &path,
             r#"{
@@ -265,18 +322,61 @@ mod tests {
     }
 
     #[test]
+    fn version_2_manifest_is_refused() {
+        // A one-file-per-shard store: same shard bytes, but no pack to
+        // serve them from, so it is re-ingested rather than read.
+        let path = temp_path("v2.json");
+        std::fs::write(
+            &path,
+            r#"{
+              "version": 2,
+              "config_hash": "cfg",
+              "feature_names": ["u"],
+              "entries": [{
+                "snapshot": 0, "cube": 0,
+                "file": "shards/0123456789abcdef.sklh", "hash": "0123456789abcdef",
+                "points": 10, "bytes": 100, "codec": "identity"
+              }]
+            }"#,
+        )
+        .unwrap();
+        let err = StoreManifest::load(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version 2 "), "{err}");
+        assert!(err.to_string().contains("re-ingest"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn load_rejects_wrong_version_and_garbage() {
-        let dir = std::env::temp_dir().join("sickle_store_manifest_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let bad = dir.join("bad.json");
+        let bad = temp_path("bad.json");
         std::fs::write(&bad, "{not json").unwrap();
         assert!(StoreManifest::load(&bad).is_err());
-        let mut m = StoreManifest::new("cfg", vec![]);
+        let mut m = one_shard();
         m.version = 99;
-        let path = dir.join("v99.json");
+        let path = temp_path("v99.json");
         m.save_atomic(&path).unwrap();
         assert!(StoreManifest::load(&path).is_err());
         std::fs::remove_file(&bad).ok();
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn pack_names_depend_on_every_hash_and_its_order() {
+        let a = vec![entry(0, 0), entry(0, 1)];
+        let b = vec![entry(0, 1), entry(0, 0)];
+        let name = StoreManifest::pack_name(&a);
+        assert!(StoreManifest::is_pack_name(&name), "{name}");
+        assert_ne!(name, StoreManifest::pack_name(&b));
+        assert_ne!(name, StoreManifest::pack_name(&a[..1]));
+        assert_eq!(name, StoreManifest::pack_name(&a.clone()));
+        for bad in [
+            "",
+            ".pack",
+            "0123456789abcdef.sklh",
+            "0123456789abcdeg.pack",
+        ] {
+            assert!(!StoreManifest::is_pack_name(bad), "{bad}");
+        }
     }
 }

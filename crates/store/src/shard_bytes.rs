@@ -1,29 +1,35 @@
-//! Zero-copy shard byte handles: `mmap`-backed views of shard files with
-//! a portable `read_at` fallback.
+//! Zero-copy shard byte handles: range views of a store's pack file,
+//! `mmap`-backed with a portable `read_at` fallback.
 //!
-//! A [`ShardBytes`] is the one owner of a shard's raw bytes between disk
-//! and socket. On the mapped path the kernel's page cache *is* the buffer:
-//! the serve path hashes and `writev`s straight out of the mapping and no
-//! user-space copy of the payload ever exists. On the fallback path
-//! (`SICKLE_MMAP=off`, non-Unix hosts, or an `mmap` syscall failure) the
-//! bytes land in one heap buffer via `read_at` — exactly one copy, still
-//! shared by every reader through the `Arc<ShardBytes>` handle.
+//! A store keeps every shard in one pack file. [`Pack`] is that file,
+//! opened once per store: either one read-only mapping of the whole pack,
+//! or (under `SICKLE_MMAP=off`, on non-Unix hosts, or after an `mmap`
+//! syscall failure) the open file itself. A [`ShardBytes`] is the one owner
+//! of a shard's raw bytes between disk and socket. On the mapped path it is
+//! a range view sharing the pack's mapping: the kernel's page cache *is*
+//! the buffer, the serve path hashes and tensorizes straight out of it,
+//! and no user-space copy of the payload ever exists. On the fallback path
+//! the shard's range lands in one heap buffer via `read_at` — exactly one
+//! copy, still shared by every reader through the `Arc<ShardBytes>` handle.
 //!
 //! ## Safety argument (the length-check-before-map contract)
 //!
 //! Mapping a file and reading past its end raises `SIGBUS`, not an error.
-//! The store's manifest records every shard's exact byte length, so
-//! [`ShardBytes::open`] `fstat`s the file first and refuses to map unless
-//! the on-disk length equals the expected length — a truncated or resized
-//! shard becomes `InvalidData` before any page is touched. The mapping is
-//! `PROT_READ`/`MAP_PRIVATE`: nothing writes through it, and shard files
-//! are content-addressed temp-file + rename artifacts that the store never
-//! rewrites in place, so the pages stay valid for the mapping's lifetime.
-//! (An external writer truncating the file *after* the check could still
-//! fault — the same torn-read hazard `fs::read` has — which is why the
-//! contract is length-check-before-map, not immunity to hostile
-//! concurrent writers. The hostile-file tests cover the supported cases:
-//! truncation, zero-length, and tamper are all clean errors.)
+//! The store's manifest records the pack's exact byte length, so
+//! [`Pack::open`] `fstat`s the file first and refuses to map unless the
+//! on-disk length equals the expected length — a truncated or resized pack
+//! becomes `InvalidData` before any page is touched. Every view is then
+//! bounds-checked against that length ([`Pack::shard`] uses checked
+//! arithmetic), so no range a manifest can name reaches past the mapping.
+//! The mapping is `PROT_READ`/`MAP_PRIVATE`: nothing writes through it,
+//! and packs are content-named temp-file + rename artifacts that the store
+//! never rewrites in place, so the pages stay valid for the mapping's
+//! lifetime. (An external writer truncating the file *after* the check
+//! could still fault — the same torn-read hazard `fs::read` has — which is
+//! why the contract is length-check-before-map, not immunity to hostile
+//! concurrent writers. The hostile-pack tests cover the supported cases:
+//! truncation, zero-length, tamper, and hostile ranges are all clean
+//! errors.)
 //!
 //! The wrapper is deliberately minimal `extern "C"` over the platform's
 //! `mmap`/`munmap` (std already links libc on Unix) — the `vendor/` tree
@@ -31,6 +37,7 @@
 
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Read-path selection for shard bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -152,73 +159,125 @@ impl Drop for MapRegion {
     }
 }
 
-/// The raw bytes of one shard file: either a page-cache-backed mapping or
-/// a single heap buffer. `Deref`s to `&[u8]`; shared as `Arc<ShardBytes>`
-/// between the LRU cache, the decoder, and in-flight socket writes, so
-/// the bytes stay alive for exactly as long as anyone is still using them
-/// — the lifetime rule that makes shipping a mapping to a socket sound.
+/// A store's pack file, opened once and length-checked: one mapping of the
+/// whole file, or the open file for positioned reads. Serves every shard
+/// as a [`ShardBytes`] range of itself.
+pub struct Pack {
+    repr: PackRepr,
+    len: usize,
+}
+
+enum PackRepr {
+    /// One `mmap` of the whole pack (Unix, mode `Auto`/`On`), shared with
+    /// every view cut from it.
+    #[cfg(unix)]
+    Mapped(Arc<MapRegion>),
+    /// The open pack; each view is one `read_at` of its range.
+    File(std::fs::File),
+}
+
+impl Pack {
+    /// Opens the pack at `path`, whose length must be exactly
+    /// `expected_len`, selecting the mapped or `read_at` path per `mode`.
+    ///
+    /// # Errors
+    /// `InvalidData` when the on-disk length disagrees with `expected_len`
+    /// (truncated or resized pack — checked *before* mapping, so it can
+    /// never SIGBUS); I/O errors from open/stat/map.
+    pub fn open(path: &Path, expected_len: usize, mode: MmapMode) -> io::Result<Pack> {
+        let file = std::fs::File::open(path)?;
+        let actual = file.metadata()?.len();
+        if actual != expected_len as u64 {
+            return Err(invalid(format!(
+                "pack {} is {actual} bytes on disk, manifest says {expected_len} \
+                 (truncated or resized)",
+                path.display()
+            )));
+        }
+        // A zero-length mapping is an EINVAL from the kernel; the file
+        // path serves the (necessarily empty) ranges of an empty pack.
+        #[cfg(unix)]
+        if expected_len > 0 {
+            let mapped = match mode {
+                MmapMode::Off => None,
+                MmapMode::On => Some(MapRegion::map(&file, expected_len)?),
+                MmapMode::Auto => MapRegion::map(&file, expected_len).ok(),
+            };
+            if let Some(region) = mapped {
+                return Ok(Pack {
+                    repr: PackRepr::Mapped(Arc::new(region)),
+                    len: expected_len,
+                });
+            }
+        }
+        #[cfg(not(unix))]
+        let _ = mode;
+        Ok(Pack {
+            repr: PackRepr::File(file),
+            len: expected_len,
+        })
+    }
+
+    /// The `len` bytes at `offset`: a view sharing the mapping, or one
+    /// `read_at` into a heap buffer.
+    ///
+    /// # Errors
+    /// `InvalidData` when the range does not lie inside the pack (checked
+    /// arithmetic: an overflowing range is an error, not a panic); I/O
+    /// errors from the read.
+    pub fn shard(&self, offset: usize, len: usize) -> io::Result<ShardBytes> {
+        if offset.checked_add(len).is_none_or(|end| end > self.len) {
+            return Err(invalid(format!(
+                "shard range {offset}+{len} runs past the {}-byte pack",
+                self.len
+            )));
+        }
+        let repr = match &self.repr {
+            #[cfg(unix)]
+            PackRepr::Mapped(region) => Repr::Mapped {
+                region: Arc::clone(region),
+                offset,
+                len,
+            },
+            PackRepr::File(file) => Repr::Heap(read_exact_at(file, offset, len)?),
+        };
+        Ok(ShardBytes { repr })
+    }
+}
+
+/// The raw bytes of one shard: either a range view of the pack's mapping
+/// or a single heap buffer. `Deref`s to `&[u8]`; shared as
+/// `Arc<ShardBytes>` between the LRU cache, the decoder, and in-flight
+/// requests, so the bytes stay alive for exactly as long as anyone is
+/// still using them. A mapped view holds the pack's mapping alive by
+/// itself — the lifetime rule that makes serving out of a mapping sound
+/// even after the store (or a re-ingest) has let go of the pack.
 pub struct ShardBytes {
     repr: Repr,
 }
 
 enum Repr {
-    /// `mmap`ed region (Unix, mode `Auto`/`On`).
+    /// A range of the pack's `mmap` (Unix, mode `Auto`/`On`).
     #[cfg(unix)]
-    Mapped(MapRegion),
+    Mapped {
+        region: Arc<MapRegion>,
+        offset: usize,
+        len: usize,
+    },
     /// One heap buffer filled by `read_at` (fallback / `SICKLE_MMAP=off`).
     Heap(Vec<u8>),
 }
 
 impl ShardBytes {
-    /// Opens `path` whose length must be exactly `expected_len`, selecting
-    /// the mapped or heap path per `mode`.
-    ///
-    /// # Errors
-    /// `InvalidData` when the on-disk length disagrees with
-    /// `expected_len` (truncated/resized shard — checked *before* mapping,
-    /// so it can never SIGBUS); I/O errors from open/stat/read/map.
-    pub fn open(path: &Path, expected_len: usize, mode: MmapMode) -> io::Result<ShardBytes> {
-        let file = std::fs::File::open(path)?;
-        let actual = file.metadata()?.len();
-        if actual != expected_len as u64 {
-            return Err(invalid(format!(
-                "shard {} is {actual} bytes on disk, manifest says {expected_len} \
-                 (truncated or resized)",
-                path.display()
-            )));
-        }
-        // A zero-length mapping is an EINVAL from the kernel; an empty
-        // heap buffer represents it exactly (and decode will reject it).
-        #[cfg(unix)]
-        if expected_len > 0 {
-            match mode {
-                MmapMode::Off => {}
-                MmapMode::On => {
-                    return Ok(ShardBytes {
-                        repr: Repr::Mapped(MapRegion::map(&file, expected_len)?),
-                    })
-                }
-                MmapMode::Auto => {
-                    if let Ok(region) = MapRegion::map(&file, expected_len) {
-                        return Ok(ShardBytes {
-                            repr: Repr::Mapped(region),
-                        });
-                    }
-                }
-            }
-        }
-        #[cfg(not(unix))]
-        let _ = mode;
-        Ok(ShardBytes {
-            repr: Repr::Heap(read_exact_at(&file, expected_len)?),
-        })
-    }
-
     /// The shard bytes.
     pub fn as_slice(&self) -> &[u8] {
         match &self.repr {
             #[cfg(unix)]
-            Repr::Mapped(region) => region.as_slice(),
+            Repr::Mapped {
+                region,
+                offset,
+                len,
+            } => &region.as_slice()[*offset..*offset + *len],
             Repr::Heap(bytes) => bytes,
         }
     }
@@ -228,7 +287,7 @@ impl ShardBytes {
         self.as_slice().len()
     }
 
-    /// True for an empty shard file.
+    /// True for an empty shard.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -237,7 +296,7 @@ impl ShardBytes {
     pub fn is_mapped(&self) -> bool {
         match &self.repr {
             #[cfg(unix)]
-            Repr::Mapped(_) => true,
+            Repr::Mapped { .. } => true,
             Repr::Heap(_) => false,
         }
     }
@@ -266,27 +325,30 @@ impl AsRef<[u8]> for ShardBytes {
     }
 }
 
-/// Fills one heap buffer with exactly `len` bytes via positioned reads —
-/// the portable path. A short file is `InvalidData` (same truncation
-/// contract as the map path, discovered at read time instead of stat
-/// time only if the file shrank in between).
-fn read_exact_at(file: &std::fs::File, len: usize) -> io::Result<Vec<u8>> {
+/// Fills one heap buffer with exactly the `len` bytes at `offset` via
+/// positioned reads — the portable path. A short read is `InvalidData`
+/// (same truncation contract as the map path, discovered at read time
+/// only if the pack shrank after it was opened).
+fn read_exact_at(file: &std::fs::File, offset: usize, len: usize) -> io::Result<Vec<u8>> {
     let mut buf = vec![0u8; len];
     let mut filled = 0usize;
     while filled < len {
+        let at = (offset + filled) as u64;
         #[cfg(unix)]
         let n = {
             use std::os::unix::fs::FileExt;
-            file.read_at(&mut buf[filled..], filled as u64)?
+            file.read_at(&mut buf[filled..], at)?
         };
         #[cfg(not(unix))]
         let n = {
-            use std::io::Read;
-            (&*file).read(&mut buf[filled..])?
+            use std::io::{Read, Seek, SeekFrom};
+            let mut f = file;
+            f.seek(SeekFrom::Start(at))?;
+            f.read(&mut buf[filled..])?
         };
         if n == 0 {
             return Err(invalid(format!(
-                "shard shrank mid-read: got {filled} of {len} bytes"
+                "pack shrank mid-read: got {filled} of {len} bytes at offset {offset}"
             )));
         }
         filled += n;
@@ -311,14 +373,26 @@ mod tests {
         let data: Vec<u8> = (0..40_000u32).map(|i| (i * 7) as u8).collect();
         let path = temp_file("agree", &data);
         for mode in [MmapMode::Auto, MmapMode::On, MmapMode::Off] {
-            let view = ShardBytes::open(&path, data.len(), mode).unwrap();
-            assert_eq!(view.as_slice(), &data[..], "{mode:?}");
-            if cfg!(unix) && mode != MmapMode::Off {
-                assert!(view.is_mapped(), "{mode:?} should map on unix");
+            let pack = Pack::open(&path, data.len(), mode).unwrap();
+            let mapped = cfg!(unix) && mode != MmapMode::Off;
+            for (offset, len) in [(0, data.len()), (0, 1), (4095, 4097), (39_999, 1), (123, 0)] {
+                let view = pack.shard(offset, len).unwrap();
+                assert_eq!(view.as_slice(), &data[offset..offset + len], "{mode:?}");
+                assert_eq!(view.is_mapped(), mapped, "{mode:?}");
             }
-            if mode == MmapMode::Off {
-                assert!(!view.is_mapped());
-            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_view_outlives_its_pack() {
+        let data: Vec<u8> = (0..9000u32).map(|i| (i * 13) as u8).collect();
+        let path = temp_file("outlive", &data);
+        for mode in [MmapMode::On, MmapMode::Off] {
+            let pack = Pack::open(&path, data.len(), mode).unwrap();
+            let view = pack.shard(100, 5000).unwrap();
+            drop(pack);
+            assert_eq!(view.as_slice(), &data[100..5100], "{mode:?}");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -327,10 +401,28 @@ mod tests {
     fn length_mismatch_errors_before_mapping() {
         let path = temp_file("short", b"0123456789");
         for mode in [MmapMode::On, MmapMode::Off] {
-            let err = ShardBytes::open(&path, 1 << 20, mode).unwrap_err();
+            let err = Pack::open(&path, 1 << 20, mode).err().unwrap();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{mode:?}");
-            let err = ShardBytes::open(&path, 3, mode).unwrap_err();
+            let err = Pack::open(&path, 3, mode).err().unwrap();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{mode:?}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn ranges_outside_the_pack_are_invalid_data() {
+        let path = temp_file("ranges", b"0123456789");
+        for mode in [MmapMode::On, MmapMode::Off] {
+            let pack = Pack::open(&path, 10, mode).unwrap();
+            for (offset, len) in [(0, 11), (10, 1), (11, 0), (usize::MAX, 2), (5, usize::MAX)] {
+                let err = pack.shard(offset, len).unwrap_err();
+                assert_eq!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData,
+                    "{mode:?} {offset}+{len}"
+                );
+            }
+            assert!(pack.shard(10, 0).unwrap().is_empty());
         }
         std::fs::remove_file(&path).ok();
     }
@@ -339,7 +431,7 @@ mod tests {
     fn zero_length_file_is_an_empty_heap_view() {
         let path = temp_file("empty", b"");
         for mode in [MmapMode::On, MmapMode::Off] {
-            let view = ShardBytes::open(&path, 0, mode).unwrap();
+            let view = Pack::open(&path, 0, mode).unwrap().shard(0, 0).unwrap();
             assert!(view.is_empty());
             assert!(!view.is_mapped(), "empty files never map");
         }
@@ -349,7 +441,7 @@ mod tests {
     #[test]
     fn missing_file_is_not_found() {
         let path = std::env::temp_dir().join("sickle_shard_bytes_nonexistent");
-        let err = ShardBytes::open(&path, 4, MmapMode::Auto).unwrap_err();
+        let err = Pack::open(&path, 4, MmapMode::Auto).err().unwrap();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
     }
 

@@ -170,7 +170,7 @@ pub struct CodecStats {
     pub shards: u64,
     /// Points across those shards.
     pub points: u64,
-    /// Bytes those shard files occupy on disk.
+    /// Bytes those shards occupy in the pack on disk.
     pub disk_bytes: u64,
     /// Bytes the decoded sets occupy resident (index + f64 features per
     /// row, from the manifest's feature count — an estimate, not a
@@ -371,12 +371,13 @@ mod tests {
             m.entries.push(ShardEntry {
                 snapshot: 0,
                 cube: i,
-                file: format!("shards/{i}.sklh"),
+                offset: m.pack_bytes,
+                bytes: *bytes,
                 hash: format!("{i}"),
                 points: 100,
-                bytes: *bytes,
                 codec: codec.to_string(),
             });
+            m.pack_bytes += bytes;
         }
         let snap = StatsSnapshot::collect(&ConnRegistry::default()).with_manifest(&m);
         assert_eq!(snap.codecs.len(), 2);

@@ -1,22 +1,31 @@
 //! Out-of-core shard store: persist a [`SamplingOutput`] as per-
-//! `(snapshot, cube)` SKLH shards, read them back through a byte-budgeted
-//! LRU cache.
+//! `(snapshot, cube)` shards in one pack file, read them back through a
+//! byte-budgeted LRU cache.
 //!
-//! On disk a store is:
+//! On disk a store is two files:
 //!
 //! ```text
-//! <root>/manifest.json          index + hashes (see [`StoreManifest`])
-//! <root>/shards/<hash>.sklh     one single-set shard per sample set,
-//! <root>/shards/<hash>.sklq     named by its own content hash (XXH64)
+//! <root>/manifest.json   index: the pack's name and length, then every
+//!                        shard's (offset, bytes, hash) — see [`StoreManifest`]
+//! <root>/<hash>.pack     every shard back to back in canonical (snapshot,
+//!                        cube) order, named by a hash of the shard hashes
 //! ```
 //!
 //! Shard payloads go through [`sickle_codec`]: the default identity codec
 //! reuses the checkpoint encoder ([`sickle_field::io::encode_sample_sets`])
-//! verbatim (`.sklh`), while [`ShardStore::ingest_with`] lets a per-shard
-//! policy pick a lossy codec (`.sklq`). Reads dispatch on the shard's own
-//! magic, so mixed-codec stores decode through one path.
+//! verbatim (SKLH bytes), while [`ShardStore::ingest_with`] lets a per-shard
+//! policy pick a lossy codec (SKLQ bytes). Reads dispatch on the shard's
+//! own magic, so mixed-codec stores decode through one path, and no shard
+//! needs alignment padding: every decoder parses byte-wise.
+//!
+//! Ingest creates two files however many shards it writes: it streams the
+//! pack to `pack.tmp`, renames it to its content name, saves the manifest
+//! atomically — the one commit point — and only then deletes any pack the
+//! new manifest does not name. A crash at any step leaves the previous
+//! manifest naming a pack whose bytes still verify. A store opens its pack
+//! once (see [`Pack`]) and serves every shard as a verified range of it.
 
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -27,7 +36,7 @@ use sickle_field::SampleSet;
 
 use crate::cache::{BlockCache, DecodedShard};
 use crate::manifest::{ShardEntry, ShardKey, StoreManifest};
-use crate::shard_bytes::{MmapMode, ShardBytes};
+use crate::shard_bytes::{MmapMode, Pack, ShardBytes};
 
 /// Tuning for an opened store.
 #[derive(Clone, Copy, Debug)]
@@ -35,9 +44,10 @@ pub struct StoreConfig {
     /// Byte budget for heap-resident cache entries (decoded sets and their
     /// targets, plus `read_at`-fallback raw buffers).
     pub cache_bytes: usize,
-    /// Byte budget for mapped raw-shard handles. Mapped pages belong to
-    /// the OS page cache, so this bounds address-space/page-cache pressure
-    /// separately instead of double-counting against `cache_bytes`.
+    /// Byte budget for cached verified views of the mapped pack. Mapped
+    /// pages belong to the OS page cache, so this bounds them separately
+    /// instead of double-counting against `cache_bytes`; the pack's one
+    /// mapping lives as long as the store or any view of it.
     pub mapped_cache_bytes: usize,
     /// How raw shard bytes are brought into memory (mmap vs `read_at`);
     /// the default honors `SICKLE_MMAP`.
@@ -54,6 +64,11 @@ impl Default for StoreConfig {
     }
 }
 
+/// The manifest's file name under a store root.
+const MANIFEST: &str = "manifest.json";
+/// Where ingest streams the pack before it is renamed to its content name.
+const PACK_TMP: &str = "pack.tmp";
+
 fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
@@ -69,15 +84,15 @@ pub fn set_key(set: &SampleSet, position: usize) -> ShardKey {
     }
 }
 
-/// A shard store rooted at a directory, with a shared decoded-shard cache.
-/// All methods take `&self`; the store is `Send + Sync` and is typically
-/// wrapped in an `Arc` to share between the serving threads and the
-/// prefetcher.
+/// A shard store rooted at a directory, with its pack opened once and a
+/// shared decoded-shard cache. All methods take `&self`; the store is
+/// `Send + Sync` and is typically wrapped in an `Arc` to share between the
+/// serving threads and the prefetcher.
 pub struct ShardStore {
     root: PathBuf,
     manifest: StoreManifest,
+    pack: Pack,
     cache: BlockCache,
-    mmap: MmapMode,
 }
 
 impl ShardStore {
@@ -95,10 +110,12 @@ impl ShardStore {
     /// Persists a sampling output with a per-shard codec policy: `policy`
     /// is called once per `(snapshot, cube)` key and its choice is recorded
     /// in the manifest, so one store can mix identity shards (e.g. the
-    /// validation split) with quantized or resim shards. Existing shards
-    /// with matching content-addressed names are reused (ingest is
-    /// idempotent); the manifest is rewritten atomically last, so a crash
-    /// mid-ingest never leaves a manifest naming missing shards.
+    /// validation split) with quantized or resim shards. Shards are encoded
+    /// and hashed one at a time and streamed into the pack in canonical key
+    /// order, so the pack is never whole in memory. The manifest is
+    /// rewritten atomically after the pack is in place, so a crash
+    /// mid-ingest never leaves a manifest naming a missing pack; packs the
+    /// new manifest does not name are deleted after that commit.
     ///
     /// # Errors
     /// Propagates I/O errors; `InvalidData` if the output holds no sets.
@@ -108,72 +125,80 @@ impl ShardStore {
         cfg: StoreConfig,
         policy: impl Fn(ShardKey) -> Codec,
     ) -> io::Result<Self> {
-        let _span = sickle_obs::span!("store.ingest");
-        let shards_dir = root.join("shards");
-        std::fs::create_dir_all(&shards_dir)?;
-        let first = output
+        let mut sets: Vec<(ShardKey, &SampleSet)> = output
             .sets
             .iter()
-            .flatten()
-            .next()
+            .flat_map(|snap_sets| {
+                snap_sets
+                    .iter()
+                    .enumerate()
+                    .map(|(position, set)| (set_key(set, position), set))
+            })
+            .collect();
+        let _span = sickle_obs::span!("store.ingest", shards = sets.len());
+        let first = sets
+            .first()
             .ok_or_else(|| invalid("cannot ingest an empty sampling output".into()))?;
         let mut manifest = StoreManifest::new(
             config_fingerprint(&output.config),
-            first.features.names.clone(),
+            first.1.features.names.clone(),
         );
-        for snap_sets in &output.sets {
-            for (position, set) in snap_sets.iter().enumerate() {
-                let key = set_key(set, position);
-                let codec = policy(key);
-                let bytes = sickle_codec::encode_shard(std::slice::from_ref(set), codec);
-                let hash = fio::content_hash_hex(&bytes);
-                let ext = if codec == Codec::Identity {
-                    "sklh"
-                } else {
-                    "sklq"
-                };
-                let file = format!("shards/{hash}.{ext}");
-                let path = root.join(&file);
-                if !path.exists() {
-                    let tmp = shards_dir.join(format!("{hash}.{ext}.tmp"));
-                    std::fs::write(&tmp, &bytes)?;
-                    std::fs::rename(&tmp, &path)?;
-                }
-                manifest.entries.push(ShardEntry {
-                    snapshot: key.snapshot,
-                    cube: key.cube,
-                    file,
-                    hash,
-                    points: set.len(),
-                    bytes: bytes.len(),
-                    codec: codec.name().to_string(),
-                });
-                sickle_obs::counter!("store.ingest.shards", 1usize);
-            }
+        sets.sort_by_key(|&(key, _)| key);
+
+        std::fs::create_dir_all(root)?;
+        let tmp = root.join(PACK_TMP);
+        let mut pack = io::BufWriter::with_capacity(1 << 18, std::fs::File::create(&tmp)?);
+        sickle_obs::counter!("store.ingest.files", 1usize);
+        let mut offset = 0usize;
+        for (key, set) in sets {
+            let codec = policy(key);
+            let bytes = sickle_codec::encode_shard(std::slice::from_ref(set), codec);
+            pack.write_all(&bytes)?;
+            manifest.entries.push(ShardEntry {
+                snapshot: key.snapshot,
+                cube: key.cube,
+                offset,
+                bytes: bytes.len(),
+                hash: fio::content_hash_hex(&bytes),
+                points: set.len(),
+                codec: codec.name().to_string(),
+            });
+            offset += bytes.len();
+            sickle_obs::counter!("store.ingest.shards", 1usize);
         }
-        manifest.sort();
-        manifest.save_atomic(&root.join("manifest.json"))?;
-        Ok(ShardStore {
-            root: root.to_path_buf(),
-            manifest,
-            cache: BlockCache::new(cfg.cache_bytes, cfg.mapped_cache_bytes),
-            mmap: cfg.mmap,
-        })
+        pack.into_inner().map_err(io::IntoInnerError::into_error)?;
+        manifest.pack = StoreManifest::pack_name(&manifest.entries);
+        manifest.pack_bytes = offset;
+
+        let _publish = sickle_obs::span!("store.ingest.publish", bytes = offset);
+        std::fs::rename(&tmp, root.join(&manifest.pack))?;
+        manifest.save_atomic(&root.join(MANIFEST))?;
+        sickle_obs::counter!("store.ingest.files", 1usize);
+        remove_stale_packs(root, &manifest.pack);
+        Self::with_manifest(root, manifest, cfg)
     }
 
-    /// Opens an existing store by reading its manifest. Shard files are not
-    /// touched until read — opening a terabyte store costs one JSON parse.
+    /// Opens an existing store: reads its manifest and opens (under
+    /// `SICKLE_MMAP=auto|on`, maps) its pack once. No shard is read until
+    /// asked for — opening a terabyte store costs one JSON parse and one
+    /// length-checked open.
     ///
     /// # Errors
-    /// I/O errors; `InvalidData` for a bad manifest.
+    /// I/O errors (`NotFound` for a missing pack); `InvalidData` for a bad
+    /// manifest or a pack whose length disagrees with it.
     pub fn open(root: &Path, cfg: StoreConfig) -> io::Result<Self> {
         let _span = sickle_obs::span!("store.open");
-        let manifest = StoreManifest::load(&root.join("manifest.json"))?;
+        let manifest = StoreManifest::load(&root.join(MANIFEST))?;
+        Self::with_manifest(root, manifest, cfg)
+    }
+
+    fn with_manifest(root: &Path, manifest: StoreManifest, cfg: StoreConfig) -> io::Result<Self> {
+        let pack = Pack::open(&root.join(&manifest.pack), manifest.pack_bytes, cfg.mmap)?;
         Ok(ShardStore {
             root: root.to_path_buf(),
             manifest,
+            pack,
             cache: BlockCache::new(cfg.cache_bytes, cfg.mapped_cache_bytes),
-            mmap: cfg.mmap,
         })
     }
 
@@ -208,17 +233,17 @@ impl ShardStore {
     }
 
     /// Opens a shard's raw bytes as a shared, cached [`ShardBytes`] handle
-    /// — the zero-copy read path. A hit is an `Arc` clone; a miss maps the
-    /// file (or `read_at`s it under `SICKLE_MMAP=off`), length-checking
-    /// against the manifest *before* mapping and streaming the content hash
-    /// over the view, so both integrity checks run exactly once per
-    /// residency. `get()` decodes from this handle: a shard re-decoded
-    /// while its raw residency holds is neither re-read nor re-hashed.
+    /// — the zero-copy read path. A hit is an `Arc` clone; a miss cuts the
+    /// shard's range out of the pack's mapping (or `read_at`s it under
+    /// `SICKLE_MMAP=off`) and streams the content hash over it, so the hash
+    /// check runs exactly once per residency. (The pack's length was
+    /// checked against the manifest before it was mapped, and every range
+    /// against that length.) `get()` decodes from this handle: a shard
+    /// re-decoded while its raw residency holds is neither re-read nor
+    /// re-hashed.
     ///
     /// # Errors
-    /// `NotFound` for an unknown key, `InvalidData` on a size or hash
-    /// mismatch (a truncated-after-publish shard fails the size check
-    /// before any page is mapped).
+    /// `NotFound` for an unknown key, `InvalidData` on a hash mismatch.
     pub fn shard_handle(&self, key: ShardKey) -> io::Result<Arc<ShardBytes>> {
         if let Some(hit) = self.cache.get_raw(key) {
             return Ok(hit);
@@ -227,10 +252,13 @@ impl ShardStore {
         let t0 = std::time::Instant::now();
         let raw = {
             let _s = sickle_obs::span!("store.disk_read", snapshot = key.snapshot, cube = key.cube);
-            ShardBytes::open(&self.root.join(&entry.file), entry.bytes, self.mmap)?
+            self.pack.shard(entry.offset, entry.bytes)?
         };
         if fio::content_hash_hex(&raw) != entry.hash {
-            return Err(invalid(format!("hash mismatch for {}", entry.file)));
+            return Err(invalid(format!(
+                "hash mismatch for snapshot {} cube {} in {}",
+                key.snapshot, key.cube, self.manifest.pack
+            )));
         }
         sickle_obs::histogram!("store.disk_read_us", t0.elapsed().as_micros() as f64);
         let raw = Arc::new(raw);
@@ -323,11 +351,28 @@ impl ShardStore {
         )
     }
 
-    /// Mapped-byte introspection: `(mapped bytes, mapped budget bytes)` —
-    /// the page-cache-backed residency [`cache_stats`](Self::cache_stats)
-    /// deliberately excludes.
+    /// Mapped-byte introspection: `(bytes of cached mapped views, mapped
+    /// budget bytes)` — the page-cache-backed residency
+    /// [`cache_stats`](Self::cache_stats) deliberately excludes.
     pub fn mapped_stats(&self) -> (usize, usize) {
         (self.cache.mapped_bytes(), self.cache.mapped_budget_bytes())
+    }
+}
+
+/// Deletes every pack under `root` but `keep`. Runs after the manifest
+/// naming `keep` is committed, so it is best-effort: a pack that cannot be
+/// removed now is only disk space, and the next ingest retries it. A store
+/// still serving from a deleted pack keeps its open file or mapping.
+fn remove_stale_packs(root: &Path, keep: &str) {
+    let Ok(dir) = std::fs::read_dir(root) else {
+        return;
+    };
+    for entry in dir.flatten() {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name != keep && StoreManifest::is_pack_name(&name) {
+            let _ = std::fs::remove_file(entry.path());
+        }
     }
 }
 
@@ -375,13 +420,8 @@ mod tests {
         })
         .unwrap();
         for e in store.manifest().entries.iter() {
-            let (codec, ext) = if e.cube % 2 == 0 {
-                ("identity", ".sklh")
-            } else {
-                ("f16", ".sklq")
-            };
+            let codec = if e.cube % 2 == 0 { "identity" } else { "f16" };
             assert_eq!(e.codec, codec);
-            assert!(e.file.ends_with(ext), "{}", e.file);
         }
         let reopened = ShardStore::open(&root, StoreConfig::default()).unwrap();
         for snap_sets in &out.sets {
@@ -486,11 +526,13 @@ mod tests {
         let out = small_output(1, 1, 10);
         let store = ShardStore::ingest(&root, &out, StoreConfig::default()).unwrap();
         let key = store.keys()[0];
-        let file = root.join(&store.manifest().entries[0].file);
-        let mut bytes = std::fs::read(&file).unwrap();
+        let pack = root.join(&store.manifest().pack);
+        drop(store);
+        let mut bytes = std::fs::read(&pack).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
-        std::fs::write(&file, &bytes).unwrap();
+        std::fs::write(&pack, &bytes).unwrap();
+        let store = ShardStore::open(&root, StoreConfig::default()).unwrap();
         let err = store.get(key).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_dir_all(&root).ok();
@@ -532,6 +574,134 @@ mod tests {
         let (resident, bytes, budget) = store.cache_stats();
         assert_eq!(resident, 1, "budget of 1 byte keeps a single shard");
         let _ = (bytes, budget);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// The names of the files directly under `root`, sorted.
+    fn files_under(root: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Every shard tensorized at 4 tokens, as bits, in key order.
+    fn tensor_bits(store: &ShardStore) -> Vec<Vec<u32>> {
+        store
+            .keys()
+            .into_iter()
+            .map(|key| {
+                let (inputs, targets, _) = store.tensorized(key, 4).unwrap();
+                bits(&inputs).into_iter().chain(bits(&targets)).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ingest_of_many_shards_leaves_the_manifest_and_one_pack() {
+        let root = temp_root("filecount");
+        let out = small_output(4, 30, 5);
+        let store = ShardStore::ingest(&root, &out, StoreConfig::default()).unwrap();
+        assert_eq!(store.manifest().len(), 120);
+        let pack = store.manifest().pack.clone();
+        assert_eq!(files_under(&root), vec![pack, MANIFEST.to_string()]);
+        // The shards sit back to back in key order and fill the pack.
+        let mut end = 0;
+        for e in &store.manifest().entries {
+            assert_eq!(e.offset, end, "snapshot {} cube {}", e.snapshot, e.cube);
+            end += e.bytes;
+        }
+        assert_eq!(end, store.manifest().pack_bytes);
+        assert_eq!(end, store.manifest().total_bytes());
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn shard_hashes_are_the_hashes_of_the_encoded_sets() {
+        let root = temp_root("samebytes");
+        let out = small_output(2, 3, 30);
+        let policy =
+            |key: ShardKey| [Codec::Identity, Codec::F16, Codec::resim_default()][key.cube];
+        let store = ShardStore::ingest_with(&root, &out, StoreConfig::default(), policy).unwrap();
+        let pack = std::fs::read(root.join(&store.manifest().pack)).unwrap();
+        for (position, set) in out.sets.iter().flatten().enumerate() {
+            let key = set_key(set, position % 3);
+            let encoded = sickle_codec::encode_shard(std::slice::from_ref(set), policy(key));
+            let e = store.manifest().entry(key).unwrap();
+            assert_eq!(e.hash, fio::content_hash_hex(&encoded), "{key:?}");
+            assert_eq!(&pack[e.offset..e.offset + e.bytes], &encoded[..], "{key:?}");
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn reingest_into_a_live_root_keeps_the_old_store_serving() {
+        for mmap in [MmapMode::On, MmapMode::Off] {
+            let root = temp_root(&format!("reingest_{mmap:?}"));
+            // A one-byte budget keeps one shard resident, so the old store
+            // reads its pack again for every other shard after re-ingest.
+            let cfg = StoreConfig {
+                cache_bytes: 1,
+                mapped_cache_bytes: 1,
+                mmap,
+            };
+            let old_out = small_output(2, 3, 20);
+            let new_out = small_output(2, 3, 24);
+            ShardStore::ingest(&root, &old_out, cfg).unwrap();
+            let old = ShardStore::open(&root, cfg).unwrap();
+            let old_pack = old.manifest().pack.clone();
+            let before = tensor_bits(&old);
+
+            let fresh = ShardStore::ingest(&root, &new_out, cfg).unwrap();
+            let new_pack = fresh.manifest().pack.clone();
+            assert_ne!(new_pack, old_pack, "{mmap:?}");
+            assert_eq!(
+                files_under(&root),
+                vec![new_pack.clone(), MANIFEST.to_string()],
+                "{mmap:?}: the stale pack is gone"
+            );
+            assert_eq!(tensor_bits(&old), before, "{mmap:?}: old store, old bytes");
+
+            let reopened = ShardStore::open(&root, cfg).unwrap();
+            assert_eq!(reopened.manifest().pack, new_pack);
+            for (position, set) in new_out.sets.iter().flatten().enumerate() {
+                let got = reopened.get(set_key(set, position % 3)).unwrap();
+                assert_eq!(got.features.data, set.features.data, "{mmap:?}");
+            }
+            assert_eq!(tensor_bits(&reopened), tensor_bits(&fresh), "{mmap:?}");
+            std::fs::remove_dir_all(&root).ok();
+        }
+    }
+
+    #[test]
+    fn leftover_temp_files_and_unnamed_packs_do_not_stop_the_old_manifest() {
+        let root = temp_root("leftovers");
+        let out = small_output(1, 4, 16);
+        let want = tensor_bits(&ShardStore::ingest(&root, &out, StoreConfig::default()).unwrap());
+        // What a crash mid-ingest leaves: a half-written pack, a renamed
+        // pack the manifest never came to name, a half-written manifest.
+        std::fs::write(root.join(PACK_TMP), b"half a pack").unwrap();
+        std::fs::write(root.join("00000000deadbeef.pack"), b"orphan").unwrap();
+        std::fs::write(root.join("manifest.json.tmp"), b"{\"version\":").unwrap();
+        for mmap in [MmapMode::On, MmapMode::Off] {
+            let cfg = StoreConfig {
+                mmap,
+                ..StoreConfig::default()
+            };
+            let store = ShardStore::open(&root, cfg).unwrap();
+            for key in store.keys() {
+                store.shard_handle(key).unwrap();
+            }
+            assert_eq!(tensor_bits(&store), want, "{mmap:?}");
+        }
+        // The next ingest sweeps the orphan pack and reuses the temp name.
+        let store = ShardStore::ingest(&root, &out, StoreConfig::default()).unwrap();
+        assert_eq!(
+            files_under(&root),
+            vec![store.manifest().pack.clone(), MANIFEST.to_string()]
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 }

@@ -1,11 +1,16 @@
-//! Property tests for the wire decoders a hostile peer can reach: request
-//! frames with and without trace-context trailers, Stats JSON, and raw
-//! response payloads. The invariant everywhere is *error, never panic* —
-//! the server must survive any byte sequence a client writes, and the
+//! Property tests for the decoders a hostile peer or a hostile disk can
+//! reach: request frames with and without trace-context trailers, Stats
+//! JSON, raw response payloads, shard bytes, and the pack and manifest of
+//! a store. The invariant everywhere is *error, never panic* — the server
+//! must survive any byte sequence a client writes or a pack holds, and the
 //! client any byte sequence a server returns.
+
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use sickle_field::SampleSet;
 use sickle_obs::TraceContext;
 use sickle_store::batching::{Batch, BatchShape, BatchSpec};
 use sickle_store::manifest::{ShardEntry, ShardKey, StoreManifest};
@@ -45,7 +50,7 @@ fn request_of(
     }
 }
 
-/// Distinguishes the per-case temp stores of `hostile_shard_files_...`.
+/// Distinguishes the per-case temp stores of the hostile-store tests.
 static FUZZ_CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 fn any_request() -> impl Strategy<Value = Request> {
@@ -169,29 +174,60 @@ proptest! {
             _ => Vec::new(),
         };
         bytes.extend_from_slice(&data);
-        let case = FUZZ_CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let root = std::env::temp_dir().join(format!(
-            "sickle_store_shardfuzz_{}_{case}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(root.join("shards")).unwrap();
-        let hash = sickle_field::io::content_hash_hex(&bytes);
-        let file = format!("shards/{hash}.sklq");
-        std::fs::write(root.join(&file), &bytes).unwrap();
+        let root = fuzz_root("shardfuzz");
+        std::fs::create_dir_all(&root).unwrap();
         let mut manifest = StoreManifest::new("cfg", vec!["u".into()]);
         manifest.entries.push(ShardEntry {
             snapshot: 0,
             cube: 0,
-            file,
-            hash,
-            points: 0,
+            offset: 0,
             bytes: bytes.len(),
+            hash: sickle_field::io::content_hash_hex(&bytes),
+            points: 0,
             codec: "f16".to_string(),
         });
+        manifest.pack = StoreManifest::pack_name(&manifest.entries);
+        manifest.pack_bytes = bytes.len();
+        std::fs::write(root.join(&manifest.pack), &bytes).unwrap();
         manifest.save_atomic(&root.join("manifest.json")).unwrap();
         let store = ShardStore::open(&root, StoreConfig::default()).unwrap();
         prop_assert!(store.get(ShardKey { snapshot: 0, cube: 0 }).is_err());
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn hostile_ranges_are_errors_not_panics(
+        offset in 0usize..1024,
+        bytes in 0usize..1024,
+        pack_sel in 0u8..4,
+    ) {
+        // A genuine one-shard store whose manifest then names an arbitrary
+        // range and pack length. Only the genuine triple may read; every
+        // other one is `InvalidData` from the load, the pack's length check
+        // or the hash — never a panic, an out-of-bounds slice or a SIGBUS.
+        let root = fuzz_root("rangefuzz");
+        let out = sickle_store::testutil::small_output(1, 1, 9);
+        ShardStore::ingest(&root, &out, StoreConfig::default()).unwrap();
+        let mut manifest = StoreManifest::load(&root.join("manifest.json")).unwrap();
+        let real = manifest.pack_bytes;
+        let pack_bytes = [real - 1, real, real + 1, usize::MAX][pack_sel as usize];
+        let genuine = (offset, bytes, pack_bytes) == (0, real, real);
+        manifest.entries[0].offset = offset;
+        manifest.entries[0].bytes = bytes;
+        manifest.pack_bytes = pack_bytes;
+        manifest.save_atomic(&root.join("manifest.json")).unwrap();
+        for mode in [MmapMode::On, MmapMode::Off] {
+            let cfg = StoreConfig { mmap: mode, ..StoreConfig::default() };
+            let got = ShardStore::open(&root, cfg)
+                .and_then(|store| store.get(ShardKey { snapshot: 0, cube: 0 }));
+            match got {
+                Ok(_) => prop_assert!(genuine, "{mode:?}: {offset}+{bytes} of {pack_bytes} read"),
+                Err(err) => {
+                    prop_assert!(!genuine, "{mode:?}: genuine store failed: {err}");
+                    prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+                }
+            }
+        }
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -225,118 +261,265 @@ proptest! {
     }
 }
 
-/// Ingests a tiny store, then lets `tamper` vandalise the shard file
-/// behind the manifest's back, and asserts every read path — raw handle,
-/// decoded get — errors under both the mmap and `read_at` planes. The
-/// mmap plane must fail with a clean `Err`, never a SIGBUS: the length
-/// check runs against the manifest *before* any page is mapped.
-fn hostile_file_errors_both_planes(what: &str, tamper: impl Fn(&std::path::Path)) {
-    for (mode, tag) in [(MmapMode::On, "mmap"), (MmapMode::Off, "read")] {
-        let out = sickle_store::testutil::small_output(1, 1, 64);
-        let root = std::env::temp_dir().join(format!(
-            "sickle_store_hostile_{what}_{tag}_{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        let cfg = StoreConfig {
-            mmap: mode,
-            ..StoreConfig::default()
+/// A fresh temp store root for one fuzz case.
+fn fuzz_root(tag: &str) -> PathBuf {
+    let case = FUZZ_CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let root =
+        std::env::temp_dir().join(format!("sickle_store_{tag}_{}_{case}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    root
+}
+
+const KEYS: [ShardKey; 3] = [
+    ShardKey {
+        snapshot: 0,
+        cube: 0,
+    },
+    ShardKey {
+        snapshot: 0,
+        cube: 1,
+    },
+    ShardKey {
+        snapshot: 0,
+        cube: 2,
+    },
+];
+
+/// The two read planes every hostile-pack test runs under.
+const PLANES: [(MmapMode, &str); 2] = [(MmapMode::On, "mmap"), (MmapMode::Off, "read")];
+
+fn plane(mode: MmapMode) -> StoreConfig {
+    StoreConfig {
+        mmap: mode,
+        ..StoreConfig::default()
+    }
+}
+
+/// Ingests a three-shard store, lets `tamper` vandalise its pack behind
+/// the manifest's back, and reopens it under both the mmap and `read_at`
+/// planes, handing each attempt to `check` with the shards as ingested.
+fn tampered_pack(
+    what: &str,
+    tamper: impl Fn(&Path, &StoreManifest),
+    check: impl Fn(&str, std::io::Result<ShardStore>, &[Arc<SampleSet>]),
+) {
+    for (mode, tag) in PLANES {
+        let root = fuzz_root(&format!("hostile_{what}_{tag}"));
+        let out = sickle_store::testutil::small_output(1, KEYS.len(), 64);
+        let clean: Vec<_> = {
+            let store = ShardStore::ingest(&root, &out, plane(mode)).expect("ingest");
+            KEYS.iter().map(|&k| store.get(k).expect("clean")).collect()
         };
-        let store = ShardStore::ingest(&root, &out, cfg).expect("ingest");
         let manifest = StoreManifest::load(&root.join("manifest.json")).expect("manifest");
-        tamper(&root.join(&manifest.entries[0].file));
-        let key = ShardKey {
-            snapshot: 0,
-            cube: 0,
-        };
-        let raw = store.shard_handle(key);
-        assert!(
-            raw.is_err(),
-            "{what}/{tag}: raw read must error, got {} bytes",
-            raw.map(|b| b.len()).unwrap_or(0)
+        tamper(&root.join(&manifest.pack), &manifest);
+        check(
+            &format!("{what}/{tag}"),
+            ShardStore::open(&root, plane(mode)),
+            &clean,
         );
-        let got = store.get(key);
-        assert!(got.is_err(), "{what}/{tag}: decode must error");
-        for err in [raw.unwrap_err(), got.unwrap_err()] {
-            assert_eq!(
-                err.kind(),
-                std::io::ErrorKind::InvalidData,
-                "{what}/{tag}: unexpected error {err}"
-            );
-        }
         std::fs::remove_dir_all(&root).ok();
+    }
+}
+
+/// The open must fail with `InvalidData`: the pack's length is checked
+/// against the manifest *before* any page is mapped, so the mmap plane
+/// errors cleanly instead of raising SIGBUS on the first read.
+fn refused_at_open(what: &str, opened: std::io::Result<ShardStore>, _: &[Arc<SampleSet>]) {
+    match opened {
+        Ok(_) => panic!("{what}: a resized pack must not open"),
+        Err(err) => assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidData,
+            "{what}: unexpected error {err}"
+        ),
     }
 }
 
 #[test]
 fn shard_truncated_after_publish_is_an_error_not_a_sigbus() {
-    hostile_file_errors_both_planes("truncated", |file| {
-        let bytes = std::fs::read(file).expect("read shard");
-        std::fs::write(file, &bytes[..bytes.len() / 2]).expect("truncate shard");
-    });
+    tampered_pack(
+        "truncated",
+        |pack, _| {
+            let bytes = std::fs::read(pack).expect("read pack");
+            std::fs::write(pack, &bytes[..bytes.len() / 2]).expect("truncate pack");
+        },
+        refused_at_open,
+    );
 }
 
 #[test]
 fn shard_emptied_after_publish_is_an_error() {
-    hostile_file_errors_both_planes("emptied", |file| {
-        std::fs::write(file, b"").expect("empty shard");
-    });
+    tampered_pack(
+        "emptied",
+        |pack, _| std::fs::write(pack, b"").expect("empty pack"),
+        refused_at_open,
+    );
+}
+
+#[test]
+fn pack_grown_after_publish_is_an_error() {
+    tampered_pack(
+        "grown",
+        |pack, _| {
+            let mut bytes = std::fs::read(pack).expect("read pack");
+            bytes.push(0);
+            std::fs::write(pack, &bytes).expect("grow pack");
+        },
+        refused_at_open,
+    );
 }
 
 #[test]
 fn shard_bitflipped_after_publish_fails_the_hash_check() {
-    hostile_file_errors_both_planes("bitflip", |file| {
-        let mut bytes = std::fs::read(file).expect("read shard");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(file, &bytes).expect("rewrite shard");
-    });
+    tampered_pack(
+        "bitflip",
+        |pack, manifest| {
+            let mut bytes = std::fs::read(pack).expect("read pack");
+            let e = &manifest.entries[1];
+            bytes[e.offset + e.bytes / 2] ^= 0x40;
+            std::fs::write(pack, &bytes).expect("rewrite pack");
+        },
+        |what, opened, clean| {
+            let store = opened.expect("the pack's length is intact");
+            let raw = store.shard_handle(KEYS[1]);
+            assert!(
+                raw.is_err(),
+                "{what}: raw read must error, got {} bytes",
+                raw.map(|b| b.len()).unwrap_or(0)
+            );
+            let got = store.get(KEYS[1]);
+            assert!(got.is_err(), "{what}: decode must error");
+            for err in [raw.unwrap_err(), got.unwrap_err()] {
+                assert_eq!(
+                    err.kind(),
+                    std::io::ErrorKind::InvalidData,
+                    "{what}: unexpected error {err}"
+                );
+            }
+            for i in [0, 2] {
+                let set = store.get(KEYS[i]).expect("an untouched shard still reads");
+                assert_eq!(
+                    set.features.data, clean[i].features.data,
+                    "{what}: shard {i}"
+                );
+            }
+        },
+    );
+}
+
+#[test]
+fn hostile_ranges_and_missing_packs_are_errors_not_panics() {
+    type Hostile = fn(&Path, &mut StoreManifest);
+    let cases: [(&str, Hostile, std::io::ErrorKind); 8] = [
+        (
+            "offset + bytes overflows",
+            |_, m| m.entries[1].offset = usize::MAX,
+            std::io::ErrorKind::InvalidData,
+        ),
+        (
+            "bytes alone overflow",
+            |_, m| m.entries[0].bytes = usize::MAX,
+            std::io::ErrorKind::InvalidData,
+        ),
+        (
+            "range runs past the pack",
+            |_, m| m.entries[2].bytes += 1,
+            std::io::ErrorKind::InvalidData,
+        ),
+        (
+            "manifest pack length too long",
+            |_, m| m.pack_bytes += 1,
+            std::io::ErrorKind::InvalidData,
+        ),
+        (
+            "manifest pack length too short",
+            |_, m| {
+                m.pack_bytes -= 1;
+                m.entries[2].bytes -= 1;
+            },
+            std::io::ErrorKind::InvalidData,
+        ),
+        (
+            "pack is missing",
+            |root, m| std::fs::remove_file(root.join(&m.pack)).expect("remove pack"),
+            std::io::ErrorKind::NotFound,
+        ),
+        (
+            "pack outside the root",
+            |_, m| m.pack = format!("../{}", m.pack),
+            std::io::ErrorKind::InvalidData,
+        ),
+        (
+            "pack not a pack name",
+            |_, m| m.pack = "manifest.json".into(),
+            std::io::ErrorKind::InvalidData,
+        ),
+    ];
+    for (what, hostile, kind) in cases {
+        for (mode, tag) in PLANES {
+            let root = fuzz_root("hostile_range");
+            let out = sickle_store::testutil::small_output(1, KEYS.len(), 16);
+            ShardStore::ingest(&root, &out, plane(mode)).expect("ingest");
+            let mut manifest = StoreManifest::load(&root.join("manifest.json")).expect("load");
+            hostile(&root, &mut manifest);
+            manifest
+                .save_atomic(&root.join("manifest.json"))
+                .expect("save");
+            match ShardStore::open(&root, plane(mode)) {
+                Ok(_) => panic!("{what}/{tag}: a hostile manifest must not open"),
+                Err(err) => assert_eq!(err.kind(), kind, "{what}/{tag}: {err}"),
+            }
+            std::fs::remove_dir_all(&root).ok();
+        }
+    }
 }
 
 #[test]
 fn every_single_byte_flip_fails_the_content_hash() {
     // Small identity (SKLH) and resim (SKLQ) shards whose lengths are not
     // a multiple of the hash's 32-byte stripe, so flips land in full
-    // stripes and in the 8/4/1-byte tail alike. The length still matches
-    // the manifest, so only the content hash can catch each flip.
+    // stripes and in the 8/4/1-byte tail alike. The pack's length still
+    // matches the manifest, so only the content hash can catch each flip,
+    // and it must catch it in the flipped shard alone.
     for (codec, points) in [(Codec::Identity, 9), (Codec::resim_default(), 27)] {
-        for (mode, tag) in [(MmapMode::On, "mmap"), (MmapMode::Off, "read")] {
-            let out = sickle_store::testutil::small_output(1, 1, points);
-            let root = std::env::temp_dir().join(format!(
-                "sickle_store_byteflip_{}_{tag}_{}",
-                codec.name(),
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&root);
-            let cfg = StoreConfig {
-                mmap: mode,
-                ..StoreConfig::default()
-            };
-            let store = ShardStore::ingest_with(&root, &out, cfg, |_| codec).expect("ingest");
-            let file = root.join(&store.manifest().entries[0].file);
-            let clean = std::fs::read(&file).expect("read shard");
-            assert_ne!(clean.len() % 32, 0, "{codec:?}: pick a length with a tail");
-            assert!(
-                clean.len() > 64,
-                "{codec:?}: need at least two full stripes"
-            );
-            let key = ShardKey {
-                snapshot: 0,
-                cube: 0,
-            };
+        for (mode, tag) in PLANES {
+            let out = sickle_store::testutil::small_output(1, KEYS.len(), points);
+            let root = fuzz_root(&format!("byteflip_{}_{tag}", codec.name()));
+            let store =
+                ShardStore::ingest_with(&root, &out, plane(mode), |_| codec).expect("ingest");
+            let entries = store.manifest().entries.clone();
+            let pack = root.join(&store.manifest().pack);
+            drop(store);
+            for e in &entries {
+                assert_ne!(e.bytes % 32, 0, "{codec:?}: pick a length with a tail");
+                assert!(e.bytes > 64, "{codec:?}: need at least two full stripes");
+            }
+            let clean = std::fs::read(&pack).expect("read pack");
             for offset in 0..clean.len() {
                 let mut bytes = clean.clone();
                 bytes[offset] ^= 0xA5;
-                std::fs::write(&file, &bytes).expect("rewrite shard");
-                let err = store.get(key).expect_err("a flipped byte must not verify");
-                assert_eq!(
-                    err.kind(),
-                    std::io::ErrorKind::InvalidData,
-                    "{codec:?}/{tag} byte {offset}: {err}"
-                );
+                std::fs::write(&pack, &bytes).expect("rewrite pack");
+                let store = ShardStore::open(&root, plane(mode)).expect("length intact");
+                for (e, &key) in entries.iter().zip(&KEYS) {
+                    let got = store.get(key);
+                    if (e.offset..e.offset + e.bytes).contains(&offset) {
+                        let err = got.expect_err("a flipped byte must not verify");
+                        assert_eq!(
+                            err.kind(),
+                            std::io::ErrorKind::InvalidData,
+                            "{codec:?}/{tag} byte {offset}: {err}"
+                        );
+                    } else {
+                        assert!(got.is_ok(), "{codec:?}/{tag} byte {offset}: {key:?}");
+                    }
+                }
             }
-            std::fs::write(&file, &clean).expect("restore shard");
-            assert!(store.get(key).is_ok(), "{codec:?}/{tag}: clean shard reads");
+            std::fs::write(&pack, &clean).expect("restore pack");
+            let store = ShardStore::open(&root, plane(mode)).expect("open");
+            assert!(
+                KEYS.iter().all(|&k| store.get(k).is_ok()),
+                "{codec:?}/{tag}: clean pack reads"
+            );
             std::fs::remove_dir_all(&root).ok();
         }
     }
@@ -354,13 +537,11 @@ fn unknown_codec_tag_in_shard_is_invalid_data_not_abort() {
     // so the tamper check passes — the codec layer, not the hash, must be
     // what rejects the shard.
     let mut manifest = StoreManifest::load(&root.join("manifest.json")).expect("manifest");
-    let mut bytes = std::fs::read(root.join(&manifest.entries[0].file)).expect("shard");
+    let pack = root.join(&manifest.pack);
+    let mut bytes = std::fs::read(&pack).expect("pack");
     bytes[8] = 250;
-    let hash = sickle_field::io::content_hash_hex(&bytes);
-    let file = format!("shards/{hash}.sklq");
-    std::fs::write(root.join(&file), &bytes).expect("rewrite");
-    manifest.entries[0].file = file;
-    manifest.entries[0].hash = hash;
+    std::fs::write(&pack, &bytes).expect("rewrite");
+    manifest.entries[0].hash = sickle_field::io::content_hash_hex(&bytes);
     manifest
         .save_atomic(&root.join("manifest.json"))
         .expect("save");
