@@ -7,12 +7,14 @@
 //! ```
 //!
 //! Regenerates the case's dataset, runs the case's sampling half
-//! (`cases::sample_case`), writes one `.skls` file per (snapshot,
-//! hypercube), and prints the energy block (`CPU Energy`, `Total Energy
-//! Consumed`, `Elapsed Time`) the artifact's analysis instructions grep for.
+//! (`cases::sample_case`), persists the output as a shard store under the
+//! output directory (`manifest.json` plus one pack, identity codec — what
+//! `sickle-serve --root DIR` serves), and prints the energy block (`CPU
+//! Energy`, `Total Energy Consumed`, `Elapsed Time`) the artifact's analysis
+//! instructions grep for.
 
 use sickle_bench::cases::{builtin_cases, case_from_args, sample_case};
-use sickle_field::io::encode_sample_set;
+use sickle_store::{ShardStore, StoreConfig};
 use std::path::PathBuf;
 
 fn usage() -> ! {
@@ -65,20 +67,9 @@ fn main() {
 
     sickle_obs::info!("subsample", "sampling...");
     let (out, report) = sample_case(&dataset, &case);
-    std::fs::create_dir_all(&output_dir).expect("create output dir");
-    let mut bytes_written = 0usize;
-    for (si, sets) in out.sets.iter().enumerate() {
-        for set in sets {
-            let bytes = encode_sample_set(set);
-            bytes_written += bytes.len();
-            let path = output_dir.join(format!(
-                "{}_s{si}_c{}.skls",
-                case.name,
-                set.hypercube.unwrap_or(0)
-            ));
-            std::fs::write(&path, &bytes).expect("write sample set");
-        }
-    }
+    let store =
+        ShardStore::ingest(&output_dir, &out, StoreConfig::default()).expect("write shard store");
+    let bytes_written = store.manifest().total_bytes();
     sickle_obs::info!(
         "subsample",
         "kept {} / {} points ({:.1}%), {} cubes, {} bytes -> {}",

@@ -1,9 +1,8 @@
-//! `trace_validate` — checks that a trace file emitted via `SICKLE_TRACE`
-//! (or assembled by `trace_merge`) is well-formed:
+//! `trace_validate` — checks that a Chrome `trace_event` file emitted via
+//! `SICKLE_TRACE` (or assembled by `trace_merge`) is well-formed:
 //!
 //! ```sh
-//! trace_validate trace.json                       # Chrome trace_event format
-//! trace_validate events.jsonl                     # JSONL event stream
+//! trace_validate trace.json
 //! trace_validate --require-cross-process merged.json
 //! ```
 //!
@@ -17,7 +16,7 @@
 //! against a merged client + server trace). Exits non-zero with a
 //! diagnostic on the first violation.
 
-use sickle_obs::export::{validate_chrome_trace, validate_jsonl};
+use sickle_obs::export::validate_chrome_trace;
 
 fn main() {
     let mut path = None;
@@ -30,19 +29,14 @@ fn main() {
         }
     }
     let Some(path) = path else {
-        eprintln!("usage: trace_validate [--require-cross-process] <trace.json | events.jsonl>");
+        eprintln!("usage: trace_validate [--require-cross-process] <trace.json>");
         std::process::exit(2);
     };
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         eprintln!("trace_validate: cannot read {path}: {e}");
         std::process::exit(2);
     });
-    let result = if path.ends_with(".jsonl") {
-        validate_jsonl(&text)
-    } else {
-        validate_chrome_trace(&text)
-    };
-    match result {
+    match validate_chrome_trace(&text) {
         Ok(stats) => {
             println!(
                 "{path}: OK — {} events ({} spans, max depth {}, {} values, {} logs) \

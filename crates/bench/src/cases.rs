@@ -6,10 +6,10 @@
 //! regenerates data instead of downloading the Zenodo archive), the
 //! sampling configuration, and the training job. [`run_case`] executes one
 //! case end to end; the `subsample` binary runs its sampling half
-//! ([`sample_case`]) and writes `.skls` sample sets plus the energy log, and
-//! `train_case` runs all of it and prints the same `Evaluation on test set`
-//! / `Total Energy Consumed` lines the paper's scripts grep for. Fig. 8 is
-//! [`builtin_cases`] run on three datasets.
+//! ([`sample_case`]) and writes the sample sets as a shard store plus the
+//! energy log, and `train_case` runs all of it and prints the same
+//! `Evaluation on test set` / `Total Energy Consumed` lines the paper's
+//! scripts grep for. Fig. 8 is [`builtin_cases`] run on three datasets.
 //!
 //! [`DatasetSpec`] is the one recipe table: every binary builds its data
 //! from one of its table-scale or figure-scale specs.

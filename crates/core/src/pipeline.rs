@@ -7,8 +7,6 @@
 //! over every snapshot, parallelizing across hypercubes exactly where the
 //! reference implementation parallelizes across MPI ranks.
 
-use std::path::Path;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -413,8 +411,8 @@ pub fn temporal_selection(dataset: &Dataset, cfg: &SamplingConfig) -> Vec<usize>
 /// The dataset loop every executor shares: temporal selection, then
 /// `snapshot_sets(index, snapshot)` once per kept snapshot in order, then
 /// the run statistics — the one place a [`SamplingOutput`] is assembled.
-/// Callers supply only how one snapshot's sets are obtained (computed here,
-/// restored from a checkpoint, computed on ranks).
+/// Callers supply only how one snapshot's sets are obtained (computed here
+/// or on ranks).
 ///
 /// # Errors
 /// The first error `snapshot_sets` returns.
@@ -467,112 +465,11 @@ pub fn run_dataset(dataset: &Dataset, cfg: &SamplingConfig) -> SamplingOutput {
 }
 
 /// Fingerprint of a sampling configuration (XXH64 over its canonical JSON,
-/// in hex-string form so it survives the JSON manifest round-trip), used to
-/// guard checkpoints against being resumed into the wrong run.
+/// in hex-string form so it survives the JSON manifest round-trip), recorded
+/// in every store manifest so a store names the configuration that curated it.
 pub fn config_fingerprint(cfg: &SamplingConfig) -> String {
     let json = serde_json::to_string(cfg).expect("config serializes");
     fio::content_hash_hex(json.as_bytes())
-}
-
-fn shard_file_name(snapshot_index: usize) -> String {
-    format!("snap_{snapshot_index:05}.sklshard")
-}
-
-/// Tries to restore one snapshot's sample sets from a checkpoint entry,
-/// verifying the manifest hash. Any failure (missing file, hash mismatch,
-/// decode error) returns `None` and the snapshot is recomputed.
-fn restore_snapshot(dir: &Path, entry: &fio::ManifestEntry) -> Option<Vec<SampleSet>> {
-    let path = dir.join(&entry.file);
-    let bytes = std::fs::read(&path).ok()?;
-    if fio::content_hash_hex(&bytes) != entry.hash {
-        sickle_obs::warn!(
-            "checkpoint",
-            "hash mismatch for {} — recomputing snapshot {}",
-            entry.file,
-            entry.snapshot_index
-        );
-        return None;
-    }
-    match fio::decode_sample_sets(&bytes) {
-        Ok(sets) => Some(sets),
-        Err(e) => {
-            sickle_obs::warn!(
-                "checkpoint",
-                "failed to decode {}: {e} — recomputing snapshot {}",
-                entry.file,
-                entry.snapshot_index
-            );
-            None
-        }
-    }
-}
-
-/// Runs the pipeline over a dataset with snapshot-granularity checkpointing:
-/// after each snapshot completes, its per-cube sample sets are written as a
-/// hashed shard under `dir` and recorded in an atomically-updated
-/// `manifest.json`. A rerun with the same configuration skips every
-/// snapshot whose shard still verifies, so a process killed between
-/// snapshots resumes where it left off; the restored output is bit-identical
-/// to an uninterrupted [`run_dataset`] (the determinism contract, DESIGN.md
-/// §9). A manifest from a *different* configuration is ignored wholesale.
-///
-/// # Errors
-/// Propagates I/O errors from shard or manifest writes. Unreadable or
-/// corrupt checkpoint state is never an error — those snapshots are simply
-/// recomputed.
-pub fn run_dataset_resumable(
-    dataset: &Dataset,
-    cfg: &SamplingConfig,
-    dir: &Path,
-) -> std::io::Result<SamplingOutput> {
-    let _run = sickle_obs::span!(
-        "sample.run_dataset_resumable",
-        snapshots = dataset.num_snapshots()
-    );
-    std::fs::create_dir_all(dir)?;
-    let fingerprint = config_fingerprint(cfg);
-    let manifest_path = dir.join("manifest.json");
-    let mut manifest = match fio::CheckpointManifest::load(&manifest_path) {
-        Ok(m) if m.config_hash == fingerprint => m,
-        Ok(_) => {
-            sickle_obs::warn!(
-                "checkpoint",
-                "manifest at {} belongs to a different configuration — starting fresh",
-                manifest_path.display()
-            );
-            fio::CheckpointManifest::new(fingerprint.clone())
-        }
-        Err(_) => fio::CheckpointManifest::new(fingerprint.clone()),
-    };
-
-    run_dataset_with(dataset, cfg, |i, snap| {
-        if let Some(restored) = manifest.entry(i).and_then(|e| restore_snapshot(dir, e)) {
-            sickle_obs::counter!("checkpoint.skipped", 1usize);
-            sickle_obs::info!("checkpoint", "snapshot {i}: restored from checkpoint");
-            return Ok(restored);
-        }
-        let snap_sets = run_snapshot(snap, i, cfg);
-        let w0 = std::time::Instant::now();
-        {
-            let _w = sickle_obs::span!("checkpoint.write", snapshot = i);
-            let bytes = fio::encode_sample_sets(&snap_sets);
-            let file = shard_file_name(i);
-            let path = dir.join(&file);
-            let tmp = dir.join(format!("{file}.tmp"));
-            std::fs::write(&tmp, &bytes)?;
-            std::fs::rename(&tmp, &path)?;
-            manifest.upsert(fio::ManifestEntry {
-                snapshot_index: i,
-                file,
-                hash: fio::content_hash_hex(&bytes),
-                sets: snap_sets.len(),
-                points: snap_sets.iter().map(SampleSet::len).sum(),
-            });
-            manifest.save_atomic(&manifest_path)?;
-        }
-        sickle_obs::histogram!("checkpoint.write_secs", w0.elapsed().as_secs_f64());
-        Ok(snap_sets)
-    })
 }
 
 #[cfg(test)]

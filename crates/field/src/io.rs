@@ -1,55 +1,31 @@
-//! Compact binary snapshot I/O.
+//! Binary sample-set I/O: the bytes an identity-codec store shard holds.
 //!
 //! The paper stresses that SICKLE "provides a convenient way to significantly
 //! reduce file storage requirements, by storing feature-rich subsampled
-//! datasets". This module implements the storage layer: a little-endian
-//! binary format (`SKLF`) for snapshots and sample sets, plus a CSV writer
-//! for experiment result tables.
+//! datasets". Curated output is persisted as a shard store
+//! (`sickle_store::ShardStore`); this module holds the shard payload
+//! formats and the content hash that store manifests record:
+//!
+//! - `SKLS` — one sample set (feature rows + grid indices), see
+//!   [`encode_sample_set`];
+//! - `SKLH` — a framed list of `SKLS` blobs, see [`encode_sample_sets`];
+//! - [`content_hash`] — XXH64, the hash of every store shard and pack.
 //!
 //! Format (all integers little-endian):
 //! ```text
-//! magic "SKLF" | u32 version | grid (6 x u64 dims/lengths as u64/f64) |
-//! f64 time | u32 nvars | nvars x (u32 name_len, name bytes) |
-//! nvars x (grid.len() x f64)
+//! SKLS: magic | u32 version | f64 time | u64 snapshot | i64 cube (-1 = none) |
+//!       u32 dim | dim x (u32 name_len, name bytes) | u64 n |
+//!       n x u64 index | n*dim x f64 value
+//! SKLH: magic | u32 version | u64 count | count x (u64 len, SKLS blob)
 //! ```
 
-use std::io::{self, Read, Write};
-use std::path::Path;
+use std::io;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
-use crate::grid::Grid3;
 use crate::points::{FeatureMatrix, SampleSet};
-use crate::snapshot::Snapshot;
 
-const MAGIC: &[u8; 4] = b"SKLF";
 const VERSION: u32 = 1;
-
-/// Serializes a snapshot into a byte buffer.
-pub fn encode_snapshot(snap: &Snapshot) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + snap.nbytes());
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u64_le(snap.grid.nx as u64);
-    buf.put_u64_le(snap.grid.ny as u64);
-    buf.put_u64_le(snap.grid.nz as u64);
-    buf.put_f64_le(snap.grid.lx);
-    buf.put_f64_le(snap.grid.ly);
-    buf.put_f64_le(snap.grid.lz);
-    buf.put_f64_le(snap.time);
-    buf.put_u32_le(snap.names.len() as u32);
-    for name in &snap.names {
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name.as_bytes());
-    }
-    for var in &snap.vars {
-        for &v in var {
-            buf.put_f64_le(v);
-        }
-    }
-    buf.freeze()
-}
 
 fn invalid(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
@@ -64,97 +40,6 @@ fn checked_size(count: u64, item_size: usize, what: &str) -> io::Result<usize> {
         .ok()
         .and_then(|c| c.checked_mul(item_size))
         .ok_or_else(|| invalid(what))
-}
-
-/// Deserializes a snapshot from bytes.
-///
-/// Defensive by contract: counts and dimensions read from the buffer are
-/// attacker-controlled, so every allocation and length check uses checked
-/// arithmetic and is bounded by the bytes actually present — truncated or
-/// bit-flipped input returns `InvalidData`, never panics or aborts.
-///
-/// # Errors
-/// Returns `InvalidData` on bad magic, version, corrupt geometry, or
-/// truncation.
-pub fn decode_snapshot(mut data: &[u8]) -> io::Result<Snapshot> {
-    fn need(data: &[u8], n: usize) -> io::Result<()> {
-        if data.remaining() < n {
-            Err(invalid("truncated snapshot"))
-        } else {
-            Ok(())
-        }
-    }
-    need(data, 8)?;
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(invalid("bad magic"));
-    }
-    let version = data.get_u32_le();
-    if version != VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported version {version}"),
-        ));
-    }
-    need(data, 3 * 8 + 3 * 8 + 8 + 4)?;
-    let nx = data.get_u64_le();
-    let ny = data.get_u64_le();
-    let nz = data.get_u64_le();
-    let lx = data.get_f64_le();
-    let ly = data.get_f64_le();
-    let lz = data.get_f64_le();
-    let time = data.get_f64_le();
-    if nx == 0 || ny == 0 || nz == 0 {
-        return Err(invalid("zero grid dimension"));
-    }
-    let npts_bytes = checked_size(nx, 8, "grid size overflow")?
-        .checked_mul(usize::try_from(ny).map_err(|_| invalid("grid size overflow"))?)
-        .and_then(|v| v.checked_mul(usize::try_from(nz).ok()?))
-        .ok_or_else(|| invalid("grid size overflow"))?;
-    let npts = npts_bytes / 8;
-    if !(lx.is_finite() && ly.is_finite() && lz.is_finite() && lx > 0.0 && ly > 0.0 && lz > 0.0) {
-        return Err(invalid("bad domain extent"));
-    }
-    let grid = Grid3::new(nx as usize, ny as usize, nz as usize, lx, ly, lz);
-    let nvars = data.get_u32_le() as usize;
-    // Each name needs ≥ 4 bytes of length prefix, so the remaining buffer
-    // bounds how many can really follow — never trust the count alone.
-    let mut names = Vec::with_capacity(nvars.min(data.remaining() / 4));
-    for _ in 0..nvars {
-        need(data, 4)?;
-        let len = data.get_u32_le() as usize;
-        need(data, len)?;
-        let mut raw = vec![0u8; len];
-        data.copy_to_slice(&mut raw);
-        let name = String::from_utf8(raw).map_err(|_| invalid("non-utf8 variable name"))?;
-        names.push(name);
-    }
-    let mut snap = Snapshot::new(grid, time);
-    for name in names {
-        need(data, npts_bytes)?;
-        let mut var = Vec::with_capacity(npts);
-        for _ in 0..npts {
-            var.push(data.get_f64_le());
-        }
-        snap.push_var(&name, var);
-    }
-    Ok(snap)
-}
-
-/// Writes a snapshot to `path` in SKLF format.
-pub fn save_snapshot(snap: &Snapshot, path: &Path) -> io::Result<()> {
-    let bytes = encode_snapshot(snap);
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(&bytes)
-}
-
-/// Reads a snapshot from `path`.
-pub fn load_snapshot(path: &Path) -> io::Result<Snapshot> {
-    let mut f = std::fs::File::open(path)?;
-    let mut data = Vec::new();
-    f.read_to_end(&mut data)?;
-    decode_snapshot(&data)
 }
 
 /// Serializes a sample set (feature rows + indices) compactly.
@@ -340,9 +225,10 @@ pub fn decode_sample_set_view(mut data: &[u8]) -> io::Result<SampleSetView<'_>> 
 
 /// Deserializes a sample set.
 ///
-/// Defensive like [`decode_snapshot`]: counts from the buffer never drive
-/// an allocation or length check without overflow-checked arithmetic.
-/// Implemented as [`decode_sample_set_view`] + materialize, so the owned
+/// Defensive by contract: counts read from the buffer are attacker-controlled,
+/// so none drives an allocation or length check without overflow-checked
+/// arithmetic — truncated or bit-flipped input returns `InvalidData`, never
+/// panics or aborts. Implemented as [`decode_sample_set_view`] + materialize, so the owned
 /// and borrowed paths cannot drift.
 ///
 /// # Errors
@@ -353,7 +239,7 @@ pub fn decode_sample_set(data: &[u8]) -> io::Result<SampleSet> {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint shards and manifest
+// Shards and the content hash
 // ---------------------------------------------------------------------------
 
 /// FNV-1a 64-bit hash: one multiply per byte. A stable seed mixer for short
@@ -390,8 +276,8 @@ fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
 }
 
-/// XXH64 with seed 0 — the content hash of every checkpoint shard, store
-/// shard and configuration fingerprint. Four independent 64-bit lanes
+/// XXH64 with seed 0 — the content hash of every store shard, store pack
+/// name and configuration fingerprint. Four independent 64-bit lanes
 /// consume 32-byte stripes, so the hash runs at memory speed where a
 /// byte-at-a-time hash would be the read path's bottleneck; the tail is
 /// folded 8, 4 and 1 bytes at a time, then avalanched.
@@ -443,7 +329,7 @@ pub fn content_hash(data: &[u8]) -> u64 {
 }
 
 /// [`content_hash`] formatted as a fixed-width hex string — the form hashes
-/// take in JSON manifests and shard file names, where a raw `u64` would not
+/// take in JSON manifests and pack file names, where a raw `u64` would not
 /// survive the f64 number round-trip of the JSON layer.
 pub fn content_hash_hex(data: &[u8]) -> String {
     format!("{:016x}", content_hash(data))
@@ -451,7 +337,7 @@ pub fn content_hash_hex(data: &[u8]) -> String {
 
 const SHARD_MAGIC: &[u8; 4] = b"SKLH";
 
-/// Serializes one snapshot's per-cube sample sets as a checkpoint shard:
+/// Serializes sample sets as one SKLH shard:
 /// `SKLH | u32 version | u64 count | count x (u64 len, SKLS blob)`.
 pub fn encode_sample_sets(sets: &[SampleSet]) -> Bytes {
     let mut buf = BytesMut::new();
@@ -466,7 +352,7 @@ pub fn encode_sample_sets(sets: &[SampleSet]) -> Bytes {
     buf.freeze()
 }
 
-/// Deserializes a checkpoint shard written by [`encode_sample_sets`].
+/// Deserializes a shard written by [`encode_sample_sets`].
 /// Implemented as [`decode_sample_sets_view`] + materialize, so the SKLH
 /// framing is validated in one place.
 ///
@@ -477,7 +363,7 @@ pub fn decode_sample_sets(data: &[u8]) -> io::Result<Vec<SampleSet>> {
     Ok(views.iter().map(SampleSetView::to_owned_set).collect())
 }
 
-/// Parses a checkpoint shard as borrowed [`SampleSetView`]s: the framing
+/// Parses an SKLH shard as borrowed [`SampleSetView`]s: the framing
 /// is validated, the per-set payloads stay in place.
 ///
 /// # Errors
@@ -516,170 +402,17 @@ pub fn decode_sample_sets_view(mut data: &[u8]) -> io::Result<Vec<SampleSetView<
     Ok(sets)
 }
 
-/// One completed snapshot recorded in a [`CheckpointManifest`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ManifestEntry {
-    /// Index of the snapshot within its dataset.
-    pub snapshot_index: usize,
-    /// Shard file name, relative to the manifest's directory.
-    pub file: String,
-    /// [`content_hash_hex`] of the shard file's bytes. Hex rather than a raw
-    /// `u64` because JSON numbers are f64 and would truncate 64-bit hashes.
-    pub hash: String,
-    /// Sample sets (hypercubes) in the shard.
-    pub sets: usize,
-    /// Total retained points in the shard.
-    pub points: usize,
-}
-
-/// The resume index of a checkpointed sampling run: which snapshots are
-/// complete, where their shards live, and the hash each shard must match.
-/// `config_hash` fingerprints the sampling configuration so a checkpoint
-/// is never resumed into a run it does not belong to.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CheckpointManifest {
-    /// Format version (matches the SKLF/SKLS/SKLH version).
-    pub version: u32,
-    /// Fingerprint of the producing configuration ([`content_hash_hex`] form).
-    pub config_hash: String,
-    /// Completed snapshots, in completion order.
-    pub entries: Vec<ManifestEntry>,
-}
-
-impl CheckpointManifest {
-    /// An empty manifest for a run fingerprinted by `config_hash`.
-    pub fn new(config_hash: impl Into<String>) -> Self {
-        CheckpointManifest {
-            version: VERSION,
-            config_hash: config_hash.into(),
-            entries: Vec::new(),
-        }
-    }
-
-    /// The entry for a snapshot, if that snapshot completed.
-    pub fn entry(&self, snapshot_index: usize) -> Option<&ManifestEntry> {
-        self.entries
-            .iter()
-            .find(|e| e.snapshot_index == snapshot_index)
-    }
-
-    /// Inserts or replaces the entry for `entry.snapshot_index`.
-    pub fn upsert(&mut self, entry: ManifestEntry) {
-        match self
-            .entries
-            .iter_mut()
-            .find(|e| e.snapshot_index == entry.snapshot_index)
-        {
-            Some(slot) => *slot = entry,
-            None => self.entries.push(entry),
-        }
-    }
-
-    /// Loads a manifest from a JSON file.
-    ///
-    /// # Errors
-    /// I/O errors, or `InvalidData` when the JSON does not parse.
-    pub fn load(path: &Path) -> io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        serde_json::from_str(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad manifest: {e}")))
-    }
-
-    /// Writes the manifest atomically (temp file + rename), so a crash
-    /// mid-write can never leave a torn manifest behind.
-    ///
-    /// # Errors
-    /// Propagates I/O errors from the write or the rename.
-    pub fn save_atomic(&self, path: &Path) -> io::Result<()> {
-        let json = serde_json::to_string_pretty(self)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, json)?;
-        std::fs::rename(&tmp, path)
-    }
-}
-
-/// Minimal CSV writer for result tables (no quoting; values must not contain
-/// commas or newlines — experiment outputs are numeric).
-pub struct CsvWriter<W: Write> {
-    inner: W,
-}
-
-impl<W: Write> CsvWriter<W> {
-    /// Wraps a writer and emits the header row.
-    ///
-    /// # Errors
-    /// Propagates I/O errors from the underlying writer.
-    pub fn new(mut inner: W, header: &[&str]) -> io::Result<Self> {
-        writeln!(inner, "{}", header.join(","))?;
-        Ok(CsvWriter { inner })
-    }
-
-    /// Writes one row of already-formatted cells.
-    ///
-    /// # Errors
-    /// Propagates I/O errors from the underlying writer.
-    pub fn row(&mut self, cells: &[String]) -> io::Result<()> {
-        writeln!(self.inner, "{}", cells.join(","))
-    }
-
-    /// Finishes writing and returns the inner writer.
-    ///
-    /// # Errors
-    /// Propagates flush errors.
-    pub fn finish(mut self) -> io::Result<W> {
-        self.inner.flush()?;
-        Ok(self.inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::Grid3;
+    use crate::snapshot::Snapshot;
 
     fn sample_snapshot() -> Snapshot {
         let g = Grid3::new(2, 3, 4, 1.0, 2.0, 3.0);
         Snapshot::new(g, 1.25)
             .with_var("u", (0..24).map(|i| i as f64 * 0.5).collect())
             .with_var("rho", (0..24).map(|i| 1.0 + i as f64).collect())
-    }
-
-    #[test]
-    fn snapshot_roundtrip() {
-        let snap = sample_snapshot();
-        let bytes = encode_snapshot(&snap);
-        let back = decode_snapshot(&bytes).unwrap();
-        assert_eq!(back.grid, snap.grid);
-        assert_eq!(back.time, snap.time);
-        assert_eq!(back.names, snap.names);
-        assert_eq!(back.vars, snap.vars);
-    }
-
-    #[test]
-    fn snapshot_file_roundtrip() {
-        let snap = sample_snapshot();
-        let dir = std::env::temp_dir().join("sickle_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.sklf");
-        save_snapshot(&snap, &path).unwrap();
-        let back = load_snapshot(&path).unwrap();
-        assert_eq!(back.vars, snap.vars);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let err = decode_snapshot(b"NOPE0000000").unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn rejects_truncation() {
-        let snap = sample_snapshot();
-        let bytes = encode_snapshot(&snap);
-        let err = decode_snapshot(&bytes[..bytes.len() - 9]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -703,17 +436,6 @@ mod tests {
         let set = SampleSet::new(features, vec![0], 0.0, 0);
         let back = decode_sample_set(&encode_sample_set(&set)).unwrap();
         assert_eq!(back.hypercube, None);
-    }
-
-    #[test]
-    fn csv_writer_produces_rows() {
-        let mut out = Vec::new();
-        {
-            let mut w = CsvWriter::new(&mut out, &["a", "b"]).unwrap();
-            w.row(&["1".into(), "2".into()]).unwrap();
-            w.finish().unwrap();
-        }
-        assert_eq!(String::from_utf8(out).unwrap(), "a,b\n1,2\n");
     }
 
     #[test]
@@ -831,53 +553,11 @@ mod tests {
     }
 
     #[test]
-    fn manifest_roundtrip_and_upsert() {
-        let dir = std::env::temp_dir().join("sickle_manifest_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("manifest.json");
-        // Hashes with all 64 bits set must survive the JSON round-trip —
-        // that is the point of the hex-string representation.
-        let mut m = CheckpointManifest::new(content_hash_hex(b"config"));
-        m.upsert(ManifestEntry {
-            snapshot_index: 0,
-            file: "snap_00000.sklshard".into(),
-            hash: content_hash_hex(b"first"),
-            sets: 4,
-            points: 100,
-        });
-        // Replacing the same snapshot keeps one entry.
-        m.upsert(ManifestEntry {
-            snapshot_index: 0,
-            file: "snap_00000.sklshard".into(),
-            hash: content_hash_hex(b"second"),
-            sets: 4,
-            points: 100,
-        });
-        assert_eq!(m.entries.len(), 1);
-        m.save_atomic(&path).unwrap();
-        let back = CheckpointManifest::load(&path).unwrap();
-        assert_eq!(back.config_hash, content_hash_hex(b"config"));
-        assert_eq!(back.entry(0).unwrap().hash, content_hash_hex(b"second"));
-        assert!(back.entry(1).is_none());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn manifest_load_rejects_garbage() {
-        let dir = std::env::temp_dir().join("sickle_manifest_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("garbage.json");
-        std::fs::write(&path, "{not json").unwrap();
-        assert!(CheckpointManifest::load(&path).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn subsampled_storage_is_smaller() {
         // The headline storage claim: a 10% sample set occupies ~10% of the
         // dense snapshot (plus small index overhead).
         let snap = sample_snapshot();
-        let dense = encode_snapshot(&snap).len();
+        let dense = snap.nbytes();
         let keep: Vec<usize> = (0..snap.num_points()).step_by(10).collect();
         let vidx = snap.var_indices(&snap.names.clone());
         let mut features = FeatureMatrix::with_capacity(snap.names.clone(), keep.len());

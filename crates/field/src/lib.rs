@@ -3,8 +3,8 @@
 //! Shared data-model crate for the SICKLE reproduction: structured grids,
 //! scalar fields, multi-variable snapshots, hypercube tiling, derived
 //! turbulence quantities (vorticity, enstrophy, dissipation, potential
-//! vorticity), summary statistics and histograms, and a compact binary
-//! snapshot format.
+//! vorticity), summary statistics and histograms, and the binary
+//! sample-set formats a store shard holds.
 //!
 //! Everything downstream — the CFD substrates that *produce* data, the
 //! samplers that *curate* it, and the training pipelines that *consume* it —

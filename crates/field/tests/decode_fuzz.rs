@@ -1,7 +1,7 @@
 //! Robustness property tests for the binary decoders.
 //!
-//! The store/serve data plane feeds `decode_snapshot`, `decode_sample_set`,
-//! and the SKLH shard decoder with bytes that crossed a disk or a socket, so
+//! The store/serve data plane feeds `decode_sample_set` and the SKLH shard
+//! decoder with bytes that crossed a disk or a socket, so
 //! hostile input is a normal operating condition: every truncation must be
 //! an `io::Error`, and no bit flip may panic or trigger an unbounded
 //! allocation (counts read from the wire must never drive `with_capacity`
@@ -9,22 +9,9 @@
 
 use proptest::prelude::*;
 use sickle_field::io::{
-    decode_sample_set, decode_sample_sets, decode_snapshot, encode_sample_set, encode_sample_sets,
-    encode_snapshot,
+    decode_sample_set, decode_sample_sets, encode_sample_set, encode_sample_sets,
 };
-use sickle_field::{FeatureMatrix, Grid3, SampleSet, Snapshot};
-
-fn snapshot_bytes(nx: usize, ny: usize, nvars: usize) -> Vec<u8> {
-    let grid = Grid3::new(nx, ny, 2, 1.0, 2.0, 3.0);
-    let mut snap = Snapshot::new(grid, 0.75);
-    for v in 0..nvars {
-        snap.push_var(
-            &format!("var{v}"),
-            (0..grid.len()).map(|i| (i + v) as f64 * 0.5).collect(),
-        );
-    }
-    encode_snapshot(&snap).to_vec()
-}
+use sickle_field::{FeatureMatrix, SampleSet};
 
 fn sample_set(n: usize, dim: usize, cube: Option<usize>) -> SampleSet {
     let names = (0..dim).map(|d| format!("f{d}")).collect();
@@ -43,28 +30,6 @@ fn shard_bytes(sets: usize, n: usize, dim: usize) -> Vec<u8> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn truncated_snapshot_is_error_not_panic(
-        (nx, ny, nvars, frac) in (1usize..5, 1usize..5, 1usize..4, 0.0f64..1.0)
-    ) {
-        let bytes = snapshot_bytes(nx, ny, nvars);
-        let cut = ((bytes.len() - 1) as f64 * frac) as usize;
-        prop_assert!(decode_snapshot(&bytes[..cut]).is_err());
-    }
-
-    #[test]
-    fn bitflipped_snapshot_never_panics(
-        (nx, nvars, pos_frac, bit) in (1usize..5, 1usize..4, 0.0f64..1.0, 0u8..8)
-    ) {
-        let mut bytes = snapshot_bytes(nx, 3, nvars);
-        let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
-        bytes[pos] ^= 1 << bit;
-        // A flip in the float payload legitimately decodes; a flip in any
-        // count, magic, or dimension must surface as io::Error — either
-        // way the decoder must return, not panic or abort.
-        let _ = decode_snapshot(&bytes);
-    }
 
     #[test]
     fn truncated_sample_set_is_error_not_panic(
@@ -115,7 +80,6 @@ proptest! {
         bytes.extend_from_slice(&payload);
         prop_assert!(decode_sample_sets(&bytes).is_err());
         prop_assert!(decode_sample_set(&bytes).is_err());
-        prop_assert!(decode_snapshot(&bytes).is_err());
     }
 }
 
@@ -124,22 +88,6 @@ proptest! {
 /// wrapping length check.
 #[test]
 fn hostile_counts_are_errors_not_aborts() {
-    // Snapshot with nvars = u32::MAX but no name bytes behind it.
-    let mut bytes = snapshot_bytes(2, 2, 1);
-    let nvars_off = 4 + 4 + 3 * 8 + 3 * 8 + 8; // magic, version, dims, extents, time
-    bytes[nvars_off..nvars_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert!(decode_snapshot(&bytes).is_err());
-
-    // Snapshot whose grid dimensions multiply past usize::MAX.
-    let mut bytes = snapshot_bytes(2, 2, 1);
-    bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-    assert!(decode_snapshot(&bytes).is_err());
-
-    // Snapshot with a zero grid dimension.
-    let mut bytes = snapshot_bytes(2, 2, 1);
-    bytes[8..16].copy_from_slice(&0u64.to_le_bytes());
-    assert!(decode_snapshot(&bytes).is_err());
-
     // Sample set with n = u64::MAX: n*8 + n*dim*8 wraps in release builds,
     // which used to pass the length check and then abort allocating.
     let set = sample_set(3, 2, None);

@@ -1,8 +1,8 @@
-//! Trace exporters and validators: JSONL event stream, Chrome
-//! `trace_event` JSON (loadable in `chrome://tracing` and Perfetto), and the
-//! end-of-run plain-text summary table.
+//! The trace exporter and its validator — Chrome `trace_event` JSON
+//! (loadable in `chrome://tracing` and Perfetto), the one trace format —
+//! and the end-of-run plain-text summary table.
 //!
-//! Schemas are documented in DESIGN.md §8 and §13; the validators here are
+//! The schema is documented in DESIGN.md §8 and §13; the validator here is
 //! the same code CI runs against an instrumented end-to-end run, so the
 //! documented schema and the enforced schema cannot drift apart.
 //!
@@ -13,7 +13,7 @@
 //! so traces written by different processes line up on one timeline when
 //! concatenated with [`merge_chrome_traces`] (or the `trace_merge` binary).
 //! Span ids are pid-namespaced (see `crate::span`), which lets a span's
-//! `parent` point into another process — the validators resolve parents
+//! `parent` point into another process — the validator resolves parents
 //! globally across the whole file and report such links in
 //! [`TraceStats::cross_process_links`].
 
@@ -21,7 +21,6 @@ use std::collections::HashMap;
 
 use serde::Value;
 
-use crate::logging::Level;
 use crate::metrics::{self, bucket_of, quantile_of_buckets, HIST_BUCKETS};
 use crate::sink::{Event, EventKind};
 
@@ -35,68 +34,6 @@ fn num(x: f64) -> Value {
 
 fn s(x: &str) -> Value {
     Value::Str(x.to_string())
-}
-
-// ---------------------------------------------------------------------------
-// JSONL
-// ---------------------------------------------------------------------------
-
-/// Serializes events as one JSON object per line (the `.jsonl` exporter),
-/// stamped with this process's pid.
-pub fn to_jsonl(events: &[Event]) -> String {
-    to_jsonl_for_pid(events, std::process::id())
-}
-
-/// [`to_jsonl`] with an explicit pid (exposed so tests can simulate
-/// multi-process traces inside one process).
-pub fn to_jsonl_for_pid(events: &[Event], pid: u32) -> String {
-    let mut out = String::new();
-    for e in events {
-        let mut pairs: Vec<(&str, Value)> = Vec::new();
-        match &e.kind {
-            EventKind::Begin { id, parent, args } => {
-                pairs.push(("type", s("span_begin")));
-                pairs.push(("name", s(e.name)));
-                pairs.push(("id", num(*id as f64)));
-                pairs.push(("parent", num(*parent as f64)));
-                pairs.push((
-                    "args",
-                    obj(args.iter().map(|(k, v)| (*k, num(*v))).collect()),
-                ));
-            }
-            EventKind::End {
-                id,
-                dur_ns,
-                flops,
-                bytes,
-            } => {
-                pairs.push(("type", s("span_end")));
-                pairs.push(("name", s(e.name)));
-                pairs.push(("id", num(*id as f64)));
-                pairs.push(("dur_ns", num(*dur_ns as f64)));
-                pairs.push(("flops", num(*flops as f64)));
-                pairs.push(("bytes", num(*bytes as f64)));
-                pairs.push(("joules", num(metrics::span_joules(*flops, *bytes))));
-            }
-            EventKind::Value { value } => {
-                pairs.push(("type", s("value")));
-                pairs.push(("name", s(e.name)));
-                pairs.push(("value", num(*value)));
-            }
-            EventKind::Log { level, message } => {
-                pairs.push(("type", s("log")));
-                pairs.push(("name", s(e.name)));
-                pairs.push(("level", s(level.name())));
-                pairs.push(("message", s(message)));
-            }
-        }
-        pairs.push(("pid", num(pid as f64)));
-        pairs.push(("tid", num(e.tid as f64)));
-        pairs.push(("ts_ns", num(e.ts_ns as f64)));
-        out.push_str(&serde_json::to_string(&obj(pairs)).expect("jsonl serialize"));
-        out.push('\n');
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -267,9 +204,9 @@ pub struct TraceStats {
     pub events: usize,
     /// Completed spans (balanced begin/end pairs).
     pub spans: usize,
-    /// Deepest span nesting observed: the per-(pid, tid) begin/end stack
-    /// for Chrome traces, the logical parent chain (which may cross
-    /// processes) for span-id-carrying events.
+    /// Deepest span nesting observed: the larger of the per-(pid, tid)
+    /// begin/end stack and the logical parent chain (which may cross
+    /// processes) of begins that carry span ids.
     pub max_depth: usize,
     /// Counter/gauge samples.
     pub values: usize,
@@ -470,88 +407,10 @@ pub fn merge_chrome_traces(texts: &[String]) -> Result<String, String> {
     Ok(serde_json::to_string_pretty(&root).expect("chrome trace serialize"))
 }
 
-/// Validates a JSONL event stream — possibly the concatenation of several
-/// processes' streams: every line is a JSON object with a `type`, begin/end
-/// ids balance, and per-(pid, tid) timestamps never go backwards (merged
-/// files interleave processes, and `ts_ns` is process-relative, so
-/// cross-process ordering is deliberately *not* checked here). Parent links
-/// resolve in a second pass over the whole file, since a merged file may
-/// list a server's spans before the client spans that parent them.
-pub fn validate_jsonl(text: &str) -> Result<TraceStats, String> {
-    let mut stats = TraceStats::default();
-    let mut open: HashMap<u64, String> = HashMap::new();
-    // span id -> (parent id, pid); outlives `open` for the parent pass.
-    let mut spans: HashMap<u64, (u64, u64)> = HashMap::new();
-    let mut last_ts: HashMap<(u64, u64), f64> = HashMap::new();
-    let mut pids: Vec<u64> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ctx = format!("line {}", lineno + 1);
-        let v = serde_json::value_from_str(line).map_err(|e| format!("{ctx}: bad JSON: {e}"))?;
-        stats.events += 1;
-        let ty = field_str(&v, "type", &ctx)?;
-        let tid = field_num(&v, "tid", &ctx)? as u64;
-        let pid = field_num(&v, "pid", &ctx)? as u64;
-        let ts = field_num(&v, "ts_ns", &ctx)?;
-        if !pids.contains(&pid) {
-            pids.push(pid);
-        }
-        let track = (pid, tid);
-        if let Some(&prev) = last_ts.get(&track) {
-            if ts < prev {
-                return Err(format!(
-                    "{ctx}: ts_ns goes backwards on pid {pid} tid {tid}"
-                ));
-            }
-        }
-        last_ts.insert(track, ts);
-        match ty {
-            "span_begin" => {
-                let id = field_num(&v, "id", &ctx)? as u64;
-                let name = field_str(&v, "name", &ctx)?;
-                let parent = field_num(&v, "parent", &ctx)? as u64;
-                if spans.insert(id, (parent, pid)).is_some() {
-                    return Err(format!("{ctx}: span {id} begins twice"));
-                }
-                open.insert(id, name.to_string());
-            }
-            "span_end" => {
-                let id = field_num(&v, "id", &ctx)? as u64;
-                let name = field_str(&v, "name", &ctx)?;
-                match open.remove(&id) {
-                    Some(begun) if begun == name => stats.spans += 1,
-                    Some(begun) => {
-                        return Err(format!(
-                            "{ctx}: span {id} ended as `{name}` but began as `{begun}`"
-                        ))
-                    }
-                    None => return Err(format!("{ctx}: span {id} ended without a begin")),
-                }
-            }
-            "value" => stats.values += 1,
-            "log" => {
-                Level::parse(field_str(&v, "level", &ctx)?)
-                    .ok_or_else(|| format!("{ctx}: unknown log level"))?;
-                stats.logs += 1;
-            }
-            other => return Err(format!("{ctx}: unknown event type `{other}`")),
-        }
-    }
-    if !open.is_empty() {
-        return Err(format!("{} span(s) never ended", open.len()));
-    }
-    let (max_depth, cross) = resolve_parent_links(&spans)?;
-    stats.max_depth = max_depth;
-    stats.cross_process_links = cross;
-    stats.pids = pids.len();
-    Ok(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logging::Level;
 
     fn span_events() -> Vec<Event> {
         vec![
@@ -627,16 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_export_round_trips_through_validator() {
-        let text = to_jsonl(&span_events());
-        assert_eq!(text.lines().count(), 6);
-        let stats = validate_jsonl(&text).expect("valid jsonl");
-        assert_eq!(stats.spans, 2);
-        assert_eq!(stats.values, 1);
-        assert_eq!(stats.logs, 1);
-    }
-
-    #[test]
     fn validator_rejects_unbalanced_and_interleaved_traces() {
         let mut events = span_events();
         events.pop(); // drop the outer End
@@ -662,7 +511,6 @@ mod tests {
     fn validator_rejects_garbage() {
         assert!(validate_chrome_trace("not json").is_err());
         assert!(validate_chrome_trace("{\"traceEvents\": 7}").is_err());
-        assert!(validate_jsonl("{\"type\": \"mystery\", \"tid\": 1, \"ts_ns\": 0}").is_err());
     }
 
     /// A simulated client/server pair: pid-namespaced span ids, with the
@@ -738,27 +586,9 @@ mod tests {
     }
 
     #[test]
-    fn merged_jsonl_links_spans_across_pids() {
-        let (client, server) = two_process_events();
-        // Server lines first: the parent appears later in the file, which
-        // the two-pass resolver must tolerate.
-        let merged = format!(
-            "{}{}",
-            to_jsonl_for_pid(&server, 2000),
-            to_jsonl_for_pid(&client, 1000)
-        );
-        let stats = validate_jsonl(&merged).expect("valid merged jsonl");
-        assert_eq!(stats.pids, 2);
-        assert_eq!(stats.cross_process_links, 1);
-        assert_eq!(stats.max_depth, 2);
-    }
-
-    #[test]
     fn validator_rejects_dangling_cross_process_parent() {
         let (_, server) = two_process_events();
         // Server alone: its parent span never begins anywhere in the file.
-        let err = validate_jsonl(&to_jsonl_for_pid(&server, 2000)).unwrap_err();
-        assert!(err.contains("never begins"), "{err}");
         let err = validate_chrome_trace(&to_chrome_trace_for_pid(&server, 2000, 0)).unwrap_err();
         assert!(err.contains("never begins"), "{err}");
     }

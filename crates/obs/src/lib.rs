@@ -20,16 +20,16 @@
 //!   atomics registered once by name; histograms use 64 log₂ buckets and
 //!   report approximate p50/p95/p99.
 //! - **Events** go to a lock-free segmented sink ([`drain`]) and export as
-//!   a JSONL stream or a Chrome `trace_event` file (Perfetto-loadable),
-//!   plus a plain-text summary table.
+//!   a Chrome `trace_event` file (Perfetto-loadable), plus a plain-text
+//!   summary table.
 //! - **Logging** ([`error!`], [`warn!`], [`info!`], [`debug!`]) replaces
 //!   ad-hoc `println!` progress output, gated by `SICKLE_LOG`.
 //!
 //! ## Env switches
 //!
 //! - `SICKLE_TRACE=path` — enables tracing and writes the trace to `path`
-//!   on [`finish`]: `.jsonl` → JSONL event stream, anything else → Chrome
-//!   `trace_event` JSON. A summary table is printed to stderr.
+//!   as Chrome `trace_event` JSON on [`finish`]. A summary table is printed
+//!   to stderr.
 //! - `SICKLE_LOG=off|error|warn|info|debug|trace` — log verbosity
 //!   (default `info`).
 //!
@@ -140,8 +140,8 @@ pub fn init_from_env() -> bool {
 }
 
 /// Flushes the trace configured by [`init_from_env`]: drains the sink,
-/// writes the trace file (`.jsonl` → JSONL, otherwise Chrome
-/// `trace_event`), and prints the summary table to stderr. A no-op when
+/// writes the Chrome `trace_event` file, and prints the summary table to
+/// stderr. A no-op when
 /// `SICKLE_TRACE` was not set. Idempotent — a second call writes an empty
 /// trace only if nothing recorded since.
 pub fn finish() {
@@ -151,12 +151,7 @@ pub fn finish() {
     set_enabled(false);
     let dropped = dropped_events();
     let events = drain();
-    let text = if path.ends_with(".jsonl") {
-        export::to_jsonl(&events)
-    } else {
-        export::to_chrome_trace(&events)
-    };
-    match std::fs::write(path, text) {
+    match std::fs::write(path, export::to_chrome_trace(&events)) {
         Ok(()) => eprintln!(
             "[sickle info obs] wrote {} events to {path}{}",
             events.len(),

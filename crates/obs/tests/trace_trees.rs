@@ -1,7 +1,7 @@
 //! Trace well-formedness under concurrency: spans opened across
 //! `std::thread::scope` threads and rayon workers must still form a single
 //! well-formed tree (every begin matched by an end, children pointing at
-//! live parents, exporters' invariants holding).
+//! live parents, the exporter's invariants holding).
 //!
 //! These tests share the process-global sink, so they serialize on a local
 //! mutex and filter drained events by test-unique span names.
@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 
 use rayon::prelude::*;
-use sickle_obs::export::{to_chrome_trace, to_jsonl, validate_chrome_trace, validate_jsonl};
+use sickle_obs::export::{to_chrome_trace, validate_chrome_trace};
 use sickle_obs::{current_span_id, drain, Event, EventKind};
 
 fn guard() -> MutexGuard<'static, ()> {
@@ -180,13 +180,9 @@ fn exporters_validate_concurrent_traces() {
             }
         });
     });
-    let jsonl = to_jsonl(&events);
-    let stats = validate_jsonl(&jsonl).expect("JSONL trace must validate");
-    assert_eq!(stats.spans, 4);
-    assert!(stats.max_depth >= 2);
-
     let chrome = to_chrome_trace(&events);
     let stats = validate_chrome_trace(&chrome).expect("Chrome trace must validate");
     assert_eq!(stats.spans, 4);
+    assert!(stats.max_depth >= 2, "workers chain under the root");
     assert_eq!(stats.values, 3, "three counter observations");
 }

@@ -7,11 +7,10 @@
 //! sample set: the byte range `offset..offset + bytes` of the pack that is
 //! the shard, and that range's content hash, so a shard can never be
 //! silently swapped without the manifest noticing. Hashes use
-//! [`sickle_field::io::content_hash_hex`] (XXH64) — the same single source
-//! of truth the checkpoint manifest uses — in hex-string form because JSON
-//! numbers are f64 and would truncate raw 64-bit hashes. (Offsets and
-//! lengths are JSON numbers too: exact up to 2⁵³ bytes, and a value past
-//! that saturates, so it can only fail the range or hash check.)
+//! [`sickle_field::io::content_hash_hex`] (XXH64), in hex-string form
+//! because JSON numbers are f64 and would truncate raw 64-bit hashes.
+//! (Offsets and lengths are JSON numbers too: exact up to 2⁵³ bytes, and a
+//! value past that saturates, so it can only fail the range or hash check.)
 //!
 //! Version 3 is the pack layout. Version 2 stores kept one file per shard
 //! and version 1 stores named theirs by FNV-1a; their shard bytes are the
@@ -26,7 +25,7 @@ fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Store format version (independent of the SKLF/SKLH payload version).
+/// Store format version (independent of the SKLS/SKLH payload version).
 pub const STORE_VERSION: u32 = 3;
 
 /// Identity of one shard: the `(snapshot, cube)` coordinate of the sample

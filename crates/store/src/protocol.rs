@@ -37,7 +37,7 @@
 //!
 //! Frames are capped at [`MAX_FRAME`] and every count in a payload is
 //! checked against the bytes actually present before any allocation — the
-//! same hostile-input discipline as the SKLF/SKLH decoders, because a
+//! same hostile-input discipline as the SKLS/SKLH decoders, because a
 //! network peer is the canonical untrusted source.
 
 use std::io::{self, Read, Write};

@@ -12,11 +12,11 @@
 //! ```
 //!
 //! Shard payloads go through [`sickle_codec`]: the default identity codec
-//! reuses the checkpoint encoder ([`sickle_field::io::encode_sample_sets`])
-//! verbatim (SKLH bytes), while [`ShardStore::ingest_with`] lets a per-shard
-//! policy pick a lossy codec (SKLQ bytes). Reads dispatch on the shard's
-//! own magic, so mixed-codec stores decode through one path, and no shard
-//! needs alignment padding: every decoder parses byte-wise.
+//! writes SKLH bytes ([`sickle_field::io::encode_sample_sets`]) verbatim,
+//! while [`ShardStore::ingest_with`] lets a per-shard policy pick a lossy
+//! codec (SKLQ bytes). Reads dispatch on the shard's own magic, so
+//! mixed-codec stores decode through one path, and no shard needs alignment
+//! padding: every decoder parses byte-wise.
 //!
 //! Ingest creates two files however many shards it writes: it streams the
 //! pack to `pack.tmp`, renames it to its content name, saves the manifest

@@ -1,6 +1,6 @@
 //! Domain scenario: curate a stratified-turbulence dataset for storage and
-//! downstream training — the paper's SST workflow, including the
-//! feature-rich compact storage format and the energy comparison between
+//! downstream training — the paper's SST workflow, including persisting the
+//! feature-rich subset as a shard store and the energy comparison between
 //! sampling strategies.
 //!
 //! ```sh
@@ -9,7 +9,8 @@
 
 use sickle::cfd::datasets::{sst_p1f100, SstParams};
 use sickle::core::pipeline::{run_dataset, CubeMethod, PointMethod, SamplingConfig};
-use sickle::field::io::{encode_sample_set, encode_snapshot};
+use sickle::field::io::encode_sample_set;
+use sickle::store::{ShardStore, StoreConfig};
 
 fn main() {
     println!("generating forced stratified turbulence (SST-P1F100 analogue)...");
@@ -20,13 +21,9 @@ fn main() {
         warmup: 12,
         ..Default::default()
     });
-    let dense_bytes: usize = dataset
-        .snapshots
-        .iter()
-        .map(|s| encode_snapshot(s).len())
-        .sum();
+    let dense_bytes = dataset.nbytes();
     println!(
-        "  dense dataset: {} ({} bytes on disk)",
+        "  dense dataset: {} ({} bytes of f64 fields)",
         dataset.size_string(),
         dense_bytes
     );
@@ -77,19 +74,13 @@ fn main() {
         );
     }
 
-    // Persist the MaxEnt subset and reload it.
+    // Persist the MaxEnt subset as a shard store and reload one shard.
     let out = run_dataset(&dataset, &base);
     let dir = std::env::temp_dir().join("sickle_stratified_example");
-    std::fs::create_dir_all(&dir).expect("create output dir");
-    let mut total = 0usize;
-    for (si, sets) in out.sets.iter().enumerate() {
-        for set in sets {
-            let bytes = encode_sample_set(set);
-            total += bytes.len();
-            let path = dir.join(format!("snap{si}_cube{}.skls", set.hypercube.unwrap()));
-            std::fs::write(&path, &bytes).expect("write sample set");
-        }
-    }
+    let total = ShardStore::ingest(&dir, &out, StoreConfig::default())
+        .expect("write shard store")
+        .manifest()
+        .total_bytes();
     println!(
         "\nwrote MaxEnt subset to {} ({} bytes vs {} dense = {:.1}x reduction)",
         dir.display(),
@@ -97,17 +88,13 @@ fn main() {
         dense_bytes,
         dense_bytes as f64 / total as f64
     );
-    // Round-trip one file to prove the format.
-    let one = std::fs::read_dir(&dir)
-        .unwrap()
-        .next()
-        .unwrap()
-        .unwrap()
-        .path();
-    let set = sickle::field::io::decode_sample_set(&std::fs::read(&one).unwrap()).unwrap();
+    let store = ShardStore::open(&dir, StoreConfig::default()).expect("open shard store");
+    let key = store.keys()[0];
+    let set = store.get(key).expect("read shard");
     println!(
-        "reloaded {}: {} points, {} features",
-        one.file_name().unwrap().to_string_lossy(),
+        "reloaded snapshot {} cube {}: {} points, {} features",
+        key.snapshot,
+        key.cube,
         set.len(),
         set.features.dim()
     );

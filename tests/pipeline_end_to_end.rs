@@ -5,7 +5,8 @@
 use sickle::cfd::datasets::{self, SstParams};
 use sickle::core::pipeline::{run_dataset, CubeMethod, PointMethod, SamplingConfig};
 use sickle::energy::MachineModel;
-use sickle::field::io::{decode_sample_set, encode_sample_set, encode_snapshot};
+use sickle::field::io::{decode_sample_set, encode_sample_set};
+use sickle::store::{ShardStore, StoreConfig};
 use sickle::train::data::{drag_windows, reconstruction_data};
 use sickle::train::models::{LstmModel, TokenTransformer};
 use sickle::train::trainer::{train, TrainConfig};
@@ -79,19 +80,14 @@ fn sampled_sets_roundtrip_through_storage() {
 fn storage_reduction_matches_retention() {
     let dataset = tiny_sst();
     let out = run_dataset(&dataset, &maxent_config());
-    let dense: usize = dataset
-        .snapshots
-        .iter()
-        .map(|s| encode_snapshot(s).len())
-        .sum();
-    let sparse: usize = out
-        .sets
-        .iter()
-        .flatten()
-        .map(|s| encode_sample_set(s).len())
-        .sum();
+    let root = std::env::temp_dir().join(format!("sickle_e2e_store_{}", std::process::id()));
+    let store = ShardStore::ingest(&root, &out, StoreConfig::default()).expect("ingest");
+    let sparse = store.manifest().total_bytes();
+    let dense = dataset.nbytes();
+    drop(store);
+    std::fs::remove_dir_all(&root).ok();
     // 4 cubes * 512 points = 2048 of 4096 points considered; 51/512 kept.
-    // Sparse storage must be well under a quarter of dense.
+    // What the store persists must be well under a quarter of dense.
     assert!(sparse * 4 < dense, "sparse {sparse} vs dense {dense}");
 }
 
