@@ -131,7 +131,6 @@ fn main() {
                     patience: 12,
                     test_frac: 0.15,
                     seed: 0,
-                    ..Default::default()
                 };
                 let res = train(&mut model, &tensor, &cfg, MachineModel::frontier_gcd());
                 losses.push(res.best_test as f64);

@@ -460,7 +460,6 @@ pub fn train_model(
         patience: 20,
         test_frac: spec.test_frac,
         seed,
-        ..Default::default()
     };
     let (tokens, features, outputs) = (data.tokens, data.features, data.outputs);
     match spec.arch {

@@ -1,11 +1,10 @@
-//! Scalar f16 / bf16 conversions.
+//! Scalar f16 conversions.
 //!
-//! Stable Rust has no half-precision primitive, so the quantized codecs
-//! carry IEEE 754 binary16 ("f16") and bfloat16 values as raw `u16` bit
-//! patterns and convert through `f32` here. Conversions are exact in the
-//! widening direction and round-to-nearest-even when narrowing — the same
-//! semantics hardware converters use, so a future intrinsic swap cannot
-//! change stored bits.
+//! Stable Rust has no half-precision primitive, so the f16 codec carries
+//! IEEE 754 binary16 values as raw `u16` bit patterns and converts through
+//! `f32` here. Conversions are exact in the widening direction and
+//! round-to-nearest-even when narrowing — the same semantics hardware
+//! converters use, so a future intrinsic swap cannot change stored bits.
 
 /// Narrows an `f32` to IEEE binary16 bits (round-to-nearest-even, overflow
 /// to ±inf, subnormal and NaN preserved).
@@ -77,28 +76,6 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits(bits)
 }
 
-/// Narrows an `f32` to bfloat16 bits (truncated exponent-preserving format;
-/// round-to-nearest-even on the dropped 16 mantissa bits, NaN preserved).
-pub fn f32_to_bf16_bits(x: f32) -> u16 {
-    let bits = x.to_bits();
-    if x.is_nan() {
-        // Force a quiet NaN that survives truncation.
-        return ((bits >> 16) as u16) | 0x0040;
-    }
-    let rest = bits & 0xffff;
-    let half = 0x8000;
-    let mut out = bits >> 16;
-    if rest > half || (rest == half && (out & 1) == 1) {
-        out += 1;
-    }
-    out as u16
-}
-
-/// Widens bfloat16 bits to `f32` (exact: bf16 is f32's top half).
-pub fn bf16_bits_to_f32(h: u16) -> f32 {
-    f32::from_bits((h as u32) << 16)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,19 +129,5 @@ mod tests {
             f16_bits_to_f32(f32_to_f16_bits(v)),
             1.0 + f32::powi(2.0, -9)
         );
-    }
-
-    #[test]
-    fn bf16_roundtrips_and_bounds_error() {
-        for &v in &[0.0f32, -1.5, 3.0e20, -2.0e-20, 123.456] {
-            let back = bf16_bits_to_f32(f32_to_bf16_bits(v));
-            if v == 0.0 {
-                assert_eq!(back, 0.0);
-            } else {
-                let rel = ((back - v) / v).abs();
-                assert!(rel < 1.0 / 128.0, "{v} -> {back}");
-            }
-        }
-        assert!(bf16_bits_to_f32(f32_to_bf16_bits(f32::NAN)).is_nan());
     }
 }

@@ -13,7 +13,6 @@
 //! |------------|-----|--------------------------------|---------------|
 //! | `identity` |  —  | raw SKLH (f64)                 | 1x            |
 //! | `f16`      |  1  | IEEE binary16                  | ~3x           |
-//! | `bf16`     |  2  | bfloat16                       | ~3x           |
 //! | `u8`       |  3  | u8 + per-block scale/offset    | ~5x           |
 //! | `resim`    |  4  | strided f16 rows + local solve | ~7x           |
 //!
@@ -26,7 +25,8 @@
 //! ```
 //! [`decode_shard`] dispatches on the magic, so a reader never needs to be
 //! told which codec wrote a shard — the bytes say. Unknown magics and
-//! unknown tags return `InvalidData`; hostile input never panics.
+//! unknown tags return `InvalidData`; hostile input never panics. Tag 2
+//! (a retired bfloat16 codec) is unknown.
 //!
 //! The manifest additionally records each shard's codec name (see
 //! `sickle-store`), which is how per-codec stats are computed without
@@ -58,8 +58,6 @@ pub enum Codec {
     Identity,
     /// IEEE binary16 values.
     F16,
-    /// bfloat16 values (f32 dynamic range, 8-bit mantissa).
-    Bf16,
     /// u8 values with per-block scale/offset (block = 256 rows).
     U8Block,
     /// Strided f16 rows re-simulated on read by Jacobi relaxation.
@@ -85,23 +83,8 @@ impl Codec {
         match self {
             Codec::Identity => "identity",
             Codec::F16 => "f16",
-            Codec::Bf16 => "bf16",
             Codec::U8Block => "u8",
             Codec::Resim { .. } => "resim",
-        }
-    }
-
-    /// Parses a manifest/CLI codec name. `resim` gets the default
-    /// stride/sweeps; per-shard parameters live in the shard bytes, not
-    /// the name.
-    pub fn parse(name: &str) -> Option<Codec> {
-        match name {
-            "identity" => Some(Codec::Identity),
-            "f16" => Some(Codec::F16),
-            "bf16" => Some(Codec::Bf16),
-            "u8" => Some(Codec::U8Block),
-            "resim" => Some(Codec::resim_default()),
-            _ => None,
         }
     }
 
@@ -110,7 +93,6 @@ impl Codec {
         match self {
             Codec::Identity => None,
             Codec::F16 => Some(1),
-            Codec::Bf16 => Some(2),
             Codec::U8Block => Some(3),
             Codec::Resim { .. } => Some(4),
         }
@@ -133,7 +115,6 @@ pub fn encode_shard(sets: &[SampleSet], codec: Codec) -> Bytes {
         let blob = match codec {
             Codec::Identity => unreachable!("identity handled above"),
             Codec::F16 => quant::encode_f16(set),
-            Codec::Bf16 => quant::encode_bf16(set),
             Codec::U8Block => quant::encode_u8block(set),
             Codec::Resim { stride, sweeps } => resim::encode_resim(set, stride, sweeps),
         };
@@ -156,7 +137,6 @@ pub fn shard_codec_name(data: &[u8]) -> io::Result<&'static str> {
             need(data, 9, "truncated shard")?;
             match data[8] {
                 1 => Ok("f16"),
-                2 => Ok("bf16"),
                 3 => Ok("u8"),
                 4 => Ok("resim"),
                 t => Err(invalid(&format!("unknown codec tag {t}"))),
@@ -190,7 +170,6 @@ pub fn decode_shard(mut data: &[u8]) -> io::Result<Vec<SampleSet>> {
     let tag = data.get_u8();
     let decode: fn(&[u8]) -> io::Result<SampleSet> = match tag {
         1 => quant::decode_f16,
-        2 => quant::decode_bf16,
         3 => quant::decode_u8block,
         4 => resim::decode_resim,
         t => return Err(invalid(&format!("unknown codec tag {t}"))),
@@ -249,12 +228,7 @@ mod tests {
     #[test]
     fn every_codec_roundtrips_structure() {
         let sets = sets();
-        for codec in [
-            Codec::F16,
-            Codec::Bf16,
-            Codec::U8Block,
-            Codec::resim_default(),
-        ] {
+        for codec in [Codec::F16, Codec::U8Block, Codec::resim_default()] {
             let bytes = encode_shard(&sets, codec);
             assert_eq!(shard_codec_name(&bytes).unwrap(), codec.name());
             let back = decode_shard(&bytes).unwrap();
@@ -277,7 +251,6 @@ mod tests {
         // metadata dominates; the dense-cube ratios live in resim::tests.
         for (codec, floor) in [
             (Codec::F16, 2.5),
-            (Codec::Bf16, 2.5),
             (Codec::U8Block, 3.0),
             (Codec::resim_default(), 3.5),
         ] {
@@ -288,12 +261,15 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_error_not_abort() {
-        let mut bytes = encode_shard(&sets(), Codec::F16).to_vec();
-        bytes[8] = 200; // codec tag byte
-        let err = decode_shard(&bytes).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("unknown codec tag"));
-        assert!(shard_codec_name(&bytes).is_err());
+        // Tag 2 is the retired bfloat16 codec: refused like any other.
+        for tag in [2, 200] {
+            let mut bytes = encode_shard(&sets(), Codec::F16).to_vec();
+            bytes[8] = tag; // codec tag byte
+            let err = decode_shard(&bytes).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "tag {tag}");
+            assert!(err.to_string().contains("unknown codec tag"), "tag {tag}");
+            assert!(shard_codec_name(&bytes).is_err(), "tag {tag}");
+        }
     }
 
     #[test]
@@ -318,19 +294,5 @@ mod tests {
         {
             assert!(decode_shard(&bytes[..cut]).is_err(), "cut {cut}");
         }
-    }
-
-    #[test]
-    fn codec_names_roundtrip_through_parse() {
-        for codec in [
-            Codec::Identity,
-            Codec::F16,
-            Codec::Bf16,
-            Codec::U8Block,
-            Codec::resim_default(),
-        ] {
-            assert_eq!(Codec::parse(codec.name()), Some(codec));
-        }
-        assert_eq!(Codec::parse("zstd"), None);
     }
 }

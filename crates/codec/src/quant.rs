@@ -1,11 +1,11 @@
-//! Quantized value payloads: f16, bf16, and u8 with per-block scale/offset.
+//! Quantized value payloads: f16 and u8 with per-block scale/offset.
 //!
 //! Each transcoder takes a [`SampleSet`]'s row-major `f64` feature matrix
 //! and stores it narrower; the [`SetHeader`] metadata is handled by
 //! [`crate::wire`] and identical across codecs. Payload layouts
 //! (little-endian):
 //!
-//! - **f16 / bf16**: `n * dim` x `u16` bit patterns, row-major.
+//! - **f16**: `n * dim` x `u16` bit patterns, row-major.
 //! - **u8block**: `u32 block_rows | dim x ceil(n/block_rows) x
 //!   (f32 offset, f32 scale) | n * dim x u8`, row-major bytes. Each column
 //!   is quantized independently per block of `block_rows` rows:
@@ -16,7 +16,7 @@ use bytes::{Buf, BufMut, BytesMut};
 use sickle_field::points::{FeatureMatrix, SampleSet};
 use std::io;
 
-use crate::half::{bf16_bits_to_f32, f16_bits_to_f32, f32_to_bf16_bits, f32_to_f16_bits};
+use crate::half::{f16_bits_to_f32, f32_to_f16_bits};
 use crate::wire::{checked_size, decode_header, encode_header, invalid, need, SetHeader};
 
 /// Rows per u8 quantization block. Small enough that one block spans a
@@ -41,17 +41,18 @@ fn set_of(h: SetHeader, values: Vec<f64>) -> SampleSet {
     set
 }
 
-/// Encodes one set with every value narrowed through `narrow`.
-fn encode_u16(set: &SampleSet, narrow: fn(f32) -> u16) -> BytesMut {
+/// IEEE binary16 transcoder.
+pub fn encode_f16(set: &SampleSet) -> BytesMut {
     let mut buf = BytesMut::with_capacity(64 + set.features.data.len() * 2);
     encode_header(&header_of(set), &mut buf);
     for &v in &set.features.data {
-        buf.put_u16_le(narrow(v as f32));
+        buf.put_u16_le(f32_to_f16_bits(v as f32));
     }
     buf
 }
 
-fn decode_u16(mut data: &[u8], widen: fn(u16) -> f32) -> io::Result<SampleSet> {
+/// Decodes an [`encode_f16`] payload.
+pub fn decode_f16(mut data: &[u8]) -> io::Result<SampleSet> {
     let h = decode_header(&mut data)?;
     let count = checked_size(h.len() as u64, h.dim(), "quantized payload overflow")?;
     let bytes = count
@@ -60,29 +61,9 @@ fn decode_u16(mut data: &[u8], widen: fn(u16) -> f32) -> io::Result<SampleSet> {
     need(data, bytes, "truncated quantized payload")?;
     let mut values = Vec::with_capacity(count);
     for _ in 0..count {
-        values.push(widen(data.get_u16_le()) as f64);
+        values.push(f16_bits_to_f32(data.get_u16_le()) as f64);
     }
     Ok(set_of(h, values))
-}
-
-/// IEEE binary16 transcoder.
-pub fn encode_f16(set: &SampleSet) -> BytesMut {
-    encode_u16(set, f32_to_f16_bits)
-}
-
-/// Decodes an [`encode_f16`] payload.
-pub fn decode_f16(data: &[u8]) -> io::Result<SampleSet> {
-    decode_u16(data, f16_bits_to_f32)
-}
-
-/// bfloat16 transcoder.
-pub fn encode_bf16(set: &SampleSet) -> BytesMut {
-    encode_u16(set, f32_to_bf16_bits)
-}
-
-/// Decodes an [`encode_bf16`] payload.
-pub fn decode_bf16(data: &[u8]) -> io::Result<SampleSet> {
-    decode_u16(data, bf16_bits_to_f32)
 }
 
 /// u8 per-block scale/offset transcoder.
@@ -214,13 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn bf16_roundtrip_bounds_error() {
-        let set = sample(500);
-        let back = decode_bf16(&encode_bf16(&set)).unwrap();
-        assert!(max_abs_err(&set, &back) < 0.5); // ~2 decimal digits
-    }
-
-    #[test]
     fn u8block_roundtrip_bounds_error_to_block_range() {
         let set = sample(1000);
         let back = decode_u8block(&encode_u8block(&set)).unwrap();
@@ -264,8 +238,6 @@ mod tests {
         let set = sample(300);
         let f16 = encode_f16(&set);
         assert!(decode_f16(&f16[..f16.len() - 1]).is_err());
-        let bf16 = encode_bf16(&set);
-        assert!(decode_bf16(&bf16[..bf16.len() - 1]).is_err());
         let u8b = encode_u8block(&set);
         assert!(decode_u8block(&u8b[..u8b.len() - 1]).is_err());
         assert!(decode_u8block(&u8b[..40]).is_err());

@@ -92,7 +92,6 @@ pub fn budgets() -> Vec<(Codec, f64, f64)> {
     vec![
         // (codec, spectra relative-L2 budget, PDF KL budget)
         (Codec::F16, 1e-3, 1e-3),
-        (Codec::Bf16, 2e-2, 2e-2),
         (Codec::U8Block, 2e-2, 2e-2),
         (Codec::resim_default(), 0.35, 0.10),
     ]

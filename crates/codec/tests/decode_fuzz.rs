@@ -15,7 +15,6 @@ fn all_codecs() -> Vec<Codec> {
     vec![
         Codec::Identity,
         Codec::F16,
-        Codec::Bf16,
         Codec::U8Block,
         Codec::resim_default(),
     ]
@@ -65,7 +64,7 @@ proptest! {
 
     #[test]
     fn truncated_shard_is_error_not_panic(
-        (e, scatter, ci, frac) in (2usize..5, 1usize..30, 0usize..5, 0.0f64..1.0)
+        (e, scatter, ci, frac) in (2usize..5, 1usize..30, 0usize..4, 0.0f64..1.0)
     ) {
         let bytes = shard_bytes(e, scatter, codec_by_index(ci));
         let cut = ((bytes.len() - 1) as f64 * frac) as usize;
@@ -75,7 +74,7 @@ proptest! {
     #[test]
     fn bitflipped_shard_never_panics(
         (e, scatter, ci, pos_frac, bit) in
-            (2usize..5, 1usize..30, 0usize..5, 0.0f64..1.0, 0u8..8)
+            (2usize..5, 1usize..30, 0usize..4, 0.0f64..1.0, 0u8..8)
     ) {
         let mut bytes = shard_bytes(e, scatter, codec_by_index(ci));
         let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;

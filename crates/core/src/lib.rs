@@ -38,7 +38,7 @@ pub use hypercube::HypercubeSelector;
 pub use kmeans::{KMeans, KMeansConfig};
 pub use pipeline::{PointMethod, SamplingConfig, SamplingOutput, SamplingStats};
 pub use samplers::{
-    FullSampler, ImportanceSampler, LhsSampler, MaxEntSampler, PointSampler, RandomSampler,
-    StratifiedSampler, UniformStrideSampler,
+    FullSampler, LhsSampler, MaxEntSampler, PointSampler, RandomSampler, StratifiedSampler,
+    UniformStrideSampler,
 };
 pub use uips::UipsSampler;

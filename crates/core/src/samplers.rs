@@ -264,64 +264,6 @@ impl PointSampler for StratifiedSampler {
     }
 }
 
-/// Importance sampling on the cluster variable (named alongside random,
-/// stratified, and LHS in paper §4's opening list): each point's retention
-/// probability is proportional to `|q_i − median(q)|^alpha`, drawn without
-/// replacement via Efraimidis–Spirakis exponential keys. `alpha = 1` is
-/// plain deviation-weighted importance; larger `alpha` sharpens toward
-/// extremes.
-#[derive(Clone, Copy, Debug)]
-pub struct ImportanceSampler {
-    /// Deviation exponent.
-    pub alpha: f64,
-}
-
-impl Default for ImportanceSampler {
-    fn default() -> Self {
-        ImportanceSampler { alpha: 1.0 }
-    }
-}
-
-impl PointSampler for ImportanceSampler {
-    fn name(&self) -> &'static str {
-        "importance"
-    }
-
-    fn select(
-        &self,
-        features: &FeatureMatrix,
-        cluster_col: usize,
-        budget: usize,
-        rng: &mut StdRng,
-    ) -> Vec<usize> {
-        use rand::Rng;
-        let n = features.len();
-        if budget >= n {
-            return (0..n).collect();
-        }
-        if budget == 0 || n == 0 {
-            return Vec::new();
-        }
-        let values = features.column(cluster_col);
-        let mut sorted = values.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let median = sorted[n / 2];
-        // A-Res keys: key = u^(1/w); top-`budget` keys form the sample.
-        let mut keyed: Vec<(f64, usize)> = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                let w = (v - median).abs().powf(self.alpha).max(1e-12);
-                let u: f64 = rng.gen::<f64>().max(1e-15);
-                (u.powf(1.0 / w), i)
-            })
-            .collect();
-        keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        keyed.truncate(budget);
-        keyed.into_iter().map(|(_, i)| i).collect()
-    }
-}
-
 /// Maximum-entropy point selection (`Xmaxent`, paper §4.1 phase 2):
 /// mini-batch k-means on the cluster variable, per-cluster PDFs, KL
 /// adjacency, node strengths, and strength-weighted budget allocation with
@@ -549,27 +491,6 @@ mod tests {
             (mean_tail - 10.0).abs() < 4.0,
             "mean tail picks {mean_tail}"
         );
-    }
-
-    #[test]
-    fn importance_prefers_deviant_points() {
-        let n = 1000;
-        let features = bimodal(n, 0.05); // tail at 10.0, bulk near 0
-        let mut rng = StdRng::seed_from_u64(5);
-        let idx = ImportanceSampler::default().select(&features, 0, 100, &mut rng);
-        validate_selection(&idx, n, 100);
-        let tail = idx.iter().filter(|&&i| features.row(i)[0] > 5.0).count();
-        // 5% tail in the source, |q - median| weighting must boost it.
-        assert!(tail >= 30, "importance picked only {tail} tail points");
-    }
-
-    #[test]
-    fn importance_contract_on_constant_data() {
-        let features = FeatureMatrix::new(vec!["q".into()], vec![2.0; 50]);
-        let mut rng = StdRng::seed_from_u64(6);
-        let idx = ImportanceSampler::default().select(&features, 0, 10, &mut rng);
-        validate_selection(&idx, 50, 10);
-        assert_eq!(idx.len(), 10);
     }
 
     #[test]

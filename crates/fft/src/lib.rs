@@ -1,8 +1,8 @@
 //! # sickle-fft
 //!
 //! A small, dependency-light FFT library supporting power-of-two complex and
-//! real transforms in one, two, and three dimensions, with rayon-parallel
-//! multi-dimensional transforms.
+//! real transforms in one and three dimensions, with rayon-parallel 3D
+//! transforms.
 //!
 //! This crate exists because the paper's 3D turbulence substrates (SST and
 //! GESTS) are produced by Fourier pseudo-spectral solvers; re-implementing the
@@ -23,19 +23,17 @@
 //! }
 //! ```
 
-mod bluestein;
 mod complex;
 mod nd;
 mod plan;
 mod real;
 mod realnd;
 
-pub use bluestein::AnyFft;
 pub use complex::Complex;
-pub use nd::{Fft2d, Fft3d};
+pub use nd::Fft3d;
 pub use plan::FftPlan;
 pub use real::RealFft;
-pub use realnd::{RealFft2d, RealFft3d};
+pub use realnd::RealFft3d;
 
 /// Returns `true` if `n` is a power of two (and nonzero).
 pub fn is_power_of_two(n: usize) -> bool {

@@ -1,8 +1,6 @@
 //! Multi-dimensional FFTs over row-major buffers, parallelized with rayon.
 //!
-//! Layouts:
-//! - 2D: `index = x * ny + y` (y contiguous)
-//! - 3D: `index = (x * ny + y) * nz + z` (z contiguous)
+//! Layout: `index = (x * ny + y) * nz + z` (z contiguous).
 //!
 //! Transforms along non-contiguous axes gather each pencil into a scratch
 //! buffer, transform it, and scatter back; pencils are processed in parallel.
@@ -12,15 +10,6 @@ use sickle_simd::Kernel;
 
 use crate::complex::Complex;
 use crate::plan::FftPlan;
-
-/// Plan for 2D complex FFTs of fixed shape `(nx, ny)`.
-#[derive(Clone, Debug)]
-pub struct Fft2d {
-    nx: usize,
-    ny: usize,
-    plan_x: FftPlan,
-    plan_y: FftPlan,
-}
 
 /// Direction selector used internally by the axis kernels.
 #[derive(Clone, Copy, PartialEq)]
@@ -198,80 +187,6 @@ pub(crate) fn transform_strided_with(
     }
 }
 
-impl Fft2d {
-    /// Creates a 2D plan; both dimensions must be powers of two.
-    pub fn new(nx: usize, ny: usize) -> Self {
-        Fft2d {
-            nx,
-            ny,
-            plan_x: FftPlan::new(nx),
-            plan_y: FftPlan::new(ny),
-        }
-    }
-
-    /// Shape `(nx, ny)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.nx, self.ny)
-    }
-
-    /// Total number of elements.
-    pub fn len(&self) -> usize {
-        self.nx * self.ny
-    }
-
-    /// Returns true if the grid is degenerate.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// In-place forward 2D transform.
-    pub fn forward(&self, data: &mut [Complex]) {
-        self.forward_with(data, sickle_simd::kernel());
-    }
-
-    /// In-place inverse 2D transform (normalized by `1/(nx*ny)`).
-    pub fn inverse(&self, data: &mut [Complex]) {
-        self.inverse_with(data, sickle_simd::kernel());
-    }
-
-    /// [`Self::forward`] with an explicit kernel choice (parity tests and
-    /// benches; avoids racing on the global switch).
-    #[doc(hidden)]
-    pub fn forward_with(&self, data: &mut [Complex], kernel: Kernel) {
-        assert_eq!(data.len(), self.len(), "buffer shape mismatch");
-        transform_contiguous_with(&self.plan_y, data, Dir::Forward, kernel);
-        // x axis: one pencil per y, stride ny.
-        transform_strided_with(
-            &self.plan_x,
-            data,
-            self.ny,
-            |y| y,
-            self.ny,
-            Dir::Forward,
-            kernel,
-        );
-    }
-
-    /// [`Self::inverse`] with an explicit kernel choice.
-    #[doc(hidden)]
-    pub fn inverse_with(&self, data: &mut [Complex], kernel: Kernel) {
-        assert_eq!(data.len(), self.len(), "buffer shape mismatch");
-        transform_contiguous_with(&self.plan_y, data, Dir::Inverse, kernel);
-        // x axis: one pencil per y, stride ny.
-        transform_strided_with(
-            &self.plan_x,
-            data,
-            self.ny,
-            |y| y,
-            self.ny,
-            Dir::Inverse,
-            kernel,
-        );
-        let scale = 1.0 / self.len() as f64;
-        data.par_iter_mut().for_each(|v| *v = v.scale(scale));
-    }
-}
-
 /// Plan for 3D complex FFTs of fixed shape `(nx, ny, nz)`.
 #[derive(Clone, Debug)]
 pub struct Fft3d {
@@ -371,46 +286,6 @@ mod tests {
         let starts = |j: usize| if j == 3 { 4 } else { j };
         let plan = FftPlan::new(4);
         transform_strided_with(&plan, &mut data, 4, starts, 4, Dir::Forward, Kernel::Naive);
-    }
-
-    #[test]
-    fn fft2d_roundtrip() {
-        let (nx, ny) = (8, 16);
-        let plan = Fft2d::new(nx, ny);
-        let input: Vec<Complex> = (0..nx * ny)
-            .map(|i| Complex::new((i % 7) as f64, (i % 5) as f64))
-            .collect();
-        let mut data = input.clone();
-        plan.forward(&mut data);
-        plan.inverse(&mut data);
-        assert_close(&data, &input, 1e-10);
-    }
-
-    #[test]
-    fn fft2d_separable_mode() {
-        // exp(i*2pi*(2x/nx + 3y/ny)) should produce a single peak at (2, 3).
-        let (nx, ny) = (8, 8);
-        let plan = Fft2d::new(nx, ny);
-        let tau = 2.0 * std::f64::consts::PI;
-        let mut data: Vec<Complex> = Vec::with_capacity(nx * ny);
-        for x in 0..nx {
-            for y in 0..ny {
-                let phase = tau * (2.0 * x as f64 / nx as f64 + 3.0 * y as f64 / ny as f64);
-                data.push(Complex::from_polar_unit(phase));
-            }
-        }
-        plan.forward(&mut data);
-        for x in 0..nx {
-            for y in 0..ny {
-                let v = data[x * ny + y].abs();
-                let expect = if (x, y) == (2, 3) {
-                    (nx * ny) as f64
-                } else {
-                    0.0
-                };
-                assert!((v - expect).abs() < 1e-8, "({x},{y}): {v}");
-            }
-        }
     }
 
     #[test]

@@ -8,11 +8,9 @@
 //! memory traffic of the remaining axis passes — the main win for a
 //! pseudo-spectral solver whose fields are all real.
 //!
-//! Layouts (matching [`crate::Fft2d`] / [`crate::Fft3d`] on the leading axes):
-//! - 2D: real `index = x * ny + y`, spectrum `index = x * nyc + y` with
-//!   `nyc = ny/2 + 1`
-//! - 3D: real `index = (x * ny + y) * nz + z`, spectrum
-//!   `index = (x * ny + y) * nzc + z` with `nzc = nz/2 + 1`
+//! Layout (matching [`crate::Fft3d`] on the leading axes): real
+//! `index = (x * ny + y) * nz + z`, spectrum `index = (x * ny + y) * nzc + z`
+//! with `nzc = nz/2 + 1`.
 //!
 //! ## Band-limited transforms
 //!
@@ -151,100 +149,6 @@ impl Band {
     /// Whether the band is the whole spectrum.
     fn keeps_all(&self) -> bool {
         self.count(self.nx) == self.nx && self.count(self.ny) == self.ny && self.zk == self.nzc
-    }
-}
-
-/// Plan for 2D real-to-complex FFTs of fixed shape `(nx, ny)`.
-#[derive(Clone, Debug)]
-pub struct RealFft2d {
-    nx: usize,
-    ny: usize,
-    row: RealFft,
-    plan_x: FftPlan,
-}
-
-impl RealFft2d {
-    /// Creates a 2D real-FFT plan; both dimensions must be powers of two and
-    /// `ny >= 2`.
-    ///
-    /// # Panics
-    /// Panics if a dimension is not a power of two or `ny < 2`.
-    pub fn new(nx: usize, ny: usize) -> Self {
-        RealFft2d {
-            nx,
-            ny,
-            row: RealFft::new(ny),
-            plan_x: FftPlan::new(nx),
-        }
-    }
-
-    /// Shape `(nx, ny)` of the real field.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.nx, self.ny)
-    }
-
-    /// Number of real samples (`nx * ny`).
-    pub fn len(&self) -> usize {
-        self.nx * self.ny
-    }
-
-    /// Returns true if the grid is degenerate.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of stored half-spectrum coefficients (`nx * (ny/2 + 1)`).
-    pub fn spectrum_len(&self) -> usize {
-        self.nx * self.row.spectrum_len()
-    }
-
-    /// Forward transform: real field (`nx * ny`) into the half-spectrum
-    /// (`nx * (ny/2 + 1)`).
-    ///
-    /// # Panics
-    /// Panics on buffer length mismatch.
-    pub fn forward(&self, real: &[f64], spec: &mut [Complex]) {
-        self.forward_with(real, spec, sickle_simd::kernel());
-    }
-
-    /// Inverse transform back to a real field (normalized so that
-    /// `inverse(forward(x)) == x`). **Destroys** `spec`, which doubles as the
-    /// workspace for the strided pass.
-    ///
-    /// # Panics
-    /// Panics on buffer length mismatch.
-    pub fn inverse(&self, spec: &mut [Complex], real: &mut [f64]) {
-        self.inverse_with(spec, real, sickle_simd::kernel());
-    }
-
-    /// [`Self::forward`] with an explicit kernel choice (parity tests and
-    /// benches; avoids racing on the global switch).
-    #[doc(hidden)]
-    pub fn forward_with(&self, real: &[f64], spec: &mut [Complex], kernel: Kernel) {
-        assert_eq!(real.len(), self.len(), "real buffer shape mismatch");
-        assert_eq!(
-            spec.len(),
-            self.spectrum_len(),
-            "spectrum buffer shape mismatch"
-        );
-        let nyc = self.row.spectrum_len();
-        rows_forward(&self.row, real, spec, kernel);
-        transform_strided_with(&self.plan_x, spec, nyc, |y| y, nyc, Dir::Forward, kernel);
-    }
-
-    /// [`Self::inverse`] with an explicit kernel choice.
-    #[doc(hidden)]
-    pub fn inverse_with(&self, spec: &mut [Complex], real: &mut [f64], kernel: Kernel) {
-        assert_eq!(real.len(), self.len(), "real buffer shape mismatch");
-        assert_eq!(
-            spec.len(),
-            self.spectrum_len(),
-            "spectrum buffer shape mismatch"
-        );
-        let nyc = self.row.spectrum_len();
-        transform_strided_with(&self.plan_x, spec, nyc, |y| y, nyc, Dir::Inverse, kernel);
-        let scale = 1.0 / self.nx as f64;
-        rows_inverse(&self.row, spec, real, scale, kernel);
     }
 }
 
@@ -449,49 +353,12 @@ impl RealFft3d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nd::{Fft2d, Fft3d};
+    use crate::nd::Fft3d;
 
     fn sample_field(len: usize) -> Vec<f64> {
         (0..len)
             .map(|i| ((i * 37 % 61) as f64) * 0.25 - 7.0 + (i as f64 * 0.13).sin())
             .collect()
-    }
-
-    #[test]
-    fn rfft2d_roundtrip() {
-        let (nx, ny) = (8, 16);
-        let plan = RealFft2d::new(nx, ny);
-        let input = sample_field(nx * ny);
-        let mut spec = vec![Complex::ZERO; plan.spectrum_len()];
-        plan.forward(&input, &mut spec);
-        let mut back = vec![0.0; nx * ny];
-        plan.inverse(&mut spec, &mut back);
-        for (a, b) in input.iter().zip(&back) {
-            assert!((a - b).abs() < 1e-10, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn rfft2d_matches_complex_fft2d() {
-        let (nx, ny) = (8, 8);
-        let rplan = RealFft2d::new(nx, ny);
-        let cplan = Fft2d::new(nx, ny);
-        let input = sample_field(nx * ny);
-        let mut spec = vec![Complex::ZERO; rplan.spectrum_len()];
-        rplan.forward(&input, &mut spec);
-        let mut full: Vec<Complex> = input.iter().map(|&x| Complex::new(x, 0.0)).collect();
-        cplan.forward(&mut full);
-        let nyc = ny / 2 + 1;
-        for x in 0..nx {
-            for y in 0..nyc {
-                let got = spec[x * nyc + y];
-                let want = full[x * ny + y];
-                assert!(
-                    (got.re - want.re).abs() < 1e-9 && (got.im - want.im).abs() < 1e-9,
-                    "({x},{y}): {got:?} vs {want:?}"
-                );
-            }
-        }
     }
 
     #[test]

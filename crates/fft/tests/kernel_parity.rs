@@ -1,6 +1,6 @@
 //! Optimized-vs-naive agreement for the FFT kernel family, across the full
 //! stack the dataset generators use: 1D complex plans against the O(n²)
-//! serial DFT reference, and the 2D/3D complex and real transforms under
+//! serial DFT reference, and the 3D complex and real transforms under
 //! both sides of the [`sickle_simd::Kernel`] switch.
 //!
 //! The pair-interleaved AVX2 butterflies use FMA, so they are allowed to

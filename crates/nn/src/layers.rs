@@ -170,77 +170,6 @@ impl Attention {
     }
 }
 
-/// Multi-head scaled dot-product self-attention over one sequence
-/// `(seq, dim)`: heads attend in `dim/heads`-wide subspaces of shared Q/K/V
-/// projections and are recombined with constant placement matrices (an
-/// ops-economical equivalent of the usual reshape/concat).
-#[derive(Clone, Debug)]
-pub struct MultiHeadAttention {
-    wq: Linear,
-    wk: Linear,
-    wv: Linear,
-    wo: Linear,
-    /// Number of heads.
-    pub heads: usize,
-    /// Model dimension.
-    pub dim: usize,
-}
-
-impl MultiHeadAttention {
-    /// Allocates the projections.
-    ///
-    /// # Panics
-    /// Panics unless `heads` divides `dim`.
-    pub fn new(store: &mut ParamStore, dim: usize, heads: usize, rng: &mut StdRng) -> Self {
-        assert!(
-            heads >= 1 && dim.is_multiple_of(heads),
-            "heads {heads} must divide dim {dim}"
-        );
-        MultiHeadAttention {
-            wq: Linear::new(store, dim, dim, rng),
-            wk: Linear::new(store, dim, dim, rng),
-            wv: Linear::new(store, dim, dim, rng),
-            wo: Linear::new(store, dim, dim, rng),
-            heads,
-            dim,
-        }
-    }
-
-    /// Applies multi-head self-attention to `x (seq, dim)` → `(seq, dim)`.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        let q = self.wq.forward(tape, store, x);
-        let k = self.wk.forward(tape, store, x);
-        let v = self.wv.forward(tape, store, x);
-        let dh = self.dim / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut combined: Option<Var> = None;
-        for h in 0..self.heads {
-            let qh = tape.slice_cols(q, h * dh, dh);
-            let kh = tape.slice_cols(k, h * dh, dh);
-            let vh = tape.slice_cols(v, h * dh, dh);
-            let scores = tape.matmul_nt(qh, kh);
-            let scaled = tape.scale(scores, scale);
-            let attn = tape.softmax_rows(scaled);
-            let ctx = tape.matmul(attn, vh); // (seq, dh)
-                                             // Place the head's columns back into the full width: a constant
-                                             // (dh, dim) matrix with an identity block at the head's offset.
-            let dim = self.dim;
-            let p = tape.leaf_with((dh, dim), |buf| {
-                for r in 0..dh {
-                    buf[r * dim + h * dh + r] = 1.0;
-                }
-            });
-            let placed = tape.matmul(ctx, p); // (seq, dim)
-            combined = Some(match combined {
-                None => placed,
-                Some(acc) => tape.add(acc, placed),
-            });
-        }
-        let merged = combined.expect("at least one head");
-        self.wo.forward(tape, store, merged)
-    }
-}
-
 /// Pre-norm Transformer encoder block: `x + Attn(LN(x))`, then
 /// `x + FF(LN(x))` with a GELU-free (tanh) two-layer feed-forward.
 #[derive(Clone, Debug)]
@@ -424,46 +353,6 @@ mod tests {
             .map(|p| p.grad.iter().map(|g| g.abs()).sum::<f32>())
             .sum();
         assert!(total_grad > 0.0, "gradients must reach attention weights");
-    }
-
-    #[test]
-    fn multihead_attention_shapes_and_training() {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(6);
-        let attn = MultiHeadAttention::new(&mut store, 8, 2, &mut rng);
-        let mut tape = Tape::new();
-        let x = tape.leaf((0..40).map(|i| (i as f32 * 0.07).sin()).collect(), (5, 8));
-        let y = attn.forward(&mut tape, &store, x);
-        assert_eq!(tape.shape(y), (5, 8));
-        // Trains: memorize a small target.
-        let mut opt = Adam::new(5e-3);
-        let target: Vec<f32> = (0..40).map(|i| ((i * 7) % 5) as f32 * 0.1).collect();
-        let mut first = 0.0;
-        let mut last = 0.0;
-        for it in 0..200 {
-            let mut tape = Tape::new();
-            let x = tape.leaf((0..40).map(|i| (i as f32 * 0.07).sin()).collect(), (5, 8));
-            let y = attn.forward(&mut tape, &store, x);
-            let loss = tape.mse_loss(y, &target);
-            let lv = tape.value(loss)[0];
-            if it == 0 {
-                first = lv;
-            }
-            last = lv;
-            tape.backward(loss);
-            tape.accumulate_grads(&mut store);
-            opt.step(&mut store);
-            store.zero_grads();
-        }
-        assert!(last < 0.3 * first, "MHA {first} -> {last}");
-    }
-
-    #[test]
-    #[should_panic(expected = "must divide")]
-    fn multihead_rejects_indivisible_heads() {
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = MultiHeadAttention::new(&mut store, 8, 3, &mut rng);
     }
 
     #[test]

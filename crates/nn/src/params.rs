@@ -7,14 +7,13 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Opaque handle to a parameter tensor in a [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ParamId(pub(crate) usize);
 
 /// One parameter tensor plus training state.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Param {
     /// Current values (row-major `shape.0 x shape.1`).
     pub data: Vec<f32>,
@@ -29,7 +28,7 @@ pub struct Param {
 }
 
 /// All parameters of a model.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ParamStore {
     params: Vec<Param>,
 }
@@ -143,38 +142,6 @@ impl ParamStore {
         }
     }
 
-    /// Serializes the store (values + optimizer state) to JSON — the
-    /// checkpoint format (`torch.save` analogue).
-    pub fn to_checkpoint(&self) -> String {
-        serde_json::to_string(self).expect("param store serializes")
-    }
-
-    /// Restores a store from a checkpoint produced by
-    /// [`to_checkpoint`](Self::to_checkpoint).
-    ///
-    /// # Errors
-    /// Returns the parse error message on malformed input.
-    pub fn from_checkpoint(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
-    }
-
-    /// Writes a checkpoint file.
-    ///
-    /// # Errors
-    /// Propagates I/O errors as strings.
-    pub fn save(&self, path: &std::path::Path) -> Result<(), String> {
-        std::fs::write(path, self.to_checkpoint()).map_err(|e| e.to_string())
-    }
-
-    /// Loads a checkpoint file.
-    ///
-    /// # Errors
-    /// Propagates I/O and parse errors as strings.
-    pub fn load(path: &std::path::Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        Self::from_checkpoint(&text)
-    }
-
     /// Copies parameter *values* from another store (same topology), used to
     /// broadcast initial weights to DDP workers.
     ///
@@ -239,39 +206,6 @@ mod tests {
         b.zeros((4, 4));
         b.copy_values_from(&a);
         assert_eq!(a.get(ParamId(0)).data, b.get(ParamId(0)).data);
-    }
-
-    #[test]
-    fn checkpoint_roundtrip_preserves_state() {
-        let mut s = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(9);
-        let id = s.xavier((3, 2), &mut rng);
-        s.get_mut(id).m[2] = 0.5;
-        s.get_mut(id).v[4] = 0.25;
-        let json = s.to_checkpoint();
-        let back = ParamStore::from_checkpoint(&json).unwrap();
-        assert_eq!(back.get(id).data, s.get(id).data);
-        assert_eq!(back.get(id).m, s.get(id).m);
-        assert_eq!(back.get(id).v, s.get(id).v);
-        assert_eq!(back.get(id).shape, (3, 2));
-    }
-
-    #[test]
-    fn checkpoint_file_roundtrip() {
-        let mut s = ParamStore::new();
-        s.alloc(vec![1.0, 2.0], (1, 2));
-        let dir = std::env::temp_dir().join("sickle_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("m.json");
-        s.save(&path).unwrap();
-        let back = ParamStore::load(&path).unwrap();
-        assert_eq!(back.num_scalars(), 2);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn checkpoint_rejects_garbage() {
-        assert!(ParamStore::from_checkpoint("{nope").is_err());
     }
 
     #[test]

@@ -603,6 +603,17 @@ fn handle_request(
         sent: 0,
         started: Instant::now(),
     });
+    // The request is answered once its bytes are queued, so it is counted
+    // before the first write: a client can hold the whole response only
+    // after the counters show it. An unflushed tail drains on later
+    // writable wake-ups.
+    let bytes_in = (FRAME_HEADER + payload_len) as u64;
+    if let Some(guard) = &conn.guard {
+        guard.counters().record(bytes_in, bytes_out);
+    }
+    sickle_obs::counter!("store.serve.requests", 1usize);
+    sickle_obs::counter!("store.serve.bytes_in", bytes_in);
+    sickle_obs::counter!("store.serve.bytes_out", bytes_out);
     let flushed = {
         let _s = sickle_obs::span!("serve.write", bytes = bytes_out as usize - FRAME_HEADER);
         try_flush(conn)
@@ -612,15 +623,6 @@ fn handle_request(
         sickle_obs::counter!("serve.conn.write_stalled", 1usize);
         return false;
     }
-    // The request is answered once its bytes are queued; an unflushed tail
-    // drains on later writable wake-ups.
-    let bytes_in = (FRAME_HEADER + payload_len) as u64;
-    if let Some(guard) = &conn.guard {
-        guard.counters().record(bytes_in, bytes_out);
-    }
-    sickle_obs::counter!("store.serve.requests", 1usize);
-    sickle_obs::counter!("store.serve.bytes_in", bytes_in);
-    sickle_obs::counter!("store.serve.bytes_out", bytes_out);
     sickle_obs::histogram!("serve.request_us", t0.elapsed().as_micros() as f64);
     sickle_obs::counter!("serve.request.ok", 1usize);
     true

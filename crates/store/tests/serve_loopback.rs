@@ -509,19 +509,20 @@ fn stalled_reader_parks_on_writability_and_resumes_bit_identically() {
         write_frame(&mut peer, tag, &payload).unwrap();
     }
     // The peer's row is the youngest connection. Wait until its answered
-    // count stops moving: the server has filled the socket and parked.
+    // count stops moving for five samples in a row: the server has filled
+    // the socket and parked (one still sample can be a slow response).
     let answered = |observer: &mut StoreClient| {
         let snap = observer.stats().unwrap();
         let row = snap.connections.iter().max_by_key(|c| c.id).unwrap();
         (row.requests, snap.wakeups)
     };
-    let mut last = 0;
+    let (mut last, mut still) = (0, 0);
     eventually("the response stream to stall", || {
         let (now, _) = answered(&mut observer);
-        let stalled = now > 0 && now == last;
+        still = if now > 0 && now == last { still + 1 } else { 0 };
         last = now;
         std::thread::sleep(Duration::from_millis(20));
-        stalled.then_some(())
+        (still >= 5).then_some(())
     });
     let (parked_at, wakeups_before) = answered(&mut observer);
     std::thread::sleep(Duration::from_millis(200));

@@ -14,8 +14,8 @@
 //!   two-scale adaptive patch transformer standing in for the MATEY
 //!   foundation model of Fig. 9.
 //! - [`trainer`] is the epoch loop: Adam, ReduceLROnPlateau (patience 20 in
-//!   the paper), 90:10 train/test split, batch shuffling, bf16 gradient
-//!   emulation, and FLOP-based energy metering.
+//!   the paper), 90:10 train/test split, batch shuffling, and FLOP-based
+//!   energy metering.
 //! - [`ddp`] is the `torch.distributed` analogue: thread-based data-parallel
 //!   replicas with gradient all-reduce, plugged into the trainer's one
 //!   epoch loop as the way a batch's gradients reach the master weights.

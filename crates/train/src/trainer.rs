@@ -1,6 +1,6 @@
 //! The epoch loop: Adam + ReduceLROnPlateau, train/test split, batch
-//! shuffling, optional reduced-precision gradient emulation, and FLOP-based
-//! energy metering — the Rust analogue of `train.py`.
+//! shuffling and FLOP-based energy metering — the Rust analogue of
+//! `train.py`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -10,17 +10,6 @@ use sickle_nn::{flops, Tape};
 
 use crate::data::{Batch, TensorData};
 use crate::models::Model;
-
-/// Numeric precision emulation for gradients (the paper's `--precision`
-/// flag; full mixed-precision kernels are out of scope, but truncating
-/// gradients to bf16 reproduces its accuracy effect).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Precision {
-    /// Full f32 gradients.
-    F32,
-    /// Gradients truncated to bfloat16 before the optimizer step.
-    Bf16,
-}
 
 /// Training hyperparameters (paper §5.2: 1000 epochs, lr 1e-3, plateau
 /// patience 20, batch 16, 90:10 split — scaled down by the figure drivers).
@@ -38,8 +27,6 @@ pub struct TrainConfig {
     pub test_frac: f64,
     /// Shuffle/split seed.
     pub seed: u64,
-    /// Gradient precision emulation.
-    pub precision: Precision,
 }
 
 impl Default for TrainConfig {
@@ -51,7 +38,6 @@ impl Default for TrainConfig {
             patience: 20,
             test_frac: 0.1,
             seed: 0,
-            precision: Precision::F32,
         }
     }
 }
@@ -77,14 +63,6 @@ impl TrainResult {
     /// Final-epoch test loss.
     pub fn final_test(&self) -> f32 {
         *self.test_loss.last().unwrap_or(&f32::NAN)
-    }
-}
-
-fn truncate_bf16(store: &mut sickle_nn::ParamStore) {
-    for p in store.iter_mut() {
-        for g in p.grad.iter_mut() {
-            *g = f32::from_bits(g.to_bits() & 0xFFFF_0000);
-        }
     }
 }
 
@@ -165,9 +143,6 @@ pub(crate) fn run_epochs<M: Model + ?Sized>(
             let (loss, extra_bytes) = batch_grads(model, &mut tape, &batch);
             epoch_loss += loss;
             batches += 1;
-            if cfg.precision == Precision::Bf16 {
-                truncate_bf16(model.store_mut());
-            }
             // Gradient L2 norm of the epoch's last batch — only computed
             // while tracing, so the untraced hot loop pays nothing.
             if sickle_obs::enabled() {
@@ -284,23 +259,6 @@ mod tests {
         );
         assert_eq!(r1.train_loss, r2.train_loss);
         assert_eq!(r1.test_loss, r2.test_loss);
-    }
-
-    #[test]
-    fn bf16_training_still_converges() {
-        let _serial = crate::flops_serial();
-        let data = linear_sequence_data(40);
-        let mut model = LstmModel::new(2, 8, 1, 0);
-        let cfg = TrainConfig {
-            epochs: 30,
-            batch: 8,
-            lr: 0.01,
-            precision: Precision::Bf16,
-            ..Default::default()
-        };
-        let res = train(&mut model, &data, &cfg, MachineModel::frontier_gcd());
-        assert!(res.train_loss[29] < res.train_loss[0]);
-        assert!(res.train_loss.iter().all(|l| l.is_finite()));
     }
 
     #[test]

@@ -267,7 +267,6 @@ fn lossy_codecs_train_within_loss_delta_of_identity() {
     assert!(identity.is_finite() && identity > 0.0);
     for (codec, budget_pct) in [
         (Codec::F16, 5.0),
-        (Codec::Bf16, 5.0),
         (Codec::U8Block, 5.0),
         (Codec::resim_default(), 10.0),
     ] {

@@ -7,7 +7,7 @@
 //!
 //! This facade re-exports the workspace crates:
 //!
-//! - [`fft`] — power-of-two FFTs (1D/2D/3D, rayon-parallel)
+//! - [`fft`] — power-of-two FFTs (1D/3D, rayon-parallel)
 //! - [`field`] — grids, snapshots, hypercube tiling, derived quantities
 //! - [`cfd`] — LBM cylinder flow, 3D pseudo-spectral Navier–Stokes,
 //!   synthetic turbulence, combustion surrogate (Table 1's datasets)
@@ -21,7 +21,7 @@
 //!   (`SICKLE_TRACE` / `SICKLE_LOG`)
 //! - [`store`] — out-of-core shard store + the `sickle-serve` TCP data
 //!   plane streaming bit-identical training batches to many clients
-//! - [`codec`] — shard codecs: f16/bf16/u8 quantizers and the
+//! - [`codec`] — shard codecs: f16/u8 quantizers and the
 //!   coarse+re-simulate codec, with accuracy-budgeted compression
 //!
 //! ## Quickstart
