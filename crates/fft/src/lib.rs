@@ -4,6 +4,14 @@
 //! real transforms in one and three dimensions, with rayon-parallel 3D
 //! transforms.
 //!
+//! Under [`sickle_simd::Kernel::Optimized`] the 3D transforms run their rows
+//! and pencils four at a time through the quad kernel: the four sequences
+//! share one buffer of [`Quad`] slots, the bit-reversal permutation rides in
+//! the gather, and the AVX2+FMA butterflies take two radix-2 stages per pass
+//! (see the `plan` module). Each lane gets exactly the operations of the
+//! stage-by-stage radix-2 loop, so a sequence's bits do not depend on what
+//! the other lanes hold.
+//!
 //! This crate exists because the paper's 3D turbulence substrates (SST and
 //! GESTS) are produced by Fourier pseudo-spectral solvers; re-implementing the
 //! transform from scratch keeps the reproduction self-contained.
@@ -31,7 +39,7 @@ mod realnd;
 
 pub use complex::Complex;
 pub use nd::Fft3d;
-pub use plan::FftPlan;
+pub use plan::{FftPlan, Quad};
 pub use real::RealFft;
 pub use realnd::RealFft3d;
 

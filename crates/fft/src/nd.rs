@@ -4,12 +4,17 @@
 //!
 //! Transforms along non-contiguous axes gather each pencil into a scratch
 //! buffer, transform it, and scatter back; pencils are processed in parallel.
+//! Under [`Kernel::Optimized`] rows and pencils go four at a time through
+//! the quad kernel (the `plan` module), gathered bit-reversed into the lanes
+//! of one [`Quad`] buffer; a last group of one to three pencils repeats its
+//! last pencil in the unused lanes, and a lone last row keeps the
+//! single-row path.
 
 use rayon::prelude::*;
 use sickle_simd::Kernel;
 
 use crate::complex::Complex;
-use crate::plan::FftPlan;
+use crate::plan::{FftPlan, Quad};
 
 /// Direction selector used internally by the axis kernels.
 #[derive(Clone, Copy, PartialEq)]
@@ -30,32 +35,24 @@ pub(crate) fn transform_contiguous_with(
             Dir::Forward => plan.forward(row),
             Dir::Inverse => plan.inverse_unnormalized(row),
         }),
-        // Rows go through the pair-interleaved transform two at a time (an
-        // odd final row falls back to the single-row path). The interleave/
-        // deinterleave copies are sequential sweeps the hardware prefetcher
-        // handles; the butterflies then run with full vector lanes.
-        Kernel::Optimized => data.par_chunks_mut(2 * n).for_each_init(
-            || vec![Complex::ZERO; 2 * n],
+        // Rows go through the quad kernel four at a time, gathered from and
+        // scattered back to their contiguous runs. A lone last row (an odd
+        // row count) keeps the single-row path.
+        Kernel::Optimized => data.par_chunks_mut(4 * n).for_each_init(
+            || vec![Quad::ZERO; n],
             |scratch, rows| {
-                if rows.len() < 2 * n {
+                let (quad, lone) = rows.split_at_mut(rows.len() / (2 * n) * (2 * n));
+                if !quad.is_empty() {
                     match dir {
-                        Dir::Forward => plan.forward(rows),
-                        Dir::Inverse => plan.inverse_unnormalized(rows),
+                        Dir::Forward => plan.forward_rows(quad, scratch),
+                        Dir::Inverse => plan.inverse_rows_unnormalized(quad, scratch),
                     }
-                    return;
                 }
-                let (r0, r1) = rows.split_at_mut(n);
-                for k in 0..n {
-                    scratch[2 * k] = r0[k];
-                    scratch[2 * k + 1] = r1[k];
-                }
-                match dir {
-                    Dir::Forward => plan.forward2(scratch),
-                    Dir::Inverse => plan.inverse2_unnormalized(scratch),
-                }
-                for k in 0..n {
-                    r0[k] = scratch[2 * k];
-                    r1[k] = scratch[2 * k + 1];
+                if !lone.is_empty() {
+                    match dir {
+                        Dir::Forward => plan.forward(lone),
+                        Dir::Inverse => plan.inverse_unnormalized(lone),
+                    }
                 }
             },
         ),
@@ -140,47 +137,33 @@ pub(crate) fn transform_strided_with(
                 }
             },
         ),
-        // Pencil pairs gathered interleaved: the gather/scatter costs the
-        // same strided traffic as two single pencils, but the transform in
-        // between runs on full vector lanes. The lanes are independent, so a
-        // pencil's result does not depend on its partner; with an odd count
-        // the last pencil rides in both lanes and comes out with the bits it
-        // would have in any pair.
-        Kernel::Optimized => (0..total.div_ceil(2)).into_par_iter().for_each_init(
-            || vec![Complex::ZERO; 2 * count],
+        // Pencils four at a time through the quad kernel: the gather and
+        // scatter cost the same strided traffic as four single pencils, but
+        // the transform in between runs on full vector lanes. The lanes are
+        // independent, so a pencil's result does not depend on its partners;
+        // a last group of one to three pencils repeats its last pencil in
+        // the unused lanes and stores only its own.
+        Kernel::Optimized => (0..total.div_ceil(4)).into_par_iter().for_each_init(
+            || vec![Quad::ZERO; count],
             |scratch, q| {
-                let b0 = base_of(2 * q);
-                let b1 = if 2 * q + 1 < total {
-                    base_of(2 * q + 1)
-                } else {
-                    b0
-                };
+                let lanes = (total - 4 * q).min(4);
+                let bases: [usize; 4] = std::array::from_fn(|l| base_of(4 * q + l.min(lanes - 1)));
                 let p = ptr.get();
-                // SAFETY: pair `q` owns pencils `2q` and `2q + 1` (or `2q`
-                // alone, read into both lanes) and no other pair does; each
-                // is in bounds by the assert above and disjoint from every
-                // other pencil by the contract, so only this worker touches
-                // these elements, and it does so through `p`
-                // alone. `scratch` holds `2 * count` elements, so `2k + 1`
-                // is in range.
+                // SAFETY: group `q` owns pencils `4q..4q + lanes` and no
+                // other group does; each is in bounds by the assert above
+                // and disjoint from every other pencil by the contract, so
+                // only this worker touches these elements, and it does so
+                // through `p` alone. The scatter stores each pencil once.
                 unsafe {
-                    for k in 0..count {
-                        scratch[2 * k] = *p.add(b0 + k * stride);
-                        scratch[2 * k + 1] = *p.add(b1 + k * stride);
-                    }
-                }
-                match dir {
-                    Dir::Forward => plan.forward2(scratch),
-                    Dir::Inverse => plan.inverse2_unnormalized(scratch),
-                }
-                // SAFETY: the same pencils as the gather above. When the
-                // pencil filled both lanes the two stores per element carry
-                // the same value.
-                unsafe {
-                    for k in 0..count {
-                        *p.add(b0 + k * stride) = scratch[2 * k];
-                        *p.add(b1 + k * stride) = scratch[2 * k + 1];
-                    }
+                    let pencils: [*mut Complex; 4] = bases.map(|b| p.add(b));
+                    let src = pencils.map(|l| l.cast_const());
+                    let dst = &pencils[..lanes];
+                    plan.transform4(
+                        scratch,
+                        dir == Dir::Inverse,
+                        Some((src, stride)),
+                        Some((dst, stride)),
+                    );
                 }
             },
         ),

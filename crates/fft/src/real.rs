@@ -4,9 +4,18 @@
 //! A length-`n` real signal is transformed with a single length-`n/2` complex
 //! FFT plus an O(n) untangling pass, producing the `n/2 + 1` non-redundant
 //! Hermitian coefficients.
+//!
+//! The multi-dimensional drivers transform rows four at a time
+//! ([`RealFft::forward_rows_into`], [`RealFft::inverse_rows_into_scaled`]):
+//! the half-length sub-FFTs run as the lanes of one quad (see the `plan`
+//! module), and the untangle and repack run over the four lanes with the
+//! single-row formulas' mul/add/sub sequence — under AVX2 four lanes per
+//! instruction, never contracted into FMA — so each row keeps its bits.
 
 use crate::complex::Complex;
-use crate::plan::FftPlan;
+#[cfg(target_arch = "x86_64")]
+use crate::plan::avx;
+use crate::plan::{FftPlan, Quad};
 
 /// Plan for forward/inverse real FFTs of fixed even power-of-two length.
 #[derive(Clone, Debug)]
@@ -184,92 +193,282 @@ impl RealFft {
         }
     }
 
-    /// Untangles one sequence of a pair-interleaved half-FFT result into its
-    /// Hermitian spectrum: reads `z[2k + lane]`, writes `out[0..=half]`.
-    fn untangle_lane(&self, z: &[Complex], lane: usize, out: &mut [Complex]) {
-        let half = self.n / 2;
-        let z0 = z[lane];
+    /// Forward transforms of the one to four real rows that `input` holds
+    /// back to back, run as the lanes of one quad through the half-length
+    /// sub-FFT (see [`FftPlan`]'s module docs), into the matching
+    /// half-spectrum rows of `out`. `scratch` must hold `n/2` quads.
+    ///
+    /// # Panics
+    /// Panics unless `input` holds one to four whole rows, `out` as many
+    /// spectra and `scratch.len() == n/2`.
+    pub fn forward_rows_into(&self, input: &[f64], out: &mut [Complex], scratch: &mut [Quad]) {
+        let (n, nc) = (self.n, self.spectrum_len());
+        let r = input.len() / n;
+        assert!(
+            (1..=4).contains(&r) && input.len() == r * n,
+            "input must hold one to four length-{n} rows"
+        );
+        assert_eq!(out.len(), r * nc, "spectrum length mismatch");
+        assert_eq!(scratch.len(), n / 2, "scratch length mismatch");
+        // Lane `l` packs row `min(l, r - 1)` as `n/2` complex samples
+        // (even samples real, odd imaginary).
+        let lanes: [*const Complex; 4] =
+            std::array::from_fn(|l| input[l.min(r - 1) * n..].as_ptr().cast::<Complex>());
+        // SAFETY: each lane's `n/2` samples are the `n` f64s of one row of
+        // `input`, which is only read; `Complex` is `repr(C) { re: f64, im:
+        // f64 }` with the alignment of one f64, so every pair is a valid
+        // `Complex`.
+        unsafe {
+            self.half_plan
+                .transform4(scratch, false, Some((lanes, 1)), None)
+        };
+        self.untangle4(scratch, out);
+    }
+
+    /// [`Self::untangle4_body`], in its AVX2 build when the CPU has it.
+    #[inline]
+    fn untangle4(&self, z: &[Quad], out: &mut [Complex]) {
+        #[cfg(target_arch = "x86_64")]
+        if sickle_simd::fma_available() {
+            // SAFETY: `fma_available` just confirmed avx2 + fma.
+            unsafe { self.untangle4_avx2(z, out) };
+            return;
+        }
+        self.untangle4_body(z, out);
+    }
+
+    /// [`Self::untangle4_body`] on 256-bit vectors, four lanes per
+    /// instruction: [`untangle_pair`]'s operations in its order, none fused
+    /// (a negation is a sign flip either way), so the same bits.
+    ///
+    /// # Safety
+    /// The CPU must support `avx2`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn untangle4_avx2(&self, z: &[Quad], out: &mut [Complex]) {
+        use std::arch::x86_64::*;
+        let (half, nc) = (self.n / 2, self.spectrum_len());
+        let r = out.len() / nc;
+        let p = out.as_mut_ptr();
+        let rows: [*mut Complex; 4] = std::array::from_fn(|l| p.wrapping_add(l * nc));
+        let rows = &rows[..r];
+        let q = z.as_ptr().cast::<f64>();
+        let neg = |v: __m256d| _mm256_xor_pd(v, _mm256_set1_pd(-0.0));
+        let (half_v, minus_one) = (_mm256_set1_pd(0.5), _mm256_set1_pd(-1.0));
         for k in 1..=half / 2 {
-            let zk = z[2 * k + lane];
-            let zmk = z[2 * (half - k) + lane].conj();
-            let (xk, xhk) = untangle_pair(zk, zmk, self.twiddles[k]);
-            out[k] = xk;
-            // Same write order as the in-place untangle: at k == half/2 both
-            // indices coincide and the mirror write wins.
-            out[half - k] = xhk;
+            // SAFETY: `k` and `half - k` are slots of `z` (`half` of them).
+            let ((zre, zim), (hre, him)) = (avx::load_slot(q, k), avx::load_slot(q, half - k));
+            let w = self.twiddles[k];
+            let (wre, wim) = (_mm256_set1_pd(w.re), _mm256_set1_pd(w.im));
+            // zmk = conj(Z[h - k]).
+            let (mre, mim) = (hre, neg(him));
+            let ere = _mm256_mul_pd(_mm256_add_pd(zre, mre), half_v);
+            let eim = _mm256_mul_pd(_mm256_add_pd(zim, mim), half_v);
+            let sre = _mm256_mul_pd(_mm256_sub_pd(zre, mre), half_v);
+            let sim = _mm256_mul_pd(_mm256_sub_pd(zim, mim), half_v);
+            // o = (i s)·(−1).
+            let ore = _mm256_mul_pd(neg(sim), minus_one);
+            let oim = _mm256_mul_pd(sre, minus_one);
+            // x = e + w o.
+            let xre = _mm256_add_pd(
+                ere,
+                _mm256_sub_pd(_mm256_mul_pd(wre, ore), _mm256_mul_pd(wim, oim)),
+            );
+            let xim = _mm256_add_pd(
+                eim,
+                _mm256_add_pd(_mm256_mul_pd(wre, oim), _mm256_mul_pd(wim, ore)),
+            );
+            // X[h - k] = conj(e) + w2 conj(o), w2 = (−w.re, w.im).
+            let (w2re, ocim, ecim) = (neg(wre), neg(oim), neg(eim));
+            let hre = _mm256_add_pd(
+                ere,
+                _mm256_sub_pd(_mm256_mul_pd(w2re, ore), _mm256_mul_pd(wim, ocim)),
+            );
+            let him = _mm256_add_pd(
+                ecim,
+                _mm256_add_pd(_mm256_mul_pd(w2re, ocim), _mm256_mul_pd(wim, ore)),
+            );
+            // SAFETY: each row of `out` has `nc` coefficients, `k` and
+            // `half - k` among them; at `k == half / 2` the two coincide and
+            // the mirror, stored second, wins as in the scalar loop.
+            avx::store_lanes(rows, k, (xre, xim));
+            avx::store_lanes(rows, half - k, (hre, him));
         }
-        out[0] = Complex::new(z0.re + z0.im, 0.0);
-        out[half] = Complex::new(z0.re - z0.im, 0.0);
+        let z0 = z[0];
+        for (l, row) in out.chunks_exact_mut(nc).enumerate() {
+            row[0] = Complex::new(z0.re[l] + z0.im[l], 0.0);
+            row[half] = Complex::new(z0.re[l] - z0.im[l], 0.0);
+        }
     }
 
-    /// Forward transform of two real rows at once through the
-    /// pair-interleaved half-FFT (the SIMD-friendly path used by the
-    /// multi-dimensional drivers). `scratch` must hold `n` complex values.
-    ///
-    /// # Panics
-    /// Panics on any buffer length mismatch.
-    pub fn forward2_into(
-        &self,
-        in0: &[f64],
-        in1: &[f64],
-        out0: &mut [Complex],
-        out1: &mut [Complex],
-        scratch: &mut [Complex],
-    ) {
-        let half = self.n / 2;
-        assert_eq!(in0.len(), self.n, "buffer length mismatch");
-        assert_eq!(in1.len(), self.n, "buffer length mismatch");
-        assert_eq!(out0.len(), self.spectrum_len(), "spectrum length mismatch");
-        assert_eq!(out1.len(), self.spectrum_len(), "spectrum length mismatch");
-        assert_eq!(scratch.len(), self.n, "scratch length mismatch");
-        for j in 0..half {
-            scratch[2 * j] = Complex::new(in0[2 * j], in0[2 * j + 1]);
-            scratch[2 * j + 1] = Complex::new(in1[2 * j], in1[2 * j + 1]);
+    /// The in-place untangle of [`Self::forward_into`] on every lane of a
+    /// quad half-FFT result `z`, into the `out.len() / (n/2 + 1)` spectra of
+    /// `out`: the same [`untangle_pair`] per lane, in the same write order.
+    #[inline(always)]
+    fn untangle4_body(&self, z: &[Quad], out: &mut [Complex]) {
+        let (half, nc) = (self.n / 2, self.spectrum_len());
+        for k in 1..=half / 2 {
+            let (zk, zh, w) = (&z[k], &z[half - k], self.twiddles[k]);
+            let (mut x, mut xh) = (Quad::ZERO, Quad::ZERO);
+            for l in 0..4 {
+                let (a, b) = untangle_pair(zk.lane(l), zh.lane(l).conj(), w);
+                x.set_lane(l, a);
+                xh.set_lane(l, b);
+            }
+            for (l, row) in out.chunks_exact_mut(nc).enumerate() {
+                row[k] = x.lane(l);
+                row[half - k] = xh.lane(l);
+            }
         }
-        self.half_plan.forward2(scratch);
-        self.untangle_lane(scratch, 0, out0);
-        self.untangle_lane(scratch, 1, out1);
+        let z0 = z[0];
+        for (l, row) in out.chunks_exact_mut(nc).enumerate() {
+            row[0] = Complex::new(z0.re[l] + z0.im[l], 0.0);
+            row[half] = Complex::new(z0.re[l] - z0.im[l], 0.0);
+        }
     }
 
-    /// Inverse transform of two Hermitian spectra at once through the
-    /// pair-interleaved half-FFT, each scaled by `scale`. `scratch` must
-    /// hold `n` complex values.
+    /// Inverse transforms of the one to four Hermitian spectra that `spec`
+    /// holds back to back, run as the lanes of one quad, into the matching
+    /// real rows of `out`, each scaled by `scale`. `scratch` must hold `n/2`
+    /// quads.
     ///
     /// # Panics
-    /// Panics on any buffer length mismatch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn inverse2_into_scaled(
+    /// Panics unless `spec` holds one to four whole spectra, `out` as many
+    /// rows and `scratch.len() == n/2`.
+    pub fn inverse_rows_into_scaled(
         &self,
-        spec0: &[Complex],
-        spec1: &[Complex],
-        out0: &mut [f64],
-        out1: &mut [f64],
-        scratch: &mut [Complex],
+        spec: &[Complex],
+        out: &mut [f64],
+        scratch: &mut [Quad],
         scale: f64,
     ) {
+        let (n, nc) = (self.n, self.spectrum_len());
+        let r = spec.len() / nc;
+        assert!(
+            (1..=4).contains(&r) && spec.len() == r * nc,
+            "spectrum must hold one to four length-{nc} spectra"
+        );
+        assert_eq!(out.len(), r * n, "buffer length mismatch");
+        assert_eq!(scratch.len(), n / 2, "scratch length mismatch");
+        let lanes: [&[Complex]; 4] = std::array::from_fn(|l| &spec[l.min(r - 1) * nc..][..nc]);
+        self.repack4(lanes, scale * self.half_norm(), scratch);
+        let p = out.as_mut_ptr();
+        // SAFETY: `scratch` holds the repacked samples in bit-reversed
+        // order; each of the `r` rows of `out` receives its lane as `n/2`
+        // (re, im) pairs, its own `n` f64s, and `out` is borrowed
+        // exclusively and apart from `scratch`.
+        unsafe {
+            let rows: [*mut Complex; 4] = std::array::from_fn(|l| p.add(l * n).cast());
+            self.half_plan
+                .transform4(scratch, true, None, Some((&rows[..r], 1)));
+        }
+    }
+
+    /// [`Self::repack4_body`], in its AVX2 build when the CPU has it.
+    #[inline]
+    fn repack4(&self, spec: [&[Complex]; 4], scale: f64, z: &mut [Quad]) {
+        #[cfg(target_arch = "x86_64")]
+        if sickle_simd::fma_available() {
+            // SAFETY: `fma_available` just confirmed avx2 + fma.
+            unsafe { self.repack4_avx2(spec, scale, z) };
+            return;
+        }
+        self.repack4_body(spec, scale, z);
+    }
+
+    /// [`Self::repack4_body`] on 256-bit vectors, four lanes per
+    /// instruction: [`repack_pair`]'s operations in its order, none fused,
+    /// so the same bits.
+    ///
+    /// # Safety
+    /// The CPU must support `avx2`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn repack4_avx2(&self, spec: [&[Complex]; 4], scale: f64, z: &mut [Quad]) {
+        use std::arch::x86_64::*;
         let half = self.n / 2;
-        assert_eq!(spec0.len(), self.spectrum_len(), "spectrum length mismatch");
-        assert_eq!(spec1.len(), self.spectrum_len(), "spectrum length mismatch");
-        assert_eq!(out0.len(), self.n, "buffer length mismatch");
-        assert_eq!(out1.len(), self.n, "buffer length mismatch");
-        assert_eq!(scratch.len(), self.n, "scratch length mismatch");
-        let scale = scale * self.half_norm();
-        self.repack_into(spec0, scale, |k, zk| scratch[2 * k] = zk);
-        self.repack_into(spec1, scale, |k, zk| scratch[2 * k + 1] = zk);
-        self.half_plan.inverse2_unnormalized(scratch);
-        for k in 0..half {
-            let (z0, z1) = (scratch[2 * k], scratch[2 * k + 1]);
-            out0[2 * k] = z0.re;
-            out0[2 * k + 1] = z0.im;
-            out1[2 * k] = z1.re;
-            out1[2 * k + 1] = z1.im;
+        let src = spec.map(|s| s.as_ptr());
+        let q = z.as_mut_ptr().cast::<f64>();
+        let neg = |v: __m256d| _mm256_xor_pd(v, _mm256_set1_pd(-0.0));
+        let (half_v, scale_v) = (_mm256_set1_pd(0.5), _mm256_set1_pd(scale));
+        // Both packed samples of `repack_pair(X[k], X[j], w[k], scale)`.
+        let pair = |k: usize, j: usize| -> (avx::V, avx::V) {
+            // SAFETY: `k, j <= half`, inside every spectrum of `spec`.
+            let ((xre, xim), (yre, yim)) = (avx::load_lanes(src, k), avx::load_lanes(src, j));
+            // xmk = conj(X[j]).
+            let (mre, mim) = (yre, neg(yim));
+            let ere = _mm256_mul_pd(_mm256_add_pd(xre, mre), half_v);
+            let eim = _mm256_mul_pd(_mm256_add_pd(xim, mim), half_v);
+            let dre = _mm256_mul_pd(_mm256_sub_pd(xre, mre), half_v);
+            let dim = _mm256_mul_pd(_mm256_sub_pd(xim, mim), half_v);
+            // o = conj(w) d.
+            let w = self.twiddles[k];
+            let (wre, wim) = (_mm256_set1_pd(w.re), neg(_mm256_set1_pd(w.im)));
+            let ore = _mm256_sub_pd(_mm256_mul_pd(wre, dre), _mm256_mul_pd(wim, dim));
+            let oim = _mm256_add_pd(_mm256_mul_pd(wre, dim), _mm256_mul_pd(wim, dre));
+            (
+                (
+                    _mm256_mul_pd(_mm256_sub_pd(ere, oim), scale_v),
+                    _mm256_mul_pd(_mm256_add_pd(eim, ore), scale_v),
+                ),
+                (
+                    _mm256_mul_pd(_mm256_add_pd(ere, oim), scale_v),
+                    _mm256_mul_pd(_mm256_sub_pd(ore, eim), scale_v),
+                ),
+            )
+        };
+        let slot = |k: usize| self.half_plan.rev(k);
+        // SAFETY (the stores): every `slot(k)` is below `half`, a slot of `z`.
+        avx::store_slot(q, slot(0), pair(0, half).0);
+        for k in 1..half / 2 {
+            let (a, b) = pair(k, half - k);
+            avx::store_slot(q, slot(k), a);
+            avx::store_slot(q, slot(half - k), b);
+        }
+        if half >= 2 {
+            // The self-mirrored sample.
+            let h2 = half / 2;
+            avx::store_slot(q, slot(h2), pair(h2, h2).0);
+        }
+    }
+
+    /// [`Self::repack_into`] on four spectra at once: lane `l` of slot
+    /// `rev(k)` of `z` receives sample `Z[k]` of spectrum `l`, so the
+    /// sub-FFT's bit reversal is done as the samples land.
+    #[inline(always)]
+    fn repack4_body(&self, spec: [&[Complex]; 4], scale: f64, z: &mut [Quad]) {
+        let half = self.n / 2;
+        let tw = &self.twiddles;
+        let slot = |k: usize| self.half_plan.rev(k);
+        let mut q = Quad::ZERO;
+        for (l, s) in spec.iter().enumerate() {
+            q.set_lane(l, repack_pair(s[0], s[half], tw[0], scale).0);
+        }
+        z[slot(0)] = q;
+        for k in 1..half / 2 {
+            let (mut qk, mut qh) = (Quad::ZERO, Quad::ZERO);
+            for (l, s) in spec.iter().enumerate() {
+                let (a, b) = repack_pair(s[k], s[half - k], tw[k], scale);
+                qk.set_lane(l, a);
+                qh.set_lane(l, b);
+            }
+            z[slot(k)] = qk;
+            z[slot(half - k)] = qh;
+        }
+        if half >= 2 {
+            // The self-mirrored sample.
+            let h2 = half / 2;
+            for (l, s) in spec.iter().enumerate() {
+                q.set_lane(l, repack_pair(s[h2], s[h2], tw[h2], scale).0);
+            }
+            z[slot(h2)] = q;
         }
     }
 }
 
 /// The symmetric untangle combination shared by the in-place and lane paths:
 /// given `Z[k]` and `conj(Z[h-k])`, returns `(X[k], X[h-k])`.
-#[inline]
+#[inline(always)]
 fn untangle_pair(zk: Complex, zmk: Complex, w: Complex) -> (Complex, Complex) {
     let e = (zk + zmk).scale(0.5);
     let o = (zk - zmk).scale(0.5).mul_i().scale(-1.0); // -i*(..)/1 => O[k]
@@ -291,7 +490,7 @@ fn untangle_pair(zk: Complex, zmk: Complex, w: Complex) -> (Complex, Complex) {
 /// and `O` changes no bit of either sample — at most the sign of a zero,
 /// where a sum cancels exactly. For `k = 0` pass `X[h]` as the mirror, for
 /// `k = h/2` the bin itself; only the first result is meaningful then.
-#[inline]
+#[inline(always)]
 fn repack_pair(xk: Complex, xhk: Complex, w: Complex, scale: f64) -> (Complex, Complex) {
     let xmk = xhk.conj();
     let e = (xk + xmk).scale(0.5);
@@ -340,33 +539,74 @@ mod tests {
     }
 
     #[test]
-    fn pair_real_transform_matches_single() {
+    fn quad_real_transform_matches_single() {
         for &n in &[2usize, 4, 8, 32, 128] {
             let plan = RealFft::new(n);
-            let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 0.2).collect();
-            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.59).cos() - 1.5).collect();
-            let (sa, sb) = (plan.forward(&a), plan.forward(&b));
-            let mut pa = vec![Complex::ZERO; plan.spectrum_len()];
-            let mut pb = vec![Complex::ZERO; plan.spectrum_len()];
-            let mut scratch = vec![Complex::ZERO; n];
-            plan.forward2_into(&a, &b, &mut pa, &mut pb, &mut scratch);
-            for k in 0..plan.spectrum_len() {
-                assert!(
-                    (pa[k].re - sa[k].re).abs() < 1e-10 && (pa[k].im - sa[k].im).abs() < 1e-10,
-                    "n={n} k={k} lane0"
-                );
-                assert!(
-                    (pb[k].re - sb[k].re).abs() < 1e-10 && (pb[k].im - sb[k].im).abs() < 1e-10,
-                    "n={n} k={k} lane1"
-                );
+            let nc = plan.spectrum_len();
+            for r in 1..=4 {
+                let input: Vec<f64> = (0..r * n)
+                    .map(|i| (i as f64 * 0.37).sin() + 0.2 * (i / n) as f64 - 1.5)
+                    .collect();
+                let mut spec = vec![Complex::ZERO; r * nc];
+                let mut scratch = vec![Quad::ZERO; n / 2];
+                plan.forward_rows_into(&input, &mut spec, &mut scratch);
+                for (l, (got, row)) in spec.chunks(nc).zip(input.chunks(n)).enumerate() {
+                    for (k, (g, w)) in got.iter().zip(plan.forward(row)).enumerate() {
+                        assert!(
+                            (g.re - w.re).abs() < 1e-10 && (g.im - w.im).abs() < 1e-10,
+                            "n={n} r={r} lane={l} k={k}"
+                        );
+                    }
+                }
+                let mut back = vec![0.0; r * n];
+                plan.inverse_rows_into_scaled(&spec, &mut back, &mut scratch, 1.0);
+                for (i, (b, a)) in back.iter().zip(&input).enumerate() {
+                    assert!((b - a).abs() < 1e-10, "n={n} r={r} i={i} roundtrip");
+                }
             }
-            let mut ra = vec![0.0; n];
-            let mut rb = vec![0.0; n];
-            plan.inverse2_into_scaled(&pa, &pb, &mut ra, &mut rb, &mut scratch, 1.0);
-            for i in 0..n {
-                assert!((ra[i] - a[i]).abs() < 1e-10, "n={n} i={i} lane0 roundtrip");
-                assert!((rb[i] - b[i]).abs() < 1e-10, "n={n} i={i} lane1 roundtrip");
+        }
+    }
+
+    #[test]
+    fn quad_untangle_and_repack_builds_agree_bit_for_bit() {
+        let bits = |z: Complex| (z.re.to_bits(), z.im.to_bits());
+        let mut n = 2;
+        while n <= 256 {
+            let plan = RealFft::new(n);
+            let (half, nc) = (n / 2, plan.spectrum_len());
+            let quads: Vec<Quad> = (0..half)
+                .map(|k| Quad {
+                    re: std::array::from_fn(|l| ((k * 4 + l) as f64 * 0.731).sin() * 3.0),
+                    im: std::array::from_fn(|l| ((k * 4 + l) as f64 * 1.93).cos() - 0.4),
+                })
+                .collect();
+            let (mut dispatch, mut portable) =
+                (vec![Complex::ZERO; 4 * nc], vec![Complex::ZERO; 4 * nc]);
+            plan.untangle4(&quads, &mut dispatch);
+            plan.untangle4_body(&quads, &mut portable);
+            for (k, (g, w)) in dispatch.iter().zip(&portable).enumerate() {
+                assert_eq!(bits(*g), bits(*w), "untangle n={n} at {k}");
             }
+            let spec: Vec<Vec<Complex>> = (0..4)
+                .map(|l| {
+                    (0..nc)
+                        .map(|k| {
+                            let t = (k * 4 + l) as f64;
+                            Complex::new((t * 0.731).sin() * 3.0, (t * 1.93).cos() - 0.4)
+                        })
+                        .collect()
+                })
+                .collect();
+            let lanes: [&[Complex]; 4] = std::array::from_fn(|l| spec[l].as_slice());
+            let (mut dispatch, mut portable) = (vec![Quad::ZERO; half], vec![Quad::ZERO; half]);
+            plan.repack4(lanes, 0.3, &mut dispatch);
+            plan.repack4_body(lanes, 0.3, &mut portable);
+            for (k, (g, w)) in dispatch.iter().zip(&portable).enumerate() {
+                for l in 0..4 {
+                    assert_eq!(bits(g.lane(l)), bits(w.lane(l)), "repack n={n} slot {k}");
+                }
+            }
+            n *= 2;
         }
     }
 
@@ -433,19 +673,27 @@ mod tests {
                 );
             }
 
-            // Row-pair inverse against the interleaved form of the same.
-            let mut want2 = vec![Complex::ZERO; n];
+            // Quad inverse against the bit-reversed form of the same, run
+            // through the quad butterflies and normalized afterwards, lane
+            // by lane.
+            let mut want4: Vec<Quad> = vec![Quad::ZERO; half];
             for k in 0..half {
-                want2[2 * k] = repack_one(&plan, &s0, k, scale);
-                want2[2 * k + 1] = repack_one(&plan, &s1, k, scale);
+                let slot = plan.half_plan.rev(k);
+                want4[slot].set_lane(0, repack_one(&plan, &s0, k, scale));
+                want4[slot].set_lane(1, repack_one(&plan, &s1, k, scale));
+                want4[slot].set_lane(2, repack_one(&plan, &s1, k, scale));
+                want4[slot].set_lane(3, repack_one(&plan, &s1, k, scale));
             }
-            plan.half_plan.inverse2(&mut want2);
-            let (mut g0, mut g1) = (vec![0.0; n], vec![0.0; n]);
-            let mut scratch = vec![Complex::ZERO; n];
-            plan.inverse2_into_scaled(&s0, &s1, &mut g0, &mut g1, &mut scratch, scale);
+            // SAFETY: `want4` holds the samples in bit-reversed order; no
+            // sequence memory is named.
+            unsafe { plan.half_plan.transform4(&mut want4, true, None, None) };
+            let pair: Vec<Complex> = s0.iter().chain(&s1).copied().collect();
+            let mut got2 = vec![0.0; 2 * n];
+            let mut scratch = vec![Quad::ZERO; half];
+            plan.inverse_rows_into_scaled(&pair, &mut got2, &mut scratch, scale);
             for k in 0..half {
-                for (lane, g) in [&g0, &g1].into_iter().enumerate() {
-                    let w = want2[2 * k + lane];
+                for (lane, g) in got2.chunks(n).enumerate() {
+                    let w = want4[k].lane(lane).scale(1.0 / half as f64);
                     assert_eq!(
                         g[2 * k].to_bits(),
                         w.re.to_bits(),

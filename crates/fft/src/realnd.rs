@@ -30,8 +30,10 @@
 //! code.
 //!
 //! All transforms write into caller-provided buffers and allocate no
-//! field-sized scratch: the contiguous-axis passes run in place row by row
-//! (see [`RealFft::forward_into`]), and the strided passes reuse the pencil
+//! field-sized scratch: the contiguous-axis passes run row by row (see
+//! [`RealFft::forward_into`]) or, under [`Kernel::Optimized`], four rows at a
+//! time through a per-worker quad buffer of `nz/2` slots (see
+//! [`RealFft::forward_rows_into`]), and the strided passes reuse the pencil
 //! machinery shared with the complex transforms.
 
 use rayon::prelude::*;
@@ -39,12 +41,13 @@ use sickle_simd::Kernel;
 
 use crate::complex::Complex;
 use crate::nd::{transform_strided_with, Dir};
-use crate::plan::FftPlan;
+use crate::plan::{FftPlan, Quad};
 use crate::real::RealFft;
 
-/// Forward-transforms contiguous real rows into half-spectrum rows, two at a
-/// time under [`Kernel::Optimized`] (pair-interleaved half-FFT), row by row
-/// under [`Kernel::Naive`].
+/// Forward-transforms contiguous real rows into half-spectrum rows, four at
+/// a time through the quad kernel under [`Kernel::Optimized`] (a lone last
+/// row, from an odd row count, keeps the single-row path), row by row under
+/// [`Kernel::Naive`].
 fn rows_forward(row: &RealFft, real: &[f64], spec: &mut [Complex], kernel: Kernel) {
     let n = row.len();
     let nc = row.spectrum_len();
@@ -54,17 +57,19 @@ fn rows_forward(row: &RealFft, real: &[f64], spec: &mut [Complex], kernel: Kerne
             .zip(spec.par_chunks_mut(nc))
             .for_each(|(r, s)| row.forward_into(r, s)),
         Kernel::Optimized => real
-            .par_chunks(2 * n)
-            .zip(spec.par_chunks_mut(2 * nc))
+            .par_chunks(4 * n)
+            .zip(spec.par_chunks_mut(4 * nc))
             .for_each_init(
-                || vec![Complex::ZERO; n],
+                || vec![Quad::ZERO; n / 2],
                 |scratch, (r, s)| {
-                    if r.len() == 2 * n {
-                        let (r0, r1) = r.split_at(n);
-                        let (s0, s1) = s.split_at_mut(nc);
-                        row.forward2_into(r0, r1, s0, s1, scratch);
-                    } else {
-                        row.forward_into(r, s);
+                    let rows = r.len() / (2 * n) * 2;
+                    let (r, lone_r) = r.split_at(rows * n);
+                    let (s, lone_s) = s.split_at_mut(rows * nc);
+                    if rows > 0 {
+                        row.forward_rows_into(r, s, scratch);
+                    }
+                    if !lone_r.is_empty() {
+                        row.forward_into(lone_r, lone_s);
                     }
                 },
             ),
@@ -72,7 +77,8 @@ fn rows_forward(row: &RealFft, real: &[f64], spec: &mut [Complex], kernel: Kerne
 }
 
 /// Inverse-transforms half-spectrum rows back to real rows (each scaled by
-/// `scale`), pairing rows under [`Kernel::Optimized`].
+/// `scale`), four at a time under [`Kernel::Optimized`] as in
+/// [`rows_forward`].
 fn rows_inverse(row: &RealFft, spec: &[Complex], real: &mut [f64], scale: f64, kernel: Kernel) {
     let n = row.len();
     let nc = row.spectrum_len();
@@ -82,17 +88,19 @@ fn rows_inverse(row: &RealFft, spec: &[Complex], real: &mut [f64], scale: f64, k
             .zip(real.par_chunks_mut(n))
             .for_each(|(s, r)| row.inverse_into_scaled(s, r, scale)),
         Kernel::Optimized => spec
-            .par_chunks(2 * nc)
-            .zip(real.par_chunks_mut(2 * n))
+            .par_chunks(4 * nc)
+            .zip(real.par_chunks_mut(4 * n))
             .for_each_init(
-                || vec![Complex::ZERO; n],
+                || vec![Quad::ZERO; n / 2],
                 |scratch, (s, r)| {
-                    if s.len() == 2 * nc {
-                        let (s0, s1) = s.split_at(nc);
-                        let (r0, r1) = r.split_at_mut(n);
-                        row.inverse2_into_scaled(s0, s1, r0, r1, scratch, scale);
-                    } else {
-                        row.inverse_into_scaled(s, r, scale);
+                    let rows = s.len() / (2 * nc) * 2;
+                    let (s, lone_s) = s.split_at(rows * nc);
+                    let (r, lone_r) = r.split_at_mut(rows * n);
+                    if rows > 0 {
+                        row.inverse_rows_into_scaled(s, r, scratch, scale);
+                    }
+                    if !lone_s.is_empty() {
+                        row.inverse_into_scaled(lone_s, lone_r, scale);
                     }
                 },
             ),

@@ -30,7 +30,7 @@
 //!
 //! `Kernel::Optimized` is always safe to select: each optimized kernel
 //! carries a portable fallback used when the CPU lacks AVX2+FMA, so the
-//! switch chooses an *algorithm family* (fused/pair/packed vs. reference),
+//! switch chooses an *algorithm family* (fused/four-lane/packed vs. reference),
 //! not an instruction set.
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -47,7 +47,7 @@ pub enum Kernel {
     /// The reference implementations: serial loops and libm calls that the
     /// parity tests hold the optimized kernels to.
     Naive,
-    /// The blocked / pair-interleaved / fused implementations (default).
+    /// The blocked / four-lane / fused implementations (default).
     /// Falls back to portable code paths on non-AVX2 hardware.
     Optimized,
 }
