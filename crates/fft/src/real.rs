@@ -226,11 +226,21 @@ impl RealFft {
     }
 
     /// [`Self::untangle4_body`], in its AVX2 build when the CPU has it.
+    ///
+    /// # Panics
+    /// Panics unless `z` holds `n/2` slots and `out` one to four spectra.
     #[inline]
     fn untangle4(&self, z: &[Quad], out: &mut [Complex]) {
+        let nc = self.spectrum_len();
+        assert_eq!(z.len(), self.n / 2, "quad buffer length mismatch");
+        assert!(
+            (1..=4).contains(&(out.len() / nc)) && out.len().is_multiple_of(nc),
+            "out must hold one to four spectra"
+        );
         #[cfg(target_arch = "x86_64")]
         if sickle_simd::fma_available() {
-            // SAFETY: `fma_available` just confirmed avx2 + fma.
+            // SAFETY: `fma_available` just confirmed avx2 + fma, and the
+            // lengths were asserted above.
             unsafe { self.untangle4_avx2(z, out) };
             return;
         }
@@ -242,7 +252,8 @@ impl RealFft {
     /// (a negation is a sign flip either way), so the same bits.
     ///
     /// # Safety
-    /// The CPU must support `avx2`.
+    /// The CPU must support `avx2`, and the lengths must be as
+    /// [`Self::untangle4`] asserts.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn untangle4_avx2(&self, z: &[Quad], out: &mut [Complex]) {
@@ -365,11 +376,21 @@ impl RealFft {
     }
 
     /// [`Self::repack4_body`], in its AVX2 build when the CPU has it.
+    ///
+    /// # Panics
+    /// Panics unless every spectrum holds `n/2 + 1` coefficients and `z`
+    /// `n/2` slots.
     #[inline]
     fn repack4(&self, spec: [&[Complex]; 4], scale: f64, z: &mut [Quad]) {
+        assert!(
+            spec.iter().all(|s| s.len() == self.spectrum_len()),
+            "spectrum length mismatch"
+        );
+        assert_eq!(z.len(), self.n / 2, "quad buffer length mismatch");
         #[cfg(target_arch = "x86_64")]
         if sickle_simd::fma_available() {
-            // SAFETY: `fma_available` just confirmed avx2 + fma.
+            // SAFETY: `fma_available` just confirmed avx2 + fma, and the
+            // lengths were asserted above.
             unsafe { self.repack4_avx2(spec, scale, z) };
             return;
         }
@@ -381,7 +402,8 @@ impl RealFft {
     /// so the same bits.
     ///
     /// # Safety
-    /// The CPU must support `avx2`.
+    /// The CPU must support `avx2`, and the lengths must be as
+    /// [`Self::repack4`] asserts.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn repack4_avx2(&self, spec: [&[Complex]; 4], scale: f64, z: &mut [Quad]) {
