@@ -314,6 +314,24 @@ impl FftPlan {
             unsafe { self.butterflies4_fma(quads, conjugate, src, dst) };
             return;
         }
+        // SAFETY: the length was asserted above, and `src`/`dst` are the
+        // caller's contract.
+        unsafe { self.transform4_portable(quads, conjugate, src, dst) };
+    }
+
+    /// The portable build of [`Self::transform4`]: gather, the
+    /// stage-by-stage butterflies, scatter.
+    ///
+    /// # Safety
+    /// `quads.len() == self.n`, and `src`/`dst` are as
+    /// [`Self::transform4`] requires.
+    unsafe fn transform4_portable(
+        &self,
+        quads: &mut [Quad],
+        conjugate: bool,
+        src: Option<([*const Complex; 4], usize)>,
+        dst: Option<(&[*mut Complex], usize)>,
+    ) {
         if let Some((src, stride)) = src {
             for (q, &r) in quads.iter_mut().zip(&self.rev) {
                 for (l, s) in src.iter().enumerate() {
@@ -654,20 +672,30 @@ mod tests {
         }
     }
 
-    /// Runs `transform4` on a quad gathered from `rows` with the portable
-    /// butterflies, whatever the CPU.
-    fn portable_quad(plan: &FftPlan, rows: &[Vec<Complex>; 4], conjugate: bool) -> Vec<Quad> {
-        let mut quads: Vec<Quad> = (0..plan.len())
-            .map(|k| {
-                let mut q = Quad::ZERO;
-                for (l, row) in rows.iter().enumerate() {
-                    q.set_lane(l, row[plan.rev(k)]);
-                }
-                q
-            })
-            .collect();
-        plan.butterflies4_portable(&mut quads, conjugate);
-        quads
+    /// The four rows transformed by `transform4` (`portable`: its portable
+    /// build, whatever the CPU), gathered from `rows` and scattered to
+    /// fresh rows.
+    fn quad_rows(
+        plan: &FftPlan,
+        rows: &[Vec<Complex>; 4],
+        conjugate: bool,
+        portable: bool,
+    ) -> [Vec<Complex>; 4] {
+        let n = plan.len();
+        let mut out: [Vec<Complex>; 4] = std::array::from_fn(|_| vec![Complex::ZERO; n]);
+        let mut quads = vec![Quad::ZERO; n];
+        let src = rows.each_ref().map(|r| r.as_ptr());
+        let dst = out.each_mut().map(|r| r.as_mut_ptr());
+        // SAFETY: each lane reads its own `n`-element row and writes its
+        // own fresh `n`-element row; `quads` has `n` slots.
+        unsafe {
+            if portable {
+                plan.transform4_portable(&mut quads, conjugate, Some((src, 1)), Some((&dst, 1)));
+            } else {
+                plan.transform4(&mut quads, conjugate, Some((src, 1)), Some((&dst, 1)));
+            }
+        }
+        out
     }
 
     #[test]
@@ -676,20 +704,14 @@ mod tests {
         let plan = FftPlan::new(n);
         let rows: [Vec<Complex>; 4] = std::array::from_fn(|l| signal(n, 1.3 * l as f64));
         for conjugate in [false, true] {
-            let portable = portable_quad(&plan, &rows, conjugate);
-            let mut dispatch = vec![Quad::ZERO; n];
-            let src = rows.each_ref().map(|r| r.as_ptr());
-            // SAFETY: each lane reads its own `n`-element row, unaliased.
-            unsafe { plan.transform4(&mut dispatch, conjugate, Some((src, 1)), None) };
-            for (g, w) in dispatch.iter().zip(&portable) {
-                for l in 0..4 {
-                    let (g, w) = (g.lane(l), w.lane(l));
-                    // The FMA build rounds one product fewer.
-                    assert!(
-                        (g.re - w.re).abs() < 1e-12 && (g.im - w.im).abs() < 1e-12,
-                        "{g:?} != {w:?}"
-                    );
-                }
+            let portable = quad_rows(&plan, &rows, conjugate, true);
+            let dispatch = quad_rows(&plan, &rows, conjugate, false);
+            for (g, w) in dispatch.iter().flatten().zip(portable.iter().flatten()) {
+                // The FMA build rounds one product fewer.
+                assert!(
+                    (g.re - w.re).abs() < 1e-12 && (g.im - w.im).abs() < 1e-12,
+                    "{g:?} != {w:?}"
+                );
             }
         }
     }
@@ -702,16 +724,16 @@ mod tests {
             let plan = FftPlan::new(n);
             let rows: [Vec<Complex>; 4] = std::array::from_fn(|l| signal(n, 0.7 * l as f64));
             for conjugate in [false, true] {
-                let quads = portable_quad(&plan, &rows, conjugate);
-                for (l, row) in rows.iter().enumerate() {
+                let got = quad_rows(&plan, &rows, conjugate, true);
+                for (l, (row, got)) in rows.iter().zip(&got).enumerate() {
                     let mut want = row.clone();
                     if conjugate {
                         plan.inverse_unnormalized(&mut want);
                     } else {
                         plan.forward(&mut want);
                     }
-                    for (k, (q, w)) in quads.iter().zip(&want).enumerate() {
-                        assert_eq!(bits(q.lane(l)), bits(*w), "n={n} lane={l} k={k}");
+                    for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(bits(*g), bits(*w), "n={n} lane={l} k={k}");
                     }
                 }
             }
