@@ -67,8 +67,13 @@ fn main() {
 
     sickle_obs::info!("subsample", "sampling...");
     let (out, report) = sample_case(&dataset, &case);
-    let store =
-        ShardStore::ingest(&output_dir, &out, StoreConfig::default()).expect("write shard store");
+    let store = ShardStore::ingest(&output_dir, &out, StoreConfig::default()).unwrap_or_else(|e| {
+        eprintln!(
+            "subsample: cannot write the shard store to {}: {e}",
+            output_dir.display()
+        );
+        std::process::exit(1)
+    });
     let bytes_written = store.manifest().total_bytes();
     sickle_obs::info!(
         "subsample",

@@ -232,9 +232,23 @@ impl CaseConfig {
     /// Parses a case from JSON.
     ///
     /// # Errors
-    /// Returns the serde error message on malformed JSON.
+    /// Returns the serde error message on malformed JSON, or one line
+    /// naming the field when a count the case cannot run with is zero
+    /// (`dataset.snapshots`, `subsample.num_hypercubes`,
+    /// `subsample.cube_edge`).
     pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
+        let case: CaseConfig = serde_json::from_str(json).map_err(|e| e.to_string())?;
+        let zero = match case.dataset {
+            DatasetSpec::SstP1f4 { snapshots: 0, .. }
+            | DatasetSpec::SstP1f100 { snapshots: 0, .. } => Some("dataset.snapshots"),
+            _ if case.subsample.num_hypercubes == 0 => Some("subsample.num_hypercubes"),
+            _ if case.subsample.cube_edge == 0 => Some("subsample.cube_edge"),
+            _ => None,
+        };
+        match zero {
+            Some(field) => Err(format!("{field} must be at least 1")),
+            None => Ok(case),
+        }
     }
 
     /// Loads a case from a file path.

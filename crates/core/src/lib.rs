@@ -19,7 +19,6 @@
 //!    budget allocation), or `Xuips` (uniform-in-phase-space acceptance
 //!    sampling after binned density estimation).
 //!
-//! [`temporal`] applies the same novelty principle across snapshots, and
 //! [`pipeline`] wires both phases behind a serde-serializable configuration
 //! mirroring the reference implementation's YAML files. [`metrics`] computes
 //! the PDF-fidelity diagnostics used by the paper's Figures 4 and 5.
@@ -31,7 +30,6 @@ pub mod kmeans;
 pub mod metrics;
 pub mod pipeline;
 pub mod samplers;
-pub mod temporal;
 pub mod uips;
 
 pub use hypercube::HypercubeSelector;

@@ -118,34 +118,16 @@ impl CubeMethod {
     }
 }
 
-/// Snapshot-level (temporal) selection applied before spatial sampling
-/// (paper §4.3).
+/// Snapshot-level selection: every run keeps every snapshot. The one
+/// variant keeps the config's `"temporal": {"kind": "all"}` key, so case
+/// files and config fingerprints keep their bytes; any other kind is an
+/// unknown-variant parse error.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 #[serde(rename_all = "lowercase", tag = "kind")]
 pub enum TemporalMethod {
-    /// Keep every snapshot (default).
+    /// Keep every snapshot.
     #[default]
     All,
-    /// Evenly strided subset of `count` snapshots (the naive cadence).
-    Stride {
-        /// Snapshots to keep.
-        count: usize,
-    },
-    /// Greedy max-KL novelty selection of `count` snapshots.
-    Novelty {
-        /// Snapshots to keep.
-        count: usize,
-        /// Histogram bins for the novelty PDFs.
-        bins: usize,
-    },
-    /// Online adaptive selection: keep snapshots whose PDF diverges from
-    /// the kept mixture by more than `threshold` nats.
-    Adaptive {
-        /// KL threshold in nats.
-        threshold: f64,
-        /// Histogram bins.
-        bins: usize,
-    },
 }
 
 /// Full sampling configuration — the Rust mirror of the paper's YAML files
@@ -169,7 +151,7 @@ pub struct SamplingConfig {
     pub feature_vars: Vec<String>,
     /// Base RNG seed; every (snapshot, cube) pair derives its own stream.
     pub seed: u64,
-    /// Temporal (snapshot-level) selection applied before spatial sampling.
+    /// Snapshot-level selection (always [`TemporalMethod::All`]).
     #[serde(default)]
     pub temporal: TemporalMethod,
 }
@@ -384,32 +366,8 @@ pub fn run_snapshot(
         .collect()
 }
 
-/// Selects the snapshot indices the configuration's temporal method keeps.
-pub fn temporal_selection(dataset: &Dataset, cfg: &SamplingConfig) -> Vec<usize> {
-    let total = dataset.num_snapshots();
-    match cfg.temporal {
-        TemporalMethod::All => (0..total).collect(),
-        TemporalMethod::Stride { count } => {
-            crate::temporal::uniform_stride(total, count.clamp(1, total))
-        }
-        TemporalMethod::Novelty { count, bins } => {
-            let mut sel = crate::temporal::novelty_select(
-                dataset,
-                &cfg.cluster_var,
-                count.clamp(1, total),
-                bins,
-            );
-            sel.sort_unstable();
-            sel
-        }
-        TemporalMethod::Adaptive { threshold, bins } => {
-            crate::temporal::adaptive_select(dataset, &cfg.cluster_var, bins, threshold)
-        }
-    }
-}
-
-/// The dataset loop every executor shares: temporal selection, then
-/// `snapshot_sets(index, snapshot)` once per kept snapshot in order, then
+/// The dataset loop every executor shares: `snapshot_sets(index,
+/// snapshot)` once per snapshot in order, then
 /// the run statistics — the one place a [`SamplingOutput`] is assembled.
 /// Callers supply only how one snapshot's sets are obtained (computed here
 /// or on ranks).
@@ -422,13 +380,11 @@ pub fn run_dataset_with<E>(
     mut snapshot_sets: impl FnMut(usize, &Snapshot) -> Result<Vec<SampleSet>, E>,
 ) -> Result<SamplingOutput, E> {
     let t0 = std::time::Instant::now();
-    let keep = {
-        let _t = sickle_obs::span!("sample.temporal", total = dataset.num_snapshots());
-        temporal_selection(dataset, cfg)
-    };
-    let sets = keep
+    let sets = dataset
+        .snapshots
         .iter()
-        .map(|&i| snapshot_sets(i, &dataset.snapshots[i]))
+        .enumerate()
+        .map(|(i, snap)| snapshot_sets(i, snap))
         .collect::<Result<Vec<_>, E>>()?;
     let cube_points = cfg
         .cube_edge
@@ -438,7 +394,7 @@ pub fn run_dataset_with<E>(
         points_in: cubes_selected * cube_points,
         points_out: sets.iter().flatten().map(SampleSet::len).sum(),
         cubes_selected,
-        phase1_points: dataset.grid().len() * keep.len(),
+        phase1_points: dataset.grid().len() * dataset.num_snapshots(),
         elapsed_secs: t0.elapsed().as_secs_f64(),
     };
     let secs = stats.elapsed_secs.max(1e-12);
@@ -451,7 +407,7 @@ pub fn run_dataset_with<E>(
     })
 }
 
-/// Runs the pipeline over every temporally selected snapshot of a dataset.
+/// Runs the pipeline over every snapshot of a dataset.
 pub fn run_dataset(dataset: &Dataset, cfg: &SamplingConfig) -> SamplingOutput {
     let _run = sickle_obs::span!(
         "sample.run_dataset",
@@ -518,39 +474,6 @@ mod tests {
             seed: 7,
             temporal: TemporalMethod::All,
         }
-    }
-
-    #[test]
-    fn temporal_stride_reduces_snapshots() {
-        let d = test_dataset(6);
-        let mut cfg = test_config();
-        cfg.temporal = TemporalMethod::Stride { count: 3 };
-        let out = run_dataset(&d, &cfg);
-        assert_eq!(out.sets.len(), 3);
-        // Stats reflect the reduced snapshot count.
-        assert_eq!(out.stats.cubes_selected, 3 * 4);
-    }
-
-    #[test]
-    fn temporal_novelty_runs_and_keeps_count() {
-        let d = test_dataset(6);
-        let mut cfg = test_config();
-        cfg.temporal = TemporalMethod::Novelty { count: 2, bins: 16 };
-        let out = run_dataset(&d, &cfg);
-        assert_eq!(out.sets.len(), 2);
-    }
-
-    #[test]
-    fn temporal_adaptive_collapses_repetitive_data() {
-        let d = test_dataset(8); // near-identical snapshots
-        let mut cfg = test_config();
-        cfg.temporal = TemporalMethod::Adaptive {
-            threshold: 0.5,
-            bins: 16,
-        };
-        let out = run_dataset(&d, &cfg);
-        assert!(out.sets.len() < 8, "kept {} snapshots", out.sets.len());
-        assert!(!out.sets.is_empty());
     }
 
     #[test]

@@ -388,7 +388,7 @@ pub fn run_with_ranks(snap: &Snapshot, cfg: &SamplingConfig, ranks: usize) -> Ra
     .timing
 }
 
-/// Runs the whole temporally-selected dataset through the ranked executor —
+/// Runs every snapshot of a dataset through the ranked executor —
 /// the multi-rank analogue of [`sickle_core::pipeline::run_dataset`], whose
 /// output it matches bit-for-bit for any rank count and any recoverable
 /// fault plan.

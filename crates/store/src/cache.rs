@@ -5,9 +5,9 @@
 //! than RAM streams through a bounded working set. One entry per
 //! [`ShardKey`] holds up to two residencies of the same shard:
 //!
-//! - **raw** — the verified on-disk bytes as an [`Arc<ShardBytes>`],
-//!   usually a range view of the store's pack mapping, whose pages belong
-//!   to the OS page cache. These are what `get()` decodes from,
+//! - **raw** — the verified on-disk bytes as an [`Arc<ShardBytes>`], a
+//!   range view of the store's pack mapping, whose pages belong to the OS
+//!   page cache. These are what `get()` decodes from,
 //!   hash-verified once per residency, so a shard re-decoded after its
 //!   decoded residency was evicted skips the hash check.
 //! - **decoded** — a [`DecodedShard`]: the decoded [`SampleSet`] every
@@ -18,11 +18,11 @@
 //!   inserted, hit and evicted together.
 //!
 //! The two residencies are budgeted separately: `budget_bytes` bounds
-//! heap-resident bytes (decoded shards plus `read_at`-fallback raw buffers)
-//! exactly as before, while `mapped_budget_bytes` bounds the bytes of
-//! cached verified views of the mapping — counting them against the heap
-//! budget would double-charge the OS page cache and evict decoded sets to
-//! "make room" for memory the kernel can reclaim on its own. It bounds
+//! heap-resident bytes (decoded shards), while `mapped_budget_bytes`
+//! bounds the bytes of cached verified views of the mapping — counting
+//! them against the heap budget would double-charge the OS page cache and
+//! evict decoded sets to "make room" for memory the kernel can reclaim on
+//! its own. It bounds
 //! views, not mappings: the store maps its pack once, and evicting a view
 //! only means the shard is re-hashed on its next miss. Eviction is
 //! whole-entry LRU driven by whichever budget is over.
@@ -92,11 +92,8 @@ struct CacheEntry {
 
 impl CacheEntry {
     fn recount(&mut self) {
-        let raw_len = self.raw.as_ref().map_or(0, |r| r.len());
-        let raw_mapped = self.raw.as_ref().is_some_and(|r| r.is_mapped());
-        self.mapped_bytes = if raw_mapped { raw_len } else { 0 };
-        self.heap_bytes = if raw_mapped { 0 } else { raw_len }
-            + self.decoded.as_ref().map_or(0, DecodedShard::heap_bytes);
+        self.mapped_bytes = self.raw.as_ref().map_or(0, |r| r.len());
+        self.heap_bytes = self.decoded.as_ref().map_or(0, DecodedShard::heap_bytes);
     }
 }
 
@@ -278,9 +275,8 @@ impl BlockCache {
         self.len() == 0
     }
 
-    /// Approximate heap-resident bytes (decoded sets and their targets +
-    /// fallback raw buffers; mapped bytes are excluded — they belong to the
-    /// OS page cache).
+    /// Approximate heap-resident bytes (decoded sets and their targets;
+    /// mapped bytes are excluded — they belong to the OS page cache).
     pub fn resident_bytes(&self) -> usize {
         self.inner
             .lock()
@@ -300,17 +296,12 @@ impl BlockCache {
     pub fn budget_bytes(&self) -> usize {
         self.budget_bytes
     }
-
-    /// The configured mapped byte budget.
-    pub fn mapped_budget_bytes(&self) -> usize {
-        self.mapped_budget_bytes
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard_bytes::{MmapMode, Pack};
+    use crate::shard_bytes::Pack;
     use sickle_field::FeatureMatrix;
 
     fn shard_of(n: usize) -> DecodedShard {
@@ -326,11 +317,11 @@ mod tests {
         BlockCache::new(budget, usize::MAX)
     }
 
-    fn raw_of(tag: &str, n: usize, mode: MmapMode) -> Arc<ShardBytes> {
+    fn raw_of(tag: &str, n: usize) -> Arc<ShardBytes> {
         let path =
             std::env::temp_dir().join(format!("sickle_cache_raw_{tag}_{}_{n}", std::process::id()));
         std::fs::write(&path, vec![3u8; n]).unwrap();
-        let raw = Pack::open(&path, n, mode).unwrap().shard(0, n).unwrap();
+        let raw = Pack::open(&path, n).unwrap().shard(0, n).unwrap();
         std::fs::remove_file(&path).ok();
         Arc::new(raw)
     }
@@ -398,11 +389,8 @@ mod tests {
 
     #[test]
     fn mapped_raw_bytes_do_not_charge_the_heap_budget() {
-        if !cfg!(unix) {
-            return;
-        }
         let cache = cache(1 << 20);
-        cache.insert_raw(key(0), raw_of("mapped", 4096, MmapMode::On));
+        cache.insert_raw(key(0), raw_of("mapped", 4096));
         assert_eq!(cache.resident_bytes(), 0, "mapped bytes are not heap");
         assert_eq!(cache.mapped_bytes(), 4096);
         assert!(cache.get_raw(key(0)).is_some());
@@ -410,34 +398,24 @@ mod tests {
     }
 
     #[test]
-    fn heap_raw_bytes_charge_the_heap_budget() {
-        let cache = cache(1 << 20);
-        cache.insert_raw(key(0), raw_of("heap", 4096, MmapMode::Off));
-        assert_eq!(cache.resident_bytes(), 4096);
-        assert_eq!(cache.mapped_bytes(), 0);
-    }
-
-    #[test]
     fn raw_and_set_merge_into_one_entry() {
         let cache = cache(1 << 20);
-        cache.insert_raw(key(0), raw_of("merge", 256, MmapMode::Off));
+        cache.insert_raw(key(0), raw_of("merge", 256));
         cache.insert(key(0), shard_of(10));
         assert_eq!(cache.len(), 1);
         assert!(cache.get_raw(key(0)).is_some());
         assert!(cache.get(key(0)).is_some());
-        assert_eq!(cache.resident_bytes(), 256 + shard_of(10).heap_bytes());
+        assert_eq!(cache.resident_bytes(), shard_of(10).heap_bytes());
+        assert_eq!(cache.mapped_bytes(), 256);
     }
 
     #[test]
     fn mapped_budget_evicts_independently() {
-        if !cfg!(unix) {
-            return;
-        }
         let cache = BlockCache::new(1 << 20, 10_000);
-        cache.insert_raw(key(0), raw_of("mb0", 8192, MmapMode::On));
-        cache.insert_raw(key(1), raw_of("mb1", 8192, MmapMode::On));
+        cache.insert_raw(key(0), raw_of("mb0", 8192));
+        cache.insert_raw(key(1), raw_of("mb1", 8192));
         assert!(!cache.contains(key(0)), "mapped budget evicted the LRU");
         assert!(cache.contains(key(1)));
-        assert!(cache.mapped_bytes() <= cache.mapped_budget_bytes());
+        assert!(cache.mapped_bytes() <= 10_000);
     }
 }

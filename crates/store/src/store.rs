@@ -36,22 +36,19 @@ use sickle_field::SampleSet;
 
 use crate::cache::{BlockCache, DecodedShard};
 use crate::manifest::{ShardEntry, ShardKey, StoreManifest};
-use crate::shard_bytes::{MmapMode, Pack, ShardBytes};
+use crate::shard_bytes::{Pack, ShardBytes};
 
 /// Tuning for an opened store.
 #[derive(Clone, Copy, Debug)]
 pub struct StoreConfig {
     /// Byte budget for heap-resident cache entries (decoded sets and their
-    /// targets, plus `read_at`-fallback raw buffers).
+    /// targets).
     pub cache_bytes: usize,
     /// Byte budget for cached verified views of the mapped pack. Mapped
     /// pages belong to the OS page cache, so this bounds them separately
     /// instead of double-counting against `cache_bytes`; the pack's one
     /// mapping lives as long as the store or any view of it.
     pub mapped_cache_bytes: usize,
-    /// How raw shard bytes are brought into memory (mmap vs `read_at`);
-    /// the default honors `SICKLE_MMAP`.
-    pub mmap: MmapMode,
 }
 
 impl Default for StoreConfig {
@@ -59,7 +56,6 @@ impl Default for StoreConfig {
         StoreConfig {
             cache_bytes: 256 << 20,
             mapped_cache_bytes: 4 << 30,
-            mmap: MmapMode::from_env(),
         }
     }
 }
@@ -178,14 +174,14 @@ impl ShardStore {
         Self::with_manifest(root, manifest, cfg)
     }
 
-    /// Opens an existing store: reads its manifest and opens (under
-    /// `SICKLE_MMAP=auto|on`, maps) its pack once. No shard is read until
-    /// asked for — opening a terabyte store costs one JSON parse and one
-    /// length-checked open.
+    /// Opens an existing store: reads its manifest and maps its pack once.
+    /// No shard is read until asked for — opening a terabyte store costs
+    /// one JSON parse and one length-checked map.
     ///
     /// # Errors
-    /// I/O errors (`NotFound` for a missing pack); `InvalidData` for a bad
-    /// manifest or a pack whose length disagrees with it.
+    /// I/O errors (`NotFound` for a missing pack, an `mmap` failure);
+    /// `InvalidData` for a bad manifest or a pack whose length disagrees
+    /// with it.
     pub fn open(root: &Path, cfg: StoreConfig) -> io::Result<Self> {
         let _span = sickle_obs::span!("store.open");
         let manifest = StoreManifest::load(&root.join(MANIFEST))?;
@@ -193,7 +189,7 @@ impl ShardStore {
     }
 
     fn with_manifest(root: &Path, manifest: StoreManifest, cfg: StoreConfig) -> io::Result<Self> {
-        let pack = Pack::open(&root.join(&manifest.pack), manifest.pack_bytes, cfg.mmap)?;
+        let pack = Pack::open(&root.join(&manifest.pack), manifest.pack_bytes)?;
         Ok(ShardStore {
             root: root.to_path_buf(),
             manifest,
@@ -234,9 +230,8 @@ impl ShardStore {
 
     /// Opens a shard's raw bytes as a shared, cached [`ShardBytes`] handle
     /// — the zero-copy read path. A hit is an `Arc` clone; a miss cuts the
-    /// shard's range out of the pack's mapping (or `read_at`s it under
-    /// `SICKLE_MMAP=off`) and streams the content hash over it, so the hash
-    /// check runs exactly once per residency. (The pack's length was
+    /// shard's range out of the pack's mapping and streams the content
+    /// hash over it, so the hash check runs exactly once per residency. (The pack's length was
     /// checked against the manifest before it was mapped, and every range
     /// against that length.) `get()` decodes from this handle: a shard
     /// re-decoded while its raw residency holds is neither re-read nor
@@ -350,19 +345,12 @@ impl ShardStore {
             self.cache.budget_bytes(),
         )
     }
-
-    /// Mapped-byte introspection: `(bytes of cached mapped views, mapped
-    /// budget bytes)` — the page-cache-backed residency
-    /// [`cache_stats`](Self::cache_stats) deliberately excludes.
-    pub fn mapped_stats(&self) -> (usize, usize) {
-        (self.cache.mapped_bytes(), self.cache.mapped_budget_bytes())
-    }
 }
 
 /// Deletes every pack under `root` but `keep`. Runs after the manifest
 /// naming `keep` is committed, so it is best-effort: a pack that cannot be
 /// removed now is only disk space, and the next ingest retries it. A store
-/// still serving from a deleted pack keeps its open file or mapping.
+/// still serving from a deleted pack keeps its mapping.
 fn remove_stale_packs(root: &Path, keep: &str) {
     let Ok(dir) = std::fs::read_dir(root) else {
         return;
@@ -463,37 +451,32 @@ mod tests {
     #[test]
     fn resident_targets_are_the_column_means_for_every_codec_and_mmap_mode() {
         let out = small_output(1, 3, 40);
-        for mmap in [MmapMode::On, MmapMode::Off] {
-            for codec in [
-                Codec::Identity,
-                Codec::F16,
-                Codec::U8Block,
-                Codec::resim_default(),
-            ] {
-                let what = format!("{}/{mmap:?}", codec.name());
-                let root = temp_root(&format!("targets_{}_{mmap:?}", codec.name()));
-                let cfg = StoreConfig {
-                    mmap,
-                    ..StoreConfig::default()
-                };
-                let store = ShardStore::ingest_with(&root, &out, cfg, |_| codec).unwrap();
-                for key in store.keys() {
-                    let miss = store.resident(key).unwrap();
-                    let set = store.get(key).unwrap();
-                    assert_eq!(
-                        bits(miss.targets()),
-                        bits(&crate::batching::column_means(&set)),
-                        "{what}: resident targets"
-                    );
-                    let hit = store.resident(key).unwrap();
-                    assert!(Arc::ptr_eq(hit.set(), miss.set()), "{what}: set shared");
-                    assert!(
-                        Arc::ptr_eq(hit.targets(), miss.targets()),
-                        "{what}: a hit returns the targets the miss made"
-                    );
-                }
-                std::fs::remove_dir_all(&root).ok();
+        for codec in [
+            Codec::Identity,
+            Codec::F16,
+            Codec::U8Block,
+            Codec::resim_default(),
+        ] {
+            let what = codec.name();
+            let root = temp_root(&format!("targets_{what}"));
+            let store =
+                ShardStore::ingest_with(&root, &out, StoreConfig::default(), |_| codec).unwrap();
+            for key in store.keys() {
+                let miss = store.resident(key).unwrap();
+                let set = store.get(key).unwrap();
+                assert_eq!(
+                    bits(miss.targets()),
+                    bits(&crate::batching::column_means(&set)),
+                    "{what}: resident targets"
+                );
+                let hit = store.resident(key).unwrap();
+                assert!(Arc::ptr_eq(hit.set(), miss.set()), "{what}: set shared");
+                assert!(
+                    Arc::ptr_eq(hit.targets(), miss.targets()),
+                    "{what}: a hit returns the targets the miss made"
+                );
             }
+            std::fs::remove_dir_all(&root).ok();
         }
     }
 
@@ -638,41 +621,38 @@ mod tests {
 
     #[test]
     fn reingest_into_a_live_root_keeps_the_old_store_serving() {
-        for mmap in [MmapMode::On, MmapMode::Off] {
-            let root = temp_root(&format!("reingest_{mmap:?}"));
-            // A one-byte budget keeps one shard resident, so the old store
-            // reads its pack again for every other shard after re-ingest.
-            let cfg = StoreConfig {
-                cache_bytes: 1,
-                mapped_cache_bytes: 1,
-                mmap,
-            };
-            let old_out = small_output(2, 3, 20);
-            let new_out = small_output(2, 3, 24);
-            ShardStore::ingest(&root, &old_out, cfg).unwrap();
-            let old = ShardStore::open(&root, cfg).unwrap();
-            let old_pack = old.manifest().pack.clone();
-            let before = tensor_bits(&old);
+        let root = temp_root("reingest");
+        // A one-byte budget keeps one shard resident, so the old store
+        // reads its pack again for every other shard after re-ingest.
+        let cfg = StoreConfig {
+            cache_bytes: 1,
+            mapped_cache_bytes: 1,
+        };
+        let old_out = small_output(2, 3, 20);
+        let new_out = small_output(2, 3, 24);
+        ShardStore::ingest(&root, &old_out, cfg).unwrap();
+        let old = ShardStore::open(&root, cfg).unwrap();
+        let old_pack = old.manifest().pack.clone();
+        let before = tensor_bits(&old);
 
-            let fresh = ShardStore::ingest(&root, &new_out, cfg).unwrap();
-            let new_pack = fresh.manifest().pack.clone();
-            assert_ne!(new_pack, old_pack, "{mmap:?}");
-            assert_eq!(
-                files_under(&root),
-                vec![new_pack.clone(), MANIFEST.to_string()],
-                "{mmap:?}: the stale pack is gone"
-            );
-            assert_eq!(tensor_bits(&old), before, "{mmap:?}: old store, old bytes");
+        let fresh = ShardStore::ingest(&root, &new_out, cfg).unwrap();
+        let new_pack = fresh.manifest().pack.clone();
+        assert_ne!(new_pack, old_pack);
+        assert_eq!(
+            files_under(&root),
+            vec![new_pack.clone(), MANIFEST.to_string()],
+            "the stale pack is gone"
+        );
+        assert_eq!(tensor_bits(&old), before, "old store, old bytes");
 
-            let reopened = ShardStore::open(&root, cfg).unwrap();
-            assert_eq!(reopened.manifest().pack, new_pack);
-            for (position, set) in new_out.sets.iter().flatten().enumerate() {
-                let got = reopened.get(set_key(set, position % 3)).unwrap();
-                assert_eq!(got.features.data, set.features.data, "{mmap:?}");
-            }
-            assert_eq!(tensor_bits(&reopened), tensor_bits(&fresh), "{mmap:?}");
-            std::fs::remove_dir_all(&root).ok();
+        let reopened = ShardStore::open(&root, cfg).unwrap();
+        assert_eq!(reopened.manifest().pack, new_pack);
+        for (position, set) in new_out.sets.iter().flatten().enumerate() {
+            let got = reopened.get(set_key(set, position % 3)).unwrap();
+            assert_eq!(got.features.data, set.features.data);
         }
+        assert_eq!(tensor_bits(&reopened), tensor_bits(&fresh));
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]
@@ -685,17 +665,11 @@ mod tests {
         std::fs::write(root.join(PACK_TMP), b"half a pack").unwrap();
         std::fs::write(root.join("00000000deadbeef.pack"), b"orphan").unwrap();
         std::fs::write(root.join("manifest.json.tmp"), b"{\"version\":").unwrap();
-        for mmap in [MmapMode::On, MmapMode::Off] {
-            let cfg = StoreConfig {
-                mmap,
-                ..StoreConfig::default()
-            };
-            let store = ShardStore::open(&root, cfg).unwrap();
-            for key in store.keys() {
-                store.shard_handle(key).unwrap();
-            }
-            assert_eq!(tensor_bits(&store), want, "{mmap:?}");
+        let store = ShardStore::open(&root, StoreConfig::default()).unwrap();
+        for key in store.keys() {
+            store.shard_handle(key).unwrap();
         }
+        assert_eq!(tensor_bits(&store), want);
         // The next ingest sweeps the orphan pack and reuses the temp name.
         let store = ShardStore::ingest(&root, &out, StoreConfig::default()).unwrap();
         assert_eq!(

@@ -16,7 +16,7 @@ use sickle_store::batching::{Batch, BatchShape, BatchSpec};
 use sickle_store::manifest::{ShardEntry, ShardKey, StoreManifest};
 use sickle_store::protocol::{read_frame, Request, Response, TRACE_TRAILER_LEN};
 use sickle_store::stats::StatsSnapshot;
-use sickle_store::{Codec, MmapMode, ShardStore, StoreConfig};
+use sickle_store::{Codec, ShardStore, StoreConfig};
 
 /// Decodes a draw from the 5-way request space (the vendored proptest has
 /// no `prop_oneof`, so the discriminant is an explicit field).
@@ -216,16 +216,13 @@ proptest! {
         manifest.entries[0].bytes = bytes;
         manifest.pack_bytes = pack_bytes;
         manifest.save_atomic(&root.join("manifest.json")).unwrap();
-        for mode in [MmapMode::On, MmapMode::Off] {
-            let cfg = StoreConfig { mmap: mode, ..StoreConfig::default() };
-            let got = ShardStore::open(&root, cfg)
-                .and_then(|store| store.get(ShardKey { snapshot: 0, cube: 0 }));
-            match got {
-                Ok(_) => prop_assert!(genuine, "{mode:?}: {offset}+{bytes} of {pack_bytes} read"),
-                Err(err) => {
-                    prop_assert!(!genuine, "{mode:?}: genuine store failed: {err}");
-                    prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-                }
+        let got = ShardStore::open(&root, StoreConfig::default())
+            .and_then(|store| store.get(ShardKey { snapshot: 0, cube: 0 }));
+        match got {
+            Ok(_) => prop_assert!(genuine, "{offset}+{bytes} of {pack_bytes} read"),
+            Err(err) => {
+                prop_assert!(!genuine, "genuine store failed: {err}");
+                prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
             }
         }
         std::fs::remove_dir_all(&root).ok();
@@ -285,45 +282,33 @@ const KEYS: [ShardKey; 3] = [
     },
 ];
 
-/// The two read planes every hostile-pack test runs under.
-const PLANES: [(MmapMode, &str); 2] = [(MmapMode::On, "mmap"), (MmapMode::Off, "read")];
-
-fn plane(mode: MmapMode) -> StoreConfig {
-    StoreConfig {
-        mmap: mode,
-        ..StoreConfig::default()
-    }
-}
-
 /// Ingests a three-shard store, lets `tamper` vandalise its pack behind
-/// the manifest's back, and reopens it under both the mmap and `read_at`
-/// planes, handing each attempt to `check` with the shards as ingested.
+/// the manifest's back, and reopens it, handing the attempt to `check`
+/// with the shards as ingested.
 fn tampered_pack(
     what: &str,
     tamper: impl Fn(&Path, &StoreManifest),
     check: impl Fn(&str, std::io::Result<ShardStore>, &[Arc<SampleSet>]),
 ) {
-    for (mode, tag) in PLANES {
-        let root = fuzz_root(&format!("hostile_{what}_{tag}"));
-        let out = sickle_store::testutil::small_output(1, KEYS.len(), 64);
-        let clean: Vec<_> = {
-            let store = ShardStore::ingest(&root, &out, plane(mode)).expect("ingest");
-            KEYS.iter().map(|&k| store.get(k).expect("clean")).collect()
-        };
-        let manifest = StoreManifest::load(&root.join("manifest.json")).expect("manifest");
-        tamper(&root.join(&manifest.pack), &manifest);
-        check(
-            &format!("{what}/{tag}"),
-            ShardStore::open(&root, plane(mode)),
-            &clean,
-        );
-        std::fs::remove_dir_all(&root).ok();
-    }
+    let root = fuzz_root(&format!("hostile_{what}"));
+    let out = sickle_store::testutil::small_output(1, KEYS.len(), 64);
+    let clean: Vec<_> = {
+        let store = ShardStore::ingest(&root, &out, StoreConfig::default()).expect("ingest");
+        KEYS.iter().map(|&k| store.get(k).expect("clean")).collect()
+    };
+    let manifest = StoreManifest::load(&root.join("manifest.json")).expect("manifest");
+    tamper(&root.join(&manifest.pack), &manifest);
+    check(
+        what,
+        ShardStore::open(&root, StoreConfig::default()),
+        &clean,
+    );
+    std::fs::remove_dir_all(&root).ok();
 }
 
 /// The open must fail with `InvalidData`: the pack's length is checked
-/// against the manifest *before* any page is mapped, so the mmap plane
-/// errors cleanly instead of raising SIGBUS on the first read.
+/// against the manifest *before* any page is mapped, so the open errors
+/// cleanly instead of a read raising SIGBUS.
 fn refused_at_open(what: &str, opened: std::io::Result<ShardStore>, _: &[Arc<SampleSet>]) {
     match opened {
         Ok(_) => panic!("{what}: a resized pack must not open"),
@@ -456,21 +441,19 @@ fn hostile_ranges_and_missing_packs_are_errors_not_panics() {
         ),
     ];
     for (what, hostile, kind) in cases {
-        for (mode, tag) in PLANES {
-            let root = fuzz_root("hostile_range");
-            let out = sickle_store::testutil::small_output(1, KEYS.len(), 16);
-            ShardStore::ingest(&root, &out, plane(mode)).expect("ingest");
-            let mut manifest = StoreManifest::load(&root.join("manifest.json")).expect("load");
-            hostile(&root, &mut manifest);
-            manifest
-                .save_atomic(&root.join("manifest.json"))
-                .expect("save");
-            match ShardStore::open(&root, plane(mode)) {
-                Ok(_) => panic!("{what}/{tag}: a hostile manifest must not open"),
-                Err(err) => assert_eq!(err.kind(), kind, "{what}/{tag}: {err}"),
-            }
-            std::fs::remove_dir_all(&root).ok();
+        let root = fuzz_root("hostile_range");
+        let out = sickle_store::testutil::small_output(1, KEYS.len(), 16);
+        ShardStore::ingest(&root, &out, StoreConfig::default()).expect("ingest");
+        let mut manifest = StoreManifest::load(&root.join("manifest.json")).expect("load");
+        hostile(&root, &mut manifest);
+        manifest
+            .save_atomic(&root.join("manifest.json"))
+            .expect("save");
+        match ShardStore::open(&root, StoreConfig::default()) {
+            Ok(_) => panic!("{what}: a hostile manifest must not open"),
+            Err(err) => assert_eq!(err.kind(), kind, "{what}: {err}"),
         }
+        std::fs::remove_dir_all(&root).ok();
     }
 }
 
@@ -482,46 +465,44 @@ fn every_single_byte_flip_fails_the_content_hash() {
     // matches the manifest, so only the content hash can catch each flip,
     // and it must catch it in the flipped shard alone.
     for (codec, points) in [(Codec::Identity, 9), (Codec::resim_default(), 27)] {
-        for (mode, tag) in PLANES {
-            let out = sickle_store::testutil::small_output(1, KEYS.len(), points);
-            let root = fuzz_root(&format!("byteflip_{}_{tag}", codec.name()));
-            let store =
-                ShardStore::ingest_with(&root, &out, plane(mode), |_| codec).expect("ingest");
-            let entries = store.manifest().entries.clone();
-            let pack = root.join(&store.manifest().pack);
-            drop(store);
-            for e in &entries {
-                assert_ne!(e.bytes % 32, 0, "{codec:?}: pick a length with a tail");
-                assert!(e.bytes > 64, "{codec:?}: need at least two full stripes");
-            }
-            let clean = std::fs::read(&pack).expect("read pack");
-            for offset in 0..clean.len() {
-                let mut bytes = clean.clone();
-                bytes[offset] ^= 0xA5;
-                std::fs::write(&pack, &bytes).expect("rewrite pack");
-                let store = ShardStore::open(&root, plane(mode)).expect("length intact");
-                for (e, &key) in entries.iter().zip(&KEYS) {
-                    let got = store.get(key);
-                    if (e.offset..e.offset + e.bytes).contains(&offset) {
-                        let err = got.expect_err("a flipped byte must not verify");
-                        assert_eq!(
-                            err.kind(),
-                            std::io::ErrorKind::InvalidData,
-                            "{codec:?}/{tag} byte {offset}: {err}"
-                        );
-                    } else {
-                        assert!(got.is_ok(), "{codec:?}/{tag} byte {offset}: {key:?}");
-                    }
+        let out = sickle_store::testutil::small_output(1, KEYS.len(), points);
+        let root = fuzz_root(&format!("byteflip_{}", codec.name()));
+        let store = ShardStore::ingest_with(&root, &out, StoreConfig::default(), |_| codec)
+            .expect("ingest");
+        let entries = store.manifest().entries.clone();
+        let pack = root.join(&store.manifest().pack);
+        drop(store);
+        for e in &entries {
+            assert_ne!(e.bytes % 32, 0, "{codec:?}: pick a length with a tail");
+            assert!(e.bytes > 64, "{codec:?}: need at least two full stripes");
+        }
+        let clean = std::fs::read(&pack).expect("read pack");
+        for offset in 0..clean.len() {
+            let mut bytes = clean.clone();
+            bytes[offset] ^= 0xA5;
+            std::fs::write(&pack, &bytes).expect("rewrite pack");
+            let store = ShardStore::open(&root, StoreConfig::default()).expect("length intact");
+            for (e, &key) in entries.iter().zip(&KEYS) {
+                let got = store.get(key);
+                if (e.offset..e.offset + e.bytes).contains(&offset) {
+                    let err = got.expect_err("a flipped byte must not verify");
+                    assert_eq!(
+                        err.kind(),
+                        std::io::ErrorKind::InvalidData,
+                        "{codec:?} byte {offset}: {err}"
+                    );
+                } else {
+                    assert!(got.is_ok(), "{codec:?} byte {offset}: {key:?}");
                 }
             }
-            std::fs::write(&pack, &clean).expect("restore pack");
-            let store = ShardStore::open(&root, plane(mode)).expect("open");
-            assert!(
-                KEYS.iter().all(|&k| store.get(k).is_ok()),
-                "{codec:?}/{tag}: clean pack reads"
-            );
-            std::fs::remove_dir_all(&root).ok();
         }
+        std::fs::write(&pack, &clean).expect("restore pack");
+        let store = ShardStore::open(&root, StoreConfig::default()).expect("open");
+        assert!(
+            KEYS.iter().all(|&k| store.get(k).is_ok()),
+            "{codec:?}: clean pack reads"
+        );
+        std::fs::remove_dir_all(&root).ok();
     }
 }
 

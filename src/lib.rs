@@ -12,7 +12,7 @@
 //! - [`cfd`] — LBM cylinder flow, 3D pseudo-spectral Navier–Stokes,
 //!   synthetic turbulence, combustion surrogate (Table 1's datasets)
 //! - [`core`] — **the paper's contribution**: MaxEnt two-phase sampling,
-//!   UIPS, random/LHS/stratified baselines, temporal sampling, pipeline
+//!   UIPS, random/LHS/stratified baselines, pipeline
 //! - [`nn`] — autograd tensor library (LSTM/attention/transformer layers)
 //! - [`train`] — Table 2's models, trainers, DDP analogue
 //! - [`energy`] — FLOP/byte energy accounting (Cray PM counter substitute)

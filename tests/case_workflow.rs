@@ -83,12 +83,52 @@ fn shipped_configs_parse_back() {
 }
 
 #[test]
-fn temporal_config_survives_case_serialization() {
-    let mut case = tiny_case();
-    case.subsample.temporal = TemporalMethod::Novelty { count: 2, bins: 32 };
-    let back = CaseConfig::from_json(&case.to_json()).unwrap();
-    assert_eq!(
-        back.subsample.temporal,
-        TemporalMethod::Novelty { count: 2, bins: 32 }
-    );
+fn deleted_temporal_kinds_are_unknown_variants() {
+    let json = tiny_case().to_json();
+    let all = r#""temporal": {
+      "kind": "all"
+    }"#;
+    assert!(json.contains(all), "{json}");
+    for (name, temporal) in [
+        ("novelty", r#"{"kind": "novelty", "count": 2, "bins": 32}"#),
+        ("stride", r#"{"kind": "stride", "count": 2}"#),
+        (
+            "adaptive",
+            r#"{"kind": "adaptive", "threshold": 0.5, "bins": 16}"#,
+        ),
+    ] {
+        let case = json.replace(all, &format!(r#""temporal": {temporal}"#));
+        let err = CaseConfig::from_json(&case).expect_err(name);
+        assert!(
+            err.starts_with("unknown") && err.contains(&format!("variant `{name}`")),
+            "{name}: {err}"
+        );
+    }
+}
+
+#[test]
+fn zero_counts_are_refused_with_the_field_name() {
+    let json = tiny_case().to_json();
+    for (from, to, field) in [
+        (
+            r#""snapshots": 2"#,
+            r#""snapshots": 0"#,
+            "dataset.snapshots",
+        ),
+        (
+            r#""cube_edge": 8"#,
+            r#""cube_edge": 0"#,
+            "subsample.cube_edge",
+        ),
+        (
+            r#""num_hypercubes": 4"#,
+            r#""num_hypercubes": 0"#,
+            "subsample.num_hypercubes",
+        ),
+    ] {
+        assert!(json.contains(from), "{json}");
+        let err = CaseConfig::from_json(&json.replace(from, to)).expect_err(field);
+        assert_eq!(err, format!("{field} must be at least 1"));
+    }
+    assert!(CaseConfig::from_json(&json).is_ok());
 }

@@ -122,36 +122,6 @@ fn subsampling_reduces_training_energy_proportionally() {
     assert!((5.0..20.0).contains(&ratio), "energy ratio {ratio}");
 }
 
-/// Claim (§4.3): greedy temporal selection finds distribution-shifted
-/// snapshots that a uniform stride misses.
-#[test]
-fn temporal_novelty_beats_stride_on_transient_data() {
-    use sickle::core::temporal::{novelty_select, uniform_stride};
-    use sickle::field::{Dataset, DatasetMeta, Grid3, Snapshot};
-    let grid = Grid3::new(4, 4, 4, 1.0, 1.0, 1.0);
-    let mut d = Dataset::new(DatasetMeta::new("T", "t", "q", &["q"], &[]));
-    // 20 snapshots; a transient event only at t = 13.
-    for s in 0..20 {
-        let data: Vec<f64> = (0..64)
-            .map(|i| {
-                if s == 13 {
-                    9.0 + (i % 3) as f64
-                } else {
-                    (i % 8) as f64 * 0.1
-                }
-            })
-            .collect();
-        d.push(Snapshot::new(grid, s as f64).with_var("q", data));
-    }
-    let greedy = novelty_select(&d, "q", 4, 32);
-    assert!(
-        greedy.contains(&13),
-        "greedy misses the transient: {greedy:?}"
-    );
-    let stride = uniform_stride(20, 4);
-    assert!(!stride.contains(&13), "stride should miss t=13: {stride:?}");
-}
-
 /// Claim (§2/§6): the synthetic stratified substrate really is anisotropic
 /// and the isotropic one is not — the property the whole MaxEnt-vs-GESTS
 /// contrast rests on.
