@@ -109,6 +109,43 @@ impl DatasetSpec {
     /// GESTS at figure scale: 64³ (Fig. 8).
     pub const GESTS_FIGURE: DatasetSpec = DatasetSpec::Gests { n: 64, spinup: 15 };
 
+    /// The grid side of the spectral solver, for the generators that run it
+    /// (it takes powers of two only).
+    fn spectral_n(&self) -> Option<usize> {
+        match *self {
+            DatasetSpec::SstP1f4 { n, .. }
+            | DatasetSpec::SstP1f100 { n, .. }
+            | DatasetSpec::Gests { n, .. } => Some(n),
+            DatasetSpec::Of2d | DatasetSpec::Tc2d { .. } => None,
+        }
+    }
+
+    /// The largest cube edge the generated grid tiles with: its shortest
+    /// side, leaving out the unit `z` of a 2-D grid.
+    fn max_cube_edge(&self) -> usize {
+        match *self {
+            DatasetSpec::Of2d => OF2D_LATTICE.0.min(OF2D_LATTICE.1),
+            DatasetSpec::Tc2d { .. } => {
+                let cfg = CombustionConfig::default();
+                cfg.nx.min(cfg.ny)
+            }
+            DatasetSpec::SstP1f4 { n, .. }
+            | DatasetSpec::SstP1f100 { n, .. }
+            | DatasetSpec::Gests { n, .. } => n,
+        }
+    }
+
+    /// The variables every snapshot of the generated dataset holds.
+    fn variables(&self) -> &'static [&'static str] {
+        match self {
+            DatasetSpec::Of2d => &["u", "v", "p", "wz"],
+            DatasetSpec::Tc2d { .. } => &["C", "Cvar"],
+            DatasetSpec::SstP1f4 { .. } => &["u", "v", "w", "p", "r", "pv"],
+            DatasetSpec::SstP1f100 { .. } => &["u", "v", "w", "p", "r", "ee"],
+            DatasetSpec::Gests { .. } => &["u", "v", "w", "p", "eps", "omega"],
+        }
+    }
+
     /// Generates the dataset (deterministic).
     pub fn build(&self) -> Dataset {
         match *self {
@@ -150,13 +187,16 @@ impl DatasetSpec {
     }
 }
 
+/// OF2D's lattice, `(nx, ny)`.
+const OF2D_LATTICE: (usize, usize) = (160, 64);
+
 /// OF2D with its drag signal: a 160×64 lattice at Re 150, 60
 /// shedding-resolved snapshots (Table 1, Figs. 1, 5, 6).
 pub fn of2d() -> Of2dData {
     datasets::of2d(&Of2dParams {
         lbm: LbmConfig {
-            nx: 160,
-            ny: 64,
+            nx: OF2D_LATTICE.0,
+            ny: OF2D_LATTICE.1,
             diameter: 10.0,
             reynolds: 150.0,
             ..Default::default()
@@ -233,22 +273,46 @@ impl CaseConfig {
     ///
     /// # Errors
     /// Returns the serde error message on malformed JSON, or one line
-    /// naming the field when a count the case cannot run with is zero
-    /// (`dataset.snapshots`, `subsample.num_hypercubes`,
-    /// `subsample.cube_edge`).
+    /// naming the field when a value the case cannot run with is given: a
+    /// zero count (`dataset.snapshots`, `subsample.num_hypercubes`,
+    /// `subsample.cube_edge`), a spectral `dataset.n` that is not a power of
+    /// two, a `subsample.cube_edge` longer than the grid's side, or a
+    /// `subsample.cluster_var` the dataset does not have.
     pub fn from_json(json: &str) -> Result<Self, String> {
         let case: CaseConfig = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        let zero = match case.dataset {
+        let (dataset, sub) = (&case.dataset, &case.subsample);
+        let zero = match dataset {
             DatasetSpec::SstP1f4 { snapshots: 0, .. }
             | DatasetSpec::SstP1f100 { snapshots: 0, .. } => Some("dataset.snapshots"),
-            _ if case.subsample.num_hypercubes == 0 => Some("subsample.num_hypercubes"),
-            _ if case.subsample.cube_edge == 0 => Some("subsample.cube_edge"),
+            _ if sub.num_hypercubes == 0 => Some("subsample.num_hypercubes"),
+            _ if sub.cube_edge == 0 => Some("subsample.cube_edge"),
             _ => None,
         };
-        match zero {
-            Some(field) => Err(format!("{field} must be at least 1")),
-            None => Ok(case),
+        if let Some(field) = zero {
+            return Err(format!("{field} must be at least 1"));
         }
+        if let Some(n) = dataset
+            .spectral_n()
+            .filter(|&n| !sickle_fft::is_power_of_two(n))
+        {
+            return Err(format!("dataset.n must be a power of two, not {n}"));
+        }
+        let side = dataset.max_cube_edge();
+        if sub.cube_edge > side {
+            return Err(format!(
+                "subsample.cube_edge {} exceeds the grid side {side}",
+                sub.cube_edge
+            ));
+        }
+        let vars = dataset.variables();
+        if !vars.contains(&sub.cluster_var.as_str()) {
+            return Err(format!(
+                "subsample.cluster_var \"{}\" is not a dataset variable (have: {})",
+                sub.cluster_var,
+                vars.join(", ")
+            ));
+        }
+        Ok(case)
     }
 
     /// Loads a case from a file path.
@@ -544,6 +608,48 @@ mod tests {
         }
         .build();
         assert_eq!(d.num_snapshots(), 2);
+    }
+
+    #[test]
+    fn specs_know_their_grid_and_variables_before_building() {
+        let sst = DatasetSpec::SstP1f4 {
+            n: 16,
+            snapshots: 1,
+            warmup: 0,
+            interval: 1,
+        };
+        let forced = DatasetSpec::SstP1f100 {
+            n: 16,
+            snapshots: 1,
+            warmup: 0,
+            interval: 1,
+        };
+        let gests = DatasetSpec::Gests { n: 16, spinup: 0 };
+        for spec in [DatasetSpec::Tc2d { seed: 0 }, sst, forced, gests] {
+            let d = spec.build();
+            let snap = &d.snapshots[0];
+            assert_eq!(snap.names, spec.variables(), "{spec:?}");
+            let g = snap.grid;
+            let side = if g.nz == 1 {
+                g.nx.min(g.ny)
+            } else {
+                g.nx.min(g.ny).min(g.nz)
+            };
+            assert_eq!(spec.max_cube_edge(), side, "{spec:?}");
+        }
+        // OF2D's lattice runs thousands of steps; one step of it shows the
+        // same names and grid.
+        let lbm = sickle_cfd::CylinderFlow::new(LbmConfig {
+            nx: OF2D_LATTICE.0,
+            ny: OF2D_LATTICE.1,
+            ..Default::default()
+        });
+        let snap = lbm.snapshot(0.0);
+        assert_eq!(snap.names, DatasetSpec::Of2d.variables());
+        assert_eq!(
+            snap.grid.nx.min(snap.grid.ny),
+            DatasetSpec::Of2d.max_cube_edge()
+        );
     }
 
     #[test]

@@ -25,8 +25,11 @@
 //! run-to-run deterministic. Whether a product goes to the thread pool is
 //! decided by its *work* ([`POOL_MIN_FLOPS`]), never by its row count.
 //!
-//! Pack buffers are thread-local and grow to a high-water mark, so
-//! steady-state calls perform no heap allocation.
+//! The packed driver's buffers are thread-local and grow to a high-water
+//! mark; the pack-free driver packs into a stack buffer. Steady-state calls
+//! perform no heap allocation, and a cache-sized product performs none on a
+//! thread that has never run one before (a pool worker running a child
+//! tape, say).
 
 use std::cell::RefCell;
 
@@ -255,12 +258,14 @@ fn row_block(
 /// microkernel reads `A` where it lies (row offsets clamped to the last row
 /// at the ragged edge, the duplicate rows discarded on write) and `B` too
 /// when its rows are contiguous and `n` is a whole number of micro-panels;
-/// otherwise `B` alone is packed, once. Serial — callers route only
-/// cache-sized problems here — and, for `k ≤ KC`, bit-identical to
-/// [`gemm_packed`].
+/// otherwise `B` is packed one micro-panel at a time into a stack buffer, so
+/// the driver touches no thread-local scratch and allocates nothing on any
+/// thread. Serial — callers route only cache-sized problems here — and
+/// bit-identical to [`gemm_packed`].
 ///
 /// # Panics
-/// Panics if `c.len() != m * n` or a stride reaches outside `a` or `b`.
+/// Panics if `k > KC`, `c.len() != m * n` or a stride reaches outside `a`
+/// or `b`.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_pack_free(
     c: &mut [f32],
@@ -275,6 +280,7 @@ pub fn gemm_pack_free(
     bcs: usize,
     acc: bool,
 ) {
+    assert!(k <= KC, "pack-free k {k} exceeds KC");
     if degenerate(c, m, k, n, acc) {
         return;
     }
@@ -284,25 +290,21 @@ pub fn gemm_pack_free(
         last_index(m - 1, ars, k - 1, acs).is_some_and(|last| last < a.len()),
         "A strides leave the buffer"
     );
-    // `tiles(b_panels, panel_step, row_step)`: micro-panel `q` starts at
-    // `b_panels[q * panel_step]` and its rows lie `row_step` apart.
-    let mut tiles = |b_panels: &[f32], panel_step: usize, row_step: usize| {
-        let mut acc_tile = [0.0f32; MR * NR];
-        for (q, j0) in (0..n).step_by(NR).enumerate() {
-            let w = NR.min(n - j0);
-            let bp = &b_panels[q * panel_step..];
-            for i0 in (0..m).step_by(MR) {
-                let h = MR.min(m - i0);
-                let a_off: [usize; MR] = std::array::from_fn(|i| (i0 + i).min(m - 1) * ars);
-                // SAFETY: every `a_off[i] ≤ (m - 1)·ars`, so the largest `A`
-                // index is within the bound asserted above. `bp` holds `k`
-                // rows `row_step` apart with `NR` readable floats in the
-                // last: in place that is the assertion below (`B`'s last
-                // element is inside it) plus `j0 + NR ≤ n`; packed, `pack_b`
-                // sized the panel `k·NR`.
-                unsafe { microkernel(k, a, &a_off, acs, bp, row_step, &mut acc_tile) };
-                write_tile(c, n, i0, j0, h, w, &acc_tile, !acc);
-            }
+    // `panel(j0, bp, row_step)`: the micro-panel of columns `j0..j0 + NR`
+    // starts at `bp[0]` and its rows lie `row_step` apart.
+    let mut acc_tile = [0.0f32; MR * NR];
+    let mut panel = |j0: usize, bp: &[f32], row_step: usize| {
+        let w = NR.min(n - j0);
+        for i0 in (0..m).step_by(MR) {
+            let h = MR.min(m - i0);
+            let a_off: [usize; MR] = std::array::from_fn(|i| (i0 + i).min(m - 1) * ars);
+            // SAFETY: every `a_off[i] ≤ (m - 1)·ars`, so the largest `A`
+            // index is within the bound asserted above. `bp` holds `k` rows
+            // `row_step` apart with `NR` readable floats in the last: in
+            // place that is the assertion below (`B`'s last element is
+            // inside it) plus `j0 + NR ≤ n`; packed, the panel is `k·NR`.
+            unsafe { microkernel(k, a, &a_off, acs, bp, row_step, &mut acc_tile) };
+            write_tile(c, n, i0, j0, h, w, &acc_tile, !acc);
         }
     };
     if bcs == 1 && n.is_multiple_of(NR) {
@@ -310,13 +312,16 @@ pub fn gemm_pack_free(
             last_index(k - 1, brs, n - 1, 1).is_some_and(|last| last < b.len()),
             "B strides leave the buffer"
         );
-        tiles(b, NR, brs);
+        for j0 in (0..n).step_by(NR) {
+            panel(j0, &b[j0..], brs);
+        }
     } else {
-        PACK_B.with(|cell| {
-            let mut pb = cell.borrow_mut();
-            pack_b(&mut pb, b, brs, bcs, 0, k, 0, n);
-            tiles(&pb, k * NR, NR);
-        });
+        let mut packed = [0.0f32; KC * NR];
+        let bp = &mut packed[..k * NR];
+        for j0 in (0..n).step_by(NR) {
+            pack_b_panel(bp, b, brs, bcs, 0, j0, NR.min(n - j0));
+            panel(j0, bp, NR);
+        }
     }
 }
 
@@ -571,13 +576,26 @@ fn pack_b(
     }
     for q in 0..panels {
         let j0 = jc + q * NR;
-        let w = NR.min(jc + nc - j0);
         let dst = &mut pb[q * kc * NR..(q + 1) * kc * NR];
-        for (l, drow) in dst.chunks_exact_mut(NR).enumerate().take(kc) {
-            let base = (pc + l) * brs;
-            for (j, d) in drow.iter_mut().enumerate() {
-                *d = if j < w { b[base + (j0 + j) * bcs] } else { 0.0 };
-            }
+        pack_b_panel(dst, b, brs, bcs, pc, j0, NR.min(jc + nc - j0));
+    }
+}
+
+/// Packs columns `j0..j0 + w` of logical `B`, rows `pc..pc + dst.len() / NR`,
+/// into one `NR`-wide micro-panel (`[l][j]`, zero-padded to full `NR`).
+fn pack_b_panel(
+    dst: &mut [f32],
+    b: &[f32],
+    brs: usize,
+    bcs: usize,
+    pc: usize,
+    j0: usize,
+    w: usize,
+) {
+    for (l, drow) in dst.chunks_exact_mut(NR).enumerate() {
+        let base = (pc + l) * brs;
+        for (j, d) in drow.iter_mut().enumerate() {
+            *d = if j < w { b[base + (j0 + j) * bcs] } else { 0.0 };
         }
     }
 }

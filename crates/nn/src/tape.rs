@@ -31,9 +31,23 @@
 //! zeroes all gradients before seeding. [`Tape::leaf_with`] zero-fills
 //! before invoking its initializer so sparse writes (one-hots, placement
 //! matrices) stay correct.
+//!
+//! ## Child tapes
+//!
+//! [`Tape::per_sample`] builds each sample of a batch on a child tape of its
+//! own, the children on the thread pool, and records their stacked outputs
+//! as one node of the parent. [`Tape::backward`] hands every child its slice
+//! of that node's gradient, runs the children's backward passes on the pool,
+//! then adds each child's parameter gradients into the parent's leaves on
+//! the calling thread, in sample order. Each child's arithmetic is fixed and
+//! the merge order is too, so the result does not depend on the thread
+//! count. The parent keeps its children across [`Tape::reset`], which keeps
+//! their arenas warm.
 
 use std::collections::HashMap;
 use std::mem;
+
+use rayon::prelude::*;
 
 use crate::flops;
 use crate::gemm;
@@ -110,6 +124,12 @@ enum Op {
         pred: Var,
         target: Vec<f32>,
     },
+    /// The outputs of child tapes `first..first + outs.len()` stacked in
+    /// order, child `b` contributing its node `outs[b]`.
+    Children {
+        first: usize,
+        outs: Vec<Var>,
+    },
 }
 
 struct Node {
@@ -132,6 +152,11 @@ pub struct Tape {
     /// The leaf each parameter is bound to on this tape, indexed by
     /// `ParamId` (see [`Tape::param`]); emptied by [`Tape::reset`].
     params: Vec<Option<Var>>,
+    /// Per-sample child tapes (see [`Tape::per_sample`]), kept across
+    /// [`Tape::reset`]; each is reset when it is next used.
+    children: Vec<Tape>,
+    /// How many of `children` the graph uses since the last reset.
+    live_children: usize,
 }
 
 /// Returns a recycled buffer to the free-list.
@@ -190,6 +215,8 @@ impl Tape {
     }
 
     /// Clears the graph and recycles every buffer into the arena free-list.
+    /// Child tapes are kept, arenas and all, for the next
+    /// [`per_sample`](Self::per_sample).
     ///
     /// After a warm-up pass that populates the free-list, rebuilding a graph
     /// with the same tensor shapes performs no tensor-sized allocation.
@@ -206,6 +233,7 @@ impl Tape {
             }
         }
         self.params.fill(None);
+        self.live_children = 0;
     }
 
     /// Pops a recycled buffer of exactly `len` elements, or allocates one.
@@ -279,35 +307,42 @@ impl Tape {
     ///
     /// A parameter has **one** leaf per tape: the first call copies its
     /// values in, every later call until the next [`reset`](Self::reset)
-    /// returns that same leaf. A model applied to several samples on one tape
-    /// therefore copies and zero-fills each parameter once, and the samples'
-    /// gradients meet in the leaf (the backward GEMMs accumulate) instead of
-    /// in `accumulate_grads`.
+    /// returns that same leaf, so every use of it on this tape adds into one
+    /// gradient. A model applied to a batch sample by sample does so through
+    /// [`per_sample`](Self::per_sample): each sample binds the parameter on
+    /// its own child tape, and the children's gradients are added into this
+    /// tape's leaf in sample order by [`backward`](Self::backward).
     ///
     /// The table is keyed by `ParamId` alone, so a tape binds a single
     /// store, with unchanging values, between `reset`s — checked in debug
     /// builds.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
         let p = store.get(id);
-        if let Some(&Some(v)) = self.params.get(id.0) {
+        self.bind_param(id.0, &p.data, p.shape)
+    }
+
+    /// The leaf parameter `pid` is bound to, created from `values` on the
+    /// first bind since the last reset.
+    fn bind_param(&mut self, pid: usize, values: &[f32], shape: (usize, usize)) -> Var {
+        if let Some(&Some(v)) = self.params.get(pid) {
             debug_assert!(
                 // By bits: a diverged (NaN) parameter is still the same one.
                 self.nodes[v.0]
                     .data
                     .iter()
                     .map(|x| x.to_bits())
-                    .eq(p.data.iter().map(|x| x.to_bits())),
+                    .eq(values.iter().map(|x| x.to_bits())),
                 "a tape binds one parameter store, unchanged, between resets"
             );
             return v;
         }
-        let mut data = self.take_buf(p.data.len());
-        data.copy_from_slice(&p.data);
-        let v = self.push(data, p.shape, Op::Leaf);
-        if self.params.len() <= id.0 {
-            self.params.resize(id.0 + 1, None);
+        let mut data = self.take_buf(values.len());
+        data.copy_from_slice(values);
+        let v = self.push(data, shape, Op::Leaf);
+        if self.params.len() <= pid {
+            self.params.resize(pid + 1, None);
         }
-        self.params[id.0] = Some(v);
+        self.params[pid] = Some(v);
         v
     }
 
@@ -569,6 +604,62 @@ impl Tape {
         )
     }
 
+    /// Builds `build(child, b)` for every sample `b` in `0..count`, each on a
+    /// child tape of its own, the children on the thread pool, and returns
+    /// their outputs stacked by rows in sample order as one node
+    /// `(count·rows, cols)`.
+    ///
+    /// Every parameter a child binds is bound on this tape too, so its
+    /// gradient reaches [`accumulate_grads`](Self::accumulate_grads) like
+    /// any other: [`backward`](Self::backward) adds the children's gradients
+    /// into this tape's leaf in sample order `0..count`. A child is reset
+    /// before `build` runs on it, so it binds the same store as this tape.
+    ///
+    /// # Panics
+    /// Panics if `count` is zero or the samples' outputs differ in shape.
+    pub fn per_sample(
+        &mut self,
+        count: usize,
+        build: impl Fn(&mut Tape, usize) -> Var + Sync,
+    ) -> Var {
+        assert!(count > 0, "per_sample of zero samples");
+        let first = self.live_children;
+        self.live_children += count;
+        if self.children.len() < self.live_children {
+            self.children.resize_with(self.live_children, Tape::new);
+        }
+        let mut children = mem::take(&mut self.children);
+        let kids = &mut children[first..first + count];
+        let outs: Vec<Var> = kids
+            .par_iter_mut()
+            .enumerate()
+            .map(|(b, kid)| {
+                kid.reset();
+                build(kid, b)
+            })
+            .collect();
+
+        let shape = kids[0].shape(outs[0]);
+        let len = shape.0 * shape.1;
+        let mut data = self.take_buf(count * len);
+        for ((kid, &out), dst) in kids.iter().zip(&outs).zip(data.chunks_exact_mut(len)) {
+            assert_eq!(kid.shape(out), shape, "per_sample outputs differ in shape");
+            dst.copy_from_slice(kid.value(out));
+            for (pid, bound) in kid.params.iter().enumerate() {
+                if let Some(v) = *bound {
+                    let leaf = &kid.nodes[v.0];
+                    self.bind_param(pid, &leaf.data, leaf.shape);
+                }
+            }
+        }
+        self.children = children;
+        self.push(
+            data,
+            (count * shape.0, shape.1),
+            Op::Children { first, outs },
+        )
+    }
+
     /// Row-wise layer normalization with learnable `(1, n)` gain and bias.
     pub fn layer_norm(&mut self, a: Var, gamma: Var, beta: Var) -> Var {
         let (m, n) = self.shape(a);
@@ -650,11 +741,16 @@ impl Tape {
     /// Panics if `loss` is not a scalar.
     pub fn backward(&mut self, loss: Var) {
         assert_eq!(self.shape(loss), (1, 1), "backward needs a scalar loss");
+        self.backward_from(loss, &[1.0]);
+    }
+
+    /// Reverse-mode sweep from `root`, whose gradient is seeded with `seed`.
+    fn backward_from(&mut self, root: Var, seed: &[f32]) {
         for node in &mut self.nodes {
             node.grad.fill(0.0);
         }
-        self.nodes[loss.0].grad[0] = 1.0;
-        for i in (0..=loss.0).rev() {
+        self.nodes[root.0].grad.copy_from_slice(seed);
+        for i in (0..=root.0).rev() {
             self.step_back(i);
         }
     }
@@ -898,6 +994,24 @@ impl Tape {
                 }
                 self.nodes[pred.0].grad = gp;
             }
+            Op::Children { first, outs } => {
+                let kids = &mut self.children[*first..*first + outs.len()];
+                let dy = &self.nodes[i].grad;
+                let len = dy.len() / outs.len();
+                kids.par_iter_mut()
+                    .enumerate()
+                    .for_each(|(b, kid)| kid.backward_from(outs[b], &dy[b * len..(b + 1) * len]));
+                // The merge, on this thread in sample order: the sum does not
+                // depend on which thread ran which child.
+                for kid in kids.iter() {
+                    for (pid, bound) in kid.params.iter().enumerate() {
+                        if let Some(v) = *bound {
+                            let leaf = self.params[pid].expect("bound by per_sample");
+                            axpy(&mut self.nodes[leaf.0].grad, &kid.nodes[v.0].grad);
+                        }
+                    }
+                }
+            }
         }
         self.nodes[i].op = op;
     }
@@ -1085,6 +1199,80 @@ mod tests {
         store.get_mut(w).data[0] = -1.0;
         let w3 = t.param(&store, w);
         assert_eq!(t.value(w3), &[-1.0]);
+    }
+
+    /// `y_b = x_b·w + b` for three samples, on child tapes or on one tape.
+    fn three_samples(t: &mut Tape, store: &ParamStore, per_sample: bool) -> Var {
+        let (w, b) = (ParamId(0), ParamId(1));
+        let sample = |t: &mut Tape, s: usize| {
+            let x = t.leaf_copy(&[s as f32 - 1.0, 0.5 * s as f32 + 0.25], (1, 2));
+            let (wv, bv) = (t.param(store, w), t.param(store, b));
+            let y = t.matmul(x, wv);
+            let y = t.add_row(y, bv);
+            t.tanh(y)
+        };
+        if per_sample {
+            t.per_sample(3, sample)
+        } else {
+            let ys: Vec<Var> = (0..3).map(|s| sample(t, s)).collect();
+            t.concat_rows(&ys)
+        }
+    }
+
+    #[test]
+    fn per_sample_stacks_outputs_and_merges_parameter_gradients() {
+        let mut grads = Vec::new();
+        for per_sample in [false, true] {
+            let mut store = ParamStore::new();
+            store.alloc(vec![0.3, -0.7, 0.9, 0.2], (2, 2));
+            store.alloc(vec![0.1, -0.2], (1, 2));
+            let mut t = Tape::new();
+            let y = three_samples(&mut t, &store, per_sample);
+            assert_eq!(t.shape(y), (3, 2));
+            let loss = t.mse_loss(y, &[0.5, -0.5, 0.0, 1.0, -1.0, 0.25]);
+            t.backward(loss);
+            t.accumulate_grads(&mut store);
+            grads.push((t.value(y).to_vec(), store.flat_grads()));
+        }
+        let ((one_y, one_g), (kids_y, kids_g)) = (&grads[0], &grads[1]);
+        assert_eq!(one_y, kids_y, "the forward pass is the same arithmetic");
+        for (a, b) in one_g.iter().zip(kids_g) {
+            assert!(
+                (a - b).abs() <= 1e-6 * (1.0 + a.abs()),
+                "{one_g:?} vs {kids_g:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn reset_keeps_the_child_tapes() {
+        let mut store = ParamStore::new();
+        store.alloc(vec![0.3, -0.7, 0.9, 0.2], (2, 2));
+        store.alloc(vec![0.1, -0.2], (1, 2));
+        let mut t = Tape::new();
+        let y = three_samples(&mut t, &store, true);
+        let first = t.value(y).to_vec();
+        let buf = t.children[2].nodes[0].data.as_ptr();
+        t.reset();
+        assert_eq!((t.children.len(), t.live_children), (3, 0));
+        let y = three_samples(&mut t, &store, true);
+        assert_eq!(t.value(y), first);
+        assert_eq!(t.children.len(), 3, "a reset tape reuses its children");
+        let reused = t.children[2]
+            .nodes
+            .iter()
+            .any(|n| n.data.as_ptr() == buf || n.grad.as_ptr() == buf);
+        assert!(reused, "a child's arena survives the parent's reset");
+    }
+
+    #[test]
+    #[should_panic(expected = "panicked")]
+    fn a_panicking_sample_reaches_the_caller() {
+        let mut t = Tape::new();
+        t.per_sample(4, |t, b| {
+            assert!(b != 3, "sample {b} panicked");
+            t.zeros((1, 1))
+        });
     }
 
     #[test]

@@ -283,13 +283,17 @@ impl Model for TokenTransformer {
 
     fn forward_batch(&self, tape: &mut Tape, batch: &Batch) -> Var {
         assert_eq!(batch.shape.tokens, self.tokens, "token count mismatch");
-        let preds: Vec<Var> = (0..batch.shape.batch)
-            .map(|b| {
-                let x = sample_tokens_leaf(tape, batch, b);
-                self.forward_sample(tape, x)
-            })
-            .collect();
-        concat_predictions(tape, &preds, self.outputs)
+        // A sample's prediction is `(1, outputs)` (pooled) or
+        // `(tokens, outputs/tokens)` (per-token); either way its flat buffer
+        // is the sample's output vector, so the stacked flat buffer is
+        // sample-major — exactly what `mse_loss` against `[sample][output]`
+        // targets expects.
+        let pred = tape.per_sample(batch.shape.batch, |tape, b| {
+            let x = sample_tokens_leaf(tape, batch, b);
+            self.forward_sample(tape, x)
+        });
+        debug_assert_eq!(tape.value(pred).len(), batch.shape.batch * self.outputs);
+        pred
     }
 
     fn store(&self) -> &ParamStore {
@@ -299,18 +303,6 @@ impl Model for TokenTransformer {
     fn store_mut(&mut self) -> &mut ParamStore {
         &mut self.store
     }
-}
-
-/// Stacks per-sample predictions. Parts are `(1, outputs)` (pooled) or
-/// `(tokens, outputs/tokens)` (per-token); either way each part's flat
-/// buffer is one sample's output vector, so the stacked flat buffer is
-/// sample-major — exactly what `mse_loss` against `[sample][output]`
-/// targets expects.
-fn concat_predictions(tape: &mut Tape, preds: &[Var], outputs: usize) -> Var {
-    debug_assert!(preds
-        .iter()
-        .all(|&p| tape.shape(p).0 * tape.shape(p).1 == outputs));
-    tape.concat_rows(preds)
 }
 
 /// MATEY-mini: a two-scale *adaptive* patch transformer. Every patch token
@@ -371,18 +363,23 @@ impl MateyMini {
     fn active_tokens(&self, batch: &Batch, b: usize) -> Vec<usize> {
         let s = batch.shape;
         let keep = ((s.tokens as f64 * self.keep_frac).ceil() as usize).clamp(1, s.tokens);
-        let mut var: Vec<(usize, f64)> = (0..s.tokens)
+        let var: Vec<f64> = (0..s.tokens)
             .map(|t| {
                 let off = (b * s.tokens + t) * s.features;
                 let row = &batch.inputs[off..off + s.features];
                 let mean = row.iter().map(|&v| v as f64).sum::<f64>() / s.features as f64;
-                let v =
-                    row.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / s.features as f64;
-                (t, v)
+                row.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / s.features as f64
             })
             .collect();
-        var.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let mut idx: Vec<usize> = var[..keep].iter().map(|&(t, _)| t).collect();
+        // A stable sort of the token indices by falling variance: ties keep
+        // token order.
+        let mut idx: Vec<usize> = (0..s.tokens).collect();
+        idx.sort_by(|&a, &b| {
+            var[b]
+                .partial_cmp(&var[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        idx.truncate(keep);
         idx.sort_unstable();
         idx
     }
@@ -395,42 +392,40 @@ impl Model for MateyMini {
 
     fn forward_batch(&self, tape: &mut Tape, batch: &Batch) -> Var {
         assert_eq!(batch.shape.tokens, self.tokens, "token count mismatch");
-        let s = batch.shape;
-        let preds: Vec<Var> = (0..s.batch)
-            .map(|b| {
-                let x = sample_tokens_leaf(tape, batch, b);
-                let mut h = self.embed.forward(tape, &self.store, x);
-                let pos = tape.param(&self.store, self.pos);
-                h = tape.add(h, pos);
-                // Adaptive split: active tokens get attention, passive ones
-                // bypass. Gather via row concat of single-row slices is
-                // expensive; instead run attention over the *contiguous*
-                // active block when possible, else over all tokens.
-                let active = self.active_tokens(batch, b);
-                let mut ha = h;
-                if active.len() == self.tokens {
-                    for blk in &self.blocks {
-                        ha = blk.forward(tape, &self.store, ha);
-                    }
-                } else {
-                    // Build the active sub-matrix by stacking row slices.
-                    let rows: Vec<Var> = active.iter().map(|&t| slice_row(tape, h, t)).collect();
-                    let mut sub = tape.concat_rows(&rows);
-                    for blk in &self.blocks {
-                        sub = blk.forward(tape, &self.store, sub);
-                    }
-                    // Scatter refined rows back: passive rows keep h.
-                    let mut out_rows: Vec<Var> =
-                        (0..self.tokens).map(|t| slice_row(tape, h, t)).collect();
-                    for (k, &t) in active.iter().enumerate() {
-                        out_rows[t] = slice_row(tape, sub, k);
-                    }
-                    ha = tape.concat_rows(&out_rows);
+        let pred = tape.per_sample(batch.shape.batch, |tape, b| {
+            let x = sample_tokens_leaf(tape, batch, b);
+            let mut h = self.embed.forward(tape, &self.store, x);
+            let pos = tape.param(&self.store, self.pos);
+            h = tape.add(h, pos);
+            // Adaptive split: active tokens get attention, passive ones
+            // bypass. Gather via row concat of single-row slices is
+            // expensive; instead run attention over the *contiguous*
+            // active block when possible, else over all tokens.
+            let active = self.active_tokens(batch, b);
+            let mut ha = h;
+            if active.len() == self.tokens {
+                for blk in &self.blocks {
+                    ha = blk.forward(tape, &self.store, ha);
                 }
-                self.decode.forward(tape, &self.store, ha)
-            })
-            .collect();
-        concat_predictions(tape, &preds, self.outputs)
+            } else {
+                // Build the active sub-matrix by stacking row slices.
+                let rows: Vec<Var> = active.iter().map(|&t| slice_row(tape, h, t)).collect();
+                let mut sub = tape.concat_rows(&rows);
+                for blk in &self.blocks {
+                    sub = blk.forward(tape, &self.store, sub);
+                }
+                // Scatter refined rows back: passive rows keep h.
+                let mut out_rows: Vec<Var> =
+                    (0..self.tokens).map(|t| slice_row(tape, h, t)).collect();
+                for (k, &t) in active.iter().enumerate() {
+                    out_rows[t] = slice_row(tape, sub, k);
+                }
+                ha = tape.concat_rows(&out_rows);
+            }
+            self.decode.forward(tape, &self.store, ha)
+        });
+        debug_assert_eq!(tape.value(pred).len(), batch.shape.batch * self.outputs);
+        pred
     }
 
     fn store(&self) -> &ParamStore {

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use sickle_nn::optim::Adam;
 use sickle_nn::Tape;
 use sickle_train::models::Model;
-use sickle_train::{Batch, BatchShape, LstmModel, TokenTransformer};
+use sickle_train::{Batch, BatchShape, LstmModel, MateyMini, TokenTransformer};
 
 /// Any single allocation of at least this many bytes counts as
 /// "tensor-sized". The smallest recurrent activation here is
@@ -128,5 +128,15 @@ fn steady_state_train_step_does_not_allocate_tensors() {
         outputs: 5,
     };
     let model = TokenTransformer::mlp_transformer(shape.tokens, shape.features, 32, 1, 5, 0);
+    assert_steady_state_is_allocation_free(model, &toy_batch(shape));
+
+    // MATEY-mini at the same shape, decoding every token's features and
+    // running attention over half the tokens: its one-hot row gathers and
+    // row stacks go through the child tapes' arenas too.
+    let shape = BatchShape {
+        outputs: shape.tokens * shape.features,
+        ..shape
+    };
+    let model = MateyMini::new(shape.tokens, shape.features, 32, 1, shape.outputs, 0.5, 0);
     assert_steady_state_is_allocation_free(model, &toy_batch(shape));
 }

@@ -132,3 +132,47 @@ fn zero_counts_are_refused_with_the_field_name() {
     }
     assert!(CaseConfig::from_json(&json).is_ok());
 }
+
+#[test]
+fn values_the_generators_cannot_take_are_refused_with_the_field_name() {
+    let json = tiny_case().to_json();
+    for (from, to, message) in [
+        (
+            r#""n": 16"#,
+            r#""n": 24"#,
+            "dataset.n must be a power of two, not 24",
+        ),
+        (
+            r#""cube_edge": 8"#,
+            r#""cube_edge": 32"#,
+            "subsample.cube_edge 32 exceeds the grid side 16",
+        ),
+        (
+            r#""cluster_var": "pv""#,
+            r#""cluster_var": "omega""#,
+            "subsample.cluster_var \"omega\" is not a dataset variable \
+             (have: u, v, w, p, r, pv)",
+        ),
+    ] {
+        assert!(json.contains(from), "{json}");
+        let err = CaseConfig::from_json(&json.replace(from, to)).expect_err(message);
+        assert_eq!(err, message);
+    }
+    // The whole grid as one cube is still a case.
+    let whole = json.replace(r#""cube_edge": 8"#, r#""cube_edge": 16"#);
+    assert!(CaseConfig::from_json(&whole).is_ok());
+}
+
+#[test]
+fn cases_on_a_two_dimensional_grid_are_bounded_by_its_shorter_side() {
+    let mut case = tiny_case();
+    case.dataset = DatasetSpec::Of2d;
+    case.subsample.cluster_var = "wz".into();
+    case.subsample.cube_edge = 64;
+    assert!(CaseConfig::from_json(&case.to_json()).is_ok());
+    case.subsample.cube_edge = 65;
+    assert_eq!(
+        CaseConfig::from_json(&case.to_json()).unwrap_err(),
+        "subsample.cube_edge 65 exceeds the grid side 64"
+    );
+}
