@@ -39,7 +39,7 @@ fn main() {
         let mut maxent_kj = 0.0;
         for case in builtin_cases() {
             let case = case.retarget(spec, &dataset);
-            let run = run_case(&dataset, &case, 1);
+            let run = run_case(&dataset, &case);
             let (loss, skj, tkj) = (
                 run.train.best_test as f64,
                 run.sampling.total_kilojoules(),

@@ -163,7 +163,7 @@ fn main() {
         let mut val = val_tensor.clone();
         scaler.apply(&mut val);
 
-        let (res, model) = train_model(&spec, &tensor, 9, 1);
+        let (res, model) = train_model(&spec, &tensor, 9);
         let val_loss = model.eval_loss(&val.full_batch());
         sickle_bench::require_finite(
             &format!("fig9 {name}"),

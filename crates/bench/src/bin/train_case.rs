@@ -1,22 +1,21 @@
 //! `train_case` — the Rust mirror of the artifact's `train.py`:
 //!
 //! ```sh
-//! train_case <case.json> [--ranks N]
-//! train_case --builtin <case-name> [--ranks N]
+//! train_case <case.json>
+//! train_case --builtin <case-name>
 //! ```
 //!
 //! Regenerates the case's dataset and runs the case (`cases::run_case`):
 //! its sampling phase (the pipeline is deterministic, so this matches
 //! whatever `subsample` wrote), the architecture the config names, and
-//! training — with the thread-DDP analogue when `--ranks > 1` — then prints
-//! the `Evaluation on test set` and `Total Energy Consumed` lines the
-//! artifact's analysis greps.
+//! training, then prints the `Evaluation on test set` and `Total Energy
+//! Consumed` lines the artifact's analysis greps.
 
 use sickle_bench::cases::{case_from_args, run_case};
 
 fn usage() -> ! {
-    eprintln!("usage: train_case <case.json> [--ranks N]");
-    eprintln!("       train_case --builtin <name> [--ranks N]");
+    eprintln!("usage: train_case <case.json>");
+    eprintln!("       train_case --builtin <name>");
     std::process::exit(2);
 }
 
@@ -27,18 +26,8 @@ fn main() {
         eprintln!("{e}");
         usage()
     });
-    let mut ranks = 1usize;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--ranks" => {
-                ranks = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            _ => usage(),
-        }
+    if !rest.is_empty() {
+        usage();
     }
 
     sickle_obs::info!(
@@ -47,7 +36,7 @@ fn main() {
         case.name,
         case.train.arch
     );
-    let run = run_case(&case.dataset.build(), &case, ranks);
+    let run = run_case(&case.dataset.build(), &case);
     println!("params: {}", run.train.params);
     println!("Evaluation on test set: {:.6}", run.train.best_test);
     println!("{}", run.train.energy.log_lines());

@@ -21,9 +21,8 @@ use sickle_core::pipeline::{
     run_dataset, CubeMethod, PointMethod, SamplingConfig, SamplingOutput, TemporalMethod,
 };
 use sickle_energy::{EnergyReport, MachineModel};
-use sickle_field::{Dataset, DatasetMeta, SampleSet};
+use sickle_field::{Dataset, DatasetMeta, Grid3, SampleSet, Tiling};
 use sickle_train::data::{dense_cube_data, reconstruction_data, TensorData};
-use sickle_train::ddp::train_ddp;
 use sickle_train::models::{MateyMini, Model, TokenTransformer};
 use sickle_train::trainer::{train, TrainConfig, TrainResult};
 
@@ -120,18 +119,39 @@ impl DatasetSpec {
         }
     }
 
-    /// The largest cube edge the generated grid tiles with: its shortest
-    /// side, leaving out the unit `z` of a 2-D grid.
-    fn max_cube_edge(&self) -> usize {
+    /// The generated grid's points along `(x, y, z)`; `z` is 1 on a 2-D grid.
+    fn grid(&self) -> (usize, usize, usize) {
         match *self {
-            DatasetSpec::Of2d => OF2D_LATTICE.0.min(OF2D_LATTICE.1),
+            DatasetSpec::Of2d => (OF2D_LATTICE.0, OF2D_LATTICE.1, 1),
             DatasetSpec::Tc2d { .. } => {
                 let cfg = CombustionConfig::default();
-                cfg.nx.min(cfg.ny)
+                (cfg.nx, cfg.ny, 1)
             }
             DatasetSpec::SstP1f4 { n, .. }
             | DatasetSpec::SstP1f100 { n, .. }
-            | DatasetSpec::Gests { n, .. } => n,
+            | DatasetSpec::Gests { n, .. } => (n, n, n),
+        }
+    }
+
+    /// The largest cube edge the generated grid tiles with: its shortest
+    /// side, leaving out the unit `z` of a 2-D grid.
+    fn max_cube_edge(&self) -> usize {
+        let (nx, ny, nz) = self.grid();
+        if nz == 1 {
+            nx.min(ny)
+        } else {
+            nx.min(ny).min(nz)
+        }
+    }
+
+    /// The snapshots the generated dataset holds.
+    fn snapshots(&self) -> usize {
+        match *self {
+            DatasetSpec::Of2d => OF2D_SNAPSHOTS,
+            DatasetSpec::Tc2d { .. } | DatasetSpec::Gests { .. } => 1,
+            DatasetSpec::SstP1f4 { snapshots, .. } | DatasetSpec::SstP1f100 { snapshots, .. } => {
+                snapshots
+            }
         }
     }
 
@@ -189,6 +209,8 @@ impl DatasetSpec {
 
 /// OF2D's lattice, `(nx, ny)`.
 const OF2D_LATTICE: (usize, usize) = (160, 64);
+/// OF2D's recorded snapshots.
+const OF2D_SNAPSHOTS: usize = 60;
 
 /// OF2D with its drag signal: a 160×64 lattice at Re 150, 60
 /// shedding-resolved snapshots (Table 1, Figs. 1, 5, 6).
@@ -202,7 +224,7 @@ pub fn of2d() -> Of2dData {
             ..Default::default()
         },
         warmup: 1500,
-        snapshots: 60,
+        snapshots: OF2D_SNAPSHOTS,
         interval: 40,
     })
 }
@@ -276,14 +298,14 @@ impl CaseConfig {
     /// naming the field when a value the case cannot run with is given: a
     /// zero count (`dataset.snapshots`, `subsample.num_hypercubes`,
     /// `subsample.cube_edge`), a spectral `dataset.n` that is not a power of
-    /// two, a `subsample.cube_edge` longer than the grid's side, or a
+    /// two, a `subsample.cube_edge` longer than the grid's side, fewer than
+    /// two sampled cubes in all (one training and one test sample), or a
     /// `subsample.cluster_var` the dataset does not have.
     pub fn from_json(json: &str) -> Result<Self, String> {
         let case: CaseConfig = serde_json::from_str(json).map_err(|e| e.to_string())?;
         let (dataset, sub) = (&case.dataset, &case.subsample);
-        let zero = match dataset {
-            DatasetSpec::SstP1f4 { snapshots: 0, .. }
-            | DatasetSpec::SstP1f100 { snapshots: 0, .. } => Some("dataset.snapshots"),
+        let zero = match dataset.snapshots() {
+            0 => Some("dataset.snapshots"),
             _ if sub.num_hypercubes == 0 => Some("subsample.num_hypercubes"),
             _ if sub.cube_edge == 0 => Some("subsample.cube_edge"),
             _ => None,
@@ -302,6 +324,18 @@ impl CaseConfig {
             return Err(format!(
                 "subsample.cube_edge {} exceeds the grid side {side}",
                 sub.cube_edge
+            ));
+        }
+        // The count of whole cubes does not depend on the domain lengths.
+        let (nx, ny, nz) = dataset.grid();
+        let cubes = Tiling::cubic(Grid3::new(nx, ny, nz, 1.0, 1.0, 1.0), sub.cube_edge).len();
+        let samples = dataset.snapshots() * sub.num_hypercubes.min(cubes);
+        if samples < 2 {
+            return Err(format!(
+                "dataset.snapshots {} × subsample.num_hypercubes {} (whole cubes in the grid: \
+                 {cubes}) leaves one sample; a case needs two, one to train and one to test",
+                dataset.snapshots(),
+                sub.num_hypercubes
             ));
         }
         let vars = dataset.variables();
@@ -473,10 +507,9 @@ pub fn sample_case(dataset: &Dataset, case: &CaseConfig) -> (SamplingOutput, Ene
 }
 
 /// Runs one case on its (already built) dataset: sampling, the dense or
-/// sampled tensors, standardisation, training on `ranks` thread-DDP
-/// replicas (one: the plain trainer), and the energy sum. Exits the process
-/// on a non-finite test loss.
-pub fn run_case(dataset: &Dataset, case: &CaseConfig, ranks: usize) -> CaseRun {
+/// sampled tensors, standardisation, training and the energy sum. Exits the
+/// process on a non-finite test loss.
+pub fn run_case(dataset: &Dataset, case: &CaseConfig) -> CaseRun {
     let (out, sampling) = sample_case(dataset, case);
     let sets: Vec<SampleSet> = out.sets.into_iter().flatten().collect();
     let target = case
@@ -500,7 +533,7 @@ pub fn run_case(dataset: &Dataset, case: &CaseConfig, ranks: usize) -> CaseRun {
             reconstruction_data(&sets, &dataset.snapshots, edge, &target, case.train.tokens)
         };
     tensor.standardize();
-    let (train, _) = train_model(&case.train, &tensor, case.subsample.seed, ranks);
+    let (train, _) = train_model(&case.train, &tensor, case.subsample.seed);
     require_finite(
         &format!("{} on {}", case.name, dataset.meta.label),
         &[("test loss", train.best_test as f64)],
@@ -509,26 +542,19 @@ pub fn run_case(dataset: &Dataset, case: &CaseConfig, ranks: usize) -> CaseRun {
 }
 
 /// Builds `spec`'s architecture for `data`'s shapes, initialised from
-/// `seed`, and trains it (split also seeded by `seed`) on `ranks`
-/// thread-DDP replicas; returns the result and the trained model.
+/// `seed`, and trains it (split also seeded by `seed`); returns the result
+/// and the trained model.
 pub fn train_model(
     spec: &TrainSpec,
     data: &TensorData,
     seed: u64,
-    ranks: usize,
 ) -> (TrainResult, Box<dyn Model>) {
-    fn fit<M: Model + Clone + Sync + 'static>(
+    fn fit<M: Model + 'static>(
         mut model: M,
         data: &TensorData,
         cfg: &TrainConfig,
-        ranks: usize,
     ) -> (TrainResult, Box<dyn Model>) {
-        let machine = MachineModel::frontier_gcd();
-        let res = if ranks > 1 {
-            train_ddp(&mut model, data, cfg, ranks, machine)
-        } else {
-            train(&mut model, data, cfg, machine)
-        };
+        let res = train(&mut model, data, cfg, MachineModel::frontier_gcd());
         (res, Box::new(model))
     }
     let cfg = TrainConfig {
@@ -545,19 +571,16 @@ pub fn train_model(
             TokenTransformer::mlp_transformer(tokens, features, spec.dim, 1, outputs, seed),
             data,
             &cfg,
-            ranks,
         ),
         Arch::CnnTransformer => fit(
             TokenTransformer::cnn_transformer(tokens, features, spec.dim, 1, outputs, seed),
             data,
             &cfg,
-            ranks,
         ),
         Arch::Matey => fit(
             MateyMini::new(tokens, features, spec.dim, 1, outputs, 0.25, seed),
             data,
             &cfg,
-            ranks,
         ),
     }
 }
@@ -630,6 +653,8 @@ mod tests {
             let snap = &d.snapshots[0];
             assert_eq!(snap.names, spec.variables(), "{spec:?}");
             let g = snap.grid;
+            assert_eq!(spec.grid(), (g.nx, g.ny, g.nz), "{spec:?}");
+            assert_eq!(spec.snapshots(), d.num_snapshots(), "{spec:?}");
             let side = if g.nz == 1 {
                 g.nx.min(g.ny)
             } else {
@@ -645,11 +670,10 @@ mod tests {
             ..Default::default()
         });
         let snap = lbm.snapshot(0.0);
+        let g = snap.grid;
         assert_eq!(snap.names, DatasetSpec::Of2d.variables());
-        assert_eq!(
-            snap.grid.nx.min(snap.grid.ny),
-            DatasetSpec::Of2d.max_cube_edge()
-        );
+        assert_eq!(DatasetSpec::Of2d.grid(), (g.nx, g.ny, g.nz));
+        assert_eq!(DatasetSpec::Of2d.max_cube_edge(), g.nx.min(g.ny));
     }
 
     #[test]
@@ -682,12 +706,12 @@ mod tests {
 
     #[test]
     fn case_args_resolve_builtins_and_reject_the_rest() {
-        let args: Vec<String> = ["--builtin", "Hrandom-Xfull-16", "--ranks", "2"]
+        let args: Vec<String> = ["--builtin", "Hrandom-Xfull-16", "--output-dir", "X"]
             .map(String::from)
             .to_vec();
         let (case, rest) = case_from_args(&args).unwrap();
         assert_eq!(case.name, "Hrandom-Xfull-16");
-        assert_eq!(rest, ["--ranks", "2"]);
+        assert_eq!(rest, ["--output-dir", "X"]);
         assert!(case_from_args(&args[..1]).is_err());
         assert!(case_from_args(&["--builtin".into(), "nope".into()]).is_err());
         assert!(case_from_args(&[]).is_err());

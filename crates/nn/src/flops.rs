@@ -24,14 +24,6 @@ pub fn reset() -> u64 {
     FLOPS.swap(0, Ordering::Relaxed)
 }
 
-/// Returns the FLOPs accumulated while running `f` (not thread-isolated:
-/// concurrent recorders will be included).
-pub fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = total();
-    let r = f();
-    (r, total() - before)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -44,11 +36,5 @@ mod tests {
         assert!(total() >= 120);
         let prev = reset();
         assert!(prev >= 120);
-    }
-
-    #[test]
-    fn counted_measures_delta() {
-        let ((), d) = counted(|| record(42));
-        assert!(d >= 42);
     }
 }

@@ -114,45 +114,13 @@ impl ParamStore {
         }
     }
 
-    /// Flattens all gradients into one vector (DDP all-reduce support).
+    /// Flattens all gradients into one vector, in parameter order.
     pub fn flat_grads(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.num_scalars());
         for p in &self.params {
             out.extend_from_slice(&p.grad);
         }
         out
-    }
-
-    /// Overwrites gradients from a flat vector (inverse of
-    /// [`flat_grads`](Self::flat_grads)).
-    ///
-    /// # Panics
-    /// Panics if the length does not match.
-    pub fn set_flat_grads(&mut self, flat: &[f32]) {
-        assert_eq!(
-            flat.len(),
-            self.num_scalars(),
-            "flat gradient length mismatch"
-        );
-        let mut off = 0;
-        for p in &mut self.params {
-            let n = p.grad.len();
-            p.grad.copy_from_slice(&flat[off..off + n]);
-            off += n;
-        }
-    }
-
-    /// Copies parameter *values* from another store (same topology), used to
-    /// broadcast initial weights to DDP workers.
-    ///
-    /// # Panics
-    /// Panics on topology mismatch.
-    pub fn copy_values_from(&mut self, other: &ParamStore) {
-        assert_eq!(self.len(), other.len(), "param store topology mismatch");
-        for (a, b) in self.params.iter_mut().zip(other.params.iter()) {
-            assert_eq!(a.shape, b.shape, "param shape mismatch");
-            a.data.copy_from_slice(&b.data);
-        }
     }
 }
 
@@ -190,22 +158,13 @@ mod tests {
         let mut s = ParamStore::new();
         s.zeros((2, 2));
         s.zeros((1, 3));
+        for (i, g) in s.iter_mut().flat_map(|p| p.grad.iter_mut()).enumerate() {
+            *g = i as f32;
+        }
         let flat: Vec<f32> = (0..7).map(|i| i as f32).collect();
-        s.set_flat_grads(&flat);
         assert_eq!(s.flat_grads(), flat);
         s.zero_grads();
         assert!(s.flat_grads().iter().all(|&g| g == 0.0));
-    }
-
-    #[test]
-    fn copy_values_between_replicas() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut a = ParamStore::new();
-        a.xavier((4, 4), &mut rng);
-        let mut b = ParamStore::new();
-        b.zeros((4, 4));
-        b.copy_values_from(&a);
-        assert_eq!(a.get(ParamId(0)).data, b.get(ParamId(0)).data);
     }
 
     #[test]

@@ -53,7 +53,7 @@ use std::time::Instant;
 
 pub use context::{current_context, trace_id, TraceContext};
 pub use logging::{log_enabled, set_log_level, Level};
-pub use metrics::{set_energy_coefficients, snapshot, MetricSnapshot, ToMetric};
+pub use metrics::{snapshot, MetricSnapshot, ToMetric};
 pub use sink::{drain, dropped_events, Event, EventKind};
 pub use span::{current_span_id, SpanGuard};
 

@@ -23,10 +23,10 @@ use crate::{now_ns, thread_id};
 static FLOPS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// Joules per FLOP / per byte used for span energy attribution; defaults
-/// match `sickle_energy::MachineModel::frontier_node`.
-static J_PER_FLOP: AtomicU64 = AtomicU64::new(0);
-static J_PER_BYTE: AtomicU64 = AtomicU64::new(0);
+/// Joules per FLOP / per byte used for span energy attribution; they match
+/// `sickle_energy::MachineModel::frontier_node`.
+const J_PER_FLOP: f64 = 10e-12;
+const J_PER_BYTE: f64 = 1e-9;
 
 /// Adds to the process-wide FLOP total (called by `EnergyMeter`).
 #[inline]
@@ -50,24 +50,9 @@ pub fn bytes_total() -> u64 {
     BYTES.load(Ordering::Relaxed)
 }
 
-/// Sets the energy coefficients used to convert a span's FLOP/byte deltas
-/// into joules in exports and summaries.
-pub fn set_energy_coefficients(joules_per_flop: f64, joules_per_byte: f64) {
-    J_PER_FLOP.store(joules_per_flop.to_bits(), Ordering::Relaxed);
-    J_PER_BYTE.store(joules_per_byte.to_bits(), Ordering::Relaxed);
-}
-
-/// Modeled joules for `flops` + `bytes` under the configured coefficients.
+/// Modeled joules for `flops` + `bytes` under the span energy coefficients.
 pub fn span_joules(flops: u64, bytes: u64) -> f64 {
-    let jf = match J_PER_FLOP.load(Ordering::Relaxed) {
-        0 => 10e-12, // frontier-node defaults
-        bits => f64::from_bits(bits),
-    };
-    let jb = match J_PER_BYTE.load(Ordering::Relaxed) {
-        0 => 1e-9,
-        bits => f64::from_bits(bits),
-    };
-    flops as f64 * jf + bytes as f64 * jb
+    flops as f64 * J_PER_FLOP + bytes as f64 * J_PER_BYTE
 }
 
 // ---------------------------------------------------------------------------
@@ -507,9 +492,5 @@ mod tests {
     fn span_joules_uses_defaults_and_overrides() {
         let j = span_joules(1_000_000_000, 0);
         assert!((j - 0.01).abs() < 1e-9, "default 10 pJ/flop: {j}");
-        set_energy_coefficients(1e-12, 2e-9);
-        let j2 = span_joules(0, 1_000_000_000);
-        assert!((j2 - 2.0).abs() < 1e-9, "{j2}");
-        set_energy_coefficients(10e-12, 1e-9); // restore defaults for peers
     }
 }

@@ -449,7 +449,7 @@ mod tests {
     }
 
     #[test]
-    fn resident_targets_are_the_column_means_for_every_codec_and_mmap_mode() {
+    fn resident_targets_are_the_column_means_for_every_codec() {
         let out = small_output(1, 3, 40);
         for codec in [
             Codec::Identity,

@@ -16,15 +16,11 @@
 //! - [`trainer`] is the epoch loop: Adam, ReduceLROnPlateau (patience 20 in
 //!   the paper), 90:10 train/test split, batch shuffling, and FLOP-based
 //!   energy metering.
-//! - [`ddp`] is the `torch.distributed` analogue: thread-based data-parallel
-//!   replicas with gradient all-reduce, plugged into the trainer's one
-//!   epoch loop as the way a batch's gradients reach the master weights.
 //!
 //! [`Batch`] and [`BatchShape`] are `sickle_store::batching`'s types: a
 //! batch streamed by [`RemoteDataset`] is the value the server assembled.
 
 pub mod data;
-pub mod ddp;
 pub mod models;
 pub mod trainer;
 

@@ -26,7 +26,7 @@ pub trait Model: Send {
     /// Parameter store (immutable).
     fn store(&self) -> &ParamStore;
 
-    /// Parameter store (mutable, for optimizers and DDP).
+    /// Parameter store (mutable, for the optimizer and gradient accumulation).
     fn store_mut(&mut self) -> &mut ParamStore;
 
     /// Builds forward + MSE loss.

@@ -8,7 +8,7 @@ use sickle_energy::{EnergyMeter, EnergyReport, MachineModel};
 use sickle_nn::optim::{Adam, ReduceLrOnPlateau};
 use sickle_nn::{flops, Tape};
 
-use crate::data::{Batch, TensorData};
+use crate::data::TensorData;
 use crate::models::Model;
 
 /// Training hyperparameters (paper §5.2: 1000 epochs, lr 1e-3, plateau
@@ -76,41 +76,6 @@ pub fn train(
     cfg: &TrainConfig,
     machine: MachineModel,
 ) -> TrainResult {
-    run_epochs(model, data, cfg, machine, |model, tape, batch| {
-        (backward_into_store(model, tape, batch) as f64, 0)
-    })
-}
-
-/// Forward + backward for one batch on a recycled tape, accumulating the
-/// gradients into `model`'s own store; returns the batch loss. The step a
-/// lone trainer and every DDP replica runs.
-pub(crate) fn backward_into_store<M: Model + ?Sized>(
-    model: &mut M,
-    tape: &mut Tape,
-    batch: &Batch,
-) -> f32 {
-    tape.reset();
-    let loss = model.loss_on_batch(tape, batch);
-    let value = tape.value(loss)[0];
-    tape.backward(loss);
-    tape.accumulate_grads(model.store_mut());
-    value
-}
-
-/// The one epoch loop behind [`train`] and [`crate::ddp::train_ddp`]:
-/// split, Adam, plateau scheduler, shuffle stream, gradient truncation,
-/// test evaluation, metering and telemetry are all here, so the two
-/// trainers can differ only in `batch_grads` — how one batch's gradients
-/// reach `model`'s store. It gets the loop's arena-reused tape, leaves the
-/// gradients accumulated in the store, and returns the batch loss plus any
-/// bytes it moved beyond the parameter read/write (all-reduce traffic).
-pub(crate) fn run_epochs<M: Model + ?Sized>(
-    model: &mut M,
-    data: &TensorData,
-    cfg: &TrainConfig,
-    machine: MachineModel,
-    mut batch_grads: impl FnMut(&mut M, &mut Tape, &Batch) -> (f64, u64),
-) -> TrainResult {
     let (train_set, test_set) = data.split(cfg.test_frac, cfg.seed);
     let _run_span = sickle_obs::span!(
         "train.run",
@@ -140,14 +105,17 @@ pub(crate) fn run_epochs<M: Model + ?Sized>(
         let mut batches = 0usize;
         let mut grad_norm = f64::NAN;
         for batch in train_set.batches(cfg.batch, &mut rng) {
-            let (loss, extra_bytes) = batch_grads(model, &mut tape, &batch);
-            epoch_loss += loss;
+            tape.reset();
+            let loss = model.loss_on_batch(&mut tape, &batch);
+            epoch_loss += tape.value(loss)[0] as f64;
+            tape.backward(loss);
+            tape.accumulate_grads(model.store_mut());
             batches += 1;
             // Gradient L2 norm of the epoch's last batch — only computed
             // while tracing, so the untraced hot loop pays nothing.
             if sickle_obs::enabled() {
                 let sq: f64 = model
-                    .store_mut()
+                    .store()
                     .iter()
                     .flat_map(|p| p.grad.iter())
                     .map(|&g| g as f64 * g as f64)
@@ -156,7 +124,7 @@ pub(crate) fn run_epochs<M: Model + ?Sized>(
             }
             opt.step(model.store_mut());
             model.store_mut().zero_grads();
-            meter.record_bytes(step_param_bytes + extra_bytes);
+            meter.record_bytes(step_param_bytes);
         }
         meter.record_bytes(epoch_bytes);
         let train_loss = (epoch_loss / batches.max(1) as f64) as f32;

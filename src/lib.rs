@@ -14,7 +14,7 @@
 //! - [`core`] — **the paper's contribution**: MaxEnt two-phase sampling,
 //!   UIPS, random/LHS/stratified baselines, pipeline
 //! - [`nn`] — autograd tensor library (LSTM/attention/transformer layers)
-//! - [`train`] — Table 2's models, trainers, DDP analogue
+//! - [`train`] — Table 2's models and the trainer
 //! - [`energy`] — FLOP/byte energy accounting (Cray PM counter substitute)
 //! - [`hpc`] — rank executor + cluster simulator for scaling studies
 //! - [`obs`] — structured tracing, metrics, and Chrome-trace export

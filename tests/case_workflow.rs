@@ -58,7 +58,7 @@ fn case_executes_end_to_end() {
     let case = tiny_case();
     let dataset = case.dataset.build();
     assert_eq!(dataset.num_snapshots(), 2);
-    let run = run_case(&dataset, &case, 1);
+    let run = run_case(&dataset, &case);
     assert!(run.train.best_test.is_finite());
     assert!(run.train.energy.flops > 0);
     assert!(run.total_kj() > run.train.energy.total_joules() / 1e3);
@@ -161,6 +161,35 @@ fn values_the_generators_cannot_take_are_refused_with_the_field_name() {
     // The whole grid as one cube is still a case.
     let whole = json.replace(r#""cube_edge": 8"#, r#""cube_edge": 16"#);
     assert!(CaseConfig::from_json(&whole).is_ok());
+}
+
+#[test]
+fn a_case_that_samples_one_cube_in_all_is_refused() {
+    // The shipped Fig. 8 case cut down to one snapshot: with one cube kept
+    // there is one sample in all, and the train/test split gives it to test.
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("configs/SST/P1/Hmaxent-Xmaxent-16.json");
+    let json = std::fs::read_to_string(path)
+        .unwrap()
+        .replace(r#""n": 64"#, r#""n": 32"#)
+        .replace(r#""snapshots": 4"#, r#""snapshots": 1"#);
+    let one_cube = json.replace(r#""num_hypercubes": 8"#, r#""num_hypercubes": 1"#);
+    assert_eq!(
+        CaseConfig::from_json(&one_cube).unwrap_err(),
+        "dataset.snapshots 1 × subsample.num_hypercubes 1 (whole cubes in the grid: 8) \
+         leaves one sample; a case needs two, one to train and one to test"
+    );
+    // A 16³ grid holds one 16³ cube, however many the case asks for.
+    let one_tile = json.replace(r#""n": 32"#, r#""n": 16"#);
+    assert_eq!(
+        CaseConfig::from_json(&one_tile).unwrap_err(),
+        "dataset.snapshots 1 × subsample.num_hypercubes 8 (whole cubes in the grid: 1) \
+         leaves one sample; a case needs two, one to train and one to test"
+    );
+    // Two cubes of one snapshot, or one cube of two, are enough.
+    assert!(CaseConfig::from_json(&json).is_ok());
+    let two_snapshots = one_tile.replace(r#""snapshots": 1"#, r#""snapshots": 2"#);
+    assert!(CaseConfig::from_json(&two_snapshots).is_ok());
 }
 
 #[test]
