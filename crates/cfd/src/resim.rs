@@ -10,7 +10,9 @@
 //! cheapest solver that still couples every spatial neighbor: the codec's
 //! read path must cost microseconds, not solver time steps.
 //!
-//! Two topologies cover every sample set:
+//! [`seed_linear`] fills the unknowns first with the linear interpolant
+//! along row order between the stored rows; then one of two topologies
+//! relaxes them:
 //!
 //! - [`relax_lattice`] — full 3-D stencil for dense raster-ordered cubes
 //!   (`PointMethod::Full` shards), where row `r` sits at lattice coordinate
@@ -25,6 +27,10 @@
 //! ghost border so its sweep is straight-line, vectorizable code; the
 //! padding is exact (see [`relax_lattice`]). Both are deterministic: same
 //! inputs, same sweeps, same bits out.
+
+use std::ops::Range;
+
+use sickle_simd::{fma_available, kernel, Kernel};
 
 /// Columns of an `n`-row, row-major `values`, checked.
 fn columns(values: &[f64], n: usize) -> usize {
@@ -48,6 +54,34 @@ fn gather(dst: &mut [f64], values: &[f64], k: usize, c: usize, first: usize) {
 fn scatter(src: &[f64], values: &mut [f64], k: usize, c: usize, first: usize) {
     for (s, row) in src.iter().zip(values[first * k..].chunks_exact_mut(k)) {
         row[c] = *s;
+    }
+}
+
+/// Seeds the rows strictly between consecutive entries of `known_rows`
+/// (ascending row numbers) with the linear interpolant along row order:
+/// row `r` between known rows `a < b` gets `va * (1 - t) + vb * t` per
+/// column, `t = (r - a) / (b - a)` — the chain-harmonic solution, and a
+/// good starting point for the lattice stencil too. `values` is row-major
+/// with `k` columns; rows outside the first and last known row are left
+/// as they are.
+///
+/// # Panics
+/// Panics if `known_rows` is not ascending or names a row past the end of
+/// `values`.
+pub fn seed_linear(values: &mut [f64], k: usize, known_rows: &[usize]) {
+    for w in known_rows.windows(2) {
+        let (a, b) = (w[0], w[1]);
+        let (head, tail) = values.split_at_mut(b * k);
+        let (va, gap_rows) = head[a * k..].split_at_mut(k);
+        let vb = &tail[..k];
+        // The weight depends on the row alone: computed once per row.
+        let gap = (b - a) as f64;
+        for (j, row) in gap_rows.chunks_exact_mut(k.max(1)).enumerate() {
+            let t = (j + 1) as f64 / gap;
+            for ((v, &x), &y) in row.iter_mut().zip(&*va).zip(vb) {
+                *v = x * (1.0 - t) + y * t;
+            }
+        }
     }
 }
 
@@ -113,9 +147,11 @@ pub fn relax_chain(values: &mut [f64], known: &[bool], sweeps: usize) {
 /// ghosts, so every point reads all six neighbors with no bounds branch:
 /// `0.0 + x− + x+ + y− + y+ + z− + z+`, divided by the point's real
 /// neighbor count, then a mask select keeps the points that hold their
-/// value (known, or no neighbors: divisor 0). The divisors are built once
-/// per call, not once per column or sweep, and the two buffers swap
-/// between sweeps instead of copying.
+/// value (known, or no neighbors: divisor 0). A sweep is one straight-line
+/// loop over the padded index range from the first interior point to the
+/// last; the ghost cells inside that range have divisor 0 too, so they hold
+/// their `+0.0`. The divisors are built once per call, not once per column
+/// or sweep, and the two buffers swap between sweeps instead of copying.
 ///
 /// This is bit-identical to summing only the real neighbors, in the same
 /// order, starting from `+0.0`. In IEEE round-to-nearest that running sum
@@ -124,72 +160,159 @@ pub fn relax_chain(values: &mut [f64], known: &[bool], sweeps: usize) {
 /// other than `−0.0` returns it unchanged (NaN stays NaN, ±∞ stays ±∞), so
 /// every ghost term is an exact no-op; the divisor is the same count.
 ///
+/// The sweep loop is compiled twice, like `sickle_simd`'s kernels: for the
+/// baseline target ([`Kernel::Naive`]) and under `avx2,fma`
+/// ([`Kernel::Optimized`], where the CPU has it), where LLVM runs it four
+/// points to a vector. Every operation is a correctly rounded `+`, `/` or a
+/// select, and Rust never reassociates or contracts them, so both builds
+/// return the same bits.
+///
 /// # Panics
 /// Panics if `known.len() != ex * ey * ez` or `values.len()` is not a
 /// multiple of it.
 pub fn relax_lattice(
-    (ex, ey, ez): (usize, usize, usize),
+    dims: (usize, usize, usize),
     values: &mut [f64],
     known: &[bool],
     sweeps: usize,
 ) {
+    relax_lattice_with(dims, values, known, sweeps, kernel());
+}
+
+/// [`relax_lattice`] with an explicit kernel choice (parity tests; avoids
+/// racing on the global switch).
+fn relax_lattice_with(
+    (ex, ey, ez): (usize, usize, usize),
+    values: &mut [f64],
+    known: &[bool],
+    sweeps: usize,
+    kernel: Kernel,
+) {
     let n = ex * ey * ez;
     assert_eq!(n, known.len(), "lattice/mask size mismatch");
     let k = columns(values, n);
-    if sweeps == 0 {
+    if n == 0 || sweeps == 0 {
         return;
     }
     let (py, pz) = (ey + 2, ez + 2);
     // Real neighbors along one axis at coordinate `i` of extent `e`.
     let along = |i: usize, e: usize| usize::from(i > 0) + usize::from(i + 1 < e);
-    // Every z-line as (padded start, first row); per point, the divisor:
-    // the real neighbor count, or 0 where the point holds its value.
+    // Every z-line as (padded start, first row); per padded cell, the
+    // divisor: the real neighbor count of an unknown point, 0 at points
+    // that hold their value and at ghosts.
     let mut lines = Vec::with_capacity(ex * ey);
-    let mut div = Vec::with_capacity(n);
+    let mut div = vec![0.0f64; (ex + 2) * py * pz];
     for x in 0..ex {
         for y in 0..ey {
-            lines.push((((x + 1) * py + y + 1) * pz + 1, div.len()));
+            let (p, i) = (((x + 1) * py + y + 1) * pz + 1, lines.len() * ez);
+            lines.push((p, i));
             for z in 0..ez {
-                let real = along(x, ex) + along(y, ey) + along(z, ez);
-                div.push(if known[div.len()] { 0.0 } else { real as f64 });
+                if !known[i + z] {
+                    div[p + z] = (along(x, ex) + along(y, ey) + along(z, ez)) as f64;
+                }
             }
         }
     }
-    let mut cur = vec![0.0f64; (ex + 2) * py * pz];
+    let interior = lines[0].0..lines[lines.len() - 1].0 + ez;
+    let relax = match kernel {
+        Kernel::Naive => relax_portable,
+        Kernel::Optimized => relax_optimized,
+    };
+    let mut cur = vec![0.0f64; div.len()];
     let mut next = cur.clone();
     for c in 0..k {
         for &(p, i) in &lines {
             gather(&mut cur[p..p + ez], values, k, c, i);
         }
-        for _ in 0..sweeps {
-            for &(p, i) in &lines {
-                let out = &mut next[p..p + ez];
-                lattice_line(&cur, out, p, (py * pz, pz), &div[i..]);
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
+        relax(
+            &mut cur,
+            &mut next,
+            &div,
+            interior.clone(),
+            (py * pz, pz),
+            sweeps,
+        );
         for &(p, i) in &lines {
             scatter(&cur[p..p + ez], values, k, c, i);
         }
     }
 }
 
-/// One z-line of a ghost-padded Jacobi sweep: `out[z]` for the interior
-/// points starting at padded index `p`, with `(sx, sy)` the padded x and y
-/// strides. Straight-line per point, so the loop vectorizes.
+/// `sweeps` ghost-padded Jacobi sweeps of one column over the padded index
+/// range `interior`, with `(sx, sy)` the padded x and y strides; the result
+/// is left in `cur`. Straight-line per point, so the loop vectorizes.
 #[inline(always)]
-fn lattice_line(cur: &[f64], out: &mut [f64], p: usize, (sx, sy): (usize, usize), div: &[f64]) {
-    let ez = out.len();
-    let c = &cur[p..p + ez];
-    let (xm, xp) = (&cur[p - sx..p - sx + ez], &cur[p + sx..p + sx + ez]);
-    let (ym, yp) = (&cur[p - sy..p - sy + ez], &cur[p + sy..p + sy + ez]);
-    let (zm, zp) = (&cur[p - 1..p - 1 + ez], &cur[p + 1..p + 1 + ez]);
-    let div = &div[..ez];
-    for z in 0..ez {
-        let sum = 0.0 + xm[z] + xp[z] + ym[z] + yp[z] + zm[z] + zp[z];
-        let avg = sum / div[z];
-        out[z] = if div[z] == 0.0 { c[z] } else { avg };
+fn relax(
+    cur: &mut Vec<f64>,
+    next: &mut Vec<f64>,
+    div: &[f64],
+    interior: Range<usize>,
+    (sx, sy): (usize, usize),
+    sweeps: usize,
+) {
+    let (lo, len) = (interior.start, interior.len());
+    let div = &div[lo..lo + len];
+    for _ in 0..sweeps {
+        let c = &cur[lo..lo + len];
+        let (xm, xp) = (&cur[lo - sx..][..len], &cur[lo + sx..][..len]);
+        let (ym, yp) = (&cur[lo - sy..][..len], &cur[lo + sy..][..len]);
+        let (zm, zp) = (&cur[lo - 1..][..len], &cur[lo + 1..][..len]);
+        let out = &mut next[lo..lo + len];
+        for i in 0..len {
+            let sum = 0.0 + xm[i] + xp[i] + ym[i] + yp[i] + zm[i] + zp[i];
+            let avg = sum / div[i];
+            out[i] = if div[i] == 0.0 { c[i] } else { avg };
+        }
+        std::mem::swap(cur, next);
     }
+}
+
+/// [`relax`] compiled for the baseline target.
+fn relax_portable(
+    cur: &mut Vec<f64>,
+    next: &mut Vec<f64>,
+    div: &[f64],
+    interior: Range<usize>,
+    strides: (usize, usize),
+    sweeps: usize,
+) {
+    relax(cur, next, div, interior, strides, sweeps);
+}
+
+/// The same sweeps compiled with AVX2 enabled.
+///
+/// # Safety
+/// Caller must have verified `avx2` and `fma` CPU support.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn relax_avx2(
+    cur: &mut Vec<f64>,
+    next: &mut Vec<f64>,
+    div: &[f64],
+    interior: Range<usize>,
+    strides: (usize, usize),
+    sweeps: usize,
+) {
+    relax(cur, next, div, interior, strides, sweeps);
+}
+
+/// The [`Kernel::Optimized`] arm: the AVX2 build where the CPU has it, else
+/// the portable one.
+fn relax_optimized(
+    cur: &mut Vec<f64>,
+    next: &mut Vec<f64>,
+    div: &[f64],
+    interior: Range<usize>,
+    strides: (usize, usize),
+    sweeps: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if fma_available() {
+        // SAFETY: avx2 + fma presence verified by `fma_available`.
+        unsafe { relax_avx2(cur, next, div, interior, strides, sweeps) };
+        return;
+    }
+    relax_portable(cur, next, div, interior, strides, sweeps);
 }
 
 #[cfg(test)]
@@ -306,6 +429,45 @@ mod tests {
                 let col = got.iter().skip(c).step_by(cols);
                 for (i, (&g, &w)) in col.zip(&want).enumerate() {
                     prop_assert!(same(g, w), "{dims:?} col {c} point {i}: {g:e} vs {w:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn portable_and_avx2_builds_agree() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for dims in [(1, 1, 1), (2, 3, 5), (7, 1, 6), (16, 16, 16), (5, 9, 3)] {
+            let n = dims.0 * dims.1 * dims.2;
+            let known: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
+            let values: Vec<f64> = (0..n * 5).map(|_| draw(&mut rng, 5)).collect();
+            let mut naive = values.clone();
+            let mut optimized = values;
+            relax_lattice_with(dims, &mut naive, &known, 8, Kernel::Naive);
+            relax_lattice_with(dims, &mut optimized, &known, 8, Kernel::Optimized);
+            for (i, (&a, &b)) in naive.iter().zip(&optimized).enumerate() {
+                assert!(same(a, b), "{dims:?} value {i}: {a:e} vs {b:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn seeding_is_the_row_order_interpolant() {
+        let (k, rows) = (3, [0usize, 3, 6, 7, 9]);
+        let mut v = vec![f64::NAN; 10 * k];
+        for &r in &rows {
+            for c in 0..k {
+                v[r * k + c] = (r * 10 + c) as f64 * 0.3;
+            }
+        }
+        seed_linear(&mut v, k, &rows);
+        for w in rows.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            for r in a + 1..b {
+                let t = (r - a) as f64 / (b - a) as f64;
+                for c in 0..k {
+                    let want = v[a * k + c] * (1.0 - t) + v[b * k + c] * t;
+                    assert_eq!(v[r * k + c].to_bits(), want.to_bits(), "row {r} col {c}");
                 }
             }
         }

@@ -51,34 +51,85 @@ pub fn f32_to_f16_bits(x: f32) -> u16 {
     sign // underflow to signed zero
 }
 
-/// Widens IEEE binary16 bits to `f32` (exact).
+/// `2⁻²⁴`, the binary16 subnormal step: subnormal `m` is `m · 2⁻²⁴`.
+const F16_SUBNORMAL_STEP: f32 = 1.0 / 16_777_216.0;
+
+/// Widens IEEE binary16 bits to `f32` (exact; a NaN comes back quiet).
+///
+/// Branch-free: the normal, zero/subnormal and inf/NaN results are each
+/// computed and one is selected, so a slice loop over this function
+/// vectorizes. A normal value only needs its exponent rebiased (15 → 127),
+/// one add on the adjacent exponent and mantissa bits; inf/NaN force the
+/// exponent to all ones. A subnormal `m · 2⁻²⁴` (`m < 2¹⁰`) is a normal
+/// `f32`, so the integer-to-float convert and the multiply by a power of
+/// two are exact.
+#[inline(always)]
 pub fn f16_bits_to_f32(h: u16) -> f32 {
-    let sign = ((h & 0x8000) as u32) << 16;
-    let exp = ((h >> 10) & 0x1f) as u32;
-    let man = (h & 0x03ff) as u32;
-    let bits = match (exp, man) {
-        (0, 0) => sign,
-        (0, m) => {
-            // Subnormal (value = 0.m * 2^-14): normalize until the implicit
-            // bit (bit 10) is set, tracking the exponent.
-            let mut m = m;
-            let mut e: i32 = -14;
-            while m & 0x0400 == 0 {
-                m <<= 1;
-                e -= 1;
-            }
-            sign | (((e + 127) as u32) << 23) | ((m & 0x03ff) << 13)
-        }
-        (0x1f, 0) => sign | 0x7f80_0000,
-        (0x1f, m) => sign | 0x7f80_0000 | (m << 13) | 0x0040_0000,
-        (e, m) => sign | ((e + 127 - 15) << 23) | (m << 13),
+    let h = u32::from(h);
+    let man = h & 0x03ff;
+    let normal = ((h & 0x7fff) << 13) + ((127 - 15) << 23);
+    let small = ((man as i32) as f32 * F16_SUBNORMAL_STEP).to_bits();
+    let quiet = if man != 0 { 0x0040_0000 } else { 0 };
+    let bits = match h & 0x7c00 {
+        0 => small,
+        0x7c00 => normal | 0x7f80_0000 | quiet,
+        _ => normal,
     };
-    f32::from_bits(bits)
+    f32::from_bits(((h & 0x8000) << 16) | bits)
+}
+
+/// The binary16 value in the little-endian bytes `b`, widened to `f64` —
+/// the element step of every f16 payload decoder.
+#[inline(always)]
+pub fn f16_le_to_f64(b: &[u8; 2]) -> f64 {
+    f64::from(f16_bits_to_f32(u16::from_le_bytes(*b)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The branching widening [`f16_bits_to_f32`] replaced: the reference
+    /// it must match bit for bit.
+    fn f16_bits_to_f32_reference(h: u16) -> f32 {
+        let sign = ((h & 0x8000) as u32) << 16;
+        let exp = ((h >> 10) & 0x1f) as u32;
+        let man = (h & 0x03ff) as u32;
+        let bits = match (exp, man) {
+            (0, 0) => sign,
+            (0, m) => {
+                // Subnormal (value = 0.m * 2^-14): normalize until the
+                // implicit bit (bit 10) is set, tracking the exponent.
+                let mut m = m;
+                let mut e: i32 = -14;
+                while m & 0x0400 == 0 {
+                    m <<= 1;
+                    e -= 1;
+                }
+                sign | (((e + 127) as u32) << 23) | ((m & 0x03ff) << 13)
+            }
+            (0x1f, 0) => sign | 0x7f80_0000,
+            (0x1f, m) => sign | 0x7f80_0000 | (m << 13) | 0x0040_0000,
+            (e, m) => sign | ((e + 127 - 15) << 23) | (m << 13),
+        };
+        f32::from_bits(bits)
+    }
+
+    #[test]
+    fn widening_matches_reference_for_every_bit_pattern() {
+        for h in 0..=u16::MAX {
+            let (got, want) = (f16_bits_to_f32(h), f16_bits_to_f32_reference(h));
+            assert_eq!(got.to_bits(), want.to_bits(), "{h:#06x}");
+        }
+        // The same patterns through a slice loop shaped like the decoders',
+        // which the compiler vectorizes.
+        let le: Vec<u8> = (0..=u16::MAX).flat_map(u16::to_le_bytes).collect();
+        let wide: Vec<f64> = le.as_chunks().0.iter().map(f16_le_to_f64).collect();
+        for (h, got) in (0..=u16::MAX).zip(wide) {
+            let want = f64::from(f16_bits_to_f32_reference(h));
+            assert_eq!(got.to_bits(), want.to_bits(), "{h:#06x}");
+        }
+    }
 
     #[test]
     fn f16_roundtrips_exactly_representable_values() {

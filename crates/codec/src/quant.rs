@@ -16,7 +16,7 @@ use bytes::{Buf, BufMut, BytesMut};
 use sickle_field::points::{FeatureMatrix, SampleSet};
 use std::io;
 
-use crate::half::{f16_bits_to_f32, f32_to_f16_bits};
+use crate::half::{f16_le_to_f64, f32_to_f16_bits};
 use crate::wire::{checked_size, decode_header, encode_header, invalid, need, SetHeader};
 
 /// Rows per u8 quantization block. Small enough that one block spans a
@@ -59,10 +59,12 @@ pub fn decode_f16(mut data: &[u8]) -> io::Result<SampleSet> {
         .checked_mul(2)
         .ok_or_else(|| invalid("quantized payload overflow"))?;
     need(data, bytes, "truncated quantized payload")?;
-    let mut values = Vec::with_capacity(count);
-    for _ in 0..count {
-        values.push(f16_bits_to_f32(data.get_u16_le()) as f64);
-    }
+    let values = data[..bytes]
+        .as_chunks()
+        .0
+        .iter()
+        .map(f16_le_to_f64)
+        .collect();
     Ok(set_of(h, values))
 }
 
@@ -118,6 +120,11 @@ pub fn encode_u8block(set: &SampleSet) -> BytesMut {
     buf
 }
 
+/// Rows of a u8 block decoded per inner loop: each block's `(offset, scale)`
+/// row is tiled this many times, so a run of rows is one contiguous loop
+/// over values, bytes and parameters alike, and vectorizes.
+const U8_TILE_ROWS: usize = 16;
+
 /// Decodes an [`encode_u8block`] payload.
 pub fn decode_u8block(mut data: &[u8]) -> io::Result<SampleSet> {
     let h = decode_header(&mut data)?;
@@ -136,21 +143,38 @@ pub fn decode_u8block(mut data: &[u8]) -> io::Result<SampleSet> {
         .checked_mul(8)
         .ok_or_else(|| invalid("u8 block count overflow"))?;
     need(data, param_bytes, "truncated u8 block params")?;
-    let mut params = Vec::with_capacity(nparams);
-    for _ in 0..nparams {
-        let offset = data.get_f32_le();
-        let scale = data.get_f32_le();
-        params.push((offset, scale));
-    }
+    let (params, data) = data.split_at(param_bytes);
     let count = checked_size(n as u64, dim, "u8 payload overflow")?;
     need(data, count, "truncated u8 payload")?;
     let mut values = Vec::with_capacity(count);
-    for r in 0..n {
-        let block = r / block_rows;
-        for c in 0..dim {
-            let (offset, scale) = params[block * dim + c];
-            let q = data.get_u8();
-            values.push((offset + scale * q as f32) as f64);
+    if count > 0 {
+        // A block of `block_rows` rows holds `block_rows * dim` bytes; one
+        // too large for `usize` is larger than the payload, so it is all one
+        // block.
+        let block_len = block_rows.checked_mul(dim).unwrap_or(count);
+        let tile_rows = U8_TILE_ROWS.min(block_rows);
+        let mut offsets = Vec::with_capacity(tile_rows * dim);
+        let mut scales = Vec::with_capacity(tile_rows * dim);
+        for (q, block_params) in data[..count]
+            .chunks(block_len)
+            .zip(params.chunks_exact(8 * dim))
+        {
+            offsets.clear();
+            scales.clear();
+            for _ in 0..tile_rows {
+                for &[o0, o1, o2, o3, s0, s1, s2, s3] in block_params.as_chunks().0 {
+                    offsets.push(f32::from_le_bytes([o0, o1, o2, o3]));
+                    scales.push(f32::from_le_bytes([s0, s1, s2, s3]));
+                }
+            }
+            for run in q.chunks(tile_rows * dim) {
+                values.extend(
+                    run.iter()
+                        .zip(&offsets)
+                        .zip(&scales)
+                        .map(|((&q, &offset), &scale)| f64::from(offset + scale * f32::from(q))),
+                );
+            }
         }
     }
     Ok(set_of(h, values))
@@ -230,6 +254,141 @@ mod tests {
         // Non-finite inputs land on finite (clamped) outputs; no panic.
         for &v in &back.features.data {
             assert!(v.is_finite());
+        }
+    }
+
+    /// The per-value loop [`decode_u8block`] replaced: the reference it
+    /// must match bit for bit.
+    fn decode_u8block_reference(mut data: &[u8]) -> io::Result<SampleSet> {
+        let h = decode_header(&mut data)?;
+        need(data, 4, "truncated u8 block header")?;
+        let block_rows = data.get_u32_le() as usize;
+        if block_rows == 0 {
+            return Err(invalid("zero u8 block size"));
+        }
+        let n = h.len();
+        let dim = h.dim();
+        let nblocks = n.div_ceil(block_rows).max(1);
+        let nparams = nblocks
+            .checked_mul(dim)
+            .ok_or_else(|| invalid("u8 block count overflow"))?;
+        let param_bytes = nparams
+            .checked_mul(8)
+            .ok_or_else(|| invalid("u8 block count overflow"))?;
+        need(data, param_bytes, "truncated u8 block params")?;
+        let mut params = Vec::with_capacity(nparams);
+        for _ in 0..nparams {
+            let offset = data.get_f32_le();
+            let scale = data.get_f32_le();
+            params.push((offset, scale));
+        }
+        let count = checked_size(n as u64, dim, "u8 payload overflow")?;
+        need(data, count, "truncated u8 payload")?;
+        let mut values = Vec::with_capacity(count);
+        for r in 0..n {
+            let block = r / block_rows;
+            for c in 0..dim {
+                let (offset, scale) = params[block * dim + c];
+                let q = data.get_u8();
+                values.push((offset + scale * q as f32) as f64);
+            }
+        }
+        Ok(set_of(h, values))
+    }
+
+    /// SplitMix64.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A u8 payload written field by field: any block size, any
+    /// parameters, including ones the encoder never writes.
+    fn u8_payload(n: usize, dim: usize, block_rows: u32, state: &mut u64) -> Vec<u8> {
+        const PARAMS: [f32; 9] = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.0e-40,
+            f32::MAX,
+            0.37,
+            -12.5,
+        ];
+        let mut buf = BytesMut::new();
+        let header = SetHeader {
+            time: 0.5,
+            snapshot_index: 1,
+            hypercube: None,
+            names: (0..dim).map(|c| format!("c{c}")).collect(),
+            indices: (0..n).map(|i| i * 3).collect(),
+        };
+        encode_header(&header, &mut buf);
+        buf.put_u32_le(block_rows);
+        let nblocks = n.div_ceil(block_rows as usize).max(1);
+        for _ in 0..nblocks * dim * 2 {
+            let r = next(state);
+            let v = if r.is_multiple_of(3) {
+                PARAMS[(r >> 8) as usize % PARAMS.len()]
+            } else {
+                ((r >> 11) as f64 / (1u64 << 53) as f64 * 8.0 - 4.0) as f32
+            };
+            buf.put_f32_le(v);
+        }
+        for _ in 0..n * dim {
+            buf.put_u8(next(state) as u8);
+        }
+        buf.to_vec()
+    }
+
+    #[test]
+    fn u8block_matches_reference_bits() {
+        // Equal bits, or both NaN (Rust leaves NaN payloads unspecified).
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let mut state = 7;
+        let shapes: [(usize, usize, u32); 9] = [
+            (4096, 5, 256),
+            (409, 5, 256),
+            (300, 2, 256),
+            (17, 3, 1),
+            (40, 1, 7),
+            (33, 5, 16),
+            (5, 4, 1000),
+            (50, 2, u32::MAX),
+            (0, 3, 256),
+        ];
+        for (n, dim, block_rows) in shapes {
+            for _ in 0..4 {
+                let payload = u8_payload(n, dim, block_rows, &mut state);
+                let got = decode_u8block(&payload).unwrap();
+                let want = decode_u8block_reference(&payload).unwrap();
+                assert_eq!(got.indices, want.indices);
+                assert_eq!(got.features.data.len(), n * dim);
+                for (i, (&g, &w)) in got
+                    .features
+                    .data
+                    .iter()
+                    .zip(&want.features.data)
+                    .enumerate()
+                {
+                    assert!(
+                        same(g, w),
+                        "{n}x{dim}/{block_rows} value {i}: {g:e} vs {w:e}"
+                    );
+                }
+                // Every truncation is refused by both.
+                for cut in [payload.len() - 1, payload.len() / 2] {
+                    assert!(decode_u8block(&payload[..cut]).is_err());
+                    assert_eq!(
+                        decode_u8block(&payload[..cut]).is_err(),
+                        decode_u8block_reference(&payload[..cut]).is_err()
+                    );
+                }
+            }
         }
     }
 

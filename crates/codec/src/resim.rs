@@ -26,11 +26,11 @@
 //! loses sub-stride fluctuation energy, which the accuracy budgets bound.
 
 use bytes::{Buf, BufMut, BytesMut};
-use sickle_cfd::resim::{relax_chain, relax_lattice};
+use sickle_cfd::resim::{relax_chain, relax_lattice, seed_linear};
 use sickle_field::points::{FeatureMatrix, SampleSet};
 use std::io;
 
-use crate::half::{f16_bits_to_f32, f32_to_f16_bits};
+use crate::half::{f16_le_to_f64, f32_to_f16_bits};
 use crate::wire::{checked_size, decode_header, encode_header, invalid, need, SetHeader};
 
 /// Default coarsening stride: keep one row in three. Deliberately coprime
@@ -144,24 +144,16 @@ pub fn decode_resim(mut data: &[u8]) -> io::Result<SampleSet> {
     let mut known = vec![false; n];
     for &r in &rows {
         known[r] = true;
-        for v in &mut values[r * dim..(r + 1) * dim] {
-            *v = f16_bits_to_f32(data.get_u16_le()) as f64;
+    }
+    for (&r, src) in rows.iter().zip(data.chunks_exact(2 * dim.max(1))) {
+        for (v, b) in values[r * dim..(r + 1) * dim]
+            .iter_mut()
+            .zip(src.as_chunks().0)
+        {
+            *v = f16_le_to_f64(b);
         }
     }
-    // Seed unknowns with the linear interpolant between bracketing known
-    // rows — the chain-harmonic solution, and a good starting point for the
-    // lattice stencil too. The weight depends on the row alone, so it is
-    // computed once for every column.
-    for w in rows.windows(2) {
-        let (a, b) = (w[0], w[1]);
-        let gap = (b - a) as f64;
-        for r in a + 1..b {
-            let t = (r - a) as f64 / gap;
-            for c in 0..dim {
-                values[r * dim + c] = values[a * dim + c] * (1.0 - t) + values[b * dim + c] * t;
-            }
-        }
-    }
+    seed_linear(&mut values, dim, &rows);
     if lattice {
         relax_lattice((ex, ey, ez), &mut values, &known, sweeps);
     } else {
@@ -177,6 +169,7 @@ pub fn decode_resim(mut data: &[u8]) -> io::Result<SampleSet> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::half::f16_bits_to_f32;
 
     /// A dense raster-ordered cube of edge `e` with smooth 4-feature rows
     /// (the dimensionality of the synth turbulence datasets).

@@ -139,14 +139,13 @@ impl<'a> SampleSetView<'a> {
     /// bit-identical to decoding the same bytes eagerly.
     pub fn to_owned_set(&self) -> SampleSet {
         let names: Vec<String> = self.names.iter().map(|s| (*s).to_string()).collect();
-        let mut indices = Vec::with_capacity(self.n);
-        for i in 0..self.n {
-            indices.push(self.index(i));
-        }
-        let mut values = Vec::with_capacity(self.n * self.dim);
-        for i in 0..self.n * self.dim {
-            values.push(self.value(i));
-        }
+        let indices = self.indices.as_chunks().0;
+        let indices = indices
+            .iter()
+            .map(|&b| u64::from_le_bytes(b) as usize)
+            .collect();
+        let values = self.values.as_chunks().0;
+        let values = values.iter().map(|&b| f64::from_le_bytes(b)).collect();
         let features = FeatureMatrix::new(names, values);
         let mut set = SampleSet::new(features, indices, self.time, self.snapshot_index);
         set.hypercube = self.hypercube;
