@@ -42,9 +42,15 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--output-dir" => {
-                output_dir = PathBuf::from(it.next().unwrap_or_else(|| usage()));
+                output_dir = PathBuf::from(it.next().unwrap_or_else(|| {
+                    eprintln!("'--output-dir' needs a value");
+                    usage()
+                }));
             }
-            _ => usage(),
+            other => {
+                eprintln!("unexpected argument '{other}'");
+                usage()
+            }
         }
     }
 

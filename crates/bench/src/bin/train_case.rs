@@ -26,7 +26,8 @@ fn main() {
         eprintln!("{e}");
         usage()
     });
-    if !rest.is_empty() {
+    if let Some(extra) = rest.first() {
+        eprintln!("unexpected argument '{extra}'");
         usage();
     }
 

@@ -392,7 +392,9 @@ pub fn case_from_args(args: &[String]) -> Result<(CaseConfig, &[String]), String
         [path, rest @ ..] if !path.starts_with("--") => CaseConfig::load(path.as_ref())
             .map(|c| (c, rest))
             .map_err(|e| format!("failed to load {path}: {e}")),
-        _ => Err("expected a case file or --builtin <name>".to_string()),
+        [flag] if flag == "--builtin" => Err("'--builtin' needs a case name".to_string()),
+        [other, ..] => Err(format!("unexpected argument '{other}'")),
+        [] => Err("expected a case file or --builtin <name>".to_string()),
     }
 }
 
