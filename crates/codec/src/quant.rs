@@ -16,7 +16,7 @@ use bytes::{Buf, BufMut, BytesMut};
 use sickle_field::points::{FeatureMatrix, SampleSet};
 use std::io;
 
-use crate::half::{f16_le_to_f64, f32_to_f16_bits};
+use crate::half::{extend_f16_le, f32_to_f16_bits};
 use crate::wire::{checked_size, decode_header, encode_header, invalid, need, SetHeader};
 
 /// Rows per u8 quantization block. Small enough that one block spans a
@@ -59,12 +59,8 @@ pub fn decode_f16(mut data: &[u8]) -> io::Result<SampleSet> {
         .checked_mul(2)
         .ok_or_else(|| invalid("quantized payload overflow"))?;
     need(data, bytes, "truncated quantized payload")?;
-    let values = data[..bytes]
-        .as_chunks()
-        .0
-        .iter()
-        .map(f16_le_to_f64)
-        .collect();
+    let mut values = Vec::new();
+    extend_f16_le(&mut values, data[..bytes].as_chunks().0);
     Ok(set_of(h, values))
 }
 
@@ -122,7 +118,9 @@ pub fn encode_u8block(set: &SampleSet) -> BytesMut {
 
 /// Rows of a u8 block decoded per inner loop: each block's `(offset, scale)`
 /// row is tiled this many times, so a run of rows is one contiguous loop
-/// over values, bytes and parameters alike, and vectorizes.
+/// over bytes and parameters alike, and vectorizes. Like
+/// [`crate::half::extend_f16_le`], a run is computed in `f32` lanes and
+/// widened to `f64` in a second pass.
 const U8_TILE_ROWS: usize = 16;
 
 /// Decodes an [`encode_u8block`] payload.
@@ -155,6 +153,7 @@ pub fn decode_u8block(mut data: &[u8]) -> io::Result<SampleSet> {
         let tile_rows = U8_TILE_ROWS.min(block_rows);
         let mut offsets = Vec::with_capacity(tile_rows * dim);
         let mut scales = Vec::with_capacity(tile_rows * dim);
+        let mut wide = vec![0.0f32; tile_rows * dim];
         for (q, block_params) in data[..count]
             .chunks(block_len)
             .zip(params.chunks_exact(8 * dim))
@@ -168,12 +167,13 @@ pub fn decode_u8block(mut data: &[u8]) -> io::Result<SampleSet> {
                 }
             }
             for run in q.chunks(tile_rows * dim) {
-                values.extend(
-                    run.iter()
-                        .zip(&offsets)
-                        .zip(&scales)
-                        .map(|((&q, &offset), &scale)| f64::from(offset + scale * f32::from(q))),
-                );
+                let wide = &mut wide[..run.len()];
+                for (((w, &q), &offset), &scale) in
+                    wide.iter_mut().zip(run).zip(&offsets).zip(&scales)
+                {
+                    *w = offset + scale * f32::from(q);
+                }
+                values.extend(wide.iter().map(|&w| f64::from(w)));
             }
         }
     }

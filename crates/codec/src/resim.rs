@@ -30,7 +30,7 @@ use sickle_cfd::resim::{relax_chain, relax_lattice, seed_linear};
 use sickle_field::points::{FeatureMatrix, SampleSet};
 use std::io;
 
-use crate::half::{f16_le_to_f64, f32_to_f16_bits};
+use crate::half::{extend_f16_le, f32_to_f16_bits};
 use crate::wire::{checked_size, decode_header, encode_header, invalid, need, SetHeader};
 
 /// Default coarsening stride: keep one row in three. Deliberately coprime
@@ -145,13 +145,10 @@ pub fn decode_resim(mut data: &[u8]) -> io::Result<SampleSet> {
     for &r in &rows {
         known[r] = true;
     }
-    for (&r, src) in rows.iter().zip(data.chunks_exact(2 * dim.max(1))) {
-        for (v, b) in values[r * dim..(r + 1) * dim]
-            .iter_mut()
-            .zip(src.as_chunks().0)
-        {
-            *v = f16_le_to_f64(b);
-        }
+    let mut coarse = Vec::new();
+    extend_f16_le(&mut coarse, data[..coarse_bytes].as_chunks().0);
+    for (&r, row) in rows.iter().zip(coarse.chunks_exact(dim.max(1))) {
+        values[r * dim..(r + 1) * dim].copy_from_slice(row);
     }
     seed_linear(&mut values, dim, &rows);
     if lattice {
