@@ -70,9 +70,8 @@ pub fn encode_sample_set(set: &SampleSet) -> Bytes {
 /// little-endian byte slices into the input (typically an `mmap`ed shard)
 /// — nothing is copied until a caller asks for it. All counts and bounds
 /// are validated at parse time with the same overflow-checked arithmetic
-/// as [`decode_sample_set`], so the accessors can index without
-/// re-checking; they panic only on out-of-range positions, which is a
-/// caller bug, not an input property.
+/// as [`decode_sample_set`], so [`SampleSetView::to_owned_set`] reads the
+/// payloads without re-checking.
 ///
 /// The view borrows `data` for its whole lifetime, so the buffer (e.g. a
 /// mapped shard file) must outlive every view parsed from it.
@@ -110,29 +109,6 @@ impl<'a> SampleSetView<'a> {
     /// Borrowed variable names, in column order.
     pub fn names(&self) -> &[&'a str] {
         &self.names
-    }
-
-    /// The `i`-th retained grid index.
-    ///
-    /// # Panics
-    /// If `i >= len()`.
-    pub fn index(&self, i: usize) -> usize {
-        let raw: [u8; 8] = self.indices[i * 8..i * 8 + 8]
-            .try_into()
-            .expect("8-byte index");
-        u64::from_le_bytes(raw) as usize
-    }
-
-    /// The `i`-th value of the flat row-major feature payload — bit-exact
-    /// what [`decode_sample_set`] would place at `features.data[i]`.
-    ///
-    /// # Panics
-    /// If `i >= len() * dim()`.
-    pub fn value(&self, i: usize) -> f64 {
-        let raw: [u8; 8] = self.values[i * 8..i * 8 + 8]
-            .try_into()
-            .expect("8-byte value");
-        f64::from_le_bytes(raw)
     }
 
     /// Materializes the borrowed view as an owned [`SampleSet`],
@@ -507,14 +483,13 @@ mod tests {
             assert_eq!(view.hypercube, set.hypercube);
             assert_eq!(view.snapshot_index, set.snapshot_index);
             assert_eq!(view.names(), set.features.names.as_slice());
-            for i in 0..view.len() {
-                assert_eq!(view.index(i), set.indices[i]);
-            }
-            for i in 0..view.len() * view.dim() {
-                assert_eq!(view.value(i).to_bits(), set.features.data[i].to_bits());
-            }
+        }
+        // Both materialize the encoded sets bit for bit.
+        for (view, set) in views.iter().zip(&sets) {
             let back = view.to_owned_set();
-            assert_eq!(back.features, set.features);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back.features.data), bits(&set.features.data));
+            assert_eq!(back.features.names, set.features.names);
             assert_eq!(back.indices, set.indices);
         }
     }
