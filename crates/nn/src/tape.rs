@@ -78,10 +78,6 @@ enum Op {
         a: Var,
         bias: Var,
     },
-    Sub {
-        a: Var,
-        b: Var,
-    },
     Mul {
         a: Var,
         b: Var,
@@ -94,9 +90,6 @@ enum Op {
         a: Var,
     },
     Sigmoid {
-        a: Var,
-    },
-    Relu {
         a: Var,
     },
     SoftmaxRows {
@@ -449,21 +442,6 @@ impl Tape {
         self.push(out, (m, n), Op::AddRow { a, bias })
     }
 
-    /// Elementwise difference (same shape).
-    pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        assert_eq!(self.shape(a), self.shape(b), "sub shape mismatch");
-        let shape = self.shape(a);
-        let mut out = self.take_buf(shape.0 * shape.1);
-        for (o, (x, y)) in out
-            .iter_mut()
-            .zip(self.nodes[a.0].data.iter().zip(&self.nodes[b.0].data))
-        {
-            *o = x - y;
-        }
-        flops::record(out.len() as u64);
-        self.push(out, shape, Op::Sub { a, b })
-    }
-
     /// Elementwise (Hadamard) product.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.shape(a), self.shape(b), "mul shape mismatch");
@@ -513,17 +491,6 @@ impl Tape {
         }
         flops::record(4 * out.len() as u64);
         self.push(out, shape, Op::Sigmoid { a })
-    }
-
-    /// Elementwise ReLU.
-    pub fn relu(&mut self, a: Var) -> Var {
-        let shape = self.shape(a);
-        let mut out = self.take_buf(shape.0 * shape.1);
-        for (o, x) in out.iter_mut().zip(&self.nodes[a.0].data) {
-            *o = x.max(0.0);
-        }
-        flops::record(out.len() as u64);
-        self.push(out, shape, Op::Relu { a })
     }
 
     /// Row-wise softmax (numerically stabilized).
@@ -813,16 +780,6 @@ impl Tape {
                 }
                 self.nodes[bias.0].grad = bg;
             }
-            Op::Sub { a, b } => {
-                let mut ga = mem::take(&mut self.nodes[a.0].grad);
-                axpy(&mut ga, &self.nodes[i].grad);
-                self.nodes[a.0].grad = ga;
-                let mut gb = mem::take(&mut self.nodes[b.0].grad);
-                for (g, &d) in gb.iter_mut().zip(&self.nodes[i].grad) {
-                    *g -= d;
-                }
-                self.nodes[b.0].grad = gb;
-            }
             Op::Mul { a, b } => {
                 let mut ga = mem::take(&mut self.nodes[a.0].grad);
                 for ((g, &d), &bv) in ga
@@ -870,17 +827,6 @@ impl Tape {
                     .zip(&self.nodes[i].data)
                 {
                     *g += d * yv * (1.0 - yv);
-                }
-                self.nodes[a.0].grad = ga;
-            }
-            Op::Relu { a } => {
-                let mut ga = mem::take(&mut self.nodes[a.0].grad);
-                for ((g, &d), &xv) in ga
-                    .iter_mut()
-                    .zip(&self.nodes[i].grad)
-                    .zip(&self.nodes[a.0].data)
-                {
-                    *g += if xv > 0.0 { d } else { 0.0 };
                 }
                 self.nodes[a.0].grad = ga;
             }
@@ -1122,8 +1068,7 @@ mod tests {
     fn gradcheck_activations() {
         let input = vec![0.5, -1.2, 2.0, -0.3, 0.9, 0.1];
         grad_check(input.clone(), (2, 3), |t, x| t.tanh(x));
-        grad_check(input.clone(), (2, 3), |t, x| t.sigmoid(x));
-        grad_check(input, (2, 3), |t, x| t.relu(x));
+        grad_check(input, (2, 3), |t, x| t.sigmoid(x));
     }
 
     #[test]

@@ -211,6 +211,29 @@ mod tests {
     }
 
     #[test]
+    fn one_thread_across_a_segment_boundary_drains_in_push_order() {
+        const COUNT: u64 = SEG_SIZE as u64 + 17;
+        let _guard = crate::test_guard();
+        let _ = drain();
+        for i in 0..COUNT {
+            push(Event {
+                name: "sink.boundary",
+                tid: 1,
+                ts_ns: i,
+                kind: EventKind::Value { value: i as f64 },
+            });
+        }
+        assert_eq!(dropped_events(), 0);
+        let events = drain();
+        let ours: Vec<u64> = events
+            .iter()
+            .filter(|e| e.name == "sink.boundary")
+            .map(|e| e.ts_ns)
+            .collect();
+        assert_eq!(ours, (0..COUNT).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn concurrent_pushes_are_all_collected() {
         // 4 × 4096 events span four segments, so threads race to install
         // segments 1–3 mid-stream and the CAS-and-discard path can run.

@@ -1,35 +1,25 @@
-//! Byte-budgeted LRU block cache for shards, with **mapped vs heap**
-//! accounting.
+//! Byte-budgeted LRU block cache of decoded shards, with **mapped vs
+//! heap** accounting.
 //!
 //! The cache is what makes the store *out-of-core*: a dataset far larger
 //! than RAM streams through a bounded working set. One entry per
-//! [`ShardKey`] holds up to two residencies of the same shard:
+//! [`ShardKey`] holds one residency: a [`DecodedShard`], the decoded
+//! [`SampleSet`] every batch is tensorized from plus its targets
+//! ([`column_means`](crate::batching::column_means)), both made once per
+//! residency, so neither a lossy shard's reconstruction nor the O(points)
+//! target reduction runs per request. Set and targets are one value:
+//! inserted, hit and evicted together. The shard's raw bytes are not
+//! cached: they are a slice of the store's pack mapping, hash-verified on
+//! every read of it, which is once per residency.
 //!
-//! - **raw** — the verified on-disk bytes as an [`Arc<ShardBytes>`], a
-//!   range view of the store's pack mapping, whose pages belong to the OS
-//!   page cache. These are what `get()` decodes from,
-//!   hash-verified once per residency, so a shard re-decoded after its
-//!   decoded residency was evicted skips the hash check.
-//! - **decoded** — a [`DecodedShard`]: the decoded [`SampleSet`] every
-//!   batch is tensorized from plus its targets
-//!   ([`column_means`](crate::batching::column_means)), both made once per
-//!   residency, so neither a lossy shard's reconstruction nor the O(points)
-//!   target reduction runs per request. Set and targets are one value:
-//!   inserted, hit and evicted together.
+//! Each entry is charged against two budgets: `budget_bytes` bounds its
+//! heap bytes (the decoded set and targets), `mapped_budget_bytes` its
+//! shard's pack bytes. Pack pages belong to the OS page cache, so counting
+//! them against the heap budget would double-charge memory the kernel can
+//! reclaim on its own. Eviction is whole-entry LRU driven by whichever
+//! budget is over.
 //!
-//! The two residencies are budgeted separately: `budget_bytes` bounds
-//! heap-resident bytes (decoded shards), while `mapped_budget_bytes`
-//! bounds the bytes of cached verified views of the mapping — counting
-//! them against the heap budget would double-charge the OS page cache and
-//! evict decoded sets to "make room" for memory the kernel can reclaim on
-//! its own. It bounds
-//! views, not mappings: the store maps its pack once, and evicting a view
-//! only means the shard is re-hashed on its next miss. Eviction is
-//! whole-entry LRU driven by whichever budget is over.
-//!
-//! Hits and misses on the decoded side keep their historical counters
-//! (`store.cache.hit` / `store.cache.miss`); the raw side gets its own
-//! `store.cache.raw_hit` / `store.cache.raw_miss` pair.
+//! Hits and misses count on `store.cache.hit` / `store.cache.miss`.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -37,7 +27,6 @@ use std::sync::{Arc, Mutex};
 use sickle_field::SampleSet;
 
 use crate::manifest::ShardKey;
-use crate::shard_bytes::ShardBytes;
 
 /// A decoded shard as the cache holds it: the set and its
 /// [`column_means`](crate::batching::column_means), computed once by
@@ -83,18 +72,10 @@ impl DecodedShard {
 }
 
 struct CacheEntry {
-    raw: Option<Arc<ShardBytes>>,
-    decoded: Option<DecodedShard>,
+    decoded: DecodedShard,
     heap_bytes: usize,
     mapped_bytes: usize,
     last_used: u64,
-}
-
-impl CacheEntry {
-    fn recount(&mut self) {
-        self.mapped_bytes = self.raw.as_ref().map_or(0, |r| r.len());
-        self.heap_bytes = self.decoded.as_ref().map_or(0, DecodedShard::heap_bytes);
-    }
 }
 
 struct CacheInner {
@@ -149,13 +130,11 @@ impl BlockCache {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(&key).and_then(|entry| {
-            entry.last_used = tick;
-            entry.decoded.clone()
-        }) {
-            Some(decoded) => {
+        match inner.map.get_mut(&key) {
+            Some(entry) => {
+                entry.last_used = tick;
                 sickle_obs::counter!("store.cache.hit", 1usize);
-                Some(decoded)
+                Some(entry.decoded.clone())
             }
             None => {
                 sickle_obs::counter!("store.cache.miss", 1usize);
@@ -164,30 +143,9 @@ impl BlockCache {
         }
     }
 
-    /// Looks a shard's raw verified bytes up, bumping recency. Counts
-    /// `store.cache.raw_hit` or `store.cache.raw_miss`.
-    pub fn get_raw(&self, key: ShardKey) -> Option<Arc<ShardBytes>> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(&key).and_then(|entry| {
-            entry.last_used = tick;
-            entry.raw.clone()
-        }) {
-            Some(raw) => {
-                sickle_obs::counter!("store.cache.raw_hit", 1usize);
-                Some(raw)
-            }
-            None => {
-                sickle_obs::counter!("store.cache.raw_miss", 1usize);
-                None
-            }
-        }
-    }
-
-    /// True when anything (raw bytes or decoded shard) is resident for the
-    /// key. Does not touch recency or counters (used by the prefetcher to
-    /// avoid skewing hit statistics).
+    /// True when the key's decoded shard is resident. Does not touch
+    /// recency or counters (used by the prefetcher to avoid skewing hit
+    /// statistics).
     pub fn contains(&self, key: ShardKey) -> bool {
         self.inner
             .lock()
@@ -196,44 +154,25 @@ impl BlockCache {
             .contains_key(&key)
     }
 
-    /// Inserts (or merges) a decoded shard, evicting least-recently-used
-    /// entries until both budgets hold again. The entry just inserted is
-    /// never evicted by its own insertion, so a single oversized shard
-    /// still serves.
-    pub fn insert(&self, key: ShardKey, value: DecodedShard) {
-        self.merge(key, None, Some(value));
-    }
-
-    /// Inserts (or merges) a shard's raw verified bytes.
-    pub fn insert_raw(&self, key: ShardKey, raw: Arc<ShardBytes>) {
-        self.merge(key, Some(raw), None);
-    }
-
-    fn merge(&self, key: ShardKey, raw: Option<Arc<ShardBytes>>, decoded: Option<DecodedShard>) {
+    /// Inserts (or replaces) a decoded shard whose pack range is
+    /// `mapped_bytes` long, evicting least-recently-used entries until both
+    /// budgets hold again. The entry just inserted is never evicted by its
+    /// own insertion, so a single oversized shard still serves.
+    pub fn insert(&self, key: ShardKey, decoded: DecodedShard, mapped_bytes: usize) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.tick += 1;
-        let tick = inner.tick;
-        let (old_heap, old_mapped, new_heap, new_mapped) = {
-            let entry = inner.map.entry(key).or_insert(CacheEntry {
-                raw: None,
-                decoded: None,
-                heap_bytes: 0,
-                mapped_bytes: 0,
-                last_used: tick,
-            });
-            let (old_heap, old_mapped) = (entry.heap_bytes, entry.mapped_bytes);
-            if let Some(raw) = raw {
-                entry.raw = Some(raw);
-            }
-            if let Some(decoded) = decoded {
-                entry.decoded = Some(decoded);
-            }
-            entry.last_used = tick;
-            entry.recount();
-            (old_heap, old_mapped, entry.heap_bytes, entry.mapped_bytes)
+        let entry = CacheEntry {
+            heap_bytes: decoded.heap_bytes(),
+            mapped_bytes,
+            last_used: inner.tick,
+            decoded,
         };
-        inner.heap_bytes = inner.heap_bytes - old_heap + new_heap;
-        inner.mapped_bytes = inner.mapped_bytes - old_mapped + new_mapped;
+        inner.heap_bytes += entry.heap_bytes;
+        inner.mapped_bytes += entry.mapped_bytes;
+        if let Some(old) = inner.map.insert(key, entry) {
+            inner.heap_bytes -= old.heap_bytes;
+            inner.mapped_bytes -= old.mapped_bytes;
+        }
         while (inner.heap_bytes > self.budget_bytes
             || inner.mapped_bytes > self.mapped_budget_bytes)
             && inner.map.len() > 1
@@ -260,8 +199,7 @@ impl BlockCache {
         sickle_obs::gauge!("store.cache.resident_shards", inner.map.len());
     }
 
-    /// Resident shard count (entries with raw bytes, a decoded shard, or
-    /// both).
+    /// Resident shard count.
     pub fn len(&self) -> usize {
         self.inner
             .lock()
@@ -284,7 +222,8 @@ impl BlockCache {
             .heap_bytes
     }
 
-    /// Bytes of the mapped (page-cache-backed) views the cache holds.
+    /// Pack bytes of the resident shards (page-cache-backed, charged
+    /// against the mapped budget).
     pub fn mapped_bytes(&self) -> usize {
         self.inner
             .lock()
@@ -301,7 +240,6 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard_bytes::Pack;
     use sickle_field::FeatureMatrix;
 
     fn shard_of(n: usize) -> DecodedShard {
@@ -317,20 +255,11 @@ mod tests {
         BlockCache::new(budget, usize::MAX)
     }
 
-    fn raw_of(tag: &str, n: usize) -> Arc<ShardBytes> {
-        let path =
-            std::env::temp_dir().join(format!("sickle_cache_raw_{tag}_{}_{n}", std::process::id()));
-        std::fs::write(&path, vec![3u8; n]).unwrap();
-        let raw = Pack::open(&path, n).unwrap().shard(0, n).unwrap();
-        std::fs::remove_file(&path).ok();
-        Arc::new(raw)
-    }
-
     #[test]
     fn hit_after_insert_miss_before() {
         let cache = cache(1 << 20);
         assert!(cache.get(key(0)).is_none());
-        cache.insert(key(0), shard_of(4));
+        cache.insert(key(0), shard_of(4), 0);
         let got = cache.get(key(0)).expect("resident");
         assert_eq!(got.set().len(), 4);
         assert_eq!(&got.targets()[..], [0.5f32]);
@@ -341,11 +270,11 @@ mod tests {
         // Each set is ~16B/point of payload; budget fits roughly two sets.
         let per = shard_of(100).heap_bytes();
         let cache = cache(per * 2 + per / 2);
-        cache.insert(key(0), shard_of(100));
-        cache.insert(key(1), shard_of(100));
+        cache.insert(key(0), shard_of(100), 0);
+        cache.insert(key(1), shard_of(100), 0);
         // Touch 0 so 1 becomes the LRU victim.
         assert!(cache.get(key(0)).is_some());
-        cache.insert(key(2), shard_of(100));
+        cache.insert(key(2), shard_of(100), 0);
         assert!(cache.contains(key(0)), "recently used survives");
         assert!(!cache.contains(key(1)), "LRU evicted");
         assert!(cache.contains(key(2)), "new entry resident");
@@ -355,10 +284,10 @@ mod tests {
     #[test]
     fn oversized_single_shard_still_resides() {
         let cache = cache(8); // far below one shard
-        cache.insert(key(0), shard_of(1000));
+        cache.insert(key(0), shard_of(1000), 0);
         assert!(cache.contains(key(0)));
         // The next insert displaces it (budget admits only one).
-        cache.insert(key(1), shard_of(1000));
+        cache.insert(key(1), shard_of(1000), 0);
         assert!(!cache.contains(key(0)));
         assert!(cache.contains(key(1)));
     }
@@ -367,11 +296,11 @@ mod tests {
     fn reinsert_replaces_without_double_counting() {
         let cache = cache(1 << 20);
         let first = shard_of(10);
-        cache.insert(key(0), first.clone());
+        cache.insert(key(0), first.clone(), 0);
         let b1 = cache.resident_bytes();
         // The targets (one f32 per feature) are charged beside the set.
         assert_eq!(b1, sample_set_bytes(first.set()) + 4);
-        cache.insert(key(0), shard_of(10));
+        cache.insert(key(0), shard_of(10), 0);
         assert_eq!(cache.resident_bytes(), b1);
         assert_eq!(cache.len(), 1);
         // The replacement's targets are what a hit returns now.
@@ -381,41 +310,30 @@ mod tests {
         // Set and targets leave together: with room for one shard, the
         // next insert evicts the whole entry and only its bytes remain.
         let tight = BlockCache::new(b1, usize::MAX);
-        tight.insert(key(0), shard_of(10));
-        tight.insert(key(1), shard_of(10));
+        tight.insert(key(0), shard_of(10), 0);
+        tight.insert(key(1), shard_of(10), 0);
         assert!(tight.get(key(0)).is_none(), "set and targets evicted");
         assert_eq!(tight.resident_bytes(), b1);
     }
 
     #[test]
-    fn mapped_raw_bytes_do_not_charge_the_heap_budget() {
-        let cache = cache(1 << 20);
-        cache.insert_raw(key(0), raw_of("mapped", 4096));
-        assert_eq!(cache.resident_bytes(), 0, "mapped bytes are not heap");
-        assert_eq!(cache.mapped_bytes(), 4096);
-        assert!(cache.get_raw(key(0)).is_some());
-        assert!(cache.get(key(0)).is_none(), "no decoded set yet");
-    }
-
-    #[test]
-    fn raw_and_set_merge_into_one_entry() {
-        let cache = cache(1 << 20);
-        cache.insert_raw(key(0), raw_of("merge", 256));
-        cache.insert(key(0), shard_of(10));
-        assert_eq!(cache.len(), 1);
-        assert!(cache.get_raw(key(0)).is_some());
-        assert!(cache.get(key(0)).is_some());
-        assert_eq!(cache.resident_bytes(), shard_of(10).heap_bytes());
-        assert_eq!(cache.mapped_bytes(), 256);
-    }
-
-    #[test]
     fn mapped_budget_evicts_independently() {
+        // The heap budget holds every decoded set, so only the resident
+        // pack bytes can evict.
         let cache = BlockCache::new(1 << 20, 10_000);
-        cache.insert_raw(key(0), raw_of("mb0", 8192));
-        cache.insert_raw(key(1), raw_of("mb1", 8192));
+        cache.insert(key(0), shard_of(10), 8192);
+        assert_eq!(cache.mapped_bytes(), 8192);
+        assert_eq!(
+            cache.resident_bytes(),
+            shard_of(10).heap_bytes(),
+            "pack bytes do not charge the heap budget"
+        );
+        cache.insert(key(1), shard_of(10), 1024);
+        assert!(cache.contains(key(0)), "9216 pack bytes fit in 10 000");
+        cache.insert(key(2), shard_of(10), 4096);
         assert!(!cache.contains(key(0)), "mapped budget evicted the LRU");
-        assert!(cache.contains(key(1)));
-        assert!(cache.mapped_bytes() <= 10_000);
+        assert!(cache.contains(key(1)) && cache.contains(key(2)));
+        assert_eq!(cache.mapped_bytes(), 1024 + 4096);
+        assert_eq!(cache.resident_bytes(), 2 * shard_of(10).heap_bytes());
     }
 }

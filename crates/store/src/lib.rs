@@ -47,7 +47,6 @@ pub use manifest::{ShardEntry, ShardKey, StoreManifest};
 pub use prefetch::Prefetcher;
 pub use protocol::{Request, Response, WireErrorKind};
 pub use server::{serve, ServeConfig, ServerHandle};
-pub use shard_bytes::ShardBytes;
 pub use sickle_codec::Codec;
 pub use stats::{CodecStats, ConnRegistry, ConnStats, StatsSnapshot};
 pub use store::{set_key, ShardStore, StoreConfig};

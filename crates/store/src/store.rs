@@ -22,8 +22,9 @@
 //! pack to `pack.tmp`, renames it to its content name, saves the manifest
 //! atomically — the one commit point — and only then deletes any pack the
 //! new manifest does not name. A crash at any step leaves the previous
-//! manifest naming a pack whose bytes still verify. A store opens its pack
-//! once (see [`Pack`]) and serves every shard as a verified range of it.
+//! manifest naming a pack whose bytes still verify. A store maps its pack
+//! once (see [`Pack`]) and reads every shard as a slice of that mapping,
+//! hash-verified on each read — once per cache residency.
 
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -36,7 +37,7 @@ use sickle_field::SampleSet;
 
 use crate::cache::{BlockCache, DecodedShard};
 use crate::manifest::{ShardEntry, ShardKey, StoreManifest};
-use crate::shard_bytes::{Pack, ShardBytes};
+use crate::shard_bytes::Pack;
 
 /// Tuning for an opened store.
 #[derive(Clone, Copy, Debug)]
@@ -44,10 +45,10 @@ pub struct StoreConfig {
     /// Byte budget for heap-resident cache entries (decoded sets and their
     /// targets).
     pub cache_bytes: usize,
-    /// Byte budget for cached verified views of the mapped pack. Mapped
-    /// pages belong to the OS page cache, so this bounds them separately
-    /// instead of double-counting against `cache_bytes`; the pack's one
-    /// mapping lives as long as the store or any view of it.
+    /// Byte budget for the pack bytes of cached shards: each entry charges
+    /// its shard's range length. Mapped pages belong to the OS page cache,
+    /// so this bounds them separately instead of double-counting against
+    /// `cache_bytes`; the pack's one mapping lives as long as the store.
     pub mapped_cache_bytes: usize,
 }
 
@@ -228,36 +229,30 @@ impl ShardStore {
         })
     }
 
-    /// Opens a shard's raw bytes as a shared, cached [`ShardBytes`] handle
-    /// — the zero-copy read path. A hit is an `Arc` clone; a miss cuts the
-    /// shard's range out of the pack's mapping and streams the content
-    /// hash over it, so the hash check runs exactly once per residency. (The pack's length was
-    /// checked against the manifest before it was mapped, and every range
-    /// against that length.) `get()` decodes from this handle: a shard
-    /// re-decoded while its raw residency holds is neither re-read nor
-    /// re-hashed.
+    /// A shard's raw bytes, borrowed from the pack's mapping — the
+    /// zero-copy read path. Every call cuts the shard's range out of the
+    /// mapping and streams the content hash over it; nothing is cached, and
+    /// [`resident`](Self::resident) calls this once per miss, so the hash
+    /// runs once per residency. (The pack's length was checked against the
+    /// manifest before it was mapped, and every range against that length.)
     ///
     /// # Errors
-    /// `NotFound` for an unknown key, `InvalidData` on a hash mismatch.
-    pub fn shard_handle(&self, key: ShardKey) -> io::Result<Arc<ShardBytes>> {
-        if let Some(hit) = self.cache.get_raw(key) {
-            return Ok(hit);
-        }
+    /// `NotFound` for an unknown key, `InvalidData` for a range outside the
+    /// pack or a hash mismatch.
+    pub fn shard_handle(&self, key: ShardKey) -> io::Result<&[u8]> {
         let entry = self.entry(key)?;
         let t0 = std::time::Instant::now();
         let raw = {
             let _s = sickle_obs::span!("store.disk_read", snapshot = key.snapshot, cube = key.cube);
             self.pack.shard(entry.offset, entry.bytes)?
         };
-        if fio::content_hash_hex(&raw) != entry.hash {
+        if fio::content_hash_hex(raw) != entry.hash {
             return Err(invalid(format!(
                 "hash mismatch for snapshot {} cube {} in {}",
                 key.snapshot, key.cube, self.manifest.pack
             )));
         }
         sickle_obs::histogram!("store.disk_read_us", t0.elapsed().as_micros() as f64);
-        let raw = Arc::new(raw);
-        self.cache.insert_raw(key, Arc::clone(&raw));
         Ok(raw)
     }
 
@@ -291,7 +286,7 @@ impl ShardStore {
         let t1 = std::time::Instant::now();
         let mut sets = {
             let _s = sickle_obs::span!("store.decode", bytes = raw.len());
-            sickle_codec::decode_shard(&raw)?
+            sickle_codec::decode_shard(raw)?
         };
         sickle_obs::histogram!("store.decode_us", t1.elapsed().as_micros() as f64);
         let count = sets.len();
@@ -304,7 +299,7 @@ impl ShardStore {
                 )))
             }
         };
-        self.cache.insert(key, decoded.clone());
+        self.cache.insert(key, decoded.clone(), raw.len());
         Ok(decoded)
     }
 
@@ -327,8 +322,7 @@ impl ShardStore {
     }
 
     /// Makes a shard resident ahead of demand (the prefetcher's verb):
-    /// raw handle plus decoded set and targets, exactly what the batch path
-    /// will ask for.
+    /// decoded set and targets, exactly what the batch path will ask for.
     ///
     /// # Errors
     /// As [`resident`](Self::resident).
@@ -448,6 +442,10 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
+    fn bits_f64(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn resident_targets_are_the_column_means_for_every_codec() {
         let out = small_output(1, 3, 40);
@@ -496,10 +494,11 @@ mod tests {
         let again = store.resident(keys[0]).unwrap();
         assert!(!Arc::ptr_eq(first.targets(), again.targets()), "re-decoded");
         assert_eq!(bits(first.targets()), bits(again.targets()));
-        let data = |d: &DecodedShard| -> Vec<u64> {
-            d.set().features.data.iter().map(|v| v.to_bits()).collect()
-        };
-        assert_eq!(data(&first), data(&again), "resim decode is deterministic");
+        assert_eq!(
+            bits_f64(&first.set().features.data),
+            bits_f64(&again.set().features.data),
+            "resim decode is deterministic"
+        );
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -518,6 +517,45 @@ mod tests {
         let store = ShardStore::open(&root, StoreConfig::default()).unwrap();
         let err = store.get(key).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_shard_tampered_after_its_eviction_fails_its_next_read() {
+        use std::os::unix::fs::FileExt;
+        let root = temp_root("evict_tamper");
+        let out = small_output(1, 3, 20);
+        let cfg = StoreConfig {
+            cache_bytes: 1,
+            ..StoreConfig::default()
+        };
+        let store = ShardStore::ingest(&root, &out, cfg).unwrap();
+        let keys = store.keys();
+        store.get(keys[0]).unwrap();
+        store.get(keys[1]).unwrap();
+        assert!(!store.is_cached(keys[0]), "a one-shard cache evicted it");
+
+        // Flip one byte of the evicted shard in place: same length, so the
+        // open mapping sees the new byte.
+        let e = store.manifest().entry(keys[0]).unwrap();
+        let pack = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(root.join(&store.manifest().pack))
+            .unwrap();
+        let at = (e.offset + e.bytes / 2) as u64;
+        let mut byte = [0u8];
+        pack.read_exact_at(&mut byte, at).unwrap();
+        pack.write_all_at(&[byte[0] ^ 0x10], at).unwrap();
+        drop(pack);
+
+        let err = store.get(keys[0]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        for (position, set) in out.sets[0].iter().enumerate().skip(1) {
+            let got = store.get(set_key(set, position)).unwrap();
+            assert_eq!(bits_f64(&got.features.data), bits_f64(&set.features.data));
+            assert_eq!(got.indices, set.indices);
+        }
         std::fs::remove_dir_all(&root).ok();
     }
 

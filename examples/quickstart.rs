@@ -77,5 +77,5 @@ fn main() {
             r.feature, r.kl_full_vs_sample, r.tail_coverage_ratio
         );
     }
-    println!("\ndone — see examples/cylinder_surrogate.rs for end-to-end training.");
+    println!("\ndone — `cargo run --release -p sickle-bench --bin fig6_drag_surrogate` trains end to end.");
 }
