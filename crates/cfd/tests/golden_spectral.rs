@@ -13,6 +13,13 @@
 //!   `inverse_truncated` pair at `kmax = 21` (22 z-coefficients per row, a
 //!   band pencil count that is not a multiple of four).
 //! - `rfft64_full`: one 64³ full `RealFft3d` forward / inverse pair.
+//! - `sst100_32`: a reduced SST-P1F100 dataset (32³, 2 snapshots): the
+//!   forced solver with gravity along y, which the buoyancy feedback and
+//!   the forcing rescale reach and `sst32` does not.
+//! - `gests32`: a reduced GESTS dataset (32³, one snapshot): the
+//!   unstratified, forced solver started from a synthetic field. Like
+//!   `synth32` it runs on a one-thread pool, because its initial field's
+//!   bits follow the thread count.
 //!
 //! Each line of `golden/spectral.txt` is `case item len digest`, where
 //! `digest` is XXH64 (`sickle_field::io::content_hash`) of the item's `f64`
@@ -34,10 +41,12 @@
 
 use std::path::PathBuf;
 
-use sickle_cfd::datasets::{sst_p1f4, synthetic_sst_snapshot, SstParams};
+use sickle_cfd::datasets::{
+    gests, sst_p1f100, sst_p1f4, synthetic_sst_snapshot, GestsParams, SstParams,
+};
 use sickle_fft::{Complex, RealFft3d};
 use sickle_field::io::content_hash;
-use sickle_field::Snapshot;
+use sickle_field::{Dataset, Snapshot};
 use sickle_simd::Kernel;
 
 /// SplitMix64 mapped to `[-1, 1)`.
@@ -71,20 +80,24 @@ fn snapshot_lines(case: &str, snap: &Snapshot) -> Vec<String> {
         .collect()
 }
 
-fn sst_lines() -> Vec<String> {
-    let dataset = sst_p1f4(&SstParams {
+fn dataset_lines(case: &str, dataset: &Dataset) -> Vec<String> {
+    dataset
+        .snapshots
+        .iter()
+        .enumerate()
+        .flat_map(|(i, snap)| snapshot_lines(&format!("{case}/{i}"), snap))
+        .collect()
+}
+
+/// The reduced SST parameters both SST cases run at.
+fn sst32() -> SstParams {
+    SstParams {
         n: 32,
         snapshots: 2,
         interval: 5,
         warmup: 10,
         ..SstParams::default()
-    });
-    dataset
-        .snapshots
-        .iter()
-        .enumerate()
-        .flat_map(|(i, snap)| snapshot_lines(&format!("sst32/{i}"), snap))
-        .collect()
+    }
 }
 
 /// A forward and an inverse 64³ real transform of a SplitMix64 field, at
@@ -125,7 +138,7 @@ fn spectral_outputs_match_committed_golden() {
         println!("no avx2+fma on this host: the pinned digests are the FMA kernel's; skipped");
         return;
     }
-    let mut actual = sst_lines();
+    let mut actual = dataset_lines("sst32", &sst_p1f4(&sst32()));
     let serial = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
@@ -134,6 +147,18 @@ fn spectral_outputs_match_committed_golden() {
     actual.extend(snapshot_lines("synth32", &synth));
     actual.extend(rfft_lines("rfft64_band", 21));
     actual.extend(rfft_lines("rfft64_full", usize::MAX));
+    actual.extend(dataset_lines("sst100_32", &sst_p1f100(&sst32())));
+    let gests32 = serial.install(|| {
+        gests(
+            &GestsParams {
+                n: 32,
+                spinup: 10,
+                ..GestsParams::default()
+            },
+            3,
+        )
+    });
+    actual.extend(dataset_lines("gests32", &gests32));
     let path = golden_path();
     if update {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
