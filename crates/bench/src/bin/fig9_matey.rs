@@ -169,7 +169,7 @@ fn main() {
             &format!("fig9 {name}"),
             &[
                 ("val_loss", val_loss as f64),
-                ("train_loss", res.best_test as f64),
+                ("best_test_loss", res.best_test as f64),
             ],
         );
         let total_kj = (sample_meter.report().total_joules() + res.energy.total_joules()) / 1e3;

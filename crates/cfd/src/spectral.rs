@@ -24,6 +24,13 @@
 //! the convective form would need nine gradient transforms in place of the
 //! three. The scalar has no such identity and keeps `−(u·∇)b`.
 //!
+//! All of a right-hand side's physical-space work is one
+//! [`RealFft3d::map_truncated`] call: the band spectra of u, ω and (when
+//! stratified) ∇b go to physical space a group of four z-rows at a time,
+//! `u × ω` and `−(u·∇)b − N² u_g` are formed on those rows while they are in
+//! cache, and only the four products come back. No physical field is ever
+//! held whole.
+//!
 //! ## Half-spectrum storage, the band invariant and scratch arenas
 //!
 //! All evolved fields are real, so their spectra are Hermitian and only the
@@ -35,18 +42,22 @@
 //! **Every coefficient of the state with `|kx|`, `|ky|` or `kz` above
 //! `kmax = n/3` is exactly zero**: the state is truncated where it enters
 //! (`init_taylor_green`, `set_velocity`, `set_buoyancy`) and every
-//! right-hand side leaves [`RealFft3d::forward_truncated`] that way. The
-//! solver's transforms are therefore the band-limited pair, which skips the
-//! pencils such a spectrum cannot occupy, and its pointwise spectral
-//! operators touch in-band modes only.
+//! right-hand side leaves its band-limited forward transform that way. The
+//! solver's transforms are therefore band-limited, skipping the pencils such
+//! a spectrum cannot occupy, and its pointwise spectral operators touch
+//! in-band modes only. That includes the RK2 stage arithmetic (`mid = state
+//! + Δt k1`, `state += ½Δt k1 + ½Δt k2`) and the buoyancy feedback: one pass
+//! per field over the in-band rows, which at 64³ are 30 % of the
+//! half-spectrum, leaving the out-of-band coefficients at `+0.0`.
 //!
 //! The steady-state [`SpectralSolver::step`] performs **no field-sized heap
-//! allocation**: the two RK stages, the midpoint state, and all
-//! physical-space work buffers are preallocated once in
+//! allocation**: the two RK stages, the midpoint state, and five (unstratified:
+//! three) half-spectrum work buffers for ω and ∇b are preallocated once in
 //! [`SpectralSolver::new`] and threaded through the right-hand-side
-//! evaluation as a scratch arena (see `Scratch`). [`SpectralSolver::snapshot`]
-//! allocates the fields it returns and one set of work buffers — it runs once
-//! per recorded frame, not once per step.
+//! evaluation as a scratch arena (see `Scratch`); u, v, w and one gradient
+//! component ride through the transform in the output stage's own buffers.
+//! [`SpectralSolver::snapshot`] allocates the fields it returns and one set
+//! of work buffers — it runs once per recorded frame, not once per step.
 //!
 //! Derivatives use a Nyquist-zeroed wavenumber line (`kd[n/2] = 0`): for a
 //! real field the `+n/2` and `-n/2` contributions of an odd-order derivative
@@ -57,7 +68,7 @@
 #![allow(clippy::needless_range_loop)] // y/z index wavenumber tables in lockstep with chunks
 
 use rayon::prelude::*;
-use sickle_fft::{Complex, RealFft3d};
+use sickle_fft::{Complex, MapPass, RealFft3d};
 use sickle_field::{Axis, Grid3, Snapshot};
 
 /// Buoyancy treatment.
@@ -138,56 +149,37 @@ impl State {
         }
     }
 
-    fn axpy(&mut self, a: f64, rhs: &State) {
-        let f = |dst: &mut [Complex], src: &[Complex]| {
-            dst.par_iter_mut()
-                .zip(src.par_iter())
-                .for_each(|(d, s)| *d += s.scale(a));
-        };
-        f(&mut self.u, &rhs.u);
-        f(&mut self.v, &rhs.v);
-        f(&mut self.w, &rhs.w);
-        if let (Some(b), Some(rb)) = (self.b.as_mut(), rhs.b.as_ref()) {
-            f(b, rb);
-        }
+    /// The evolved fields: `u`, `v`, `w`, then `b` when stratified.
+    fn fields(&self) -> impl Iterator<Item = &Vec<Complex>> {
+        [&self.u, &self.v, &self.w]
+            .into_iter()
+            .chain(self.b.as_ref())
     }
 
-    fn copy_from(&mut self, src: &State) {
-        self.u.copy_from_slice(&src.u);
-        self.v.copy_from_slice(&src.v);
-        self.w.copy_from_slice(&src.w);
-        if let (Some(b), Some(sb)) = (self.b.as_mut(), src.b.as_ref()) {
-            b.copy_from_slice(sb);
-        }
+    /// [`Self::fields`], mutably.
+    fn fields_mut(&mut self) -> impl Iterator<Item = &mut Vec<Complex>> {
+        [&mut self.u, &mut self.v, &mut self.w]
+            .into_iter()
+            .chain(self.b.as_mut())
     }
 }
 
-/// Preallocated work buffers threaded through the right-hand-side
-/// evaluation so that steady-state stepping never allocates field-sized
-/// memory. Six physical-space reals (three velocities; three vorticity or
-/// scalar-gradient components, overwritten in place by the products formed
-/// from them) plus one half-spectrum complex buffer that doubles as the
-/// inverse-transform workspace.
+/// Preallocated half-spectrum work buffers threaded through the
+/// right-hand-side evaluation so that steady-state stepping never allocates
+/// field-sized memory: the band spectra of the vorticity and, when
+/// stratified, of two buoyancy-gradient components (the third rides in the
+/// output state's `b`). No physical-space field is ever held whole.
 struct Scratch {
-    up: Vec<f64>,
-    vp: Vec<f64>,
-    wp: Vec<f64>,
-    gx: Vec<f64>,
-    gy: Vec<f64>,
-    gz: Vec<f64>,
-    cspec: Vec<Complex>,
+    omega: [Vec<Complex>; 3],
+    grad: Option<[Vec<Complex>; 2]>,
 }
 
 impl Scratch {
-    fn new(plen: usize, slen: usize) -> Self {
+    fn new(slen: usize, stratified: bool) -> Self {
+        let field = || vec![Complex::ZERO; slen];
         Scratch {
-            up: vec![0.0; plen],
-            vp: vec![0.0; plen],
-            wp: vec![0.0; plen],
-            gx: vec![0.0; plen],
-            gy: vec![0.0; plen],
-            gz: vec![0.0; plen],
-            cspec: vec![Complex::ZERO; slen],
+            omega: [field(), field(), field()],
+            grad: stratified.then(|| [field(), field()]),
         }
     }
 }
@@ -229,7 +221,11 @@ impl SolverCtx {
 
     /// Fills the half-spectrum buffer `work` with a band-limited spectrum:
     /// `f(x, y, head)` writes the `kmax + 1` in-band coefficients of each
-    /// in-band `(x, y)` row; everything else is set to zero.
+    /// in-band `(x, y)` row, and those of every other row are set to zero.
+    /// The coefficients above `kmax` of every row are left as they are: each
+    /// buffer filled here starts zeroed and every band transform leaves them
+    /// zero (the inverse passes never touch them, the forward ones zero
+    /// them), which the transforms check in debug builds.
     fn fill_band(&self, work: &mut [Complex], f: impl Fn(usize, usize, &mut [Complex]) + Sync) {
         let n = self.n();
         let nzc = self.nzc();
@@ -237,12 +233,11 @@ impl SolverCtx {
             .enumerate()
             .for_each(|(x, slab)| {
                 for (y, row) in slab.chunks_mut(nzc).enumerate() {
+                    let head = &mut row[..=self.kmax];
                     if self.in_band(x) && self.in_band(y) {
-                        let (head, tail) = row.split_at_mut(self.kmax + 1);
                         f(x, y, head);
-                        tail.fill(Complex::ZERO);
                     } else {
-                        row.fill(Complex::ZERO);
+                        head.fill(Complex::ZERO);
                     }
                 }
             });
@@ -254,12 +249,44 @@ impl SolverCtx {
         &spec[(x * self.n() + y) * self.nzc()..][..self.kmax + 1]
     }
 
-    /// Inverse-transforms the band-limited `spec` into `out`, going through
-    /// the workspace `work` (the inverse destroys its spectral input).
-    fn to_physical_into(&self, spec: &[Complex], work: &mut [Complex], out: &mut [f64]) {
+    /// Runs `f` on each in-band coefficient of `dst` together with the same
+    /// coefficient of every `src`: one pass over the in-band rows alone. The
+    /// rest of `dst` is left as it is, which by the band invariant is zero.
+    fn zip_band<const K: usize>(
+        &self,
+        dst: &mut [Complex],
+        srcs: [&[Complex]; K],
+        f: impl Fn(&mut Complex, [Complex; K]) + Sync,
+    ) {
+        let n = self.n();
+        let nzc = self.nzc();
+        dst.par_chunks_mut(n * nzc)
+            .enumerate()
+            .for_each(|(x, slab)| {
+                if !self.in_band(x) {
+                    return;
+                }
+                for y in (0..n).filter(|&y| self.in_band(y)) {
+                    let rows = srcs.map(|s| self.band_row(s, x, y));
+                    let head = &mut slab[y * nzc..][..self.kmax + 1];
+                    for (z, d) in head.iter_mut().enumerate() {
+                        f(d, rows.map(|r| r[z]));
+                    }
+                }
+            });
+    }
+
+    /// Fills `work` with the band-limited `spec` (a copy of its band).
+    fn fill_copy(&self, spec: &[Complex], work: &mut [Complex]) {
         self.fill_band(work, |x, y, head| {
             head.copy_from_slice(self.band_row(spec, x, y))
         });
+    }
+
+    /// Inverse-transforms the band-limited `spec` into `out`, going through
+    /// the workspace `work` (the inverse destroys its spectral input).
+    fn to_physical_into(&self, spec: &[Complex], work: &mut [Complex], out: &mut [f64]) {
+        self.fill_copy(spec, work);
         self.rfft.inverse_truncated(work, out, self.kmax);
     }
 
@@ -269,9 +296,9 @@ impl SolverCtx {
         self.rfft.forward_truncated(real, spec, self.kmax);
     }
 
-    /// Spectral derivative of the band-limited `spec` along `axis`, written
-    /// to `out` in physical space; `work` is the half-spectrum workspace.
-    fn deriv_into(&self, spec: &[Complex], axis: Axis, work: &mut [Complex], out: &mut [f64]) {
+    /// Fills `work` with the spectral derivative of the band-limited `spec`
+    /// along `axis`.
+    fn fill_deriv(&self, spec: &[Complex], axis: Axis, work: &mut [Complex]) {
         let kd = &self.kd;
         self.fill_band(work, |x, y, head| {
             let src = self.band_row(spec, x, y);
@@ -289,12 +316,18 @@ impl SolverCtx {
                 }
             }
         });
+    }
+
+    /// Spectral derivative of the band-limited `spec` along `axis`, written
+    /// to `out` in physical space; `work` is the half-spectrum workspace.
+    fn deriv_into(&self, spec: &[Complex], axis: Axis, work: &mut [Complex], out: &mut [f64]) {
+        self.fill_deriv(spec, axis, work);
         self.rfft.inverse_truncated(work, out, self.kmax);
     }
 
-    /// Component `comp` of the vorticity `ω̂ = i k × û` of `s`, written to
-    /// `out` in physical space; `work` is the half-spectrum workspace.
-    fn curl_into(&self, s: &State, comp: Axis, work: &mut [Complex], out: &mut [f64]) {
+    /// Fills `work` with component `comp` of the vorticity `ω̂ = i k × û` of
+    /// `s`.
+    fn fill_curl(&self, s: &State, comp: Axis, work: &mut [Complex]) {
         let kd = &self.kd;
         self.fill_band(work, |x, y, head| {
             let (kx, ky) = (kd[x], kd[y]);
@@ -313,7 +346,6 @@ impl SolverCtx {
                 *c = cross.mul_i();
             }
         });
-        self.rfft.inverse_truncated(work, out, self.kmax);
     }
 
     /// Adds the viscous/diffusive term `r -= coeff * k² * f` over the band.
@@ -392,6 +424,19 @@ pub struct SpectralSolver {
     steps: usize,
 }
 
+/// `(u, v, w) ← u × ω`, element by element, in place of the velocity: the
+/// advection term in rotational form. The projection that ends every
+/// right-hand side removes the gradient by which it differs from `−(u·∇)u`.
+fn cross_in_place([u, v, w]: [&mut [f64]; 3], [ox, oy, oz]: [&mut [f64]; 3]) {
+    for i in 0..u.len() {
+        let (a, b, c) = (ox[i], oy[i], oz[i]);
+        let (uu, vv, ww) = (u[i], v[i], w[i]);
+        u[i] = vv * c - ww * b;
+        v[i] = ww * a - uu * c;
+        w[i] = uu * b - vv * a;
+    }
+}
+
 impl SpectralSolver {
     /// Creates a solver with zero initial velocity.
     ///
@@ -424,7 +469,6 @@ impl SpectralSolver {
             .enumerate()
             .map(|(i, &k)| if i == n / 2 { 0.0 } else { k })
             .collect();
-        let plen = n * n * n;
         let slen = n * n * (n / 2 + 1);
         let stratified = matches!(cfg.stratification, Stratification::Boussinesq { .. });
         SpectralSolver {
@@ -439,7 +483,7 @@ impl SpectralSolver {
             k1: State::zeros(slen, stratified),
             k2: State::zeros(slen, stratified),
             mid: State::zeros(slen, stratified),
-            scratch: Scratch::new(plen, slen),
+            scratch: Scratch::new(slen, stratified),
             time: 0.0,
             band_energy: None,
             steps: 0,
@@ -482,26 +526,23 @@ impl SpectralSolver {
                 }
             });
         };
-        fill(&mut self.scratch.up, &|px, py, pz| {
+        // One physical buffer serves each field in turn.
+        let mut phys = vec![0.0; n * n * n];
+        let Self { ctx, state, .. } = self;
+        fill(&mut phys, &|px, py, pz| {
             amplitude * px.sin() * py.cos() * pz.cos()
         });
-        fill(&mut self.scratch.vp, &|px, py, pz| {
+        ctx.to_spectral_into(&phys, &mut state.u);
+        fill(&mut phys, &|px, py, pz| {
             -amplitude * px.cos() * py.sin() * pz.cos()
         });
-        let Self {
-            ctx,
-            state,
-            scratch,
-            ..
-        } = self;
-        ctx.to_spectral_into(&scratch.up, &mut state.u);
-        ctx.to_spectral_into(&scratch.vp, &mut state.v);
+        ctx.to_spectral_into(&phys, &mut state.v);
         state.w.fill(Complex::ZERO);
         if let Some(b) = state.b.as_mut() {
             // Small buoyancy perturbation at the largest scale so the
             // stratified dynamics have something to act on.
-            fill(&mut scratch.wp, &|px, _, _| 0.1 * amplitude * px.sin());
-            ctx.to_spectral_into(&scratch.wp, b);
+            fill(&mut phys, &|px, _, _| 0.1 * amplitude * px.sin());
+            ctx.to_spectral_into(&phys, b);
         }
         self.capture_band_energy();
     }
@@ -580,80 +621,81 @@ impl SpectralSolver {
     /// Computes the full right-hand side of the (projected) momentum and
     /// buoyancy equations for `s`, writing into the preallocated `out` state
     /// without any field-sized allocation.
+    ///
+    /// The band spectra of u, ω (and ∇b) are filled, then one
+    /// [`RealFft3d::map_truncated`] takes them to physical space a group of
+    /// rows at a time, forms the products there and brings them back: u, v
+    /// and w ride in `out`'s own buffers and leave as `u × ω`, `∂ₓb` rides
+    /// in `out.b` and leaves as the buoyancy product.
     fn rhs_into(ctx: &SolverCtx, s: &State, scr: &mut Scratch, out: &mut State) {
-        // Physical-space velocities.
+        let [ox, oy, oz] = &mut scr.omega;
         {
-            let _fft = sickle_obs::span!("cfd.fft_inverse");
-            ctx.to_physical_into(&s.u, &mut scr.cspec, &mut scr.up);
-            ctx.to_physical_into(&s.v, &mut scr.cspec, &mut scr.vp);
-            ctx.to_physical_into(&s.w, &mut scr.cspec, &mut scr.wp);
+            let _fill = sickle_obs::span!("cfd.fill");
+            ctx.fill_copy(&s.u, &mut out.u);
+            ctx.fill_copy(&s.v, &mut out.v);
+            ctx.fill_copy(&s.w, &mut out.w);
+            ctx.fill_curl(s, Axis::X, ox);
+            ctx.fill_curl(s, Axis::Y, oy);
+            ctx.fill_curl(s, Axis::Z, oz);
+            if let (Some(bh), Some(ob), Some([gy, gz])) =
+                (s.b.as_ref(), out.b.as_mut(), scr.grad.as_mut())
+            {
+                ctx.fill_deriv(bh, Axis::X, ob);
+                ctx.fill_deriv(bh, Axis::Y, gy);
+                ctx.fill_deriv(bh, Axis::Z, gz);
+            }
         }
-        let (up, vp, wp) = (&scr.up, &scr.vp, &scr.wp);
-        let plane = ctx.n() * ctx.n();
-
-        // Advection in rotational form: N = u × ω, formed in place of ω. The
-        // projection below removes the gradient by which it differs from
-        // -(u . grad) u.
-        let nl_span = sickle_obs::span!("cfd.nonlinear");
-        ctx.curl_into(s, Axis::X, &mut scr.cspec, &mut scr.gx);
-        ctx.curl_into(s, Axis::Y, &mut scr.cspec, &mut scr.gy);
-        ctx.curl_into(s, Axis::Z, &mut scr.cspec, &mut scr.gz);
-        scr.gx
-            .par_chunks_mut(plane)
-            .zip(
-                scr.gy
-                    .par_chunks_mut(plane)
-                    .zip(scr.gz.par_chunks_mut(plane)),
-            )
-            .enumerate()
-            .for_each(|(x, (ox, (oy, oz)))| {
-                let at = x * plane;
-                for i in 0..ox.len() {
-                    let (u, v, w) = (up[at + i], vp[at + i], wp[at + i]);
-                    let (a, b, c) = (ox[i], oy[i], oz[i]);
-                    ox[i] = v * c - w * b;
-                    oy[i] = w * a - u * c;
-                    oz[i] = u * b - v * a;
-                }
-            });
-        ctx.to_spectral_into(&scr.gx, &mut out.u);
-        ctx.to_spectral_into(&scr.gy, &mut out.v);
-        ctx.to_spectral_into(&scr.gz, &mut out.w);
-        drop(nl_span);
-
-        // Buoyancy terms.
-        let buoy_span = sickle_obs::span!("cfd.buoyancy");
-        if let (Some(bh), Stratification::Boussinesq { n_bv, gravity }) =
-            (s.b.as_ref(), ctx.cfg.stratification)
-        {
-            ctx.deriv_into(bh, Axis::X, &mut scr.cspec, &mut scr.gx);
-            ctx.deriv_into(bh, Axis::Y, &mut scr.cspec, &mut scr.gy);
-            ctx.deriv_into(bh, Axis::Z, &mut scr.cspec, &mut scr.gz);
-            let ug: &[f64] = match gravity {
-                Axis::X => up,
-                Axis::Y => vp,
-                Axis::Z => wp,
+        let around = |pass, run: &mut dyn FnMut()| {
+            let _span = match pass {
+                MapPass::Inverse => sickle_obs::span!("cfd.fft_inverse"),
+                MapPass::Rows => sickle_obs::span!("cfd.rows"),
+                MapPass::Forward => sickle_obs::span!("cfd.fft_forward"),
             };
-            let (gy, gz) = (&scr.gy, &scr.gz);
-            // db/dt = -(u . grad b) - N^2 u_g + kappa laplacian b, formed in
-            // place of db/dx.
-            scr.gx.par_iter_mut().enumerate().for_each(|(i, o)| {
-                *o = -(up[i] * *o + vp[i] * gy[i] + wp[i] * gz[i]) - n_bv * n_bv * ug[i];
-            });
-            ctx.to_spectral_into(&scr.gx, out.b.as_mut().expect("output state is stratified"));
-            // Momentum feedback: + b along gravity.
-            let target: &mut Vec<Complex> = match gravity {
-                Axis::X => &mut out.u,
-                Axis::Y => &mut out.v,
-                Axis::Z => &mut out.w,
-            };
-            target
-                .par_iter_mut()
-                .zip(bh.par_iter())
-                .for_each(|(t, &b)| *t += b);
+            run();
+        };
+        let (u, v, w) = (&mut out.u, &mut out.v, &mut out.w);
+        let stratified = (
+            ctx.cfg.stratification,
+            s.b.as_ref(),
+            out.b.as_mut(),
+            scr.grad.as_mut(),
+        );
+        match stratified {
+            (Stratification::Boussinesq { n_bv, gravity }, Some(bh), Some(ob), Some([gy, gz])) => {
+                // The gravity-aligned component's index among (u, v, w).
+                let g = gravity as usize;
+                ctx.rfft.map_truncated(
+                    [u, v, w, ob, ox, oy, oz, gy, gz],
+                    4,
+                    ctx.kmax,
+                    |[u, v, w, b, ox, oy, oz, gy, gz]| {
+                        // db/dt = -(u . grad b) - N^2 u_g + kappa laplacian b,
+                        // formed in place of db/dx.
+                        for i in 0..u.len() {
+                            let ug = [u[i], v[i], w[i]][g];
+                            b[i] = -(u[i] * b[i] + v[i] * gy[i] + w[i] * gz[i]) - n_bv * n_bv * ug;
+                        }
+                        cross_in_place([u, v, w], [ox, oy, oz]);
+                    },
+                    around,
+                );
+                // Momentum feedback: + b along gravity.
+                let _feedback = sickle_obs::span!("cfd.feedback");
+                let target = match gravity {
+                    Axis::X => &mut out.u,
+                    Axis::Y => &mut out.v,
+                    Axis::Z => &mut out.w,
+                };
+                ctx.zip_band(target, [bh], |t, [b]| *t += b);
+            }
+            _ => ctx.rfft.map_truncated(
+                [u, v, w, ox, oy, oz],
+                3,
+                ctx.kmax,
+                |[u, v, w, ox, oy, oz]| cross_in_place([u, v, w], [ox, oy, oz]),
+                around,
+            ),
         }
-
-        drop(buoy_span);
 
         // Viscous terms and projection (spectral space).
         let nu = ctx.cfg.viscosity;
@@ -673,15 +715,40 @@ impl SpectralSolver {
 
     /// Advances one RK2 (Heun) step and applies forcing if configured.
     /// Steady-state calls perform no field-sized heap allocation.
+    ///
+    /// The stage arithmetic runs over the in-band rows alone: every state
+    /// and stage is zero outside the band (see the module docs), so there
+    /// it would only add zeros.
     pub fn step(&mut self) {
         let _step = sickle_obs::span!("cfd.step", step = self.steps);
         let dt = self.ctx.cfg.dt;
-        Self::rhs_into(&self.ctx, &self.state, &mut self.scratch, &mut self.k1);
-        self.mid.copy_from(&self.state);
-        self.mid.axpy(dt, &self.k1);
-        Self::rhs_into(&self.ctx, &self.mid, &mut self.scratch, &mut self.k2);
-        self.state.axpy(0.5 * dt, &self.k1);
-        self.state.axpy(0.5 * dt, &self.k2);
+        let Self {
+            ctx,
+            state,
+            k1,
+            k2,
+            mid,
+            scratch,
+            ..
+        } = self;
+        Self::rhs_into(ctx, state, scratch, k1);
+        {
+            let _stage = sickle_obs::span!("cfd.stage");
+            for (m, (s, k)) in mid.fields_mut().zip(state.fields().zip(k1.fields())) {
+                ctx.zip_band(m, [s, k], |m, [s, k]| *m = s + k.scale(dt));
+            }
+        }
+        Self::rhs_into(ctx, mid, scratch, k2);
+        {
+            let _stage = sickle_obs::span!("cfd.stage");
+            let h = 0.5 * dt;
+            for (s, (a, b)) in state.fields_mut().zip(k1.fields().zip(k2.fields())) {
+                ctx.zip_band(s, [a, b], |s, [a, b]| {
+                    *s += a.scale(h);
+                    *s += b.scale(h);
+                });
+            }
+        }
         if let (Some(f), Some(target)) = (self.ctx.cfg.forcing, self.band_energy) {
             let _forcing = sickle_obs::span!("cfd.forcing");
             let current = self.band_energy_value(f.k_f);

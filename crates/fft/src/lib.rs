@@ -41,7 +41,7 @@ pub use complex::Complex;
 pub use nd::Fft3d;
 pub use plan::{FftPlan, Quad};
 pub use real::RealFft;
-pub use realnd::RealFft3d;
+pub use realnd::{MapPass, RealFft3d};
 
 /// Returns `true` if `n` is a power of two (and nonzero).
 pub fn is_power_of_two(n: usize) -> bool {

@@ -59,20 +59,21 @@ pub(crate) fn transform_contiguous_with(
     }
 }
 
-/// Shared-access wrapper for disjoint-pencil parallelism in
-/// [`transform_strided_with`], the only place the pointer is dereferenced.
-struct SendPtr(*mut Complex);
-// SAFETY: the pointer is only ever moved into `transform_strided_with`'s
-// workers, each of which dereferences it at the indices of the pencils it
-// owns (see the contract there); `Complex` itself is `Send`.
+/// Shared-access wrapper for disjoint-index parallelism: the pencils of
+/// [`transform_strided_with`] and the row groups of
+/// `RealFft3d::map_truncated`, the only places the pointer is dereferenced.
+pub(crate) struct SendPtr(pub(crate) *mut Complex);
+// SAFETY: the pointer is only ever moved into those two loops' workers,
+// each of which dereferences it at the indices it owns alone (a pencil, or
+// a group of rows; see the contracts there); `Complex` itself is `Send`.
 unsafe impl Send for SendPtr {}
 // SAFETY: sharing `&SendPtr` across workers exposes only `get`; the accesses
-// made through the returned pointer are to disjoint pencils, so no two
+// made through the returned pointer are to disjoint index sets, so no two
 // threads touch the same element.
 unsafe impl Sync for SendPtr {}
 impl SendPtr {
     #[inline]
-    fn get(&self) -> *mut Complex {
+    pub(crate) fn get(&self) -> *mut Complex {
         self.0
     }
 }

@@ -29,82 +29,118 @@
 //! same set, and the full transforms are the `kmax >= n/2` case of the same
 //! code.
 //!
+//! [`RealFft3d::map_truncated`] fuses the pair around a pointwise map: the
+//! strided inverse passes of every input spectrum, then one pass over groups
+//! of four z-rows that inverse-transforms each group's rows, maps them and
+//! forward-transforms the outputs back into the same rows, then the strided
+//! forward passes. It equals the three steps run on whole fields bit for
+//! bit, while no physical field ever exists whole: the map runs on rows
+//! still in cache, and the caller needs no physical-space buffers.
+//!
 //! All transforms write into caller-provided buffers and allocate no
-//! field-sized scratch: the contiguous-axis passes run row by row (see
-//! [`RealFft::forward_into`]) or, under [`Kernel::Optimized`], four rows at a
-//! time through a per-worker quad buffer of `nz/2` slots (see
-//! [`RealFft::forward_rows_into`]), and the strided passes reuse the pencil
-//! machinery shared with the complex transforms.
+//! field-sized scratch: the contiguous-axis passes run in groups of four
+//! rows, row by row under [`Kernel::Naive`] (see [`RealFft::forward_into`])
+//! and through a per-worker quad buffer of `nz/2` slots under
+//! [`Kernel::Optimized`] (see [`RealFft::forward_rows_into`]); the strided
+//! passes reuse the pencil machinery shared with the complex transforms.
 
 use rayon::prelude::*;
 use sickle_simd::Kernel;
 
 use crate::complex::Complex;
-use crate::nd::{transform_strided_with, Dir};
+use crate::nd::{transform_strided_with, Dir, SendPtr};
 use crate::plan::{FftPlan, Quad};
 use crate::real::RealFft;
 
-/// Forward-transforms contiguous real rows into half-spectrum rows, four at
-/// a time through the quad kernel under [`Kernel::Optimized`] (a lone last
-/// row, from an odd row count, keeps the single-row path), row by row under
-/// [`Kernel::Naive`].
-fn rows_forward(row: &RealFft, real: &[f64], spec: &mut [Complex], kernel: Kernel) {
-    let n = row.len();
-    let nc = row.spectrum_len();
+/// Rows per group of the contiguous-axis passes: the quad kernel's width.
+const GROUP: usize = 4;
+
+/// Forward-transforms one group of up to [`GROUP`] contiguous real rows into
+/// half-spectrum rows: under [`Kernel::Optimized`] an even number of them
+/// through the quad kernel and a lone last row (an odd count) through the
+/// single-row path, row by row under [`Kernel::Naive`]. `quad` holds `n/2`
+/// slots.
+fn group_forward(
+    row: &RealFft,
+    real: &[f64],
+    spec: &mut [Complex],
+    quad: &mut [Quad],
+    kernel: Kernel,
+) {
+    let (n, nc) = (row.len(), row.spectrum_len());
     match kernel {
         Kernel::Naive => real
-            .par_chunks(n)
-            .zip(spec.par_chunks_mut(nc))
+            .chunks(n)
+            .zip(spec.chunks_mut(nc))
             .for_each(|(r, s)| row.forward_into(r, s)),
-        Kernel::Optimized => real
-            .par_chunks(4 * n)
-            .zip(spec.par_chunks_mut(4 * nc))
-            .for_each_init(
-                || vec![Quad::ZERO; n / 2],
-                |scratch, (r, s)| {
-                    let rows = r.len() / (2 * n) * 2;
-                    let (r, lone_r) = r.split_at(rows * n);
-                    let (s, lone_s) = s.split_at_mut(rows * nc);
-                    if rows > 0 {
-                        row.forward_rows_into(r, s, scratch);
-                    }
-                    if !lone_r.is_empty() {
-                        row.forward_into(lone_r, lone_s);
-                    }
-                },
-            ),
+        Kernel::Optimized => {
+            let rows = real.len() / (2 * n) * 2;
+            let (r, lone_r) = real.split_at(rows * n);
+            let (s, lone_s) = spec.split_at_mut(rows * nc);
+            if rows > 0 {
+                row.forward_rows_into(r, s, quad);
+            }
+            if !lone_r.is_empty() {
+                row.forward_into(lone_r, lone_s);
+            }
+        }
     }
 }
 
-/// Inverse-transforms half-spectrum rows back to real rows (each scaled by
-/// `scale`), four at a time under [`Kernel::Optimized`] as in
-/// [`rows_forward`].
-fn rows_inverse(row: &RealFft, spec: &[Complex], real: &mut [f64], scale: f64, kernel: Kernel) {
-    let n = row.len();
-    let nc = row.spectrum_len();
+/// Inverse-transforms one group of up to [`GROUP`] half-spectrum rows back
+/// to real rows (each scaled by `scale`), split between the kernels as in
+/// [`group_forward`].
+fn group_inverse(
+    row: &RealFft,
+    spec: &[Complex],
+    real: &mut [f64],
+    scale: f64,
+    quad: &mut [Quad],
+    kernel: Kernel,
+) {
+    let (n, nc) = (row.len(), row.spectrum_len());
     match kernel {
         Kernel::Naive => spec
-            .par_chunks(nc)
-            .zip(real.par_chunks_mut(n))
+            .chunks(nc)
+            .zip(real.chunks_mut(n))
             .for_each(|(s, r)| row.inverse_into_scaled(s, r, scale)),
-        Kernel::Optimized => spec
-            .par_chunks(4 * nc)
-            .zip(real.par_chunks_mut(4 * n))
-            .for_each_init(
-                || vec![Quad::ZERO; n / 2],
-                |scratch, (s, r)| {
-                    let rows = s.len() / (2 * nc) * 2;
-                    let (s, lone_s) = s.split_at(rows * nc);
-                    let (r, lone_r) = r.split_at_mut(rows * n);
-                    if rows > 0 {
-                        row.inverse_rows_into_scaled(s, r, scratch, scale);
-                    }
-                    if !lone_s.is_empty() {
-                        row.inverse_into_scaled(lone_s, lone_r, scale);
-                    }
-                },
-            ),
+        Kernel::Optimized => {
+            let rows = spec.len() / (2 * nc) * 2;
+            let (s, lone_s) = spec.split_at(rows * nc);
+            let (r, lone_r) = real.split_at_mut(rows * n);
+            if rows > 0 {
+                row.inverse_rows_into_scaled(s, r, quad, scale);
+            }
+            if !lone_s.is_empty() {
+                row.inverse_into_scaled(lone_s, lone_r, scale);
+            }
+        }
     }
+}
+
+/// Forward-transforms contiguous real rows into half-spectrum rows, in
+/// parallel over groups of [`GROUP`] rows (see [`group_forward`]).
+fn rows_forward(row: &RealFft, real: &[f64], spec: &mut [Complex], kernel: Kernel) {
+    let (n, nc) = (row.len(), row.spectrum_len());
+    real.par_chunks(GROUP * n)
+        .zip(spec.par_chunks_mut(GROUP * nc))
+        .for_each_init(
+            || vec![Quad::ZERO; n / 2],
+            |quad, (r, s)| group_forward(row, r, s, quad, kernel),
+        );
+}
+
+/// Inverse-transforms half-spectrum rows back to real rows (each scaled by
+/// `scale`), in parallel over groups of [`GROUP`] rows (see
+/// [`group_inverse`]).
+fn rows_inverse(row: &RealFft, spec: &[Complex], real: &mut [f64], scale: f64, kernel: Kernel) {
+    let (n, nc) = (row.len(), row.spectrum_len());
+    spec.par_chunks(GROUP * nc)
+        .zip(real.par_chunks_mut(GROUP * n))
+        .for_each_init(
+            || vec![Quad::ZERO; n / 2],
+            |quad, (s, r)| group_inverse(row, s, r, scale, quad, kernel),
+        );
 }
 
 /// The modes of an `(nx, ny, nz)` half-spectrum with `|kx|`, `|ky|` and `kz`
@@ -307,6 +343,29 @@ impl RealFft3d {
         }
     }
 
+    /// Sets every mode of `spec` outside `band` to zero.
+    fn zero_outside(spec: &mut [Complex], band: Band) {
+        if !band.keeps_all() {
+            spec.par_chunks_mut(band.nzc)
+                .enumerate()
+                .for_each(|(row, s)| s[band.kept_prefix(row)..].fill(Complex::ZERO));
+        }
+    }
+
+    /// Checks, in debug builds only, that `spec` is zero outside `band`.
+    fn debug_assert_banded(spec: &[Complex], band: Band) {
+        // Serial on purpose: the check must fail on the calling thread.
+        debug_assert!(
+            spec.chunks(band.nzc)
+                .enumerate()
+                .all(|(row, s)| s[band.kept_prefix(row)..]
+                    .iter()
+                    .all(|c| *c == Complex::ZERO)),
+            "spectrum is not zero outside the kmax = {} band",
+            band.kmax
+        );
+    }
+
     /// [`Self::forward_truncated`] with an explicit kernel choice.
     #[doc(hidden)]
     pub fn forward_truncated_with(
@@ -323,11 +382,7 @@ impl RealFft3d {
         self.strided_passes(spec, band, Dir::Forward, kernel);
         // Whatever the skipped pencils were left holding, and the out-of-band
         // ends of the pencils that ran, is outside the band: zero it.
-        if !band.keeps_all() {
-            spec.par_chunks_mut(band.nzc)
-                .enumerate()
-                .for_each(|(row, s)| s[band.kept_prefix(row)..].fill(Complex::ZERO));
-        }
+        Self::zero_outside(spec, band);
     }
 
     /// [`Self::inverse_truncated`] with an explicit kernel choice.
@@ -341,21 +396,147 @@ impl RealFft3d {
     ) {
         self.assert_shapes(real, spec);
         let band = self.band(kmax);
-        // Serial on purpose: the check must fail on the calling thread.
-        debug_assert!(
-            spec.chunks(band.nzc)
-                .enumerate()
-                .all(|(row, s)| s[band.kept_prefix(row)..]
-                    .iter()
-                    .all(|c| *c == Complex::ZERO)),
-            "spectrum is not zero outside the kmax = {kmax} band"
-        );
+        Self::debug_assert_banded(spec, band);
         self.strided_passes(spec, band, Dir::Inverse, kernel);
         // z axis: complex-to-real rows; the x/y passes above skipped their
         // 1/(nx*ny) normalization, folded into the row repack here.
-        let scale = 1.0 / (self.nx * self.ny) as f64;
-        rows_inverse(&self.row, spec, real, scale, kernel);
+        rows_inverse(&self.row, spec, real, self.row_scale(), kernel);
     }
+
+    /// The `1/(nx*ny)` normalization the strided inverse passes skip, folded
+    /// into the inverse row transforms.
+    fn row_scale(&self) -> f64 {
+        1.0 / (self.nx * self.ny) as f64
+    }
+
+    /// Band-limited "inverse → pointwise map → forward" over `S` spectra,
+    /// without any of their physical fields ever existing whole:
+    ///
+    /// 1. the strided inverse passes of [`Self::inverse_truncated`] run in
+    ///    place on every spectrum;
+    /// 2. one parallel pass over groups of up to four z-rows: each group's
+    ///    rows of every spectrum are inverse-transformed into per-worker
+    ///    scratch and handed to `f`, in spectrum order, as `count * nz` reals
+    ///    each (`count` ≤ 4 rows); whatever `f` leaves in the first
+    ///    `outputs` of them is forward-transformed back into the same rows
+    ///    of the first `outputs` spectra;
+    /// 3. the strided forward passes of [`Self::forward_truncated`], and its
+    ///    zeroing outside the band, run on those `outputs` spectra.
+    ///
+    /// Every spectrum must be zero outside the `kmax` band (checked in debug
+    /// builds only). The result equals, bit for bit, `inverse_truncated` of
+    /// each spectrum, `f` over the whole fields, then `forward_truncated` of
+    /// the first `outputs` of them: the rows are grouped, and split between
+    /// the quad and the single-row paths, exactly as in those transforms,
+    /// and a row's bits do not depend on its group. Spectra from `outputs`
+    /// on are **destroyed** (they hold the strided passes' intermediate).
+    ///
+    /// `around` runs each of the three passes: it is handed which pass and a
+    /// closure to call exactly once, so a caller can time them (pass
+    /// `|_, run| run()` otherwise).
+    ///
+    /// # Panics
+    /// Panics on a spectrum length mismatch or `outputs > S`.
+    pub fn map_truncated<const S: usize>(
+        &self,
+        specs: [&mut [Complex]; S],
+        outputs: usize,
+        kmax: usize,
+        f: impl Fn([&mut [f64]; S]) + Sync,
+        around: impl FnMut(MapPass, &mut dyn FnMut()),
+    ) {
+        self.map_truncated_with(specs, outputs, kmax, sickle_simd::kernel(), f, around);
+    }
+
+    /// [`Self::map_truncated`] with an explicit kernel choice.
+    #[doc(hidden)]
+    pub fn map_truncated_with<const S: usize>(
+        &self,
+        mut specs: [&mut [Complex]; S],
+        outputs: usize,
+        kmax: usize,
+        kernel: Kernel,
+        f: impl Fn([&mut [f64]; S]) + Sync,
+        mut around: impl FnMut(MapPass, &mut dyn FnMut()),
+    ) {
+        assert!(outputs <= S, "{outputs} outputs of {S} spectra");
+        for spec in &specs {
+            assert_eq!(
+                spec.len(),
+                self.spectrum_len(),
+                "spectrum buffer shape mismatch"
+            );
+        }
+        let band = self.band(kmax);
+        for spec in &specs {
+            Self::debug_assert_banded(spec, band);
+        }
+        around(MapPass::Inverse, &mut || {
+            for spec in specs.iter_mut() {
+                self.strided_passes(spec, band, Dir::Inverse, kernel);
+            }
+        });
+        around(MapPass::Rows, &mut || {
+            self.rows_map(&mut specs, outputs, kernel, &f)
+        });
+        around(MapPass::Forward, &mut || {
+            for spec in specs[..outputs].iter_mut() {
+                self.strided_passes(spec, band, Dir::Forward, kernel);
+                Self::zero_outside(spec, band);
+            }
+        });
+    }
+
+    /// Step 2 of [`Self::map_truncated_with`]: the fused row pass.
+    fn rows_map<const S: usize>(
+        &self,
+        specs: &mut [&mut [Complex]; S],
+        outputs: usize,
+        kernel: Kernel,
+        f: &(impl Fn([&mut [f64]; S]) + Sync),
+    ) {
+        let (n, nc) = (self.nz, self.nzc());
+        let rows = self.nx * self.ny;
+        let scale = self.row_scale();
+        let ptrs: [SendPtr; S] = specs.each_mut().map(|s| SendPtr(s.as_mut_ptr()));
+        (0..rows.div_ceil(GROUP)).into_par_iter().for_each_init(
+            || (vec![0.0; S * GROUP * n], vec![Quad::ZERO; n / 2]),
+            |(real, quad), group| {
+                let first = group * GROUP;
+                let count = (rows - first).min(GROUP);
+                // SAFETY: every spectrum holds `rows * nc` coefficients
+                // (asserted by the caller), so rows `first..first + count`
+                // are in bounds; groups partition the rows, so no other
+                // worker touches them, and the spectra are distinct `&mut`
+                // borrows, so no two of these slices overlap.
+                let mut spec_rows: [&mut [Complex]; S] = ptrs.each_ref().map(|p| unsafe {
+                    std::slice::from_raw_parts_mut(p.get().add(first * nc), count * nc)
+                });
+                let mut chunks = real.chunks_exact_mut(GROUP * n);
+                let mut fields: [&mut [f64]; S] =
+                    std::array::from_fn(|_| &mut chunks.next().expect("S chunks")[..count * n]);
+                for (s, r) in spec_rows.iter().zip(fields.iter_mut()) {
+                    group_inverse(&self.row, s, r, scale, quad, kernel);
+                }
+                f(fields.each_mut().map(|r| &mut **r));
+                for (r, s) in fields.iter().zip(spec_rows.iter_mut()).take(outputs) {
+                    group_forward(&self.row, r, s, quad, kernel);
+                }
+            },
+        );
+    }
+}
+
+/// The pass of [`RealFft3d::map_truncated`] that its `around` argument is
+/// handed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MapPass {
+    /// The strided inverse passes, on every spectrum.
+    Inverse,
+    /// The row pass: inverse rows, the pointwise map, forward rows.
+    Rows,
+    /// The strided forward passes and the band zeroing, on the outputs.
+    Forward,
 }
 
 #[cfg(test)]

@@ -7,6 +7,10 @@
 //! - `inverse_truncated` ≡ `inverse` on a spectrum that is zero outside the
 //!   band, value for value as `f64 ==`;
 //! - a spectrum that is not zero there is refused in debug builds;
+//! - `map_truncated` ≡ `inverse_truncated` of every spectrum, the pointwise
+//!   map over the whole fields, then `forward_truncated` of the outputs —
+//!   bit for bit, with outputs that overwrite inputs, and on shapes whose
+//!   row count is below the row pass's group of four;
 //! - the complex 3D transform, which passes the keep-all rule, still equals
 //!   explicit per-pencil loops bit for bit.
 //!
@@ -14,7 +18,7 @@
 //! odd one for the single-row path (`n = 8, kmax = 2`: 5 × 3 x-pencils;
 //! `n = 32, kmax = 10`: 21 × 11; `kmax = 0`: one).
 
-use sickle_fft::{Complex, Fft3d, FftPlan, RealFft3d};
+use sickle_fft::{Complex, Fft3d, FftPlan, MapPass, RealFft3d};
 use sickle_simd::Kernel;
 
 const KERNELS: [Kernel; 2] = [Kernel::Naive, Kernel::Optimized];
@@ -96,6 +100,92 @@ fn truncated_inverse_is_inverse_on_band_limited_input() {
             assert!(got == want, "{shape:?} kmax={kmax} {kernel:?}");
         }
     }
+}
+
+/// The pointwise map of the `map_truncated` contract: both outputs read every
+/// input before overwriting the first two, and the third field, which is
+/// not an output, is scribbled on.
+fn pointwise([a, b, c]: [&mut [f64]; 3]) {
+    for i in 0..a.len() {
+        let (x, y, z) = (a[i], b[i], c[i]);
+        a[i] = x * y - z;
+        b[i] = x + y * z;
+        c[i] = f64::NAN;
+    }
+}
+
+#[test]
+fn map_truncated_is_inverse_map_forward() {
+    let mut shapes = cases();
+    // Row counts below the row pass's group of four: one row (the lone-row
+    // path alone) and two (one quad-kernel pair).
+    for kmax in [0, 1, 4] {
+        shapes.push(((1, 1, 8), kmax));
+        shapes.push(((1, 2, 8), kmax));
+    }
+    for (shape, kmax) in shapes {
+        let (nx, ny, nz) = shape;
+        let plan = RealFft3d::new(nx, ny, nz);
+        let inputs: Vec<Vec<Complex>> = (0..3)
+            .map(|i| {
+                let real: Vec<f64> = signal(plan.len() + i).split_off(i);
+                let mut spec = vec![Complex::ZERO; plan.spectrum_len()];
+                plan.forward_with(&real, &mut spec, Kernel::Naive);
+                mask(&mut spec, shape, kmax);
+                spec
+            })
+            .collect();
+        for kernel in KERNELS {
+            let mut fields: Vec<Vec<f64>> = inputs
+                .iter()
+                .map(|spec| {
+                    let mut real = vec![0.0; plan.len()];
+                    plan.inverse_truncated_with(&mut spec.clone(), &mut real, kmax, kernel);
+                    real
+                })
+                .collect();
+            let [a, b, c] = &mut fields[..] else {
+                unreachable!()
+            };
+            pointwise([a, b, c]);
+            let want: Vec<Vec<Complex>> = fields[..2]
+                .iter()
+                .map(|real| {
+                    let mut spec = vec![Complex::ZERO; plan.spectrum_len()];
+                    plan.forward_truncated_with(real, &mut spec, kmax, kernel);
+                    spec
+                })
+                .collect();
+
+            let mut got = inputs.clone();
+            let [a, b, c] = &mut got[..] else {
+                unreachable!()
+            };
+            let mut passes = Vec::new();
+            plan.map_truncated_with([a, b, c], 2, kmax, kernel, pointwise, |pass, run| {
+                passes.push(pass);
+                run();
+            });
+            let order = [MapPass::Inverse, MapPass::Rows, MapPass::Forward];
+            assert_eq!(passes, order, "{shape:?} kmax={kmax} {kernel:?}");
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    bits(g) == bits(w),
+                    "output {i}: {shape:?} kmax={kmax} {kernel:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "not zero outside")]
+fn map_truncated_refuses_energy_outside_the_band() {
+    let plan = RealFft3d::new(8, 8, 8);
+    let mut spec = vec![Complex::ZERO; plan.spectrum_len()];
+    spec[3] = Complex::new(1.0, 0.0); // kz = 3 > kmax = 2
+    plan.map_truncated([&mut spec[..]], 1, 2, |_| {}, |_, run| run());
 }
 
 #[test]

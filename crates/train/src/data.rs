@@ -287,7 +287,6 @@ pub fn reconstruction_data(
             inputs.extend(row.iter().map(|&v| v as f32));
         }
         targets.extend(cube_idx.iter().map(|&i| dense[i] as f32));
-        let _ = d;
     }
     TensorData::new(inputs, targets, tokens, d, out_dim)
 }
