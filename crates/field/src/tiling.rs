@@ -161,18 +161,6 @@ impl Tiling {
         }
         (features, indices)
     }
-
-    /// Mean of variable `var` over each tile — a cheap per-cube summary used
-    /// by phase-1 cube scoring.
-    pub fn tile_means(&self, snap: &Snapshot, var: &str) -> Vec<f64> {
-        let data = snap.expect_var(var);
-        self.tiles()
-            .map(|cube| {
-                let idx = cube.point_indices(&self.grid);
-                idx.iter().map(|&i| data[i]).sum::<f64>() / idx.len() as f64
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -250,17 +238,6 @@ mod tests {
         // Tile 0 covers x in 0..2, y in 0..2 -> flat indices 0,1,4,5.
         assert_eq!(idx, vec![0, 1, 4, 5]);
         assert_eq!(features.column(0), vec![0.0, 1.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn tile_means_are_averages() {
-        let g = Grid3::new(4, 2, 1, 1.0, 1.0, 1.0);
-        // Values equal to x coordinate.
-        let data: Vec<f64> = (0..8).map(|i| (i / 2) as f64).collect();
-        let snap = Snapshot::new(g, 0.0).with_var("u", data);
-        let t = Tiling::new(g, (2, 2, 1));
-        let means = t.tile_means(&snap, "u");
-        assert_eq!(means, vec![0.5, 2.5]);
     }
 
     #[test]

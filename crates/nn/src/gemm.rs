@@ -3,8 +3,8 @@
 //! One BLIS-style driver serves all three logical layouts the tape needs —
 //! `C = A·B` (NN), `C = A·Bᵀ` (NT, `B` stored `(n, k)`), and `C = Aᵀ·B`
 //! (TN, `A` stored `(m, k)`) — by describing each operand with a logical
-//! `(row_stride, col_stride)` pair, and one register-tiled `MR × NR`
-//! microkernel does all the arithmetic, reading `A` through six row offsets
+//! `(row_stride, col_stride)` pair, and a register-tiled `MR × NR`
+//! microkernel does the arithmetic, reading `A` through six row offsets
 //! and a column stride and `B` as `NR`-wide rows a fixed stride apart.
 //!
 //! Two drivers feed it. [`gemm_packed`] copies `B` into `KC × NC` column
@@ -17,6 +17,34 @@
 //! train step. Both visit `k` in the same order with the same two
 //! accumulators, so for `k ≤ KC` their results are bit-identical
 //! (`tests/gemm_properties.rs`).
+//!
+//! The pack-free driver — every product of a train step — has one more
+//! instruction-set tier. Where the CPU has AVX-512F
+//! (`sickle_simd::avx512_available`, probed once and cached) it runs
+//! `8 × 16` tiles, one zmm per tile row, and reads a ragged last `B` panel
+//! in place through a lane mask; a last panel of at most `NR` columns still
+//! runs on the 6×8 AVX2 tile, where half a zmm is slower than a whole ymm.
+//! The NT layout's `B` panels are packed through a 16 × 16 in-register
+//! transpose. Tiers never show in the result, because every output element
+//! is built by the same operations in every tier, lanes never mixing: one
+//! fused multiply-add chain over even `l` and one over odd `l`, both from
+//! `+0.0`; the two chains added once; that sum stored, or added to `C`
+//! under `accumulate`. AVX-512 pack-free ≡ AVX2 pack-free ≡ packed, bit for
+//! bit (`tests/gemm_properties.rs`). The fallback chain is AVX2+FMA, then
+//! the portable tile. The packed driver stays 8 wide: only products past
+//! the pack-free bound reach it (no train step has one — the benchmark's
+//! 256³ probe does), and a 16-wide micro-panel would change its packing
+//! layout for no workload's time.
+//!
+//! Pack-free rates on a 2-vCPU Sapphire Rapids Xeon, AVX2 → AVX-512 tier
+//! (Gflop/s, best of batches, NN / NT / TN, `(m, k, n)`):
+//!
+//! ```text
+//! (64, 32, 32)   39 → 91   34 → 75   36 → 81
+//! (64, 32, 64)   39 → 92   34 → 77   37 → 82
+//! (64, 64, 32)   52 → 105  42 → 84   47 → 92
+//! (64,  5, 32)    9 → 40    9 → 32    8 → 38
+//! ```
 //!
 //! All kernels support `accumulate` (`C += A·B`) so backward passes write
 //! gradients directly into the destination buffer with no temporary.
@@ -34,13 +62,21 @@
 use std::cell::RefCell;
 
 use rayon::prelude::*;
-use sickle_simd::{fma_available, kernel, Kernel};
+use sickle_simd::{avx512_available, fma_available, kernel, Kernel};
 
-/// Microkernel tile rows (accumulator tile is `MR × NR` f32 = 12 of the 16
-/// SSE2 xmm registers, leaving room for the `A` broadcast and `B` row).
+/// Microkernel tile rows. The AVX2 build holds two `MR × NR` accumulator
+/// tiles (even and odd `l`), one ymm per tile row: 12 of the 16 ymm
+/// registers, leaving room for the `A` broadcast and the two `B` rows.
 pub const MR: usize = 6;
 /// Microkernel tile columns.
 pub const NR: usize = 8;
+/// Tile rows of the AVX-512 pack-free tier: two `MR16 × NR16` accumulator
+/// tiles are 16 of the 32 zmm registers. Eight rows beat six by 2–8 % on
+/// the model's 64- and 32-row products (no clamped duplicate rows); six do
+/// better only on products of at most six rows.
+const MR16: usize = 8;
+/// Tile columns of the AVX-512 pack-free tier: one zmm of `f32` per row.
+const NR16: usize = 16;
 /// K-dimension block: one packed `A` micro-panel (`KC·MR` f32) and the
 /// active `B` micro-panel (`KC·NR` f32) stay L1-resident.
 pub const KC: usize = 256;
@@ -253,15 +289,53 @@ fn row_block(
     });
 }
 
+/// The instruction-set tier of [`gemm_pack_free`]'s tile. `Avx512` and
+/// `Avx2` give the same bits (module doc); `Portable` is the body the packed
+/// driver also runs where the CPU has no FMA.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tier {
+    /// `MR16 × 16` tiles, one zmm per row, ragged columns masked.
+    Avx512,
+    /// The `MR × NR` AVX2+FMA tile the packed driver runs.
+    Avx2,
+    /// The `MR × NR` baseline-target tile.
+    Portable,
+}
+
+impl Tier {
+    /// The widest tier this CPU runs (cached probes in `sickle-simd`).
+    pub fn detect() -> Self {
+        if avx512_available() {
+            Tier::Avx512
+        } else if fma_available() {
+            Tier::Avx2
+        } else {
+            Tier::Portable
+        }
+    }
+
+    /// Whether this CPU runs the tier.
+    pub fn available(self) -> bool {
+        match self {
+            Tier::Avx512 => avx512_available(),
+            Tier::Avx2 => fma_available(),
+            Tier::Portable => true,
+        }
+    }
+}
+
 /// The pack-free driver over logical `C (m,n) = A (m,k) · B (k,n)` with the
-/// operands addressed as `a[i*ars + l*acs]` and `b[l*brs + j*bcs]`: the
-/// microkernel reads `A` where it lies (row offsets clamped to the last row
-/// at the ragged edge, the duplicate rows discarded on write) and `B` too
-/// when its rows are contiguous and `n` is a whole number of micro-panels;
-/// otherwise `B` is packed one micro-panel at a time into a stack buffer, so
-/// the driver touches no thread-local scratch and allocates nothing on any
-/// thread. Serial — callers route only cache-sized problems here — and
-/// bit-identical to [`gemm_packed`].
+/// operands addressed as `a[i*ars + l*acs]` and `b[l*brs + j*bcs]`, on the
+/// widest [`Tier`] the CPU runs: the tile reads `A` where it lies (row
+/// offsets clamped to the last row at the ragged edge, the duplicate rows
+/// discarded on write) and `B` too when its rows are contiguous (at the
+/// 8-wide tiers only when `n` is a whole number of micro-panels; the
+/// AVX-512 tier masks the ragged last one); otherwise `B` is packed one
+/// micro-panel at a time into a stack buffer, so the driver touches no
+/// thread-local scratch and allocates nothing on any thread. Serial —
+/// callers route only cache-sized problems here — and bit-identical to
+/// [`gemm_packed`].
 ///
 /// # Panics
 /// Panics if `k > KC`, `c.len() != m * n` or a stride reaches outside `a`
@@ -280,6 +354,30 @@ pub fn gemm_pack_free(
     bcs: usize,
     acc: bool,
 ) {
+    gemm_pack_free_with(Tier::detect(), c, m, k, n, a, ars, acs, b, brs, bcs, acc);
+}
+
+/// [`gemm_pack_free`] on an explicit tier (parity tests).
+///
+/// # Panics
+/// As [`gemm_pack_free`], and if the CPU does not run `tier`.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_pack_free_with(
+    tier: Tier,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    ars: usize,
+    acs: usize,
+    b: &[f32],
+    brs: usize,
+    bcs: usize,
+    acc: bool,
+) {
+    assert!(tier.available(), "this CPU does not run the {tier:?} tier");
     assert!(k <= KC, "pack-free k {k} exceeds KC");
     if degenerate(c, m, k, n, acc) {
         return;
@@ -290,6 +388,30 @@ pub fn gemm_pack_free(
         last_index(m - 1, ars, k - 1, acs).is_some_and(|last| last < a.len()),
         "A strides leave the buffer"
     );
+    // And every `B` load: the last row, last column.
+    assert!(
+        last_index(k - 1, brs, n - 1, bcs).is_some_and(|last| last < b.len()),
+        "B strides leave the buffer"
+    );
+    // The AVX-512 tier runs every `NR16`-column panel 16 wide but a last one
+    // of at most `NR` columns, which runs faster (and with the same bits) on
+    // the 8-wide tile below: half the lanes of a zmm are no cheaper than a
+    // whole ymm. It reads `B` with contiguous rows or contiguous columns;
+    // any other layout (no caller in the crate has one) runs 8 wide.
+    let wide = match tier {
+        Tier::Avx512 if bcs != 1 && brs != 1 => 0,
+        Tier::Avx512 if n % NR16 <= NR => n - n % NR16,
+        Tier::Avx512 => n,
+        _ => 0,
+    };
+    #[cfg(target_arch = "x86_64")]
+    if wide > 0 {
+        // SAFETY: `avx512_available` (so also avx2 + fma) holds, asserted
+        // above as `tier.available()`; `c.len() == m·n` (`degenerate`),
+        // `wide ≤ n`, and the `A` and `B` bounds are asserted above.
+        unsafe { pack_free_avx512(c, m, k, n, wide, a, ars, acs, b, brs, bcs, acc) };
+    }
+    let fma = tier != Tier::Portable;
     // `panel(j0, bp, row_step)`: the micro-panel of columns `j0..j0 + NR`
     // starts at `bp[0]` and its rows lie `row_step` apart.
     let mut acc_tile = [0.0f32; MR * NR];
@@ -301,24 +423,21 @@ pub fn gemm_pack_free(
             // SAFETY: every `a_off[i] ≤ (m - 1)·ars`, so the largest `A`
             // index is within the bound asserted above. `bp` holds `k` rows
             // `row_step` apart with `NR` readable floats in the last: in
-            // place that is the assertion below (`B`'s last element is
-            // inside it) plus `j0 + NR ≤ n`; packed, the panel is `k·NR`.
-            unsafe { microkernel(k, a, &a_off, acs, bp, row_step, &mut acc_tile) };
+            // place that is the `B` bound above plus `j0 + NR ≤ n`; packed,
+            // the panel is `k·NR`. `fma` unless the tier is
+            // `Portable`: the others imply avx2 + fma, asserted above.
+            unsafe { microkernel(fma, k, a, &a_off, acs, bp, row_step, &mut acc_tile) };
             write_tile(c, n, i0, j0, h, w, &acc_tile, !acc);
         }
     };
-    if bcs == 1 && n.is_multiple_of(NR) {
-        assert!(
-            last_index(k - 1, brs, n - 1, 1).is_some_and(|last| last < b.len()),
-            "B strides leave the buffer"
-        );
-        for j0 in (0..n).step_by(NR) {
+    if bcs == 1 && (n - wide).is_multiple_of(NR) {
+        for j0 in (wide..n).step_by(NR) {
             panel(j0, &b[j0..], brs);
         }
     } else {
         let mut packed = [0.0f32; KC * NR];
         let bp = &mut packed[..k * NR];
-        for j0 in (0..n).step_by(NR) {
+        for j0 in (wide..n).step_by(NR) {
             pack_b_panel(bp, b, brs, bcs, 0, j0, NR.min(n - j0));
             panel(j0, bp, NR);
         }
@@ -335,15 +454,16 @@ fn last_index(i: usize, stride_i: usize, j: usize, stride_j: usize) -> Option<us
 const PACKED_A_OFF: [usize; MR] = [0, 1, 2, 3, 4, 5];
 
 /// The register-tiled inner kernel: `acc[i][j] = Σ_l A[i][l] · B[l][j]` with
-/// `A[i][l] = a[a_off[i] + l·acs]` and `B[l][j] = b[l·brs + j]`, `l < kc`.
-/// Dispatches to the AVX2+FMA variant when the CPU supports it (detected
-/// once, cached).
+/// `A[i][l] = a[a_off[i] + l·acs]` and `B[l][j] = b[l·brs + j]`, `l < kc`:
+/// the AVX2+FMA variant when `fma`, the portable one otherwise.
 ///
 /// # Safety
-/// `kc ≥ 1`, and for every `i < MR`: `a_off[i] + (kc - 1)·acs < a.len()`;
-/// `(kc - 1)·brs + NR ≤ b.len()`.
+/// `fma` only where `fma_available()`; `kc ≥ 1`, and for every `i < MR`:
+/// `a_off[i] + (kc - 1)·acs < a.len()`; `(kc - 1)·brs + NR ≤ b.len()`.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 unsafe fn microkernel(
+    fma: bool,
     kc: usize,
     a: &[f32],
     a_off: &[usize; MR],
@@ -355,12 +475,14 @@ unsafe fn microkernel(
     debug_assert!(kc >= 1 && (kc - 1) * brs + NR <= b.len());
     debug_assert!(a_off.iter().all(|&o| o + (kc - 1) * acs < a.len()));
     #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: avx2 + fma presence verified by `fma_available`; the index
+    if fma {
+        // SAFETY: avx2 + fma presence is the caller's `fma`; the index
         // contract is the caller's, passed through unchanged.
         unsafe { microkernel_fma(kc, a, a_off, acs, b, brs, acc) };
         return;
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = fma;
     // SAFETY: the caller's index contract, passed through unchanged.
     unsafe { tile_portable(kc, a, a_off, acs, b, brs, acc) };
 }
@@ -482,6 +604,267 @@ unsafe fn tile_fma(
     }
     for (d, (x, y)) in acc.iter_mut().zip(acc0.iter().zip(&acc1)) {
         *d = x + y;
+    }
+}
+
+/// The AVX-512 tier of [`gemm_pack_free_with`] over columns `0..wide` of
+/// `C`: `MR16 × NR16` tiles, one zmm per tile row, over panels of `NR16`
+/// columns. `B` is read in place when its rows are contiguous — a ragged
+/// last panel through a lane mask — and otherwise (its columns contiguous,
+/// the NT layout) packed one panel at a time into a stack buffer through an
+/// in-register transpose. Each element of `C` is built exactly as
+/// [`tile_fma`] and [`write_tile`] build it, whatever the tile width: one
+/// fma chain over even `l` and one over odd `l`, both from `+0.0`; the two
+/// chains added once; that sum stored, or added to `C` when `acc`.
+///
+/// # Safety
+/// Caller must have verified `avx512f`, `avx2` and `fma` CPU support;
+/// `m, k ≥ 1`, `k ≤ KC`, `wide ≤ n`, `c.len() == m·n`,
+/// `(m - 1)·ars + (k - 1)·acs < a.len()`,
+/// `(k - 1)·brs + (n - 1)·bcs < b.len()`, and `bcs == 1` or `brs == 1`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn pack_free_avx512(
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    wide: usize,
+    a: &[f32],
+    ars: usize,
+    acs: usize,
+    b: &[f32],
+    brs: usize,
+    bcs: usize,
+    acc: bool,
+) {
+    let c = c.as_mut_ptr();
+    if bcs == 1 {
+        for j0 in (0..wide).step_by(NR16) {
+            let w = NR16.min(wide - j0);
+            // SAFETY: the caller's contract; row `l < k` of the panel is
+            // `b[l·brs + j0..]`, inside the caller's `B` bound for the
+            // `w ≤ n - j0` columns read.
+            unsafe { panel_avx512(c, m, k, n, j0, w, a, ars, acs, b.as_ptr().add(j0), brs, acc) };
+        }
+        return;
+    }
+    // Left uninitialized: zeroing 16 KiB costs a tenth of a 64×32×32
+    // product, and the transpose writes every float the panel reads.
+    let mut packed = std::mem::MaybeUninit::<[f32; KC * NR16]>::uninit();
+    let pp = packed.as_mut_ptr().cast::<f32>();
+    for j0 in (0..wide).step_by(NR16) {
+        let w = NR16.min(wide - j0);
+        // SAFETY: `brs == 1` (the caller's contract, `bcs != 1` here), so
+        // column `j0 + j < n`, row `l < k` of `B` is `b[(j0 + j)·bcs + l]`,
+        // inside the caller's `B` bound; `packed` holds `KC·NR16 ≥ k·NR16`
+        // floats, and the transpose writes all `NR16` of rows `0..k`, which
+        // are the ones the panel reads.
+        unsafe {
+            pack_b_panel_t16(pp, b.as_ptr().add(j0 * bcs), bcs, k, w);
+            panel_avx512(c, m, k, n, j0, w, a, ars, acs, pp, NR16, acc);
+        }
+    }
+}
+
+/// Packs `w ≤ 16` contiguous columns of `B` (column `j` at `b + j·bcs`,
+/// `k` floats each) into the `k × 16` panel at `dst` (`[l][j]`, lanes
+/// `j ≥ w` zero), one 16 × 16 block at a time through an in-register
+/// transpose: 16 masked row loads, four rounds of 16 shuffles, 16 stores.
+///
+/// # Safety
+/// `avx512f` CPU support; `dst` has `k·16` writable floats; for `j < w`,
+/// `l < k`, `b + j·bcs + l` is readable.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn pack_b_panel_t16(dst: *mut f32, b: *const f32, bcs: usize, k: usize, w: usize) {
+    use std::arch::x86_64::*;
+    for l0 in (0..k).step_by(16) {
+        let lw = 16.min(k - l0);
+        let lmask = ((1u32 << lw) - 1) as u16;
+        // `r[j]`: column `j`, rows `l0..l0 + lw`.
+        let mut r = [_mm512_setzero_ps(); 16];
+        for (j, rj) in r.iter_mut().enumerate().take(w) {
+            // SAFETY: `j < w`, rows `l0..l0 + lw ≤ k` (masked-off lanes are
+            // not read): the caller's readable range.
+            *rj = unsafe { _mm512_maskz_loadu_ps(lmask, b.add(j * bcs + l0)) };
+        }
+        // Pairs of columns interleaved, then quads, within each 128-bit
+        // lane: `u[4g + s]`, lane `q`, holds columns `4g..4g + 4` of row
+        // `4q + s`.
+        let mut t = [_mm512_setzero_ps(); 16];
+        for p in 0..8 {
+            t[2 * p] = _mm512_unpacklo_ps(r[2 * p], r[2 * p + 1]);
+            t[2 * p + 1] = _mm512_unpackhi_ps(r[2 * p], r[2 * p + 1]);
+        }
+        let mut u = [_mm512_setzero_ps(); 16];
+        for g in 0..4 {
+            let [t0, t1, t2, t3] = [t[4 * g], t[4 * g + 1], t[4 * g + 2], t[4 * g + 3]];
+            u[4 * g] = _mm512_shuffle_ps::<0x44>(t0, t2);
+            u[4 * g + 1] = _mm512_shuffle_ps::<0xEE>(t0, t2);
+            u[4 * g + 2] = _mm512_shuffle_ps::<0x44>(t1, t3);
+            u[4 * g + 3] = _mm512_shuffle_ps::<0xEE>(t1, t3);
+        }
+        // Then the 128-bit lanes: row `4q + s` gathers lane `q` of
+        // `u[s]`, `u[4 + s]`, `u[8 + s]`, `u[12 + s]`.
+        let mut rows = [_mm512_setzero_ps(); 16];
+        for s in 0..4 {
+            let x = _mm512_shuffle_f32x4::<0x88>(u[s], u[4 + s]);
+            let y = _mm512_shuffle_f32x4::<0xDD>(u[s], u[4 + s]);
+            let z = _mm512_shuffle_f32x4::<0x88>(u[8 + s], u[12 + s]);
+            let v = _mm512_shuffle_f32x4::<0xDD>(u[8 + s], u[12 + s]);
+            rows[s] = _mm512_shuffle_f32x4::<0x88>(x, z);
+            rows[4 + s] = _mm512_shuffle_f32x4::<0x88>(y, v);
+            rows[8 + s] = _mm512_shuffle_f32x4::<0xDD>(x, z);
+            rows[12 + s] = _mm512_shuffle_f32x4::<0xDD>(y, v);
+        }
+        for (ll, row) in rows.iter().enumerate().take(lw) {
+            // SAFETY: row `l0 + ll < k` of the `k × 16` panel.
+            unsafe { _mm512_storeu_ps(dst.add((l0 + ll) * NR16), *row) };
+        }
+    }
+}
+
+/// Columns `j0..j0 + w` (`w ≤ NR16`) of `C`, one `MR16`-row tile at a
+/// time, from the `B` panel at `bp` (row `l` at `bp + l·row_step`).
+///
+/// # Safety
+/// `avx512f` CPU support; `c` is the `m × n` product; the `A` bound of
+/// [`pack_free_avx512`]; `bp + l·row_step + j` readable for `l < k`,
+/// `j < w`; `j0 + w ≤ n`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+#[inline]
+#[allow(clippy::too_many_arguments)]
+unsafe fn panel_avx512(
+    c: *mut f32,
+    m: usize,
+    k: usize,
+    n: usize,
+    j0: usize,
+    w: usize,
+    a: &[f32],
+    ars: usize,
+    acs: usize,
+    bp: *const f32,
+    row_step: usize,
+    acc: bool,
+) {
+    let mask = ((1u32 << w) - 1) as u16;
+    for i0 in (0..m).step_by(MR16) {
+        let h = MR16.min(m - i0);
+        let a_off: [usize; MR16] = std::array::from_fn(|i| (i0 + i).min(m - 1) * ars);
+        // SAFETY: `A`: every `a_off[i] ≤ (m - 1)·ars`, so each load is
+        // within the caller's `A` bound. `B`: the `w` mask lanes of rows
+        // `l < k` are the caller's readable panel. `C`: rows
+        // `i0..i0 + h ≤ m`, columns `j0..j0 + w ≤ n` of the `m × n` product.
+        unsafe {
+            let ct = c.add(i0 * n + j0);
+            if acs == 1 {
+                tile_avx512::<true>(
+                    k,
+                    a.as_ptr(),
+                    &a_off,
+                    acs,
+                    bp,
+                    row_step,
+                    mask,
+                    ct,
+                    n,
+                    h,
+                    acc,
+                );
+            } else {
+                tile_avx512::<false>(
+                    k,
+                    a.as_ptr(),
+                    &a_off,
+                    acs,
+                    bp,
+                    row_step,
+                    mask,
+                    ct,
+                    n,
+                    h,
+                    acc,
+                );
+            }
+        }
+    }
+}
+
+/// One tile of [`pack_free_avx512`]: rows `0..h` of `C` at `c` (row stride
+/// `ldc`), the `mask` lanes of each, from
+/// `A[i][l] = *a.add(a_off[i] + l·acs)` and `B[l][j] = *b.add(l·brs + j)`,
+/// `l < k`. `UNIT_ACS` only when `acs == 1`.
+///
+/// # Safety
+/// `avx512f` CPU support; `k ≥ 1`, `h ≤ MR16`; every `A` and `B` element
+/// named above (for the `mask` lanes `j`) is readable, and the `mask` lanes
+/// of rows `0..h` at `c` are writable.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+#[inline]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile_avx512<const UNIT_ACS: bool>(
+    k: usize,
+    a: *const f32,
+    a_off: &[usize; MR16],
+    acs: usize,
+    b: *const f32,
+    brs: usize,
+    mask: u16,
+    c: *mut f32,
+    ldc: usize,
+    h: usize,
+    acc: bool,
+) {
+    use std::arch::x86_64::*;
+    // Row-major `A` (the NN and NT layouts) gets its own instance, as in
+    // `microkernel_fma`: with the column step a constant, `l` and `l + 1`
+    // share the row pointers.
+    let acs = if UNIT_ACS { 1 } else { acs };
+    let mut even = [_mm512_setzero_ps(); MR16];
+    let mut odd = [_mm512_setzero_ps(); MR16];
+    let mut l = 0;
+    while l + 1 < k {
+        // SAFETY: `l + 1 < k`: both rows of `B` and both columns of `A` are
+        // inside the caller's contract; masked-off lanes are not read.
+        unsafe {
+            let b0 = _mm512_maskz_loadu_ps(mask, b.add(l * brs));
+            let b1 = _mm512_maskz_loadu_ps(mask, b.add((l + 1) * brs));
+            for i in 0..MR16 {
+                let at = a.add(a_off[i] + l * acs);
+                even[i] = _mm512_fmadd_ps(_mm512_set1_ps(*at), b0, even[i]);
+                odd[i] = _mm512_fmadd_ps(_mm512_set1_ps(*at.add(acs)), b1, odd[i]);
+            }
+        }
+        l += 2;
+    }
+    if l < k {
+        // SAFETY: `l = k - 1`, the last row and column of the contract.
+        unsafe {
+            let b0 = _mm512_maskz_loadu_ps(mask, b.add(l * brs));
+            for i in 0..MR16 {
+                let a0 = *a.add(a_off[i] + l * acs);
+                even[i] = _mm512_fmadd_ps(_mm512_set1_ps(a0), b0, even[i]);
+            }
+        }
+    }
+    for i in 0..h {
+        let sum = _mm512_add_ps(even[i], odd[i]);
+        // SAFETY: row `i < h` of the caller's writable `C` tile; only the
+        // `mask` lanes are loaded or stored.
+        unsafe {
+            let dst = c.add(i * ldc);
+            let out = if acc {
+                _mm512_add_ps(_mm512_maskz_loadu_ps(mask, dst), sum)
+            } else {
+                sum
+            };
+            _mm512_mask_storeu_ps(dst, mask, out);
+        }
     }
 }
 

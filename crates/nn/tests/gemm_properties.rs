@@ -2,11 +2,13 @@
 //! overwrite and accumulate mode, must agree with a serial f64 triple-loop
 //! reference to ≤ 1e-5 relative error — including ragged tail shapes that
 //! exercise the micro-tile edge handling; the pack-free driver must agree
-//! with the packed one *bitwise*; and a NaN in either operand must reach the
-//! output through every kernel — and, one level up, a NaN activation the
-//! loss, through each nonlinear tape op.
+//! with the packed one *bitwise*, on every instruction-set tier the CPU
+//! runs; and a NaN in either operand must reach the output through every
+//! kernel and tier — and, one level up, a NaN activation the loss, through
+//! each nonlinear tape op.
 
 use proptest::prelude::*;
+use sickle_nn::gemm::Tier;
 use sickle_nn::{gemm, Tape, Var};
 
 /// Deterministic pseudo-random fill (so fixed-shape tests need no RNG dep).
@@ -214,6 +216,102 @@ fn pack_free_matches_packed_bitwise_on_edge_shapes() {
     for (i, &(m, k, n)) in shapes.iter().enumerate() {
         check_pack_free_bitwise(m, k, n, 0x8181_0000 + i as u64, false);
         check_pack_free_bitwise(m, k, n, 0x8282_0000 + i as u64, true);
+    }
+}
+
+/// The FMA tiers of the pack-free driver this CPU runs; the lines printed
+/// say which ones a run covered. (Without FMA the packed driver runs the
+/// portable tile, which no other tier matches bit for bit.)
+fn fma_tiers() -> Vec<Tier> {
+    [Tier::Avx512, Tier::Avx2]
+        .into_iter()
+        .filter(|&tier| {
+            let runs = tier.available();
+            let verdict = if runs {
+                "checked"
+            } else {
+                "skipped: not supported by this CPU"
+            };
+            println!("pack-free tier {tier:?}: {verdict}");
+            runs
+        })
+        .collect()
+}
+
+#[test]
+fn pack_free_tiers_match_packed_bitwise() {
+    // Each tier against the packed driver, whose 8-wide AVX2 tile every
+    // tier's per-element sequence matches: rows across the 6- and 8-row
+    // tiles, columns across the 8- and 16-wide panels (in place, masked,
+    // and the 8-wide tail), `k` odd, even and at the `KC` limit.
+    let tiers = fma_tiers();
+    for m in 1..=13 {
+        for n in [1, 5, 8, 15, 16, 17, 32, 33, 64] {
+            for k in [1, 2, 5, 32, 255, 256] {
+                let seed = ((m * 1000 + n) * 1000 + k) as u64;
+                for acc in [false, true] {
+                    for (li, [lm, lk, ln, ars, acs, brs, bcs, a_len, b_len]) in
+                        strided_layouts(m, k, n).into_iter().enumerate()
+                    {
+                        let a = pseudo(seed ^ li as u64, a_len, 1.0);
+                        let b = pseudo(seed ^ 0xB0 ^ li as u64, b_len, 1.0);
+                        let init = pseudo(seed ^ 0xC0, lm * ln, 1.0);
+                        let mut packed = init.clone();
+                        gemm::gemm_packed(&mut packed, lm, lk, ln, &a, ars, acs, &b, brs, bcs, acc);
+                        for &tier in &tiers {
+                            let mut free = init.clone();
+                            gemm::gemm_pack_free_with(
+                                tier, &mut free, lm, lk, ln, &a, ars, acs, &b, brs, bcs, acc,
+                            );
+                            let same = packed
+                                .iter()
+                                .zip(&free)
+                                .all(|(p, f)| p.to_bits() == f.to_bits());
+                            assert!(same, "{tier:?} layout {li} {lm}x{lk}x{ln} acc={acc}: bits differ from packed");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn nan_reaches_the_output_through_every_pack_free_tier() {
+    for tier in fma_tiers().into_iter().chain([Tier::Portable]) {
+        for (m, k, n) in [
+            (1, 1, 1),
+            (13, 9, 17),
+            (64, 32, 32),
+            (8, 256, 33),
+            (5, 3, 5),
+        ] {
+            for (li, [lm, lk, ln, ars, acs, brs, bcs, a_len, b_len]) in
+                strided_layouts(m, k, n).into_iter().enumerate()
+            {
+                for acc in [false, true] {
+                    for nan_in_a in [true, false] {
+                        // The NaN-free operand is all zeros: `0 · NaN` is NaN.
+                        let mut a = vec![0.0f32; a_len];
+                        let mut b = vec![0.0f32; b_len];
+                        if nan_in_a {
+                            a[a_len / 2] = f32::NAN;
+                        } else {
+                            b[b_len / 2] = f32::NAN;
+                        }
+                        let mut c = vec![1.0f32; lm * ln];
+                        gemm::gemm_pack_free_with(
+                            tier, &mut c, lm, lk, ln, &a, ars, acs, &b, brs, bcs, acc,
+                        );
+                        assert!(
+                            c.iter().any(|v| v.is_nan()),
+                            "{tier:?} layout {li} {lm}x{lk}x{ln} acc={acc} nan_in_a={nan_in_a}: \
+                             NaN did not reach C"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -7,9 +7,11 @@
 //! histogram binning in `sickle-field`/`sickle-core`) follows the same
 //! pattern, hosted here so it exists exactly once:
 //!
-//! 1. **One cached feature detection** — [`fma_available`] probes
-//!    `avx2 + fma` once and caches the answer in an atomic, so hot loops pay
-//!    a single relaxed load instead of a `cpuid`.
+//! 1. **Cached feature detection** — [`fma_available`] probes `avx2 + fma`
+//!    once and caches the answer in an atomic, so hot loops pay a single
+//!    relaxed load instead of a `cpuid`. [`avx512_available`] does the same
+//!    for `avx512f` (on top of `avx2 + fma`); only the GEMM pack-free
+//!    driver has a tier that uses it.
 //! 2. **One global kernel switch** — [`set_kernel`]/[`kernel`] select between
 //!    [`Kernel::Naive`] (the reference implementations the parity tests
 //!    compare against) and [`Kernel::Optimized`]. The switch can also be
@@ -111,6 +113,30 @@ pub fn fma_available() -> bool {
 /// Whether AVX2+FMA kernels may be used. Always `false` off x86-64.
 #[cfg(not(target_arch = "x86_64"))]
 pub fn fma_available() -> bool {
+    false
+}
+
+/// Whether AVX-512F kernels may be used: `avx512f` on top of
+/// [`fma_available`], so a caller that takes this tier may also take the
+/// AVX2+FMA one (result cached in an atomic like [`fma_available`]'s).
+/// Always `false` off x86-64.
+#[cfg(target_arch = "x86_64")]
+pub fn avx512_available() -> bool {
+    static STATE: AtomicU8 = AtomicU8::new(0);
+    match STATE.load(Ordering::Relaxed) {
+        1 => true,
+        2 => false,
+        _ => {
+            let ok = fma_available() && std::arch::is_x86_feature_detected!("avx512f");
+            STATE.store(if ok { 1 } else { 2 }, Ordering::Relaxed);
+            ok
+        }
+    }
+}
+
+/// Whether AVX-512F kernels may be used. Always `false` off x86-64.
+#[cfg(not(target_arch = "x86_64"))]
+pub fn avx512_available() -> bool {
     false
 }
 
@@ -414,6 +440,9 @@ mod tests {
         let a = fma_available();
         let b = fma_available();
         assert_eq!(a, b);
+        assert_eq!(avx512_available(), avx512_available());
+        // The wider tier implies the narrower one.
+        assert!(!avx512_available() || fma_available());
     }
 
     fn check_bits(values: &[f64], lo: f64, hi: f64, bins: usize) {
