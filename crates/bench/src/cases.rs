@@ -308,6 +308,13 @@ impl CaseConfig {
             0 => Some("dataset.snapshots"),
             _ if sub.num_hypercubes == 0 => Some("subsample.num_hypercubes"),
             _ if sub.cube_edge == 0 => Some("subsample.cube_edge"),
+            // `Xfull` keeps whole cubes and ignores the budget.
+            _ if sub.num_samples == 0 && sub.method != PointMethod::Full => {
+                Some("subsample.num_samples")
+            }
+            _ if matches!(sub.method, PointMethod::MaxEnt { bins: 0, .. }) => {
+                Some("subsample.method.bins")
+            }
             _ => None,
         };
         if let Some(field) = zero {

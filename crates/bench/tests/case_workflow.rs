@@ -40,6 +40,11 @@ fn tiny_case() -> CaseConfig {
     }
 }
 
+/// `configs/SST/P1` at the repository root.
+fn shipped_configs() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../configs/SST/P1")
+}
+
 #[test]
 fn case_config_json_file_roundtrip() {
     let case = tiny_case();
@@ -67,7 +72,7 @@ fn case_executes_end_to_end() {
 #[test]
 fn shipped_configs_parse_back() {
     // configs/SST/P1 is `gen_configs`' output: the list Fig. 8 runs.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("configs/SST/P1");
+    let dir = shipped_configs();
     let cases = builtin_cases();
     assert_eq!(
         std::fs::read_dir(&dir).unwrap().count(),
@@ -125,12 +130,48 @@ fn zero_counts_are_refused_with_the_field_name() {
             r#""num_hypercubes": 0"#,
             "subsample.num_hypercubes",
         ),
+        (
+            r#""num_samples": 51"#,
+            r#""num_samples": 0"#,
+            "subsample.num_samples",
+        ),
+        (r#""bins": 40"#, r#""bins": 0"#, "subsample.method.bins"),
     ] {
         assert!(json.contains(from), "{json}");
         let err = CaseConfig::from_json(&json.replace(from, to)).expect_err(field);
         assert_eq!(err, format!("{field} must be at least 1"));
     }
     assert!(CaseConfig::from_json(&json).is_ok());
+    // `Xfull` keeps whole cubes, so its sample count is not a budget.
+    let mut full = tiny_case();
+    full.subsample.method = PointMethod::Full;
+    full.subsample.num_samples = 0;
+    assert!(CaseConfig::from_json(&full.to_json()).is_ok());
+}
+
+#[test]
+fn point_methods_no_case_selects_are_unknown_variants() {
+    let json = tiny_case().to_json();
+    let maxent = r#""method": {
+      "kind": "maxent",
+      "num_clusters": 8,
+      "bins": 40
+    }"#;
+    assert!(json.contains(maxent), "{json}");
+    for (name, method) in [
+        ("uniform", r#"{"kind": "uniform"}"#),
+        ("lhs", r#"{"kind": "lhs"}"#),
+        ("stratified", r#"{"kind": "stratified", "strata": 8}"#),
+        // The deleted `UipsGmm` variant's tag (its `name()` was "uips-gmm").
+        ("uipsgmm", r#"{"kind": "uipsgmm", "components": 8}"#),
+    ] {
+        let case = json.replace(maxent, &format!(r#""method": {method}"#));
+        let err = CaseConfig::from_json(&case).expect_err(name);
+        assert!(
+            err.starts_with("unknown") && err.contains(&format!("variant `{name}`")),
+            "{name}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -167,9 +208,7 @@ fn values_the_generators_cannot_take_are_refused_with_the_field_name() {
 fn a_case_that_samples_one_cube_in_all_is_refused() {
     // The shipped Fig. 8 case cut down to one snapshot: with one cube kept
     // there is one sample in all, and the train/test split gives it to test.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("configs/SST/P1/Hmaxent-Xmaxent-16.json");
-    let json = std::fs::read_to_string(path)
+    let json = std::fs::read_to_string(shipped_configs().join("Hmaxent-Xmaxent-16.json"))
         .unwrap()
         .replace(r#""n": 64"#, r#""n": 32"#)
         .replace(r#""snapshots": 4"#, r#""snapshots": 1"#);

@@ -1,11 +1,11 @@
 //! Integration tests for energy accounting across crates and executor ↔
 //! simulator consistency.
 
-use sickle::core::pipeline::{run_dataset, CubeMethod, PointMethod, SamplingConfig};
-use sickle::energy::{cost_to_train, EnergyMeter, MachineModel};
-use sickle::field::{Grid3, Snapshot};
-use sickle::hpc::executor::run_with_ranks;
-use sickle::hpc::simulator::ClusterModel;
+use sickle_core::pipeline::{run_dataset, CubeMethod, PointMethod, SamplingConfig};
+use sickle_energy::{cost_to_train, EnergyMeter, MachineModel};
+use sickle_field::{Grid3, Snapshot};
+use sickle_hpc::executor::run_with_ranks;
+use sickle_hpc::simulator::ClusterModel;
 
 fn snapshot(n: usize) -> Snapshot {
     let grid = Grid3::new(n, n, n, 1.0, 1.0, 1.0);
@@ -28,7 +28,7 @@ fn config() -> SamplingConfig {
         cluster_var: "q".to_string(),
         feature_vars: vec!["q".to_string()],
         seed: 5,
-        temporal: sickle::core::pipeline::TemporalMethod::All,
+        temporal: sickle_core::pipeline::TemporalMethod::All,
     }
 }
 
@@ -40,7 +40,7 @@ fn executor_output_matches_pipeline_budget() {
     assert_eq!(t.points_out, 8 * 51);
     // The serial pipeline retains the same number of points.
     let mut d =
-        sickle::field::Dataset::new(sickle::field::DatasetMeta::new("T", "t", "q", &["q"], &[]));
+        sickle_field::Dataset::new(sickle_field::DatasetMeta::new("T", "t", "q", &["q"], &[]));
     d.push(snap);
     let out = run_dataset(&d, &cfg);
     assert_eq!(out.total_points(), t.points_out);
@@ -67,7 +67,7 @@ fn simulator_calibration_is_self_consistent() {
 #[test]
 fn nn_flops_flow_into_energy_meter() {
     use rand::{rngs::StdRng, SeedableRng};
-    use sickle::nn::{flops, layers::Linear, ParamStore, Tape};
+    use sickle_nn::{flops, layers::Linear, ParamStore, Tape};
     let meter = EnergyMeter::new(MachineModel::frontier_gcd());
     let mut store = ParamStore::new();
     let mut rng = StdRng::seed_from_u64(0);

@@ -4,12 +4,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sickle::cfd::datasets;
-use sickle::core::metrics::pdf_reports;
-use sickle::core::samplers::{MaxEntSampler, PointSampler, RandomSampler};
-use sickle::core::uips::phase_space_cov;
-use sickle::core::UipsSampler;
-use sickle::field::Tiling;
+use sickle_cfd::datasets;
+use sickle_core::metrics::pdf_reports;
+use sickle_core::samplers::{MaxEntSampler, PointSampler, RandomSampler};
+use sickle_core::uips::phase_space_cov;
+use sickle_core::UipsSampler;
+use sickle_field::Tiling;
 
 /// Claim (Figs. 1/3/5): MaxEnt over-covers distribution tails relative to
 /// random sampling on anisotropic data.
@@ -44,7 +44,7 @@ fn maxent_covers_tails_better_than_random() {
 #[test]
 fn uips_phase_space_uniformity_on_tc2d() {
     let d = datasets::tc2d(
-        &sickle::cfd::CombustionConfig {
+        &sickle_cfd::CombustionConfig {
             nx: 64,
             ny: 64,
             ..Default::default()
@@ -72,7 +72,7 @@ fn uips_phase_space_uniformity_on_tc2d() {
 /// keeps scaling (knee ordering).
 #[test]
 fn scaling_knee_orders_by_dataset_size() {
-    use sickle::hpc::simulator::{knee_point, ClusterModel};
+    use sickle_hpc::simulator::{knee_point, ClusterModel};
     let m = ClusterModel::frontier();
     let ranks: Vec<usize> = (0..10).map(|i| 1usize << i).collect();
     let small = m.strong_scaling(12, 32_768, 3_277, &ranks);
@@ -88,10 +88,10 @@ fn scaling_knee_orders_by_dataset_size() {
 /// count, so a 10% subset trains with roughly a tenth of the energy.
 #[test]
 fn subsampling_reduces_training_energy_proportionally() {
-    use sickle::energy::MachineModel;
-    use sickle::train::data::TensorData;
-    use sickle::train::models::LstmModel;
-    use sickle::train::trainer::{train, TrainConfig};
+    use sickle_energy::MachineModel;
+    use sickle_train::data::TensorData;
+    use sickle_train::models::LstmModel;
+    use sickle_train::trainer::{train, TrainConfig};
     let make = |n: usize| {
         TensorData::new(
             (0..n * 6).map(|i| (i % 13) as f32 * 0.1).collect(),
@@ -127,15 +127,15 @@ fn subsampling_reduces_training_energy_proportionally() {
 /// contrast rests on.
 #[test]
 fn stratified_substrate_is_anisotropic_isotropic_is_not() {
-    use sickle::field::derived::partial;
-    use sickle::field::{Axis, SummaryStats};
+    use sickle_field::derived::partial;
+    use sickle_field::{Axis, SummaryStats};
     let strat = datasets::synthetic_sst_snapshot(16, 4.0, 5);
     let gz = SummaryStats::of(&partial(&strat.grid, strat.expect_var("r"), Axis::Z)).std();
     let gx = SummaryStats::of(&partial(&strat.grid, strat.expect_var("r"), Axis::X)).std();
     assert!(gz > 1.3 * gx, "stratified: z-grad {gz} vs x-grad {gx}");
 
-    let iso = sickle::cfd::synth::generate(
-        &sickle::cfd::SynthConfig {
+    let iso = sickle_cfd::synth::generate(
+        &sickle_cfd::SynthConfig {
             nx: 16,
             ny: 16,
             nz: 16,

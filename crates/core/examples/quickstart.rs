@@ -3,13 +3,13 @@
 //! fidelity.
 //!
 //! ```sh
-//! cargo run --release --example quickstart
+//! cargo run --release -p sickle-core --example quickstart
 //! ```
 
-use sickle::cfd::datasets::{self, SstParams};
-use sickle::core::metrics::pdf_reports;
-use sickle::core::pipeline::{run_dataset, CubeMethod, PointMethod, SamplingConfig};
-use sickle::field::Tiling;
+use sickle_cfd::datasets::{self, SstParams};
+use sickle_core::metrics::pdf_reports;
+use sickle_core::pipeline::{run_dataset, CubeMethod, PointMethod, SamplingConfig, TemporalMethod};
+use sickle_field::Tiling;
 
 fn main() {
     // 1. A 32^3 stratified Taylor-Green DNS, 4 snapshots (SST-P1F4 analogue).
@@ -44,7 +44,7 @@ fn main() {
         cluster_var: "pv".into(),
         feature_vars: vec!["u".into(), "v".into(), "w".into(), "r".into()],
         seed: 0,
-        temporal: sickle::core::pipeline::TemporalMethod::All,
+        temporal: TemporalMethod::All,
     };
     println!("\nsampling with case {} ...", cfg.case_name());
     let out = run_dataset(&dataset, &cfg);

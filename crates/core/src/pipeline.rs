@@ -15,12 +15,13 @@ use sickle_field::io as fio;
 use sickle_field::{Dataset, SampleSet, Snapshot, Tiling};
 
 use crate::hypercube::HypercubeSelector;
-use crate::samplers::{
-    FullSampler, LhsSampler, MaxEntSampler, PointSampler, RandomSampler, StratifiedSampler,
-};
+use crate::samplers::{FullSampler, MaxEntSampler, PointSampler, RandomSampler};
 use crate::uips::UipsSampler;
 
-/// Phase-2 point-selection method (config-file facing).
+/// Phase-2 point-selection method (config-file facing): the four that the
+/// paper's case grid selects (`Xfull`, `Xmaxent`, `Xuips`, against
+/// `Xrandom`). LHS, stratified and UIPS-GMM are compared by calling their
+/// samplers directly; a case naming them is an unknown-variant error.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 #[serde(rename_all = "lowercase", tag = "kind")]
 pub enum PointMethod {
@@ -28,15 +29,6 @@ pub enum PointMethod {
     Full,
     /// Uniform random.
     Random,
-    /// Deterministic uniform stride in grid order.
-    Uniform,
-    /// Latin-hypercube-style spread.
-    Lhs,
-    /// Quantile-stratified on the cluster variable.
-    Stratified {
-        /// Number of strata.
-        strata: usize,
-    },
     /// Maximum-entropy cluster-weighted selection.
     MaxEnt {
         /// k-means cluster count.
@@ -49,12 +41,6 @@ pub enum PointMethod {
         /// Bins per feature dimension.
         bins_per_dim: usize,
     },
-    /// UIPS with a Gaussian-mixture density estimator (the smooth-density
-    /// alternative to binning; see [`crate::gmm`]).
-    UipsGmm {
-        /// Mixture components.
-        components: usize,
-    },
 }
 
 impl PointMethod {
@@ -63,9 +49,6 @@ impl PointMethod {
         match *self {
             PointMethod::Full => Box::new(FullSampler),
             PointMethod::Random => Box::new(RandomSampler),
-            PointMethod::Uniform => Box::new(crate::samplers::UniformStrideSampler),
-            PointMethod::Lhs => Box::new(LhsSampler),
-            PointMethod::Stratified { strata } => Box::new(StratifiedSampler { strata }),
             PointMethod::MaxEnt { num_clusters, bins } => Box::new(MaxEntSampler {
                 num_clusters,
                 bins,
@@ -73,10 +56,6 @@ impl PointMethod {
             }),
             PointMethod::Uips { bins_per_dim } => Box::new(UipsSampler {
                 bins_per_dim,
-                ..Default::default()
-            }),
-            PointMethod::UipsGmm { components } => Box::new(crate::gmm::UipsGmmSampler {
-                components,
                 ..Default::default()
             }),
         }
@@ -88,12 +67,8 @@ impl PointMethod {
         match self {
             PointMethod::Full => "full",
             PointMethod::Random => "random",
-            PointMethod::Uniform => "uniform",
-            PointMethod::Lhs => "lhs",
-            PointMethod::Stratified { .. } => "stratified",
             PointMethod::MaxEnt { .. } => "maxent",
             PointMethod::Uips { .. } => "uips",
-            PointMethod::UipsGmm { .. } => "uips-gmm",
         }
     }
 }

@@ -172,35 +172,6 @@ impl PointSampler for LhsSampler {
     }
 }
 
-/// Deterministic uniform-stride selection (`Xuniform`): every `n/budget`-th
-/// point in grid order — the naive cadence baseline of the paper's Fig. 9
-/// MATEY study and its temporal-sampling discussion.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct UniformStrideSampler;
-
-impl PointSampler for UniformStrideSampler {
-    fn name(&self) -> &'static str {
-        "uniform"
-    }
-
-    fn select(
-        &self,
-        features: &FeatureMatrix,
-        _c: usize,
-        budget: usize,
-        _rng: &mut StdRng,
-    ) -> Vec<usize> {
-        let n = features.len();
-        if budget >= n {
-            return (0..n).collect();
-        }
-        if budget == 0 {
-            return Vec::new();
-        }
-        (0..budget).map(|i| i * n / budget).collect()
-    }
-}
-
 /// Quantile-stratified sampling on the cluster variable (`Xstratified`):
 /// equal-count strata, equal budget per stratum.
 #[derive(Clone, Copy, Debug)]

@@ -6,15 +6,15 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sickle::core::entropy::{
+use sickle_core::entropy::{
     allocate_budget, strength_weights, weighted_sample_without_replacement,
 };
-use sickle::core::samplers::{
-    LhsSampler, MaxEntSampler, PointSampler, RandomSampler, StratifiedSampler, UniformStrideSampler,
+use sickle_core::samplers::{
+    LhsSampler, MaxEntSampler, PointSampler, RandomSampler, StratifiedSampler,
 };
-use sickle::core::UipsSampler;
-use sickle::field::stats::{kl_divergence, shannon_entropy};
-use sickle::field::{FeatureMatrix, Histogram};
+use sickle_core::UipsSampler;
+use sickle_field::stats::{kl_divergence, shannon_entropy};
+use sickle_field::{FeatureMatrix, Histogram};
 
 fn arb_features() -> impl Strategy<Value = (FeatureMatrix, usize)> {
     // 1-3 columns, 2..200 rows, values in a modest range (with repeats).
@@ -66,7 +66,6 @@ proptest! {
     ) {
         let budget = ((features.len() as f64) * budget_frac) as usize;
         check_contract(&RandomSampler, &features, ccol, budget, seed);
-        check_contract(&UniformStrideSampler, &features, ccol, budget, seed);
         check_contract(&LhsSampler, &features, ccol, budget, seed);
         check_contract(&StratifiedSampler::default(), &features, ccol, budget, seed);
         check_contract(
@@ -155,8 +154,8 @@ proptest! {
         d in 1usize..4,
         seed in 0u64..100,
     ) {
-        use sickle::field::io::{decode_sample_set, encode_sample_set};
-        use sickle::field::SampleSet;
+        use sickle_field::io::{decode_sample_set, encode_sample_set};
+        use sickle_field::SampleSet;
         let mut rng = StdRng::seed_from_u64(seed);
         use rand::Rng;
         let names = (0..d).map(|i| format!("v{i}")).collect();

@@ -194,6 +194,15 @@ mod tests {
     use super::*;
 
     #[test]
+    fn span_energy_coefficients_match_frontier_node() {
+        // Trace spans charge joules with `sickle_obs`' own coefficients,
+        // which that crate cannot take from here without a cycle.
+        let node = MachineModel::frontier_node();
+        assert_eq!(sickle_obs::metrics::span_joules(1, 0), node.energy_per_flop);
+        assert_eq!(sickle_obs::metrics::span_joules(0, 1), node.energy_per_byte);
+    }
+
+    #[test]
     fn meter_accumulates_atomically() {
         let meter = EnergyMeter::new(MachineModel::frontier_node());
         std::thread::scope(|s| {

@@ -3,7 +3,7 @@
 //! arbitrary power-of-two shapes.
 
 use proptest::prelude::*;
-use sickle::fft::{Complex, Fft3d, RealFft3d};
+use sickle_fft::{Complex, Fft3d, RealFft3d};
 
 /// Random power-of-two 3D shape (each side 2..=8) plus a random real field
 /// of matching length.
