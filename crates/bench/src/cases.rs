@@ -297,7 +297,9 @@ impl CaseConfig {
     /// Returns the serde error message on malformed JSON, or one line
     /// naming the field when a value the case cannot run with is given: a
     /// zero count (`dataset.snapshots`, `subsample.num_hypercubes`,
-    /// `subsample.cube_edge`), a spectral `dataset.n` that is not a power of
+    /// `subsample.cube_edge`, `subsample.num_samples` of a sampled method,
+    /// `subsample.method.num_clusters`, `.bins` or `.bins_per_dim`), a
+    /// spectral `dataset.n` that is not a power of
     /// two, a `subsample.cube_edge` longer than the grid's side, fewer than
     /// two sampled cubes in all (one training and one test sample), or a
     /// `subsample.cluster_var` the dataset does not have.
@@ -312,8 +314,21 @@ impl CaseConfig {
             _ if sub.num_samples == 0 && sub.method != PointMethod::Full => {
                 Some("subsample.num_samples")
             }
+            _ if matches!(
+                sub.method,
+                PointMethod::MaxEnt {
+                    num_clusters: 0,
+                    ..
+                }
+            ) =>
+            {
+                Some("subsample.method.num_clusters")
+            }
             _ if matches!(sub.method, PointMethod::MaxEnt { bins: 0, .. }) => {
                 Some("subsample.method.bins")
+            }
+            _ if matches!(sub.method, PointMethod::Uips { bins_per_dim: 0 }) => {
+                Some("subsample.method.bins_per_dim")
             }
             _ => None,
         };

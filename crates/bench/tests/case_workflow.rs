@@ -135,7 +135,21 @@ fn zero_counts_are_refused_with_the_field_name() {
             r#""num_samples": 0"#,
             "subsample.num_samples",
         ),
+        (
+            r#""num_clusters": 8"#,
+            r#""num_clusters": 0"#,
+            "subsample.method.num_clusters",
+        ),
         (r#""bins": 40"#, r#""bins": 0"#, "subsample.method.bins"),
+        (
+            r#""method": {
+      "kind": "maxent",
+      "num_clusters": 8,
+      "bins": 40
+    }"#,
+            r#""method": {"kind": "uips", "bins_per_dim": 0}"#,
+            "subsample.method.bins_per_dim",
+        ),
     ] {
         assert!(json.contains(from), "{json}");
         let err = CaseConfig::from_json(&json.replace(from, to)).expect_err(field);

@@ -627,11 +627,6 @@ impl CylinderFlow {
         (rho, u, v)
     }
 
-    /// Returns `true` if the cell at `(x, y)` is inside the cylinder.
-    pub fn is_solid(&self, x: usize, y: usize) -> bool {
-        self.solid[x * self.cfg.ny + y]
-    }
-
     /// Builds a [`Snapshot`] of the current state with variables
     /// `u, v, p, wz` (pressure from the lattice equation of state
     /// `p = ρ c_s² = ρ/3`, vorticity from central differences).

@@ -39,11 +39,9 @@ pub mod wire;
 
 use std::io;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use sickle_field::io as fio;
+use bytes::{BufMut, Bytes, BytesMut};
+use sickle_field::io::{self as fio, invalid, Reader};
 use sickle_field::points::SampleSet;
-
-use wire::{invalid, need};
 
 /// Magic for the quantized shard container (sibling of `SKLH`).
 pub const QUANT_MAGIC: &[u8; 4] = b"SKLQ";
@@ -110,40 +108,17 @@ pub fn encode_shard(sets: &[SampleSet], codec: Codec) -> Bytes {
     buf.put_slice(QUANT_MAGIC);
     buf.put_u32_le(QUANT_VERSION);
     buf.put_u8(tag);
-    buf.put_u64_le(sets.len() as u64);
-    for set in sets {
-        let blob = match codec {
+    fio::put_blobs(
+        &mut buf,
+        sets.iter().map(|set| match codec {
             Codec::Identity => unreachable!("identity handled above"),
             Codec::F16 => quant::encode_f16(set),
             Codec::U8Block => quant::encode_u8block(set),
             Codec::Resim { stride, sweeps } => resim::encode_resim(set, stride, sweeps),
-        };
-        buf.put_u64_le(blob.len() as u64);
-        buf.put_slice(&blob);
-    }
+        }),
+    );
     sickle_obs::counter!("codec.encode.shards", 1usize);
     buf.freeze()
-}
-
-/// Peeks a shard's codec name from its bytes without decoding the payload.
-///
-/// # Errors
-/// `InvalidData` on unknown magic or codec tag, or truncation.
-pub fn shard_codec_name(data: &[u8]) -> io::Result<&'static str> {
-    need(data, 4, "truncated shard")?;
-    match &data[..4] {
-        m if m == b"SKLH" => Ok("identity"),
-        m if m == QUANT_MAGIC => {
-            need(data, 9, "truncated shard")?;
-            match data[8] {
-                1 => Ok("f16"),
-                3 => Ok("u8"),
-                4 => Ok("resim"),
-                t => Err(invalid(&format!("unknown codec tag {t}"))),
-            }
-        }
-        _ => Err(invalid("bad shard magic")),
-    }
 }
 
 /// Decodes a shard written by [`encode_shard`] (or by any pre-codec
@@ -153,39 +128,24 @@ pub fn shard_codec_name(data: &[u8]) -> io::Result<&'static str> {
 /// # Errors
 /// `InvalidData` on unknown magic, unsupported version, unknown codec
 /// tag, or truncated/hostile payloads. Never panics.
-pub fn decode_shard(mut data: &[u8]) -> io::Result<Vec<SampleSet>> {
-    need(data, 4, "truncated shard")?;
-    if &data[..4] == b"SKLH" {
-        return fio::decode_sample_sets(data);
+pub fn decode_shard(data: &[u8]) -> io::Result<Vec<SampleSet>> {
+    let mut r = Reader::new(data, "shard");
+    match r.take(4)? {
+        b"SKLH" => return fio::decode_sample_sets(data),
+        m if m != QUANT_MAGIC => return Err(invalid("bad shard magic")),
+        _ => {}
     }
-    if &data[..4] != QUANT_MAGIC {
-        return Err(invalid("bad shard magic"));
-    }
-    data.advance(4);
-    need(data, 4 + 1 + 8, "truncated shard")?;
-    let version = data.get_u32_le();
+    let version = r.u32()?;
     if version != QUANT_VERSION {
-        return Err(invalid(&format!("unsupported SKLQ version {version}")));
+        return Err(invalid(format!("unsupported SKLQ version {version}")));
     }
-    let tag = data.get_u8();
-    let decode: fn(&[u8]) -> io::Result<SampleSet> = match tag {
+    let decode: fn(&[u8]) -> io::Result<SampleSet> = match r.u8()? {
         1 => quant::decode_f16,
         3 => quant::decode_u8block,
         4 => resim::decode_resim,
-        t => return Err(invalid(&format!("unknown codec tag {t}"))),
+        t => return Err(invalid(format!("unknown codec tag {t}"))),
     };
-    let count = data.get_u64_le() as usize;
-    // Each entry needs >= 8 bytes of length prefix; bound the allocation
-    // by what the buffer can actually hold.
-    let mut sets = Vec::with_capacity(count.min(data.remaining() / 8));
-    for _ in 0..count {
-        need(data, 8, "truncated shard")?;
-        let len = data.get_u64_le() as usize;
-        need(data, len, "truncated shard")?;
-        let (blob, rest) = data.split_at(len);
-        sets.push(decode(blob)?);
-        data = rest;
-    }
+    let sets = r.blobs(decode)?;
     sickle_obs::counter!("codec.decode.shards", 1usize);
     Ok(sets)
 }
@@ -193,6 +153,7 @@ pub fn decode_shard(mut data: &[u8]) -> io::Result<Vec<SampleSet>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sickle_field::io::attack;
     use sickle_field::points::FeatureMatrix;
 
     fn sets() -> Vec<SampleSet> {
@@ -230,7 +191,6 @@ mod tests {
         let sets = sets();
         for codec in [Codec::F16, Codec::U8Block, Codec::resim_default()] {
             let bytes = encode_shard(&sets, codec);
-            assert_eq!(shard_codec_name(&bytes).unwrap(), codec.name());
             let back = decode_shard(&bytes).unwrap();
             assert_eq!(back.len(), sets.len(), "{codec:?}");
             for (a, b) in sets.iter().zip(&back) {
@@ -268,7 +228,6 @@ mod tests {
             let err = decode_shard(&bytes).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "tag {tag}");
             assert!(err.to_string().contains("unknown codec tag"), "tag {tag}");
-            assert!(shard_codec_name(&bytes).is_err(), "tag {tag}");
         }
     }
 
@@ -280,19 +239,11 @@ mod tests {
         let mut bytes = encode_shard(&sets(), Codec::F16).to_vec();
         bytes[0] = b'X';
         assert!(decode_shard(&bytes).is_err());
-        assert!(decode_shard(b"").is_err());
-        assert!(decode_shard(b"SK").is_err());
     }
 
     #[test]
     fn truncation_is_error_at_every_prefix() {
         let bytes = encode_shard(&sets(), Codec::U8Block);
-        // Sweep a coarse grid of prefixes plus the boundary region.
-        for cut in (0..bytes.len())
-            .step_by(97)
-            .chain(bytes.len() - 9..bytes.len())
-        {
-            assert!(decode_shard(&bytes[..cut]).is_err(), "cut {cut}");
-        }
+        attack::prefixes_are_errors("u8 shard", &bytes, decode_shard);
     }
 }

@@ -12,39 +12,23 @@
 //!   `q = round((v - offset) / scale)`, `v ~ offset + scale * q`, so local
 //!   dynamic range — not the global extremes — sets the step size.
 
-use bytes::{Buf, BufMut, BytesMut};
-use sickle_field::points::{FeatureMatrix, SampleSet};
+use bytes::{BufMut, BytesMut};
+use sickle_field::io::{checked_size, invalid, Reader};
+use sickle_field::points::SampleSet;
 use std::io;
 
 use crate::half::{extend_f16_le, f32_to_f16_bits};
-use crate::wire::{checked_size, decode_header, encode_header, invalid, need, SetHeader};
+use crate::wire::{decode_header, encode_header, SetHeader};
 
 /// Rows per u8 quantization block. Small enough that one block spans a
 /// fraction of a cube (local contrast survives), large enough that the
 /// 8-byte scale/offset overhead stays under 1% of the payload.
 pub const U8_BLOCK_ROWS: usize = 256;
 
-fn header_of(set: &SampleSet) -> SetHeader {
-    SetHeader {
-        time: set.time,
-        snapshot_index: set.snapshot_index,
-        hypercube: set.hypercube,
-        names: set.features.names.clone(),
-        indices: set.indices.clone(),
-    }
-}
-
-fn set_of(h: SetHeader, values: Vec<f64>) -> SampleSet {
-    let features = FeatureMatrix::new(h.names, values);
-    let mut set = SampleSet::new(features, h.indices, h.time, h.snapshot_index);
-    set.hypercube = h.hypercube;
-    set
-}
-
 /// IEEE binary16 transcoder.
 pub fn encode_f16(set: &SampleSet) -> BytesMut {
     let mut buf = BytesMut::with_capacity(64 + set.features.data.len() * 2);
-    encode_header(&header_of(set), &mut buf);
+    encode_header(&SetHeader::of(set), &mut buf);
     for &v in &set.features.data {
         buf.put_u16_le(f32_to_f16_bits(v as f32));
     }
@@ -52,16 +36,18 @@ pub fn encode_f16(set: &SampleSet) -> BytesMut {
 }
 
 /// Decodes an [`encode_f16`] payload.
-pub fn decode_f16(mut data: &[u8]) -> io::Result<SampleSet> {
-    let h = decode_header(&mut data)?;
-    let count = checked_size(h.len() as u64, h.dim(), "quantized payload overflow")?;
-    let bytes = count
-        .checked_mul(2)
-        .ok_or_else(|| invalid("quantized payload overflow"))?;
-    need(data, bytes, "truncated quantized payload")?;
+pub fn decode_f16(data: &[u8]) -> io::Result<SampleSet> {
+    let mut r = Reader::new(data, "f16 payload");
+    let h = decode_header(&mut r)?;
+    r.context("quantized payload");
+    let count = checked_size(
+        h.indices.len() as u64,
+        h.names.len(),
+        "quantized payload overflow",
+    )?;
     let mut values = Vec::new();
-    extend_f16_le(&mut values, data[..bytes].as_chunks().0);
-    Ok(set_of(h, values))
+    extend_f16_le(&mut values, r.chunks::<2>(count as u64)?);
+    Ok(h.into_set(values))
 }
 
 /// u8 per-block scale/offset transcoder.
@@ -70,7 +56,7 @@ pub fn encode_u8block(set: &SampleSet) -> BytesMut {
     let dim = set.features.dim();
     let nblocks = n.div_ceil(U8_BLOCK_ROWS).max(1);
     let mut buf = BytesMut::with_capacity(64 + dim * nblocks * 8 + n * dim);
-    encode_header(&header_of(set), &mut buf);
+    encode_header(&SetHeader::of(set), &mut buf);
     buf.put_u32_le(U8_BLOCK_ROWS as u32);
 
     // Per column, per block: offset = min, scale = (max - min) / 255.
@@ -124,26 +110,20 @@ pub fn encode_u8block(set: &SampleSet) -> BytesMut {
 const U8_TILE_ROWS: usize = 16;
 
 /// Decodes an [`encode_u8block`] payload.
-pub fn decode_u8block(mut data: &[u8]) -> io::Result<SampleSet> {
-    let h = decode_header(&mut data)?;
-    need(data, 4, "truncated u8 block header")?;
-    let block_rows = data.get_u32_le() as usize;
+pub fn decode_u8block(data: &[u8]) -> io::Result<SampleSet> {
+    let mut r = Reader::new(data, "u8 payload");
+    let h = decode_header(&mut r)?;
+    r.context("u8 payload");
+    let block_rows = r.u32()? as usize;
     if block_rows == 0 {
         return Err(invalid("zero u8 block size"));
     }
-    let n = h.len();
-    let dim = h.dim();
+    let (n, dim) = (h.indices.len(), h.names.len());
     let nblocks = n.div_ceil(block_rows).max(1);
-    let nparams = nblocks
-        .checked_mul(dim)
-        .ok_or_else(|| invalid("u8 block count overflow"))?;
-    let param_bytes = nparams
-        .checked_mul(8)
-        .ok_or_else(|| invalid("u8 block count overflow"))?;
-    need(data, param_bytes, "truncated u8 block params")?;
-    let (params, data) = data.split_at(param_bytes);
+    let nparams = checked_size(nblocks as u64, dim, "u8 block count overflow")?;
+    let params = r.slice(nparams as u64, 8)?;
     let count = checked_size(n as u64, dim, "u8 payload overflow")?;
-    need(data, count, "truncated u8 payload")?;
+    let data = r.take(count)?;
     let mut values = Vec::with_capacity(count);
     if count > 0 {
         // A block of `block_rows` rows holds `block_rows * dim` bytes; one
@@ -154,10 +134,7 @@ pub fn decode_u8block(mut data: &[u8]) -> io::Result<SampleSet> {
         let mut offsets = Vec::with_capacity(tile_rows * dim);
         let mut scales = Vec::with_capacity(tile_rows * dim);
         let mut wide = vec![0.0f32; tile_rows * dim];
-        for (q, block_params) in data[..count]
-            .chunks(block_len)
-            .zip(params.chunks_exact(8 * dim))
-        {
+        for (q, block_params) in data.chunks(block_len).zip(params.chunks_exact(8 * dim)) {
             offsets.clear();
             scales.clear();
             for _ in 0..tile_rows {
@@ -177,12 +154,14 @@ pub fn decode_u8block(mut data: &[u8]) -> io::Result<SampleSet> {
             }
         }
     }
-    Ok(set_of(h, values))
+    Ok(h.into_set(values))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sickle_field::io::attack::attack;
+    use sickle_field::points::FeatureMatrix;
 
     fn sample(n: usize) -> SampleSet {
         let names = vec!["u".into(), "q".into()];
@@ -259,41 +238,34 @@ mod tests {
 
     /// The per-value loop [`decode_u8block`] replaced: the reference it
     /// must match bit for bit.
-    fn decode_u8block_reference(mut data: &[u8]) -> io::Result<SampleSet> {
-        let h = decode_header(&mut data)?;
-        need(data, 4, "truncated u8 block header")?;
-        let block_rows = data.get_u32_le() as usize;
+    fn decode_u8block_reference(data: &[u8]) -> io::Result<SampleSet> {
+        let mut r = Reader::new(data, "u8 payload");
+        let h = decode_header(&mut r)?;
+        let block_rows = r.u32()? as usize;
         if block_rows == 0 {
             return Err(invalid("zero u8 block size"));
         }
-        let n = h.len();
-        let dim = h.dim();
+        let (n, dim) = (h.indices.len(), h.names.len());
         let nblocks = n.div_ceil(block_rows).max(1);
-        let nparams = nblocks
-            .checked_mul(dim)
-            .ok_or_else(|| invalid("u8 block count overflow"))?;
-        let param_bytes = nparams
-            .checked_mul(8)
-            .ok_or_else(|| invalid("u8 block count overflow"))?;
-        need(data, param_bytes, "truncated u8 block params")?;
-        let mut params = Vec::with_capacity(nparams);
-        for _ in 0..nparams {
-            let offset = data.get_f32_le();
-            let scale = data.get_f32_le();
-            params.push((offset, scale));
-        }
-        let count = checked_size(n as u64, dim, "u8 payload overflow")?;
-        need(data, count, "truncated u8 payload")?;
-        let mut values = Vec::with_capacity(count);
+        let nparams = checked_size(nblocks as u64, dim, "u8 block count overflow")?;
+        let mut raw = Reader::new(r.slice(nparams as u64, 8)?, "u8 block params");
+        let mut param = || raw.u32().map(f32::from_bits);
+        let params: Vec<(f32, f32)> = (0..nparams)
+            .map(|_| Ok((param()?, param()?)))
+            .collect::<io::Result<_>>()?;
+        let mut q = r
+            .take(checked_size(n as u64, dim, "u8 payload overflow")?)?
+            .iter();
+        let mut values = Vec::with_capacity(n * dim);
         for r in 0..n {
             let block = r / block_rows;
             for c in 0..dim {
                 let (offset, scale) = params[block * dim + c];
-                let q = data.get_u8();
+                let q = *q.next().expect("sized above");
                 values.push((offset + scale * q as f32) as f64);
             }
         }
-        Ok(set_of(h, values))
+        Ok(h.into_set(values))
     }
 
     /// SplitMix64.
@@ -394,11 +366,8 @@ mod tests {
 
     #[test]
     fn truncated_payloads_error() {
-        let set = sample(300);
-        let f16 = encode_f16(&set);
-        assert!(decode_f16(&f16[..f16.len() - 1]).is_err());
-        let u8b = encode_u8block(&set);
-        assert!(decode_u8block(&u8b[..u8b.len() - 1]).is_err());
-        assert!(decode_u8block(&u8b[..40]).is_err());
+        let set = sample(12);
+        attack("f16 payload", &encode_f16(&set), &[b""], decode_f16);
+        attack("u8 payload", &encode_u8block(&set), &[b""], decode_u8block);
     }
 }

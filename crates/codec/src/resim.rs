@@ -25,13 +25,14 @@
 //! a decoded shard can never introduce out-of-range excursions — it only
 //! loses sub-stride fluctuation energy, which the accuracy budgets bound.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use sickle_cfd::resim::{relax_chain, relax_lattice, seed_linear};
-use sickle_field::points::{FeatureMatrix, SampleSet};
+use sickle_field::io::{checked_size, invalid, Reader};
+use sickle_field::points::SampleSet;
 use std::io;
 
 use crate::half::{extend_f16_le, f32_to_f16_bits};
-use crate::wire::{checked_size, decode_header, encode_header, invalid, need, SetHeader};
+use crate::wire::{decode_header, encode_header, SetHeader};
 
 /// Default coarsening stride: keep one row in three. Deliberately coprime
 /// with the power-of-two cube edges the tiler produces, so the kept rows
@@ -87,14 +88,7 @@ pub fn encode_resim(set: &SampleSet, stride: u32, sweeps: u32) -> BytesMut {
     let (ex, ey, ez) = detect_lattice(&set.indices).unwrap_or((0, 0, 0));
 
     let mut buf = BytesMut::with_capacity(64 + dim * 8 + rows.len() * dim * 2);
-    let header = SetHeader {
-        time: set.time,
-        snapshot_index: set.snapshot_index,
-        hypercube: set.hypercube,
-        names: set.features.names.clone(),
-        indices: set.indices.clone(),
-    };
-    encode_header(&header, &mut buf);
+    encode_header(&SetHeader::of(set), &mut buf);
     buf.put_u32_le(stride);
     buf.put_u32_le(sweeps);
     buf.put_u32_le(ex as u32);
@@ -110,16 +104,16 @@ pub fn encode_resim(set: &SampleSet, stride: u32, sweeps: u32) -> BytesMut {
 
 /// Decodes an [`encode_resim`] payload, reconstructing the dropped rows by
 /// seeded linear interpolation plus `sweeps` Jacobi relaxation sweeps.
-pub fn decode_resim(mut data: &[u8]) -> io::Result<SampleSet> {
-    let h = decode_header(&mut data)?;
-    let n = h.len();
-    let dim = h.dim();
-    need(data, 4 * 5, "truncated resim header")?;
-    let stride = data.get_u32_le() as usize;
-    let sweeps = data.get_u32_le() as usize;
-    let ex = data.get_u32_le() as usize;
-    let ey = data.get_u32_le() as usize;
-    let ez = data.get_u32_le() as usize;
+pub fn decode_resim(data: &[u8]) -> io::Result<SampleSet> {
+    let mut r = Reader::new(data, "resim payload");
+    let h = decode_header(&mut r)?;
+    r.context("resim payload");
+    let (n, dim) = (h.indices.len(), h.names.len());
+    let stride = r.u32()? as usize;
+    let sweeps = r.u32()? as usize;
+    let ex = r.u32()? as usize;
+    let ey = r.u32()? as usize;
+    let ez = r.u32()? as usize;
     if stride == 0 {
         return Err(invalid("zero resim stride"));
     }
@@ -134,10 +128,7 @@ pub fn decode_resim(mut data: &[u8]) -> io::Result<SampleSet> {
     }
     let rows = coarse_rows(n, stride);
     let coarse_count = checked_size(rows.len() as u64, dim, "resim payload overflow")?;
-    let coarse_bytes = coarse_count
-        .checked_mul(2)
-        .ok_or_else(|| invalid("resim payload overflow"))?;
-    need(data, coarse_bytes, "truncated resim payload")?;
+    let coarse_bytes = r.chunks::<2>(coarse_count as u64)?;
 
     // Row-major, the layout the relax kernels and `FeatureMatrix` share.
     let mut values = vec![0.0f64; n * dim];
@@ -146,7 +137,7 @@ pub fn decode_resim(mut data: &[u8]) -> io::Result<SampleSet> {
         known[r] = true;
     }
     let mut coarse = Vec::new();
-    extend_f16_le(&mut coarse, data[..coarse_bytes].as_chunks().0);
+    extend_f16_le(&mut coarse, coarse_bytes);
     for (&r, row) in rows.iter().zip(coarse.chunks_exact(dim.max(1))) {
         values[r * dim..(r + 1) * dim].copy_from_slice(row);
     }
@@ -157,16 +148,15 @@ pub fn decode_resim(mut data: &[u8]) -> io::Result<SampleSet> {
         relax_chain(&mut values, &known, sweeps);
     }
 
-    let features = FeatureMatrix::new(h.names, values);
-    let mut set = SampleSet::new(features, h.indices, h.time, h.snapshot_index);
-    set.hypercube = h.hypercube;
-    Ok(set)
+    Ok(h.into_set(values))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::half::f16_bits_to_f32;
+    use sickle_field::io::attack::attack;
+    use sickle_field::points::FeatureMatrix;
 
     /// A dense raster-ordered cube of edge `e` with smooth 4-feature rows
     /// (the dimensionality of the synth turbulence datasets).
@@ -284,18 +274,21 @@ mod tests {
 
     #[test]
     fn hostile_input_errors_not_panics() {
+        // A lattice and a chain (its indices broken), attacked case by case.
+        let mut chain = cube_set(2);
+        chain.indices[1] = 0;
+        for set in [cube_set(2), chain] {
+            attack("resim", &encode_resim(&set, 2, 8), &[b""], decode_resim);
+        }
         let set = cube_set(8);
         let enc = encode_resim(&set, 6, 8);
-        for cut in [10, 40, enc.len() / 2, enc.len() - 1] {
-            assert!(decode_resim(&enc[..cut]).is_err(), "cut {cut}");
-        }
         // Zero stride must be rejected, not loop forever.
         let mut bad = enc.to_vec();
         // stride lives right after the header; find it by re-decoding the
         // header length.
-        let mut rest = &bad[..];
-        decode_header(&mut rest).unwrap();
-        let off = bad.len() - rest.len();
+        let mut r = Reader::new(&enc, "resim payload");
+        decode_header(&mut r).unwrap();
+        let off = enc.len() - r.rest().len();
         bad[off..off + 4].copy_from_slice(&0u32.to_le_bytes());
         assert!(decode_resim(&bad).is_err());
         // Lattice dims that disagree with n must be rejected.

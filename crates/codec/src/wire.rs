@@ -2,11 +2,14 @@
 //!
 //! Every lossy codec stores the same per-set metadata — time, snapshot
 //! index, hypercube, feature names, and point indices — followed by a
-//! codec-specific value payload. This module owns that common prefix plus
-//! the defensive decode helpers, mirroring the discipline of
-//! `sickle_field::io`: counts read from the buffer are attacker-controlled
-//! and never drive an allocation or length check without overflow-checked
-//! arithmetic bounded by the bytes actually present.
+//! codec-specific value payload. This module owns that common header. Its
+//! first fields are the set prefix an `SKLS` set also starts with, written
+//! and read by the one pair in `sickle_field::io` ([`put_set_prefix`],
+//! [`Reader::set_prefix`]). Like every binary decoder in the workspace,
+//! [`decode_header`] reads through that module's bounded [`Reader`]: a
+//! count read from the buffer sizes nothing until it is overflow-checked
+//! and bounded by the bytes actually present, and the tests attack it with
+//! the shared harness (`sickle_field::io::attack`).
 //!
 //! Set header layout (little-endian):
 //! ```text
@@ -28,29 +31,9 @@
 
 use std::io;
 
-use bytes::{Buf, BufMut, BytesMut};
-
-/// `InvalidData` constructor shared by the codec decoders.
-pub fn invalid(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-/// `count * item_size` as a `usize`, or `InvalidData` on overflow.
-pub fn checked_size(count: u64, item_size: usize, what: &str) -> io::Result<usize> {
-    usize::try_from(count)
-        .ok()
-        .and_then(|c| c.checked_mul(item_size))
-        .ok_or_else(|| invalid(what))
-}
-
-/// Errors unless at least `n` bytes remain.
-pub fn need(data: &[u8], n: usize, what: &str) -> io::Result<()> {
-    if data.remaining() < n {
-        Err(invalid(what))
-    } else {
-        Ok(())
-    }
-}
+use bytes::{BufMut, BytesMut};
+use sickle_field::io::{invalid, put_set_prefix, Reader};
+use sickle_field::points::{FeatureMatrix, SampleSet};
 
 /// The metadata every codec carries per sample set, independent of how the
 /// feature values themselves are stored.
@@ -64,19 +47,23 @@ pub struct SetHeader {
 }
 
 impl SetHeader {
-    /// Number of feature columns.
-    pub fn dim(&self) -> usize {
-        self.names.len()
+    /// The header of `set`.
+    pub fn of(set: &SampleSet) -> SetHeader {
+        SetHeader {
+            time: set.time,
+            snapshot_index: set.snapshot_index,
+            hypercube: set.hypercube,
+            names: set.features.names.clone(),
+            indices: set.indices.clone(),
+        }
     }
 
-    /// Number of sample rows.
-    pub fn len(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// Returns true when the header describes zero rows.
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
+    /// The set this header describes, with row-major `values`.
+    pub fn into_set(self, values: Vec<f64>) -> SampleSet {
+        let features = FeatureMatrix::new(self.names, values);
+        let mut set = SampleSet::new(features, self.indices, self.time, self.snapshot_index);
+        set.hypercube = self.hypercube;
+        set
     }
 }
 
@@ -161,15 +148,14 @@ fn detect_affine(idx: &[usize]) -> Option<AffineIndices> {
 /// Appends a [`SetHeader`] to `buf`, choosing the cheapest index encoding
 /// (affine when the indices have lattice structure, else a u32/u64 list).
 pub fn encode_header(h: &SetHeader, buf: &mut BytesMut) {
-    buf.put_f64_le(h.time);
-    buf.put_u64_le(h.snapshot_index as u64);
-    buf.put_i64_le(h.hypercube.map_or(-1, |c| c as i64));
-    buf.put_u32_le(h.names.len() as u32);
-    for name in &h.names {
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name.as_bytes());
-    }
-    buf.put_u64_le(h.indices.len() as u64);
+    put_set_prefix(
+        buf,
+        h.time,
+        h.snapshot_index,
+        h.hypercube,
+        &h.names,
+        h.indices.len(),
+    );
     if let Some(aff) = detect_affine(&h.indices) {
         buf.put_u8(1);
         buf.put_u64_le(aff.base);
@@ -193,39 +179,20 @@ pub fn encode_header(h: &SetHeader, buf: &mut BytesMut) {
     }
 }
 
-/// Reads a [`SetHeader`], advancing `data` past it. Truncated or hostile
+/// Reads a [`SetHeader`], advancing `r` past it. Truncated or hostile
 /// input returns `InvalidData`, never panics.
-pub fn decode_header(data: &mut &[u8]) -> io::Result<SetHeader> {
-    let err = || invalid("truncated codec set header");
-    need(data, 8 + 8 + 8 + 4, "truncated codec set header")?;
-    let time = data.get_f64_le();
-    let snapshot_index = data.get_u64_le() as usize;
-    let hc = data.get_i64_le();
-    let dim = data.get_u32_le() as usize;
-    if dim == 0 {
-        return Err(invalid("zero feature dimension"));
-    }
-    // Each name needs >= 4 bytes of length prefix; bound the allocation by
-    // what the buffer can actually hold.
-    let mut names = Vec::with_capacity(dim.min(data.remaining() / 4));
-    for _ in 0..dim {
-        need(data, 4, "truncated codec set header")?;
-        let len = data.get_u32_le() as usize;
-        need(data, len, "truncated codec set header")?;
-        let mut raw = vec![0u8; len];
-        data.copy_to_slice(&mut raw);
-        names.push(String::from_utf8(raw).map_err(|_| err())?);
-    }
-    need(data, 9, "truncated codec set header")?;
-    let n = data.get_u64_le();
-    let encoding = data.get_u8();
-    let indices = match encoding {
+pub fn decode_header(r: &mut Reader<'_>) -> io::Result<SetHeader> {
+    r.context("codec set header");
+    let p = r.set_prefix()?;
+    let n = p.n;
+    let indices = match r.u8()? {
         1 => {
-            need(data, 8 + 3 * 4 + 2 * 8, "truncated affine indices")?;
-            let base = data.get_u64_le();
-            let ex = data.get_u32_le() as u64;
-            let ey = data.get_u32_le() as u64;
-            let ez = data.get_u32_le() as u64;
+            let base = r.u64()?;
+            let ex = u64::from(r.u32()?);
+            let ey = u64::from(r.u32()?);
+            let ez = u64::from(r.u32()?);
+            let sx = r.u64()?;
+            let sy = r.u64()?;
             let count = ex
                 .checked_mul(ey)
                 .and_then(|v| v.checked_mul(ez))
@@ -240,54 +207,44 @@ pub fn decode_header(data: &mut &[u8]) -> io::Result<SetHeader> {
             if count > (1 << 24) {
                 return Err(invalid("implausible affine index count"));
             }
-            let sx = data.get_u64_le();
-            let sy = data.get_u64_le();
-            let n = n as usize;
-            let mut indices = Vec::with_capacity(n);
+            // Every index is at most the last one, so one checked
+            // evaluation there bounds them all.
+            let last = |d: u64| d.saturating_sub(1);
+            let last_index = last(ex)
+                .checked_mul(sx)
+                .and_then(|v| v.checked_add(base))
+                .and_then(|v| v.checked_add(last(ey).checked_mul(sy)?))
+                .and_then(|v| v.checked_add(last(ez)))
+                .and_then(|v| usize::try_from(v).ok());
+            if count > 0 && last_index.is_none() {
+                return Err(invalid("affine overflow"));
+            }
+            let mut indices = Vec::with_capacity(count as usize);
             for x in 0..ex {
                 for y in 0..ey {
-                    let line = base
-                        .checked_add(
-                            x.checked_mul(sx)
-                                .ok_or_else(|| invalid("affine overflow"))?,
-                        )
-                        .and_then(|v| v.checked_add(y.checked_mul(sy)?))
-                        .ok_or_else(|| invalid("affine overflow"))?;
-                    for z in 0..ez {
-                        let i = line
-                            .checked_add(z)
-                            .and_then(|v| usize::try_from(v).ok())
-                            .ok_or_else(|| invalid("affine overflow"))?;
-                        indices.push(i);
-                    }
+                    let line = base + x * sx + y * sy;
+                    indices.extend((0..ez).map(|z| (line + z) as usize));
                 }
             }
             indices
         }
-        width @ (4 | 8) => {
-            let width = width as usize;
-            let idx_bytes = checked_size(n, width, "index count overflow")?;
-            need(data, idx_bytes, "truncated codec indices")?;
-            let n = n as usize;
-            let mut indices = Vec::with_capacity(n);
-            if width == 4 {
-                for _ in 0..n {
-                    indices.push(data.get_u32_le() as usize);
-                }
-            } else {
-                for _ in 0..n {
-                    indices.push(data.get_u64_le() as usize);
-                }
-            }
-            indices
-        }
-        e => return Err(invalid(&format!("unknown index encoding {e}"))),
+        4 => r
+            .chunks::<4>(n)?
+            .iter()
+            .map(|&b| u32::from_le_bytes(b) as usize)
+            .collect(),
+        8 => r
+            .chunks::<8>(n)?
+            .iter()
+            .map(|&b| u64::from_le_bytes(b) as usize)
+            .collect(),
+        e => return Err(invalid(format!("unknown index encoding {e}"))),
     };
     Ok(SetHeader {
-        time,
-        snapshot_index,
-        hypercube: if hc >= 0 { Some(hc as usize) } else { None },
-        names,
+        time: p.time,
+        snapshot_index: p.snapshot_index,
+        hypercube: p.hypercube,
+        names: p.names.into_iter().map(str::to_string).collect(),
         indices,
     })
 }
@@ -295,6 +252,21 @@ pub fn decode_header(data: &mut &[u8]) -> io::Result<SetHeader> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sickle_field::io::attack;
+
+    /// Decodes one header that fills `bytes`.
+    fn decode(bytes: &[u8]) -> io::Result<SetHeader> {
+        let mut r = Reader::new(bytes, "test header");
+        let h = decode_header(&mut r)?;
+        assert_eq!(r.rest().len(), 0, "the header fills its bytes");
+        Ok(h)
+    }
+
+    fn encode(h: &SetHeader) -> BytesMut {
+        let mut buf = BytesMut::new();
+        encode_header(h, &mut buf);
+        buf
+    }
 
     fn sample() -> SetHeader {
         SetHeader {
@@ -313,12 +285,7 @@ mod tests {
             if wide {
                 h.indices.push(1usize << 40);
             }
-            let mut buf = BytesMut::new();
-            encode_header(&h, &mut buf);
-            let mut slice = &buf[..];
-            let back = decode_header(&mut slice).unwrap();
-            assert_eq!(back, h);
-            assert!(slice.is_empty());
+            assert_eq!(decode(&encode(&h)).unwrap(), h);
         }
     }
 
@@ -326,20 +293,15 @@ mod tests {
     fn header_without_hypercube() {
         let mut h = sample();
         h.hypercube = None;
-        let mut buf = BytesMut::new();
-        encode_header(&h, &mut buf);
-        let back = decode_header(&mut &buf[..]).unwrap();
-        assert_eq!(back.hypercube, None);
+        assert_eq!(decode(&encode(&h)).unwrap().hypercube, None);
     }
 
     #[test]
     fn truncation_is_an_error_at_every_length() {
-        let mut buf = BytesMut::new();
-        encode_header(&sample(), &mut buf);
-        for cut in 0..buf.len() {
-            let mut slice = &buf[..cut];
-            assert!(decode_header(&mut slice).is_err(), "cut at {cut}");
-        }
+        let buf = encode(&sample());
+        attack::attack("set header", &buf, &[b""], |b| {
+            decode_header(&mut Reader::new(b, "header"))
+        });
     }
 
     #[test]
@@ -361,15 +323,14 @@ mod tests {
             names: vec!["u".into()],
             indices,
         };
-        let mut buf = BytesMut::new();
-        encode_header(&h, &mut buf);
+        let buf = encode(&h);
         // Affine form: the whole index block is ~40 bytes, not 4 per row.
         assert!(
             buf.len() < 100,
             "affine encoding not used: {} bytes",
             buf.len()
         );
-        let back = decode_header(&mut &buf[..]).unwrap();
+        let back = decode(&buf).unwrap();
         assert_eq!(back, h);
     }
 
@@ -383,10 +344,9 @@ mod tests {
             names: vec!["u".into()],
             indices,
         };
-        let mut buf = BytesMut::new();
-        encode_header(&h, &mut buf);
+        let buf = encode(&h);
         assert!(buf.len() < 100);
-        let back = decode_header(&mut &buf[..]).unwrap();
+        let back = decode(&buf).unwrap();
         assert_eq!(back, h);
     }
 
@@ -399,91 +359,45 @@ mod tests {
             names: vec!["u".into()],
             indices: vec![3, 1, 4, 1, 5, 9, 2, 6],
         };
+        assert_eq!(decode(&encode(&h)).unwrap().indices, h.indices);
+    }
+
+    /// A one-column header through its index-encoding byte.
+    fn prefix(n: u64, encoding: u8) -> BytesMut {
         let mut buf = BytesMut::new();
-        encode_header(&h, &mut buf);
-        let back = decode_header(&mut &buf[..]).unwrap();
-        assert_eq!(back.indices, h.indices);
+        put_set_prefix(&mut buf, 0.0, 0, None, &["u".into()], n as usize);
+        buf.put_u8(encoding);
+        buf
     }
 
     #[test]
     fn hostile_affine_headers_are_errors() {
-        let base = |n: u64| {
-            let mut buf = BytesMut::new();
-            buf.put_f64_le(0.0);
-            buf.put_u64_le(0);
-            buf.put_i64_le(-1);
-            buf.put_u32_le(1);
-            buf.put_u32_le(1);
-            buf.put_u8(b'u');
-            buf.put_u64_le(n);
-            buf.put_u8(1); // affine encoding
-            buf
+        let affine = |n: u64, base: u64, dims: [u32; 3], strides: [u64; 2]| {
+            let mut buf = prefix(n, 1);
+            buf.put_u64_le(base);
+            dims.into_iter().for_each(|d| buf.put_u32_le(d));
+            strides.into_iter().for_each(|s| buf.put_u64_le(s));
+            decode(&buf)
         };
         // Dims that do not multiply to n.
-        let mut buf = base(10);
-        buf.put_u64_le(0);
-        buf.put_u32_le(3);
-        buf.put_u32_le(3);
-        buf.put_u32_le(3);
-        buf.put_u64_le(1);
-        buf.put_u64_le(1);
-        assert!(decode_header(&mut &buf[..]).is_err());
+        assert!(affine(10, 0, [3, 3, 3], [1, 1]).is_err());
         // Implausibly huge count must not allocate.
-        let huge = 1u64 << 40;
-        let mut buf = base(huge);
-        buf.put_u64_le(0);
-        buf.put_u32_le(1 << 20);
-        buf.put_u32_le(1 << 20);
-        buf.put_u32_le(1);
-        buf.put_u64_le(1);
-        buf.put_u64_le(1);
-        assert!(decode_header(&mut &buf[..]).is_err());
+        assert!(affine(1 << 40, 0, [1 << 20, 1 << 20, 1], [1, 1]).is_err());
         // Strides that overflow the index space.
-        let mut buf = base(8);
-        buf.put_u64_le(u64::MAX - 2);
-        buf.put_u32_le(2);
-        buf.put_u32_le(2);
-        buf.put_u32_le(2);
-        buf.put_u64_le(u64::MAX / 2);
-        buf.put_u64_le(u64::MAX / 3);
-        assert!(decode_header(&mut &buf[..]).is_err());
+        assert!(affine(8, u64::MAX - 2, [2, 2, 2], [u64::MAX / 2, u64::MAX / 3]).is_err());
         // Unknown index encoding byte.
-        let mut buf = base(0);
-        let last = buf.len() - 1;
-        buf[last] = 7;
-        assert!(decode_header(&mut &buf[..]).is_err());
+        assert!(decode(&prefix(0, 7)).is_err());
     }
 
     #[test]
     fn hostile_counts_are_errors() {
         // Huge dim with a tiny buffer.
-        let mut buf = BytesMut::new();
-        buf.put_f64_le(0.0);
-        buf.put_u64_le(0);
-        buf.put_i64_le(-1);
-        buf.put_u32_le(u32::MAX);
-        assert!(decode_header(&mut &buf[..]).is_err());
+        let mut buf = prefix(0, 8);
+        buf[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode(&buf).is_err());
         // Huge n with a plausible prefix.
-        let mut buf = BytesMut::new();
-        buf.put_f64_le(0.0);
-        buf.put_u64_le(0);
-        buf.put_i64_le(-1);
-        buf.put_u32_le(1);
-        buf.put_u32_le(1);
-        buf.put_u8(b'u');
-        buf.put_u64_le(u64::MAX);
-        buf.put_u8(8);
-        assert!(decode_header(&mut &buf[..]).is_err());
+        assert!(decode(&prefix(u64::MAX, 8)).is_err());
         // Bad index width.
-        let mut buf = BytesMut::new();
-        buf.put_f64_le(0.0);
-        buf.put_u64_le(0);
-        buf.put_i64_le(-1);
-        buf.put_u32_le(1);
-        buf.put_u32_le(1);
-        buf.put_u8(b'u');
-        buf.put_u64_le(0);
-        buf.put_u8(3);
-        assert!(decode_header(&mut &buf[..]).is_err());
+        assert!(decode(&prefix(0, 3)).is_err());
     }
 }

@@ -13,33 +13,218 @@
 //!
 //! Format (all integers little-endian):
 //! ```text
-//! SKLS: magic | u32 version | f64 time | u64 snapshot | i64 cube (-1 = none) |
-//!       u32 dim | dim x (u32 name_len, name bytes) | u64 n |
-//!       n x u64 index | n*dim x f64 value
+//! SKLS: magic | u32 version | set prefix | n x u64 index | n*dim x f64 value
 //! SKLH: magic | u32 version | u64 count | count x (u64 len, SKLS blob)
+//! set prefix: f64 time | u64 snapshot | i64 cube (-1 = none) |
+//!             u32 dim | dim x (u32 name_len, name bytes) | u64 n
 //! ```
+//! The set prefix is shared with the codec layer's `SKLQ` set header:
+//! [`put_set_prefix`] writes it and [`Reader::set_prefix`] reads it, for
+//! both formats.
+//!
+//! **The bounds rule.** Every binary decoder in the workspace — SKLS/SKLH
+//! here, the `SKLQ` container and payloads in `sickle-codec`, the wire
+//! frames in `sickle-store` — reads untrusted bytes through one
+//! [`Reader`]. A count read from the bytes sizes an allocation or a length
+//! check only through [`checked_size`] and a bound against the bytes that
+//! are actually present, so truncated or bit-flipped input returns
+//! `InvalidData` ([`invalid`]) and never panics, aborts or allocates by a
+//! hostile count. [`attack`] is the harness every decoder's tests run: each
+//! strict prefix of a valid encoding must be refused, and each single-bit
+//! flip, and noise behind each known magic, must return.
+
+pub mod attack;
 
 use std::io;
+use std::ops::Deref;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::points::{FeatureMatrix, SampleSet};
 
 const VERSION: u32 = 1;
 
-fn invalid(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+/// `InvalidData` carrying `msg`: the error every binary decoder returns.
+pub fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// `count * item_size` as a `usize`, or `InvalidData` when the product
-/// overflows. Every decoder below sizes its reads through this so a
-/// bit-flipped count can never wrap a length check (release) or panic on
-/// multiply overflow (debug).
-fn checked_size(count: u64, item_size: usize, what: &str) -> io::Result<usize> {
+/// `count * width` as a `usize`, or `InvalidData` naming `what` when the
+/// product overflows, so a bit-flipped count can never wrap a length check
+/// (release) or panic on multiply overflow (debug).
+pub fn checked_size(count: u64, width: usize, what: &str) -> io::Result<usize> {
     usize::try_from(count)
         .ok()
-        .and_then(|c| c.checked_mul(item_size))
+        .and_then(|c| c.checked_mul(width))
         .ok_or_else(|| invalid(what))
+}
+
+/// A bounded little-endian cursor over untrusted bytes: every read checks
+/// the bytes remaining and returns `InvalidData` (`"truncated <what>"`)
+/// when they run out. Payloads are borrowed slices of the input sized by
+/// [`checked_size`], so a hostile count is refused before it sizes anything.
+#[derive(Clone, Copy, Debug)]
+pub struct Reader<'a> {
+    data: &'a [u8],
+    what: &'static str,
+}
+
+/// The per-set prefix an `SKLS` set and an `SKLQ` set header both start
+/// with; `n` is the row count as read, bounded by the payload that follows.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SetPrefix<'a> {
+    /// Simulation time of the originating snapshot.
+    pub time: f64,
+    /// Index of the originating snapshot.
+    pub snapshot_index: usize,
+    /// Originating hypercube, when tagged.
+    pub hypercube: Option<usize>,
+    /// Feature names, in column order (never empty).
+    pub names: Vec<&'a str>,
+    /// Row count.
+    pub n: u64,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader over `data`; truncation errors name `what`.
+    pub fn new(data: &'a [u8], what: &'static str) -> Self {
+        Reader { data, what }
+    }
+
+    /// Renames what truncation errors from here on call the input.
+    pub fn context(&mut self, what: &'static str) {
+        self.what = what;
+    }
+
+    /// The unread bytes, without consuming them.
+    pub fn rest(&self) -> &'a [u8] {
+        self.data
+    }
+
+    /// Errors unless at least `n` bytes remain.
+    pub fn need(&self, n: usize) -> io::Result<()> {
+        if self.data.len() < n {
+            return Err(invalid(format!("truncated {}", self.what)));
+        }
+        Ok(())
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
+        self.need(n)?;
+        let (head, rest) = self.data.split_at(n);
+        self.data = rest;
+        Ok(head)
+    }
+
+    /// A `u8`.
+    pub fn u8(&mut self) -> io::Result<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> io::Result<u32> {
+        Ok(u32::from_le_bytes(self.chunks(1)?[0]))
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> io::Result<u64> {
+        Ok(u64::from_le_bytes(self.chunks(1)?[0]))
+    }
+
+    /// `count` items of `width` bytes each, as one slice.
+    pub fn slice(&mut self, count: u64, width: usize) -> io::Result<&'a [u8]> {
+        self.take(checked_size(count, width, "oversized count")?)
+    }
+
+    /// `count` items of `W` bytes each, as an array view.
+    pub fn chunks<const W: usize>(&mut self, count: u64) -> io::Result<&'a [[u8; W]]> {
+        Ok(self.slice(count, W)?.as_chunks().0)
+    }
+
+    /// A `u32`-length-prefixed UTF-8 name.
+    pub fn name(&mut self) -> io::Result<&'a str> {
+        let len = self.u32()?;
+        let raw = self.slice(len.into(), 1)?;
+        std::str::from_utf8(raw).map_err(|_| invalid(format!("non-UTF-8 name in {}", self.what)))
+    }
+
+    /// The blobs written by [`put_blobs`], each handed to `decode`. The
+    /// capacity reserved up front is bounded by the length prefixes the
+    /// remaining bytes can hold.
+    pub fn blobs<T>(
+        &mut self,
+        mut decode: impl FnMut(&'a [u8]) -> io::Result<T>,
+    ) -> io::Result<Vec<T>> {
+        let count = self.u64()?;
+        let bound = self.data.len() / 8;
+        let mut out = Vec::with_capacity(usize::try_from(count).map_or(bound, |c| c.min(bound)));
+        for _ in 0..count {
+            let len = self.u64()?;
+            out.push(decode(self.slice(len, 1)?)?);
+        }
+        Ok(out)
+    }
+
+    /// The per-set prefix written by [`put_set_prefix`]. A zero feature
+    /// dimension is refused.
+    pub fn set_prefix(&mut self) -> io::Result<SetPrefix<'a>> {
+        let time = f64::from_bits(self.u64()?);
+        let snapshot_index = self.u64()? as usize;
+        let hypercube = usize::try_from(self.u64()? as i64).ok();
+        let dim = self.u32()? as usize;
+        if dim == 0 {
+            return Err(invalid("zero feature dimension"));
+        }
+        // Each name needs at least its 4-byte length prefix.
+        let mut names = Vec::with_capacity(dim.min(self.data.len() / 4));
+        for _ in 0..dim {
+            names.push(self.name()?);
+        }
+        let n = self.u64()?;
+        Ok(SetPrefix {
+            time,
+            snapshot_index,
+            hypercube,
+            names,
+            n,
+        })
+    }
+}
+
+/// Appends the per-set prefix an `SKLS` set and an `SKLQ` set header share:
+/// `f64 time | u64 snapshot | i64 cube (-1 = none) | u32 dim |
+/// dim x (u32 name_len, name bytes) | u64 n`.
+pub fn put_set_prefix(
+    buf: &mut impl BufMut,
+    time: f64,
+    snapshot_index: usize,
+    hypercube: Option<usize>,
+    names: &[String],
+    n: usize,
+) {
+    buf.put_f64_le(time);
+    buf.put_u64_le(snapshot_index as u64);
+    buf.put_i64_le(hypercube.map_or(-1, |h| h as i64));
+    buf.put_u32_le(names.len() as u32);
+    for name in names {
+        buf.put_u32_le(name.len() as u32);
+        buf.put_slice(name.as_bytes());
+    }
+    buf.put_u64_le(n as u64);
+}
+
+/// Appends `u64 count | count x (u64 len, blob)`: the framing of an `SKLH`
+/// shard and of an `SKLQ` container.
+pub fn put_blobs<B: Deref<Target = [u8]>>(
+    buf: &mut impl BufMut,
+    blobs: impl ExactSizeIterator<Item = B>,
+) {
+    buf.put_u64_le(blobs.len() as u64);
+    for blob in blobs {
+        buf.put_u64_le(blob.len() as u64);
+        buf.put_slice(&blob);
+    }
 }
 
 /// Serializes a sample set (feature rows + indices) compactly.
@@ -47,15 +232,14 @@ pub fn encode_sample_set(set: &SampleSet) -> Bytes {
     let mut buf = BytesMut::new();
     buf.put_slice(b"SKLS");
     buf.put_u32_le(VERSION);
-    buf.put_f64_le(set.time);
-    buf.put_u64_le(set.snapshot_index as u64);
-    buf.put_i64_le(set.hypercube.map_or(-1, |h| h as i64));
-    buf.put_u32_le(set.features.dim() as u32);
-    for name in &set.features.names {
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name.as_bytes());
-    }
-    buf.put_u64_le(set.len() as u64);
+    put_set_prefix(
+        &mut buf,
+        set.time,
+        set.snapshot_index,
+        set.hypercube,
+        &set.features.names,
+        set.len(),
+    );
     for &i in &set.indices {
         buf.put_u64_le(i as u64);
     }
@@ -77,54 +261,31 @@ pub fn encode_sample_set(set: &SampleSet) -> Bytes {
 /// mapped shard file) must outlive every view parsed from it.
 #[derive(Clone, Debug)]
 pub struct SampleSetView<'a> {
-    /// Simulation time of the originating snapshot.
-    pub time: f64,
-    /// Index of the originating snapshot.
-    pub snapshot_index: usize,
-    /// Originating hypercube, when tagged.
-    pub hypercube: Option<usize>,
-    names: Vec<&'a str>,
-    n: usize,
-    dim: usize,
-    indices: &'a [u8],
-    values: &'a [u8],
+    prefix: SetPrefix<'a>,
+    indices: &'a [[u8; 8]],
+    values: &'a [[u8; 8]],
 }
 
 impl<'a> SampleSetView<'a> {
-    /// Number of samples (feature rows).
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the set holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Feature dimension (columns per row).
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Borrowed variable names, in column order.
-    pub fn names(&self) -> &[&'a str] {
-        &self.names
+    /// Time, snapshot, hypercube, names and row count, as read.
+    pub fn prefix(&self) -> &SetPrefix<'a> {
+        &self.prefix
     }
 
     /// Materializes the borrowed view as an owned [`SampleSet`],
     /// bit-identical to decoding the same bytes eagerly.
     pub fn to_owned_set(&self) -> SampleSet {
-        let names: Vec<String> = self.names.iter().map(|s| (*s).to_string()).collect();
-        let indices = self.indices.as_chunks().0;
-        let indices = indices
+        let p = &self.prefix;
+        let names: Vec<String> = p.names.iter().map(|s| (*s).to_string()).collect();
+        let indices = self
+            .indices
             .iter()
             .map(|&b| u64::from_le_bytes(b) as usize)
             .collect();
-        let values = self.values.as_chunks().0;
-        let values = values.iter().map(|&b| f64::from_le_bytes(b)).collect();
+        let values = self.values.iter().map(|&b| f64::from_le_bytes(b)).collect();
         let features = FeatureMatrix::new(names, values);
-        let mut set = SampleSet::new(features, indices, self.time, self.snapshot_index);
-        set.hypercube = self.hypercube;
+        let mut set = SampleSet::new(features, indices, p.time, p.snapshot_index);
+        set.hypercube = p.hypercube;
         set
     }
 }
@@ -136,63 +297,18 @@ impl<'a> SampleSetView<'a> {
 /// # Errors
 /// Returns `InvalidData` on bad magic, a zero feature dimension, or
 /// truncation.
-pub fn decode_sample_set_view(mut data: &[u8]) -> io::Result<SampleSetView<'_>> {
-    let err = || invalid("truncated sample set");
-    if data.remaining() < 8 {
-        return Err(err());
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != b"SKLS" {
+pub fn decode_sample_set_view(data: &[u8]) -> io::Result<SampleSetView<'_>> {
+    let mut r = Reader::new(data, "sample set");
+    if r.take(4)? != b"SKLS" {
         return Err(invalid("bad magic"));
     }
-    let _version = data.get_u32_le();
-    if data.remaining() < 8 + 8 + 8 + 4 {
-        return Err(err());
-    }
-    let time = data.get_f64_le();
-    let snapshot_index = data.get_u64_le() as usize;
-    let hc = data.get_i64_le();
-    let dim = data.get_u32_le() as usize;
-    if dim == 0 {
-        return Err(invalid("zero feature dimension"));
-    }
-    let mut names = Vec::with_capacity(dim.min(data.remaining() / 4));
-    for _ in 0..dim {
-        if data.remaining() < 4 {
-            return Err(err());
-        }
-        let len = data.get_u32_le() as usize;
-        if data.remaining() < len {
-            return Err(err());
-        }
-        let (raw, rest) = data.split_at(len);
-        names.push(std::str::from_utf8(raw).map_err(|_| err())?);
-        data = rest;
-    }
-    if data.remaining() < 8 {
-        return Err(err());
-    }
-    let n = data.get_u64_le();
-    let idx_bytes = checked_size(n, 8, "sample count overflow")?;
-    let val_bytes = checked_size(n, dim, "sample payload overflow")?
-        .checked_mul(8)
-        .ok_or_else(|| invalid("sample payload overflow"))?;
-    let payload_bytes = idx_bytes
-        .checked_add(val_bytes)
-        .ok_or_else(|| invalid("sample payload overflow"))?;
-    if data.remaining() < payload_bytes {
-        return Err(err());
-    }
-    let (indices, rest) = data.split_at(idx_bytes);
-    let (values, _) = rest.split_at(val_bytes);
+    let _version = r.u32()?;
+    let prefix = r.set_prefix()?;
+    let indices = r.chunks(prefix.n)?;
+    let values = checked_size(prefix.n, prefix.names.len(), "sample payload overflow")?;
+    let values = r.chunks(values as u64)?;
     Ok(SampleSetView {
-        time,
-        snapshot_index,
-        hypercube: if hc >= 0 { Some(hc as usize) } else { None },
-        names,
-        n: n as usize,
-        dim,
+        prefix,
         indices,
         values,
     })
@@ -318,12 +434,7 @@ pub fn encode_sample_sets(sets: &[SampleSet]) -> Bytes {
     let mut buf = BytesMut::new();
     buf.put_slice(SHARD_MAGIC);
     buf.put_u32_le(VERSION);
-    buf.put_u64_le(sets.len() as u64);
-    for set in sets {
-        let blob = encode_sample_set(set);
-        buf.put_u64_le(blob.len() as u64);
-        buf.put_slice(&blob);
-    }
+    put_blobs(&mut buf, sets.iter().map(encode_sample_set));
     buf.freeze()
 }
 
@@ -343,38 +454,16 @@ pub fn decode_sample_sets(data: &[u8]) -> io::Result<Vec<SampleSet>> {
 ///
 /// # Errors
 /// Returns `InvalidData` on bad magic, version, or truncation.
-pub fn decode_sample_sets_view(mut data: &[u8]) -> io::Result<Vec<SampleSetView<'_>>> {
-    let err = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
-    if data.remaining() < 16 {
-        return Err(err("truncated shard"));
+pub fn decode_sample_sets_view(data: &[u8]) -> io::Result<Vec<SampleSetView<'_>>> {
+    let mut r = Reader::new(data, "shard");
+    if r.take(4)? != SHARD_MAGIC {
+        return Err(invalid("bad shard magic"));
     }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != SHARD_MAGIC {
-        return Err(err("bad shard magic"));
-    }
-    let version = data.get_u32_le();
+    let version = r.u32()?;
     if version != VERSION {
-        return Err(err(&format!("unsupported shard version {version}")));
+        return Err(invalid(format!("unsupported shard version {version}")));
     }
-    let count = data.get_u64_le() as usize;
-    // Each entry needs at least its 8-byte length prefix, so the buffer
-    // bounds the plausible count — a bit-flipped count cannot force a huge
-    // allocation before the truncation error surfaces.
-    let mut sets = Vec::with_capacity(count.min(data.remaining() / 8));
-    for _ in 0..count {
-        if data.remaining() < 8 {
-            return Err(err("truncated shard"));
-        }
-        let len = data.get_u64_le() as usize;
-        if data.remaining() < len {
-            return Err(err("truncated shard"));
-        }
-        let (blob, rest) = data.split_at(len);
-        sets.push(decode_sample_set_view(blob)?);
-        data = rest;
-    }
-    Ok(sets)
+    r.blobs(decode_sample_set_view)
 }
 
 #[cfg(test)]
@@ -478,11 +567,11 @@ mod tests {
         let owned = decode_sample_sets(&bytes).unwrap();
         assert_eq!(views.len(), owned.len());
         for (view, set) in views.iter().zip(&owned) {
-            assert_eq!(view.len(), set.len());
-            assert_eq!(view.dim(), set.features.dim());
-            assert_eq!(view.hypercube, set.hypercube);
-            assert_eq!(view.snapshot_index, set.snapshot_index);
-            assert_eq!(view.names(), set.features.names.as_slice());
+            assert_eq!(view.prefix().n as usize, set.len());
+            assert_eq!(view.prefix().names.len(), set.features.dim());
+            assert_eq!(view.prefix().hypercube, set.hypercube);
+            assert_eq!(view.prefix().snapshot_index, set.snapshot_index);
+            assert_eq!(view.prefix().names, set.features.names);
         }
         // Both materialize the encoded sets bit for bit.
         for (view, set) in views.iter().zip(&sets) {
@@ -494,16 +583,15 @@ mod tests {
         }
     }
 
+    /// The magics a shard or sample-set decoder can be handed.
+    const MAGICS: [&[u8]; 4] = [b"SKLS", b"SKLH", b"SKLQ", b""];
+
     #[test]
     fn view_decode_rejects_hostile_input() {
         let bytes = encode_sample_sets(&two_sets());
-        for cut in [0, 3, 12, bytes.len() - 1] {
-            let err = decode_sample_sets_view(&bytes[..cut]).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
-        }
-        let mut bad = bytes.to_vec();
-        bad[1] = b'X';
-        assert!(decode_sample_sets_view(&bad).is_err());
+        attack::attack("SKLH view", &bytes, &MAGICS, |b| {
+            decode_sample_sets_view(b).map(|views| views.len())
+        });
     }
 
     #[test]
@@ -520,10 +608,9 @@ mod tests {
     #[test]
     fn shard_rejects_corruption() {
         let bytes = encode_sample_sets(&two_sets());
-        assert!(decode_sample_sets(&bytes[..bytes.len() - 3]).is_err());
-        let mut bad = bytes.to_vec();
-        bad[0] = b'X';
-        assert!(decode_sample_sets(&bad).is_err());
+        attack::attack("SKLH", &bytes, &MAGICS, decode_sample_sets);
+        let set = encode_sample_set(&two_sets()[0]);
+        attack::attack("SKLS", &set, &MAGICS, decode_sample_set);
     }
 
     #[test]

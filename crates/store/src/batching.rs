@@ -28,6 +28,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use sickle_field::io::invalid;
 use sickle_field::SampleSet;
 
 use crate::manifest::ShardKey;
@@ -97,10 +98,6 @@ pub fn batch_positions(n: usize, spec: BatchSpec, index: usize) -> Option<Vec<us
         .map(<[usize]>::to_vec)
 }
 
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
 /// A set's targets: the per-column mean of the whole set, summed in `f64`
 /// in row order and rounded once to `f32`. A pure function of the decoded
 /// set, so the store computes it once per residency and keeps it beside
@@ -129,7 +126,7 @@ fn gather_tokens(set: &SampleSet, tokens: usize, out: &mut Vec<f32>) -> io::Resu
         )));
     }
     if tokens == 0 {
-        return Err(invalid("tokens must be positive".into()));
+        return Err(invalid("tokens must be positive"));
     }
     for t in 0..tokens {
         let row = set.features.row((t * set.len() / tokens) % set.len());
@@ -160,7 +157,7 @@ pub fn tensorize_set(set: &SampleSet, tokens: usize) -> io::Result<(Vec<f32>, Ve
 pub fn assemble_batch(pairs: &[(&SampleSet, &[f32])], tokens: usize) -> io::Result<Batch> {
     let (first, _) = pairs
         .first()
-        .ok_or_else(|| invalid("cannot build an empty batch".into()))?;
+        .ok_or_else(|| invalid("cannot build an empty batch"))?;
     let features = first.features.dim();
     let mut inputs = Vec::with_capacity(pairs.len() * tokens * features);
     let mut targets = Vec::with_capacity(pairs.len() * features);

@@ -20,10 +20,7 @@ use std::io;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
-
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
+use sickle_field::io::invalid;
 
 /// Store format version (independent of the SKLS/SKLH payload version).
 pub const STORE_VERSION: u32 = 3;

@@ -35,14 +35,19 @@
 //! deterministic — an empty remainder means no context, exactly 17 bytes
 //! starting with the magic mean a context, anything else is `InvalidData`.
 //!
-//! Frames are capped at [`MAX_FRAME`] and every count in a payload is
-//! checked against the bytes actually present before any allocation — the
-//! same hostile-input discipline as the SKLS/SKLH decoders, because a
-//! network peer is the canonical untrusted source.
+//! Frames are capped at [`MAX_FRAME`], and request, response and batch
+//! payloads are read through `sickle_field::io::Reader`, the one bounded
+//! cursor every binary decoder shares: a count in a payload is
+//! overflow-checked and bounded by the bytes actually present before it
+//! sizes anything, because a network peer is the canonical untrusted
+//! source. The `decode_fuzz` suite attacks each frame kind with the shared
+//! harness (`sickle_field::io::attack`): every strict prefix, every
+//! single-bit flip and noise behind every tag.
 
 use std::io::{self, Read, Write};
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
+use sickle_field::io::{invalid, Reader};
 use sickle_obs::TraceContext;
 
 use crate::batching::{Batch, BatchShape, BatchSpec};
@@ -87,17 +92,6 @@ pub const TRACE_MAGIC: u8 = 0x7C;
 
 /// Total trailer size: magic byte + encoded [`TraceContext`].
 pub const TRACE_TRAILER_LEN: usize = 1 + TraceContext::WIRE_LEN;
-
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-fn need(buf: &[u8], n: usize, what: &str) -> io::Result<()> {
-    if buf.remaining() < n {
-        return Err(invalid(format!("truncated {what}")));
-    }
-    Ok(())
-}
 
 /// A client request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -186,16 +180,17 @@ impl Request {
     /// and malformed trailers.
     pub fn decode_with_context(
         tag: u8,
-        mut payload: &[u8],
+        payload: &[u8],
     ) -> io::Result<(Request, Option<TraceContext>)> {
+        let mut r = Reader::new(payload, "request");
         let req = match tag {
             TAG_REQ_MANIFEST => Request::Manifest,
             TAG_REQ_BATCH => {
-                need(payload, 24, "GetBatch request")?;
-                let seed = payload.get_u64_le();
-                let batch_size = payload.get_u32_le() as usize;
-                let tokens = payload.get_u32_le() as usize;
-                let index = payload.get_u64_le();
+                r.context("GetBatch request");
+                let seed = r.u64()?;
+                let batch_size = r.u32()? as usize;
+                let tokens = r.u32()? as usize;
+                let index = r.u64()?;
                 Request::GetBatch {
                     spec: BatchSpec {
                         seed,
@@ -206,25 +201,25 @@ impl Request {
                 }
             }
             TAG_REQ_TENSORS => {
-                need(payload, 8, "GetTensors request")?;
-                let tokens = payload.get_u32_le();
-                let count = payload.get_u32_le() as usize;
-                if count > MAX_TENSOR_KEYS {
+                r.context("GetTensors request");
+                let tokens = r.u32()?;
+                let count = r.u32()?;
+                if count as usize > MAX_TENSOR_KEYS {
                     return Err(invalid(format!(
                         "GetTensors asks for {count} keys, cap is {MAX_TENSOR_KEYS}"
                     )));
                 }
-                let key_bytes = count
-                    .checked_mul(16)
-                    .ok_or_else(|| invalid("GetTensors key count overflows"))?;
-                need(payload, key_bytes, "GetTensors keys")?;
-                let mut keys = Vec::with_capacity(count);
+                let mut raw = Reader::new(r.slice(count.into(), 16)?, "GetTensors keys");
+                let mut word = || {
+                    usize::try_from(raw.u64()?)
+                        .map_err(|_| invalid("GetTensors key overflows usize"))
+                };
+                let mut keys = Vec::with_capacity(count as usize);
                 for _ in 0..count {
-                    let snapshot = usize::try_from(payload.get_u64_le())
-                        .map_err(|_| invalid("GetTensors snapshot overflows usize"))?;
-                    let cube = usize::try_from(payload.get_u64_le())
-                        .map_err(|_| invalid("GetTensors cube overflows usize"))?;
-                    keys.push(ShardKey { snapshot, cube });
+                    keys.push(ShardKey {
+                        snapshot: word()?,
+                        cube: word()?,
+                    });
                 }
                 Request::GetTensors { tokens, keys }
             }
@@ -232,10 +227,10 @@ impl Request {
             TAG_REQ_SHUTDOWN => Request::Shutdown,
             other => return Err(invalid(format!("unknown request tag {other:#04x}"))),
         };
-        let ctx = match payload.len() {
-            0 => None,
-            TRACE_TRAILER_LEN if payload[0] == TRACE_MAGIC => Some(
-                TraceContext::decode(&payload[1..])
+        let ctx = match r.rest() {
+            [] => None,
+            [TRACE_MAGIC, context @ ..] if context.len() == TraceContext::WIRE_LEN => Some(
+                TraceContext::decode(context)
                     .ok_or_else(|| invalid("malformed trace-context trailer"))?,
             ),
             _ => return Err(invalid("trailing bytes after request")),
@@ -366,12 +361,11 @@ impl Response {
             TAG_RESP_BATCH => decode_batch(payload),
             TAG_RESP_STATS => Ok(Response::Stats(payload.to_vec())),
             TAG_RESP_ERROR => {
-                let (kind, msg) = payload
-                    .split_first()
-                    .ok_or_else(|| invalid("empty error response"))?;
+                let mut r = Reader::new(payload, "error response");
+                let kind = WireErrorKind::from_u8(r.u8()?);
                 Ok(Response::Error {
-                    kind: WireErrorKind::from_u8(*kind),
-                    message: String::from_utf8_lossy(msg).into_owned(),
+                    kind,
+                    message: String::from_utf8_lossy(r.rest()).into_owned(),
                 })
             }
             other => Err(invalid(format!("unknown response tag {other:#04x}"))),
@@ -403,21 +397,18 @@ fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
     }
 }
 
-fn get_f32s(bytes: &[u8]) -> Vec<f32> {
-    bytes
-        .chunks_exact(4)
-        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        .collect()
+fn get_f32s(r: &mut Reader<'_>, count: usize) -> io::Result<Vec<f32>> {
+    let values = r.chunks::<4>(count as u64)?;
+    Ok(values.iter().map(|&b| f32::from_le_bytes(b)).collect())
 }
 
 fn decode_batch(payload: &[u8]) -> io::Result<Response> {
-    need(payload, BATCH_HEADER, "batch header")?;
-    let mut header = &payload[..BATCH_HEADER];
+    let mut r = Reader::new(payload, "batch header");
     let shape = BatchShape {
-        batch: header.get_u32_le() as usize,
-        tokens: header.get_u32_le() as usize,
-        features: header.get_u32_le() as usize,
-        outputs: header.get_u32_le() as usize,
+        batch: r.u32()? as usize,
+        tokens: r.u32()? as usize,
+        features: r.u32()? as usize,
+        outputs: r.u32()? as usize,
     };
     let total = batch_payload_len(shape).ok_or_else(|| invalid("batch payload size overflows"))?;
     if payload.len() != total {
@@ -427,11 +418,9 @@ fn decode_batch(payload: &[u8]) -> io::Result<Response> {
         )));
     }
     // The shape fits `total`, so neither count can overflow.
-    let (inputs, targets) =
-        payload[BATCH_HEADER..].split_at(4 * shape.batch * shape.tokens * shape.features);
     Ok(Response::Batch(Batch {
-        inputs: get_f32s(inputs),
-        targets: get_f32s(targets),
+        inputs: get_f32s(&mut r, shape.batch * shape.tokens * shape.features)?,
+        targets: get_f32s(&mut r, shape.batch * shape.outputs)?,
         shape,
     }))
 }
@@ -477,6 +466,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `words` as consecutive little-endian `u32`s.
+    fn u32s(words: &[u32]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
 
     fn roundtrip_request(req: Request) {
         let (tag, payload) = req.encode();
@@ -557,7 +551,6 @@ mod tests {
             );
         }
     }
-
     #[test]
     fn malformed_trace_trailers_are_rejected() {
         let ctx = TraceContext {
@@ -654,11 +647,7 @@ mod tests {
             },
         });
         // The frame, by hand: tag, length, `b, t, f, o`, then LE tensors.
-        let mut want = vec![TAG_RESP_BATCH];
-        want.put_u32_le(16 + 4 * 6);
-        for v in [1u32, 2, 2, 2] {
-            want.put_u32_le(v);
-        }
+        let mut want = [&[TAG_RESP_BATCH][..], &u32s(&[16 + 4 * 6, 1, 2, 2, 2])].concat();
         for v in inputs.iter().chain(&targets) {
             want.put_slice(&v.to_le_bytes());
         }
@@ -687,27 +676,21 @@ mod tests {
         );
         assert!(read_frame(&mut cursor).is_err(), "EOF is an error");
 
-        let mut bad = vec![TAG_RESP_STATS];
-        bad.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(read_frame(&mut &bad[..]).is_err(), "oversize rejected");
+        for len in [MAX_FRAME as u32 + 1, u32::MAX] {
+            let bad = [&[TAG_RESP_STATS][..], &len.to_le_bytes()].concat();
+            assert!(
+                read_frame(&mut &bad[..]).is_err(),
+                "oversize {len} rejected"
+            );
+        }
     }
 
     #[test]
     fn hostile_batch_header_is_error_not_abort() {
         // Counts claiming far more data than present must fail cleanly.
-        let mut p = Vec::new();
-        p.put_u32_le(u32::MAX);
-        p.put_u32_le(u32::MAX);
-        p.put_u32_le(u32::MAX);
-        p.put_u32_le(u32::MAX);
-        assert!(decode_batch(&p).is_err());
+        assert!(decode_batch(&u32s(&[u32::MAX; 4])).is_err());
         // Shape/payload disagreement is rejected, not padded.
-        let mut q = Vec::new();
-        q.put_u32_le(1);
-        q.put_u32_le(1);
-        q.put_u32_le(2);
-        q.put_u32_le(1);
-        q.put_slice(&[0u8; 4]); // needs 12 bytes, has 4
+        let q = [u32s(&[1, 1, 2, 1]), vec![0; 4]].concat(); // needs 12 bytes, has 4
         assert!(decode_batch(&q).is_err());
     }
 
@@ -728,31 +711,19 @@ mod tests {
     #[test]
     fn hostile_tensors_frames_are_errors_not_aborts() {
         // Request claiming far more keys than bytes present.
-        let mut p = Vec::new();
-        p.put_u32_le(8);
-        p.put_u32_le(u32::MAX);
-        assert!(Request::decode(TAG_REQ_TENSORS, &p).is_err());
-        // Count over the hard cap, even with a matching length claim.
-        let mut q = Vec::new();
-        q.put_u32_le(8);
-        q.put_u32_le(MAX_TENSOR_KEYS as u32 + 1);
-        assert!(Request::decode(TAG_REQ_TENSORS, &q).is_err());
+        assert!(Request::decode(TAG_REQ_TENSORS, &u32s(&[8, u32::MAX])).is_err());
+        // `MAX_TENSOR_KEYS` keys are read; one more is refused even with
+        // its bytes present.
+        let keys = |count: u32| [u32s(&[8, count]), vec![0; 16 * count as usize]].concat();
+        assert!(Request::decode(TAG_REQ_TENSORS, &keys(MAX_TENSOR_KEYS as u32)).is_ok());
+        assert!(Request::decode(TAG_REQ_TENSORS, &keys(MAX_TENSOR_KEYS as u32 + 1)).is_err());
         // The answer is a `Batch` frame: counts that disagree with the
         // payload are rejected, not padded.
-        let mut r = Vec::new();
-        r.put_u32_le(1);
-        r.put_u32_le(2);
-        r.put_u32_le(2);
-        r.put_u32_le(2);
-        r.put_slice(&[0u8; 8]); // needs (4+2)*4 = 24 bytes, has 8
+        let r = [u32s(&[1, 2, 2, 2]), vec![0; 8]].concat(); // needs (4+2)*4 = 24 bytes, has 8
         assert!(Response::decode(TAG_RESP_BATCH, &r).is_err());
         // `batch = 0` is well-formed only with no payload: the other counts
         // cannot overflow, or smuggle bytes in, behind it.
-        let mut z = Vec::new();
-        z.put_u32_le(0);
-        z.put_u32_le(u32::MAX);
-        z.put_u32_le(u32::MAX);
-        z.put_u32_le(u32::MAX);
+        let mut z = u32s(&[0, u32::MAX, u32::MAX, u32::MAX]);
         match Response::decode(TAG_RESP_BATCH, &z) {
             Ok(Response::Batch(b)) => assert!(b.inputs.is_empty() && b.targets.is_empty()),
             other => panic!("expected an empty batch, got {other:?}"),

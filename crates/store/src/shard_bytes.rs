@@ -36,9 +36,7 @@
 use std::io;
 use std::path::Path;
 
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
+use sickle_field::io::invalid;
 
 mod sys {
     //! Minimal raw-syscall surface: just enough `mmap`/`munmap` to hold a

@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use sickle_codec::Codec;
 use sickle_core::pipeline::{config_fingerprint, SamplingOutput};
-use sickle_field::io as fio;
+use sickle_field::io::{self as fio, invalid};
 use sickle_field::SampleSet;
 
 use crate::cache::{BlockCache, DecodedShard};
@@ -65,10 +65,6 @@ impl Default for StoreConfig {
 const MANIFEST: &str = "manifest.json";
 /// Where ingest streams the pack before it is renamed to its content name.
 const PACK_TMP: &str = "pack.tmp";
-
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
 
 /// The canonical `(snapshot, cube)` key of one sample set within its
 /// output: the set's own provenance when tagged, its position otherwise.
@@ -135,7 +131,7 @@ impl ShardStore {
         let _span = sickle_obs::span!("store.ingest", shards = sets.len());
         let first = sets
             .first()
-            .ok_or_else(|| invalid("cannot ingest an empty sampling output".into()))?;
+            .ok_or_else(|| invalid("cannot ingest an empty sampling output"))?;
         let mut manifest = StoreManifest::new(
             config_fingerprint(&output.config),
             first.1.features.names.clone(),

@@ -1,199 +1,324 @@
-//! Property tests for the decoders a hostile peer or a hostile disk can
-//! reach: request frames with and without trace-context trailers, Stats
-//! JSON, raw response payloads, shard bytes, and the pack and manifest of
-//! a store. The invariant everywhere is *error, never panic* — the server
-//! must survive any byte sequence a client writes or a pack holds, and the
-//! client any byte sequence a server returns.
+//! The decoders a hostile peer or a hostile disk can reach, under the
+//! shared attack harness: request frames with and without trace-context
+//! trailers, response frames, Stats JSON and trace contexts, plus the pack
+//! and manifest of a store. The invariant everywhere is *error, never
+//! panic* — the server must survive any byte sequence a client writes or a
+//! pack holds, and the client any byte sequence a server returns.
+//!
+//! Each corpus is a small valid frame; `sickle_field::io::attack` refuses
+//! every strict prefix of it and runs every single-bit flip and noise
+//! behind every tag. The caps a flip cannot reach (`MAX_TENSOR_KEYS`,
+//! `MAX_FRAME`, `u32::MAX` shapes) are pinned in `protocol::tests`; the
+//! store tests here tamper with a published pack and its manifest.
 
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use sickle_field::io::attack::{bit_flips_return, noise, noise_returns, prefixes_are_errors};
+use sickle_field::io::invalid;
 use sickle_field::SampleSet;
 use sickle_obs::TraceContext;
 use sickle_store::batching::{Batch, BatchShape, BatchSpec};
 use sickle_store::manifest::{ShardEntry, ShardKey, StoreManifest};
-use sickle_store::protocol::{read_frame, Request, Response, TRACE_TRAILER_LEN};
+use sickle_store::protocol::{
+    Request, Response, WireErrorKind, TAG_REQ_BATCH, TAG_REQ_MANIFEST, TAG_REQ_SHUTDOWN,
+    TAG_REQ_STATS, TAG_REQ_TENSORS, TAG_RESP_BATCH, TAG_RESP_ERROR, TAG_RESP_MANIFEST,
+    TAG_RESP_STATS, TRACE_MAGIC,
+};
 use sickle_store::stats::StatsSnapshot;
 use sickle_store::{Codec, ShardStore, StoreConfig};
 
-/// Decodes a draw from the 5-way request space (the vendored proptest has
-/// no `prop_oneof`, so the discriminant is an explicit field).
-#[allow(clippy::type_complexity)]
-fn request_of(
-    (which, (seed, batch_size, tokens, index), keys): (
-        usize,
-        (u64, usize, usize, u64),
-        Vec<(usize, usize)>,
-    ),
-) -> Request {
-    match which {
-        0 => Request::Manifest,
-        1 => Request::Stats,
-        2 => Request::Shutdown,
-        3 => Request::GetBatch {
-            spec: BatchSpec {
-                seed,
-                batch_size,
+/// The context every traced corpus carries.
+const CTX: TraceContext = TraceContext {
+    trace_id: 0xABCD_EF01_2345_6789,
+    span_id: (4242 << 32) + 17,
+};
+
+/// One request of every kind, `GetTensors` with and without keys.
+fn requests() -> Vec<Request> {
+    let spec = BatchSpec {
+        seed: 0xDEAD_BEEF,
+        batch_size: 32,
+        tokens: 4095,
+    };
+    let keys = [(0, 5), (usize::MAX, 9)].map(|(snapshot, cube)| ShardKey { snapshot, cube });
+    vec![
+        Request::Manifest,
+        Request::Stats,
+        Request::Shutdown,
+        Request::GetBatch {
+            spec,
+            index: u64::MAX,
+        },
+        Request::GetTensors {
+            tokens: 16,
+            keys: keys.to_vec(),
+        },
+        Request::GetTensors {
+            tokens: 1,
+            keys: Vec::new(),
+        },
+    ]
+}
+
+/// A frame as the decoder sees it: the tag byte, then the payload.
+fn frame((tag, payload): (u8, Vec<u8>)) -> Vec<u8> {
+    [&[tag][..], &payload].concat()
+}
+
+fn decode_request(frame: &[u8]) -> io::Result<(Request, Option<TraceContext>)> {
+    let (&tag, payload) = frame.split_first().ok_or_else(|| invalid("empty frame"))?;
+    Request::decode_with_context(tag, payload)
+}
+
+fn decode_response(frame: &[u8]) -> io::Result<Response> {
+    let (&tag, payload) = frame.split_first().ok_or_else(|| invalid("empty frame"))?;
+    Response::decode(tag, payload)
+}
+
+/// `Batch` frames of three shapes, an empty one included; the values'
+/// bits include NaN payloads, infinities and signed zeros.
+fn batches() -> Vec<Batch> {
+    let bits = |n: usize| (0..n as u32).map(|i| f32::from_bits(i.wrapping_mul(0x9E37_79B9)));
+    let shapes = [(2, 3, 2, 2), (0, 3, 2, 2), (1, 1, 1, 1)];
+    shapes
+        .map(|(batch, tokens, features, outputs)| Batch {
+            shape: BatchShape {
+                batch,
                 tokens,
+                features,
+                outputs,
             },
-            index,
-        },
-        _ => Request::GetTensors {
-            tokens: tokens as u32,
-            keys: keys
-                .into_iter()
-                .map(|(snapshot, cube)| ShardKey { snapshot, cube })
-                .collect(),
-        },
+            inputs: bits(batch * tokens * features).collect(),
+            targets: bits(batch * outputs).collect(),
+        })
+        .to_vec()
+}
+
+/// A response frame without its `u32` length prefix.
+fn response_frame(resp: Response) -> Vec<u8> {
+    let wire = resp.encode_frame();
+    frame((wire[0], wire[5..].to_vec()))
+}
+
+#[test]
+fn any_request_roundtrips_exactly() {
+    // Every request kind survives an encode/decode cycle unchanged, with
+    // its context when traced and without one when not; `Request::decode`
+    // (a server that ignores telemetry) parses the traced frame too.
+    for req in requests() {
+        let plain = decode_request(&frame(req.encode())).unwrap();
+        assert_eq!(plain, (req.clone(), None));
+        let (tag, payload) = req.encode_traced(Some(CTX));
+        assert_eq!(Request::decode(tag, &payload).unwrap(), req);
+        let traced = decode_request(&frame((tag, payload))).unwrap();
+        assert_eq!(traced, (req, Some(CTX)));
     }
+}
+
+#[test]
+fn truncated_traced_requests_are_errors_not_panics() {
+    // A traced frame decodes here only with its context: a prefix that cuts
+    // the whole trailer off is a well-formed *untraced* request.
+    let decode_traced = |f: &[u8]| match decode_request(f)? {
+        (req, Some(_)) => Ok(req),
+        (_, None) => Err(invalid("no trace context")),
+    };
+    for req in requests() {
+        let what = format!("{req:?}");
+        prefixes_are_errors(&what, &frame(req.encode()), decode_request);
+        prefixes_are_errors(&what, &frame(req.encode_traced(Some(CTX))), decode_traced);
+    }
+}
+
+#[test]
+fn bitflipped_traced_requests_never_panic_and_never_misparse() {
+    // A flip may still parse (e.g. inside the context ids) — but if it
+    // does, re-encoding what was parsed must reproduce the flipped frame
+    // byte for byte.
+    let reencodes = |f: &[u8]| {
+        let (req, ctx) = decode_request(f)?;
+        assert_eq!(frame(req.encode_traced(ctx)), f, "misparsed");
+        Ok(())
+    };
+    for req in requests() {
+        let what = format!("{req:?}");
+        bit_flips_return(&what, &frame(req.encode()), reencodes);
+        bit_flips_return(&what, &frame(req.encode_traced(Some(CTX))), reencodes);
+    }
+}
+
+#[test]
+fn arbitrary_request_frames_never_panic() {
+    // Noise behind every tag, 0x02 (retired) and two that never were.
+    let tags = [
+        TAG_REQ_MANIFEST,
+        TAG_REQ_BATCH,
+        TAG_REQ_STATS,
+        TAG_REQ_SHUTDOWN,
+        TAG_REQ_TENSORS,
+        0x02,
+        TRACE_MAGIC,
+        0xFF,
+    ];
+    noise_returns("request noise", &tags.map(|t| [t]), decode_request);
+}
+
+#[test]
+fn arbitrary_response_frames_never_panic() {
+    let tags = [
+        TAG_RESP_MANIFEST,
+        TAG_RESP_BATCH,
+        TAG_RESP_STATS,
+        TAG_RESP_ERROR,
+        0x82,
+        0,
+    ];
+    noise_returns("response noise", &tags.map(|t| [t]), decode_response);
+    let others = [
+        Response::Manifest(b"{\"version\":3}".to_vec()),
+        Response::Stats(b"{\"requests\":12}".to_vec()),
+        Response::Error {
+            kind: WireErrorKind::Busy,
+            message: "admission bound reached".into(),
+        },
+    ];
+    for resp in batches().into_iter().map(Response::Batch).chain(others) {
+        bit_flips_return("response", &response_frame(resp), decode_response);
+    }
+}
+
+#[test]
+fn tensor_blocks_roundtrip_bit_exact() {
+    // What a `GetTensors` answer looks like on the wire: a `Batch` frame
+    // with one sample per key (zero keys included). Its length is exact,
+    // so every prefix is refused.
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for block in batches() {
+        let frame = response_frame(Response::Batch(block.clone()));
+        match decode_response(&frame).unwrap() {
+            Response::Batch(back) => {
+                assert_eq!(back.shape, block.shape);
+                assert_eq!(bits(&back.inputs), bits(&block.inputs));
+                assert_eq!(bits(&back.targets), bits(&block.targets));
+            }
+            other => panic!("expected Batch, got {other:?}"),
+        }
+        prefixes_are_errors("batch frame", &frame, decode_response);
+    }
+}
+
+#[test]
+fn trace_context_decode_is_total() {
+    // Any 16-byte slice parses; everything else is None. No panics.
+    noise_returns("trace context", &[b""], |bytes| {
+        let got = TraceContext::decode(bytes);
+        assert_eq!(got.is_some(), bytes.len() == TraceContext::WIRE_LEN);
+        assert!(got.is_none_or(|ctx| ctx.encode() == bytes));
+        Ok(())
+    });
+}
+
+fn decode_stats(bytes: &[u8]) -> io::Result<StatsSnapshot> {
+    StatsSnapshot::from_json(bytes).map_err(invalid)
+}
+
+#[test]
+fn arbitrary_stats_payloads_never_panic() {
+    noise_returns(
+        "stats noise",
+        &[&b"{"[..], b"", b"{\"requests\":"],
+        decode_stats,
+    );
+}
+
+#[test]
+fn bitflipped_stats_json_is_error_or_valid_never_panic() {
+    let json = StatsSnapshot::collect(&sickle_store::ConnRegistry::default()).to_json();
+    bit_flips_return("stats JSON", &json, decode_stats);
+}
+
+#[test]
+fn unknown_codec_tag_in_shard_is_invalid_data_not_abort() {
+    let out = sickle_store::testutil::small_output(1, 1, 16);
+    let root = std::env::temp_dir().join(format!("sickle_store_badtag_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = ShardStore::ingest_with(&root, &out, StoreConfig::default(), |_| Codec::F16)
+        .expect("ingest");
+    drop(store);
+    // Flip the codec tag to an unknown value and *fix up* the content hash
+    // so the tamper check passes — the codec layer, not the hash, must be
+    // what rejects the shard.
+    let mut manifest = StoreManifest::load(&root.join("manifest.json")).expect("manifest");
+    let pack = root.join(&manifest.pack);
+    let mut bytes = std::fs::read(&pack).expect("pack");
+    bytes[8] = 250;
+    std::fs::write(&pack, &bytes).expect("rewrite");
+    manifest.entries[0].hash = sickle_field::io::content_hash_hex(&bytes);
+    manifest
+        .save_atomic(&root.join("manifest.json"))
+        .expect("save");
+    let store = ShardStore::open(&root, StoreConfig::default()).expect("open");
+    let err = store
+        .get(ShardKey {
+            snapshot: 0,
+            cube: 0,
+        })
+        .expect_err("unknown tag must not decode");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(
+        err.to_string().contains("unknown codec tag"),
+        "unexpected error: {err}"
+    );
+    std::fs::remove_dir_all(&root).ok();
 }
 
 /// Distinguishes the per-case temp stores of the hostile-store tests.
 static FUZZ_CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-fn any_request() -> impl Strategy<Value = Request> {
-    (
-        0usize..5,
-        (0u64..=u64::MAX, 1usize..4096, 1usize..4096, 0u64..=u64::MAX),
-        proptest::collection::vec((0usize..1_000_000, 0usize..1_000_000), 0..8),
-    )
-        .prop_map(request_of)
+#[test]
+fn hostile_shard_files_are_errors_not_panics() {
+    // A store whose manifest hashes *match* hostile shard bytes — a
+    // malicious or broken producer, not bit rot — reaches the codec decode
+    // layer through `get()`. Noise behind every magic, one shard each in one
+    // pack: every read must be refused by the codec layer, never panic.
+    let magics: [&[u8]; 4] = [b"SKLQ\x01\x00\x00\x00\x04", b"SKLQ", b"SKLH", b""];
+    let noise = magics
+        .iter()
+        .flat_map(|m| (0..64).step_by(9).map(move |len| noise(m, len, 1)));
+    let root = fuzz_root("shardfuzz");
+    std::fs::create_dir_all(&root).unwrap();
+    let mut manifest = StoreManifest::new("cfg", vec!["u".into()]);
+    let mut pack = Vec::new();
+    for (cube, shard) in noise.enumerate() {
+        manifest.entries.push(ShardEntry {
+            snapshot: 0,
+            cube,
+            offset: pack.len(),
+            bytes: shard.len(),
+            hash: sickle_field::io::content_hash_hex(&shard),
+            points: 0,
+            codec: "f16".to_string(),
+        });
+        pack.extend_from_slice(&shard);
+    }
+    manifest.pack = StoreManifest::pack_name(&manifest.entries);
+    manifest.pack_bytes = pack.len();
+    std::fs::write(root.join(&manifest.pack), &pack).unwrap();
+    manifest.save_atomic(&root.join("manifest.json")).unwrap();
+    let store = ShardStore::open(&root, StoreConfig::default()).unwrap();
+    for entry in &manifest.entries {
+        let err = store.get(entry.key()).expect_err("hostile shard read");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{entry:?}: {err}");
+    }
+    std::fs::remove_dir_all(&root).ok();
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn arbitrary_request_frames_never_panic(
-        tag in 0u8..=255,
-        payload in proptest::collection::vec(0u8..=255, 0..128),
-    ) {
-        // Either decode path: any outcome but a panic is fine.
-        let _ = Request::decode(tag, &payload);
-        let _ = Request::decode_with_context(tag, &payload);
-    }
-
-    #[test]
-    fn truncated_traced_requests_are_errors_not_panics(
-        req in any_request(),
-        trace_id in 0u64..=u64::MAX,
-        span_id in 0u64..=u64::MAX,
-        cut in 1usize..TRACE_TRAILER_LEN,
-    ) {
-        let ctx = TraceContext { trace_id, span_id };
-        let (tag, payload) = req.encode_traced(Some(ctx));
-        // Cutting into the trailer always invalidates the frame: the
-        // remainder is neither empty nor a whole trailer.
-        let cut_payload = &payload[..payload.len() - cut];
-        prop_assert!(Request::decode_with_context(tag, cut_payload).is_err());
-        prop_assert!(Request::decode(tag, cut_payload).is_err());
-    }
-
-    #[test]
-    fn bitflipped_traced_requests_never_panic_and_never_misparse(
-        req in any_request(),
-        trace_id in 0u64..=u64::MAX,
-        span_id in 0u64..=u64::MAX,
-        pos_frac in 0.0f64..1.0,
-        bit in 0u8..8,
-    ) {
-        let ctx = TraceContext { trace_id, span_id };
-        let (tag, mut payload) = req.encode_traced(Some(ctx));
-        let pos = ((payload.len() - 1) as f64 * pos_frac) as usize;
-        payload[pos] ^= 1 << bit;
-        // A flip may still parse (e.g. inside the context ids) — but if it
-        // does, re-encoding what was parsed must reproduce the flipped
-        // frame byte for byte. It must never panic.
-        if let Ok((parsed, parsed_ctx)) = Request::decode_with_context(tag, &payload) {
-            let (tag2, payload2) = parsed.encode_traced(parsed_ctx);
-            prop_assert_eq!(tag2, tag);
-            prop_assert_eq!(payload2, payload);
-        }
-    }
-
-    #[test]
-    fn trace_context_decode_is_total(
-        bytes in proptest::collection::vec(0u8..=255, 0..64),
-    ) {
-        // Any 16-byte slice parses; everything else is None. No panics.
-        let got = TraceContext::decode(&bytes);
-        prop_assert_eq!(got.is_some(), bytes.len() == TraceContext::WIRE_LEN);
-        if let Some(ctx) = got {
-            prop_assert_eq!(ctx.encode().to_vec(), bytes);
-        }
-    }
-
-    #[test]
-    fn arbitrary_stats_payloads_never_panic(
-        bytes in proptest::collection::vec(0u8..=255, 0..256),
-    ) {
-        let _ = StatsSnapshot::from_json(&bytes);
-    }
-
-    #[test]
-    fn bitflipped_stats_json_is_error_or_valid_never_panic(
-        pos_frac in 0.0f64..1.0,
-        bit in 0u8..8,
-    ) {
-        let reg = sickle_store::ConnRegistry::default();
-        let mut json = StatsSnapshot::collect(&reg).to_json();
-        let pos = ((json.len() - 1) as f64 * pos_frac) as usize;
-        json[pos] ^= 1 << bit;
-        let _ = StatsSnapshot::from_json(&json);
-    }
-
-    #[test]
-    fn arbitrary_response_frames_never_panic(
-        tag in 0u8..=255,
-        payload in proptest::collection::vec(0u8..=255, 0..256),
-    ) {
-        let _ = Response::decode(tag, &payload);
-    }
-
-    #[test]
-    fn any_request_roundtrips_exactly(req in any_request()) {
-        // The full 5-way request space (including GetTensors key lists)
-        // survives an encode/decode cycle unchanged.
-        let (tag, payload) = req.encode();
-        prop_assert_eq!(Request::decode(tag, &payload).unwrap(), req);
-    }
-
-    #[test]
-    fn hostile_shard_files_are_errors_not_panics(
-        magic_sel in 0u8..3,
-        data in proptest::collection::vec(0u8..=255, 0..256),
-    ) {
-        // A store whose manifest hash *matches* hostile shard bytes — a
-        // malicious or broken producer, not bit rot — reaches the codec
-        // decode layer through `get()`. It must error, never panic.
-        let mut bytes = match magic_sel {
-            1 => b"SKLQ".to_vec(),
-            2 => b"SKLH".to_vec(),
-            _ => Vec::new(),
-        };
-        bytes.extend_from_slice(&data);
-        let root = fuzz_root("shardfuzz");
-        std::fs::create_dir_all(&root).unwrap();
-        let mut manifest = StoreManifest::new("cfg", vec!["u".into()]);
-        manifest.entries.push(ShardEntry {
-            snapshot: 0,
-            cube: 0,
-            offset: 0,
-            bytes: bytes.len(),
-            hash: sickle_field::io::content_hash_hex(&bytes),
-            points: 0,
-            codec: "f16".to_string(),
-        });
-        manifest.pack = StoreManifest::pack_name(&manifest.entries);
-        manifest.pack_bytes = bytes.len();
-        std::fs::write(root.join(&manifest.pack), &bytes).unwrap();
-        manifest.save_atomic(&root.join("manifest.json")).unwrap();
-        let store = ShardStore::open(&root, StoreConfig::default()).unwrap();
-        prop_assert!(store.get(ShardKey { snapshot: 0, cube: 0 }).is_err());
-        std::fs::remove_dir_all(&root).ok();
-    }
 
     #[test]
     fn hostile_ranges_are_errors_not_panics(
@@ -227,35 +352,6 @@ proptest! {
         }
         std::fs::remove_dir_all(&root).ok();
     }
-
-    #[test]
-    fn tensor_blocks_roundtrip_bit_exact(
-        count in 0usize..6,
-        tokens in 1usize..8,
-        features in 1usize..8,
-        fill in proptest::collection::vec(-1.0e30f32..1.0e30, 0..8),
-    ) {
-        let value = |i: usize| *fill.get(i % fill.len().max(1)).unwrap_or(&0.25) + i as f32;
-        // What a `GetTensors` answer looks like on the wire: a `Batch`
-        // frame with one sample per key (zero keys included).
-        let block = Batch {
-            shape: BatchShape { batch: count, tokens, features, outputs: features },
-            inputs: (0..count * tokens * features).map(value).collect(),
-            targets: (0..count * features).map(value).collect(),
-        };
-        let frame = Response::Batch(block.clone()).encode_frame();
-        let (tag, payload) = read_frame(&mut &frame[..]).unwrap();
-        match Response::decode(tag, &payload).unwrap() {
-            Response::Batch(back) => {
-                prop_assert_eq!(back.shape, block.shape);
-                let bits =
-                    |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(bits(&back.inputs), bits(&block.inputs));
-                prop_assert_eq!(bits(&back.targets), bits(&block.targets));
-            }
-            other => prop_assert!(false, "expected Batch, got {other:?}"),
-        }
-    }
 }
 
 /// A fresh temp store root for one fuzz case.
@@ -267,20 +363,11 @@ fn fuzz_root(tag: &str) -> PathBuf {
     root
 }
 
-const KEYS: [ShardKey; 3] = [
-    ShardKey {
-        snapshot: 0,
-        cube: 0,
-    },
-    ShardKey {
-        snapshot: 0,
-        cube: 1,
-    },
-    ShardKey {
-        snapshot: 0,
-        cube: 2,
-    },
-];
+const KEYS: [ShardKey; 3] = [key(0), key(1), key(2)];
+
+const fn key(cube: usize) -> ShardKey {
+    ShardKey { snapshot: 0, cube }
+}
 
 /// Ingests a three-shard store, lets `tamper` vandalise its pack behind
 /// the manifest's back, and reopens it, handing the attempt to `check`
@@ -504,39 +591,4 @@ fn every_single_byte_flip_fails_the_content_hash() {
         );
         std::fs::remove_dir_all(&root).ok();
     }
-}
-
-#[test]
-fn unknown_codec_tag_in_shard_is_invalid_data_not_abort() {
-    let out = sickle_store::testutil::small_output(1, 1, 16);
-    let root = std::env::temp_dir().join(format!("sickle_store_badtag_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let store = ShardStore::ingest_with(&root, &out, StoreConfig::default(), |_| Codec::F16)
-        .expect("ingest");
-    drop(store);
-    // Flip the codec tag to an unknown value and *fix up* the content hash
-    // so the tamper check passes — the codec layer, not the hash, must be
-    // what rejects the shard.
-    let mut manifest = StoreManifest::load(&root.join("manifest.json")).expect("manifest");
-    let pack = root.join(&manifest.pack);
-    let mut bytes = std::fs::read(&pack).expect("pack");
-    bytes[8] = 250;
-    std::fs::write(&pack, &bytes).expect("rewrite");
-    manifest.entries[0].hash = sickle_field::io::content_hash_hex(&bytes);
-    manifest
-        .save_atomic(&root.join("manifest.json"))
-        .expect("save");
-    let store = ShardStore::open(&root, StoreConfig::default()).expect("open");
-    let err = store
-        .get(ShardKey {
-            snapshot: 0,
-            cube: 0,
-        })
-        .expect_err("unknown tag must not decode");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(
-        err.to_string().contains("unknown codec tag"),
-        "unexpected error: {err}"
-    );
-    std::fs::remove_dir_all(&root).ok();
 }
