@@ -87,8 +87,7 @@ impl ClusterModel {
             let stages = (ranks as f64).log2().ceil();
             let allreduce =
                 stages * (self.comm_latency + self.comm_inv_bandwidth * self.reduce_bytes);
-            let gather_bytes =
-                (cubes * samples_per_cubes(samples_per_cube)) as f64 * self.bytes_per_sample;
+            let gather_bytes = (cubes * samples_per_cube) as f64 * self.bytes_per_sample;
             let gather = self.comm_latency * ranks as f64 + self.comm_inv_bandwidth * gather_bytes;
             allreduce + gather
         };
@@ -117,11 +116,6 @@ impl ClusterModel {
             })
             .collect()
     }
-}
-
-#[inline]
-fn samples_per_cubes(s: usize) -> usize {
-    s
 }
 
 /// One point on a strong-scaling curve.

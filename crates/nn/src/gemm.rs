@@ -1,42 +1,38 @@
 //! Cache-blocked SGEMM kernels for the autodiff tape.
 //!
-//! One BLIS-style driver serves all three logical layouts the tape needs —
+//! One driver serves all three logical layouts the tape needs —
 //! `C = A·B` (NN), `C = A·Bᵀ` (NT, `B` stored `(n, k)`), and `C = Aᵀ·B`
 //! (TN, `A` stored `(m, k)`) — by describing each operand with a logical
-//! `(row_stride, col_stride)` pair, and a register-tiled `MR × NR`
-//! microkernel does the arithmetic, reading `A` through six row offsets
-//! and a column stride and `B` as `NR`-wide rows a fixed stride apart.
+//! `(row_stride, col_stride)` pair. It walks `C` in `MC`-row blocks, on the
+//! thread pool when the product is worth [`POOL_MIN_FLOPS`], and each block
+//! over `KC`-deep blocks of `k`, pointing a register-tiled microkernel
+//! straight at the operands: `A` is read where it lies, through one row
+//! offset per tile row and a column stride, and `B` too when its rows are
+//! contiguous; otherwise one `B` micro-panel at a time is packed into a
+//! stack buffer. Nothing is copied into block-sized scratch: copying `A`
+//! and `B` into packed panels was 45 % of a train step's GEMM time, and
+//! the large products run as fast or faster without it (DESIGN.md §11).
 //!
-//! Two drivers feed it. [`gemm_packed`] copies `B` into `KC × NC` column
-//! panels of `NR`-wide micro-panels and `A` into `MC × KC` row blocks of
-//! `MR`-tall micro-panels, so the microkernel streams unit-stride data no
-//! matter how large or how transposed the operands are. [`gemm_pack_free`]
-//! points the same microkernel straight at the operands: when all three
-//! matrices already sit in cache (the model's 64×32×32-class products) the
-//! packing copies are pure overhead — they were 45 % of the GEMM time of a
-//! train step. Both visit `k` in the same order with the same two
-//! accumulators, so for `k ≤ KC` their results are bit-identical
-//! (`tests/gemm_properties.rs`).
+//! The microkernel has three instruction-set tiers ([`Tier`]). Where the
+//! CPU has AVX-512F (`sickle_simd::avx512_available`, probed once and
+//! cached) it runs `8 × 16` tiles, one zmm per tile row, and reads a ragged
+//! last `B` panel in place through a lane mask; a last panel of at most
+//! `NR` columns still runs on the 6×8 AVX2 tile, where half a zmm is slower
+//! than a whole ymm. The NT layout's `B` panels are packed through a
+//! 16 × 16 in-register transpose. Without AVX-512 the 6×8 AVX2+FMA tile
+//! runs, and without FMA the portable one.
 //!
-//! The pack-free driver — every product of a train step — has one more
-//! instruction-set tier. Where the CPU has AVX-512F
-//! (`sickle_simd::avx512_available`, probed once and cached) it runs
-//! `8 × 16` tiles, one zmm per tile row, and reads a ragged last `B` panel
-//! in place through a lane mask; a last panel of at most `NR` columns still
-//! runs on the 6×8 AVX2 tile, where half a zmm is slower than a whole ymm.
-//! The NT layout's `B` panels are packed through a 16 × 16 in-register
-//! transpose. Tiers never show in the result, because every output element
-//! is built by the same operations in every tier, lanes never mixing: one
-//! fused multiply-add chain over even `l` and one over odd `l`, both from
-//! `+0.0`; the two chains added once; that sum stored, or added to `C`
-//! under `accumulate`. AVX-512 pack-free ≡ AVX2 pack-free ≡ packed, bit for
-//! bit (`tests/gemm_properties.rs`). The fallback chain is AVX2+FMA, then
-//! the portable tile. The packed driver stays 8 wide: only products past
-//! the pack-free bound reach it (no train step has one — the benchmark's
-//! 256³ probe does), and a 16-wide micro-panel would change its packing
-//! layout for no workload's time.
+//! Every output element is built by one sequence, whatever the tier, the
+//! tile edge or the thread count, lanes never mixing: per `KC` block of
+//! `k`, one multiply-add chain over even `l` and one over odd `l`, both
+//! from `+0.0`; the two chains added once; that sum stored (the first
+//! block, unless `accumulate`) or added to `C`. The chains are fused
+//! multiply-adds on the AVX-512 and AVX2 tiers, so those two give the same
+//! bits, and a multiply then an add on the portable tier.
+//! `tests/gemm_properties.rs` holds every tier to a scalar spec of this
+//! sequence, bit for bit.
 //!
-//! Pack-free rates on a 2-vCPU Sapphire Rapids Xeon, AVX2 → AVX-512 tier
+//! Rates on a 2-vCPU Sapphire Rapids Xeon, AVX2 → AVX-512 tier
 //! (Gflop/s, best of batches, NN / NT / TN, `(m, k, n)`):
 //!
 //! ```text
@@ -48,18 +44,11 @@
 //!
 //! All kernels support `accumulate` (`C += A·B`) so backward passes write
 //! gradients directly into the destination buffer with no temporary.
-//! Accumulation order over `k` is fixed per output element regardless of
-//! thread count — row blocks are parallel but disjoint — so results are
-//! run-to-run deterministic. Whether a product goes to the thread pool is
-//! decided by its *work* ([`POOL_MIN_FLOPS`]), never by its row count.
-//!
-//! The packed driver's buffers are thread-local and grow to a high-water
-//! mark; the pack-free driver packs into a stack buffer. Steady-state calls
-//! perform no heap allocation, and a cache-sized product performs none on a
-//! thread that has never run one before (a pool worker running a child
-//! tape, say).
-
-use std::cell::RefCell;
+//! Row blocks are parallel but disjoint, so results are run-to-run
+//! deterministic and independent of the thread count. Whether a product
+//! goes to the thread pool is decided by its *work* ([`POOL_MIN_FLOPS`]),
+//! never by its row count alone. No kernel keeps thread-local scratch or
+//! allocates on the heap.
 
 use rayon::prelude::*;
 use sickle_simd::{avx512_available, fma_available, kernel, Kernel};
@@ -70,39 +59,24 @@ use sickle_simd::{avx512_available, fma_available, kernel, Kernel};
 pub const MR: usize = 6;
 /// Microkernel tile columns.
 pub const NR: usize = 8;
-/// Tile rows of the AVX-512 pack-free tier: two `MR16 × NR16` accumulator
-/// tiles are 16 of the 32 zmm registers. Eight rows beat six by 2–8 % on
-/// the model's 64- and 32-row products (no clamped duplicate rows); six do
-/// better only on products of at most six rows.
+/// Tile rows of the AVX-512 tier: two `MR16 × NR16` accumulator tiles are
+/// 16 of the 32 zmm registers. Eight rows beat six by 2–8 % on the model's
+/// 64- and 32-row products (no clamped duplicate rows); six do better only
+/// on products of at most six rows.
 const MR16: usize = 8;
-/// Tile columns of the AVX-512 pack-free tier: one zmm of `f32` per row.
+/// Tile columns of the AVX-512 tier: one zmm of `f32` per row.
 const NR16: usize = 16;
-/// K-dimension block: one packed `A` micro-panel (`KC·MR` f32) and the
-/// active `B` micro-panel (`KC·NR` f32) stay L1-resident.
+/// K-dimension block: the `B` micro-panel a tile streams (`KC·NR16` f32 at
+/// most, 16 KiB) stays L1-resident, and fits the driver's stack buffer.
 pub const KC: usize = 256;
-/// Rows of `A` packed per block (`MC·KC` f32 ≈ 128 KiB, L2-resident).
+/// Rows of `C` per block, the unit the thread pool is handed: a block's
+/// `MC × KC` slice of `A` (≈ 128 KiB) stays L2-resident across its panels.
 pub const MC: usize = 128;
-/// Columns of `B` packed per panel (`KC·NC` f32 cap on the shared panel).
-pub const NC: usize = 4096;
-/// A product whose three operands together hold at most this many `f32`
-/// (`m·k + k·n + m·n`) runs pack-free: the whole problem fits the L2 budget
-/// the packed driver grants a single `A` block, so there is nothing for
-/// packing to make more local.
-pub const PACK_FREE_MAX_ELEMS: usize = MC * KC;
 /// A product goes to the thread pool only from this many flops (`2·m·k·n`)
 /// up: one full `MC × KC` block of `A` against an `MC`-column panel, ≈ 170 µs
 /// on one core. Below it the hand-off costs more than a second thread
 /// returns, whatever the row count.
 pub const POOL_MIN_FLOPS: usize = 2 * MC * KC * MC;
-
-thread_local! {
-    /// Packed-A scratch, one per worker thread (each row block packs its own).
-    static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Packed-B scratch, owned by the thread driving the gemm call and shared
-    /// read-only with workers. Distinct from `PACK_A` because the driving
-    /// thread also participates as a worker.
-    static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
 
 /// `C (m,n) = A (m,k) · B (k,n)`, or `C += …` when `accumulate`.
 ///
@@ -168,8 +142,8 @@ pub fn matmul_tn_into(
 }
 
 /// Logical `C (m,n) = A (m,k) · B (k,n)` over operands addressed as
-/// `a[i*ars + l*acs]` and `b[l*brs + j*bcs]`: pack-free when the problem
-/// already fits cache, packed (and parallel from [`POOL_MIN_FLOPS`]) above.
+/// `a[i*ars + l*acs]` and `b[l*brs + j*bcs]`, on the widest [`Tier`] the
+/// CPU runs.
 #[allow(clippy::too_many_arguments)]
 fn gemm_strided(
     c: &mut [f32],
@@ -184,13 +158,7 @@ fn gemm_strided(
     bcs: usize,
     acc: bool,
 ) {
-    // `k ≤ KC` keeps the pack-free single pass over `k` identical to the
-    // packed driver's (which would otherwise round into `C` between blocks).
-    if k <= KC && m * k + k * n + m * n <= PACK_FREE_MAX_ELEMS {
-        gemm_pack_free(c, m, k, n, a, ars, acs, b, brs, bcs, acc);
-    } else {
-        gemm_packed(c, m, k, n, a, ars, acs, b, brs, bcs, acc);
-    }
+    gemm_pack_free_with(Tier::detect(), c, m, k, n, a, ars, acs, b, brs, bcs, acc);
 }
 
 /// Handles the shapes with no multiply in them; true if `c` is finished.
@@ -202,102 +170,14 @@ fn degenerate(c: &mut [f32], m: usize, k: usize, n: usize, acc: bool) -> bool {
     m == 0 || n == 0 || k == 0
 }
 
-/// The blocked, packing driver over logical `C (m,n) = A (m,k) · B (k,n)`
-/// where the operands are addressed as `a[i*ars + l*acs]` and
-/// `b[l*brs + j*bcs]`. Row blocks run on the thread pool when the product
-/// is worth [`POOL_MIN_FLOPS`].
-///
-/// # Panics
-/// Panics if `c.len() != m * n` or a stride reaches outside `a` or `b`.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_packed(
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    ars: usize,
-    acs: usize,
-    b: &[f32],
-    brs: usize,
-    bcs: usize,
-    acc: bool,
-) {
-    if degenerate(c, m, k, n, acc) {
-        return;
-    }
-    let pooled = m > MC && 2 * m * k * n >= POOL_MIN_FLOPS;
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            // First k-block either overwrites or accumulates into C;
-            // subsequent k-blocks always accumulate.
-            let overwrite = pc == 0 && !acc;
-            PACK_B.with(|cell| {
-                let mut pb = cell.borrow_mut();
-                pack_b(&mut pb, b, brs, bcs, pc, kc, jc, nc);
-                let pb: &[f32] = &pb;
-                let block = |(bi, cblk): (usize, &mut [f32])| {
-                    let ic = bi * MC;
-                    let mc = cblk.len() / n;
-                    row_block(cblk, ic, mc, n, kc, jc, nc, a, ars, acs, pc, pb, overwrite);
-                };
-                if pooled {
-                    c.par_chunks_mut(MC * n).enumerate().for_each(block);
-                } else {
-                    c.chunks_mut(MC * n).enumerate().for_each(block);
-                }
-            });
-        }
-    }
-}
-
-/// Packs and multiplies one `mc × kc` block of `A` against the shared packed
-/// `B` panel, writing the `mc × nc` result tile of `cblk` (whose rows start
-/// at global row `ic`).
-#[allow(clippy::too_many_arguments)]
-fn row_block(
-    cblk: &mut [f32],
-    ic: usize,
-    mc: usize,
-    n: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-    a: &[f32],
-    ars: usize,
-    acs: usize,
-    pc: usize,
-    pb: &[f32],
-    overwrite: bool,
-) {
-    PACK_A.with(|cell| {
-        let mut pa = cell.borrow_mut();
-        pack_a(&mut pa, a, ars, acs, ic, mc, pc, kc);
-        let mut acc_tile = [0.0f32; MR * NR];
-        for (q, j0) in (0..nc).step_by(NR).enumerate() {
-            let w = NR.min(nc - j0);
-            let bp = &pb[q * kc * NR..(q + 1) * kc * NR];
-            for (p, i0) in (0..mc).step_by(MR).enumerate() {
-                let h = MR.min(mc - i0);
-                let ap = &pa[p * kc * MR..(p + 1) * kc * MR];
-                microkernel_packed(kc, ap, bp, &mut acc_tile);
-                write_tile(cblk, n, i0, jc + j0, h, w, &acc_tile, overwrite);
-            }
-        }
-    });
-}
-
-/// The instruction-set tier of [`gemm_pack_free`]'s tile. `Avx512` and
-/// `Avx2` give the same bits (module doc); `Portable` is the body the packed
-/// driver also runs where the CPU has no FMA.
+/// The instruction-set tier of the microkernel. `Avx512` and `Avx2` give
+/// the same bits; `Portable` runs the same sequence unfused (module doc).
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Tier {
     /// `MR16 × 16` tiles, one zmm per row, ragged columns masked.
     Avx512,
-    /// The `MR × NR` AVX2+FMA tile the packed driver runs.
+    /// The `MR × NR` AVX2+FMA tile.
     Avx2,
     /// The `MR × NR` baseline-target tile.
     Portable,
@@ -325,42 +205,16 @@ impl Tier {
     }
 }
 
-/// The pack-free driver over logical `C (m,n) = A (m,k) · B (k,n)` with the
-/// operands addressed as `a[i*ars + l*acs]` and `b[l*brs + j*bcs]`, on the
-/// widest [`Tier`] the CPU runs: the tile reads `A` where it lies (row
-/// offsets clamped to the last row at the ragged edge, the duplicate rows
-/// discarded on write) and `B` too when its rows are contiguous (at the
-/// 8-wide tiers only when `n` is a whole number of micro-panels; the
-/// AVX-512 tier masks the ragged last one); otherwise `B` is packed one
-/// micro-panel at a time into a stack buffer, so the driver touches no
-/// thread-local scratch and allocates nothing on any thread. Serial —
-/// callers route only cache-sized problems here — and bit-identical to
-/// [`gemm_packed`].
+/// The driver over logical `C (m,n) = A (m,k) · B (k,n)` with the operands
+/// addressed as `a[i*ars + l*acs]` and `b[l*brs + j*bcs]`, on an explicit
+/// tier (the matmuls pass [`Tier::detect`], the parity tests each tier):
+/// `MC`-row blocks of `C`, on the thread pool when `m > MC` and the product
+/// is worth [`POOL_MIN_FLOPS`], each over `KC`-deep blocks of `k`. The
+/// first `k` block stores or adds as `acc` says; every later one adds.
 ///
 /// # Panics
-/// Panics if `k > KC`, `c.len() != m * n` or a stride reaches outside `a`
-/// or `b`.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_pack_free(
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    ars: usize,
-    acs: usize,
-    b: &[f32],
-    brs: usize,
-    bcs: usize,
-    acc: bool,
-) {
-    gemm_pack_free_with(Tier::detect(), c, m, k, n, a, ars, acs, b, brs, bcs, acc);
-}
-
-/// [`gemm_pack_free`] on an explicit tier (parity tests).
-///
-/// # Panics
-/// As [`gemm_pack_free`], and if the CPU does not run `tier`.
+/// Panics if the CPU does not run `tier`, `c.len() != m * n` or a stride
+/// reaches outside `a` or `b`.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_pack_free_with(
@@ -377,8 +231,53 @@ pub fn gemm_pack_free_with(
     bcs: usize,
     acc: bool,
 ) {
+    if degenerate(c, m, k, n, acc) {
+        return;
+    }
+    // Each block's operands start at its first row and column of `A` and
+    // `B`; `block` checks its own reach inside them.
+    let rows = |(bi, cblk): (usize, &mut [f32])| {
+        let (i0, mc) = (bi * MC, cblk.len() / n);
+        for l0 in (0..k).step_by(KC) {
+            let (ab, bb) = (&a[i0 * ars + l0 * acs..], &b[l0 * brs..]);
+            let (kc, add) = (KC.min(k - l0), acc || l0 > 0);
+            block(tier, cblk, mc, kc, n, ab, ars, acs, bb, brs, bcs, add);
+        }
+    };
+    if m > MC && 2 * m * k * n >= POOL_MIN_FLOPS {
+        c.par_chunks_mut(MC * n).enumerate().for_each(rows);
+    } else {
+        c.chunks_mut(MC * n).enumerate().for_each(rows);
+    }
+}
+
+/// One block of [`gemm_pack_free_with`], `k ≤ KC`: the tile reads `A`
+/// where it lies (row offsets clamped to the last row at the ragged edge,
+/// the duplicate rows discarded on write) and `B` too when its rows are
+/// contiguous (at the 8-wide tiers only when `n` is a whole number of
+/// micro-panels; the AVX-512 tier masks the ragged last one); otherwise
+/// `B` is packed one micro-panel at a time into a stack buffer.
+///
+/// # Panics
+/// Panics if the CPU does not run `tier`, `k > KC`, `c.len() != m * n` or
+/// a stride reaches outside `a` or `b`.
+#[allow(clippy::too_many_arguments)]
+fn block(
+    tier: Tier,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    ars: usize,
+    acs: usize,
+    b: &[f32],
+    brs: usize,
+    bcs: usize,
+    acc: bool,
+) {
     assert!(tier.available(), "this CPU does not run the {tier:?} tier");
-    assert!(k <= KC, "pack-free k {k} exceeds KC");
+    assert!(k <= KC, "block k {k} exceeds KC");
     if degenerate(c, m, k, n, acc) {
         return;
     }
@@ -450,9 +349,6 @@ fn last_index(i: usize, stride_i: usize, j: usize, stride_j: usize) -> Option<us
         .checked_add(j.checked_mul(stride_j)?)
 }
 
-/// Row offsets of a packed `A` micro-panel: row `i` of the tile starts at `i`.
-const PACKED_A_OFF: [usize; MR] = [0, 1, 2, 3, 4, 5];
-
 /// The register-tiled inner kernel: `acc[i][j] = Σ_l A[i][l] · B[l][j]` with
 /// `A[i][l] = a[a_off[i] + l·acs]` and `B[l][j] = b[l·brs + j]`, `l < kc`:
 /// the AVX2+FMA variant when `fma`, the portable one otherwise.
@@ -484,26 +380,7 @@ unsafe fn microkernel(
     #[cfg(not(target_arch = "x86_64"))]
     let _ = fma;
     // SAFETY: the caller's index contract, passed through unchanged.
-    unsafe { tile_portable(kc, a, a_off, acs, b, brs, acc) };
-}
-
-/// [`microkernel`] over packed micro-panels (`ap` is `kc × MR` with `i`
-/// fastest, `bp` is `kc × NR` with `j` fastest): the same tile body with the
-/// offsets and strides as compile-time constants, which is worth a tenth of
-/// the large-product rate.
-#[inline]
-fn microkernel_packed(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
-    assert!(kc >= 1 && ap.len() >= kc * MR && bp.len() >= kc * NR);
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: avx2 + fma presence verified by `fma_available`; the
-        // lengths asserted above are the packed form of the index contract
-        // (`MR - 1 + (kc - 1)·MR < kc·MR`, `(kc - 1)·NR + NR ≤ kc·NR`).
-        unsafe { microkernel_fma_packed(kc, ap, bp, acc) };
-        return;
-    }
-    // SAFETY: the asserted lengths, as above.
-    unsafe { tile_portable(kc, ap, &PACKED_A_OFF, MR, bp, NR, acc) };
+    unsafe { tile::<false>(kc, a, a_off, acs, b, brs, acc) };
 }
 
 /// # Safety
@@ -526,22 +403,11 @@ unsafe fn microkernel_fma(
     // SAFETY: the caller's index contract, passed through unchanged.
     unsafe {
         if acs == 1 {
-            tile_fma(kc, a, a_off, 1, b, brs, acc)
+            tile::<true>(kc, a, a_off, 1, b, brs, acc)
         } else {
-            tile_fma(kc, a, a_off, acs, b, brs, acc)
+            tile::<true>(kc, a, a_off, acs, b, brs, acc)
         }
     }
-}
-
-/// # Safety
-/// Caller must have verified `avx2` and `fma` CPU support;
-/// `ap.len() ≥ kc·MR`, `bp.len() ≥ kc·NR`, `kc ≥ 1`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn microkernel_fma_packed(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [f32; MR * NR]) {
-    // SAFETY: the caller's lengths are the index contract for these
-    // constant offsets and strides.
-    unsafe { tile_fma(kc, ap, &PACKED_A_OFF, MR, bp, NR, acc) }
 }
 
 /// Row `l` of the `B` micro-panel.
@@ -555,17 +421,19 @@ unsafe fn b_row(b: &[f32], brs: usize, l: usize) -> &[f32; NR] {
     unsafe { &*b.as_ptr().add(l * brs).cast::<[f32; NR]>() }
 }
 
-/// The tile body for AVX2+FMA callers (inlined into them, so that each
-/// `NR`-wide row of the accumulator tile is one ymm register and every
-/// `mul_add` lowers to a fused multiply-add, which baseline codegen cannot
-/// emit). Two independent accumulator tiles (even and odd `l`) give `2·MR`
-/// fma chains — enough to cover the fma latency on two issue ports.
+/// The `MR × NR` tile body. Two independent accumulator tiles (even and
+/// odd `l`) give `2·MR` multiply-add chains — enough to cover the fma
+/// latency on two issue ports. `FUSED` makes each step one fused
+/// multiply-add: AVX2+FMA callers inline the body, so that each `NR`-wide
+/// row of an accumulator tile is one ymm register and every `mul_add` one
+/// instruction, which baseline codegen cannot emit. Unfused, each step is a
+/// multiply then an add, and the body autovectorizes under whatever SIMD
+/// the baseline target provides.
 ///
 /// # Safety
 /// The index contract of [`microkernel`] must hold.
-#[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn tile_fma(
+unsafe fn tile<const FUSED: bool>(
     kc: usize,
     a: &[f32],
     a_off: &[usize; MR],
@@ -574,6 +442,7 @@ unsafe fn tile_fma(
     brs: usize,
     acc: &mut [f32; MR * NR],
 ) {
+    let step = |x: f32, y: f32, s: f32| if FUSED { x.mul_add(y, s) } else { s + x * y };
     let mut acc0 = [0.0f32; MR * NR];
     let mut acc1 = [0.0f32; MR * NR];
     for l in (0..kc - 1).step_by(2) {
@@ -585,8 +454,8 @@ unsafe fn tile_fma(
             // SAFETY: see above.
             let (a0, a1) = unsafe { (*a.get_unchecked(at), *a.get_unchecked(at + acs)) };
             for j in 0..NR {
-                acc0[i * NR + j] = a0.mul_add(b0[j], acc0[i * NR + j]);
-                acc1[i * NR + j] = a1.mul_add(b1[j], acc1[i * NR + j]);
+                acc0[i * NR + j] = step(a0, b0[j], acc0[i * NR + j]);
+                acc1[i * NR + j] = step(a1, b1[j], acc1[i * NR + j]);
             }
         }
     }
@@ -598,7 +467,7 @@ unsafe fn tile_fma(
             // SAFETY: see above.
             let a0 = unsafe { *a.get_unchecked(a_off[i] + l * acs) };
             for j in 0..NR {
-                acc0[i * NR + j] = a0.mul_add(b0[j], acc0[i * NR + j]);
+                acc0[i * NR + j] = step(a0, b0[j], acc0[i * NR + j]);
             }
         }
     }
@@ -613,7 +482,7 @@ unsafe fn tile_fma(
 /// last panel through a lane mask — and otherwise (its columns contiguous,
 /// the NT layout) packed one panel at a time into a stack buffer through an
 /// in-register transpose. Each element of `C` is built exactly as
-/// [`tile_fma`] and [`write_tile`] build it, whatever the tile width: one
+/// [`tile`] and [`write_tile`] build it, whatever the tile width: one
 /// fma chain over even `l` and one over odd `l`, both from `+0.0`; the two
 /// chains added once; that sum stored, or added to `C` when `acc`.
 ///
@@ -868,51 +737,6 @@ unsafe fn tile_avx512<const UNIT_ACS: bool>(
     }
 }
 
-/// The portable tile body (autovectorizes under whatever SIMD the baseline
-/// target provides).
-///
-/// # Safety
-/// The index contract of [`microkernel`] must hold.
-#[inline]
-unsafe fn tile_portable(
-    kc: usize,
-    a: &[f32],
-    a_off: &[usize; MR],
-    acs: usize,
-    b: &[f32],
-    brs: usize,
-    acc: &mut [f32; MR * NR],
-) {
-    acc.fill(0.0);
-    // Two k-steps per iteration: more independent work in flight between
-    // loop-carried accumulator updates.
-    for l in (0..kc - 1).step_by(2) {
-        // SAFETY: `l + 1 ≤ kc - 1`, so both rows and, below, both columns
-        // are inside the caller's contract.
-        let (b0, b1) = unsafe { (b_row(b, brs, l), b_row(b, brs, l + 1)) };
-        for i in 0..MR {
-            let at = a_off[i] + l * acs;
-            // SAFETY: see above.
-            let (a0, a1) = unsafe { (*a.get_unchecked(at), *a.get_unchecked(at + acs)) };
-            for j in 0..NR {
-                acc[i * NR + j] += a0 * b0[j] + a1 * b1[j];
-            }
-        }
-    }
-    if kc % 2 == 1 {
-        let l = kc - 1;
-        // SAFETY: `l = kc - 1` is the last row and column of the contract.
-        let b0 = unsafe { b_row(b, brs, l) };
-        for i in 0..MR {
-            // SAFETY: see above.
-            let a0 = unsafe { *a.get_unchecked(a_off[i] + l * acs) };
-            for j in 0..NR {
-                acc[i * NR + j] += a0 * b0[j];
-            }
-        }
-    }
-}
-
 /// Writes (or adds) the valid `h × w` corner of an accumulator tile into `c`
 /// at `(i0, j0)`.
 #[allow(clippy::too_many_arguments)]
@@ -939,31 +763,6 @@ fn write_tile(
     }
 }
 
-/// Packs the `kc × nc` panel of logical `B` starting at `(pc, jc)` into
-/// `NR`-wide micro-panels (`[panel][l][j]`, zero-padded to full `NR`).
-#[allow(clippy::too_many_arguments)]
-fn pack_b(
-    pb: &mut Vec<f32>,
-    b: &[f32],
-    brs: usize,
-    bcs: usize,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-) {
-    let panels = nc.div_ceil(NR);
-    let need = panels * kc * NR;
-    if pb.len() < need {
-        pb.resize(need, 0.0);
-    }
-    for q in 0..panels {
-        let j0 = jc + q * NR;
-        let dst = &mut pb[q * kc * NR..(q + 1) * kc * NR];
-        pack_b_panel(dst, b, brs, bcs, pc, j0, NR.min(jc + nc - j0));
-    }
-}
-
 /// Packs columns `j0..j0 + w` of logical `B`, rows `pc..pc + dst.len() / NR`,
 /// into one `NR`-wide micro-panel (`[l][j]`, zero-padded to full `NR`).
 fn pack_b_panel(
@@ -979,37 +778,6 @@ fn pack_b_panel(
         let base = (pc + l) * brs;
         for (j, d) in drow.iter_mut().enumerate() {
             *d = if j < w { b[base + (j0 + j) * bcs] } else { 0.0 };
-        }
-    }
-}
-
-/// Packs the `mc × kc` block of logical `A` starting at `(ic, pc)` into
-/// `MR`-tall micro-panels (`[panel][l][i]`, zero-padded to full `MR`).
-#[allow(clippy::too_many_arguments)]
-fn pack_a(
-    pa: &mut Vec<f32>,
-    a: &[f32],
-    ars: usize,
-    acs: usize,
-    ic: usize,
-    mc: usize,
-    pc: usize,
-    kc: usize,
-) {
-    let panels = mc.div_ceil(MR);
-    let need = panels * kc * MR;
-    if pa.len() < need {
-        pa.resize(need, 0.0);
-    }
-    for p in 0..panels {
-        let i0 = ic + p * MR;
-        let h = MR.min(ic + mc - i0);
-        let dst = &mut pa[p * kc * MR..(p + 1) * kc * MR];
-        for (l, drow) in dst.chunks_exact_mut(MR).enumerate().take(kc) {
-            let col = (pc + l) * acs;
-            for (i, d) in drow.iter_mut().enumerate() {
-                *d = if i < h { a[(i0 + i) * ars + col] } else { 0.0 };
-            }
         }
     }
 }
@@ -1164,7 +932,7 @@ mod tests {
             let b = fill(k * n, 2);
             let want = reference_nn(&a, &b, m, k, n);
             let mut c = vec![f32::NAN; m * n];
-            gemm_packed(&mut c, m, k, n, &a, k, 1, &b, n, 1, false);
+            gemm_strided(&mut c, m, k, n, &a, k, 1, &b, n, 1, false);
             assert_close(&c, &want, &format!("nn {m}x{k}x{n}"));
         }
     }
@@ -1179,7 +947,7 @@ mod tests {
             .map(|v| v + 1.0)
             .collect();
         let mut c = vec![1.0f32; m * n];
-        gemm_packed(&mut c, m, k, n, &a, k, 1, &b, n, 1, true);
+        gemm_strided(&mut c, m, k, n, &a, k, 1, &b, n, 1, true);
         assert_close(&c, &want, "acc");
     }
 
@@ -1205,29 +973,23 @@ mod tests {
 
     #[test]
     fn portable_tile_reads_strided_operands_like_packed_ones() {
-        // On an AVX2 host the drivers never reach the portable body, so the
-        // pack-free ≡ packed property is pinned here for it directly.
-        for kc in [1, 2, 7, 32] {
-            let (ars, brs) = (kc + 3, NR + 5);
-            let a = fill(MR * ars, 10);
-            let b = fill(kc * brs, 11);
-            let a_off: [usize; MR] = std::array::from_fn(|i| i * ars);
-            let (mut pa, mut pb) = (Vec::new(), Vec::new());
-            pack_a(&mut pa, &a, ars, 1, 0, MR, 0, kc);
-            pack_b(&mut pb, &b, brs, 1, 0, kc, 0, NR);
-            let mut strided = [f32::NAN; MR * NR];
-            let mut packed = [f32::NAN; MR * NR];
-            // SAFETY: `a` holds `MR` rows of `ars ≥ kc`, `b` holds `kc` rows
-            // of `brs ≥ NR`; the packed panels are `kc·MR` and `kc·NR`.
-            unsafe {
-                tile_portable(kc, &a, &a_off, 1, &b, brs, &mut strided);
-                tile_portable(kc, &pa, &PACKED_A_OFF, MR, &pb, NR, &mut packed);
-            }
-            assert_eq!(
-                strided.map(f32::to_bits),
-                packed.map(f32::to_bits),
-                "kc={kc}"
-            );
+        // On an AVX2 host the matmuls never reach the portable body, so its
+        // two ways of reading `B` are pinned here directly: in place through
+        // padded strides, and packed into micro-panels from the transposed
+        // layout — across the `KC` block edge too.
+        let (m, n) = (MR + 1, 2 * NR);
+        for k in [1, 2, 7, 32, KC + 44] {
+            let (ars, brs) = (k + 3, n + 5);
+            let a = fill(m * ars, 10);
+            let b = fill(k * brs, 11);
+            // The same logical `B`, stored `(n, k)`.
+            let bt: Vec<f32> = (0..n * k).map(|i| b[(i % k) * brs + i / k]).collect();
+            let (mut strided, mut packed) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+            let tier = Tier::Portable;
+            gemm_pack_free_with(tier, &mut strided, m, k, n, &a, ars, 1, &b, brs, 1, false);
+            gemm_pack_free_with(tier, &mut packed, m, k, n, &a, ars, 1, &bt, 1, k, false);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&strided), bits(&packed), "k={k}");
         }
     }
 
@@ -1237,7 +999,7 @@ mod tests {
         let a = fill(m * k, 8);
         let b = fill(k * n, 9);
         let mut blocked = vec![0.0f32; m * n];
-        gemm_packed(&mut blocked, m, k, n, &a, k, 1, &b, n, 1, false);
+        gemm_strided(&mut blocked, m, k, n, &a, k, 1, &b, n, 1, false);
         let mut naive = vec![0.0f32; m * n];
         naive_matmul_into(&mut naive, &a, &b, m, k, n, false);
         assert_close(&naive, &blocked, "naive vs blocked");

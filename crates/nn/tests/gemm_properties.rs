@@ -1,11 +1,12 @@
 //! Property tests for the GEMM kernels: every layout (NN, NT, TN), in both
 //! overwrite and accumulate mode, must agree with a serial f64 triple-loop
 //! reference to ≤ 1e-5 relative error — including ragged tail shapes that
-//! exercise the micro-tile edge handling; the pack-free driver must agree
-//! with the packed one *bitwise*, on every instruction-set tier the CPU
-//! runs; and a NaN in either operand must reach the output through every
-//! kernel and tier — and, one level up, a NaN activation the loss, through
-//! each nonlinear tape op.
+//! exercise the micro-tile edge handling; every instruction-set tier the
+//! CPU runs must agree *bitwise* with a scalar spec of the documented
+//! per-element sequence, across `k` blocks and pooled row blocks; and a NaN
+//! in either operand must reach the output through every kernel and tier —
+//! and, one level up, a NaN activation the loss, through each nonlinear
+//! tape op.
 
 use proptest::prelude::*;
 use sickle_nn::gemm::Tier;
@@ -153,6 +154,8 @@ fn ragged_tail_shapes_match_reference() {
         (1, 300, 1),
         (11, 257, 23),
         (97, 3, 101),
+        (129, 512, 17),
+        (300, 0, 7),
     ];
     for (i, &(m, k, n)) in shapes.iter().enumerate() {
         check_all_layouts(m, k, n, 0x7171_0000 + i as u64, false);
@@ -170,36 +173,100 @@ fn strided_layouts(m: usize, k: usize, n: usize) -> [[usize; 9]; 3] {
     ]
 }
 
-/// Pack-free and packed drivers on the same operands, all three layouts:
-/// the results must be the same bits (same `k` order, same two accumulators),
-/// whichever micro-tile edges the shape leaves ragged.
-fn check_pack_free_bitwise(m: usize, k: usize, n: usize, seed: u64, acc: bool) {
+/// The documented per-element sequence, one element at a time: per `KC`
+/// block of `k`, one multiply-add chain over even `l` and one over odd `l`,
+/// both from `+0.0`; the two chains added once; that sum stored (the first
+/// block, unless `acc`) or added to `C`. `fused` chains are `f32::mul_add`
+/// (the AVX-512 and AVX2 tiers); unfused ones a multiply, then an add (the
+/// portable tier).
+#[allow(clippy::too_many_arguments)]
+fn spec(
+    fused: bool,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    ars: usize,
+    acs: usize,
+    b: &[f32],
+    brs: usize,
+    bcs: usize,
+    init: &[f32],
+    acc: bool,
+) -> Vec<f32> {
+    let mut out = if acc { init.to_vec() } else { vec![0.0; m * n] };
+    for i in 0..m {
+        for j in 0..n {
+            let c = &mut out[i * n + j];
+            for l0 in (0..k).step_by(gemm::KC) {
+                let mut chains = [0.0f32; 2];
+                for l in l0..k.min(l0 + gemm::KC) {
+                    let (x, y) = (a[i * ars + l * acs], b[l * brs + j * bcs]);
+                    let s = &mut chains[(l - l0) % 2];
+                    *s = if fused { x.mul_add(y, *s) } else { *s + x * y };
+                }
+                let sum = chains[0] + chains[1];
+                *c = if l0 == 0 && !acc { sum } else { *c + sum };
+            }
+        }
+    }
+    out
+}
+
+/// The tiers this CPU runs; the lines printed say which ones a run covered.
+fn tiers() -> Vec<Tier> {
+    [Tier::Avx512, Tier::Avx2, Tier::Portable]
+        .into_iter()
+        .filter(|&tier| {
+            let runs = tier.available();
+            let verdict = if runs {
+                "checked"
+            } else {
+                "skipped: not supported by this CPU"
+            };
+            println!("GEMM tier {tier:?}: {verdict}");
+            runs
+        })
+        .collect()
+}
+
+/// Each of `tiers` against the spec on the same operands, all three
+/// layouts: the results must be the same bits, whichever tile edges, `k`
+/// blocks and row blocks the shape has.
+fn check_tiers_bitwise(tiers: &[Tier], m: usize, k: usize, n: usize, seed: u64, acc: bool) {
     for (li, [lm, lk, ln, ars, acs, brs, bcs, a_len, b_len]) in
         strided_layouts(m, k, n).into_iter().enumerate()
     {
         let a = pseudo(seed ^ li as u64, a_len, 1.0);
         let b = pseudo(seed ^ 0xB0 ^ li as u64, b_len, 1.0);
         let init = pseudo(seed ^ 0xC0, lm * ln, 1.0);
-        let mut packed = init.clone();
-        gemm::gemm_packed(&mut packed, lm, lk, ln, &a, ars, acs, &b, brs, bcs, acc);
-        let mut free = init.clone();
-        gemm::gemm_pack_free(&mut free, lm, lk, ln, &a, ars, acs, &b, brs, bcs, acc);
-        for (i, (p, f)) in packed.iter().zip(&free).enumerate() {
-            assert_eq!(
-                p.to_bits(),
-                f.to_bits(),
-                "layout {li} {lm}x{lk}x{ln} acc={acc} element {i}: packed {p} vs pack-free {f}"
-            );
+        let want = [false, true]
+            .map(|fused| spec(fused, lm, lk, ln, &a, ars, acs, &b, brs, bcs, &init, acc));
+        for &tier in tiers {
+            let mut got = init.clone();
+            gemm::gemm_pack_free_with(tier, &mut got, lm, lk, ln, &a, ars, acs, &b, brs, bcs, acc);
+            let want = &want[usize::from(tier != Tier::Portable)];
+            for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+                assert_eq!(
+                    w.to_bits(),
+                    g.to_bits(),
+                    "{tier:?} layout {li} {lm}x{lk}x{ln} acc={acc} element {i}: spec {w} vs {g}"
+                );
+            }
         }
     }
 }
 
 #[test]
-fn pack_free_matches_packed_bitwise_on_edge_shapes() {
-    // k = 1, odd k, m % 6 and n % 8 ragged and exact, B readable in place
-    // (n % 8 == 0) and not, the model's own products, and k at the KC limit.
+fn tiers_match_the_spec_bitwise_on_edge_shapes() {
+    // k = 0, k = 1, odd k, m % 6 and n % 8 ragged and exact, B readable in
+    // place (n % 8 == 0) and not, the model's own products, k at the KC
+    // limit and past it (several k blocks), m past MC (several row blocks),
+    // and one product past POOL_MIN_FLOPS in every layout (row blocks on the
+    // thread pool).
     let shapes = [
         (1, 1, 1),
+        (7, 0, 9),
         (6, 1, 8),
         (7, 1, 9),
         (5, 7, 7),
@@ -212,64 +279,35 @@ fn pack_free_matches_packed_bitwise_on_edge_shapes() {
         (32, 64, 32),
         (37, 256, 24),
         (3, 255, 5),
+        (11, 257, 23),
+        (9, 512, 16),
+        (5, 600, 33),
+        (129, 0, 16),
+        (129, 33, 17),
+        (300, 5, 24),
+        (129, 257, 9),
+        (130, 260, 128),
     ];
+    const { assert!(2 * 130 * 260 * 128 >= gemm::POOL_MIN_FLOPS && 130 > gemm::MC) };
+    let tiers = tiers();
     for (i, &(m, k, n)) in shapes.iter().enumerate() {
-        check_pack_free_bitwise(m, k, n, 0x8181_0000 + i as u64, false);
-        check_pack_free_bitwise(m, k, n, 0x8282_0000 + i as u64, true);
+        check_tiers_bitwise(&tiers, m, k, n, 0x8181_0000 + i as u64, false);
+        check_tiers_bitwise(&tiers, m, k, n, 0x8282_0000 + i as u64, true);
     }
 }
 
-/// The FMA tiers of the pack-free driver this CPU runs; the lines printed
-/// say which ones a run covered. (Without FMA the packed driver runs the
-/// portable tile, which no other tier matches bit for bit.)
-fn fma_tiers() -> Vec<Tier> {
-    [Tier::Avx512, Tier::Avx2]
-        .into_iter()
-        .filter(|&tier| {
-            let runs = tier.available();
-            let verdict = if runs {
-                "checked"
-            } else {
-                "skipped: not supported by this CPU"
-            };
-            println!("pack-free tier {tier:?}: {verdict}");
-            runs
-        })
-        .collect()
-}
-
 #[test]
-fn pack_free_tiers_match_packed_bitwise() {
-    // Each tier against the packed driver, whose 8-wide AVX2 tile every
-    // tier's per-element sequence matches: rows across the 6- and 8-row
-    // tiles, columns across the 8- and 16-wide panels (in place, masked,
-    // and the 8-wide tail), `k` odd, even and at the `KC` limit.
-    let tiers = fma_tiers();
+fn every_tier_matches_the_spec_bitwise() {
+    // Rows across the 6- and 8-row tiles, columns across the 8- and 16-wide
+    // panels (in place, masked, and the 8-wide tail), `k` zero, odd, even,
+    // at the `KC` limit and one past it (two `k` blocks).
+    let tiers = tiers();
     for m in 1..=13 {
         for n in [1, 5, 8, 15, 16, 17, 32, 33, 64] {
-            for k in [1, 2, 5, 32, 255, 256] {
+            for k in [0, 1, 2, 5, 32, 255, 256, 257] {
                 let seed = ((m * 1000 + n) * 1000 + k) as u64;
                 for acc in [false, true] {
-                    for (li, [lm, lk, ln, ars, acs, brs, bcs, a_len, b_len]) in
-                        strided_layouts(m, k, n).into_iter().enumerate()
-                    {
-                        let a = pseudo(seed ^ li as u64, a_len, 1.0);
-                        let b = pseudo(seed ^ 0xB0 ^ li as u64, b_len, 1.0);
-                        let init = pseudo(seed ^ 0xC0, lm * ln, 1.0);
-                        let mut packed = init.clone();
-                        gemm::gemm_packed(&mut packed, lm, lk, ln, &a, ars, acs, &b, brs, bcs, acc);
-                        for &tier in &tiers {
-                            let mut free = init.clone();
-                            gemm::gemm_pack_free_with(
-                                tier, &mut free, lm, lk, ln, &a, ars, acs, &b, brs, bcs, acc,
-                            );
-                            let same = packed
-                                .iter()
-                                .zip(&free)
-                                .all(|(p, f)| p.to_bits() == f.to_bits());
-                            assert!(same, "{tier:?} layout {li} {lm}x{lk}x{ln} acc={acc}: bits differ from packed");
-                        }
-                    }
+                    check_tiers_bitwise(&tiers, m, k, n, seed, acc);
                 }
             }
         }
@@ -278,12 +316,13 @@ fn pack_free_tiers_match_packed_bitwise() {
 
 #[test]
 fn nan_reaches_the_output_through_every_pack_free_tier() {
-    for tier in fma_tiers().into_iter().chain([Tier::Portable]) {
+    for tier in tiers() {
         for (m, k, n) in [
             (1, 1, 1),
             (13, 9, 17),
             (64, 32, 32),
             (8, 256, 33),
+            (9, 600, 17),
             (5, 3, 5),
         ] {
             for (li, [lm, lk, ln, ars, acs, brs, bcs, a_len, b_len]) in
@@ -409,10 +448,10 @@ proptest! {
     }
 
     #[test]
-    fn pack_free_matches_packed_bitwise_on_random_shapes(
+    fn tiers_match_the_spec_bitwise_on_random_shapes(
         (m, k, n, seed, acc_bit) in (1usize..40, 1usize..40, 1usize..40, 0u64..u64::MAX, 0u8..2)
     ) {
-        check_pack_free_bitwise(m, k, n, seed, acc_bit == 1);
+        check_tiers_bitwise(&[Tier::detect()], m, k, n, seed, acc_bit == 1);
     }
 
     #[test]

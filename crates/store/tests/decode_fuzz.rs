@@ -546,30 +546,42 @@ fn hostile_ranges_and_missing_packs_are_errors_not_panics() {
 
 #[test]
 fn every_single_byte_flip_fails_the_content_hash() {
+    use std::os::unix::fs::FileExt;
     // Small identity (SKLH) and resim (SKLQ) shards whose lengths are not
     // a multiple of the hash's 32-byte stripe, so flips land in full
     // stripes and in the 8/4/1-byte tail alike. The pack's length still
     // matches the manifest, so only the content hash can catch each flip,
-    // and it must catch it in the flipped shard alone.
+    // and it must catch it in the flipped shard alone. One store stays
+    // open: each byte is flipped in place (same length, so its mapping
+    // sees the new byte) and restored, and a one-byte cache budget keeps
+    // at most the last shard read resident, so every read is a miss.
+    let cfg = StoreConfig {
+        cache_bytes: 1,
+        ..StoreConfig::default()
+    };
     for (codec, points) in [(Codec::Identity, 9), (Codec::resim_default(), 27)] {
         let out = sickle_store::testutil::small_output(1, KEYS.len(), points);
         let root = fuzz_root(&format!("byteflip_{}", codec.name()));
-        let store = ShardStore::ingest_with(&root, &out, StoreConfig::default(), |_| codec)
-            .expect("ingest");
+        let store = ShardStore::ingest_with(&root, &out, cfg, |_| codec).expect("ingest");
         let entries = store.manifest().entries.clone();
-        let pack = root.join(&store.manifest().pack);
-        drop(store);
         for e in &entries {
             assert_ne!(e.bytes % 32, 0, "{codec:?}: pick a length with a tail");
             assert!(e.bytes > 64, "{codec:?}: need at least two full stripes");
         }
-        let clean = std::fs::read(&pack).expect("read pack");
-        for offset in 0..clean.len() {
-            let mut bytes = clean.clone();
-            bytes[offset] ^= 0xA5;
-            std::fs::write(&pack, &bytes).expect("rewrite pack");
-            let store = ShardStore::open(&root, StoreConfig::default()).expect("length intact");
+        let pack_path = root.join(&store.manifest().pack);
+        let clean = std::fs::read(&pack_path).expect("read pack");
+        let pack = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&pack_path)
+            .expect("open pack");
+        for (offset, &byte) in clean.iter().enumerate() {
+            pack.write_all_at(&[byte ^ 0xA5], offset as u64)
+                .expect("flip byte");
             for (e, &key) in entries.iter().zip(&KEYS) {
+                assert!(
+                    !store.is_cached(key),
+                    "{codec:?} byte {offset}: {key:?} hit"
+                );
                 let got = store.get(key);
                 if (e.offset..e.offset + e.bytes).contains(&offset) {
                     let err = got.expect_err("a flipped byte must not verify");
@@ -582,9 +594,10 @@ fn every_single_byte_flip_fails_the_content_hash() {
                     assert!(got.is_ok(), "{codec:?} byte {offset}: {key:?}");
                 }
             }
+            pack.write_all_at(&[byte], offset as u64)
+                .expect("restore byte");
         }
-        std::fs::write(&pack, &clean).expect("restore pack");
-        let store = ShardStore::open(&root, StoreConfig::default()).expect("open");
+        assert_eq!(std::fs::read(&pack_path).expect("reread pack"), clean);
         assert!(
             KEYS.iter().all(|&k| store.get(k).is_ok()),
             "{codec:?}: clean pack reads"
