@@ -337,7 +337,7 @@ fn block(
         let mut packed = [0.0f32; KC * NR];
         let bp = &mut packed[..k * NR];
         for j0 in (wide..n).step_by(NR) {
-            pack_b_panel(bp, b, brs, bcs, 0, j0, NR.min(n - j0));
+            pack_b_panel(bp, b, brs, bcs, j0, NR.min(n - j0));
             panel(j0, bp, NR);
         }
     }
@@ -763,19 +763,11 @@ fn write_tile(
     }
 }
 
-/// Packs columns `j0..j0 + w` of logical `B`, rows `pc..pc + dst.len() / NR`,
+/// Packs columns `j0..j0 + w` of logical `B`, rows `0..dst.len() / NR`,
 /// into one `NR`-wide micro-panel (`[l][j]`, zero-padded to full `NR`).
-fn pack_b_panel(
-    dst: &mut [f32],
-    b: &[f32],
-    brs: usize,
-    bcs: usize,
-    pc: usize,
-    j0: usize,
-    w: usize,
-) {
+fn pack_b_panel(dst: &mut [f32], b: &[f32], brs: usize, bcs: usize, j0: usize, w: usize) {
     for (l, drow) in dst.chunks_exact_mut(NR).enumerate() {
-        let base = (pc + l) * brs;
+        let base = l * brs;
         for (j, d) in drow.iter_mut().enumerate() {
             *d = if j < w { b[base + (j0 + j) * bcs] } else { 0.0 };
         }

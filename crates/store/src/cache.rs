@@ -143,15 +143,16 @@ impl BlockCache {
         }
     }
 
-    /// True when the key's decoded shard is resident. Does not touch
-    /// recency or counters (used by the prefetcher to avoid skewing hit
-    /// statistics).
-    pub fn contains(&self, key: ShardKey) -> bool {
+    /// The key's decoded shard if resident. Does not touch recency or
+    /// counters, so the prefetcher's probe and the second look of a miss
+    /// leave the hit statistics alone.
+    pub fn peek(&self, key: ShardKey) -> Option<DecodedShard> {
         self.inner
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .map
-            .contains_key(&key)
+            .get(&key)
+            .map(|entry| entry.decoded.clone())
     }
 
     /// Inserts (or replaces) a decoded shard whose pack range is
@@ -275,9 +276,9 @@ mod tests {
         // Touch 0 so 1 becomes the LRU victim.
         assert!(cache.get(key(0)).is_some());
         cache.insert(key(2), shard_of(100), 0);
-        assert!(cache.contains(key(0)), "recently used survives");
-        assert!(!cache.contains(key(1)), "LRU evicted");
-        assert!(cache.contains(key(2)), "new entry resident");
+        assert!(cache.peek(key(0)).is_some(), "recently used survives");
+        assert!(cache.peek(key(1)).is_none(), "LRU evicted");
+        assert!(cache.peek(key(2)).is_some(), "new entry resident");
         assert!(cache.resident_bytes() <= cache.budget_bytes());
     }
 
@@ -285,11 +286,11 @@ mod tests {
     fn oversized_single_shard_still_resides() {
         let cache = cache(8); // far below one shard
         cache.insert(key(0), shard_of(1000), 0);
-        assert!(cache.contains(key(0)));
+        assert!(cache.peek(key(0)).is_some());
         // The next insert displaces it (budget admits only one).
         cache.insert(key(1), shard_of(1000), 0);
-        assert!(!cache.contains(key(0)));
-        assert!(cache.contains(key(1)));
+        assert!(cache.peek(key(0)).is_none());
+        assert!(cache.peek(key(1)).is_some());
     }
 
     #[test]
@@ -329,10 +330,16 @@ mod tests {
             "pack bytes do not charge the heap budget"
         );
         cache.insert(key(1), shard_of(10), 1024);
-        assert!(cache.contains(key(0)), "9216 pack bytes fit in 10 000");
+        assert!(
+            cache.peek(key(0)).is_some(),
+            "9216 pack bytes fit in 10 000"
+        );
         cache.insert(key(2), shard_of(10), 4096);
-        assert!(!cache.contains(key(0)), "mapped budget evicted the LRU");
-        assert!(cache.contains(key(1)) && cache.contains(key(2)));
+        assert!(
+            cache.peek(key(0)).is_none(),
+            "mapped budget evicted the LRU"
+        );
+        assert!(cache.peek(key(1)).is_some() && cache.peek(key(2)).is_some());
         assert_eq!(cache.mapped_bytes(), 1024 + 4096);
         assert_eq!(cache.resident_bytes(), 2 * shard_of(10).heap_bytes());
     }

@@ -16,11 +16,26 @@
 //! network. (`shutdown` is the one non-read request; it is idempotent —
 //! stop is a latch — so the same retry loop is still safe.)
 //!
+//! Every request leaves as one frame in one write
+//! ([`write_frame`](crate::protocol::write_frame)).
+//!
+//! **Read-ahead.** [`send_batch`](StoreClient::send_batch) writes a
+//! `GetBatch` on the cached connection and returns without reading its
+//! answer; the server answers pipelined frames in order, so the answer
+//! waits in the socket. One request is in flight at most. The next
+//! [`batch`](StoreClient::batch) for exactly that `(spec, index)` reads
+//! it; any other request first reads the stale answer and drops it. A
+//! read-ahead whose answer fails in transport, or is an error frame, is
+//! forgotten with its connection, and the call fetches through
+//! [`request`](StoreClient::request) on a fresh one, so retry, backoff and
+//! `Busy` handling live in one place.
+//!
 //! When tracing is enabled, every request opens a `client.request` span
-//! and ships its [`TraceContext`](sickle_obs::TraceContext) in the frame
-//! trailer, so the server's per-request spans nest under this client's in
-//! a merged trace. With tracing disabled the frames are byte-identical to
-//! an un-instrumented client's.
+//! (a read-ahead a `client.send` span) and ships its
+//! [`TraceContext`](sickle_obs::TraceContext) in the frame trailer, so the
+//! server's per-request spans nest under this client's in a merged trace.
+//! With tracing disabled the frames are byte-identical to an
+//! un-instrumented client's.
 
 use std::io;
 use std::net::TcpStream;
@@ -75,6 +90,9 @@ pub struct StoreClient {
     conn: Option<TcpStream>,
     backoff: Backoff,
     busy_retries: u64,
+    /// The `GetBatch` [`send_batch`](Self::send_batch) wrote on `conn`
+    /// whose answer is still unread.
+    sent: Option<(BatchSpec, u64)>,
 }
 
 impl StoreClient {
@@ -92,6 +110,7 @@ impl StoreClient {
             cfg,
             conn: None,
             busy_retries: 0,
+            sent: None,
         }
     }
 
@@ -127,8 +146,52 @@ impl StoreClient {
     fn try_once(&mut self, tag: u8, payload: &[u8]) -> io::Result<Response> {
         let stream = self.stream()?;
         write_frame(stream, tag, payload)?;
-        let (rtag, rpayload) = read_frame(stream)?;
-        Response::decode(rtag, &rpayload)
+        read_response(stream)
+    }
+
+    /// Reads the answer to the read-ahead in flight, if any: the batch
+    /// when it was sent for `want`, otherwise `None`. A stale batch is
+    /// dropped and the connection kept; a transport failure or an error
+    /// frame drops the connection too, so the caller starts afresh.
+    fn take_sent(&mut self, want: Option<(BatchSpec, u64)>) -> Option<Batch> {
+        let sent = self.sent.take()?;
+        let answer = read_response(self.conn.as_mut()?);
+        match answer {
+            Ok(Response::Batch(batch)) if want == Some(sent) => Some(batch),
+            Ok(Response::Batch(_)) => None,
+            _ => {
+                self.conn = None;
+                sickle_obs::counter!("store.client.reconnect", 1usize);
+                None
+            }
+        }
+    }
+
+    /// Writes `GetBatch { spec, index }` on the cached connection (opening
+    /// one if needed) and returns without reading the answer: the
+    /// read-ahead primitive. The next [`batch`](Self::batch) for exactly
+    /// `(spec, index)` reads it; any other request reads and drops it
+    /// first. Nothing is retried here: on error nothing is in flight and
+    /// the connection is dropped.
+    ///
+    /// # Errors
+    /// Transport errors from connecting or writing.
+    pub fn send_batch(&mut self, spec: BatchSpec, index: usize) -> io::Result<()> {
+        self.take_sent(None);
+        let _span = sickle_obs::span!("client.send");
+        let ctx = sickle_obs::enabled().then(sickle_obs::current_context);
+        let index = index as u64;
+        let (tag, payload) = Request::GetBatch { spec, index }.encode_traced(ctx);
+        match self.stream().and_then(|s| write_frame(s, tag, &payload)) {
+            Ok(()) => {
+                self.sent = Some((spec, index));
+                Ok(())
+            }
+            Err(e) => {
+                self.conn = None;
+                Err(e)
+            }
+        }
     }
 
     /// Sends one request, retrying transient failures on a fresh
@@ -139,6 +202,7 @@ impl StoreClient {
     /// transport error once retries are exhausted, or `WouldBlock` once
     /// the busy budget is exhausted.
     pub fn request(&mut self, req: &Request) -> io::Result<Response> {
+        self.take_sent(None);
         // Span first, then capture the context, so the trailer names this
         // request's own span as the server's parent.
         let _span = sickle_obs::span!("client.request");
@@ -199,11 +263,17 @@ impl StoreClient {
         }
     }
 
-    /// Fetches batch `index` of the epoch described by `spec`.
+    /// Fetches batch `index` of the epoch described by `spec`: the answer
+    /// to a [`send_batch`](Self::send_batch) for exactly this batch when
+    /// one is in flight and arrives whole, otherwise a
+    /// [`request`](Self::request).
     ///
     /// # Errors
     /// `NotFound` past the last batch; transport errors.
     pub fn batch(&mut self, spec: BatchSpec, index: usize) -> io::Result<Batch> {
+        if let Some(batch) = self.take_sent(Some((spec, index as u64))) {
+            return Ok(batch);
+        }
         match self.request(&Request::GetBatch {
             spec,
             index: index as u64,
@@ -255,6 +325,11 @@ impl StoreClient {
             other => Err(unexpected(&other, "stats")),
         }
     }
+}
+
+fn read_response(stream: &mut TcpStream) -> io::Result<Response> {
+    let (tag, payload) = read_frame(stream)?;
+    Response::decode(tag, &payload)
 }
 
 fn unexpected(resp: &Response, wanted: &str) -> io::Error {

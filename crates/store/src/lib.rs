@@ -48,5 +48,7 @@ pub use prefetch::Prefetcher;
 pub use protocol::{Request, Response, WireErrorKind};
 pub use server::{serve, ServeConfig, ServerHandle};
 pub use sickle_codec::Codec;
+/// The type of [`ServeConfig::fault_plan`].
+pub use sickle_hpc::FaultPlan;
 pub use stats::{CodecStats, ConnRegistry, ConnStats, StatsSnapshot};
 pub use store::{set_key, ShardStore, StoreConfig};

@@ -425,7 +425,9 @@ fn decode_batch(payload: &[u8]) -> io::Result<Response> {
     }))
 }
 
-/// Writes one frame.
+/// Writes one frame as one buffer in one write, as every response leaves:
+/// under `TCP_NODELAY` a header written on its own can reach the peer
+/// alone, waking a server worker on a frame it cannot answer yet.
 ///
 /// # Errors
 /// `InvalidData` if the payload exceeds [`MAX_FRAME`]; otherwise I/O
@@ -437,11 +439,11 @@ pub fn write_frame(w: &mut impl Write, tag: u8, payload: &[u8]) -> io::Result<()
             payload.len()
         )));
     }
-    let mut header = [0u8; FRAME_HEADER];
-    header[0] = tag;
-    header[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+    frame.put_u8(tag);
+    frame.put_u32_le(payload.len() as u32);
+    frame.put_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -683,6 +685,36 @@ mod tests {
                 "oversize {len} rejected"
             );
         }
+    }
+
+    #[test]
+    fn a_request_frame_leaves_in_one_write() {
+        /// Records the length of every `write` call.
+        struct Writes(Vec<usize>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let (tag, payload) = Request::GetBatch {
+            spec: BatchSpec {
+                seed: 3,
+                batch_size: 4,
+                tokens: 8,
+            },
+            index: 1,
+        }
+        .encode_traced(Some(TraceContext {
+            trace_id: 1,
+            span_id: 2,
+        }));
+        let mut w = Writes(Vec::new());
+        write_frame(&mut w, tag, &payload).unwrap();
+        assert_eq!(w.0, [FRAME_HEADER + payload.len()]);
     }
 
     #[test]

@@ -525,10 +525,11 @@ fn service(conn: &mut Conn, shared: &Shared) -> Option<Interest> {
             Err(_) => return None,
         }
     }
-    // Answer every complete frame (the protocol is request/response per
-    // connection, so normally at most one is waiting). The request is
-    // decoded straight out of the connection buffer — no payload copy —
-    // and the loop stops if an answer parks a pending write.
+    // Answer every complete frame, in order (a client keeps at most one
+    // read-ahead in flight, so normally at most one is waiting). The
+    // request is decoded straight out of the connection buffer — no
+    // payload copy — and the loop stops if an answer parks a pending
+    // write.
     while conn.out.is_none()
         && conn.buf.len() >= FRAME_HEADER
         && conn.buf.len() >= FRAME_HEADER + frame_len(&conn.buf)

@@ -25,10 +25,17 @@
 //! manifest naming a pack whose bytes still verify. A store maps its pack
 //! once (see [`Pack`]) and reads every shard as a slice of that mapping,
 //! hash-verified on each read — once per cache residency.
+//!
+//! A shard is decoded once per miss however many threads miss it: the
+//! first marks it in flight and decodes without holding any lock, and the
+//! others wait on that shard alone for its result (see
+//! [`ShardStore::resident`]).
 
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use sickle_codec::Codec;
 use sickle_core::pipeline::{config_fingerprint, SamplingOutput};
@@ -86,6 +93,35 @@ pub struct ShardStore {
     manifest: StoreManifest,
     pack: Pack,
     cache: BlockCache,
+    /// Shards being decoded, each with the slot its waiters block on.
+    decoding: Mutex<HashMap<ShardKey, Arc<Decoding>>>,
+    /// Decodes started since open.
+    decodes: AtomicU64,
+}
+
+/// One shard's decode in flight: set once, to the decoded shard, or to
+/// `None` when the decode failed.
+type Decoding = OnceLock<Option<DecodedShard>>;
+
+/// A thread's claim to decode one shard. Dropping it — after a success, an
+/// error or a panic — ends the shard's time in flight and wakes its
+/// waiters; one still unanswered then gets `None` and decodes the shard
+/// itself.
+struct Claim<'a> {
+    store: &'a ShardStore,
+    key: ShardKey,
+    slot: Arc<Decoding>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.store
+            .decoding
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(&self.key);
+        let _ = self.slot.set(None);
+    }
 }
 
 impl ShardStore {
@@ -192,6 +228,8 @@ impl ShardStore {
             manifest,
             pack,
             cache: BlockCache::new(cfg.cache_bytes, cfg.mapped_cache_bytes),
+            decoding: Mutex::default(),
+            decodes: AtomicU64::new(0),
         })
     }
 
@@ -213,7 +251,7 @@ impl ShardStore {
     /// True when the shard is already decoded in cache (prefetcher probe;
     /// no recency bump, no hit/miss accounting).
     pub fn is_cached(&self, key: ShardKey) -> bool {
-        self.cache.contains(key)
+        self.cache.peek(key).is_some()
     }
 
     fn entry(&self, key: ShardKey) -> io::Result<&ShardEntry> {
@@ -271,6 +309,12 @@ impl ShardStore {
     /// shards) — so decode and target reduction are paid once per
     /// residency, not once per request.
     ///
+    /// A miss on a shard another thread is decoding waits for that decode
+    /// instead of running its own. The wait is per shard, no lock is held
+    /// across a decode, and if the decode it waits for fails, the waiter
+    /// decodes the shard itself (or waits for a newer decode), so it gets
+    /// the shard or its own error and never hangs.
+    ///
     /// # Errors
     /// `NotFound` for an unknown key, `InvalidData` on hash mismatch or a
     /// shard that does not hold exactly one sample set.
@@ -278,6 +322,42 @@ impl ShardStore {
         if let Some(hit) = self.cache.get(key) {
             return Ok(hit);
         }
+        loop {
+            let mut decoding = self.decoding.lock().unwrap_or_else(|e| e.into_inner());
+            if let Some(slot) = decoding.get(&key).cloned() {
+                drop(decoding);
+                match slot.wait() {
+                    Some(decoded) => return Ok(decoded.clone()),
+                    None => continue,
+                }
+            }
+            // A decode that ended between the cache lookup and here put
+            // its shard in the cache before it left the in-flight table.
+            if let Some(hit) = self.cache.peek(key) {
+                return Ok(hit);
+            }
+            let slot = Arc::new(Decoding::new());
+            decoding.insert(key, Arc::clone(&slot));
+            drop(decoding);
+            return self.decode(Claim {
+                store: self,
+                key,
+                slot,
+            });
+        }
+    }
+
+    /// Shard decodes started since this store was opened: one per miss
+    /// that reached the codec, however many threads missed together.
+    pub fn decodes(&self) -> u64 {
+        self.decodes.load(Ordering::Relaxed)
+    }
+
+    /// Decodes the claimed shard, makes it resident, and hands it to the
+    /// shard's waiters.
+    fn decode(&self, claim: Claim<'_>) -> io::Result<DecodedShard> {
+        let key = claim.key;
+        self.decodes.fetch_add(1, Ordering::Relaxed);
         let raw = self.shard_handle(key)?;
         let t1 = std::time::Instant::now();
         let mut sets = {
@@ -296,6 +376,7 @@ impl ShardStore {
             }
         };
         self.cache.insert(key, decoded.clone(), raw.len());
+        let _ = claim.slot.set(Some(decoded.clone()));
         Ok(decoded)
     }
 
@@ -513,6 +594,49 @@ mod tests {
         let store = ShardStore::open(&root, StoreConfig::default()).unwrap();
         let err = store.get(key).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn threads_missing_one_shard_share_its_decode_or_its_failure() {
+        let root = temp_root("in_flight");
+        let store =
+            ShardStore::ingest(&root, &small_output(1, 2, 2000), StoreConfig::default()).unwrap();
+        let (bad, good) = (store.keys()[0], store.keys()[1]);
+        let entry = store.manifest().entry(bad).unwrap().clone();
+        let pack = root.join(&store.manifest().pack);
+        drop(store);
+        let mut bytes = std::fs::read(&pack).unwrap();
+        bytes[entry.offset + entry.bytes - 1] ^= 0xFF;
+        std::fs::write(&pack, &bytes).unwrap();
+        let store = ShardStore::open(&root, StoreConfig::default()).unwrap();
+        let threads = 4;
+        let all_at_once = |key: ShardKey| {
+            let start = std::sync::Barrier::new(threads);
+            std::thread::scope(|scope| {
+                let runs: Vec<_> = (0..threads)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            store.resident(key).map(drop)
+                        })
+                    })
+                    .collect();
+                runs.into_iter()
+                    .map(|r| r.join().unwrap())
+                    .collect::<Vec<_>>()
+            })
+        };
+        assert!(all_at_once(good).iter().all(Result::is_ok));
+        assert_eq!(store.decodes(), 1, "one decode, however many misses");
+        // Every thread comes back with the failure: from the decode it
+        // waited on, or from its own.
+        for result in all_at_once(bad) {
+            assert_eq!(result.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        }
+        let decodes = store.decodes() as usize;
+        assert!((2..=1 + threads).contains(&decodes), "{decodes} decodes");
+        assert!(store.decoding.lock().unwrap().is_empty());
         std::fs::remove_dir_all(&root).ok();
     }
 

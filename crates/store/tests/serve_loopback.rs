@@ -190,6 +190,38 @@ fn injected_drops_recover_with_no_duplicate_or_missing_samples() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+#[test]
+fn a_cold_epoch_decodes_each_shard_once() {
+    // 128 shards in the default cache (no evictions), lookahead 1, and a
+    // client that keeps the next batch in flight: the prefetcher's decode
+    // of batch i + 1 races the foreground request for the same shards on
+    // every batch. Each shard must still be decoded exactly once.
+    let root = temp_root("one_decode");
+    let store = Arc::new(
+        ShardStore::ingest(&root, &small_output(8, 16, POINTS), StoreConfig::default()).unwrap(),
+    );
+    let n = store.keys().len();
+    let handle = serve(Arc::clone(&store), ServeConfig::default()).unwrap();
+    let mut client = fast_client(handle.addr());
+    for seed in [3, 4] {
+        let spec = BatchSpec {
+            seed,
+            batch_size: 4,
+            tokens: 8,
+        };
+        let batches = num_batches(n, spec.batch_size);
+        for i in 0..batches {
+            client.batch(spec, i).unwrap();
+            if i + 1 < batches {
+                client.send_batch(spec, i + 1).unwrap();
+            }
+        }
+        assert_eq!(store.decodes(), n as u64, "decodes after epoch {seed}");
+    }
+    drop(handle);
+    std::fs::remove_dir_all(&root).ok();
+}
+
 /// A raw connection for tests that speak frames directly.
 fn raw_conn(addr: std::net::SocketAddr) -> TcpStream {
     let stream = TcpStream::connect(addr).unwrap();

@@ -80,8 +80,9 @@ fn merged_trace_links_client_and_server_processes() {
     let addr = await_listen_addr(&mut reader);
     let drain = std::thread::spawn(move || for _ in reader.lines() {});
 
-    // Traced client workload: one epoch of batches, a Stats poll, then a
-    // clean Shutdown so the server flushes its trace on exit.
+    // Traced client workload: one epoch of batches, each after the first
+    // read ahead as `RemoteDataset` does, a Stats poll, then a clean
+    // Shutdown so the server flushes its trace on exit.
     let _ = sickle_obs::drain();
     sickle_obs::set_enabled(true);
     {
@@ -98,8 +99,12 @@ fn merged_trace_links_client_and_server_processes() {
             batch_size: 4,
             tokens: 16,
         };
-        for i in 0..num_batches(shards, spec.batch_size) {
+        let batches = num_batches(shards, spec.batch_size);
+        for i in 0..batches {
             client.batch(spec, i).expect("traced batch");
+            if i + 1 < batches {
+                client.send_batch(spec, i + 1).expect("traced read-ahead");
+            }
         }
         let snap = client.stats().expect("stats over the wire");
         assert!(snap.requests_total > 0, "server counted our requests");

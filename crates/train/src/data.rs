@@ -372,6 +372,15 @@ pub fn dense_cube_data(
 /// `drop@conn:request` faults) are retried by the underlying
 /// [`StoreClient`](sickle_store::StoreClient); since every batch fetch is a
 /// pure read, retries cannot duplicate or lose samples.
+///
+/// The next batch is kept in flight: once [`batch`](Self::batch) has batch
+/// `i` of an epoch, it writes the request for batch `i + 1` of the same
+/// epoch ([`StoreClient::send_batch`](sickle_store::StoreClient::send_batch))
+/// before it returns, so the server assembles it while the trainer steps.
+/// The depth is one and never crosses an epoch's end, so an epoch costs
+/// the server exactly [`num_batches`](Self::num_batches) requests when read
+/// in order. A call for any other batch discards the answer in flight, and
+/// one that fails in transport is fetched again from scratch.
 pub struct RemoteDataset {
     client: sickle_store::StoreClient,
     /// Samples (shards) available on the server.
@@ -416,7 +425,8 @@ impl RemoteDataset {
         sickle_store::batching::num_batches(self.n, batch_size)
     }
 
-    /// Fetches batch `index` of the epoch seeded by `seed`.
+    /// Fetches batch `index` of the epoch seeded by `seed`, then sends the
+    /// request for batch `index + 1` unless `index` is the epoch's last.
     ///
     /// # Errors
     /// `NotFound` past the last batch; transport errors after retries.
@@ -427,7 +437,13 @@ impl RemoteDataset {
             batch_size,
             tokens: self.tokens,
         };
-        self.client.batch(spec, index)
+        let batch = self.client.batch(spec, index)?;
+        if index + 1 < self.num_batches(batch_size) {
+            // Best effort: a failed send leaves nothing in flight, and the
+            // next call fetches as if none had been tried.
+            let _ = self.client.send_batch(spec, index + 1);
+        }
+        Ok(batch)
     }
 
     /// Streams one full epoch, in epoch order — the drop-in replacement
